@@ -13,9 +13,7 @@ use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_testgen::bind::{MapReduceBinding, PatternExecutor, SqlBinding};
 use bdb_testgen::ops::{AggSpec, CompareOp, Operation, PredicateSpec, ScalarSpec};
 use bdb_testgen::pattern::{InputRef, Step, WorkloadPattern};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeMap;
-use std::hint::black_box;
 use std::time::Instant;
 
 fn pattern() -> WorkloadPattern {
@@ -92,23 +90,6 @@ fn report() {
     println!("Shape: identical outputs at every size (functional view). System\nview: the single-threaded relational engine wins small inputs; the\nparallel MapReduce engine overtakes it as volume grows — the\nDBMS-vs-MapReduce crossover the Pavlo benchmark made famous.");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     report();
-    let p = pattern();
-    let ds = datasets(5_000);
-    let mut group = c.benchmark_group("abl2_same_abstract_test");
-    group.bench_with_input(BenchmarkId::new("engine", "sql"), &(), |b, _| {
-        b.iter(|| black_box(SqlBinding.execute(&p, &ds).expect("binds")));
-    });
-    group.bench_with_input(BenchmarkId::new("engine", "mapreduce"), &(), |b, _| {
-        b.iter(|| black_box(MapReduceBinding::default().execute(&p, &ds).expect("binds")));
-    });
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

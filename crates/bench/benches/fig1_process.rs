@@ -1,16 +1,13 @@
 //! FIG1 — the five-step benchmarking process (Figure 1).
 //!
 //! Runs the full pipeline (planning → data generation → test generation →
-//! execution → analysis) on the micro/sort domain across volumes, prints
-//! the per-step breakdown the figure describes, and benches the end-to-end
-//! run.
+//! execution → analysis) on the micro/sort domain across volumes and
+//! prints the per-step breakdown the figure describes.
 
 use bdb_core::layers::BenchmarkSpec;
 use bdb_core::pipeline::Benchmark;
 use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_testgen::SystemKind;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 
 fn report() {
     bdb_bench::banner("FIG1", "five-step benchmarking process, micro/sort, volume sweep");
@@ -39,26 +36,6 @@ fn report() {
     println!("Shape: execution and data generation dominate and scale with volume;\nplanning/test generation/analysis stay constant.");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     report();
-    let bench_runner = Benchmark::new();
-    let mut group = c.benchmark_group("fig1_pipeline");
-    for scale in [1_000u64, 10_000] {
-        group.bench_with_input(BenchmarkId::new("micro_sort", scale), &scale, |b, &scale| {
-            let spec = BenchmarkSpec::new("fig1")
-                .with_prescription("micro/sort")
-                .with_system(SystemKind::Native)
-                .with_scale(scale)
-                .with_seed(1);
-            b.iter(|| black_box(bench_runner.run(&spec).expect("pipeline runs")));
-        });
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

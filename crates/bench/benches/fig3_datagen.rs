@@ -3,8 +3,7 @@
 //! Exercises the per-type generation paths (text via LDA and Markov,
 //! table via fitted models, graph via RMAT and BA, stream via Poisson and
 //! MMPP) across a volume sweep, printing items/sec per generator — the
-//! *volume* and *velocity* columns of the process — and benching each
-//! path.
+//! *volume* and *velocity* columns of the process.
 
 use bdb_datagen::corpus::{karate_club_graph, raw_retail_table, RAW_TEXT_CORPUS};
 use bdb_datagen::graph::{fit_rmat, BaGenerator, RmatGenerator};
@@ -15,8 +14,6 @@ use bdb_datagen::text::markov::MarkovTextGenerator;
 use bdb_datagen::volume::VolumeSpec;
 use bdb_datagen::DataGenerator;
 use bdb_exec::reporter::{fmt_num, TableReporter};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use std::time::Instant;
 
 fn generators() -> Vec<Box<dyn DataGenerator>> {
@@ -113,61 +110,7 @@ fn thread_scaling_report() {
     println!("Shape: sharded generation scales with workers while staying\nbyte-identical to the sequential run (deterministic PDGF sharding).");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     report();
     thread_scaling_report();
-    let mut group = c.benchmark_group("fig3_generators");
-    for (i, gen) in generators().into_iter().enumerate() {
-        // Index prefix keeps ids unique (two RMAT variants share a name).
-        let name = format!("{i}_{}", gen.name().replace('/', "_"));
-        group.bench_with_input(BenchmarkId::new(name, 10_000u64), &gen, |b, gen| {
-            b.iter(|| black_box(gen.generate(3, &VolumeSpec::Items(10_000)).expect("generates")));
-        });
-    }
-    group.finish();
-    // Thread-scaling bench: table + stream generation across worker counts.
-    let mut group = c.benchmark_group("fig3_parallel_scaling");
-    let table_gen = TableGenerator::fit("retail", &raw_retail_table()).expect("fits");
-    let stream_gen = PoissonArrivals::new(10_000.0, 64).expect("valid");
-    let n_auto = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut worker_counts = vec![1usize, 2, 4];
-    if !worker_counts.contains(&n_auto) {
-        worker_counts.push(n_auto);
-    }
-    for &w in &worker_counts {
-        group.bench_with_input(
-            BenchmarkId::new("table_100k", w),
-            &w,
-            |b, &w| {
-                b.iter(|| {
-                    black_box(
-                        table_gen
-                            .generate_parallel(3, &VolumeSpec::Items(100_000), w)
-                            .expect("generates"),
-                    )
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("stream_200k", w),
-            &w,
-            |b, &w| {
-                b.iter(|| {
-                    black_box(
-                        stream_gen
-                            .generate_parallel(3, &VolumeSpec::Items(200_000), w)
-                            .expect("generates"),
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,17 +1,13 @@
 //! FIG4 — the test generation process (Figure 4).
 //!
-//! Walks the five test-generation steps for every repository domain,
+//! Walks the five test-generation steps for every repository domain and
 //! prints the prescription inventory (operations, pattern class, target
-//! bindings), and benches prescription generation + serialisation and the
-//! binding of an abstract test to both engines.
+//! bindings).
 
 use bdb_exec::reporter::TableReporter;
-use bdb_testgen::bind::{MapReduceBinding, PatternExecutor, SqlBinding};
 use bdb_testgen::pattern::WorkloadPattern;
 use bdb_testgen::repository::builtin_prescriptions;
-use bdb_testgen::{Prescription, PrescriptionRepository, SystemKind, TestGenerator};
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
+use bdb_testgen::Prescription;
 
 fn pattern_class(p: &Prescription) -> &'static str {
     match &p.pattern {
@@ -45,41 +41,6 @@ fn report() {
     println!("Shape: all three pattern classes are represented and every\nprescription round-trips through JSON (reusable repository).");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     report();
-    c.bench_function("fig4_prescribe_and_serialize", |b| {
-        let repo = PrescriptionRepository::with_builtins();
-        b.iter(|| {
-            let p = repo.get("relational/select-aggregate").expect("exists").clone();
-            let test = TestGenerator::materialize(p, SystemKind::Sql, 7).expect("materialises");
-            black_box(test.prescription.to_json().expect("serialises"))
-        });
-    });
-
-    // Binding an abstract test to both engines (step 5 at execution time).
-    let repo = PrescriptionRepository::with_builtins();
-    let p = repo.get("relational/select-aggregate").expect("exists").clone();
-    let raw = bdb_datagen::corpus::raw_retail_table();
-    let gen = bdb_datagen::table::TableGenerator::fit("orders", &raw).expect("fits");
-    let mut datasets = std::collections::BTreeMap::new();
-    datasets.insert("orders".to_string(), gen.generate_shard(1, 0, 2_000));
-    c.bench_function("fig4_bind_sql", |b| {
-        b.iter(|| black_box(SqlBinding.execute(&p.pattern, &datasets).expect("binds")));
-    });
-    c.bench_function("fig4_bind_mapreduce", |b| {
-        b.iter(|| {
-            black_box(
-                MapReduceBinding::default()
-                    .execute(&p.pattern, &datasets)
-                    .expect("binds"),
-            )
-        });
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = bdb_bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

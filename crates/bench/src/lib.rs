@@ -1,5 +1,5 @@
-//! `bdb-bench`: the statistical measurement subsystem plus the
-//! experiment benches.
+//! `bdb-bench`: the statistical measurement subsystem plus the paper's
+//! report programs.
 //!
 //! Two halves live here:
 //!
@@ -8,28 +8,17 @@
 //!   classification, t-distribution 95% confidence intervals),
 //!   [`hotpaths`] (the ten measured hot paths), and [`ledger`] (the
 //!   committed `BENCH_N.json` perf-regression ledger and its
-//!   non-overlapping-CI significance comparison).
-//! * The **Criterion experiment benches** under `benches/`, each
-//!   regenerating one paper artifact (a table or figure; see the
-//!   experiment index in DESIGN.md): they print the paper-style rows
-//!   once and then let Criterion measure the hot kernels.
+//!   non-overlapping-CI significance comparison). This is where kernel
+//!   timing lives.
+//! * The **report programs** under `benches/`, each a plain `fn main`
+//!   that regenerates one paper artifact (a figure, a Section 5 proposal
+//!   or an ablation; see the experiment index in DESIGN.md) and prints
+//!   its paper-style rows with its own `Instant` timings. Tables 1 and 2
+//!   are regenerated by `bdbench table1` / `bdbench table2`.
 
 pub mod hotpaths;
 pub mod ledger;
 pub mod sampling;
-
-use criterion::Criterion;
-use std::time::Duration;
-
-/// A Criterion instance tuned for this suite: short measurement windows —
-//  the experiment *shapes* matter, not ±1% timing precision.
-pub fn criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(900))
-        .warm_up_time(Duration::from_millis(300))
-        .configure_from_args()
-}
 
 /// Print a banner naming the paper artifact a bench regenerates.
 pub fn banner(id: &str, what: &str) {

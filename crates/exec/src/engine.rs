@@ -618,32 +618,9 @@ impl EngineRegistry {
                 started,
                 &mut || engine.execute(request),
             );
-            let record_breaker = |ok: bool| {
-                if admission.probe {
-                    request.trace.record(crate::trace::TraceEvent::ProbeResult {
-                        engine: engine.name().to_string(),
-                        ok,
-                    });
-                }
-                let recorded = health.record(engine.name(), ok, admission.probe);
-                match recorded.transition {
-                    Some(crate::health::BreakerState::Open) => {
-                        request.trace.record(crate::trace::TraceEvent::BreakerOpened {
-                            engine: engine.name().to_string(),
-                            failure_rate: recorded.failure_rate,
-                        });
-                    }
-                    Some(crate::health::BreakerState::Closed) => {
-                        request.trace.record(crate::trace::TraceEvent::BreakerClosed {
-                            engine: engine.name().to_string(),
-                        });
-                    }
-                    _ => {}
-                }
-            };
             match outcome {
                 Ok(recovered) => {
-                    record_breaker(true);
+                    health.record_traced(request.trace, engine.name(), true, admission.probe);
                     // Feed the adaptive loop: what this engine actually
                     // took (including any injected faults and retries it
                     // absorbed) becomes its next predicted cost.
@@ -670,7 +647,7 @@ impl EngineRegistry {
                     return Ok(results);
                 }
                 Err(failure) => {
-                    record_breaker(false);
+                    health.record_traced(request.trace, engine.name(), false, admission.probe);
                     total_attempts += failure.attempts;
                     // A crash is the process dying, not this engine
                     // misbehaving — failing over would "survive" a death
@@ -711,15 +688,25 @@ impl EngineRegistry {
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// A 32-bit order-independent-input, canonical-order hash of a bound
-/// execution's output rows, comparable across engines (kept within the
-/// integer range `f64` represents exactly so it can ride in a result
-/// detail).
-fn output_hash(bound: &BoundExecution) -> u64 {
+/// The canonical rows of a bound execution: the output sorted
+/// canonically with every value stringified, comparable across engines
+/// and against the reference oracle. Sorted and stringified once; the
+/// `output_hash` detail and the result payload both derive from it.
+fn canonical_rows(bound: &BoundExecution) -> Vec<Vec<String>> {
+    bound
+        .sorted_rows()
+        .iter()
+        .map(|row| row.iter().map(std::string::ToString::to_string).collect())
+        .collect()
+}
+
+/// A 32-bit hash of [`canonical_rows`] (kept within the integer range
+/// `f64` represents exactly so it can ride in a result detail).
+fn output_hash(rows: &[Vec<String>]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in bound.sorted_rows() {
-        for v in &row {
-            for b in v.to_string().bytes() {
+    for row in rows {
+        for v in row {
+            for b in v.bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
@@ -730,19 +717,6 @@ fn output_hash(bound: &BoundExecution) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h & 0xFFFF_FFFF
-}
-
-/// The canonical row-set payload of a bound execution: the sorted output
-/// rows with every value stringified, comparable across engines and
-/// against the reference oracle.
-fn table_payload(bound: &BoundExecution) -> OutputPayload {
-    OutputPayload::RowSet(
-        bound
-            .sorted_rows()
-            .into_iter()
-            .map(|row| row.iter().map(std::string::ToString::to_string).collect())
-            .collect(),
-    )
 }
 
 /// Run a table-pattern binding and assemble the uniform result, emitting
@@ -773,6 +747,7 @@ fn execute_table_binding(
     let mut collector = MetricsCollector::new();
     collector.record_operations(bound.output.len() as u64);
     let user = collector.finish_with_duration(bound.elapsed);
+    let rows = canonical_rows(&bound);
     let result = WorkloadResult::assemble(
         &req.prescription.name,
         engine,
@@ -782,8 +757,8 @@ fn execute_table_binding(
         req.scale,
     )
     .with_detail("output_rows", bound.output.len() as f64)
-    .with_detail("output_hash", output_hash(&bound) as f64)
-    .with_output(table_payload(&bound));
+    .with_detail("output_hash", output_hash(&rows) as f64)
+    .with_output(OutputPayload::RowSet(rows));
     Ok(vec![result])
 }
 

@@ -27,6 +27,7 @@
 //! call sites translate returned transitions into
 //! [`crate::trace::TraceEvent`]s so the event stream stays attributable.
 
+use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::rng::SplitMix64;
 use bdb_common::{BdbError, Result};
 use serde::{Deserialize, Serialize};
@@ -348,6 +349,33 @@ impl HealthStore {
             BreakerState::Open | BreakerState::HalfOpen => None,
         };
         Recorded { transition, failure_rate }
+    }
+
+    /// [`Self::record`] plus the trace events that go with it:
+    /// `ProbeResult` for a probe, then `BreakerOpened` / `BreakerClosed`
+    /// when the outcome moved the breaker.
+    pub(crate) fn record_traced(
+        &self,
+        trace: &RunTrace,
+        engine: &str,
+        ok: bool,
+        probe: bool,
+    ) -> Recorded {
+        if probe {
+            trace.record(TraceEvent::ProbeResult { engine: engine.to_string(), ok });
+        }
+        let recorded = self.record(engine, ok, probe);
+        match recorded.transition {
+            Some(BreakerState::Open) => trace.record(TraceEvent::BreakerOpened {
+                engine: engine.to_string(),
+                failure_rate: recorded.failure_rate,
+            }),
+            Some(BreakerState::Closed) => {
+                trace.record(TraceEvent::BreakerClosed { engine: engine.to_string() });
+            }
+            _ => {}
+        }
+        recorded
     }
 
     /// Current state of `engine`'s breaker (closed when never touched).

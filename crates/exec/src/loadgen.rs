@@ -19,8 +19,7 @@
 //!   charged to the engine — the coordinated-omission discipline.
 //!
 //! Per-lane latencies land in thread-local histograms merged at quiesce
-//! ([`bdb_common::histogram::Histogram::merge`] /
-//! [`LogHistogram::merge`](bdb_common::histogram::LogHistogram::merge)),
+//! ([`LogHistogram::merge`](bdb_common::histogram::LogHistogram::merge)),
 //! reporting p50/p99/p999 and saturation throughput per engine. A sampled
 //! subset of op results is compared against a pure oracle through
 //! [`OutputPayload`] diffing and recorded as `ConformanceChecked` trace
@@ -63,7 +62,7 @@ use crate::health::{BreakerState, HealthStore};
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::dist::{Distribution, Zipf};
 use bdb_common::event::Event;
-use bdb_common::histogram::{Histogram, LogHistogram};
+use bdb_common::histogram::LogHistogram;
 use bdb_common::rng::{Rng, SeedTree, SplitMix64};
 use bdb_common::value::{DataType, Field, Schema, Value};
 use bdb_common::{pool, record::Table, BdbError, Result};
@@ -692,10 +691,12 @@ pub struct LoadReport {
 }
 
 /// Per-lane capture merged at quiesce: a thread-local latency histogram,
-/// queue-delay histogram, completion/chaos counts and sampled outcomes.
+/// queue-delay sum and count (only the mean is reported),
+/// completion/chaos counts and sampled outcomes.
 struct LaneOut {
     lat: LogHistogram,
-    queue_delay: Histogram,
+    queue_delay_ms_sum: f64,
+    queue_delays: u64,
     completed: u64,
     failed: u64,
     faults: u64,
@@ -707,7 +708,8 @@ impl LaneOut {
     fn new() -> Self {
         Self {
             lat: LogHistogram::new(),
-            queue_delay: Histogram::with_bounds(0.0, 1000.0, 500),
+            queue_delay_ms_sum: 0.0,
+            queue_delays: 0,
             completed: 0,
             failed: 0,
             faults: 0,
@@ -897,7 +899,8 @@ pub fn run_target_resilient(
     };
 
     let mut lat = LogHistogram::new();
-    let mut queue_delay = Histogram::with_bounds(0.0, 1000.0, 500);
+    let mut queue_delay_ms_sum = 0.0f64;
+    let mut queue_delays = 0u64;
     let mut completed = 0u64;
     let mut failed = 0u64;
     let mut faults = 0u64;
@@ -905,7 +908,8 @@ pub fn run_target_resilient(
     let mut samples: Vec<(usize, String)> = Vec::new();
     for lane in &lanes {
         lat.merge(&lane.lat);
-        queue_delay.merge(&lane.queue_delay);
+        queue_delay_ms_sum += lane.queue_delay_ms_sum;
+        queue_delays += lane.queue_delays;
         completed += lane.completed;
         failed += lane.failed;
         faults += lane.faults;
@@ -961,7 +965,7 @@ pub fn run_target_resilient(
         p50_us: lat.quantile(0.50) as f64 / 1e3,
         p99_us: lat.quantile(0.99) as f64 / 1e3,
         p999_us: lat.quantile(0.999) as f64 / 1e3,
-        mean_queue_delay_ms: queue_delay.mean(),
+        mean_queue_delay_ms: queue_delay_ms_sum / queue_delays.max(1) as f64,
         sampled: samples.len() as u64,
         conformance_passed: passed,
         digest: issued_digest(schedule),
@@ -1081,25 +1085,10 @@ fn run_open_loop(
                         continue;
                     }
                     let planned_ok = c.planned_ok(idx);
-                    if admission.probe {
-                        trace.record(TraceEvent::ProbeResult {
-                            engine: engine.to_string(),
-                            ok: planned_ok,
-                        });
-                    }
-                    let recorded = health.record(engine, planned_ok, admission.probe);
-                    match recorded.transition {
-                        Some(BreakerState::Open) => {
-                            trips += 1;
-                            trace.record(TraceEvent::BreakerOpened {
-                                engine: engine.to_string(),
-                                failure_rate: recorded.failure_rate,
-                            });
-                        }
-                        Some(BreakerState::Closed) => {
-                            trace.record(TraceEvent::BreakerClosed { engine: engine.to_string() });
-                        }
-                        _ => {}
+                    let recorded =
+                        health.record_traced(trace, engine, planned_ok, admission.probe);
+                    if recorded.transition == Some(BreakerState::Open) {
+                        trips += 1;
                     }
                     // Brownout second: sustained queue overload (≥ 3/4
                     // full) or a half-open breaker builds pressure; past
@@ -1185,7 +1174,8 @@ fn run_open_loop(
                     let Some(idx) = idx else { break };
                     let intended = Duration::from_secs_f64(schedule[idx].at_ms / 1000.0);
                     let dispatch_delay = start.elapsed().saturating_sub(intended);
-                    lane.queue_delay.record(dispatch_delay.as_secs_f64() * 1e3);
+                    lane.queue_delay_ms_sum += dispatch_delay.as_secs_f64() * 1e3;
+                    lane.queue_delays += 1;
                     // Latency clock starts at the intended arrival: the
                     // virtual instant `start + intended`.
                     let latency_from = start

@@ -25,12 +25,11 @@ use crate::bloom::BloomFilter;
 use crate::manifest::{self, Manifest};
 use crate::wal::{Wal, WalRecord};
 use bdb_common::{BdbError, Result};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Raw byte key.
 pub type Key = Vec<u8>;
@@ -611,41 +610,52 @@ impl SharedLsm {
         Self { inner: Arc::new(RwLock::new(LsmStore::with_config(config))) }
     }
 
+    // A poisoned lock is recovered, not propagated: the thread that
+    // panicked under it already surfaces the failure when it is joined,
+    // and the other clients sharing the store must not panic a second time.
+    fn read(&self) -> RwLockReadGuard<'_, LsmStore> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, LsmStore> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Insert or overwrite.
     pub fn put(&self, key: Key, value: Val) {
-        self.inner.write().put(key, value);
+        self.write().put(key, value);
     }
 
     /// Point lookup. Takes the *read* lock: any number of concurrent
     /// readers proceed in parallel and only writers (put/delete, and the
     /// flushes/compactions they trigger) exclude them.
     pub fn get(&self, key: &[u8]) -> Option<Val> {
-        self.inner.read().get(key)
+        self.read().get(key)
     }
 
     /// Delete.
     pub fn delete(&self, key: Key) {
-        self.inner.write().delete(key);
+        self.write().delete(key);
     }
 
     /// Range scan, under the read lock like [`Self::get`].
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Key, Val)> {
-        self.inner.read().scan(start, end, limit)
+        self.read().scan(start, end, limit)
     }
 
     /// Freeze the memtable into a run (exclusive, like writes).
     pub fn flush(&self) {
-        self.inner.write().flush();
+        self.write().flush();
     }
 
     /// Number of immutable runs.
     pub fn run_count(&self) -> usize {
-        self.inner.read().run_count()
+        self.read().run_count()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> KvStats {
-        self.inner.read().stats()
+        self.read().stats()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Threaded stream pipelines with bounded channels.
 //!
 //! Each stage runs on its own thread; stages are connected by bounded
-//! crossbeam channels, so a slow stage backpressures its upstream exactly
-//! as in a real streaming system. [`Pipeline::run`] replays the input as
+//! `std::sync::mpsc` channels, so a slow stage backpressures its upstream
+//! exactly as in a real streaming system. [`Pipeline::run`] replays the input as
 //! fast as possible (measuring sustainable processing rate);
 //! [`Pipeline::run_paced`] replays at a target arrival rate and measures
 //! the processing lag behind the source — the "keep up with arriving
@@ -10,7 +10,7 @@
 
 use crate::window::{WindowAggregate, WindowSpec, Windower};
 use bdb_common::event::Event;
-use crossbeam::channel::bounded;
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 enum Stage {
@@ -39,12 +39,17 @@ pub struct RunOutcome {
 }
 
 /// A linear pipeline: source → stages… → \[window\] → sink.
-#[derive(Default)]
 pub struct Pipeline {
     stages: Vec<Stage>,
     window: Option<WindowSpec>,
     allowed_lateness_ms: u64,
     channel_capacity: usize,
+}
+
+impl Default for Pipeline {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Pipeline {
@@ -109,7 +114,7 @@ impl Pipeline {
         let start = Instant::now();
 
         // source → first channel
-        let (src_tx, mut cur_rx) = bounded::<(Event, Instant)>(cap);
+        let (src_tx, mut cur_rx) = sync_channel::<(Event, Instant)>(cap);
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 for (i, e) in events.into_iter().enumerate() {
@@ -133,7 +138,7 @@ impl Pipeline {
 
             // stage threads
             for stage in self.stages {
-                let (tx, rx) = bounded::<(Event, Instant)>(cap);
+                let (tx, rx) = sync_channel::<(Event, Instant)>(cap);
                 let input = cur_rx;
                 scope.spawn(move || {
                     match stage {
@@ -211,6 +216,16 @@ mod tests {
         assert!(out.windows.is_empty());
         assert!(out.throughput_eps > 0.0);
         assert_eq!(out.max_lag_ms, None);
+    }
+
+    #[test]
+    fn default_pipeline_behaves_like_new() {
+        let counts = |p: Pipeline| {
+            let out = p.map(|e| e).window(WindowSpec::tumbling(100)).run(events(500));
+            (out.events_in, out.events_out, out.windows, out.late_events)
+        };
+        assert_eq!(counts(Pipeline::default()), counts(Pipeline::new()));
+        assert_eq!(Pipeline::default().channel_capacity, Pipeline::new().channel_capacity);
     }
 
     #[test]

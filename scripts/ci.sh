@@ -167,6 +167,18 @@ grep -q "at quiesce all breakers closed" "$chaos_a" \
 rm -f "$chaos_a" "$chaos_b"
 echo "chaos load smoke: $trips breaker trip(s), recovered to closed at quiesce"
 
+echo "== report program smoke (paper-artifact report, cheapest) =="
+# The report programs under crates/bench/benches/ are plain `fn main`s
+# that no test or gate runs; one of them executed end to end keeps the
+# set from rotting.
+report_out=$(mktemp)
+cargo bench -q -p bdb-bench --bench fig4_testgen >"$report_out" \
+    || { echo "report smoke: fig4_testgen failed"; cat "$report_out"; exit 1; }
+grep -q "^FIG4: " "$report_out" && grep -q "relational/select-aggregate" "$report_out" \
+    || { echo "report smoke: expected the FIG4 prescription inventory"; cat "$report_out"; exit 1; }
+rm -f "$report_out"
+echo "report smoke: fig4_testgen printed the prescription inventory"
+
 echo "== bench gate (sampled hot paths vs committed baseline) =="
 # The statistical bench (5 samples/path, warmup discard, MAD outlier
 # rejection, t-distribution 95% CIs) runs all ten hot paths and compares

@@ -56,7 +56,7 @@ use bdbench::core::pipeline::Benchmark;
 use bdbench::core::registry::GeneratorRegistry;
 use bdbench::exec::convert::trace_to_jsonl;
 use bdbench::exec::engine::EngineRegistry;
-use bdbench::suites::table2::render_workload_details;
+use bdbench::suites::table2::{observed_categories, render_workload_details};
 use bdbench::suites::{all_suites, table1, table2};
 use bdbench::testgen::{PrescriptionRepository, SystemKind};
 use bdbench::verify::VerifyMode;
@@ -636,25 +636,50 @@ fn cmd_table1(args: &[String]) -> bdbench::common::Result<()> {
     let suites = all_suites();
     let (rows, text) = table1::render_table1(&suites, opt_u64(&opts, "seed", 0xBD))?;
     println!("{text}");
-    let matches = rows
+    let drifted: Vec<&str> = rows
         .iter()
         .zip(&suites)
-        .filter(|(r, s)| r.matches(&s.descriptor()))
-        .count();
-    println!("{matches}/{} rows match the paper's classification", rows.len());
-    Ok(())
+        .filter(|(r, s)| !r.matches(&s.descriptor()))
+        .map(|(_, s)| s.descriptor().name)
+        .collect();
+    println!(
+        "{}/{} rows match the paper's classification",
+        rows.len() - drifted.len(),
+        rows.len()
+    );
+    paper_cells_hold("Table 1", &drifted)
 }
 
 fn cmd_table2(args: &[String]) -> bdbench::common::Result<()> {
     let (_, opts) = parse_opts(args, &["scale", "seed"], &[]);
     let suites = all_suites();
-    let (_, text) = table2::render_table2(
+    let (all_results, text) = table2::render_table2(
         &suites,
         opt_u64(&opts, "scale", 400),
         opt_u64(&opts, "seed", 0xBD),
     )?;
     println!("{text}");
-    Ok(())
+    let mut drifted = Vec::new();
+    for (suite, results) in suites.iter().zip(&all_results) {
+        let desc = suite.descriptor();
+        println!("{}", render_workload_details(desc.name, results));
+        if observed_categories(results) != desc.workload_types {
+            drifted.push(desc.name);
+        }
+    }
+    paper_cells_hold("Table 2", &drifted)
+}
+
+/// A regenerated table whose measured row no longer matches the paper's
+/// published cell is a failed reproduction, not a report.
+fn paper_cells_hold(table: &str, drifted: &[&str]) -> bdbench::common::Result<()> {
+    if drifted.is_empty() {
+        return Ok(());
+    }
+    Err(bdbench::common::BdbError::Execution(format!(
+        "{table}: measured row(s) no longer match the paper: {}",
+        drifted.join(", ")
+    )))
 }
 
 fn cmd_suite(args: &[String]) -> bdbench::common::Result<()> {
