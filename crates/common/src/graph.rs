@@ -7,7 +7,6 @@
 //! generators write into; [`CsrGraph`] is the compressed read-optimised form
 //! the analytics workloads (PageRank, connected components) run on.
 
-use crate::histogram::Histogram;
 
 /// A directed graph stored as an edge list; cheap to build incrementally.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -206,17 +205,6 @@ impl DegreeDistribution {
             return None;
         }
         Some(1.0 + n as f64 / log_sum)
-    }
-
-    /// Histogram view (log-bucketed) for reporting.
-    pub fn to_histogram(&self) -> Histogram {
-        let mut h = Histogram::with_bounds(0.0, self.counts.len() as f64, 32);
-        for (d, &c) in self.counts.iter().enumerate() {
-            for _ in 0..c.min(100_000) {
-                h.record(d as f64);
-            }
-        }
-        h
     }
 }
 

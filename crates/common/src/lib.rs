@@ -21,6 +21,7 @@ pub mod event;
 pub mod error;
 pub mod fsio;
 pub mod graph;
+pub mod hash;
 pub mod histogram;
 pub mod pool;
 pub mod record;
@@ -41,11 +42,11 @@ pub mod prelude {
     pub use crate::error::{BdbError, Result};
     pub use crate::event::Event;
     pub use crate::graph::{CsrGraph, DegreeDistribution, EdgeListGraph};
-    pub use crate::histogram::{Histogram, LogHistogram};
+    pub use crate::histogram::LogHistogram;
     pub use crate::record::{Record, Table};
     pub use crate::rng::{Rng, SeedTree, SplitMix64, Xoshiro256};
     pub use crate::stats::{
-        chi_square_statistic, js_divergence, kl_divergence, ks_statistic, Summary,
+        bucket_pmf, chi_square_statistic, js_divergence, kl_divergence, ks_statistic, Summary,
     };
     pub use crate::text::{tokenize, Document, Vocabulary};
     pub use crate::value::{DataType, Field, Schema, Value};

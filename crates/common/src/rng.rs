@@ -218,12 +218,7 @@ impl SeedTree {
     /// A child node addressed by name (e.g. a table or column name).
     pub fn child_named(&self, name: &str) -> SeedTree {
         // FNV-1a over the name, folded into the node seed.
-        let mut h: u64 = 0xCBF29CE484222325;
-        for b in name.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001B3);
-        }
-        self.child(h)
+        self.child(crate::hash::Fnv1a::hash(name.as_bytes()))
     }
 
     /// A leaf generator for row/cell `i` under this node.

@@ -41,6 +41,27 @@ pub fn js_divergence(p: &[f64], q: &[f64]) -> f64 {
     0.5 * kl_divergence(p, &m) + 0.5 * kl_divergence(q, &m)
 }
 
+/// Share of `samples` in each of `n` equal-width buckets over `[lo, hi)`.
+///
+/// Out-of-range samples are clamped into the first/last bucket (the
+/// float-to-`usize` cast saturates), so the shares sum to 1 (all zeros for
+/// an empty sample). This is the input shape for the KL/JS divergence
+/// veracity metrics: bucket the raw and the synthetic data over identical
+/// bounds, then compare the two pmfs.
+///
+/// # Panics
+/// Panics when the range is empty or `n == 0`.
+pub fn bucket_pmf(samples: &[f64], lo: f64, hi: f64, n: usize) -> Vec<f64> {
+    assert!(lo < hi && n > 0, "bad bucket shape");
+    let mut pmf = vec![0.0; n];
+    for &x in samples {
+        pmf[((((x - lo) / (hi - lo)) * n as f64) as usize).min(n - 1)] += 1.0;
+    }
+    let count = samples.len() as f64;
+    pmf.iter_mut().for_each(|c| *c /= count.max(1.0));
+    pmf
+}
+
 /// Pearson chi-square statistic of observed counts against expected counts.
 ///
 /// Buckets with zero expectation are skipped (they contribute no evidence).
@@ -374,6 +395,20 @@ mod tests {
         assert!((d1 - d2).abs() < 1e-9);
         assert!(d1 <= 2f64.ln() + 1e-6, "js {d1}");
         assert!(js_divergence(&p, &p) < 1e-9);
+    }
+
+    #[test]
+    fn bucket_pmf_normalises() {
+        let pmf = bucket_pmf(&[0.5, 0.6, 2.5], 0.0, 4.0, 4);
+        assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((pmf[0] - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(bucket_pmf(&[], 0.0, 4.0, 4), vec![0.0; 4]);
+    }
+
+    #[test]
+    fn bucket_pmf_clamps_out_of_range() {
+        let pmf = bucket_pmf(&[-5.0, 99.0], 0.0, 1.0, 4);
+        assert_eq!(pmf, vec![0.5, 0.0, 0.0, 0.5]);
     }
 
     #[test]

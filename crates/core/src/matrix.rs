@@ -8,7 +8,7 @@
 //! pinned (4) so Element-class cells produce machine-independent golden
 //! digests regardless of the host's parallelism.
 //!
-//! [`verify_matrix_with`] adds crash durability to the sweep: an optional
+//! [`verify_matrix_routed`] adds crash durability to the sweep: an optional
 //! [`RunJournal`] checkpoints every completed cell atomically, and an
 //! optional [`FaultPlan`] arms kill points *between* cells — one injector
 //! spans the whole sweep (per-cell injectors would reset the draw
@@ -212,35 +212,29 @@ pub fn verify_matrix(
     mode: VerifyMode,
     goldens_dir: Option<&str>,
 ) -> Result<MatrixReport> {
-    verify_matrix_with(scale, seed, mode, goldens_dir, &MatrixDurability::default())
+    verify_matrix_routed(
+        scale,
+        seed,
+        mode,
+        goldens_dir,
+        &MatrixDurability::default(),
+        &MatrixRouting::default(),
+    )
 }
 
-/// [`verify_matrix`] with journaling, resumption and kill points — see
-/// the module docs for the crash/resume contract.
+/// [`verify_matrix`] with journaling, resumption and kill points (see the
+/// module docs for the crash/resume contract) under an explicit dispatch
+/// policy. Each cell still runs in a single-engine registry — the sweep
+/// is a conformance harness, so the routed engine must stay the cell's
+/// engine — but every cell's registry shares `routing.observed`, records
+/// its routing decisions into the report, and feeds observed runtimes
+/// back for the next cell (or the next pass, when the caller reuses the
+/// store).
 ///
 /// # Errors
 /// Fails as [`verify_matrix`] does, plus [`BdbError::Crashed`] when an
 /// armed kill point fires mid-sweep (completed cells stay checkpointed
 /// in the journal).
-pub fn verify_matrix_with(
-    scale: u64,
-    seed: u64,
-    mode: VerifyMode,
-    goldens_dir: Option<&str>,
-    durability: &MatrixDurability<'_>,
-) -> Result<MatrixReport> {
-    verify_matrix_routed(scale, seed, mode, goldens_dir, durability, &MatrixRouting::default())
-}
-
-/// [`verify_matrix_with`] under an explicit dispatch policy. Each cell
-/// still runs in a single-engine registry — the sweep is a conformance
-/// harness, so the routed engine must stay the cell's engine — but every
-/// cell's registry shares `routing.observed`, records its routing
-/// decisions into the report, and feeds observed runtimes back for the
-/// next cell (or the next pass, when the caller reuses the store).
-///
-/// # Errors
-/// Fails as [`verify_matrix_with`] does.
 pub fn verify_matrix_routed(
     scale: u64,
     seed: u64,

@@ -18,8 +18,7 @@
 use crate::layers::{BenchmarkSpec, ExecutionLayer, FunctionLayer};
 use bdb_common::{pool, Result};
 use bdb_datagen::velocity::VelocityController;
-use bdb_datagen::volume::VolumeSpec;
-use bdb_datagen::{merge_datasets, Dataset};
+use bdb_datagen::Dataset;
 use bdb_exec::analyzer::{
     ConformanceSummary, HealthSummary, LoadSummary, RecoverySummary, RoutingSummary,
 };
@@ -192,49 +191,40 @@ impl Benchmark {
             let generator = self.function_layer.generators.build(&data_spec.generator)?;
             let items = spec.scale.unwrap_or(data_spec.items);
             let seed = spec.seed.wrapping_add(i as u64);
+            // One generation path: the controller shards the volume over
+            // the workers and paces the shards when a rate is set. Workers
+            // and rate change how fast the data arrives, never the data;
+            // one worker and no rate is a single `generate` call.
+            let mut controller =
+                VelocityController::new(workers)?.with_chunk_items((items / 8).max(16));
+            if let Some(rate) = spec.target_rate {
+                controller = controller.with_target_rate(rate);
+            }
             let gen_started = Instant::now();
             let site = FaultSite::datagen(&data_spec.name);
             // Each data set generates inside the recovery loop: injected
             // faults (including worker panics surfaced by the hardened
             // pool) are retried under the spec's policy.
-            let dataset = fault::run_with_recovery(
+            let outcome = fault::run_with_recovery(
                 &resilience,
                 &trace,
                 &site,
                 gen_started,
-                &mut || {
-                    if let Some(rate) = spec.target_rate {
-                        // Rate-throttled generation needs the velocity
-                        // controller's pacing loop; plain parallel
-                        // generation goes through the deterministic
-                        // sharded path below instead.
-                        let controller = VelocityController::new(workers)?
-                            .with_chunk_items((items / 8).max(16))
-                            .with_target_rate(rate);
-                        let outcome = controller.run(generator.as_ref(), seed, items)?;
-                        generation_rate = Some((outcome.achieved_rate, outcome.rate_error()));
-                        merge_datasets(outcome.datasets)
-                    } else if workers > 1 {
-                        // Sharded parallel generation: byte-identical to
-                        // the sequential path for shardable generators.
-                        generator.generate_parallel(seed, &VolumeSpec::Items(items), workers)
-                    } else {
-                        generator.generate(seed, &VolumeSpec::Items(items))
-                    }
-                },
+                &mut || controller.run(generator.as_ref(), seed, items),
             )
             .map_err(|failure| failure.error)?
             .value;
             let gen_elapsed = gen_started.elapsed();
+            if spec.target_rate.is_some() || workers > 1 {
+                generation_rate = Some((outcome.achieved_rate, outcome.rate_error()));
+            }
+            let dataset = outcome.dataset;
             let gm = GenerationMetrics::measure(
                 dataset.item_count() as u64,
                 dataset.byte_size() as u64,
                 gen_elapsed,
                 workers,
             );
-            if spec.target_rate.is_none() && workers > 1 {
-                generation_rate = Some((gm.items_per_sec(), None));
-            }
             match &mut generation {
                 Some(total) => total.merge(&gm),
                 None => generation = Some(gm),
@@ -296,13 +286,15 @@ impl Benchmark {
                 .or_else(|| GoldenStore::discover(mode == VerifyMode::Update));
             Conformance::with_store(mode, store).check(&request, &results);
         }
-        let conformance = ConformanceSummary::from_events(&trace.events());
+        // One snapshot of the trace feeds every summary below.
+        let events = trace.events();
+        let conformance = ConformanceSummary::from_events(&events);
         let analysis = render_analysis(
             &spec.name,
             &results,
             &data_summary,
             generation.as_ref(),
-            &trace,
+            &events,
             &conformance,
         );
         finish_phase(&trace, Phase::Analysis, t0);
@@ -385,7 +377,7 @@ fn render_analysis(
     results: &[WorkloadResult],
     data_summary: &[(String, String, usize, usize)],
     generation: Option<&GenerationMetrics>,
-    trace: &RunTrace,
+    events: &[TraceEvent],
     conformance: &ConformanceSummary,
 ) -> String {
     let mut data = TableReporter::new(
@@ -403,8 +395,7 @@ fn render_analysis(
             g.workers
         )
     });
-    let dispatch_lines: String = trace
-        .events()
+    let dispatch_lines: String = events
         .iter()
         .filter_map(|e| match e {
             TraceEvent::EngineDispatched { prescription, engine, explicit, .. } => Some(format!(
@@ -432,7 +423,7 @@ fn render_analysis(
     }
     // Recovery metrics appear only when the run saw recovery activity —
     // clean runs keep their analysis unchanged.
-    let recovery = RecoverySummary::from_events(&trace.events());
+    let recovery = RecoverySummary::from_events(events);
     let resilience_section = if recovery.is_quiet() {
         String::new()
     } else {
@@ -447,7 +438,7 @@ fn render_analysis(
     };
     // Routing appears only under cost/adaptive policies — first-capable
     // runs record no routing events and keep their analysis unchanged.
-    let routing_summary = RoutingSummary::from_events(&trace.events());
+    let routing_summary = RoutingSummary::from_events(events);
     let routing_section = if routing_summary.is_empty() {
         String::new()
     } else {
@@ -455,7 +446,7 @@ fn render_analysis(
     };
     // Health appears only when a breaker changed state — runs whose
     // breakers stayed closed keep their analysis unchanged.
-    let health_summary = HealthSummary::from_events(&trace.events());
+    let health_summary = HealthSummary::from_events(events);
     let health_section = if health_summary.is_empty() {
         String::new()
     } else {

@@ -8,6 +8,7 @@ use bdb_core::pipeline::{Benchmark, BenchmarkRun};
 use bdb_exec::engine::{
     Capabilities, Engine, EngineRegistry, ExecutionRequest, NativeEngine,
 };
+use bdb_exec::fault::Resilience;
 use bdb_exec::planner::RoutingPolicy;
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_exec::SystemConfig;
@@ -176,7 +177,8 @@ fn empty_registry_reports_the_absence_of_candidates() {
         trace: &trace,
         routing: bdb_exec::planner::RoutingPolicy::default(),
     };
-    let err = EngineRegistry::new().dispatch(&request).unwrap_err().to_string();
+    let err = EngineRegistry::new()
+        .dispatch_resilient(&request, &Resilience::passive(0)).unwrap_err().to_string();
     assert!(err.contains("no engine"), "unexpected error: {err}");
 }
 

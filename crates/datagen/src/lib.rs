@@ -15,9 +15,10 @@
 //!    scaling data *down*.
 //! 3. **Control volume and velocity** — every generator is parameterised by
 //!    a [`volume::VolumeSpec`]; [`velocity`] provides both velocity-control
-//!    strategies of Section 5.1 (parallel deployment of generators, and
-//!    algorithmic adjustment of the generator itself) plus update-frequency
-//!    control.
+//!    strategies of Section 5.1 (parallel deployment of generators over
+//!    the shards of one data set, and algorithmic adjustment of the
+//!    generator itself) plus update-frequency control. Volume and velocity
+//!    are independent: a rate or worker count never changes the data.
 //! 4. **Format conversion** — conversion tools live in `bdb-exec`; the
 //!    generators here emit in-memory [`Dataset`]s.
 //!
@@ -119,18 +120,20 @@ impl std::fmt::Display for DataSourceKind {
 /// A seeded, volume-controlled data generator (step 3 of Figure 3).
 ///
 /// Implementations are immutable model objects: the same `(seed, volume)`
-/// pair always yields the same data, and distinct seeds yield independent
-/// data sets, which is what lets the velocity layer run many generators in
-/// parallel.
+/// pair always yields the same data, however many workers produce it and
+/// at whatever rate.
 ///
 /// Generators that can produce any contiguous item range independently —
 /// the PDGF/BDGS property — additionally implement [`plan_items`] and
-/// [`generate_shard`]; the provided [`generate_parallel`] then shards the
-/// volume across a [`bdb_common::pool`] worker pool and merges the slices
-/// in index order, so the parallel output equals the sequential output.
+/// [`generate_shard`]; the provided [`generate_chunks`] then runs the
+/// shards of one volume across a [`bdb_common::pool`] worker pool and
+/// merges them in index order, so the parallel output equals the
+/// sequential output. It is the one sharded path: [`generate_parallel`]
+/// runs it unpaced, the [`velocity`] controller with a deadline pacer.
 ///
 /// [`plan_items`]: DataGenerator::plan_items
 /// [`generate_shard`]: DataGenerator::generate_shard
+/// [`generate_chunks`]: DataGenerator::generate_chunks
 /// [`generate_parallel`]: DataGenerator::generate_parallel
 pub trait DataGenerator: Send + Sync {
     /// Human-readable generator name (for reports).
@@ -168,6 +171,29 @@ pub trait DataGenerator: Send + Sync {
         )))
     }
 
+    /// The sharded generation loop: generate every chunk through
+    /// [`generate_shard`](DataGenerator::generate_shard) on `workers` pool
+    /// threads, call `after_shard` on the producing thread as each shard
+    /// completes (velocity control sleeps there until the shard's
+    /// deadline; plain parallel generation passes a no-op), and merge in
+    /// index order. `chunks` must tile `[0, plan_items)` in order and be
+    /// non-empty; the merged output does not depend on how they tile it.
+    fn generate_chunks(
+        &self,
+        seed: u64,
+        volume: &volume::VolumeSpec,
+        workers: usize,
+        chunks: Vec<pool::Chunk>,
+        after_shard: &(dyn Fn(pool::Chunk) + Sync),
+    ) -> Result<Dataset> {
+        let parts = pool::par_map_chunks(workers, chunks, |c| {
+            let shard = self.generate_shard(seed, volume, c.offset, c.len);
+            after_shard(c);
+            shard
+        });
+        merge_datasets(parts.into_iter().collect::<Result<Vec<_>>>()?)
+    }
+
     /// Generate `volume` items on `workers` threads (0 = available
     /// parallelism) by sharding through the common worker pool and
     /// merging the shards in index order.
@@ -182,20 +208,18 @@ pub trait DataGenerator: Send + Sync {
         workers: usize,
     ) -> Result<Dataset> {
         let workers = pool::effective_workers(workers);
-        let total = match self.plan_items(seed, volume)? {
-            Some(n) => n,
-            None => return self.generate(seed, volume),
-        };
-        if workers <= 1 || total < 2 {
-            return self.generate(seed, volume);
+        match self.plan_items(seed, volume)? {
+            // A few chunks per worker lets the pool absorb per-chunk cost
+            // imbalance without changing the merged output.
+            Some(total) if workers > 1 && total >= 2 => self.generate_chunks(
+                seed,
+                volume,
+                workers,
+                pool::split_even(total, (workers * 4).min(total as usize)),
+                &|_| {},
+            ),
+            _ => self.generate(seed, volume),
         }
-        // A few chunks per worker lets the pool absorb per-chunk cost
-        // imbalance without changing the merged output.
-        let chunks = pool::split_even(total, (workers * 4).min(total as usize));
-        let parts = pool::par_map_chunks(workers, chunks, |c| {
-            self.generate_shard(seed, volume, c.offset, c.len)
-        });
-        merge_datasets(parts.into_iter().collect::<Result<Vec<_>>>()?)
     }
 }
 

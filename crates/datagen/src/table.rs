@@ -21,6 +21,7 @@
 
 use crate::volume::VolumeSpec;
 use crate::{DataGenerator, DataSourceKind, Dataset};
+use bdb_common::pool::{self, Chunk};
 use bdb_common::prelude::*;
 use bdb_common::record::Table;
 use bdb_common::value::{DataType, Field, Schema, Value};
@@ -425,25 +426,23 @@ impl DataGenerator for TableGenerator {
         Ok(Dataset::Table(TableGenerator::generate_shard(self, seed, offset, len)))
     }
 
-    /// Exact two-pass parallel generation: pass 1 computes per-chunk
+    /// Exact two-pass sharded generation: pass 1 computes per-chunk
     /// timestamp-gap sums in parallel and prefix-sums them into exact
     /// clock anchors, pass 2 generates the anchored shards in parallel —
     /// so the merged table is byte-identical to the sequential run,
     /// monotonic timestamp columns included.
-    fn generate_parallel(&self, seed: u64, volume: &VolumeSpec, workers: usize) -> Result<Dataset> {
-        let workers = bdb_common::pool::effective_workers(workers);
-        let rows = self.resolve_rows(seed, volume)?;
-        if workers <= 1 || rows < 2 {
-            return DataGenerator::generate(self, seed, volume);
-        }
-        let chunks =
-            bdb_common::pool::split_even(rows, (workers * 4).min(rows as usize));
-        let has_ts = self
-            .models
-            .iter()
-            .any(|m| matches!(m, ColumnModel::MonotonicTimestamp { .. }));
-        let anchors: Vec<Vec<i64>> = if has_ts {
-            let sums = bdb_common::pool::par_map_chunks(workers, chunks.clone(), |c| {
+    fn generate_chunks(
+        &self,
+        seed: u64,
+        _volume: &VolumeSpec,
+        workers: usize,
+        chunks: Vec<Chunk>,
+        after_shard: &(dyn Fn(Chunk) + Sync),
+    ) -> Result<Dataset> {
+        // The first chunk starts fresh (row 0 emits `start` itself).
+        let mut anchors = vec![vec![i64::MIN; self.models.len()]];
+        if self.models.iter().any(|m| matches!(m, ColumnModel::MonotonicTimestamp { .. })) {
+            let sums = pool::par_map_chunks(workers, chunks.clone(), |c| {
                 self.ts_gap_sums(seed, c.offset, c.len)
             });
             // Exclusive prefix sum over chunk gap sums, offset by each
@@ -456,9 +455,6 @@ impl DataGenerator for TableGenerator {
                     _ => i64::MIN,
                 })
                 .collect();
-            let mut anchors = Vec::with_capacity(chunks.len());
-            // The first chunk starts fresh (row 0 emits `start` itself).
-            anchors.push(vec![i64::MIN; self.models.len()]);
             for s in sums.iter().take(chunks.len() - 1) {
                 for (c, sum) in s.iter().enumerate() {
                     if running[c] != i64::MIN {
@@ -467,12 +463,13 @@ impl DataGenerator for TableGenerator {
                 }
                 anchors.push(running.clone());
             }
-            anchors
         } else {
-            vec![vec![i64::MIN; self.models.len()]; chunks.len()]
-        };
-        let parts = bdb_common::pool::par_map_chunks(workers, chunks, |c| {
-            self.generate_shard_anchored(seed, c.offset, c.len, &anchors[c.index])
+            anchors.resize(chunks.len(), anchors[0].clone());
+        }
+        let parts = pool::par_map_chunks(workers, chunks, |c| {
+            let shard = self.generate_shard_anchored(seed, c.offset, c.len, &anchors[c.index]);
+            after_shard(c);
+            shard
         });
         let mut iter = parts.into_iter();
         let mut out = iter.next().expect("at least one chunk");

@@ -3,30 +3,36 @@
 //! The paper describes two ways to control data velocity:
 //!
 //! 1. **Parallel strategy** — deploy multiple data generators; the rate
-//!    scales with the worker count. [`VelocityController`] runs any
-//!    [`DataGenerator`] across N threads with disjoint hierarchical seeds.
+//!    scales with the worker count. [`VelocityController`] runs the shards
+//!    of one [`DataGenerator`] volume across N pool threads: the same
+//!    sharded path as [`DataGenerator::generate_parallel`], so workers
+//!    raise the rate without changing the data.
 //! 2. **Algorithmic strategy** — adjust the generator algorithm itself
 //!    (e.g. spend memory to gain speed). The framework's concrete lever is
 //!    `LdaModel::generate_doc` (alias tables, memory-heavy, O(1)/word) vs
 //!    `LdaModel::generate_doc_low_memory` (O(V)/word); the controller's
 //!    [`measure_rate`] quantifies any such lever.
 //!
-//! Both strategies support a *target* rate: workers throttle with a
-//! deadline pacer so the achieved rate tracks the target, and the outcome
-//! reports the relative rate error (the Table 1 "velocity controllability"
-//! probe).
+//! Both strategies support a *target* rate: a deadline pacer holds each
+//! finished shard until its last item is due, so the achieved rate tracks
+//! the target, and the outcome reports the relative rate error (the
+//! Table 1 "velocity controllability" probe). Velocity is pacing only:
+//! the output equals `generate(seed, volume)` for every worker count,
+//! chunk size and target rate (up to the running-clock tolerance stream
+//! shards document).
 
 use crate::volume::VolumeSpec;
 use crate::{DataGenerator, Dataset};
+use bdb_common::pool::{self, Chunk};
 use bdb_common::{BdbError, Result};
 use std::time::{Duration, Instant};
 
 /// Outcome of a rate-controlled generation run.
 #[derive(Debug)]
 pub struct GenerationOutcome {
-    /// The generated data, one dataset per chunk.
-    pub datasets: Vec<Dataset>,
-    /// Total items generated.
+    /// The generated data: what `generate(seed, volume)` produces.
+    pub dataset: Dataset,
+    /// Total items generated (rows, documents, edges, events).
     pub items: u64,
     /// Wall-clock duration of the run in seconds.
     pub elapsed_secs: f64,
@@ -44,7 +50,8 @@ impl GenerationOutcome {
     }
 }
 
-/// Runs data generators across parallel workers at an optional target rate.
+/// Runs a data generator's shards across parallel workers at an optional
+/// target rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VelocityController {
     workers: usize,
@@ -80,80 +87,54 @@ impl VelocityController {
         self
     }
 
-    /// Number of parallel workers.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Generate `total_items` items from `generator`, spread over the
+    /// Generate `total_items` items from `generator` on the controller's
     /// workers, throttled to the target rate if one is set.
     ///
-    /// Each (worker, chunk) pair derives an independent seed from `seed`,
-    /// so the output is deterministic for a fixed worker count and
-    /// independent of thread scheduling.
+    /// The planned volume is cut into `chunk_items`-sized shards and run
+    /// through [`DataGenerator::generate_chunks`]; under a target rate a
+    /// worker holds each finished shard until `(offset + len) / rate`
+    /// seconds after the start. A generator that cannot shard is
+    /// generated once, sequentially and unpaced, and the outcome reports
+    /// the rate it achieved. With one worker and no target rate the run
+    /// is exactly one `generate` call.
     pub fn run(
         &self,
         generator: &dyn DataGenerator,
         seed: u64,
         total_items: u64,
     ) -> Result<GenerationOutcome> {
-        let per_worker = total_items / self.workers as u64;
-        let remainder = total_items % self.workers as u64;
-        let worker_rate = self.target_rate.map(|r| r / self.workers as f64);
+        let volume = VolumeSpec::Items(total_items);
         let start = Instant::now();
-        let results: Vec<Result<Vec<Dataset>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|w| {
-                    let quota = per_worker + u64::from((w as u64) < remainder);
-                    scope.spawn(move || self.worker_loop(generator, seed, w as u64, quota, worker_rate))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        let mut datasets = Vec::new();
-        for r in results {
-            datasets.extend(r?);
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        Ok(GenerationOutcome {
-            items: total_items,
-            elapsed_secs: elapsed,
-            achieved_rate: total_items as f64 / elapsed,
-            target_rate: self.target_rate,
-            datasets,
-        })
-    }
-
-    fn worker_loop(
-        &self,
-        generator: &dyn DataGenerator,
-        seed: u64,
-        worker: u64,
-        quota: u64,
-        rate: Option<f64>,
-    ) -> Result<Vec<Dataset>> {
-        let worker_seed_base = bdb_common::rng::SeedTree::new(seed).child(worker);
-        let start = Instant::now();
-        let mut produced = 0u64;
-        let mut chunk_idx = 0u64;
-        let mut out = Vec::new();
-        while produced < quota {
-            let n = self.chunk_items.min(quota - produced);
-            let chunk_seed = worker_seed_base.child(chunk_idx).seed();
-            out.push(generator.generate(chunk_seed, &VolumeSpec::Items(n))?);
-            produced += n;
-            chunk_idx += 1;
-            if let Some(r) = rate {
-                // Deadline pacing: item `produced` should complete at
-                // produced / r seconds after start.
-                let due = Duration::from_secs_f64(produced as f64 / r);
-                let now = start.elapsed();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
+        let planned = if self.workers > 1 || self.target_rate.is_some() {
+            generator.plan_items(seed, &volume)?.filter(|&n| n > 0)
+        } else {
+            None
+        };
+        let pace = |c: Chunk| {
+            if let Some(rate) = self.target_rate {
+                let due = Duration::from_secs_f64((c.offset + c.len) as f64 / rate);
+                std::thread::sleep(due.saturating_sub(start.elapsed()));
             }
-        }
-        Ok(out)
+        };
+        let dataset = match planned {
+            Some(n) => generator.generate_chunks(
+                seed,
+                &volume,
+                self.workers,
+                pool::chunk_ranges(n, self.chunk_items),
+                &pace,
+            )?,
+            None => generator.generate(seed, &volume)?,
+        };
+        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+        let items = dataset.item_count() as u64;
+        Ok(GenerationOutcome {
+            items,
+            elapsed_secs: elapsed,
+            achieved_rate: items as f64 / elapsed,
+            target_rate: self.target_rate,
+            dataset,
+        })
     }
 }
 
@@ -187,21 +168,25 @@ mod tests {
         let c = VelocityController::new(3).unwrap().with_chunk_items(16);
         let out = c.run(&gen(), 11, 100).unwrap();
         assert_eq!(out.items, 100);
-        let total: usize = out.datasets.iter().map(Dataset::item_count).sum();
-        assert_eq!(total, 100);
+        assert_eq!(out.dataset.item_count(), 100);
         assert!(out.achieved_rate > 0.0);
         assert_eq!(out.rate_error(), None);
     }
 
     #[test]
-    fn run_is_deterministic_for_fixed_workers() {
-        let c = VelocityController::new(2).unwrap().with_chunk_items(8);
-        let a = c.run(&gen(), 4, 40).unwrap();
-        let b = c.run(&gen(), 4, 40).unwrap();
-        let docs = |o: &GenerationOutcome| -> Vec<usize> {
-            o.datasets.iter().map(Dataset::item_count).collect()
+    fn run_equals_sequential_generate_at_any_pace() {
+        let docs = |d: Dataset| match d {
+            Dataset::Text { docs, .. } => docs,
+            _ => panic!("expected text"),
         };
-        assert_eq!(docs(&a), docs(&b));
+        let sequential = docs(gen().generate(4, &VolumeSpec::Items(40)).unwrap());
+        for c in [
+            VelocityController::new(1).unwrap(),
+            VelocityController::new(2).unwrap().with_chunk_items(8),
+            VelocityController::new(3).unwrap().with_chunk_items(7).with_target_rate(1e6),
+        ] {
+            assert_eq!(docs(c.run(&gen(), 4, 40).unwrap().dataset), sequential, "{c:?}");
+        }
     }
 
     #[test]

@@ -86,13 +86,11 @@ pub fn text_veracity(
         // hide this: a balanced topical corpus and random text both
         // average to uniform.
         let peakedness_pmf = |docs: &[Document], rng: &mut dyn Rng| -> Vec<f64> {
-            let mut hist = bdb_common::histogram::Histogram::with_bounds(0.0, 1.000001, 10);
-            for d in docs {
-                let theta = m.infer_theta(d, rng);
-                let peak = theta.iter().cloned().fold(0.0, f64::max);
-                hist.record(peak);
-            }
-            hist.pmf()
+            let peaks: Vec<f64> = docs
+                .iter()
+                .map(|d| m.infer_theta(d, rng).iter().cloned().fold(0.0, f64::max))
+                .collect();
+            bucket_pmf(&peaks, 0.0, 1.000001, 10)
         };
         let tr = peakedness_pmf(raw, rng);
         let ts = peakedness_pmf(synthetic, rng);

@@ -1,9 +1,7 @@
 //! System configuration tools.
 //!
 //! A [`SystemConfig`] carries everything needed to run a prescribed test
-//! on one engine: concurrency, memory budget, and free-form engine
-//! parameters. A [`SoftwareStack`] names the stack a test runs on —
-//! Table 2's "software stacks" column — so reports can attribute results.
+//! on one engine: concurrency and free-form engine parameters.
 
 use bdb_common::{BdbError, Result};
 use serde::{Deserialize, Serialize};
@@ -19,20 +17,13 @@ pub struct SystemConfig {
     /// generation and execution are different phases with different
     /// scaling behaviour.
     pub generator_workers: usize,
-    /// Memory budget in bytes the engine should respect.
-    pub memory_budget_bytes: usize,
     /// Engine-specific free-form parameters.
     pub parameters: BTreeMap<String, String>,
 }
 
 impl Default for SystemConfig {
     fn default() -> Self {
-        Self {
-            threads: 0,
-            generator_workers: 1,
-            memory_budget_bytes: 256 << 20,
-            parameters: BTreeMap::new(),
-        }
+        Self { threads: 0, generator_workers: 1, parameters: BTreeMap::new() }
     }
 }
 
@@ -46,12 +37,6 @@ impl SystemConfig {
     /// Set the data-generation worker count (0 = available parallelism).
     pub fn with_generator_workers(mut self, workers: usize) -> Self {
         self.generator_workers = workers;
-        self
-    }
-
-    /// Set the memory budget.
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget_bytes = bytes;
         self
     }
 
@@ -146,27 +131,6 @@ impl SystemConfig {
     }
 }
 
-/// A named software stack (Table 2's stack column).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SoftwareStack {
-    /// Stack name, e.g. "Hadoop-analog".
-    pub name: String,
-    /// The systems composing the stack, e.g. ["mapreduce"].
-    pub systems: Vec<String>,
-}
-
-impl SoftwareStack {
-    /// A stack of one system.
-    pub fn single(name: &str, system: &str) -> Self {
-        Self { name: name.to_string(), systems: vec![system.to_string()] }
-    }
-
-    /// Does the stack include a system?
-    pub fn includes(&self, system: &str) -> bool {
-        self.systems.iter().any(|s| s == system)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +140,9 @@ mod tests {
         let c = SystemConfig::default()
             .with_threads(8)
             .with_generator_workers(4)
-            .with_memory_budget(1 << 20)
             .with_parameter("reduce_tasks", "16");
         assert_eq!(c.effective_threads(), 8);
         assert_eq!(c.generator_workers, 4);
-        assert_eq!(c.memory_budget_bytes, 1 << 20);
         assert_eq!(c.parameter::<usize>("reduce_tasks").unwrap(), 16);
     }
 
@@ -259,16 +221,5 @@ mod tests {
         let c = SystemConfig::default().with_parameter("x", "abc");
         assert!(c.parameter::<usize>("x").is_err());
         assert!(c.parameter::<usize>("missing").is_err());
-    }
-
-    #[test]
-    fn stack_membership() {
-        let s = SoftwareStack {
-            name: "hybrid".into(),
-            systems: vec!["sql".into(), "mapreduce".into()],
-        };
-        assert!(s.includes("sql"));
-        assert!(!s.includes("kv"));
-        assert!(SoftwareStack::single("h", "mapreduce").includes("mapreduce"));
     }
 }

@@ -31,6 +31,7 @@ use crate::cost::ObservedCosts;
 use crate::fault::{self, FaultSite, Resilience};
 use crate::planner::{Ranked, Router, RoutingPolicy, Score};
 use crate::trace::RunTrace;
+use bdb_common::hash::Fnv1a;
 use bdb_common::record::Table;
 use bdb_common::text::{Document, Vocabulary};
 use bdb_common::{BdbError, Result};
@@ -523,22 +524,6 @@ impl EngineRegistry {
         Ok(self.route_all(request)?.remove(0))
     }
 
-    /// Route a request, record the dispatch decision in the trace, and
-    /// execute it once — no retries, no failover. Prefer
-    /// [`dispatch_resilient`](Self::dispatch_resilient) for runs.
-    pub fn dispatch(&self, request: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
-        let ranked = self.ranked_candidates(request)?;
-        request.trace.record(crate::trace::TraceEvent::EngineDispatched {
-            prescription: request.prescription.name.clone(),
-            engine: ranked[0].routing.engine.clone(),
-            requested_system: request.system.to_string(),
-            explicit: ranked[0].routing.explicit,
-            candidates: self.names().iter().map(|n| n.to_string()).collect(),
-        });
-        self.record_routing_decision(request, &ranked);
-        ranked[0].engine.execute(request)
-    }
-
     /// Resilient dispatch: route the request, run the chosen engine under
     /// the retry policy (with fault injection when a plan is active), and
     /// **fail over** to the next capable engine when the selected one
@@ -583,9 +568,8 @@ impl EngineRegistry {
             }
             if !dispatched {
                 dispatched = true;
-                // The primary routing decision is recorded exactly as
-                // plain dispatch records it; failover events then narrate
-                // re-routes.
+                // The primary routing decision is recorded once;
+                // failover events then narrate re-routes.
                 request.trace.record(crate::trace::TraceEvent::EngineDispatched {
                     prescription: request.prescription.name.clone(),
                     engine: candidate.routing.engine.clone(),
@@ -703,20 +687,15 @@ fn canonical_rows(bound: &BoundExecution) -> Vec<Vec<String>> {
 /// A 32-bit hash of [`canonical_rows`] (kept within the integer range
 /// `f64` represents exactly so it can ride in a result detail).
 fn output_hash(rows: &[Vec<String>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for row in rows {
         for v in row {
-            for b in v.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0x1f;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h.write(v.as_bytes());
+            h.write(&[0x1f]);
         }
-        h ^= 0x2f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.write(&[0x2f]);
     }
-    h & 0xFFFF_FFFF
+    h.finish() & 0xFFFF_FFFF
 }
 
 /// Run a table-pattern binding and assemble the uniform result, emitting
@@ -1384,7 +1363,7 @@ mod tests {
             trace: &trace,
             routing: RoutingPolicy::FirstCapable,
         };
-        let err = registry.dispatch(&req).unwrap_err();
+        let err = registry.dispatch_resilient(&req, &Resilience::passive(0)).unwrap_err();
         assert!(err.to_string().contains("none registered"), "{err}");
     }
 
@@ -1413,7 +1392,10 @@ mod tests {
             Ok(_) => panic!("route accepted alpha=2.0"),
         };
         assert!(err.contains("(0, 1]"), "error names the valid range: {err}");
-        let err = registry.dispatch(&req).unwrap_err().to_string();
+        let err = registry
+            .dispatch_resilient(&req, &Resilience::passive(0))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("routing.ewma_alpha=2"), "dispatch rejects too: {err}");
     }
 

@@ -28,6 +28,7 @@
 //! [`crate::trace::TraceEvent`]s so the event stream stays attributable.
 
 use crate::trace::{RunTrace, TraceEvent};
+use bdb_common::hash::Fnv1a;
 use bdb_common::rng::SplitMix64;
 use bdb_common::{BdbError, Result};
 use serde::{Deserialize, Serialize};
@@ -254,7 +255,7 @@ impl HealthStore {
     pub fn admit(&self, engine: &str) -> Admission {
         let mut inner = self.lock();
         let Inner { policy, seed, breakers } = &mut *inner;
-        let phase = SplitMix64::mix(*seed ^ fnv1a(engine)) % policy.probe_stride;
+        let phase = SplitMix64::mix(*seed ^ Fnv1a::hash(engine.as_bytes())) % policy.probe_stride;
         let b = breakers.entry(engine.to_string()).or_default();
         let mut half_opened = false;
         if b.state() == BreakerState::Open {
@@ -434,15 +435,6 @@ impl HealthStore {
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().expect("health store poisoned")
     }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

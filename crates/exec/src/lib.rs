@@ -7,8 +7,8 @@
 //! generated data set into a format capable of being used by this test.
 //! The result analyzer and reporter display evaluation results."
 //!
-//! * [`config`] — system configuration tools and software-stack
-//!   descriptors (threads, memory budget, engine parameters).
+//! * [`config`] — system configuration tools (threads, generator
+//!   workers, engine parameters).
 //! * [`convert`] — format conversion: CSV/TSV, JSON-lines, plain text and
 //!   a length-prefixed binary format, all round-trippable.
 //! * [`analyzer`] — result analysis: speedups, winners, crossover points,
@@ -58,7 +58,7 @@ pub use analyzer::{
     compare, find_crossover, BenchComparison, BenchComparisonRow, BenchVerdict, Comparison,
     ConformanceSummary, HealthSummary, LoadSummary, PathCi, RecoverySummary, RoutingSummary,
 };
-pub use config::{SoftwareStack, SystemConfig};
+pub use config::SystemConfig;
 pub use convert::DataFormat;
 pub use cost::{CostFn, ObservedCosts, StaticCostModel};
 pub use engine::{

@@ -62,6 +62,7 @@ use crate::health::{BreakerState, HealthStore};
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::dist::{Distribution, Zipf};
 use bdb_common::event::Event;
+use bdb_common::hash::Fnv1a;
 use bdb_common::histogram::LogHistogram;
 use bdb_common::rng::{Rng, SeedTree, SplitMix64};
 use bdb_common::value::{DataType, Field, Schema, Value};
@@ -310,13 +311,8 @@ pub fn build_schedule(profile: &LoadProfile, seed: u64) -> Result<Vec<ScheduledO
 /// concurrency-independence witness (`--clients 1` and `--clients 8`
 /// with one seed print the same digest).
 pub fn issued_digest(schedule: &[ScheduledOp]) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u64| {
-        for byte in b.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
+    let mut h = Fnv1a::new();
+    let mut eat = |b: u64| h.write(&b.to_le_bytes());
     for s in schedule {
         match s.op {
             LoadOp::Get { key } => {
@@ -334,7 +330,7 @@ pub fn issued_digest(schedule: &[ScheduledOp]) -> String {
             }
         }
     }
-    format!("0x{h:016x}")
+    format!("0x{:016x}", h.finish())
 }
 
 /// One engine substrate the load driver can target.

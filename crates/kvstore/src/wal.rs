@@ -91,8 +91,11 @@ impl WalRecord {
     }
 }
 
-/// 64-bit FNV-1a — the workspace's canonical checksum (the same family
-/// the conformance payload digests use).
+/// The WAL-frame and MANIFEST checksum: the FNV-1a loop with multiplier
+/// `2^48 + 435`, not the FNV prime `2^40 + 435` — so it is *not* the hash
+/// `bdb_common::hash::Fnv1a` and the payload digests compute. The value
+/// is the on-disk format: changing it would make every existing log read
+/// as a torn tail.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

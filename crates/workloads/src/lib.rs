@@ -29,6 +29,7 @@ pub mod search;
 pub mod social;
 pub mod streaming;
 
+use bdb_common::hash::Fnv1a;
 use bdb_metrics::{CostModel, MetricReport, OpCounts, PowerModel, UserMetrics};
 use std::collections::BTreeMap;
 
@@ -127,20 +128,14 @@ impl OutputPayload {
     /// the payload shape so a row set never collides with an ordered
     /// stream of the same lines.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.label().as_bytes());
-        eat(&[0x1e]);
+        let mut h = Fnv1a::new();
+        h.write(self.label().as_bytes());
+        h.write(&[0x1e]);
         for line in self.canonical_lines() {
-            eat(line.as_bytes());
-            eat(&[0x1e]);
+            h.write(line.as_bytes());
+            h.write(&[0x1e]);
         }
-        h
+        h.finish()
     }
 
     /// Compare against another payload under this shape's equality

@@ -82,6 +82,13 @@ for prescription in micro/wordcount relational/select-aggregate; do
         || { echo "conformance gate: $prescription diverged from its golden"; exit 1; }
     echo "conformance gate: $prescription matches its golden digest"
 done
+# Velocity control is pacing only: a rate-controlled, 2-worker run must
+# hit the same golden the plain run above just matched.
+./target/release/bdbench run relational/select-aggregate --scale 300 --seed 42 \
+    --rate 1000000 --workers 2 --verify=digest --goldens goldens \
+    | grep -q "verdict   CONFORMANT" \
+    || { echo "conformance gate: --rate/--workers changed the generated data"; exit 1; }
+echo "conformance gate: rate-controlled run matches the same golden digest"
 
 echo "== adaptive routing smoke (two-pass verify, shared observed costs) =="
 # The full verification matrix swept twice under --routing adaptive with

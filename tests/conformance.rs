@@ -139,3 +139,37 @@ fn tampered_golden_digest_fails_digest_mode() {
     assert!(again.conformance.all_passed());
     let _ = std::fs::remove_dir_all(&goldens);
 }
+
+/// Velocity control paces generation, it does not pick a different data
+/// set: a rate-controlled 2-worker run verifies against the very goldens
+/// the unthrottled sequential run recorded.
+#[test]
+fn rate_controlled_run_conforms_to_the_unthrottled_goldens() {
+    let goldens = tmp_dir("rate");
+    for (prescription, system) in [
+        ("relational/select-aggregate", SystemKind::Sql),
+        ("streaming/window-aggregation", SystemKind::Streaming),
+    ] {
+        let unthrottled = BenchmarkSpec::new("rate-gate")
+            .with_prescription(prescription)
+            .with_system(system)
+            .with_scale(300)
+            .with_seed(42)
+            .with_verify(VerifyMode::Digest)
+            .with_goldens_dir(goldens.to_str().unwrap());
+        // The plain run records the golden.
+        let plain = Benchmark::new().run(&unthrottled).unwrap();
+        assert!(plain.conformance.all_passed());
+        let paced = Benchmark::new()
+            .run(&unthrottled.with_generator_workers(2).with_target_rate(1_000_000.0))
+            .unwrap();
+        assert!(paced.generation_rate.unwrap().1.is_some(), "{prescription}: rate was controlled");
+        assert_eq!(plain.data_summary, paced.data_summary, "{prescription}");
+        assert!(
+            paced.conformance.all_passed(),
+            "{prescription}: --rate changed the data:\n{}",
+            paced.analysis
+        );
+    }
+    let _ = std::fs::remove_dir_all(&goldens);
+}

@@ -5,7 +5,7 @@
 //! state / resumed run is identical to an uninterrupted one.
 
 use bdbench::core::layers::BenchmarkSpec;
-use bdbench::core::matrix::{verify_matrix_with, MatrixDurability};
+use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability, MatrixRouting};
 use bdbench::core::pipeline::Benchmark;
 use bdbench::exec::journal::RunJournal;
 use bdbench::kv::{CrashPoint, LsmConfig, LsmStore};
@@ -122,8 +122,9 @@ fn killed_matrix_resumes_to_identical_digests() {
     let goldens_dir = temp_dir("matrix-goldens");
     std::fs::create_dir_all(&goldens_dir).unwrap();
     let goldens = goldens_dir.to_str().unwrap();
+    let routing = MatrixRouting::default();
     let uninterrupted =
-        verify_matrix_with(scale, seed, mode, Some(goldens), &MatrixDurability::default())
+        verify_matrix_routed(scale, seed, mode, Some(goldens), &MatrixDurability::default(), &routing)
             .unwrap();
     assert!(uninterrupted.all_passed(), "{}", uninterrupted.render());
 
@@ -131,12 +132,13 @@ fn killed_matrix_resumes_to_identical_digests() {
     let journal = RunJournal::open(&journal_dir).unwrap();
     // One kill point, armed to fire after the third completed cell.
     let plan = "crash@exec:1:max=1".parse().unwrap();
-    let crashed = verify_matrix_with(
+    let crashed = verify_matrix_routed(
         scale,
         seed,
         mode,
         Some(goldens),
         &MatrixDurability { journal: Some(&journal), faults: Some(&plan) },
+        &routing,
     );
     let err = crashed.unwrap_err();
     assert!(err.is_crash(), "expected a crash, got {err}");
@@ -146,12 +148,13 @@ fn killed_matrix_resumes_to_identical_digests() {
         "crash must land mid-sweep, got {checkpointed} checkpoints"
     );
 
-    let resumed = verify_matrix_with(
+    let resumed = verify_matrix_routed(
         scale,
         seed,
         mode,
         Some(goldens),
         &MatrixDurability { journal: Some(&journal), faults: None },
+        &routing,
     )
     .unwrap();
     assert!(resumed.all_passed(), "{}", resumed.render());

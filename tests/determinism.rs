@@ -70,27 +70,25 @@ proptest! {
     }
 
     #[test]
-    fn parallel_generation_is_deterministic_per_worker_count(
-        seed in any::<u64>(), workers in 1usize..5
-    ) {
+    fn generation_is_invariant_to_workers_chunks_and_rate(seed in any::<u64>()) {
+        // The velocity controller paces the shards of one data set: no
+        // worker count, chunk size or target rate changes the data.
         let gen = NaiveTextGenerator::from_corpus(&RAW_TEXT_CORPUS);
-        let c = VelocityController::new(workers).unwrap().with_chunk_items(16);
-        let run1 = c.run(&gen, seed, 100).unwrap();
-        let run2 = c.run(&gen, seed, 100).unwrap();
-        let digest = |o: &bdbench::datagen::velocity::GenerationOutcome| -> Vec<Vec<u32>> {
-            o.datasets
-                .iter()
-                .flat_map(|d| match d {
-                    Dataset::Text { docs, .. } => {
-                        docs.iter().map(|doc| doc.words.clone()).collect::<Vec<_>>()
-                    }
-                    _ => vec![],
-                })
-                .collect()
+        let docs = |d: Dataset| match d {
+            Dataset::Text { docs, .. } => docs,
+            _ => panic!("expected text"),
         };
-        prop_assert_eq!(digest(&run1), digest(&run2));
-        let total: usize = run1.datasets.iter().map(Dataset::item_count).sum();
-        prop_assert_eq!(total, 100);
+        let sequential = docs(gen.generate(seed, &VolumeSpec::Items(100)).unwrap());
+        for workers in [1usize, 2, 4] {
+            for chunk in [16u64, 33] {
+                let free = VelocityController::new(workers).unwrap().with_chunk_items(chunk);
+                for c in [free, free.with_target_rate(1e7)] {
+                    let out = c.run(&gen, seed, 100).unwrap();
+                    prop_assert_eq!(out.items, 100);
+                    prop_assert_eq!(&docs(out.dataset), &sequential, "{:?}", c);
+                }
+            }
+        }
     }
 
     #[test]

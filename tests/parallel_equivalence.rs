@@ -1,40 +1,85 @@
 //! Property tests for the shard-determinism contract behind
-//! `DataGenerator::generate_parallel`: for every shardable generator,
-//! concatenating K shards equals the single-shard sequential run of the
-//! same seed — exactly for table/text/graph data, and with the documented
-//! clock-anchor tolerance for stream timestamps (keys and values stay
-//! exact there too).
+//! `DataGenerator::generate_parallel` and the velocity controller: for
+//! every shardable generator, concatenating K shards equals the
+//! single-shard sequential run of the same seed — exactly for
+//! table/text/graph data, and with the documented clock-anchor tolerance
+//! for stream timestamps (keys and values stay exact there too) — and the
+//! controller's output is that same data at any worker count, chunk size
+//! and target rate.
 
+use bdbench::common::pool::split_even;
 use bdbench::datagen::corpus::{raw_retail_table, RAW_TEXT_CORPUS};
 use bdbench::datagen::graph::{ErdosRenyiGenerator, RmatGenerator};
 use bdbench::datagen::stream::{MmppArrivals, PoissonArrivals};
 use bdbench::datagen::table::TableGenerator;
 use bdbench::datagen::text::NaiveTextGenerator;
+use bdbench::datagen::velocity::VelocityController;
 use bdbench::datagen::volume::VolumeSpec;
 use bdbench::datagen::{DataGenerator, Dataset};
 use proptest::prelude::*;
 
 /// Split `total` into `k` contiguous spans covering `[0, total)`.
 fn spans(total: u64, k: u64) -> Vec<(u64, u64)> {
-    let k = k.clamp(1, total.max(1));
-    let base = total / k;
-    let extra = total % k;
-    let mut out = Vec::new();
-    let mut offset = 0;
-    for i in 0..k {
-        let len = base + u64::from(i < extra);
-        if len > 0 {
-            out.push((offset, len));
-            offset += len;
-        }
-    }
-    out
+    split_even(total, k as usize).into_iter().map(|c| (c.offset, c.len)).collect()
 }
 
 fn text_docs(d: Dataset) -> Vec<Vec<u32>> {
     match d {
         Dataset::Text { docs, .. } => docs.into_iter().map(|doc| doc.words).collect(),
         _ => panic!("expected text dataset"),
+    }
+}
+
+/// Assert two datasets are the same data. Poisson/MMPP shards re-anchor
+/// their running clock (the documented tolerance), so for those two
+/// generators timestamps are exempt; everything else is exact.
+fn assert_same_data(id: &str, expected: &Dataset, got: &Dataset, what: &str) {
+    match (expected, got) {
+        (Dataset::Text { docs: a, .. }, Dataset::Text { docs: b, .. }) => {
+            assert_eq!(a, b, "{id}: {what}");
+        }
+        (Dataset::Table(a), Dataset::Table(b)) => assert_eq!(a, b, "{id}: {what}"),
+        (Dataset::Graph(a), Dataset::Graph(b)) => assert_eq!(a, b, "{id}: {what}"),
+        (Dataset::Stream(a), Dataset::Stream(b)) if id.starts_with("stream/") => {
+            let kv = |e: &[bdbench::datagen::stream::Event]| -> Vec<(u64, u64)> {
+                e.iter().map(|e| (e.key, e.value.to_bits())).collect()
+            };
+            assert_eq!(kv(a), kv(b), "{id}: {what}");
+        }
+        (Dataset::Stream(a), Dataset::Stream(b)) => assert_eq!(a, b, "{id}: {what}"),
+        _ => panic!("{id}: {what}: dataset kinds differ"),
+    }
+}
+
+#[test]
+fn controller_output_is_the_sequential_data_for_every_builtin_family() {
+    // Velocity is pacing only: whatever the worker count, chunk size or
+    // target rate, the controller hands back `generate(seed, volume)`.
+    let registry = bdbench::core::GeneratorRegistry::with_builtins();
+    let (seed, items) = (42, 120);
+    for id in registry.ids() {
+        let g = registry.build(id).unwrap();
+        let expected = g.generate(seed, &VolumeSpec::Items(items)).unwrap();
+        let shardable = g.plan_items(seed, &VolumeSpec::Items(items)).unwrap().is_some();
+        // Barabási–Albert is the one builtin that cannot shard: the
+        // controller falls back to one sequential, unpaced run.
+        assert_eq!(shardable, id != "graph/barabasi-albert", "{id}");
+        for workers in [1, 2, 4] {
+            for chunk in [7, 64] {
+                for rate in [None, Some(1e7)] {
+                    let mut c = VelocityController::new(workers).unwrap().with_chunk_items(chunk);
+                    if let Some(r) = rate {
+                        c = c.with_target_rate(r);
+                    }
+                    let out = c.run(g.as_ref(), seed, items).unwrap();
+                    let what = format!("workers {workers}, chunk {chunk}, rate {rate:?}");
+                    assert_eq!(out.items as usize, expected.item_count(), "{id}: {what}");
+                    assert_eq!(out.target_rate, rate, "{id}: {what}");
+                    assert!(out.achieved_rate > 0.0, "{id}: {what}");
+                    assert_same_data(id, &expected, &out.dataset, &what);
+                }
+            }
+        }
     }
 }
 

@@ -108,62 +108,8 @@ proptest! {
     }
 }
 
-// Histogram::merge must behave exactly like recording the union of the
-// two sample streams into one histogram, regardless of how the stream
-// is split or which side merges into which.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn histogram_merge_equals_bulk_recording(
-        xs in prop::collection::vec(-50.0f64..150.0, 2..200),
-        split in 1usize..199,
-    ) {
-        use bdbench::common::histogram::Histogram;
-        let split = split.min(xs.len() - 1).max(1);
-        let mut bulk = Histogram::with_bounds(0.0, 100.0, 64);
-        for &x in &xs {
-            bulk.record(x);
-        }
-        let mut ab = Histogram::with_bounds(0.0, 100.0, 64);
-        for &x in &xs[..split] {
-            ab.record(x);
-        }
-        let mut b = Histogram::with_bounds(0.0, 100.0, 64);
-        for &x in &xs[split..] {
-            b.record(x);
-        }
-        let mut ba = b.clone();
-        ba.merge(&ab);
-        ab.merge(&b);
-        for merged in [&ab, &ba] {
-            prop_assert_eq!(merged.count(), bulk.count());
-            prop_assert!((merged.mean() - bulk.mean()).abs() < 1e-9);
-            prop_assert_eq!(merged.min(), bulk.min());
-            prop_assert_eq!(merged.max(), bulk.max());
-            for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-                prop_assert_eq!(merged.quantile(q), bulk.quantile(q));
-            }
-        }
-    }
-
-    #[test]
-    fn histogram_merge_with_empty_is_identity(
-        xs in prop::collection::vec(0.0f64..100.0, 0..100),
-    ) {
-        use bdbench::common::histogram::Histogram;
-        let mut h = Histogram::with_bounds(0.0, 100.0, 32);
-        for &x in &xs {
-            h.record(x);
-        }
-        let before = h.clone();
-        h.merge(&Histogram::with_bounds(0.0, 100.0, 32));
-        prop_assert_eq!(h.count(), before.count());
-        prop_assert_eq!(h.quantile(0.5), before.quantile(0.5));
-        prop_assert_eq!(h.quantile(0.99), before.quantile(0.99));
-    }
-}
-
+// LogHistogram::merge must behave exactly like recording the union of
+// the two sample streams into one histogram, however the stream is split.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
