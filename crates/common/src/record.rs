@@ -8,9 +8,21 @@
 use crate::value::{Schema, Value};
 use crate::{BdbError, Result};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One row of values.
 pub type Record = Vec<Value>;
+
+/// Lexicographic row order over [`Value::cmp_values`]: the first column
+/// pair that compares unequal decides; incomparable pairs (mixed types)
+/// are skipped. The canonical order every engine sorts aggregate output
+/// and cross-engine comparison rows by.
+pub fn cmp_records(a: &Record, b: &Record) -> Ordering {
+    a.iter()
+        .zip(b)
+        .find_map(|(x, y)| x.cmp_values(y).filter(|ord| ord.is_ne()))
+        .unwrap_or(Ordering::Equal)
+}
 
 /// A schema-carrying collection of rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -190,6 +202,19 @@ mod tests {
         assert_eq!(a.len(), 4);
         let other = Table::new(Schema::new(vec![Field::new("x", DataType::Int)]));
         assert!(a.append(other).is_err());
+    }
+
+    #[test]
+    fn cmp_records_is_lexicographic_and_skips_incomparable_columns() {
+        let row = |id: i64, name: &str| vec![Value::Int(id), Value::from(name)];
+        assert_eq!(cmp_records(&row(1, "b"), &row(2, "a")), Ordering::Less);
+        assert_eq!(cmp_records(&row(2, "a"), &row(2, "b")), Ordering::Less);
+        assert_eq!(cmp_records(&row(2, "b"), &row(2, "b")), Ordering::Equal);
+        // Int vs Text has no order: the column is skipped, the next decides.
+        let mixed = vec![Value::from("x"), Value::from("a")];
+        assert_eq!(cmp_records(&row(9, "b"), &mixed), Ordering::Greater);
+        // A shared prefix compares equal (zip stops at the shorter row).
+        assert_eq!(cmp_records(&vec![Value::Int(2)], &row(2, "z")), Ordering::Equal);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use bdb_exec::config::SystemConfig;
 use bdb_exec::cost::ObservedCosts;
 use bdb_exec::engine::{
     Engine, EngineRegistry, KvEngine, MapReduceEngine, NativeEngine, SqlEngine, StreamingEngine,
+    TestProfile,
 };
 use bdb_exec::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 use bdb_exec::journal::{CellCheckpoint, RunJournal};
@@ -149,6 +150,26 @@ fn builtin_engines() -> Vec<Box<dyn Engine>> {
     ]
 }
 
+/// The matrix's cells in sweep order (prescription-major, engines in
+/// registration order): every built-in prescription paired with each
+/// built-in engine whose capabilities support the profile the
+/// prescription declares. Asked up front, so an incapable pair costs no
+/// pipeline run.
+fn capable_cells() -> Result<Vec<(String, Box<dyn Engine>)>> {
+    let repository = PrescriptionRepository::with_builtins();
+    let mut cells = Vec::new();
+    for name in repository.names() {
+        let profile = TestProfile::declared(repository.get(name)?)?;
+        cells.extend(
+            builtin_engines()
+                .into_iter()
+                .filter(|engine| engine.capabilities().supports(&profile))
+                .map(|engine| (name.to_string(), engine)),
+        );
+    }
+    Ok(cells)
+}
+
 /// Durability knobs for a matrix sweep: where to checkpoint and which
 /// kill points to arm.
 #[derive(Debug, Default)]
@@ -243,11 +264,6 @@ pub fn verify_matrix_routed(
     durability: &MatrixDurability<'_>,
     routing: &MatrixRouting,
 ) -> Result<MatrixReport> {
-    let names: Vec<String> = PrescriptionRepository::with_builtins()
-        .names()
-        .iter()
-        .map(|n| n.to_string())
-        .collect();
     // ONE injector spans the sweep: a fresh injector per cell would
     // restart the deterministic draw sequence and a `crash@exec:1`
     // clause would kill every cell instead of one point in the run.
@@ -268,112 +284,100 @@ pub fn verify_matrix_routed(
     }
     let mut cells = Vec::new();
     let mut routing_events = Vec::new();
-    for name in &names {
-        for engine in builtin_engines() {
-            let engine_name = engine.name();
-            let key = RunJournal::cell_key(name, engine_name, seed, scale);
-            // A checkpointed cell was completed by the prior (crashed)
-            // run: honour its verdicts, re-verify its digest against the
-            // golden store, and skip execution.
-            if let Some(cp) = durability.journal.and_then(|j| j.load(&key)) {
-                cells.push(resume_cell(cp, engine_name, &sweep_trace, golden_store.as_ref()));
-                continue;
-            }
-            let system = engine
-                .capabilities()
-                .systems
-                .first()
-                .copied()
-                .unwrap_or(SystemKind::Native);
-            let mut bench = Benchmark::new();
-            let mut config = SystemConfig::default().with_threads(MATRIX_THREADS);
-            for (key, value) in &routing.parameters {
-                config = config.with_parameter(key, value);
-            }
-            bench.execution_layer_mut().system_config = config;
-            let mut registry = EngineRegistry::new();
-            registry.register(engine);
-            // All cells share the sweep's observed-cost store: each cell
-            // feeds its runtime into the EWMA the next cell (or pass)
-            // ranks with.
-            registry.set_observed(routing.observed.clone());
-            bench.execution_layer_mut().engines = registry;
-            let mut spec = BenchmarkSpec::new(&format!("verify/{name}/{engine_name}"))
-                .with_prescription(name)
-                .with_system(system)
-                .with_scale(scale)
-                .with_seed(seed)
-                .with_verify(mode)
-                .with_routing(routing.policy);
-            if let Some(dir) = goldens_dir {
-                spec = spec.with_goldens_dir(dir);
-            }
-            match bench.run(&spec) {
-                Ok(run) => {
-                    routing_events.extend(run.trace.events().iter().filter(|e| {
-                        matches!(
-                            e,
-                            TraceEvent::RoutingDecision { .. } | TraceEvent::CostObserved { .. }
-                        )
-                    }).cloned());
-                    let digest = run
-                        .results
-                        .iter()
-                        .find_map(|r| r.output.as_ref())
-                        .map_or_else(|| "-".to_string(), |p| format!("{:016x}", p.digest()));
-                    let cell = MatrixCell {
-                        prescription: name.clone(),
-                        engine: engine_name,
-                        checks: run.conformance.checks,
-                        passed: run.conformance.all_passed() && run.conformance.checks > 0,
-                        failures: run
-                            .conformance
-                            .failures
-                            .iter()
-                            .map(|(_, _, check, detail)| format!("{check}: {detail}"))
-                            .collect(),
-                        digest,
-                        resumed: false,
-                    };
-                    if let Some(journal) = durability.journal {
-                        journal.record(&checkpoint_of(&cell, &run, &key, seed, scale))?;
-                        sweep_trace.record(TraceEvent::CheckpointWritten {
-                            key: key.clone(),
-                            digest: cell.digest.clone(),
-                        });
-                    }
-                    cells.push(cell);
-                    // The kill point sits between cells: the checkpoint
-                    // for the finished cell is durable, the next cell
-                    // never starts — exactly a process death mid-sweep.
-                    if let Some(fired) = injector
-                        .as_ref()
-                        .and_then(|inj| inj.sample(&FaultSite::execution(engine_name, name)))
-                    {
-                        if fired.kind == FaultKind::Crash {
-                            sweep_trace.record(TraceEvent::FaultInjected {
-                                site: format!("exec/{engine_name}:{name}"),
-                                kind: "crash".into(),
-                                latency_ms: 0,
-                            });
-                            return Err(BdbError::Crashed(format!(
-                                "injected kill point mid-matrix after {name}@{engine_name} \
-                                 ({} cells completed{})",
-                                cells.len(),
-                                if durability.journal.is_some() {
-                                    ", checkpointed for --resume"
-                                } else {
-                                    ""
-                                }
-                            )));
-                        }
-                    }
-                }
-                // The single-engine registry routes nothing it cannot
-                // support: that pair is outside the matrix, not a failure.
-                Err(BdbError::Execution(msg)) if msg.contains("no engine can execute") => {}
-                Err(e) => return Err(e),
-            }
+    for (name, engine) in capable_cells()? {
+        let engine_name = engine.name();
+        let key = RunJournal::cell_key(&name, engine_name, seed, scale);
+        // A checkpointed cell was completed by the prior (crashed) run:
+        // honour its verdicts, re-verify its digest against the golden
+        // store, and skip execution.
+        if let Some(cp) = durability.journal.and_then(|j| j.load(&key)) {
+            cells.push(resume_cell(cp, engine_name, &sweep_trace, golden_store.as_ref()));
+            continue;
+        }
+        let system = engine
+            .capabilities()
+            .systems
+            .first()
+            .copied()
+            .unwrap_or(SystemKind::Native);
+        let mut bench = Benchmark::new();
+        let mut config = SystemConfig::default().with_threads(MATRIX_THREADS);
+        for (key, value) in &routing.parameters {
+            config = config.with_parameter(key, value);
+        }
+        bench.execution_layer_mut().system_config = config;
+        let mut registry = EngineRegistry::new();
+        registry.register(engine);
+        // All cells share the sweep's observed-cost store: each cell
+        // feeds its runtime into the EWMA the next cell (or pass) ranks
+        // with.
+        registry.set_observed(routing.observed.clone());
+        bench.execution_layer_mut().engines = registry;
+        let mut spec = BenchmarkSpec::new(&format!("verify/{name}/{engine_name}"))
+            .with_prescription(&name)
+            .with_system(system)
+            .with_scale(scale)
+            .with_seed(seed)
+            .with_verify(mode)
+            .with_routing(routing.policy);
+        if let Some(dir) = goldens_dir {
+            spec = spec.with_goldens_dir(dir);
+        }
+        let run = bench.run(&spec)?;
+        routing_events.extend(
+            run.trace
+                .events()
+                .iter()
+                .filter(|e| {
+                    matches!(e, TraceEvent::RoutingDecision { .. } | TraceEvent::CostObserved { .. })
+                })
+                .cloned(),
+        );
+        let digest = run
+            .results
+            .iter()
+            .find_map(|r| r.output.as_ref())
+            .map_or_else(|| "-".to_string(), |p| format!("{:016x}", p.digest()));
+        let cell = MatrixCell {
+            prescription: name.clone(),
+            engine: engine_name,
+            checks: run.conformance.checks,
+            passed: run.conformance.all_passed() && run.conformance.checks > 0,
+            failures: run
+                .conformance
+                .failures
+                .iter()
+                .map(|(_, _, check, detail)| format!("{check}: {detail}"))
+                .collect(),
+            digest,
+            resumed: false,
+        };
+        if let Some(journal) = durability.journal {
+            journal.record(&checkpoint_of(&cell, &run, &key, seed, scale))?;
+            sweep_trace.record(TraceEvent::CheckpointWritten {
+                key: key.clone(),
+                digest: cell.digest.clone(),
+            });
+        }
+        cells.push(cell);
+        // The kill point sits between cells: the checkpoint for the
+        // finished cell is durable, the next cell never starts — exactly
+        // a process death mid-sweep.
+        let fired = injector
+            .as_ref()
+            .and_then(|inj| inj.sample(&FaultSite::execution(engine_name, &name)));
+        if fired.is_some_and(|f| f.kind == FaultKind::Crash) {
+            sweep_trace.record(TraceEvent::FaultInjected {
+                site: format!("exec/{engine_name}:{name}"),
+                kind: "crash".into(),
+                latency_ms: 0,
+            });
+            return Err(BdbError::Crashed(format!(
+                "injected kill point mid-matrix after {name}@{engine_name} \
+                 ({} cells completed{})",
+                cells.len(),
+                if durability.journal.is_some() { ", checkpointed for --resume" } else { "" }
+            )));
         }
     }
     let recovery = RecoverySummary::from_events(&sweep_trace.events());
@@ -450,6 +454,55 @@ mod tests {
     fn builtin_engines_are_the_five() {
         let names: Vec<&str> = builtin_engines().iter().map(|e| e.name()).collect();
         assert_eq!(names, vec!["native", "sql", "kv", "streaming", "mapreduce"]);
+    }
+
+    #[test]
+    fn declared_profiles_match_generated_data_and_yield_the_golden_cells() {
+        use crate::registry::GeneratorRegistry;
+        use bdb_datagen::volume::VolumeSpec;
+        use bdb_datagen::Dataset;
+        use bdb_exec::engine::ExecutionRequest;
+        use std::collections::BTreeMap;
+
+        // The pre-check asks the declared profile; the router asks the
+        // generated data. They must agree on every prescription, or the
+        // sweep would skip (or attempt) a cell the router sees differently.
+        let repository = PrescriptionRepository::with_builtins();
+        let generators = GeneratorRegistry::with_builtins();
+        let (config, trace) = (SystemConfig::default(), RunTrace::new());
+        assert_eq!(repository.names().len(), 18);
+        for name in repository.names() {
+            let prescription = repository.get(name).unwrap();
+            let datasets: BTreeMap<String, Dataset> = prescription
+                .data
+                .iter()
+                .map(|d| {
+                    let generator = generators.build(&d.generator).unwrap();
+                    (d.name.clone(), generator.generate(1, &VolumeSpec::Items(64)).unwrap())
+                })
+                .collect();
+            let request = ExecutionRequest {
+                prescription,
+                system: SystemKind::Native,
+                seed: 1,
+                scale: 64,
+                datasets: &datasets,
+                config: &config,
+                trace: &trace,
+                routing: RoutingPolicy::default(),
+            };
+            assert_eq!(TestProfile::declared(prescription).unwrap(), request.profile(), "{name}");
+        }
+        // And the capable pairs are exactly the 33 committed golden cells.
+        let mut keys: Vec<String> = capable_cells()
+            .unwrap()
+            .iter()
+            .map(|(name, engine)| RunJournal::cell_key(name, engine.name(), 42, 300))
+            .collect();
+        keys.sort();
+        assert_eq!(keys.len(), 33);
+        let goldens = GoldenStore::at(concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens"));
+        assert_eq!(keys, goldens.keys());
     }
 
     #[test]

@@ -204,14 +204,36 @@ impl Capabilities {
 }
 
 /// The routing-relevant profile of a prescribed test.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestProfile {
     /// Pattern shape.
     pub shape: PatternShape,
     /// Operation class.
     pub class: WorkloadClass,
-    /// Kinds of the generated input data sets.
+    /// Kinds of the input data sets, sorted and distinct.
     pub data_kinds: Vec<DataSourceKind>,
+}
+
+impl TestProfile {
+    fn of(prescription: &Prescription, kinds: impl IntoIterator<Item = DataSourceKind>) -> Self {
+        TestProfile {
+            shape: PatternShape::of(&prescription.pattern),
+            class: WorkloadClass::of(prescription),
+            data_kinds: kinds.into_iter().collect::<BTreeSet<_>>().into_iter().collect(),
+        }
+    }
+
+    /// The profile a prescription declares, from each `DataSpec.source`
+    /// — known before any data is generated, and equal to
+    /// [`ExecutionRequest::profile`] over the generated data.
+    ///
+    /// # Errors
+    /// Fails when a data spec declares an unknown source kind.
+    pub fn declared(prescription: &Prescription) -> Result<Self> {
+        let kinds: Vec<DataSourceKind> =
+            prescription.data.iter().map(|d| d.source.parse()).collect::<Result<_>>()?;
+        Ok(Self::of(prescription, kinds))
+    }
 }
 
 /// Everything an engine needs to execute one prescribed test.
@@ -238,13 +260,7 @@ pub struct ExecutionRequest<'a> {
 impl ExecutionRequest<'_> {
     /// The routing profile of this request.
     pub fn profile(&self) -> TestProfile {
-        let kinds: BTreeSet<DataSourceKind> =
-            self.datasets.values().map(Dataset::kind).collect();
-        TestProfile {
-            shape: PatternShape::of(&self.prescription.pattern),
-            class: WorkloadClass::of(self.prescription),
-            data_kinds: kinds.into_iter().collect(),
-        }
+        TestProfile::of(self.prescription, self.datasets.values().map(Dataset::kind))
     }
 
     /// The MapReduce job configuration derived from the system config.
@@ -633,6 +649,7 @@ impl EngineRegistry {
                 Err(failure) => {
                     health.record_traced(request.trace, engine.name(), false, admission.probe);
                     total_attempts += failure.attempts;
+                    total_faults += failure.faults;
                     // A crash is the process dying, not this engine
                     // misbehaving — failing over would "survive" a death
                     // the chaos run is trying to prove we handle by

@@ -494,6 +494,8 @@ pub struct RecoveryFailure {
     pub error: BdbError,
     /// Attempts consumed before giving up.
     pub attempts: u32,
+    /// Faults injected across those attempts.
+    pub faults: u32,
     /// True when the per-operation deadline, not the retry budget, ended
     /// the operation (callers should stop failing over).
     pub deadline_hit: bool,
@@ -531,6 +533,7 @@ pub fn run_with_recovery<T>(
                         "deadline of {deadline_ms} ms exceeded at {site} after {elapsed_ms} ms"
                     )),
                     attempts: attempt - 1,
+                    faults,
                     deadline_hit: true,
                     crashed: false,
                 });
@@ -572,6 +575,7 @@ pub fn run_with_recovery<T>(
                     return Err(RecoveryFailure {
                         error,
                         attempts: attempt,
+                        faults,
                         deadline_hit: false,
                         crashed: true,
                     });
@@ -580,6 +584,7 @@ pub fn run_with_recovery<T>(
                     return Err(RecoveryFailure {
                         error,
                         attempts: attempt,
+                        faults,
                         deadline_hit: false,
                         crashed: false,
                     });
@@ -760,6 +765,7 @@ mod tests {
         let fail = run_with_recovery::<u32>(&res, &trace, &site(), Instant::now(), &mut || Ok(1))
             .unwrap_err();
         assert_eq!(fail.attempts, 3);
+        assert_eq!(fail.faults, 3, "every attempt was an injected fault");
         assert!(!fail.deadline_hit);
         assert!(fail.error.to_string().contains("injected engine fault"));
     }
@@ -781,6 +787,7 @@ mod tests {
             .unwrap_err();
         assert!(fail.deadline_hit);
         assert_eq!(fail.attempts, 0);
+        assert_eq!(fail.faults, 0);
         assert!(trace.events().iter().any(|e| e.label() == "deadline_exceeded"));
     }
 
@@ -802,6 +809,7 @@ mod tests {
         assert!(fail.crashed);
         assert!(fail.error.is_crash());
         assert_eq!(fail.attempts, 1, "a crash must not be retried");
+        assert_eq!(fail.faults, 1);
         assert_eq!(calls, 0, "the crash pre-empts the operation");
         let labels: Vec<&str> = trace.events().iter().map(|e| e.label()).collect();
         assert_eq!(labels, vec!["fault_injected"], "no retry events after a crash");
@@ -821,6 +829,7 @@ mod tests {
         .unwrap_err();
         assert!(fail.crashed);
         assert_eq!(fail.attempts, 1);
+        assert_eq!(fail.faults, 0, "a real kill point is not an injected fault");
         assert!(trace.is_empty(), "no retry events for a real kill point");
     }
 

@@ -18,6 +18,11 @@
 //!   *intended arrival instant*, not dispatch, so queueing delay is
 //!   charged to the engine — the coordinated-omission discipline.
 //!
+//! Both disciplines run the same lane loop (`run_lanes`): they differ
+//! only in how a lane claims its next index range (a cursor batch, or one
+//! index popped from the admission queue) and where its latency clock
+//! starts. The pacer is the only open-loop-specific code.
+//!
 //! Per-lane latencies land in thread-local histograms merged at quiesce
 //! ([`LogHistogram::merge`](bdb_common::histogram::LogHistogram::merge)),
 //! reporting p50/p99/p999 and saturation throughput per engine. A sampled
@@ -68,10 +73,10 @@ use bdb_common::rng::{Rng, SeedTree, SplitMix64};
 use bdb_common::value::{DataType, Field, Schema, Value};
 use bdb_common::{pool, record::Table, BdbError, Result};
 use bdb_kv::{LsmConfig, SharedLsm};
-use bdb_metrics::ShardedCounter;
 use bdb_testgen::arrival::{self, ArrivalProcess, ArrivalSpec};
 use bdb_workloads::{behavioral, OutputPayload};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -435,17 +440,16 @@ impl LoadTarget for KvLoadTarget {
     }
 }
 
-/// SQL target: a `load(k INT, v TEXT)` table of the full keyspace; every
-/// session gets its own engine over a clone of the table (the engine
-/// API is `&mut`, so sessions do not share parser state). Reads only —
+/// SQL target: one engine over a `load(k INT, v TEXT)` table of the full
+/// keyspace, shared by every session (queries take `&self`). Reads only —
 /// puts and scans map to point selects of the same key.
 #[derive(Debug)]
 pub struct SqlLoadTarget {
-    table: Table,
+    engine: bdb_sql::Engine,
 }
 
 impl SqlLoadTarget {
-    /// Build the preloaded table.
+    /// Build the engine over the preloaded table.
     pub fn new() -> Self {
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
@@ -455,7 +459,9 @@ impl SqlLoadTarget {
         for i in 0..KEYSPACE {
             table.push_unchecked(vec![Value::Int(i as i64), Value::from(value_of(i))]);
         }
-        Self { table }
+        let mut engine = bdb_sql::Engine::new();
+        engine.register("load", table).expect("load table registers");
+        Self { engine }
     }
 }
 
@@ -465,12 +471,13 @@ impl Default for SqlLoadTarget {
     }
 }
 
-struct SqlSession {
-    engine: bdb_sql::Engine,
+struct SqlSession<'a> {
+    engine: &'a bdb_sql::Engine,
 }
 
-impl SqlSession {
-    fn select(&mut self, key: u64) -> String {
+impl LoadSession for SqlSession<'_> {
+    fn execute(&mut self, op: &LoadOp) -> String {
+        let (LoadOp::Get { key } | LoadOp::Put { key } | LoadOp::Scan { start: key, .. }) = *op;
         match self.engine.sql(&format!("SELECT v FROM load WHERE k = {key}")) {
             Ok(t) => t
                 .rows()
@@ -482,26 +489,13 @@ impl SqlSession {
     }
 }
 
-impl LoadSession for SqlSession {
-    fn execute(&mut self, op: &LoadOp) -> String {
-        match *op {
-            LoadOp::Get { key } | LoadOp::Put { key } => self.select(key),
-            LoadOp::Scan { start, .. } => self.select(start),
-        }
-    }
-}
-
 impl LoadTarget for SqlLoadTarget {
     fn name(&self) -> &'static str {
         "sql"
     }
 
     fn session(&self) -> Box<dyn LoadSession + '_> {
-        let mut engine = bdb_sql::Engine::new();
-        engine
-            .register("load", self.table.clone())
-            .expect("load table registers");
-        Box::new(SqlSession { engine })
+        Box::new(SqlSession { engine: &self.engine })
     }
 
     fn expected(&self, op: &LoadOp) -> String {
@@ -689,6 +683,7 @@ pub struct LoadReport {
 /// Per-lane capture merged at quiesce: a thread-local latency histogram,
 /// queue-delay sum and count (only the mean is reported),
 /// completion/chaos counts and sampled outcomes.
+#[derive(Default)]
 struct LaneOut {
     lat: LogHistogram,
     queue_delay_ms_sum: f64,
@@ -698,21 +693,6 @@ struct LaneOut {
     faults: u64,
     retries: u64,
     samples: Vec<(usize, String)>,
-}
-
-impl LaneOut {
-    fn new() -> Self {
-        Self {
-            lat: LogHistogram::new(),
-            queue_delay_ms_sum: 0.0,
-            queue_delays: 0,
-            completed: 0,
-            failed: 0,
-            faults: 0,
-            retries: 0,
-            samples: Vec::new(),
-        }
-    }
 }
 
 /// Arrivals of sustained overload pressure before the brownout starts
@@ -802,47 +782,16 @@ impl ChaosCtx {
         idx: usize,
     ) -> Option<String> {
         let res = Resilience::new(Some(self.plan.clone()), self.policy.clone(), self.op_seed(idx));
-        let scratch = RunTrace::new();
         let mut attempt_op = || Ok(sess.execute(op));
-        match run_with_recovery(&res, &scratch, &self.site, Instant::now(), &mut attempt_op) {
-            Ok(rec) => {
-                lane.faults += u64::from(rec.faults);
-                lane.retries += u64::from(rec.attempts.saturating_sub(1));
-                Some(rec.value)
-            }
-            Err(fail) => {
-                lane.faults += scratch
-                    .events()
-                    .iter()
-                    .filter(|e| matches!(e, TraceEvent::FaultInjected { .. }))
-                    .count() as u64;
-                lane.retries += u64::from(fail.attempts.saturating_sub(1));
-                lane.failed += 1;
-                None
-            }
-        }
-    }
-}
-
-fn record_op(
-    lane: &mut LaneOut,
-    sess: &mut dyn LoadSession,
-    schedule: &[ScheduledOp],
-    idx: usize,
-    sample_every: usize,
-    latency_from: Instant,
-    chaos: Option<&ChaosCtx>,
-) {
-    let out = match chaos {
-        None => Some(sess.execute(&schedule[idx].op)),
-        Some(c) => c.execute(lane, sess, &schedule[idx].op, idx),
-    };
-    let Some(out) = out else { return };
-    lane.lat
-        .record(latency_from.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-    lane.completed += 1;
-    if idx.is_multiple_of(sample_every) {
-        lane.samples.push((idx, out));
+        let (value, attempts, faults) =
+            match run_with_recovery(&res, &RunTrace::new(), &self.site, Instant::now(), &mut attempt_op) {
+                Ok(rec) => (Some(rec.value), rec.attempts, rec.faults),
+                Err(fail) => (None, fail.attempts, fail.faults),
+            };
+        lane.faults += u64::from(faults);
+        lane.retries += u64::from(attempts.saturating_sub(1));
+        lane.failed += u64::from(value.is_none());
+        value
     }
 }
 
@@ -887,31 +836,47 @@ pub fn run_target_resilient(
 ) -> Result<LoadReport> {
     profile.validate()?;
     let chaos = ChaosCtx::from_resilience(res, seed, target.name());
+    let chaos = chaos.as_ref();
     let t0 = Instant::now();
     let (lanes, shed, breaker_trips) = if profile.arrival.is_open() {
-        run_open_loop(target, profile, schedule, trace, t0, chaos.as_ref(), health)?
+        // Open loop: a pacer thread admits arrivals on the wall clock and
+        // each lane claims one admitted index at a time.
+        let admission = Admission { cap: profile.queue_cap(), ..Admission::default() };
+        std::thread::scope(|scope| {
+            let pacer = scope
+                .spawn(|| pace(&admission, schedule, t0, chaos, health, target.name(), trace));
+            let lanes = run_lanes(target, profile, schedule, trace, t0, chaos, &|| {
+                admission.pop().map(|idx| idx..idx + 1)
+            });
+            let (shed, trips) = pacer.join().expect("pacer thread");
+            lanes.map(|l| (l, shed, trips))
+        })?
     } else {
-        run_closed_loop(target, profile, schedule, trace, chaos.as_ref())?
+        // Closed loop: lanes claim contiguous batches of `inflight` ops
+        // from a shared cursor until the schedule drains, so the issued
+        // set is always a prefix of the schedule regardless of worker
+        // count or interleaving.
+        let cursor = AtomicUsize::new(0);
+        let lanes = run_lanes(target, profile, schedule, trace, t0, chaos, &|| {
+            let base = cursor.fetch_add(profile.inflight, Ordering::SeqCst);
+            (base < schedule.len()).then(|| base..(base + profile.inflight).min(schedule.len()))
+        })?;
+        (lanes, 0, 0)
     };
 
-    let mut lat = LogHistogram::new();
-    let mut queue_delay_ms_sum = 0.0f64;
-    let mut queue_delays = 0u64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut faults = 0u64;
-    let mut retries = 0u64;
-    let mut samples: Vec<(usize, String)> = Vec::new();
-    for lane in &lanes {
-        lat.merge(&lane.lat);
-        queue_delay_ms_sum += lane.queue_delay_ms_sum;
-        queue_delays += lane.queue_delays;
-        completed += lane.completed;
-        failed += lane.failed;
-        faults += lane.faults;
-        retries += lane.retries;
-        samples.extend(lane.samples.iter().cloned());
+    let mut all = LaneOut::default();
+    for lane in lanes {
+        all.lat.merge(&lane.lat);
+        all.queue_delay_ms_sum += lane.queue_delay_ms_sum;
+        all.queue_delays += lane.queue_delays;
+        all.completed += lane.completed;
+        all.failed += lane.failed;
+        all.faults += lane.faults;
+        all.retries += lane.retries;
+        all.samples.extend(lane.samples);
     }
+    let LaneOut { lat, queue_delay_ms_sum, queue_delays, completed, failed, faults, retries, samples } =
+        all;
     let duration_secs = t0.elapsed().as_secs_f64().max(1e-9);
     // Conservation: every scheduled op completed, was shed, or failed.
     if completed + shed + failed != schedule.len() as u64 {
@@ -968,24 +933,23 @@ pub fn run_target_resilient(
     })
 }
 
-/// Closed loop: each session claims batches of `inflight` ops from a
-/// shared cursor until the schedule drains. Claimed batches are
-/// contiguous, so the issued set is always a prefix of the schedule
-/// regardless of worker count or interleaving.
-fn run_closed_loop(
+/// The one lane loop both disciplines share: `profile.clients` sessions,
+/// each opening a [`LoadSession`] and executing the index ranges `claim`
+/// hands out until it returns `None`. In an open loop latency runs from
+/// the op's intended arrival instant (coordinated omission) and the
+/// dispatch-minus-arrival gap is captured separately as queue delay; in a
+/// closed loop it runs from dispatch.
+fn run_lanes(
     target: &dyn LoadTarget,
     profile: &LoadProfile,
     schedule: &[ScheduledOp],
     trace: &RunTrace,
+    start: Instant,
     chaos: Option<&ChaosCtx>,
-) -> Result<(Vec<LaneOut>, u64, u64)> {
-    let cursor = AtomicUsize::new(0);
-    // Global hot-path tally: every worker bumps it per op, so it is
-    // sharded (a single atomic would ping-pong its cache line).
-    let completed_total = ShardedCounter::new(profile.clients);
-    let cursor = &cursor;
-    let completed_total = &completed_total;
-    let lanes = pool::try_par_map(profile.clients, (0..profile.clients).collect(), |session: usize| {
+    claim: &(dyn Fn() -> Option<Range<usize>> + Sync),
+) -> Result<Vec<LaneOut>> {
+    let open = profile.arrival.is_open();
+    pool::try_par_map(profile.clients, (0..profile.clients).collect(), |session: usize| {
         trace.record(TraceEvent::LoadSessionStarted {
             engine: target.name().to_string(),
             session,
@@ -993,17 +957,34 @@ fn run_closed_loop(
         });
         let s0 = Instant::now();
         let mut sess = target.session();
-        let mut lane = LaneOut::new();
-        loop {
-            let base = cursor.fetch_add(profile.inflight, Ordering::SeqCst);
-            if base >= schedule.len() {
-                break;
-            }
-            let end = (base + profile.inflight).min(schedule.len());
-            for idx in base..end {
-                let d0 = Instant::now();
-                record_op(&mut lane, sess.as_mut(), schedule, idx, profile.sample_every, d0, chaos);
-                completed_total.add(1);
+        let mut lane = LaneOut::default();
+        while let Some(range) = claim() {
+            for idx in range {
+                let latency_from = if open {
+                    let intended = Duration::from_secs_f64(schedule[idx].at_ms / 1000.0);
+                    let dispatch_delay = start.elapsed().saturating_sub(intended);
+                    lane.queue_delay_ms_sum += dispatch_delay.as_secs_f64() * 1e3;
+                    lane.queue_delays += 1;
+                    // The virtual instant `start + intended`.
+                    start
+                        .checked_add(intended)
+                        .filter(|t| *t <= Instant::now())
+                        .unwrap_or_else(Instant::now)
+                } else {
+                    Instant::now()
+                };
+                let op = &schedule[idx].op;
+                let out = match chaos {
+                    None => Some(sess.execute(op)),
+                    Some(c) => c.execute(&mut lane, sess.as_mut(), op, idx),
+                };
+                let Some(out) = out else { continue };
+                lane.lat
+                    .record(latency_from.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+                lane.completed += 1;
+                if idx.is_multiple_of(profile.sample_every) {
+                    lane.samples.push((idx, out));
+                }
             }
         }
         trace.record(TraceEvent::LoadSessionFinished {
@@ -1014,20 +995,40 @@ fn run_closed_loop(
         });
         lane
     })
-    .map_err(|p| BdbError::Execution(format!("load worker panicked: {p}")))?;
-    debug_assert_eq!(
-        completed_total.value(),
-        lanes.iter().map(|l| l.completed + l.failed).sum::<u64>(),
-        "sharded tally must agree with the merged lanes"
-    );
-    Ok((lanes, 0, 0))
+    .map_err(|p| BdbError::Execution(format!("load worker panicked: {p}")))
 }
 
-/// Open loop: a pacer thread walks the schedule on the wall clock,
-/// admitting each op to a bounded queue (full → shed, never block);
-/// worker sessions drain the queue. Latency is measured from the
-/// intended arrival instant (coordinated omission), and the
-/// dispatch-minus-arrival gap is captured separately as queue delay.
+/// The open loop's bounded admission queue: the pacer pushes admitted
+/// schedule indices, lanes pop them, and `done` releases the lanes once
+/// the schedule is exhausted.
+#[derive(Default)]
+struct Admission {
+    queue: Mutex<VecDeque<usize>>,
+    ready: Condvar,
+    done: AtomicBool,
+    cap: usize,
+}
+
+impl Admission {
+    /// The next admitted index; `None` once the pacer is done and the
+    /// queue has drained.
+    fn pop(&self) -> Option<usize> {
+        let mut q = self.queue.lock().expect("load queue");
+        loop {
+            if let Some(idx) = q.pop_front() {
+                return Some(idx);
+            }
+            if self.done.load(Ordering::SeqCst) {
+                return None;
+            }
+            q = self.ready.wait_timeout(q, Duration::from_millis(10)).expect("load queue").0;
+        }
+    }
+}
+
+/// The open-loop pacer: walk the schedule on the wall clock, admitting
+/// each op to the bounded queue (full → shed, never block). Returns
+/// `(shed, breaker trips)`.
 ///
 /// On a chaos drive the pacer is also the serving-side admission
 /// controller, in schedule order: the brownout sheds a proportional
@@ -1035,174 +1036,91 @@ fn run_closed_loop(
 /// breaker denies (sheds) arrivals while open, and every admitted op's
 /// planned outcome feeds the breaker — one deterministic trip/recovery
 /// sequence per `(seed, plan)`.
-fn run_open_loop(
-    target: &dyn LoadTarget,
-    profile: &LoadProfile,
+fn pace(
+    admission: &Admission,
     schedule: &[ScheduledOp],
-    trace: &RunTrace,
     start: Instant,
     chaos: Option<&ChaosCtx>,
     health: &HealthStore,
-) -> Result<(Vec<LaneOut>, u64, u64)> {
-    let cap = profile.queue_cap();
-    let queue: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::with_capacity(cap));
-    let ready = Condvar::new();
-    let done = AtomicBool::new(false);
-    let shed_total = ShardedCounter::new(1);
-    let (queue, ready, done, shed_total) = (&queue, &ready, &done, &shed_total);
-    let engine = target.name();
-
-    let (lanes, trips) = std::thread::scope(|scope| {
-        let pacer = scope.spawn(move || {
-            let mut trips = 0u64;
-            let mut pressure = 0u64;
-            let mut brownout_shed = 0u64;
-            let mut engaged = false;
-            for (idx, slot) in schedule.iter().enumerate() {
-                let due = Duration::from_secs_f64(slot.at_ms / 1000.0);
-                let now = start.elapsed();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-                let mut q = queue.lock().expect("load queue");
-                if let Some(c) = chaos {
-                    // Breaker admission first: open → shed (fail fast),
-                    // and every admitted arrival feeds the breaker its
-                    // planned outcome — *before* brownout or queue
-                    // shedding, so the trip/recovery sequence is a pure
-                    // function of `(seed, plan, policy)` regardless of
-                    // worker timing.
-                    let admission = health.admit(engine);
-                    if admission.half_opened {
-                        trace.record(TraceEvent::BreakerHalfOpen { engine: engine.to_string() });
-                    }
-                    if !admission.allowed {
-                        shed_total.add(1);
-                        continue;
-                    }
-                    let planned_ok = c.planned_ok(idx);
-                    let recorded =
-                        health.record_traced(trace, engine, planned_ok, admission.probe);
-                    if recorded.transition == Some(BreakerState::Open) {
-                        trips += 1;
-                    }
-                    // Brownout second: sustained queue overload (≥ 3/4
-                    // full) or a half-open breaker builds pressure; past
-                    // the grace threshold a proportional,
-                    // per-index-seeded fraction of arrivals is shed
-                    // before dispatch. Adaptive by design — the queue
-                    // signal tracks real worker timing.
-                    let overloaded = q.len() * 4 >= cap * 3
-                        || health.state(engine) == BreakerState::HalfOpen;
-                    pressure = if overloaded { pressure + 1 } else { pressure.saturating_sub(1) };
-                    let fraction = brownout_fraction(pressure);
-                    if fraction > 0.0 && !engaged {
-                        engaged = true;
-                        trace.record(TraceEvent::BrownoutEngaged {
-                            engine: engine.to_string(),
-                            pressure,
-                            shed_fraction: fraction,
-                        });
-                    } else if fraction == 0.0 && engaged {
-                        engaged = false;
-                        trace.record(TraceEvent::BrownoutReleased {
-                            engine: engine.to_string(),
-                            shed: brownout_shed,
-                        });
-                    }
-                    if fraction > 0.0
-                        && unit_draw(c.seed ^ 0xB707_0000 ^ idx as u64) < fraction
-                    {
-                        brownout_shed += 1;
-                        shed_total.add(1);
-                        continue;
-                    }
-                }
-                if q.len() >= cap {
-                    // Shed: the arrival clock never blocks on a full
-                    // queue; the op is counted and dropped.
-                    shed_total.add(1);
-                    continue;
-                }
-                q.push_back(idx);
-                drop(q);
-                ready.notify_one();
+    engine: &str,
+    trace: &RunTrace,
+) -> (u64, u64) {
+    let cap = admission.cap;
+    let mut shed = 0u64;
+    let mut trips = 0u64;
+    let mut pressure = 0u64;
+    let mut brownout_shed = 0u64;
+    let mut engaged = false;
+    for (idx, slot) in schedule.iter().enumerate() {
+        let due = Duration::from_secs_f64(slot.at_ms / 1000.0);
+        let now = start.elapsed();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        let mut q = admission.queue.lock().expect("load queue");
+        if let Some(c) = chaos {
+            // Breaker admission first: open → shed (fail fast), and every
+            // admitted arrival feeds the breaker its planned outcome —
+            // *before* brownout or queue shedding, so the trip/recovery
+            // sequence is a pure function of `(seed, plan, policy)`
+            // regardless of worker timing.
+            let admitted = health.admit(engine);
+            if admitted.half_opened {
+                trace.record(TraceEvent::BreakerHalfOpen { engine: engine.to_string() });
             }
-            if engaged {
+            if !admitted.allowed {
+                shed += 1;
+                continue;
+            }
+            let recorded = health.record_traced(trace, engine, c.planned_ok(idx), admitted.probe);
+            if recorded.transition == Some(BreakerState::Open) {
+                trips += 1;
+            }
+            // Brownout second: sustained queue overload (≥ 3/4 full) or a
+            // half-open breaker builds pressure; past the grace threshold
+            // a proportional, per-index-seeded fraction of arrivals is
+            // shed before dispatch. Adaptive by design — the queue signal
+            // tracks real worker timing.
+            let overloaded =
+                q.len() * 4 >= cap * 3 || health.state(engine) == BreakerState::HalfOpen;
+            pressure = if overloaded { pressure + 1 } else { pressure.saturating_sub(1) };
+            let fraction = brownout_fraction(pressure);
+            if fraction > 0.0 && !engaged {
+                engaged = true;
+                trace.record(TraceEvent::BrownoutEngaged {
+                    engine: engine.to_string(),
+                    pressure,
+                    shed_fraction: fraction,
+                });
+            } else if fraction == 0.0 && engaged {
+                engaged = false;
                 trace.record(TraceEvent::BrownoutReleased {
                     engine: engine.to_string(),
                     shed: brownout_shed,
                 });
             }
-            done.store(true, Ordering::SeqCst);
-            ready.notify_all();
-            trips
-        });
-
-        let lanes = pool::try_par_map(
-            profile.clients,
-            (0..profile.clients).collect(),
-            |session: usize| {
-                trace.record(TraceEvent::LoadSessionStarted {
-                    engine: target.name().to_string(),
-                    session,
-                    lanes: profile.inflight,
-                });
-                let s0 = Instant::now();
-                let mut sess = target.session();
-                let mut lane = LaneOut::new();
-                loop {
-                    let idx = {
-                        let mut q = queue.lock().expect("load queue");
-                        loop {
-                            if let Some(idx) = q.pop_front() {
-                                break Some(idx);
-                            }
-                            if done.load(Ordering::SeqCst) {
-                                break None;
-                            }
-                            let (guard, _) = ready
-                                .wait_timeout(q, Duration::from_millis(10))
-                                .expect("load queue");
-                            q = guard;
-                        }
-                    };
-                    let Some(idx) = idx else { break };
-                    let intended = Duration::from_secs_f64(schedule[idx].at_ms / 1000.0);
-                    let dispatch_delay = start.elapsed().saturating_sub(intended);
-                    lane.queue_delay_ms_sum += dispatch_delay.as_secs_f64() * 1e3;
-                    lane.queue_delays += 1;
-                    // Latency clock starts at the intended arrival: the
-                    // virtual instant `start + intended`.
-                    let latency_from = start
-                        .checked_add(intended)
-                        .filter(|t| *t <= Instant::now())
-                        .unwrap_or_else(Instant::now);
-                    record_op(
-                        &mut lane,
-                        sess.as_mut(),
-                        schedule,
-                        idx,
-                        profile.sample_every,
-                        latency_from,
-                        chaos,
-                    );
-                }
-                trace.record(TraceEvent::LoadSessionFinished {
-                    engine: target.name().to_string(),
-                    session,
-                    completed: lane.completed,
-                    micros: s0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                });
-                lane
-            },
-        );
-        let trips = pacer.join().expect("pacer thread");
-        lanes
-            .map(|l| (l, trips))
-            .map_err(|p| BdbError::Execution(format!("load worker panicked: {p}")))
-    })?;
-    Ok((lanes, shed_total.value(), trips))
+            if fraction > 0.0 && unit_draw(c.seed ^ 0xB707_0000 ^ idx as u64) < fraction {
+                brownout_shed += 1;
+                shed += 1;
+                continue;
+            }
+        }
+        if q.len() >= cap {
+            // Shed: the arrival clock never blocks on a full queue; the
+            // op is counted and dropped.
+            shed += 1;
+            continue;
+        }
+        q.push_back(idx);
+        drop(q);
+        admission.ready.notify_one();
+    }
+    if engaged {
+        trace.record(TraceEvent::BrownoutReleased { engine: engine.to_string(), shed: brownout_shed });
+    }
+    admission.done.store(true, Ordering::SeqCst);
+    admission.ready.notify_all();
+    (shed, trips)
 }
 
 /// The load targets the registry's engines support, honouring the
@@ -1508,6 +1426,44 @@ mod tests {
             (b.completed, b.failed, b.faults, b.retries, &b.digest),
             "chaos counts must be a pure function of the seed"
         );
+    }
+
+    #[test]
+    fn planned_outcomes_equal_what_the_lanes_reach() {
+        // The pacer feeds the breaker `planned_ok(idx)` without running
+        // the op; the lanes run the real recovery loop. With no deadline
+        // the two must agree on every index, for every fault kind.
+        let p = quick_profile();
+        let schedule = build_schedule(&p, 33).unwrap();
+        for spec in [
+            "error@exec:0.4",
+            "panic@exec:0.05",
+            "latency@exec:0.1:ms=1",
+            "crash@exec:0.2",
+            "error@exec:0.3,crash@exec:0.1,latency@exec:0.1:ms=1",
+        ] {
+            let res = Resilience::new(
+                Some(spec.parse().unwrap()),
+                RetryPolicy { max_retries: 1, base_delay_ms: 0, ..RetryPolicy::default() },
+                33,
+            );
+            let chaos = ChaosCtx::from_resilience(&res, 33, "native").unwrap();
+            let planned_failures =
+                (0..schedule.len()).filter(|&idx| !chaos.planned_ok(idx)).count() as u64;
+            let r = run_target_resilient(
+                &NativeLoadTarget,
+                &p,
+                &schedule,
+                &res,
+                &HealthStore::default(),
+                33,
+                &RunTrace::new(),
+            )
+            .unwrap();
+            assert_eq!(r.failed, planned_failures, "{spec}");
+            assert_eq!(r.completed + r.failed, r.issued, "{spec}");
+            assert!(r.faults > 0, "{spec}: the plan must have fired");
+        }
     }
 
     #[test]

@@ -21,20 +21,15 @@
 //!   cross-platform questions.
 //! * [`report`] assembles everything into one serialisable
 //!   [`report::MetricReport`].
-//! * [`sharded`] — cacheline-padded sharded counters for hot paths where
-//!   many worker threads bump one global tally (the concurrent load
-//!   driver's completed/shed counts).
 
 pub mod arch;
 pub mod collector;
 pub mod model;
 pub mod platform;
 pub mod report;
-pub mod sharded;
 
 pub use arch::{ArchMetrics, OpCounts};
 pub use collector::{GenerationMetrics, MetricsCollector, UserMetrics};
-pub use sharded::ShardedCounter;
 pub use model::{CostModel, PowerModel};
 pub use platform::{PlatformProfile, PlatformProjection, PlatformStudy};
 pub use report::MetricReport;

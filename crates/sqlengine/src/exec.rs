@@ -9,7 +9,7 @@
 use crate::catalog::Catalog;
 use crate::parser::AggFunc;
 use crate::plan::LogicalPlan;
-use bdb_common::record::{Record, Table};
+use bdb_common::record::{cmp_records, Record, Table};
 use bdb_common::value::Value;
 use bdb_common::{BdbError, Result};
 use std::collections::HashMap;
@@ -32,16 +32,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Accumulate another stats block.
-    pub fn merge(&mut self, other: &ExecStats) {
-        self.rows_scanned += other.rows_scanned;
-        self.predicate_evals += other.predicate_evals;
-        self.rows_produced += other.rows_produced;
-        self.hash_build_rows += other.hash_build_rows;
-        self.hash_probe_rows += other.hash_probe_rows;
-        self.sort_comparisons += other.sort_comparisons;
-    }
-
     /// Total counted operations — the instruction proxy for MIPS-style
     /// architecture metrics.
     pub fn total_ops(&self) -> u64 {
@@ -251,7 +241,7 @@ impl<'a> Executor<'a> {
                     })
                     .collect();
                 // Deterministic output order for tests and reports.
-                out.sort_by(|a, b| compare_records(a, b, &mut 0));
+                out.sort_by(cmp_records);
                 self.stats.rows_produced += out.len() as u64;
                 Ok(out)
             }
@@ -293,16 +283,6 @@ impl<'a> Executor<'a> {
             }
         }
     }
-}
-
-fn compare_records(a: &Record, b: &Record, _c: &mut u64) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        match x.cmp_values(y) {
-            Some(std::cmp::Ordering::Equal) | None => continue,
-            Some(ord) => return ord,
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 /// Streaming aggregate accumulator.
@@ -454,7 +434,7 @@ mod tests {
 
     #[test]
     fn filter_project() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql("SELECT id, total * 2 AS dbl FROM orders WHERE total >= 5.0")
             .unwrap();
@@ -464,7 +444,7 @@ mod tests {
 
     #[test]
     fn global_aggregates() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql("SELECT COUNT(*), SUM(total), AVG(total), MIN(total), MAX(total) FROM orders")
             .unwrap();
@@ -478,7 +458,7 @@ mod tests {
 
     #[test]
     fn global_aggregate_over_empty_input() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql("SELECT COUNT(*), SUM(total) FROM orders WHERE total > 100.0")
             .unwrap();
@@ -489,7 +469,7 @@ mod tests {
 
     #[test]
     fn group_by_aggregation() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql("SELECT city, COUNT(*) AS n, SUM(total) AS t FROM orders GROUP BY city ORDER BY city")
             .unwrap();
@@ -504,7 +484,7 @@ mod tests {
 
     #[test]
     fn hash_join_inner_semantics() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql(
                 "SELECT users.name, orders.total FROM orders JOIN users ON orders.user_id = users.id ORDER BY orders.total",
@@ -518,7 +498,7 @@ mod tests {
 
     #[test]
     fn join_then_group() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql(
                 "SELECT users.name, SUM(orders.total) AS spend FROM orders JOIN users ON orders.user_id = users.id GROUP BY users.name ORDER BY spend DESC",
@@ -531,7 +511,7 @@ mod tests {
 
     #[test]
     fn order_by_desc_and_limit() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql("SELECT id FROM orders ORDER BY total DESC LIMIT 2")
             .unwrap();
@@ -555,7 +535,7 @@ mod tests {
 
     #[test]
     fn stats_count_join_work() {
-        let mut e = engine();
+        let e = engine();
         e.sql("SELECT users.name FROM orders JOIN users ON orders.user_id = users.id")
             .unwrap();
         let s = e.stats();
@@ -566,7 +546,7 @@ mod tests {
 
     #[test]
     fn select_distinct_dedupes() {
-        let mut e = engine();
+        let e = engine();
         let out = e.sql("SELECT DISTINCT city FROM orders ORDER BY city").unwrap();
         let cities: Vec<String> = out
             .rows()
@@ -578,7 +558,7 @@ mod tests {
 
     #[test]
     fn having_filters_groups() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .sql("SELECT city, COUNT(*) AS n FROM orders GROUP BY city HAVING n >= 2 ORDER BY city")
             .unwrap();
@@ -595,13 +575,13 @@ mod tests {
 
     #[test]
     fn having_without_group_by_is_rejected() {
-        let mut e = engine();
+        let e = engine();
         assert!(e.sql("SELECT id FROM orders HAVING id > 1").is_err());
     }
 
     #[test]
     fn sum_of_ints_stays_int() {
-        let mut e = engine();
+        let e = engine();
         let out = e.sql("SELECT SUM(id) FROM orders").unwrap();
         assert_eq!(out.rows()[0][0], Value::Int(15));
     }

@@ -37,17 +37,21 @@ pub mod plan;
 
 use bdb_common::record::Table;
 use bdb_common::Result;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use catalog::Catalog;
 pub use exec::{ExecStats, Executor};
 pub use memo::{optimize_with_cost, Memo, PlanCost};
 pub use plan::LogicalPlan;
 
-/// The engine facade: a catalog plus the full SQL pipeline.
+/// The engine facade: a catalog plus the full SQL pipeline. Queries take
+/// `&self`, so one registered engine is `Sync` and serves every session.
 #[derive(Debug, Default)]
 pub struct Engine {
     catalog: Catalog,
-    stats: ExecStats,
+    /// The cumulative [`ExecStats`] counters in field order, as relaxed
+    /// atomics: they are statistics and publish no other data.
+    stats: [AtomicU64; 6],
 }
 
 impl Engine {
@@ -77,11 +81,22 @@ impl Engine {
 
     /// Parse, plan, optimise (via the cost-ranked memo) and execute a
     /// SQL query.
-    pub fn sql(&mut self, query: &str) -> Result<Table> {
+    pub fn sql(&self, query: &str) -> Result<Table> {
         let (plan, _) = self.plan_with_cost(query)?;
         let mut exec = Executor::new(&self.catalog);
         let out = exec.run(&plan)?;
-        self.stats.merge(exec.stats());
+        let s = exec.stats();
+        let deltas = [
+            s.rows_scanned,
+            s.predicate_evals,
+            s.rows_produced,
+            s.hash_build_rows,
+            s.hash_probe_rows,
+            s.sort_comparisons,
+        ];
+        for (cell, delta) in self.stats.iter().zip(deltas) {
+            cell.fetch_add(delta, Ordering::Relaxed);
+        }
         Ok(out)
     }
 
@@ -99,14 +114,26 @@ impl Engine {
     }
 
     /// Cumulative execution statistics across all queries run so far —
-    /// the engine's operation counters for the architecture metrics.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
+    /// the engine's operation counters for the architecture metrics —
+    /// as a snapshot by value.
+    pub fn stats(&self) -> ExecStats {
+        let [rows_scanned, predicate_evals, rows_produced, hash_build_rows, hash_probe_rows, sort_comparisons] =
+            self.stats.each_ref().map(|c| c.load(Ordering::Relaxed));
+        ExecStats {
+            rows_scanned,
+            predicate_evals,
+            rows_produced,
+            hash_build_rows,
+            hash_probe_rows,
+            sort_comparisons,
+        }
     }
 
     /// Reset the cumulative statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = ExecStats::default();
+    pub fn reset_stats(&self) {
+        for cell in &self.stats {
+            cell.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -153,8 +180,40 @@ mod tests {
 
     #[test]
     fn query_unknown_table_fails() {
-        let mut e = Engine::new();
+        let e = Engine::new();
         assert!(e.sql("SELECT x FROM nope").is_err());
+    }
+
+    #[test]
+    fn one_engine_serves_concurrent_point_selects() {
+        // The load target's shape: a 1024-row `load(k, v)` table and
+        // `SELECT v FROM load WHERE k = N`, one engine shared by every
+        // thread. The barrier puts all threads in `sql` at once.
+        const THREADS: usize = 4;
+        const ROWS: i64 = 1024;
+        let schema = Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Text)]);
+        let mut load = Table::new(schema);
+        for k in 0..ROWS {
+            load.push(vec![Value::Int(k), Value::from(format!("val-{k:06}"))]).unwrap();
+        }
+        let mut e = Engine::new();
+        e.register("load", load).unwrap();
+        let keys: Vec<i64> = (0..64).map(|i| (i * 37) % ROWS).collect();
+        let select = |k: i64| e.sql(&format!("SELECT v FROM load WHERE k = {k}")).unwrap();
+        let sequential: Vec<Table> = keys.iter().map(|&k| select(k)).collect();
+        assert_eq!(sequential[1].rows(), [vec![Value::from("val-000037")]]);
+        e.reset_stats();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let answers: Vec<Table> = keys.iter().map(|&k| select(k)).collect();
+                    assert_eq!(answers, sequential);
+                });
+            }
+        });
+        assert_eq!(e.stats().rows_scanned, (THREADS * keys.len()) as u64 * ROWS as u64);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::ops::{AggSpec, CompareOp, Operation, PredicateSpec, ScalarSpec};
 use crate::pattern::{InputRef, Step, WorkloadPattern};
-use bdb_common::record::{Record, Table};
+use bdb_common::record::{cmp_records, Record, Table};
 use bdb_common::value::{DataType, Field, Schema, Value};
 use bdb_common::{BdbError, Result};
 use bdb_mapreduce::{run_job, JobConfig};
@@ -49,15 +49,7 @@ impl BoundExecution {
     /// Output rows sorted canonically, for cross-engine comparison.
     pub fn sorted_rows(&self) -> Vec<Record> {
         let mut rows = self.output.rows().to_vec();
-        rows.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                match x.cmp_values(y) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(ord) => return ord,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        rows.sort_by(cmp_records);
         rows
     }
 }
@@ -791,15 +783,7 @@ impl MapReduceBinding {
         );
         let mut rows = r.outputs;
         // Deterministic order, matching the SQL engine's aggregate output.
-        rows.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                match x.cmp_values(y) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(ord) => return ord,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        rows.sort_by(cmp_records);
         Ok((
             Table::from_rows(out_schema, rows)?,
             r.counters.total_record_ops(),

@@ -24,21 +24,32 @@ fn profile(clients: usize, duration_ms: u64) -> LoadProfile {
     }
 }
 
+/// The three arrival disciplines, all driven through the one lane loop.
+fn arrivals() -> [LoadArrival; 3] {
+    [
+        LoadArrival::Closed,
+        LoadArrival::Poisson { rate_per_sec: 4000.0 },
+        LoadArrival::Uniform { rate_per_sec: 4000.0 },
+    ]
+}
+
 #[test]
 fn issued_digest_is_identical_across_client_counts() {
     // The acceptance contract: a fixed seed issues byte-identical ops
-    // whether one client or eight drive them.
+    // whether one client or eight drive them, under every discipline.
     let b = Benchmark::new();
-    let mut digests = Vec::new();
-    for clients in [1, 8] {
-        let spec = BenchmarkSpec::new("digest")
-            .with_seed(0xBDBE)
-            .with_load(profile(clients, 20));
-        let run = b.run_load(&spec).unwrap();
-        digests.push(run.digest.clone());
-        assert!(run.summary.all_conformant(), "clients={clients} diverged");
+    for arrival in arrivals() {
+        let mut digests = Vec::new();
+        for clients in [1, 8] {
+            let spec = BenchmarkSpec::new("digest")
+                .with_seed(0xBDBE)
+                .with_load(LoadProfile { arrival, ..profile(clients, 20) });
+            let run = b.run_load(&spec).unwrap();
+            digests.push(run.digest.clone());
+            assert!(run.summary.all_conformant(), "{arrival} clients={clients} diverged");
+        }
+        assert_eq!(digests[0], digests[1], "{arrival}");
     }
-    assert_eq!(digests[0], digests[1]);
 }
 
 #[test]
@@ -62,16 +73,25 @@ fn schedule_is_seed_deterministic_and_seed_sensitive() {
 }
 
 #[test]
-fn closed_loop_conserves_issued_ops() {
+fn every_arrival_discipline_conserves_issued_ops() {
     let registry = EngineRegistry::with_builtins();
-    let trace = RunTrace::new();
-    let reports = loadgen::run_load(&registry, &profile(3, 20), 5, &trace).unwrap();
-    for r in &reports {
-        // The closed loop never sheds: issued == completed.
-        assert_eq!(r.shed, 0);
-        assert_eq!(r.issued, r.completed);
-        assert!(r.completed > 0);
-        assert!(r.conformance_passed);
+    for arrival in arrivals() {
+        // A queue as long as the schedule never fills, so the open loops
+        // shed nothing either and all three satisfy the same assertions.
+        let p = LoadProfile { arrival, queue_capacity: Some(1 << 16), ..profile(3, 20) };
+        let trace = RunTrace::new();
+        let reports = loadgen::run_load(&registry, &p, 5, &trace).unwrap();
+        let digest = issued_digest(&build_schedule(&p, 5).unwrap());
+        for r in &reports {
+            assert_eq!(r.shed, 0, "{arrival}");
+            assert_eq!(r.issued, r.completed, "{arrival}");
+            assert!(r.completed > 0, "{arrival}");
+            assert!(r.conformance_passed, "{arrival}");
+            assert_eq!(r.digest, digest, "{arrival}");
+        }
+        let sessions = |label: &str| trace.events().iter().filter(|e| e.label() == label).count();
+        assert_eq!(sessions("load_session_started"), p.clients * reports.len(), "{arrival}");
+        assert_eq!(sessions("load_session_finished"), p.clients * reports.len(), "{arrival}");
     }
 }
 
