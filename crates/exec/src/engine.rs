@@ -1048,18 +1048,10 @@ impl Engine for SqlEngine {
     /// the SQL engine reports its optimizer's own estimate to the router
     /// instead of relying on the static table.
     fn estimate_cost(&self, req: &ExecutionRequest<'_>) -> Option<f64> {
-        let tables: BTreeMap<String, Table> = req
-            .datasets
-            .iter()
-            .filter_map(|(k, v)| match v {
-                Dataset::Table(t) => Some((k.clone(), t.clone())),
-                _ => None,
-            })
-            .collect();
-        if tables.is_empty() {
-            return None;
-        }
-        SqlBinding::estimate_cost(&req.prescription.pattern, &tables)
+        SqlBinding::estimate_cost(&req.prescription.pattern, |name| match req.datasets.get(name) {
+            Some(Dataset::Table(t)) => Some(t),
+            _ => None,
+        })
     }
 }
 

@@ -2,15 +2,24 @@
 
 use bdb_common::record::Table;
 use bdb_common::{BdbError, Result};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-/// A name → table registry.
-#[derive(Debug, Default)]
-pub struct Catalog {
-    tables: BTreeMap<String, Table>,
+/// A name → table registry. `T` is how a table is held: owned (`Table`,
+/// the default) or on loan (`&Table`) when the caller already has the
+/// tables and a query only reads them.
+#[derive(Debug)]
+pub struct Catalog<T = Table> {
+    tables: BTreeMap<String, T>,
 }
 
-impl Catalog {
+impl<T> Default for Catalog<T> {
+    fn default() -> Self {
+        Self { tables: BTreeMap::new() }
+    }
+}
+
+impl<T: Borrow<Table>> Catalog<T> {
     /// An empty catalog.
     pub fn new() -> Self {
         Self::default()
@@ -20,7 +29,7 @@ impl Catalog {
     ///
     /// # Errors
     /// Fails when the name is already registered.
-    pub fn register(&mut self, name: &str, table: Table) -> Result<()> {
+    pub fn register(&mut self, name: &str, table: T) -> Result<()> {
         if self.tables.contains_key(name) {
             return Err(BdbError::InvalidConfig(format!(
                 "table {name} already registered"
@@ -31,12 +40,12 @@ impl Catalog {
     }
 
     /// Replace or insert a table (used by load/maintenance workloads).
-    pub fn put(&mut self, name: &str, table: Table) {
+    pub fn put(&mut self, name: &str, table: T) {
         self.tables.insert(name.to_string(), table);
     }
 
     /// Remove a table, returning it if present.
-    pub fn drop_table(&mut self, name: &str) -> Option<Table> {
+    pub fn drop_table(&mut self, name: &str) -> Option<T> {
         self.tables.remove(name)
     }
 
@@ -47,6 +56,7 @@ impl Catalog {
     pub fn get(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(name)
+            .map(Borrow::borrow)
             .ok_or_else(|| BdbError::NotFound(format!("table {name}")))
     }
 
@@ -57,7 +67,7 @@ impl Catalog {
 
     /// Row count of a registered table — the memo's cardinality source.
     pub fn row_count(&self, name: &str) -> Option<usize> {
-        self.tables.get(name).map(|t| t.rows().len())
+        self.tables.get(name).map(|t| t.borrow().len())
     }
 }
 
@@ -80,6 +90,17 @@ mod tests {
         assert_eq!(c.table_names(), vec!["a"]);
         assert!(c.drop_table("a").is_some());
         assert!(c.drop_table("a").is_none());
+    }
+
+    #[test]
+    fn a_catalog_of_borrowed_tables_answers_like_an_owned_one() {
+        let mut owned_table = t();
+        owned_table.push(vec![bdb_common::value::Value::Int(7)]).unwrap();
+        let mut lent = Catalog::new();
+        lent.register("a", &owned_table).unwrap();
+        assert_eq!(lent.get("a").unwrap(), &owned_table);
+        assert_eq!(lent.row_count("a"), Some(1));
+        assert!(lent.register("a", &owned_table).is_err());
     }
 
     #[test]

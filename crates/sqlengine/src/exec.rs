@@ -1,17 +1,23 @@
 //! Physical execution of logical plans.
 //!
-//! The executor interprets the (optimised) logical plan directly with
-//! materialised row batches: scan with projection pushdown, filter,
-//! project, build/probe hash join, hash aggregation, sort, limit. Every
-//! operator updates [`ExecStats`], the engine's operation counters for the
-//! architecture metrics.
+//! The executor interprets the (optimised) logical plan directly, row at
+//! a time over `Vec<Record>` tables. Rows are lent, not copied: a scan
+//! hands its parent the base table's own rows (and, when pruned, the map
+//! from output column to stored column); filter, project, join and
+//! aggregate read their input by reference and allocate only the rows
+//! they emit; sort and the plan root copy what they must own. Column
+//! names are resolved to indices once per operator ([`Expr::bind`]),
+//! never per row. Every operator updates [`ExecStats`], the engine's
+//! operation counters for the architecture metrics.
 
 use crate::catalog::Catalog;
+use crate::expr::{BoundExpr, Expr};
 use crate::parser::AggFunc;
 use crate::plan::LogicalPlan;
 use bdb_common::record::{cmp_records, Record, Table};
-use bdb_common::value::Value;
+use bdb_common::value::{Schema, Value};
 use bdb_common::{BdbError, Result};
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 
 /// Operation counters collected during execution.
@@ -44,39 +50,109 @@ impl ExecStats {
     }
 }
 
-/// Executes plans against a catalog.
+/// Executes plans against a catalog of owned (`T = Table`) or borrowed
+/// (`T = &Table`) tables.
 #[derive(Debug)]
-pub struct Executor<'a> {
-    catalog: &'a Catalog,
+pub struct Executor<'a, T = Table> {
+    catalog: &'a Catalog<T>,
     stats: ExecStats,
 }
 
-/// A hashable key for grouping/joining on `Value`s.
+/// What an operator hands its parent.
+enum Batch<'a> {
+    /// A base table's rows on loan from the catalog. With `map`, output
+    /// column `i` is stored column `map[i]` (a pruned scan).
+    Lent { rows: &'a [Record], map: Option<&'a [usize]> },
+    /// Rows the operator built.
+    Owned(Vec<Record>),
+}
+
+impl Batch<'_> {
+    /// The rows as stored; find their columns with [`Batch::col_named`]
+    /// and [`Batch::bind`].
+    fn rows(&self) -> &[Record] {
+        match self {
+            Batch::Lent { rows, .. } => rows,
+            Batch::Owned(rows) => rows,
+        }
+    }
+
+    fn map(&self) -> Option<&[usize]> {
+        match self {
+            Batch::Lent { map, .. } => *map,
+            Batch::Owned(_) => None,
+        }
+    }
+
+    /// The stored position of the output column called `name`.
+    fn col_named(&self, schema: &Schema, name: &str, what: &str) -> Result<usize> {
+        schema
+            .index_of(name)
+            .map(|i| self.map().map_or(i, |m| m[i]))
+            .ok_or_else(|| BdbError::NotFound(format!("{what} {name}")))
+    }
+
+    /// `expr` over the output `schema`, bound to read stored rows.
+    fn bind(&self, expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
+        let mut bound = expr.bind(schema)?;
+        if let Some(map) = self.map() {
+            bound.remap(map);
+        }
+        Ok(bound)
+    }
+
+    /// Append the output columns of stored row `r` to `out`.
+    fn extend_from(&self, out: &mut Record, r: &Record) {
+        match self.map() {
+            None => out.extend(r.iter().cloned()),
+            Some(m) => out.extend(m.iter().map(|&c| r[c].clone())),
+        }
+    }
+
+    /// The output row of stored row `r`, copied.
+    fn output_row(&self, r: &Record) -> Record {
+        let mut out = Vec::with_capacity(self.map().map_or(r.len(), <[usize]>::len));
+        self.extend_from(&mut out, r);
+        out
+    }
+
+    /// Output rows the caller owns: lent rows are copied here, through
+    /// the map, and nowhere earlier.
+    fn into_owned(self) -> Vec<Record> {
+        match self {
+            Batch::Owned(rows) => rows,
+            Batch::Lent { rows, .. } => rows.iter().map(|r| self.output_row(r)).collect(),
+        }
+    }
+}
+
+/// A hashable key for grouping/joining on `Value`s, borrowing text from
+/// the row it keys.
 ///
 /// Floats are keyed by bit pattern: within one engine run the same float
 /// value always produces the same bits, which is all grouping needs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum HashKey {
+enum HashKey<'r> {
     Null,
     Int(i64),
     Bits(u64),
-    Text(String),
+    Text(&'r str),
     Bool(bool),
 }
 
-fn hash_key(v: &Value) -> HashKey {
+fn hash_key(v: &Value) -> HashKey<'_> {
     match v {
         Value::Null => HashKey::Null,
         Value::Int(i) | Value::Timestamp(i) => HashKey::Int(*i),
         Value::Float(f) => HashKey::Bits(f.to_bits()),
-        Value::Text(s) => HashKey::Text(s.clone()),
+        Value::Text(s) => HashKey::Text(s),
         Value::Bool(b) => HashKey::Bool(*b),
     }
 }
 
-impl<'a> Executor<'a> {
+impl<'a, T: Borrow<Table>> Executor<'a, T> {
     /// An executor over `catalog`.
-    pub fn new(catalog: &'a Catalog) -> Self {
+    pub fn new(catalog: &'a Catalog<T>) -> Self {
         Self { catalog, stats: ExecStats::default() }
     }
 
@@ -87,73 +163,77 @@ impl<'a> Executor<'a> {
 
     /// Execute a plan to a materialised table.
     pub fn run(&mut self, plan: &LogicalPlan) -> Result<Table> {
-        let rows = self.execute(plan)?;
+        let rows = self.execute(plan)?.into_owned();
         Table::from_rows(plan.schema().clone(), rows)
     }
 
-    fn execute(&mut self, plan: &LogicalPlan) -> Result<Vec<Record>> {
+    fn execute<'p>(&mut self, plan: &'p LogicalPlan) -> Result<Batch<'p>>
+    where
+        'a: 'p,
+    {
         match plan {
             LogicalPlan::Scan { table, projection, .. } => {
-                let t = self.catalog.get(table)?;
-                self.stats.rows_scanned += t.len() as u64;
-                let rows: Vec<Record> = match projection {
-                    None => t.rows().to_vec(),
-                    Some(cols) => t
-                        .rows()
-                        .iter()
-                        .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
-                        .collect(),
-                };
+                let catalog: &'a Catalog<T> = self.catalog;
+                let rows = catalog.get(table)?.rows();
+                self.stats.rows_scanned += rows.len() as u64;
                 self.stats.rows_produced += rows.len() as u64;
-                Ok(rows)
+                Ok(Batch::Lent { rows, map: projection.as_deref() })
             }
             LogicalPlan::Filter { input, predicate } => {
-                let schema = input.schema().clone();
-                let rows = self.execute(input)?;
-                self.stats.predicate_evals += rows.len() as u64;
+                let batch = self.execute(input)?;
+                let predicate = batch.bind(predicate, input.schema())?;
+                self.stats.predicate_evals += batch.rows().len() as u64;
                 let mut out = Vec::new();
-                for r in rows {
-                    if predicate.eval_predicate(&schema, &r)? {
-                        out.push(r);
+                match batch {
+                    Batch::Owned(rows) => {
+                        for r in rows {
+                            if predicate.eval_predicate(&r)? {
+                                out.push(r);
+                            }
+                        }
+                    }
+                    Batch::Lent { rows, .. } => {
+                        for r in rows {
+                            if predicate.eval_predicate(r)? {
+                                out.push(batch.output_row(r));
+                            }
+                        }
                     }
                 }
                 self.stats.rows_produced += out.len() as u64;
-                Ok(out)
+                Ok(Batch::Owned(out))
             }
             LogicalPlan::Project { input, exprs, .. } => {
-                let schema = input.schema().clone();
-                let rows = self.execute(input)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for r in rows {
-                    let row: Record = exprs
+                let batch = self.execute(input)?;
+                let bound: Vec<BoundExpr> = exprs
+                    .iter()
+                    .map(|(e, _)| batch.bind(e, input.schema()))
+                    .collect::<Result<_>>()?;
+                let mut out = Vec::with_capacity(batch.rows().len());
+                for r in batch.rows() {
+                    let row: Record = bound
                         .iter()
-                        .map(|(e, _)| e.eval(&schema, &r))
+                        .map(|e| e.eval(r).map(Cow::into_owned))
                         .collect::<Result<_>>()?;
                     out.push(row);
                 }
                 self.stats.rows_produced += out.len() as u64;
-                Ok(out)
+                Ok(Batch::Owned(out))
             }
             LogicalPlan::Join { left, right, left_key, right_key, .. } => {
-                let left_schema = left.schema().clone();
-                let right_schema = right.schema().clone();
-                let left_rows = self.execute(left)?;
-                let right_rows = self.execute(right)?;
-                let lk = left_schema
-                    .index_of(left_key)
-                    .ok_or_else(|| BdbError::NotFound(format!("join key {left_key}")))?;
-                let rk = right_schema
-                    .index_of(right_key)
-                    .ok_or_else(|| BdbError::NotFound(format!("join key {right_key}")))?;
+                let left_batch = self.execute(left)?;
+                let right_batch = self.execute(right)?;
+                let lk = left_batch.col_named(left.schema(), left_key, "join key")?;
+                let rk = right_batch.col_named(right.schema(), right_key, "join key")?;
                 // Build on the smaller side for memory; probe the larger.
-                let (build_rows, probe_rows, build_idx, probe_idx, build_is_left) =
-                    if left_rows.len() <= right_rows.len() {
-                        (&left_rows, &right_rows, lk, rk, true)
-                    } else {
-                        (&right_rows, &left_rows, rk, lk, false)
-                    };
-                let mut table: HashMap<HashKey, Vec<&Record>> = HashMap::new();
-                for r in build_rows {
+                let build_is_left = left_batch.rows().len() <= right_batch.rows().len();
+                let (build, probe, build_idx, probe_idx) = if build_is_left {
+                    (&left_batch, &right_batch, lk, rk)
+                } else {
+                    (&right_batch, &left_batch, rk, lk)
+                };
+                let mut table: HashMap<HashKey<'_>, Vec<&Record>> = HashMap::new();
+                for r in build.rows() {
                     if r[build_idx].is_null() {
                         continue; // NULL never joins
                     }
@@ -161,77 +241,70 @@ impl<'a> Executor<'a> {
                     table.entry(hash_key(&r[build_idx])).or_default().push(r);
                 }
                 let mut out = Vec::new();
-                for probe in probe_rows {
+                for probe_row in probe.rows() {
                     self.stats.hash_probe_rows += 1;
-                    if probe[probe_idx].is_null() {
+                    if probe_row[probe_idx].is_null() {
                         continue;
                     }
-                    if let Some(matches) = table.get(&hash_key(&probe[probe_idx])) {
-                        for build in matches {
-                            let mut row =
-                                Vec::with_capacity(build.len() + probe.len());
-                            if build_is_left {
-                                row.extend(build.iter().cloned());
-                                row.extend(probe.iter().cloned());
+                    if let Some(matches) = table.get(&hash_key(&probe_row[probe_idx])) {
+                        for build_row in matches {
+                            let (l, r) = if build_is_left {
+                                (*build_row, probe_row)
                             } else {
-                                row.extend(probe.iter().cloned());
-                                row.extend(build.iter().cloned());
-                            }
+                                (probe_row, *build_row)
+                            };
+                            let mut row = Vec::with_capacity(plan.schema().len());
+                            left_batch.extend_from(&mut row, l);
+                            right_batch.extend_from(&mut row, r);
                             out.push(row);
                         }
                     }
                 }
                 self.stats.rows_produced += out.len() as u64;
-                Ok(out)
+                Ok(Batch::Owned(out))
             }
             LogicalPlan::Aggregate { input, group_by, aggregates, .. } => {
-                let schema = input.schema().clone();
-                let rows = self.execute(input)?;
+                let batch = self.execute(input)?;
+                let schema = input.schema();
                 let group_idx: Vec<usize> = group_by
                     .iter()
-                    .map(|g| {
-                        schema
-                            .index_of(g)
-                            .ok_or_else(|| BdbError::NotFound(format!("group key {g}")))
-                    })
+                    .map(|g| batch.col_named(schema, g, "group key"))
                     .collect::<Result<_>>()?;
                 let agg_idx: Vec<Option<usize>> = aggregates
                     .iter()
                     .map(|(_, arg, _)| {
-                        arg.as_ref()
-                            .map(|a| {
-                                schema
-                                    .index_of(a)
-                                    .ok_or_else(|| BdbError::NotFound(format!("agg arg {a}")))
-                            })
-                            .transpose()
+                        arg.as_ref().map(|a| batch.col_named(schema, a, "agg arg")).transpose()
                     })
                     .collect::<Result<_>>()?;
-                // Group states keyed by the grouping values.
-                let mut groups: HashMap<Vec<HashKey>, (Record, Vec<AggState>)> = HashMap::new();
-                for r in &rows {
+                let new_states = || -> Vec<AggState> {
+                    aggregates.iter().map(|(f, _, _)| AggState::new(*f)).collect()
+                };
+                // Group states keyed by the grouping values. `key` is one
+                // buffer refilled per row; only a new group copies it.
+                let mut groups: HashMap<Vec<HashKey<'_>>, (Record, Vec<AggState>)> =
+                    HashMap::new();
+                let mut key: Vec<HashKey<'_>> = Vec::with_capacity(group_idx.len());
+                for r in batch.rows() {
                     self.stats.hash_build_rows += 1;
-                    let key: Vec<HashKey> =
-                        group_idx.iter().map(|&i| hash_key(&r[i])).collect();
-                    let entry = groups.entry(key).or_insert_with(|| {
-                        let reps: Record =
-                            group_idx.iter().map(|&i| r[i].clone()).collect();
-                        let states = aggregates
-                            .iter()
-                            .map(|(f, _, _)| AggState::new(*f))
-                            .collect();
-                        (reps, states)
-                    });
-                    for (state, idx) in entry.1.iter_mut().zip(&agg_idx) {
-                        let v = idx.map(|i| &r[i]);
-                        state.update(v);
+                    key.clear();
+                    key.extend(group_idx.iter().map(|&i| hash_key(&r[i])));
+                    let update = |states: &mut [AggState]| {
+                        for (state, idx) in states.iter_mut().zip(&agg_idx) {
+                            state.update(idx.map(|i| &r[i]));
+                        }
+                    };
+                    if let Some((_, states)) = groups.get_mut(&key) {
+                        update(states);
+                    } else {
+                        let reps: Record = group_idx.iter().map(|&i| r[i].clone()).collect();
+                        let mut states = new_states();
+                        update(&mut states);
+                        groups.insert(key.clone(), (reps, states));
                     }
                 }
                 // A global aggregate over zero rows still yields one row.
                 if groups.is_empty() && group_idx.is_empty() {
-                    let states: Vec<AggState> =
-                        aggregates.iter().map(|(f, _, _)| AggState::new(*f)).collect();
-                    groups.insert(Vec::new(), (Vec::new(), states));
+                    groups.insert(Vec::new(), (Vec::new(), new_states()));
                 }
                 let mut out: Vec<Record> = groups
                     .into_values()
@@ -243,11 +316,11 @@ impl<'a> Executor<'a> {
                 // Deterministic output order for tests and reports.
                 out.sort_by(cmp_records);
                 self.stats.rows_produced += out.len() as u64;
-                Ok(out)
+                Ok(Batch::Owned(out))
             }
             LogicalPlan::Sort { input, keys } => {
-                let schema = input.schema().clone();
-                let mut rows = self.execute(input)?;
+                let schema = input.schema();
+                let mut rows = self.execute(input)?.into_owned();
                 let key_idx: Vec<(usize, bool)> = keys
                     .iter()
                     .map(|(k, desc)| {
@@ -273,13 +346,20 @@ impl<'a> Executor<'a> {
                 });
                 self.stats.sort_comparisons += comparisons;
                 self.stats.rows_produced += rows.len() as u64;
-                Ok(rows)
+                Ok(Batch::Owned(rows))
             }
             LogicalPlan::Limit { input, n } => {
-                let mut rows = self.execute(input)?;
-                rows.truncate(*n);
-                self.stats.rows_produced += rows.len() as u64;
-                Ok(rows)
+                let batch = match self.execute(input)? {
+                    Batch::Lent { rows, map } => {
+                        Batch::Lent { rows: &rows[..rows.len().min(*n)], map }
+                    }
+                    Batch::Owned(mut rows) => {
+                        rows.truncate(*n);
+                        Batch::Owned(rows)
+                    }
+                };
+                self.stats.rows_produced += batch.rows().len() as u64;
+                Ok(batch)
             }
         }
     }
@@ -577,6 +657,107 @@ mod tests {
     fn having_without_group_by_is_rejected() {
         let e = engine();
         assert!(e.sql("SELECT id FROM orders HAVING id > 1").is_err());
+    }
+
+    /// The one behaviour bound expressions change: a column the input
+    /// does not have is reported when the operator binds, so also when
+    /// the input has no rows to evaluate it against.
+    #[test]
+    fn unknown_column_over_an_empty_input_is_a_named_error() {
+        let mut catalog = Catalog::new();
+        catalog
+            .register("empty", Table::new(Schema::new(vec![Field::new("x", DataType::Int)])))
+            .unwrap();
+        let scan = || LogicalPlan::Scan {
+            table: "empty".into(),
+            schema: Schema::new(vec![Field::new("x", DataType::Int)]),
+            projection: None,
+        };
+        let nope = || Expr::col("nope");
+        let filter = LogicalPlan::Filter { input: Box::new(scan()), predicate: nope() };
+        let project = LogicalPlan::Project {
+            input: Box::new(scan()),
+            exprs: vec![(nope(), "y".into())],
+            schema: Schema::new(vec![Field::nullable("y", DataType::Int)]),
+        };
+        for plan in [filter, project] {
+            let err = Executor::new(&catalog).run(&plan).unwrap_err();
+            assert_eq!(err, BdbError::NotFound("column nope".into()), "{}", plan.describe());
+        }
+    }
+
+    /// Every operator reads a pruned scan's stored rows through the
+    /// scan's column map — here with no `Project` in between, which SQL
+    /// text never produces for a join.
+    #[test]
+    fn a_pruned_scan_feeds_every_operator_directly() {
+        let e = engine();
+        let field = |name: &str, dt| Field::new(name, dt);
+        // orders(id, user_id, total, city) kept as (total, user_id).
+        let orders = || LogicalPlan::Scan {
+            table: "orders".into(),
+            schema: Schema::new(vec![field("total", DataType::Float), field("user_id", DataType::Int)]),
+            projection: Some(vec![2, 1]),
+        };
+        // users(id, name) kept as (name, id).
+        let users = || LogicalPlan::Scan {
+            table: "users".into(),
+            schema: Schema::new(vec![field("name", DataType::Text), field("id", DataType::Int)]),
+            projection: Some(vec![1, 0]),
+        };
+        let run = |plan: &LogicalPlan| {
+            let mut exec = Executor::new(e.catalog());
+            let out = exec.run(plan).unwrap();
+            (out.rows().to_vec(), *exec.stats())
+        };
+        let row = |total: f64, uid: i64| vec![Value::Float(total), Value::Int(uid)];
+
+        let (rows, stats) = run(&orders());
+        assert_eq!(rows[0], row(5.0, 10));
+        assert_eq!((stats.rows_scanned, stats.rows_produced), (5, 5));
+
+        let (rows, _) = run(&LogicalPlan::Limit { input: Box::new(orders()), n: 2 });
+        assert_eq!(rows, vec![row(5.0, 10), row(7.5, 11)]);
+
+        let (rows, _) = run(&LogicalPlan::Sort {
+            input: Box::new(orders()),
+            keys: vec![("total".into(), true)],
+        });
+        assert_eq!(rows[0], row(10.0, 12));
+
+        let join = LogicalPlan::Join {
+            left: Box::new(orders()),
+            right: Box::new(users()),
+            left_key: "user_id".into(),
+            right_key: "id".into(),
+            schema: Schema::new(vec![
+                field("total", DataType::Float),
+                field("user_id", DataType::Int),
+                field("name", DataType::Text),
+                field("id", DataType::Int),
+            ]),
+        };
+        let (mut rows, stats) = run(&join);
+        rows.sort_by(cmp_records);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(
+            rows[0],
+            vec![Value::Float(1.0), Value::Int(10), Value::from("ann"), Value::Int(10)]
+        );
+        // users (3 rows) builds, orders (5) probes.
+        assert_eq!((stats.hash_build_rows, stats.hash_probe_rows), (3, 5));
+
+        let (rows, _) = run(&LogicalPlan::Aggregate {
+            input: Box::new(orders()),
+            group_by: vec!["user_id".into()],
+            aggregates: vec![(AggFunc::Sum, Some("total".into()), "spend".into())],
+            schema: Schema::new(vec![
+                field("user_id", DataType::Int),
+                Field::nullable("spend", DataType::Float),
+            ]),
+        });
+        assert_eq!(rows[0], vec![Value::Int(10), Value::Float(8.5)]);
+        assert_eq!(rows.len(), 3);
     }
 
     #[test]

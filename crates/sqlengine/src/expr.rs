@@ -1,15 +1,15 @@
 //! Scalar expressions and their evaluation.
 
-use bdb_common::record::Record;
 use bdb_common::value::{Schema, Value};
 use bdb_common::{BdbError, Result};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A scalar expression over the columns of a row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// A column reference by name (resolved against a schema at eval time).
+    /// A column reference by name (resolved to an index by [`Expr::bind`]).
     Column(String),
     /// A literal value.
     Literal(Value),
@@ -108,38 +108,114 @@ impl Expr {
         }
     }
 
-    /// Evaluate against a row under a schema.
-    pub fn eval(&self, schema: &Schema, row: &Record) -> Result<Value> {
-        match self {
-            Expr::Column(name) => {
-                let idx = schema
+    /// Resolve every column name to its index in `schema`, once.
+    ///
+    /// # Errors
+    /// Fails on a column `schema` does not have — before any row is
+    /// read, so also over an empty input.
+    pub fn bind(&self, schema: &Schema) -> Result<BoundExpr> {
+        Ok(match self {
+            Expr::Column(name) => BoundExpr::Column(
+                schema
                     .index_of(name)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {name}")))?;
-                Ok(row[idx].clone())
-            }
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Not(e) => {
-                let v = e.eval(schema, row)?;
-                match v {
-                    Value::Bool(b) => Ok(Value::Bool(!b)),
-                    Value::Null => Ok(Value::Null),
-                    other => Err(BdbError::TypeMismatch {
-                        expected: "BOOL".into(),
-                        found: format!("{other}"),
-                    }),
-                }
-            }
-            Expr::Binary { left, op, right } => {
-                let l = left.eval(schema, row)?;
-                let r = right.eval(schema, row)?;
-                eval_binary(&l, *op, &r)
+                    .ok_or_else(|| BdbError::NotFound(format!("column {name}")))?,
+            ),
+            Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+            Expr::Not(e) => BoundExpr::Not(Box::new(e.bind(schema)?)),
+            Expr::Binary { left, op, right } => BoundExpr::Binary {
+                left: Box::new(left.bind(schema)?),
+                op: *op,
+                right: Box::new(right.bind(schema)?),
+            },
+        })
+    }
+}
+
+/// An [`Expr`] whose columns are row indices: the only evaluator.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundExpr {
+    /// The value at this index of the row.
+    Column(usize),
+    /// A literal value.
+    Literal(Value),
+    /// A binary operation.
+    Binary {
+        /// Left operand.
+        left: Box<BoundExpr>,
+        /// The operator.
+        op: BinOp,
+        /// Right operand.
+        right: Box<BoundExpr>,
+    },
+    /// Logical negation.
+    Not(Box<BoundExpr>),
+}
+
+impl BoundExpr {
+    /// Replace every column index `i` with `map[i]`: an expression bound
+    /// to a pruned scan's schema then reads the unpruned stored rows.
+    pub fn remap(&mut self, map: &[usize]) {
+        match self {
+            BoundExpr::Column(i) => *i = map[*i],
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Not(e) => e.remap(map),
+            BoundExpr::Binary { left, right, .. } => {
+                left.remap(map);
+                right.remap(map);
             }
         }
     }
 
+    /// Evaluate against a row. Columns and literals are lent; only a
+    /// computed result is a new value, so a comparison of a column with a
+    /// literal copies neither operand.
+    pub fn eval<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
+        match self {
+            BoundExpr::Column(i) => Ok(Cow::Borrowed(&row[*i])),
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            BoundExpr::Not(e) => match &*e.eval(row)? {
+                Value::Bool(b) => Ok(Cow::Owned(Value::Bool(!b))),
+                Value::Null => Ok(Cow::Owned(Value::Null)),
+                other => Err(BdbError::TypeMismatch {
+                    expected: "BOOL".into(),
+                    found: format!("{other}"),
+                }),
+            },
+            BoundExpr::Binary { left, op, right } => {
+                // A column or literal operand is read in place; only a
+                // computed operand is evaluated into a value first.
+                let (l, r);
+                let l = match left.leaf(row) {
+                    Some(v) => v,
+                    None => {
+                        l = left.eval(row)?;
+                        &*l
+                    }
+                };
+                let r = match right.leaf(row) {
+                    Some(v) => v,
+                    None => {
+                        r = right.eval(row)?;
+                        &*r
+                    }
+                };
+                eval_binary(l, *op, r).map(Cow::Owned)
+            }
+        }
+    }
+
+    /// The value of a column or literal, lent; `None` for a computed node.
+    fn leaf<'a>(&'a self, row: &'a [Value]) -> Option<&'a Value> {
+        match self {
+            BoundExpr::Column(i) => Some(&row[*i]),
+            BoundExpr::Literal(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// Evaluate as a predicate: NULL and false are both "filtered out".
-    pub fn eval_predicate(&self, schema: &Schema, row: &Record) -> Result<bool> {
-        Ok(matches!(self.eval(schema, row)?, Value::Bool(true)))
+    pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
+        Ok(matches!(*self.eval(row)?, Value::Bool(true)))
     }
 }
 
@@ -231,6 +307,7 @@ fn type_err(l: &Value, op: BinOp, r: &Value) -> BdbError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdb_common::record::Record;
     use bdb_common::value::{DataType, Field};
 
     fn schema() -> Schema {
@@ -245,63 +322,58 @@ mod tests {
         vec![Value::Int(10), Value::Float(2.5), Value::Null]
     }
 
+    /// Bind to [`schema`], evaluate against [`row`].
+    fn eval(e: &Expr) -> Result<Value> {
+        Ok(e.bind(&schema())?.eval(&row())?.into_owned())
+    }
+
     #[test]
     fn column_and_literal_eval() {
-        let s = schema();
-        let r = row();
-        assert_eq!(Expr::col("a").eval(&s, &r).unwrap(), Value::Int(10));
-        assert_eq!(Expr::lit(5i64).eval(&s, &r).unwrap(), Value::Int(5));
-        assert!(Expr::col("zz").eval(&s, &r).is_err());
+        assert_eq!(eval(&Expr::col("a")).unwrap(), Value::Int(10));
+        assert_eq!(eval(&Expr::lit(5i64)).unwrap(), Value::Int(5));
+        assert!(eval(&Expr::col("zz")).is_err());
     }
 
     #[test]
     fn arithmetic_int_and_float() {
-        let s = schema();
-        let r = row();
         let e = Expr::binary(Expr::col("a"), BinOp::Add, Expr::lit(5i64));
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Int(15));
+        assert_eq!(eval(&e).unwrap(), Value::Int(15));
         let e = Expr::binary(Expr::col("a"), BinOp::Mul, Expr::col("b"));
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Float(25.0));
+        assert_eq!(eval(&e).unwrap(), Value::Float(25.0));
     }
 
     #[test]
     fn division_by_zero_is_null() {
-        let s = schema();
-        let r = row();
         let e = Expr::binary(Expr::col("a"), BinOp::Div, Expr::lit(0i64));
-        assert!(e.eval(&s, &r).unwrap().is_null());
+        assert!(eval(&e).unwrap().is_null());
         let e = Expr::binary(Expr::col("b"), BinOp::Div, Expr::lit(0.0));
-        assert!(e.eval(&s, &r).unwrap().is_null());
+        assert!(eval(&e).unwrap().is_null());
     }
 
     #[test]
     fn comparisons_and_null_semantics() {
-        let s = schema();
-        let r = row();
         let e = Expr::binary(Expr::col("a"), BinOp::Gt, Expr::lit(5i64));
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e).unwrap(), Value::Bool(true));
         // NULL comparison yields NULL, and the predicate filters it.
         let e = Expr::binary(Expr::col("c"), BinOp::Eq, Expr::lit(1i64));
-        assert!(e.eval(&s, &r).unwrap().is_null());
-        assert!(!e.eval_predicate(&s, &r).unwrap());
+        assert!(eval(&e).unwrap().is_null());
+        assert!(!e.bind(&schema()).unwrap().eval_predicate(&row()).unwrap());
     }
 
     #[test]
     fn logic_ops() {
-        let s = schema();
-        let r = row();
         let t = Expr::lit(true);
         let f = Expr::lit(false);
         assert_eq!(
-            Expr::binary(t.clone(), BinOp::And, f.clone()).eval(&s, &r).unwrap(),
+            eval(&Expr::binary(t.clone(), BinOp::And, f.clone())).unwrap(),
             Value::Bool(false)
         );
         assert_eq!(
-            Expr::binary(t.clone(), BinOp::Or, f.clone()).eval(&s, &r).unwrap(),
+            eval(&Expr::binary(t.clone(), BinOp::Or, f.clone())).unwrap(),
             Value::Bool(true)
         );
-        assert_eq!(Expr::Not(Box::new(t)).eval(&s, &r).unwrap(), Value::Bool(false));
-        assert!(Expr::Not(Box::new(Expr::lit(3i64))).eval(&s, &r).is_err());
+        assert_eq!(eval(&Expr::Not(Box::new(t))).unwrap(), Value::Bool(false));
+        assert!(eval(&Expr::Not(Box::new(Expr::lit(3i64)))).is_err());
     }
 
     #[test]
@@ -318,9 +390,7 @@ mod tests {
 
     #[test]
     fn incomparable_types_error() {
-        let s = schema();
-        let r = row();
         let e = Expr::binary(Expr::col("a"), BinOp::Eq, Expr::lit("x"));
-        assert!(e.eval(&s, &r).is_err());
+        assert!(eval(&e).is_err());
     }
 }

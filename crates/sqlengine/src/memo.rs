@@ -20,6 +20,8 @@ use crate::catalog::Catalog;
 use crate::expr::{BinOp, Expr};
 use crate::optimizer::{prune_scan_columns, push_down_filters};
 use crate::plan::LogicalPlan;
+use bdb_common::record::Table;
+use std::borrow::Borrow;
 
 /// Fraction of rows a filter conjunct is assumed to keep when nothing
 /// better is known.
@@ -56,7 +58,7 @@ fn conjunct_count(expr: &Expr) -> u32 {
 /// key-ndv ≈ rows so output is the smaller side; grouped aggregates emit
 /// [`DEFAULT_GROUP_FRACTION`] of their input (1 row ungrouped); sorts pay
 /// `n·log2(n)`.
-pub fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> PlanCost {
+pub fn estimate<T: Borrow<Table>>(plan: &LogicalPlan, catalog: &Catalog<T>) -> PlanCost {
     match plan {
         LogicalPlan::Scan { table, schema, projection } => {
             let rows = catalog
@@ -123,7 +125,7 @@ pub struct Memo {
 impl Memo {
     /// Populate the group from a logical plan: the raw plan plus one
     /// alternative per optimizer rewrite stage.
-    pub fn explore(plan: LogicalPlan, catalog: &Catalog) -> Self {
+    pub fn explore<T: Borrow<Table>>(plan: LogicalPlan, catalog: &Catalog<T>) -> Self {
         let pushed = push_down_filters(plan.clone());
         let pruned = prune_scan_columns(pushed.clone());
         let mut alternatives = vec![Alternative {
@@ -169,7 +171,10 @@ impl Memo {
 
 /// Optimise via the memo: explore the rewrite alternatives and extract
 /// the cheapest, returning it with its estimated cost.
-pub fn optimize_with_cost(plan: LogicalPlan, catalog: &Catalog) -> (LogicalPlan, PlanCost) {
+pub fn optimize_with_cost<T: Borrow<Table>>(
+    plan: LogicalPlan,
+    catalog: &Catalog<T>,
+) -> (LogicalPlan, PlanCost) {
     let memo = Memo::explore(plan, catalog);
     let best = memo.best();
     (best.plan.clone(), best.cost)
@@ -180,7 +185,6 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::plan::build_logical_plan;
-    use bdb_common::record::Table;
     use bdb_common::value::{DataType, Field, Schema, Value};
 
     fn catalog() -> Catalog {

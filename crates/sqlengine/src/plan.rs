@@ -10,8 +10,10 @@
 use crate::catalog::Catalog;
 use crate::expr::Expr;
 use crate::parser::{AggFunc, Projection, SelectStatement};
+use bdb_common::record::Table;
 use bdb_common::value::{DataType, Field, Schema};
 use bdb_common::{BdbError, Result};
+use std::borrow::Borrow;
 
 /// A logical plan node. Every node knows its output schema.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,7 +192,10 @@ fn default_expr_name(expr: &Expr, ordinal: usize) -> String {
 }
 
 /// Build a resolved logical plan from a parsed statement.
-pub fn build_logical_plan(stmt: SelectStatement, catalog: &Catalog) -> Result<LogicalPlan> {
+pub fn build_logical_plan<T: Borrow<Table>>(
+    stmt: SelectStatement,
+    catalog: &Catalog<T>,
+) -> Result<LogicalPlan> {
     // FROM (and JOIN): establish the input relation.
     let base = catalog.get(&stmt.from)?;
     let mut plan = LogicalPlan::Scan {
@@ -434,7 +439,6 @@ pub fn build_logical_plan(stmt: SelectStatement, catalog: &Catalog) -> Result<Lo
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use bdb_common::record::Table;
     use bdb_common::value::Value;
 
     fn catalog() -> Catalog {

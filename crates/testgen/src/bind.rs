@@ -88,10 +88,6 @@ fn predicate_to_expr(p: &PredicateSpec) -> Expr {
     Expr::binary(Expr::col(&p.column), op, Expr::Literal(lit))
 }
 
-fn predicate_matches(p: &PredicateSpec, schema: &Schema, row: &Record) -> Result<bool> {
-    predicate_to_expr(p).eval_predicate(schema, row)
-}
-
 /// Resolve the tables each step consumes, in pattern order; returns the
 /// terminal output. `run_step` executes one operation over its inputs.
 fn run_dag<F>(
@@ -151,11 +147,11 @@ fn steps_of(pattern: &WorkloadPattern) -> Result<Vec<Step>> {
 pub struct SqlBinding;
 
 impl SqlBinding {
-    /// Register step inputs as `__in0` / `__in1` in a fresh catalog.
-    fn input_catalog(inputs: &[&Table]) -> Result<Catalog> {
+    /// Lend step inputs to a fresh catalog as `__in0` / `__in1`.
+    fn input_catalog<'t>(inputs: &[&'t Table]) -> Result<Catalog<&'t Table>> {
         let mut catalog = Catalog::new();
         for (i, t) in inputs.iter().enumerate() {
-            catalog.register(&format!("__in{i}"), (*t).clone())?;
+            catalog.register(&format!("__in{i}"), *t)?;
         }
         Ok(catalog)
     }
@@ -354,16 +350,17 @@ impl SqlBinding {
     }
 
     /// Price the memo-extracted plans the binding would execute for
-    /// `pattern` over `datasets`, in the memo's rows-touched units.
+    /// `pattern`, in the memo's rows-touched units. `dataset` looks a
+    /// table data set up by name; only its row count and schema are read.
     ///
     /// Steps whose inputs are all concrete data sets are priced through
     /// [`bdb_sql::memo::optimize_with_cost`]; steps consuming
     /// intermediate results (whose tables don't exist yet) fall back to
     /// per-operation cardinality rules over the estimated input rows.
     /// Returns `None` when the pattern has no relational lowering.
-    pub fn estimate_cost(
+    pub fn estimate_cost<'t>(
         pattern: &WorkloadPattern,
-        datasets: &BTreeMap<String, Table>,
+        dataset: impl Fn(&str) -> Option<&'t Table>,
     ) -> Option<f64> {
         let steps = steps_of(pattern).ok()?;
         let mut rows_of: BTreeMap<u32, f64> = BTreeMap::new();
@@ -374,7 +371,7 @@ impl SqlBinding {
             for r in &step.inputs {
                 match r {
                     InputRef::Dataset(name) => {
-                        let t = datasets.get(name)?;
+                        let t = dataset(name)?;
                         tables.push(Some(t));
                         in_rows.push(t.len() as f64);
                     }
@@ -509,14 +506,14 @@ impl MapReduceBinding {
         match op {
             Operation::Select { predicate } => {
                 let schema = inputs[0].schema().clone();
-                let pred_schema = schema.clone();
-                let pred = predicate.clone();
+                let pred = predicate_to_expr(predicate).bind(&schema)?;
                 let rows = inputs[0].rows().to_vec();
                 let r = run_job(
                     cfg,
                     rows,
                     move |row: &Record, emit| {
-                        if predicate_matches(&pred, &pred_schema, row).unwrap_or(false) {
+                        // A row the predicate cannot type is not selected.
+                        if pred.eval_predicate(row).unwrap_or(false) {
                             emit(0u8, row.clone());
                         }
                     },
@@ -964,6 +961,23 @@ mod tests {
     }
 
     #[test]
+    fn select_on_an_unknown_column_is_a_named_error_on_both_engines() {
+        let p = WorkloadPattern::Single {
+            op: Operation::Select {
+                predicate: PredicateSpec {
+                    column: "nope".into(),
+                    op: CompareOp::Eq,
+                    value: ScalarSpec::Int(1),
+                },
+            },
+            input: "orders".into(),
+        };
+        let want = BdbError::NotFound("column nope".into());
+        assert_eq!(SqlBinding.execute(&p, &datasets()).unwrap_err(), want);
+        assert_eq!(MapReduceBinding::default().execute(&p, &datasets()).unwrap_err(), want);
+    }
+
+    #[test]
     fn project_and_sort_agree() {
         let p = WorkloadPattern::Multi {
             steps: vec![
@@ -1145,7 +1159,7 @@ mod tests {
     fn estimate_cost_prices_bindable_patterns() {
         let ds = datasets();
         let single = WorkloadPattern::Single { op: Operation::Count, input: "orders".into() };
-        let c1 = SqlBinding::estimate_cost(&single, &ds).unwrap();
+        let c1 = SqlBinding::estimate_cost(&single, |n| ds.get(n)).unwrap();
         assert!(c1 > 0.0);
 
         // A join + aggregate pipeline (intermediate-input second step)
@@ -1171,7 +1185,7 @@ mod tests {
                 },
             ],
         };
-        let c2 = SqlBinding::estimate_cost(&pipeline, &ds).unwrap();
+        let c2 = SqlBinding::estimate_cost(&pipeline, |n| ds.get(n)).unwrap();
         assert!(c2 > c1);
 
         // Kernel-only ops and missing datasets have no price.
@@ -1179,8 +1193,8 @@ mod tests {
             op: Operation::Get { key: "k".into() },
             input: "orders".into(),
         };
-        assert!(SqlBinding::estimate_cost(&kv, &ds).is_none());
+        assert!(SqlBinding::estimate_cost(&kv, |n| ds.get(n)).is_none());
         let missing = WorkloadPattern::Single { op: Operation::Count, input: "nope".into() };
-        assert!(SqlBinding::estimate_cost(&missing, &ds).is_none());
+        assert!(SqlBinding::estimate_cost(&missing, |n| ds.get(n)).is_none());
     }
 }

@@ -4,7 +4,7 @@
 # the concurrent load driver's per-engine saturation throughput + p99 —
 # N repeated samples per path (after warmup discard), MAD outlier
 # rejection and t-distribution 95% confidence intervals — writing a
-# machine-readable ledger (default BENCH_9.json) for the perf-regression
+# machine-readable ledger (default BENCH_15.json) for the perf-regression
 # gate.
 #
 #   ./scripts/bench.sh [OUT] [extra bdbench-bench args...]
@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_9.json}"
+OUT="${1:-BENCH_15.json}"
 shift || true
 
 if [ -f "$OUT" ]; then

@@ -212,19 +212,19 @@ echo "== bench gate (sampled hot paths vs committed baseline) =="
 # non-flaky on shared CI machines (observed run-to-run drift is ≲15%);
 # it catches algorithmic regressions, not micro-noise.
 bench_out=$(mktemp)
-./scripts/bench.sh BENCH_9.json --samples 5 --compare BENCH_8.json \
+./scripts/bench.sh BENCH_15.json --samples 5 --compare BENCH_9.json \
     --gate original --min-effect 0.5 --fail-on-regression >"$bench_out" \
     || { echo "bench gate: significant perf regression"; cat "$bench_out"; exit 1; }
 for path in datagen_parallel_items dispatch_route_all window_pipeline_events \
             behavioral_sessionize_events lsm_put_ops lsm_get_ops \
             loadgen_saturation_kv loadgen_saturation_sql loadgen_saturation_native \
             loadgen_saturation_streaming; do
-    grep -q "\"name\":\"$path\"" BENCH_9.json \
-        || { echo "bench gate: $path missing from BENCH_9.json"; exit 1; }
+    grep -q "\"name\":\"$path\"" BENCH_15.json \
+        || { echo "bench gate: $path missing from BENCH_15.json"; exit 1; }
 done
-grep -q '"ci_lo"' BENCH_9.json \
+grep -q '"ci_lo"' BENCH_15.json \
     || { echo "bench gate: ledger must carry 95% CI bounds"; exit 1; }
-grep -q '"p99_us"' BENCH_9.json \
+grep -q '"p99_us"' BENCH_15.json \
     || { echo "bench gate: loadgen samples must report p99_us"; exit 1; }
 rm -f "$bench_out"
 echo "bench gate: ten hot paths sampled, five originals within baseline CIs"

@@ -33,7 +33,7 @@
 //! `--breaker-cooldown <n>` (the `breaker.*` system-config parameters).
 //! bdbench bench [opts]                 # sampled hot-path bench + regression gate
 //!     --samples <n>  --warmup <n>      # recorded samples / discarded warmups per path
-//!     --out <path>                     # ledger to write (default BENCH_9.json)
+//!     --out <path>                     # ledger to write (default BENCH_15.json)
 //!     --compare <path>                 # baseline ledger; prints the CI comparison
 //!     --against <path>                 # compare two ledgers without running
 //!     --min-effect <frac>              # significance floor (default 0.25 = 25%)
@@ -609,7 +609,7 @@ fn cmd_bench(args: &[String]) -> bdbench::common::Result<()> {
             ..HotpathConfig::default()
         };
         let ledger = run_hotpaths(&cfg)?;
-        let out = opts.get("out").map_or("BENCH_9.json", String::as_str);
+        let out = opts.get("out").map_or("BENCH_15.json", String::as_str);
         bdbench::common::fsio::write_atomic(std::path::Path::new(out), ledger.emit().as_bytes())?;
         println!("{}", ledger.render());
         eprintln!("wrote {out}");
