@@ -219,30 +219,24 @@ impl Benchmark {
                 generation_rate = Some((outcome.achieved_rate, outcome.rate_error()));
             }
             let dataset = outcome.dataset;
-            let gm = GenerationMetrics::measure(
-                dataset.item_count() as u64,
-                dataset.byte_size() as u64,
-                gen_elapsed,
-                workers,
-            );
+            // One walk over the data set feeds the metrics, the trace event
+            // and the summary row.
+            let (kind, items, bytes) =
+                (dataset.kind().to_string(), dataset.item_count(), dataset.byte_size());
+            let gm = GenerationMetrics::measure(items as u64, bytes as u64, gen_elapsed, workers);
             match &mut generation {
                 Some(total) => total.merge(&gm),
                 None => generation = Some(gm),
             }
             trace.record(TraceEvent::DatasetGenerated {
                 name: data_spec.name.clone(),
-                kind: dataset.kind().to_string(),
-                items: dataset.item_count() as u64,
-                bytes: dataset.byte_size() as u64,
+                kind: kind.clone(),
+                items: items as u64,
+                bytes: bytes as u64,
                 workers,
                 micros: gen_elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
             });
-            data_summary.push((
-                data_spec.name.clone(),
-                dataset.kind().to_string(),
-                dataset.item_count(),
-                dataset.byte_size(),
-            ));
+            data_summary.push((data_spec.name.clone(), kind, items, bytes));
             datasets.insert(data_spec.name.clone(), dataset);
         }
         finish_phase(&trace, Phase::DataGeneration, t0);
@@ -513,6 +507,29 @@ mod tests {
         assert!(events.iter().any(|e| e.label() == "dataset_generated"));
         assert!(events.iter().any(|e| e.label() == "engine_dispatched"));
         assert!(events.iter().any(|e| e.label() == "operation_executed"));
+    }
+
+    #[test]
+    fn data_summary_trace_and_generation_metrics_agree() {
+        // Two data sets (a join), so the per-data-set rows and the merged
+        // metrics are both exercised.
+        let r = run("relational/join", SystemKind::Sql, 200);
+        assert_eq!(r.data_summary.len(), 2);
+        let traced: Vec<(String, String, usize, usize)> = r
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::DatasetGenerated { name, kind, items, bytes, .. } => {
+                    Some((name.clone(), kind.clone(), *items as usize, *bytes as usize))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, r.data_summary);
+        let g = r.generation.expect("data was generated");
+        assert_eq!(g.items as usize, r.data_summary.iter().map(|d| d.2).sum::<usize>());
+        assert_eq!(g.bytes as usize, r.data_summary.iter().map(|d| d.3).sum::<usize>());
     }
 
     #[test]

@@ -18,27 +18,26 @@
 //! earlier in the run). Adding a backend is a registry entry, not a
 //! pipeline edit.
 //!
-//! Dispatch comes in two strengths: [`EngineRegistry::dispatch`] runs the
-//! routed engine once and propagates its error, while
+//! There is one dispatch entry point:
 //! [`EngineRegistry::dispatch_resilient`] wraps each candidate engine in
 //! the [`crate::fault`] retry loop (seeded fault injection, jittered
-//! backoff, per-operation deadline) and fails over to the next capable
-//! engine when the selected one exhausts its retries, recording the
-//! degradation in the run trace.
+//! backoff, per-operation deadline), consults the candidate's circuit
+//! breaker, and fails over to the next capable engine when the selected
+//! one exhausts its retries, recording the degradation in the run trace.
+//! With a passive [`Resilience`] it runs the routed engine once.
 
 use crate::config::SystemConfig;
 use crate::cost::ObservedCosts;
 use crate::fault::{self, FaultSite, Resilience};
 use crate::planner::{Ranked, Router, RoutingPolicy, Score};
 use crate::trace::RunTrace;
-use bdb_common::hash::Fnv1a;
 use bdb_common::record::Table;
 use bdb_common::text::{Document, Vocabulary};
 use bdb_common::{BdbError, Result};
 use bdb_datagen::{DataSourceKind, Dataset};
 use bdb_mapreduce::JobConfig;
 use bdb_metrics::{MetricsCollector, OpCounts};
-use bdb_testgen::bind::{BoundExecution, MapReduceBinding, PatternExecutor, SqlBinding};
+use bdb_testgen::bind::{MapReduceBinding, PatternExecutor, SqlBinding};
 use bdb_testgen::ops::{AggSpec, Operation};
 use bdb_testgen::pattern::WorkloadPattern;
 use bdb_testgen::{Prescription, SystemKind};
@@ -105,6 +104,20 @@ pub enum WorkloadClass {
     Relational,
 }
 
+/// The element operations (get/put/update/delete/scan) that make a
+/// prescription an [`WorkloadClass::Element`] mix and that the kv engine
+/// turns into its operation proportions.
+fn is_element_op(op: &Operation) -> bool {
+    matches!(
+        op,
+        Operation::Get { .. }
+            | Operation::Put { .. }
+            | Operation::UpdateKey { .. }
+            | Operation::DeleteKey { .. }
+            | Operation::ScanRange { .. }
+    )
+}
+
 impl WorkloadClass {
     /// Classify a prescription by its pattern and operations, with the
     /// same precedence the Execution Layer uses for routing.
@@ -133,16 +146,7 @@ impl WorkloadClass {
         if matches!(prescription.pattern, WorkloadPattern::Iterative { .. }) {
             return WorkloadClass::Iterative;
         }
-        if ops.iter().any(|o| {
-            matches!(
-                o,
-                Operation::Get { .. }
-                    | Operation::Put { .. }
-                    | Operation::UpdateKey { .. }
-                    | Operation::DeleteKey { .. }
-                    | Operation::ScanRange { .. }
-            )
-        }) {
+        if ops.iter().any(|o| is_element_op(o)) {
             return WorkloadClass::Element;
         }
         WorkloadClass::Relational
@@ -257,7 +261,7 @@ pub struct ExecutionRequest<'a> {
     pub routing: RoutingPolicy,
 }
 
-impl ExecutionRequest<'_> {
+impl<'a> ExecutionRequest<'a> {
     /// The routing profile of this request.
     pub fn profile(&self) -> TestProfile {
         TestProfile::of(self.prescription, self.datasets.values().map(Dataset::kind))
@@ -276,6 +280,17 @@ impl ExecutionRequest<'_> {
                 _ => None,
             })
             .ok_or_else(|| BdbError::Execution("prescription needs a text data set".into()))
+    }
+
+    /// Lend the table data sets by name — the lookup both
+    /// [`PatternExecutor::execute_lent`] and [`SqlBinding::estimate_cost`]
+    /// read through. Nothing is copied.
+    fn lent_tables(&self) -> impl Fn(&str) -> Option<&'a Table> {
+        let datasets = self.datasets;
+        move |name| match datasets.get(name) {
+            Some(Dataset::Table(t)) => Some(t),
+            _ => None,
+        }
     }
 
     fn first_table(&self) -> Result<&Table> {
@@ -688,62 +703,39 @@ impl EngineRegistry {
 // ---------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------
+//
+// The result contract: an engine attaches what it computed as an
+// `OutputPayload`, in whatever order it emitted it. Row order is
+// normalised in one place (`OutputPayload::canonical_lines`) and hashed in
+// one place (`OutputPayload::digest`); nothing below sorts or hashes.
 
-/// The canonical rows of a bound execution: the output sorted
-/// canonically with every value stringified, comparable across engines
-/// and against the reference oracle. Sorted and stringified once; the
-/// `output_hash` detail and the result payload both derive from it.
-fn canonical_rows(bound: &BoundExecution) -> Vec<Vec<String>> {
-    bound
-        .sorted_rows()
-        .iter()
-        .map(|row| row.iter().map(std::string::ToString::to_string).collect())
-        .collect()
-}
-
-/// A 32-bit hash of [`canonical_rows`] (kept within the integer range
-/// `f64` represents exactly so it can ride in a result detail).
-fn output_hash(rows: &[Vec<String>]) -> u64 {
-    let mut h = Fnv1a::new();
-    for row in rows {
-        for v in row {
-            h.write(v.as_bytes());
-            h.write(&[0x1f]);
-        }
-        h.write(&[0x2f]);
-    }
-    h.finish() & 0xFFFF_FFFF
-}
-
-/// Run a table-pattern binding and assemble the uniform result, emitting
-/// one trace event per executed DAG step.
+/// Run a table-pattern binding over the request's lent tables and
+/// assemble the uniform result: one trace event per executed DAG step,
+/// and the output rows stringified as emitted.
 fn execute_table_binding(
     binding: &dyn PatternExecutor,
     engine: &'static str,
     req: &ExecutionRequest<'_>,
 ) -> Result<Vec<WorkloadResult>> {
-    let tables: BTreeMap<String, Table> = req
-        .datasets
-        .iter()
-        .filter_map(|(k, v)| match v {
-            Dataset::Table(t) => Some((k.clone(), t.clone())),
-            _ => None,
-        })
-        .collect();
-    if tables.is_empty() {
+    if !req.datasets.values().any(|d| matches!(d, Dataset::Table(_))) {
         return Err(BdbError::Execution(format!(
             "engine {engine} needs a table data set for prescription {}",
             req.prescription.name
         )));
     }
-    let bound = binding.execute(&req.prescription.pattern, &tables)?;
+    let bound = binding.execute_lent(&req.prescription.pattern, &req.lent_tables())?;
     for step in &bound.steps {
         req.trace.operation(engine, &step.op, step.rows_out, step.elapsed);
     }
     let mut collector = MetricsCollector::new();
     collector.record_operations(bound.output.len() as u64);
     let user = collector.finish_with_duration(bound.elapsed);
-    let rows = canonical_rows(&bound);
+    let rows = bound
+        .output
+        .rows()
+        .iter()
+        .map(|row| row.iter().map(ToString::to_string).collect())
+        .collect();
     let result = WorkloadResult::assemble(
         &req.prescription.name,
         engine,
@@ -753,7 +745,6 @@ fn execute_table_binding(
         req.scale,
     )
     .with_detail("output_rows", bound.output.len() as f64)
-    .with_detail("output_hash", output_hash(&rows) as f64)
     .with_output(OutputPayload::RowSet(rows));
     Ok(vec![result])
 }
@@ -1048,10 +1039,7 @@ impl Engine for SqlEngine {
     /// the SQL engine reports its optimizer's own estimate to the router
     /// instead of relying on the static table.
     fn estimate_cost(&self, req: &ExecutionRequest<'_>) -> Option<f64> {
-        SqlBinding::estimate_cost(&req.prescription.pattern, |name| match req.datasets.get(name) {
-            Some(Dataset::Table(t)) => Some(t),
-            _ => None,
-        })
+        SqlBinding::estimate_cost(&req.prescription.pattern, &req.lent_tables())
     }
 }
 
@@ -1080,16 +1068,7 @@ impl Engine for KvEngine {
             .pattern
             .operations()
             .into_iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    Operation::Get { .. }
-                        | Operation::Put { .. }
-                        | Operation::UpdateKey { .. }
-                        | Operation::DeleteKey { .. }
-                        | Operation::ScanRange { .. }
-                )
-            })
+            .filter(|o| is_element_op(o))
             .collect();
         if element_ops.is_empty() {
             return Err(BdbError::Execution(format!(

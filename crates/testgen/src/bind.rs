@@ -54,17 +54,31 @@ impl BoundExecution {
     }
 }
 
+/// How a binding is lent its input tables: a lookup by data-set name.
+/// Nothing is copied; the tables outlive the call.
+pub type TableLookup<'a, 't> = &'a dyn Fn(&str) -> Option<&'t Table>;
+
 /// An engine that can execute table-processing workload patterns.
 pub trait PatternExecutor {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
 
-    /// Execute `pattern` over the named input tables.
+    /// Execute `pattern` over the tables `dataset` lends by name. The one
+    /// method a binding implements.
+    fn execute_lent(
+        &self,
+        pattern: &WorkloadPattern,
+        dataset: TableLookup<'_, '_>,
+    ) -> Result<BoundExecution>;
+
+    /// [`Self::execute_lent`] over an owned map of tables.
     fn execute(
         &self,
         pattern: &WorkloadPattern,
         datasets: &BTreeMap<String, Table>,
-    ) -> Result<BoundExecution>;
+    ) -> Result<BoundExecution> {
+        self.execute_lent(pattern, &|name| datasets.get(name))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -88,24 +102,29 @@ fn predicate_to_expr(p: &PredicateSpec) -> Expr {
     Expr::binary(Expr::col(&p.column), op, Expr::Literal(lit))
 }
 
-/// Resolve the tables each step consumes, in pattern order; returns the
-/// terminal output. `run_step` executes one operation over its inputs.
-fn run_dag<F>(
-    steps: &[Step],
-    datasets: &BTreeMap<String, Table>,
+/// The one DAG walk both bindings share: resolve the tables each step
+/// consumes (lent data sets or earlier steps' outputs), in pattern order,
+/// and time every step. `run_step` executes one operation over its inputs
+/// and reports the record-level operations it performed.
+fn run_pattern<F>(
+    pattern: &WorkloadPattern,
+    dataset: TableLookup<'_, '_>,
     mut run_step: F,
-) -> Result<Table>
+) -> Result<BoundExecution>
 where
-    F: FnMut(&Operation, Vec<&Table>) -> Result<Table>,
+    F: FnMut(&Operation, Vec<&Table>) -> Result<(Table, u64)>,
 {
+    let steps = steps_of(pattern)?;
+    let start = Instant::now();
+    let mut record_ops = 0u64;
+    let mut executed = Vec::with_capacity(steps.len());
     let mut outputs: BTreeMap<u32, Table> = BTreeMap::new();
     let mut terminal = None;
-    for step in steps {
+    for step in &steps {
         let mut inputs: Vec<&Table> = Vec::with_capacity(step.inputs.len());
         for r in &step.inputs {
             let t = match r {
-                InputRef::Dataset(name) => datasets
-                    .get(name)
+                InputRef::Dataset(name) => dataset(name)
                     .ok_or_else(|| BdbError::NotFound(format!("dataset {name}")))?,
                 InputRef::Step(id) => outputs
                     .get(id)
@@ -113,12 +132,20 @@ where
             };
             inputs.push(t);
         }
-        let out = run_step(&step.op, inputs)?;
+        let t0 = Instant::now();
+        let (out, ops) = run_step(&step.op, inputs)?;
+        record_ops += ops;
+        executed.push(StepExecution {
+            op: step.op.name().to_string(),
+            rows_out: out.len() as u64,
+            elapsed: t0.elapsed(),
+        });
         outputs.insert(step.id, out);
         terminal = Some(step.id);
     }
     let id = terminal.ok_or_else(|| BdbError::TestGen("empty pattern".into()))?;
-    Ok(outputs.remove(&id).expect("terminal output exists"))
+    let output = outputs.remove(&id).expect("terminal output exists");
+    Ok(BoundExecution { output, record_ops, elapsed: start.elapsed(), steps: executed })
 }
 
 fn steps_of(pattern: &WorkloadPattern) -> Result<Vec<Step>> {
@@ -358,10 +385,7 @@ impl SqlBinding {
     /// intermediate results (whose tables don't exist yet) fall back to
     /// per-operation cardinality rules over the estimated input rows.
     /// Returns `None` when the pattern has no relational lowering.
-    pub fn estimate_cost<'t>(
-        pattern: &WorkloadPattern,
-        dataset: impl Fn(&str) -> Option<&'t Table>,
-    ) -> Option<f64> {
+    pub fn estimate_cost(pattern: &WorkloadPattern, dataset: TableLookup<'_, '_>) -> Option<f64> {
         let steps = steps_of(pattern).ok()?;
         let mut rows_of: BTreeMap<u32, f64> = BTreeMap::new();
         let mut total = 0.0;
@@ -436,28 +460,17 @@ impl PatternExecutor for SqlBinding {
         "sql"
     }
 
-    fn execute(
+    fn execute_lent(
         &self,
         pattern: &WorkloadPattern,
-        datasets: &BTreeMap<String, Table>,
+        dataset: TableLookup<'_, '_>,
     ) -> Result<BoundExecution> {
-        let steps = steps_of(pattern)?;
-        let start = Instant::now();
-        let mut record_ops = 0u64;
-        let mut executed = Vec::with_capacity(steps.len());
-        let output = run_dag(&steps, datasets, |op, inputs| {
+        run_pattern(pattern, dataset, |op, inputs| {
             let before: u64 = inputs.iter().map(|t| t.len() as u64).sum();
-            let t0 = Instant::now();
             let out = Self::lower_step(op, inputs)?;
-            record_ops += before + out.len() as u64;
-            executed.push(StepExecution {
-                op: op.name().to_string(),
-                rows_out: out.len() as u64,
-                elapsed: t0.elapsed(),
-            });
-            Ok(out)
-        })?;
-        Ok(BoundExecution { output, record_ops, elapsed: start.elapsed(), steps: executed })
+            let ops = before + out.len() as u64;
+            Ok((out, ops))
+        })
     }
 }
 
@@ -857,27 +870,12 @@ impl PatternExecutor for MapReduceBinding {
         "mapreduce"
     }
 
-    fn execute(
+    fn execute_lent(
         &self,
         pattern: &WorkloadPattern,
-        datasets: &BTreeMap<String, Table>,
+        dataset: TableLookup<'_, '_>,
     ) -> Result<BoundExecution> {
-        let steps = steps_of(pattern)?;
-        let start = Instant::now();
-        let mut record_ops = 0u64;
-        let mut executed = Vec::with_capacity(steps.len());
-        let output = run_dag(&steps, datasets, |op, inputs| {
-            let t0 = Instant::now();
-            let (out, ops) = self.run_step(op, inputs)?;
-            record_ops += ops;
-            executed.push(StepExecution {
-                op: op.name().to_string(),
-                rows_out: out.len() as u64,
-                elapsed: t0.elapsed(),
-            });
-            Ok(out)
-        })?;
-        Ok(BoundExecution { output, record_ops, elapsed: start.elapsed(), steps: executed })
+        run_pattern(pattern, dataset, |op, inputs| self.run_step(op, inputs))
     }
 }
 
@@ -1159,7 +1157,7 @@ mod tests {
     fn estimate_cost_prices_bindable_patterns() {
         let ds = datasets();
         let single = WorkloadPattern::Single { op: Operation::Count, input: "orders".into() };
-        let c1 = SqlBinding::estimate_cost(&single, |n| ds.get(n)).unwrap();
+        let c1 = SqlBinding::estimate_cost(&single, &|n| ds.get(n)).unwrap();
         assert!(c1 > 0.0);
 
         // A join + aggregate pipeline (intermediate-input second step)
@@ -1185,7 +1183,7 @@ mod tests {
                 },
             ],
         };
-        let c2 = SqlBinding::estimate_cost(&pipeline, |n| ds.get(n)).unwrap();
+        let c2 = SqlBinding::estimate_cost(&pipeline, &|n| ds.get(n)).unwrap();
         assert!(c2 > c1);
 
         // Kernel-only ops and missing datasets have no price.
@@ -1193,8 +1191,8 @@ mod tests {
             op: Operation::Get { key: "k".into() },
             input: "orders".into(),
         };
-        assert!(SqlBinding::estimate_cost(&kv, |n| ds.get(n)).is_none());
+        assert!(SqlBinding::estimate_cost(&kv, &|n| ds.get(n)).is_none());
         let missing = WorkloadPattern::Single { op: Operation::Count, input: "nope".into() };
-        assert!(SqlBinding::estimate_cost(&missing, |n| ds.get(n)).is_none());
+        assert!(SqlBinding::estimate_cost(&missing, &|n| ds.get(n)).is_none());
     }
 }

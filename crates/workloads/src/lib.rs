@@ -301,6 +301,45 @@ mod tests {
         assert_ne!(a.digest(), c.digest());
     }
 
+    proptest::proptest! {
+        /// What lets an engine emit rows unsorted: a row set stringified in
+        /// emission order and one stringified from the `cmp_records`-sorted
+        /// rows are the same payload — over typed (int, float, text) rows
+        /// with NULLs, signed zeros and duplicate rows.
+        #[test]
+        fn rowset_digest_and_diff_ignore_emission_order(
+            cells in proptest::collection::vec(
+                (-4i64..4, -9i32..9, -1i8..4), // the lowest value of each stands for NULL
+                0..40,
+            ),
+            dup in 0usize..40,
+        ) {
+            use bdb_common::record::{cmp_records, Record};
+            use bdb_common::value::Value;
+            let mut emitted: Vec<Record> = cells
+                .iter()
+                .map(|&(i, f, t)| vec![
+                    if i == -4 { Value::Null } else { Value::Int(i) },
+                    if f == -9 { Value::Null } else { Value::Float(-f64::from(f) / 4.0) },
+                    if t == -1 { Value::Null } else { Value::Text(format!("t{t}")) },
+                ])
+                .collect();
+            if let Some(row) = emitted.get(dup).cloned() {
+                emitted.push(row);
+            }
+            let mut sorted = emitted.clone();
+            sorted.sort_by(cmp_records);
+            let payload = |rows: &[Record]| {
+                OutputPayload::RowSet(
+                    rows.iter().map(|r| r.iter().map(ToString::to_string).collect()).collect(),
+                )
+            };
+            let (a, b) = (payload(&emitted), payload(&sorted));
+            proptest::prop_assert_eq!(a.digest(), b.digest());
+            proptest::prop_assert_eq!(a.diff(&b, 0.0), None);
+        }
+    }
+
     #[test]
     fn ordered_equality_is_positional() {
         let a = OutputPayload::Ordered(vec!["w1".into(), "w2".into()]);

@@ -7,8 +7,12 @@
 # failures. The vendored std-only dependency stubs under vendor/ are
 # excluded from the clippy gate: they mirror external API surfaces and are
 # not held to the workspace's lint standard.
+#
+# The gate reads the repository and writes only temp files: it ends by
+# checking that no tracked file differs from how the run found it.
 set -uo pipefail
 cd "$(dirname "$0")/.."
+tracked_before=$(git diff HEAD 2>/dev/null | cksum)
 
 echo "== cargo build --release =="
 cargo build --release --workspace || exit 1
@@ -211,22 +215,29 @@ echo "== bench gate (sampled hot paths vs committed baseline) =="
 # ≥50% effect — fails the build. The wide min-effect floor keeps the gate
 # non-flaky on shared CI machines (observed run-to-run drift is ≲15%);
 # it catches algorithmic regressions, not micro-noise.
+# The fresh ledger goes to a temp dir; committed BENCH_N.json files are
+# history and only a PR that means to move one rewrites it.
 bench_out=$(mktemp)
-./scripts/bench.sh BENCH_15.json --samples 5 --compare BENCH_9.json \
+bench_dir=$(mktemp -d)
+ledger="$bench_dir/ledger.json"
+./scripts/bench.sh "$ledger" --samples 5 --compare BENCH_9.json \
     --gate original --min-effect 0.5 --fail-on-regression >"$bench_out" \
     || { echo "bench gate: significant perf regression"; cat "$bench_out"; exit 1; }
 for path in datagen_parallel_items dispatch_route_all window_pipeline_events \
             behavioral_sessionize_events lsm_put_ops lsm_get_ops \
             loadgen_saturation_kv loadgen_saturation_sql loadgen_saturation_native \
             loadgen_saturation_streaming; do
-    grep -q "\"name\":\"$path\"" BENCH_15.json \
-        || { echo "bench gate: $path missing from BENCH_15.json"; exit 1; }
+    grep -q "\"name\":\"$path\"" "$ledger" \
+        || { echo "bench gate: $path missing from the ledger"; exit 1; }
 done
-grep -q '"ci_lo"' BENCH_15.json \
+grep -q '"ci_lo"' "$ledger" \
     || { echo "bench gate: ledger must carry 95% CI bounds"; exit 1; }
-grep -q '"p99_us"' BENCH_15.json \
+grep -q '"p99_us"' "$ledger" \
     || { echo "bench gate: loadgen samples must report p99_us"; exit 1; }
-rm -f "$bench_out"
+rm -rf "$bench_out" "$bench_dir"
 echo "bench gate: ten hot paths sampled, five originals within baseline CIs"
 
+if [ "$(git diff HEAD 2>/dev/null | cksum)" != "$tracked_before" ]; then
+    echo "ci: the gate changed a tracked file:"; git status --short; exit 1
+fi
 echo "CI gate passed."

@@ -5,7 +5,7 @@
 use bdbench::common::record::Table;
 use bdbench::common::value::{DataType, Field, Schema, Value};
 use bdbench::mapreduce::JobConfig;
-use bdbench::testgen::bind::{MapReduceBinding, PatternExecutor, SqlBinding};
+use bdbench::testgen::bind::{BoundExecution, MapReduceBinding, PatternExecutor, SqlBinding};
 use bdbench::testgen::ops::{AggSpec, CompareOp, Operation, PredicateSpec, ScalarSpec};
 use bdbench::testgen::pattern::{InputRef, Step, WorkloadPattern};
 use proptest::prelude::*;
@@ -60,6 +60,11 @@ fn arb_op() -> impl Strategy<Value = Operation> {
     ]
 }
 
+/// What a bound execution computed, without its timings.
+fn untimed(b: &BoundExecution) -> (&Table, u64, Vec<&str>) {
+    (&b.output, b.record_ops, b.steps.iter().map(|s| s.op.as_str()).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -70,9 +75,15 @@ proptest! {
         datasets.insert("t".to_string(), table_from_rows(&rows));
         let pattern = WorkloadPattern::Single { op, input: "t".into() };
         let sql = SqlBinding.execute(&pattern, &datasets).unwrap();
-        let mr = MapReduceBinding { config: JobConfig { map_tasks: 3, reduce_tasks: 2, workers: 2 } }
-            .execute(&pattern, &datasets)
-            .unwrap();
+        let mr_binding =
+            MapReduceBinding { config: JobConfig { map_tasks: 3, reduce_tasks: 2, workers: 2 } };
+        let mr = mr_binding.execute(&pattern, &datasets).unwrap();
+        // One execution path: the owned-map adapter and the lent entry the
+        // engines call return the same rows, work and steps.
+        let lent_sql = SqlBinding.execute_lent(&pattern, &|n| datasets.get(n)).unwrap();
+        let lent_mr = mr_binding.execute_lent(&pattern, &|n| datasets.get(n)).unwrap();
+        prop_assert_eq!(untimed(&lent_sql), untimed(&sql));
+        prop_assert_eq!(untimed(&lent_mr), untimed(&mr));
         if is_topk {
             // Ties at the k-th rank legitimately admit different row
             // choices; the ranking-column values must still agree.
