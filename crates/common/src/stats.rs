@@ -106,155 +106,6 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
     d
 }
 
-/// Two-sided 95% critical value of Student's t-distribution with `df`
-/// degrees of freedom.
-///
-/// Exact table values for `df <= 30`, the usual coarse steps up to 120,
-/// and the normal limit 1.96 beyond — the repeated-sampling bench takes
-/// 5–100 samples per hot path, so the table region is the hot region.
-/// `df == 0` (a single sample carries no spread information) returns
-/// infinity: a one-sample confidence interval is unbounded.
-pub fn t_critical_95(df: u64) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179,
-        2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
-        2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-    ];
-    match df {
-        0 => f64::INFINITY,
-        1..=30 => TABLE[df as usize - 1],
-        31..=40 => 2.021,
-        41..=60 => 2.000,
-        61..=120 => 1.980,
-        _ => 1.960,
-    }
-}
-
-/// Median of a sample (averages the two central order statistics for
-/// even sizes). Returns 0 for an empty slice.
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-    }
-}
-
-/// Median absolute deviation: the median of `|x - median(xs)|`.
-pub fn mad(xs: &[f64]) -> f64 {
-    let m = median(xs);
-    let devs: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&devs)
-}
-
-/// MAD-based outlier classification: `true` marks an outlier.
-///
-/// A sample is an outlier when its absolute deviation from the median
-/// exceeds `k` scaled MADs (the MAD is scaled by 1.4826 so `k` reads as
-/// "standard deviations under normality"; `k = 3.5` is the conventional
-/// conservative cut). Two guards keep the classifier honest on the small
-/// samples a bench run produces:
-///
-/// * a degenerate spread (MAD ≈ 0, e.g. all samples equal) classifies
-///   nothing — with no spread estimate every deviation would be infinite
-///   sigmas out;
-/// * at most `floor((n-1)/2)` samples are ever classified out (the worst
-///   deviations win), so the classifier never drops half the sample or
-///   more.
-pub fn classify_outliers(xs: &[f64], k: f64) -> Vec<bool> {
-    let n = xs.len();
-    let mut flags = vec![false; n];
-    if n < 3 {
-        return flags;
-    }
-    let m = median(xs);
-    let scaled_mad = 1.4826 * mad(xs);
-    if scaled_mad <= 1e-12_f64.max(1e-9 * m.abs()) {
-        return flags;
-    }
-    let threshold = k * scaled_mad;
-    let mut candidates: Vec<(usize, f64)> = xs
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (i, (x - m).abs()))
-        .filter(|(_, d)| *d > threshold)
-        .collect();
-    candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    for (i, _) in candidates.into_iter().take((n - 1) / 2) {
-        flags[i] = true;
-    }
-    flags
-}
-
-/// Summary statistics of one repeated-measurement sample, with a
-/// t-distribution 95% confidence interval on the mean.
-///
-/// Unlike [`Summary`] (population moments for streaming series), this is
-/// the inferential view the bench ledger stores: the *sample* standard
-/// deviation (n−1 denominator) and `mean ± t₀.₉₅(n−1) · s/√n` bounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleStats {
-    /// Number of observations.
-    pub n: u64,
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for n < 2).
-    pub stddev: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Lower 95% confidence bound on the mean.
-    pub ci_lo: f64,
-    /// Upper 95% confidence bound on the mean.
-    pub ci_hi: f64,
-}
-
-impl SampleStats {
-    /// Compute the statistics of a non-empty sample.
-    ///
-    /// A single observation has no spread estimate: its interval
-    /// degenerates to the point itself (`ci_lo == ci_hi == mean`), which
-    /// keeps single-shot legacy ledgers comparable — significance then
-    /// rests entirely on the other run's interval and the effect floor.
-    ///
-    /// # Panics
-    /// Panics on an empty sample.
-    pub fn from_samples(xs: &[f64]) -> Self {
-        assert!(!xs.is_empty(), "empty sample");
-        let n = xs.len();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        if n < 2 {
-            return Self { n: 1, mean, stddev: 0.0, min, max, ci_lo: mean, ci_hi: mean };
-        }
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n as f64 - 1.0);
-        let stddev = var.sqrt();
-        let half_width = t_critical_95(n as u64 - 1) * stddev / (n as f64).sqrt();
-        Self {
-            n: n as u64,
-            mean,
-            stddev,
-            min,
-            max,
-            ci_lo: mean - half_width,
-            ci_hi: mean + half_width,
-        }
-    }
-
-    /// Width of the 95% confidence interval.
-    pub fn ci_width(&self) -> f64 {
-        self.ci_hi - self.ci_lo
-    }
-}
-
 /// Running summary statistics (Welford's online algorithm).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Summary {
@@ -480,81 +331,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn kl_rejects_length_mismatch() {
         let _ = kl_divergence(&[0.5, 0.5], &[1.0]);
-    }
-
-    #[test]
-    fn t_critical_decreases_toward_normal_limit() {
-        assert!(t_critical_95(0).is_infinite());
-        assert!((t_critical_95(1) - 12.706).abs() < 1e-9);
-        assert!((t_critical_95(4) - 2.776).abs() < 1e-9);
-        let mut prev = f64::INFINITY;
-        for df in 1..200 {
-            let t = t_critical_95(df);
-            assert!(t <= prev, "t must be non-increasing in df");
-            prev = t;
-        }
-        assert_eq!(t_critical_95(10_000), 1.960);
-    }
-
-    #[test]
-    fn median_and_mad() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[3.0]), 3.0);
-        assert_eq!(median(&[1.0, 9.0, 5.0]), 5.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-        assert_eq!(mad(&[1.0, 1.0, 1.0]), 0.0);
-        // median 2, deviations {1, 0, 1} -> MAD 1
-        assert_eq!(mad(&[1.0, 2.0, 3.0]), 1.0);
-    }
-
-    #[test]
-    fn outlier_classification_flags_the_spike() {
-        let xs = [10.0, 10.1, 9.9, 10.05, 100.0];
-        let flags = classify_outliers(&xs, 3.5);
-        assert_eq!(flags, vec![false, false, false, false, true]);
-    }
-
-    #[test]
-    fn outlier_classification_degenerate_spread_flags_nothing() {
-        // MAD is 0 (majority identical): without a spread estimate,
-        // nothing is classified out, even the far point.
-        let xs = [5.0, 5.0, 5.0, 5.0, 50.0];
-        assert!(classify_outliers(&xs, 3.5).iter().all(|&f| !f));
-        assert!(classify_outliers(&[1.0, 2.0], 3.5).iter().all(|&f| !f));
-    }
-
-    #[test]
-    fn outlier_classification_never_drops_half() {
-        // Three far points in a sample of five, but only (5-1)/2 = 2 may go.
-        let xs = [10.0, 10.1, 9.9, 1000.0, 2000.0, 3000.0];
-        let dropped = classify_outliers(&xs, 3.5).iter().filter(|&&f| f).count();
-        assert!(dropped <= (xs.len() - 1) / 2, "dropped {dropped}");
-    }
-
-    #[test]
-    fn sample_stats_ci_contains_mean() {
-        let s = SampleStats::from_samples(&[10.0, 11.0, 9.0, 10.5, 9.5]);
-        assert_eq!(s.n, 5);
-        assert!((s.mean - 10.0).abs() < 1e-9);
-        assert!(s.ci_lo <= s.mean && s.mean <= s.ci_hi);
-        assert!(s.min <= s.ci_lo || s.stddev > 0.0);
-        assert!(s.stddev > 0.0);
-    }
-
-    #[test]
-    fn sample_stats_single_observation_is_a_point() {
-        let s = SampleStats::from_samples(&[42.0]);
-        assert_eq!((s.ci_lo, s.ci_hi, s.stddev), (42.0, 42.0, 0.0));
-    }
-
-    #[test]
-    fn sample_stats_ci_width_shrinks_with_n() {
-        // Same spread pattern at two sample sizes: the t/sqrt(n) factor
-        // must tighten the interval.
-        let small: Vec<f64> = (0..5).map(|i| 100.0 + (i as f64).sin() * 5.0).collect();
-        let large: Vec<f64> = (0..50).map(|i| 100.0 + (i as f64).sin() * 5.0).collect();
-        let ws = SampleStats::from_samples(&small).ci_width();
-        let wl = SampleStats::from_samples(&large).ci_width();
-        assert!(wl < ws, "width(50)={wl} must be < width(5)={ws}");
     }
 }

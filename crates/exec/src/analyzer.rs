@@ -500,180 +500,6 @@ impl RoutingSummary {
     }
 }
 
-/// One hot path's throughput distribution, as read from a bench ledger:
-/// the sample mean in ops/s and its 95% confidence bounds.
-///
-/// A single-shot legacy measurement degenerates to a point
-/// (`ci_lo == ci_hi == mean`, `samples == 1`); the comparison rules below
-/// still apply, with significance resting on the other run's interval
-/// and the effect floor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathCi {
-    /// Hot-path name (e.g. `lsm_put_ops`).
-    pub path: String,
-    /// Mean throughput over kept samples, ops/s.
-    pub mean: f64,
-    /// Lower 95% confidence bound on the mean.
-    pub ci_lo: f64,
-    /// Upper 95% confidence bound on the mean.
-    pub ci_hi: f64,
-    /// Samples behind the interval (after outlier removal).
-    pub samples: u64,
-}
-
-/// Verdict for one hot path across two bench runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchVerdict {
-    /// Significantly faster: non-overlapping CIs and the effect clears
-    /// the floor, in the new run's favour.
-    Improved,
-    /// Significantly slower, same rule in the old run's favour.
-    Regressed,
-    /// No statistically significant difference (overlapping CIs or an
-    /// effect below the floor).
-    Unchanged,
-    /// Path only present in the new ledger.
-    Added,
-    /// Path only present in the old ledger — a gated path going missing
-    /// fails the regression gate (the bench silently stopped measuring
-    /// it).
-    Removed,
-}
-
-impl std::fmt::Display for BenchVerdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BenchVerdict::Improved => "improved",
-            BenchVerdict::Regressed => "REGRESSED",
-            BenchVerdict::Unchanged => "unchanged",
-            BenchVerdict::Added => "added",
-            BenchVerdict::Removed => "REMOVED",
-        })
-    }
-}
-
-/// One row of a [`BenchComparison`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchComparisonRow {
-    /// Hot-path name.
-    pub path: String,
-    /// The baseline distribution, when the path exists there.
-    pub old: Option<PathCi>,
-    /// The new run's distribution, when the path exists there.
-    pub new: Option<PathCi>,
-    /// Symmetric effect size `max(new/old, old/new) − 1` (0 when either
-    /// side is missing). Symmetric so A-vs-B and B-vs-A agree on
-    /// significance.
-    pub effect: f64,
-    /// Signed relative mean change `new/old − 1` (0 when either side is
-    /// missing).
-    pub change: f64,
-    /// The verdict under the significance rule.
-    pub verdict: BenchVerdict,
-    /// Is this path in the regression gate set?
-    pub gated: bool,
-}
-
-/// A statistical comparison of two bench ledgers, path by path.
-///
-/// The significance rule follows the repeated-sampling methodology: two
-/// runs differ on a path iff their 95% confidence intervals do **not**
-/// overlap *and* the symmetric effect size clears `min_effect` (the
-/// minimum-effect floor keeps micro-paths with razor-thin intervals from
-/// flapping on machine noise). Verdicts are symmetric — swapping the
-/// ledgers maps Improved ↔ Regressed and Added ↔ Removed — and a ledger
-/// compared against itself is Unchanged everywhere.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchComparison {
-    /// The minimum-effect floor the verdicts were computed under.
-    pub min_effect: f64,
-    /// Per-path rows, baseline order first, new-only paths appended.
-    pub rows: Vec<BenchComparisonRow>,
-}
-
-impl BenchComparison {
-    /// Compare a baseline against a new run.
-    ///
-    /// `gate` names the paths the regression gate protects; an empty
-    /// gate protects every path.
-    pub fn of(old: &[PathCi], new: &[PathCi], min_effect: f64, gate: &[String]) -> Self {
-        let gated = |path: &str| gate.is_empty() || gate.iter().any(|g| g == path);
-        let mut rows = Vec::new();
-        for o in old {
-            let row = match new.iter().find(|n| n.path == o.path) {
-                Some(n) => {
-                    let ratio = n.mean / o.mean.max(1e-12);
-                    let effect = ratio.max(1.0 / ratio.max(1e-12)) - 1.0;
-                    let overlap = n.ci_lo <= o.ci_hi && o.ci_lo <= n.ci_hi;
-                    let verdict = if overlap || effect < min_effect {
-                        BenchVerdict::Unchanged
-                    } else if ratio > 1.0 {
-                        BenchVerdict::Improved
-                    } else {
-                        BenchVerdict::Regressed
-                    };
-                    BenchComparisonRow {
-                        path: o.path.clone(),
-                        old: Some(o.clone()),
-                        new: Some(n.clone()),
-                        effect,
-                        change: ratio - 1.0,
-                        verdict,
-                        gated: gated(&o.path),
-                    }
-                }
-                None => BenchComparisonRow {
-                    path: o.path.clone(),
-                    old: Some(o.clone()),
-                    new: None,
-                    effect: 0.0,
-                    change: 0.0,
-                    verdict: BenchVerdict::Removed,
-                    gated: gated(&o.path),
-                },
-            };
-            rows.push(row);
-        }
-        for n in new {
-            if !old.iter().any(|o| o.path == n.path) {
-                rows.push(BenchComparisonRow {
-                    path: n.path.clone(),
-                    old: None,
-                    new: Some(n.clone()),
-                    effect: 0.0,
-                    change: 0.0,
-                    verdict: BenchVerdict::Added,
-                    gated: gated(&n.path),
-                });
-            }
-        }
-        Self { min_effect, rows }
-    }
-
-    /// Gated rows that fail the regression gate: statistically
-    /// significant regressions, plus gated paths the new run no longer
-    /// measures.
-    pub fn regressions(&self) -> Vec<&BenchComparisonRow> {
-        self.rows
-            .iter()
-            .filter(|r| {
-                r.gated
-                    && matches!(r.verdict, BenchVerdict::Regressed | BenchVerdict::Removed)
-            })
-            .collect()
-    }
-
-    /// Does any gated path regress (or vanish)?
-    pub fn has_regressions(&self) -> bool {
-        !self.regressions().is_empty()
-    }
-
-    /// Count of rows with the given verdict.
-    pub fn count(&self, verdict: BenchVerdict) -> usize {
-        self.rows.iter().filter(|r| r.verdict == verdict).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,89 +838,5 @@ mod tests {
         let g = geomean_speedup(&[(1.0, 2.0), (1.0, 8.0)]);
         assert!((g - 4.0).abs() < 1e-9);
         assert_eq!(geomean_speedup(&[]), 1.0);
-    }
-
-    fn ci(path: &str, mean: f64, half: f64) -> PathCi {
-        PathCi { path: path.into(), mean, ci_lo: mean - half, ci_hi: mean + half, samples: 5 }
-    }
-
-    #[test]
-    fn bench_comparison_is_reflexive() {
-        let a = vec![ci("p1", 1000.0, 10.0), ci("p2", 50.0, 5.0)];
-        let c = BenchComparison::of(&a, &a, 0.05, &[]);
-        assert!(!c.has_regressions());
-        assert!(c.rows.iter().all(|r| r.verdict == BenchVerdict::Unchanged));
-    }
-
-    #[test]
-    fn bench_comparison_flags_a_2x_slowdown() {
-        let old = vec![ci("lsm_put_ops", 1000.0, 10.0)];
-        let new = vec![ci("lsm_put_ops", 500.0, 5.0)];
-        let c = BenchComparison::of(&old, &new, 0.25, &[]);
-        assert_eq!(c.rows[0].verdict, BenchVerdict::Regressed);
-        assert!((c.rows[0].effect - 1.0).abs() < 1e-9);
-        assert!((c.rows[0].change + 0.5).abs() < 1e-9);
-        assert!(c.has_regressions());
-        // The mirror comparison must call it an improvement.
-        let back = BenchComparison::of(&new, &old, 0.25, &[]);
-        assert_eq!(back.rows[0].verdict, BenchVerdict::Improved);
-        assert!(!back.has_regressions());
-    }
-
-    #[test]
-    fn bench_comparison_effect_floor_suppresses_tiny_significance() {
-        // Non-overlapping CIs, but a 4% effect under a 25% floor.
-        let old = vec![ci("p", 1000.0, 1.0)];
-        let new = vec![ci("p", 960.0, 1.0)];
-        let c = BenchComparison::of(&old, &new, 0.25, &[]);
-        assert_eq!(c.rows[0].verdict, BenchVerdict::Unchanged);
-    }
-
-    #[test]
-    fn bench_comparison_overlap_suppresses_large_point_change() {
-        // A 2x mean change but wide overlapping intervals: not significant.
-        let old = vec![ci("p", 1000.0, 800.0)];
-        let new = vec![ci("p", 500.0, 700.0)];
-        let c = BenchComparison::of(&old, &new, 0.25, &[]);
-        assert_eq!(c.rows[0].verdict, BenchVerdict::Unchanged);
-    }
-
-    #[test]
-    fn bench_comparison_gate_scopes_failures() {
-        let old = vec![ci("gated", 1000.0, 10.0), ci("noisy", 1000.0, 10.0)];
-        let new = vec![ci("gated", 900.0, 10.0), ci("noisy", 400.0, 10.0)];
-        let gate = vec!["gated".to_string()];
-        let c = BenchComparison::of(&old, &new, 0.25, &gate);
-        // The gated path didn't significantly regress (10% < floor); the
-        // ungated one did but is outside the gate.
-        assert_eq!(c.rows[1].verdict, BenchVerdict::Regressed);
-        assert!(!c.has_regressions());
-    }
-
-    #[test]
-    fn bench_comparison_missing_gated_path_fails_the_gate() {
-        let old = vec![ci("p1", 1000.0, 10.0)];
-        let new = vec![ci("p2", 1000.0, 10.0)];
-        let gate = vec!["p1".to_string()];
-        let c = BenchComparison::of(&old, &new, 0.25, &gate);
-        assert_eq!(c.count(BenchVerdict::Removed), 1);
-        assert_eq!(c.count(BenchVerdict::Added), 1);
-        assert!(c.has_regressions(), "a gated path going missing must fail");
-    }
-
-    #[test]
-    fn bench_comparison_point_baseline_still_compares() {
-        // Legacy single-shot baseline: a point interval against a tight
-        // new interval — significance rests on the new CI and the floor.
-        let old = vec![PathCi {
-            path: "p".into(),
-            mean: 1000.0,
-            ci_lo: 1000.0,
-            ci_hi: 1000.0,
-            samples: 1,
-        }];
-        let slow = vec![ci("p", 400.0, 20.0)];
-        let c = BenchComparison::of(&old, &slow, 0.25, &[]);
-        assert_eq!(c.rows[0].verdict, BenchVerdict::Regressed);
     }
 }

@@ -11,10 +11,8 @@
 //!   workers, engine parameters).
 //! * [`convert`] — format conversion: CSV/TSV, JSON-lines, plain text and
 //!   a length-prefixed binary format, all round-trippable.
-//! * [`analyzer`] — result analysis: speedups, winners, crossover points,
-//!   recovery summaries for chaos runs, and the statistical bench-ledger
-//!   comparison ([`analyzer::BenchComparison`]) behind the
-//!   perf-regression gate.
+//! * [`analyzer`] — result analysis: speedups, winners, crossover points
+//!   and recovery summaries for chaos runs.
 //! * [`reporter`] — plain-text and Markdown table rendering.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]),
 //!   retry with jittered backoff ([`fault::RetryPolicy`]) and the
@@ -55,8 +53,8 @@ pub mod reporter;
 pub mod trace;
 
 pub use analyzer::{
-    compare, find_crossover, BenchComparison, BenchComparisonRow, BenchVerdict, Comparison,
-    ConformanceSummary, HealthSummary, LoadSummary, PathCi, RecoverySummary, RoutingSummary,
+    compare, find_crossover, Comparison, ConformanceSummary, HealthSummary, LoadSummary,
+    RecoverySummary, RoutingSummary,
 };
 pub use config::SystemConfig;
 pub use convert::DataFormat;

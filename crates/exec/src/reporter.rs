@@ -439,50 +439,6 @@ pub fn render_routing(summary: &crate::analyzer::RoutingSummary) -> String {
     out
 }
 
-/// Render a [`BenchComparison`](crate::analyzer::BenchComparison) as an
-/// aligned text table — per hot path the baseline and new 95% confidence
-/// intervals on throughput, the relative change, and the verdict — plus
-/// a one-line machine-greppable summary.
-pub fn render_bench_comparison(c: &crate::analyzer::BenchComparison) -> String {
-    use crate::analyzer::BenchVerdict;
-    let fmt_ci = |ci: &Option<crate::analyzer::PathCi>| {
-        ci.as_ref().map_or_else(
-            || "-".to_string(),
-            |p| format!("{} [{}, {}]", fmt_num(p.mean), fmt_num(p.ci_lo), fmt_num(p.ci_hi)),
-        )
-    };
-    let mut t = TableReporter::new(
-        "Bench comparison (ops/s, 95% CI)",
-        &["path", "old", "new", "change", "verdict", "gate"],
-    );
-    for r in &c.rows {
-        let change = if r.old.is_some() && r.new.is_some() {
-            format!("{:+.1}%", r.change * 100.0)
-        } else {
-            "-".to_string()
-        };
-        t.add_row(&[
-            r.path.clone(),
-            fmt_ci(&r.old),
-            fmt_ci(&r.new),
-            change,
-            r.verdict.to_string(),
-            if r.gated { "gated".into() } else { "-".into() },
-        ]);
-    }
-    let mut out = t.to_text();
-    out.push_str(&format!(
-        "bench: {} path(s) compared, {} improved, {} regressed, {} unchanged \
-         (significance = non-overlapping 95% CIs, min effect {:.0}%)\n",
-        c.rows.len(),
-        c.count(BenchVerdict::Improved),
-        c.count(BenchVerdict::Regressed),
-        c.count(BenchVerdict::Unchanged),
-        c.min_effect * 100.0,
-    ));
-    out
-}
-
 /// Format a float compactly for table cells.
 pub fn fmt_num(x: f64) -> String {
     if x == 0.0 {
@@ -871,23 +827,5 @@ mod tests {
         assert_eq!(fmt_num(3.17159), "3.17");
         assert_eq!(fmt_num(250.4), "250");
         assert_eq!(fmt_num(2_500_000.0), "2.50e6");
-    }
-
-    #[test]
-    fn bench_comparison_renders_verdicts_and_summary() {
-        use crate::analyzer::{BenchComparison, PathCi};
-        let old = vec![
-            PathCi { path: "fast".into(), mean: 1000.0, ci_lo: 990.0, ci_hi: 1010.0, samples: 5 },
-            PathCi { path: "slow".into(), mean: 1000.0, ci_lo: 990.0, ci_hi: 1010.0, samples: 5 },
-        ];
-        let new = vec![
-            PathCi { path: "fast".into(), mean: 2000.0, ci_lo: 1990.0, ci_hi: 2010.0, samples: 5 },
-            PathCi { path: "slow".into(), mean: 400.0, ci_lo: 390.0, ci_hi: 410.0, samples: 5 },
-        ];
-        let text = render_bench_comparison(&BenchComparison::of(&old, &new, 0.25, &[]));
-        assert!(text.contains("improved"), "{text}");
-        assert!(text.contains("REGRESSED"), "{text}");
-        assert!(text.contains("2 path(s) compared, 1 improved, 1 regressed, 0 unchanged"));
-        assert!(text.contains("min effect 25%"));
     }
 }

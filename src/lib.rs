@@ -14,7 +14,6 @@
 //! the crate inventory and EXPERIMENTS.md for the reproduced tables and
 //! figures.
 
-pub use bdb_bench as bench;
 pub use bdb_common as common;
 pub use bdb_core as core;
 pub use bdb_datagen as datagen;

@@ -31,15 +31,6 @@
 //! run, verify and load also accept the circuit-breaker knobs
 //! `--breaker-window <n>`, `--breaker-trip-ratio <f>` and
 //! `--breaker-cooldown <n>` (the `breaker.*` system-config parameters).
-//! bdbench bench [opts]                 # sampled hot-path bench + regression gate
-//!     --samples <n>  --warmup <n>      # recorded samples / discarded warmups per path
-//!     --out <path>                     # ledger to write (default BENCH_15.json)
-//!     --compare <path>                 # baseline ledger; prints the CI comparison
-//!     --against <path>                 # compare two ledgers without running
-//!     --min-effect <frac>              # significance floor (default 0.25 = 25%)
-//!     --gate <p1,p2|original>          # paths the regression gate protects
-//!     --fail-on-regression             # nonzero exit on a significant regression
-//!     --duration-ms <n>  --seed <n>    # loadgen drive length per sample / seed
 //! bdbench table1 [--seed n]            # regenerate the paper's Table 1
 //! bdbench table2 [--scale n] [--seed n]# regenerate the paper's Table 2
 //! bdbench suite <name> [--scale n]     # run one surveyed suite's workloads
@@ -63,7 +54,7 @@ use bdbench::verify::VerifyMode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list [--costs]\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR] [--routing first-capable|cost|adaptive] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC] [--routing P] [--passes N] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench bench [--samples N] [--warmup N] [--out PATH] [--compare PATH] [--against PATH] [--min-effect F] [--gate LIST|original] [--fail-on-regression] [--duration-ms D] [--seed N]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
+        "usage:\n  bdbench list [--costs]\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR] [--routing first-capable|cost|adaptive] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC] [--routing P] [--passes N] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
     );
     std::process::exit(2)
 }
@@ -163,11 +154,15 @@ fn main() {
         "run" => cmd_run(rest),
         "verify" => cmd_verify(rest),
         "load" => cmd_load(rest),
-        "bench" => cmd_bench(rest),
         "table1" => cmd_table1(rest),
         "table2" => cmd_table2(rest),
         "suite" => cmd_suite(rest),
-        _ => usage(),
+        other => {
+            eprintln!(
+                "unknown command {other} (expected one of: list, run, verify, load, table1, table2, suite)"
+            );
+            usage()
+        }
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
@@ -530,103 +525,6 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
             "load conformance: {}/{} oracle checks passed",
             run.conformance.passes, run.conformance.checks
         )));
-    }
-    Ok(())
-}
-
-/// `bdbench bench`: run the ten hot paths under the repeated-sampling
-/// protocol, write the `BENCH_N.json` ledger, and (with `--compare`)
-/// print the statistical comparison against a baseline ledger —
-/// optionally failing the process on a significant regression of a
-/// gated path. `--against` compares two existing ledgers without
-/// re-running anything.
-fn cmd_bench(args: &[String]) -> bdbench::common::Result<()> {
-    use bdbench::bench::hotpaths::{run_hotpaths, HotpathConfig, ORIGINAL_HOT_PATHS};
-    use bdbench::bench::ledger::BenchLedger;
-    use bdbench::bench::sampling::SamplingConfig;
-    use bdbench::common::BdbError;
-    use bdbench::exec::reporter::render_bench_comparison;
-
-    let (positional, opts) = parse_opts(
-        args,
-        &[
-            "samples",
-            "warmup",
-            "seed",
-            "duration-ms",
-            "out",
-            "compare",
-            "against",
-            "min-effect",
-            "gate",
-            "fail-on-regression",
-        ],
-        &["fail-on-regression"],
-    );
-    if !positional.is_empty() {
-        eprintln!("bdbench bench takes no positional arguments");
-        usage();
-    }
-    let min_effect = opts.get("min-effect").map_or(Ok(0.25), |v| {
-        v.parse::<f64>()
-            .ok()
-            .filter(|m| m.is_finite() && *m >= 0.0)
-            .ok_or_else(|| {
-                BdbError::InvalidConfig(format!(
-                    "--min-effect expects a non-negative fraction (0.25 = 25%), got {v}"
-                ))
-            })
-    })?;
-    let gate: Vec<String> = match opts.get("gate").map(String::as_str) {
-        None => Vec::new(),
-        Some("original") => ORIGINAL_HOT_PATHS.iter().map(|s| s.to_string()).collect(),
-        Some(list) => list.split(',').map(|p| p.trim().to_string()).collect(),
-    };
-    let fail_on_regression = opts.contains_key("fail-on-regression");
-    // The baseline loads *before* any run writes its ledger, so
-    // `--compare X --out X` compares against the committed X.
-    let baseline = opts.get("compare").map(|p| BenchLedger::load(p)).transpose()?;
-    if fail_on_regression && baseline.is_none() {
-        return Err(BdbError::InvalidConfig(
-            "--fail-on-regression requires --compare BASELINE".into(),
-        ));
-    }
-    let ledger = if let Some(against) = opts.get("against") {
-        if baseline.is_none() {
-            return Err(BdbError::InvalidConfig(
-                "--against NEW requires --compare BASELINE".into(),
-            ));
-        }
-        BenchLedger::load(against)?
-    } else {
-        let cfg = HotpathConfig {
-            sampling: SamplingConfig {
-                warmup: opt_u64(&opts, "warmup", 1) as u32,
-                samples: opt_u64(&opts, "samples", 5).max(1) as u32,
-            },
-            seed: opt_u64(&opts, "seed", 42),
-            loadgen_duration_ms: opt_u64(&opts, "duration-ms", 400),
-            ..HotpathConfig::default()
-        };
-        let ledger = run_hotpaths(&cfg)?;
-        let out = opts.get("out").map_or("BENCH_15.json", String::as_str);
-        bdbench::common::fsio::write_atomic(std::path::Path::new(out), ledger.emit().as_bytes())?;
-        println!("{}", ledger.render());
-        eprintln!("wrote {out}");
-        ledger
-    };
-    if let Some(baseline) = baseline {
-        let comparison = ledger.compare_against(&baseline, min_effect, &gate);
-        println!("{}", render_bench_comparison(&comparison));
-        if fail_on_regression && comparison.has_regressions() {
-            let paths: Vec<&str> =
-                comparison.regressions().iter().map(|r| r.path.as_str()).collect();
-            return Err(BdbError::Execution(format!(
-                "perf regression gate: {} gated path(s) regressed or went missing: {}",
-                paths.len(),
-                paths.join(", ")
-            )));
-        }
     }
     Ok(())
 }
