@@ -5,7 +5,7 @@
 //! boundary (generators, format conversion, workload inputs) row-major is
 //! the simpler, clearer representation.
 
-use crate::value::{Schema, Value};
+use crate::value::{Key, Schema, Value};
 use crate::{BdbError, Result};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -13,15 +13,12 @@ use std::cmp::Ordering;
 /// One row of values.
 pub type Record = Vec<Value>;
 
-/// Lexicographic row order over [`Value::cmp_values`]: the first column
-/// pair that compares unequal decides; incomparable pairs (mixed types)
-/// are skipped. The canonical order every engine sorts aggregate output
-/// and cross-engine comparison rows by.
+/// Lexicographic row order over [`Value::total_cmp`], a shorter row
+/// before its extensions: a total order, so any rows can be sorted by it.
+/// The canonical order every engine sorts aggregate output and
+/// cross-engine comparison rows by.
 pub fn cmp_records(a: &Record, b: &Record) -> Ordering {
-    a.iter()
-        .zip(b)
-        .find_map(|(x, y)| x.cmp_values(y).filter(|ord| ord.is_ne()))
-        .unwrap_or(Ordering::Equal)
+    a.iter().map(Key).cmp(b.iter().map(Key))
 }
 
 /// A schema-carrying collection of rows.
@@ -205,16 +202,47 @@ mod tests {
     }
 
     #[test]
-    fn cmp_records_is_lexicographic_and_skips_incomparable_columns() {
+    fn cmp_records_is_lexicographic_and_total() {
         let row = |id: i64, name: &str| vec![Value::Int(id), Value::from(name)];
         assert_eq!(cmp_records(&row(1, "b"), &row(2, "a")), Ordering::Less);
         assert_eq!(cmp_records(&row(2, "a"), &row(2, "b")), Ordering::Less);
         assert_eq!(cmp_records(&row(2, "b"), &row(2, "b")), Ordering::Equal);
-        // Int vs Text has no order: the column is skipped, the next decides.
+        // Int vs Text orders by type rank: numbers before text.
         let mixed = vec![Value::from("x"), Value::from("a")];
-        assert_eq!(cmp_records(&row(9, "b"), &mixed), Ordering::Greater);
-        // A shared prefix compares equal (zip stops at the shorter row).
-        assert_eq!(cmp_records(&vec![Value::Int(2)], &row(2, "z")), Ordering::Equal);
+        assert_eq!(cmp_records(&row(9, "b"), &mixed), Ordering::Less);
+        assert_eq!(cmp_records(&mixed, &row(9, "b")), Ordering::Greater);
+        // A row sorts before the rows it is a prefix of.
+        assert_eq!(cmp_records(&vec![Value::Int(2)], &row(2, "z")), Ordering::Less);
+    }
+
+    /// Sorting by a comparator that is not a total order may panic; NaN
+    /// and mixed-type columns used to make `cmp_records` one.
+    #[test]
+    fn sorting_nan_and_mixed_type_columns_is_stable_across_runs() {
+        let rows: Vec<Record> = (0..64)
+            .map(|i| {
+                let float = if i % 3 == 0 { f64::NAN } else { f64::from(i % 7) - 3.0 };
+                let mixed = match i % 4 {
+                    0 => Value::Int(i64::from(i % 5)),
+                    1 => Value::from("t"),
+                    2 => Value::Null,
+                    _ => Value::Float(f64::from(i % 5)),
+                };
+                vec![Value::Float(float), mixed]
+            })
+            .collect();
+        let sorted = |mut rows: Vec<Record>| {
+            rows.sort_by(cmp_records);
+            // `Value`'s own `==` calls NaN equal to everything; compare text.
+            rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>()
+        };
+        let once = sorted(rows.clone());
+        assert_eq!(sorted(rows.clone()), once);
+        let mut reversed = rows;
+        reversed.reverse();
+        reversed.sort_by(cmp_records);
+        assert!(reversed.windows(2).all(|w| cmp_records(&w[0], &w[1]).is_le()));
+        assert!(once[63].starts_with("[Float(NaN)"), "NaN sorts last: {}", once[63]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -144,6 +145,105 @@ impl Value {
             (Text(a), Text(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             _ => None,
+        }
+    }
+
+    /// The one total order over values: what every sort, group, join and
+    /// shuffle keys on. It is [`Value::cmp_values`] wherever that is a lawful
+    /// order, and closes its gaps: an Int and a Float compare exactly (no
+    /// lossy `as f64` cast, so the order stays transitive past 2⁵³), NaN
+    /// equals NaN and follows every other number, `-0.0` equals `0.0`, and
+    /// values of incomparable types order by a fixed type rank (NULL,
+    /// numbers, text, booleans, timestamps).
+    pub fn total_cmp(&self, other: &Value) -> Ordering {
+        use Value::*;
+        match (self, other) {
+            (Int(a), Int(b)) | (Timestamp(a), Timestamp(b)) => a.cmp(b),
+            (Float(a), Float(b)) => {
+                a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+            }
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Bool(a), Bool(b)) => a.cmp(b),
+            _ => self.type_rank().cmp(&other.type_rank()),
+        }
+    }
+
+    fn type_rank(&self) -> u8 {
+        match self {
+            Value::Null => 0,
+            Value::Int(_) | Value::Float(_) => 1,
+            Value::Text(_) => 2,
+            Value::Bool(_) => 3,
+            Value::Timestamp(_) => 4,
+        }
+    }
+}
+
+/// 2⁶³: the first float above every `i64`.
+const I64_END: f64 = 9_223_372_036_854_775_808.0;
+
+/// `f` as the `i64` it equals, if it equals one.
+fn exact_i64(f: f64) -> Option<i64> {
+    (f.trunc() == f && (-I64_END..I64_END).contains(&f)).then_some(f as i64)
+}
+
+/// `a` against `b` without rounding `a` to a float.
+fn cmp_int_float(a: i64, b: f64) -> Ordering {
+    if b.is_nan() || b >= I64_END {
+        Ordering::Less
+    } else if b < -I64_END {
+        Ordering::Greater
+    } else {
+        // In range, so the integral part of `b` is an `i64`; a tie on it
+        // is decided by the sign of the fraction.
+        let whole = b.trunc();
+        a.cmp(&(whole as i64))
+            .then_with(|| 0.0_f64.partial_cmp(&(b - whole)).expect("b is not NaN"))
+    }
+}
+
+/// A borrowed [`Value`] as a sort, group, join or shuffle key: its `Ord`,
+/// `Eq` and `Hash` are [`Value::total_cmp`].
+#[derive(Debug, Clone, Copy)]
+pub struct Key<'a>(pub &'a Value);
+
+impl Ord for Key<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(other.0)
+    }
+}
+
+impl PartialOrd for Key<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.0.type_rank());
+        match self.0 {
+            Value::Null => {}
+            Value::Int(i) | Value::Timestamp(i) => state.write_i64(*i),
+            // A float that equals an integer hashes as that integer; no
+            // other float (NaN in any bit pattern included) equals one.
+            Value::Float(f) => match exact_i64(*f) {
+                Some(i) => state.write_i64(i),
+                None if f.is_nan() => state.write_u64(f64::NAN.to_bits()),
+                None => state.write_u64(f.to_bits()),
+            },
+            Value::Text(s) => s.hash(state),
+            Value::Bool(b) => b.hash(state),
         }
     }
 }
@@ -300,6 +400,7 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -345,6 +446,100 @@ mod tests {
     #[test]
     fn incomparable_values() {
         assert_eq!(Value::Int(1).cmp_values(&Value::Text("1".into())), None);
+    }
+
+    const TWO_53: i64 = 1 << 53;
+
+    /// Values drawn from small pools, so equal pairs are common: NULL,
+    /// signed zeros, NaN in two bit patterns, infinities, ints and floats
+    /// around 2^53 and the ends of `i64`, text, booleans, timestamps.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (-3i64..4).prop_map(Value::Int),
+            (-2i64..3).prop_map(|d| Value::Int(TWO_53 + d)),
+            (-2i64..3).prop_map(|d| Value::Int(-TWO_53 + d)),
+            (0i64..3).prop_map(|d| Value::Int(i64::MAX - d)),
+            (0i64..3).prop_map(|d| Value::Int(i64::MIN + d)),
+            (-6i32..7).prop_map(|h| Value::Float(f64::from(h) / 2.0)),
+            (-2i64..3).prop_map(|d| Value::Float((TWO_53 + 2 * d) as f64)),
+            (0usize..9).prop_map(|i| Value::Float(
+                [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, I64_END,
+                 -I64_END, 1e300][i]
+            )),
+            (0usize..4).prop_map(|i| Value::from(["", "a", "b", "1"][i])),
+            any::<bool>().prop_map(Value::Bool),
+            (-2i64..3).prop_map(Value::Timestamp),
+        ]
+    }
+
+    fn hash_of(v: &Value) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        Key(v).hash(&mut h);
+        h.finish()
+    }
+
+    /// `cmp_values` is the reference for this pair: it has an answer, and
+    /// neither a NaN nor an int that `as f64` rounds is involved.
+    fn cmp_values_is_lawful(a: &Value, b: &Value) -> bool {
+        let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+        let rounds = |v: &Value| matches!(v, Value::Int(i) if i.unsigned_abs() > TWO_53 as u64);
+        let mixed = matches!(
+            (a, b),
+            (Value::Int(_), Value::Float(_)) | (Value::Float(_), Value::Int(_))
+        );
+        !nan(a) && !nan(b) && !(mixed && (rounds(a) || rounds(b)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn total_cmp_is_a_total_order_that_hash_respects(
+            a in arb_value(), b in arb_value(), c in arb_value()
+        ) {
+            prop_assert_eq!(a.total_cmp(&a), Ordering::Equal);
+            prop_assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse(), "{:?} {:?}", a, b);
+            if a.total_cmp(&b).is_le() && b.total_cmp(&c).is_le() {
+                prop_assert!(a.total_cmp(&c).is_le(), "{:?} <= {:?} <= {:?}", a, b, c);
+            }
+            if a.total_cmp(&b).is_eq() {
+                prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+                prop_assert_eq!(Key(&a), Key(&b));
+            }
+            if cmp_values_is_lawful(&a, &b) {
+                if let Some(ord) = a.cmp_values(&b) {
+                    prop_assert_eq!(a.total_cmp(&b), ord, "{:?} vs {:?}", a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn total_cmp_closes_the_gaps_cmp_values_leaves() {
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan.total_cmp(&Value::Float(-f64::NAN)), Ordering::Equal);
+        assert_eq!(nan.total_cmp(&Value::Float(f64::INFINITY)), Ordering::Greater);
+        assert_eq!(nan.total_cmp(&Value::Int(i64::MAX)), Ordering::Greater);
+        assert_eq!(Value::Float(-0.0).total_cmp(&Value::Float(0.0)), Ordering::Equal);
+        assert_eq!(hash_of(&Value::Float(-0.0)), hash_of(&Value::Int(0)));
+        // 2^53 + 1 rounds to 2^53 as a float; the exact comparison sees it.
+        let (odd, float) = (Value::Int(TWO_53 + 1), Value::Float(TWO_53 as f64));
+        assert_eq!(odd.cmp_values(&float), Some(Ordering::Equal));
+        assert_eq!(odd.total_cmp(&float), Ordering::Greater);
+        assert_eq!(Value::Int(i64::MAX).total_cmp(&Value::Float(I64_END)), Ordering::Less);
+        assert_eq!(Value::Int(-1).total_cmp(&Value::Float(-1.5)), Ordering::Greater);
+        // Incomparable types: NULL, numbers, text, booleans, timestamps.
+        let ranked = [
+            Value::Null,
+            Value::Int(9),
+            Value::from("1"),
+            Value::Bool(false),
+            Value::Timestamp(-5),
+        ];
+        for pair in ranked.windows(2) {
+            assert_eq!(pair[0].total_cmp(&pair[1]), Ordering::Less, "{pair:?}");
+        }
     }
 
     #[test]

@@ -5,22 +5,24 @@
 //! dataflow — input splits → parallel map → optional combine →
 //! hash-partitioned shuffle → per-partition sort → grouped reduce — on
 //! threads instead of a cluster, with Hadoop-style job counters feeding
-//! the architecture metrics.
+//! the architecture metrics. A job borrows its input, so keys and values
+//! may borrow from it too; [`run_map`] is the map-only job a filter or a
+//! projection runs as.
 //!
 //! ```
 //! use bdb_mapreduce::{run_job, JobConfig};
 //!
-//! // WordCount over three "lines".
-//! let input = vec!["big data", "big systems", "data"];
+//! // WordCount over three "lines"; the keys are slices of the input.
+//! let input = ["big data", "big systems", "data"];
 //! let result = run_job(
 //!     &JobConfig::default(),
-//!     input,
+//!     &input,
 //!     |line, emit| {
 //!         for w in line.split(' ') {
-//!             emit(w.to_string(), 1u64);
+//!             emit(w, 1u64);
 //!         }
 //!     },
-//!     |word, counts, out| out((word.clone(), counts.iter().sum::<u64>())),
+//!     |word, counts, out| out((word.to_string(), counts.iter().sum::<u64>())),
 //! );
 //! let mut pairs = result.outputs;
 //! pairs.sort();
@@ -33,4 +35,4 @@ pub mod counters;
 pub mod runtime;
 
 pub use counters::{CounterSnapshot, Counters};
-pub use runtime::{run_job, run_job_with_combiner, JobConfig, JobResult};
+pub use runtime::{run_job, run_job_with_combiner, run_map, JobConfig, JobResult};

@@ -7,15 +7,17 @@
 //! aggregate read their input by reference and allocate only the rows
 //! they emit; sort and the plan root copy what they must own. Column
 //! names are resolved to indices once per operator ([`Expr::bind`]),
-//! never per row. Every operator updates [`ExecStats`], the engine's
-//! operation counters for the architecture metrics.
+//! never per row. Sort, group and join keys compare and hash as [`Key`]s,
+//! the one value order every engine shares. Every operator updates
+//! [`ExecStats`], the engine's operation counters for the architecture
+//! metrics.
 
 use crate::catalog::Catalog;
 use crate::expr::{BoundExpr, Expr};
 use crate::parser::AggFunc;
 use crate::plan::LogicalPlan;
 use bdb_common::record::{cmp_records, Record, Table};
-use bdb_common::value::{Schema, Value};
+use bdb_common::value::{Key, Schema, Value};
 use bdb_common::{BdbError, Result};
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
@@ -126,30 +128,6 @@ impl Batch<'_> {
     }
 }
 
-/// A hashable key for grouping/joining on `Value`s, borrowing text from
-/// the row it keys.
-///
-/// Floats are keyed by bit pattern: within one engine run the same float
-/// value always produces the same bits, which is all grouping needs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum HashKey<'r> {
-    Null,
-    Int(i64),
-    Bits(u64),
-    Text(&'r str),
-    Bool(bool),
-}
-
-fn hash_key(v: &Value) -> HashKey<'_> {
-    match v {
-        Value::Null => HashKey::Null,
-        Value::Int(i) | Value::Timestamp(i) => HashKey::Int(*i),
-        Value::Float(f) => HashKey::Bits(f.to_bits()),
-        Value::Text(s) => HashKey::Text(s),
-        Value::Bool(b) => HashKey::Bool(*b),
-    }
-}
-
 impl<'a, T: Borrow<Table>> Executor<'a, T> {
     /// An executor over `catalog`.
     pub fn new(catalog: &'a Catalog<T>) -> Self {
@@ -232,13 +210,13 @@ impl<'a, T: Borrow<Table>> Executor<'a, T> {
                 } else {
                     (&right_batch, &left_batch, rk, lk)
                 };
-                let mut table: HashMap<HashKey<'_>, Vec<&Record>> = HashMap::new();
+                let mut table: HashMap<Key<'_>, Vec<&Record>> = HashMap::new();
                 for r in build.rows() {
                     if r[build_idx].is_null() {
                         continue; // NULL never joins
                     }
                     self.stats.hash_build_rows += 1;
-                    table.entry(hash_key(&r[build_idx])).or_default().push(r);
+                    table.entry(Key(&r[build_idx])).or_default().push(r);
                 }
                 let mut out = Vec::new();
                 for probe_row in probe.rows() {
@@ -246,7 +224,7 @@ impl<'a, T: Borrow<Table>> Executor<'a, T> {
                     if probe_row[probe_idx].is_null() {
                         continue;
                     }
-                    if let Some(matches) = table.get(&hash_key(&probe_row[probe_idx])) {
+                    if let Some(matches) = table.get(&Key(&probe_row[probe_idx])) {
                         for build_row in matches {
                             let (l, r) = if build_is_left {
                                 (*build_row, probe_row)
@@ -281,13 +259,12 @@ impl<'a, T: Borrow<Table>> Executor<'a, T> {
                 };
                 // Group states keyed by the grouping values. `key` is one
                 // buffer refilled per row; only a new group copies it.
-                let mut groups: HashMap<Vec<HashKey<'_>>, (Record, Vec<AggState>)> =
-                    HashMap::new();
-                let mut key: Vec<HashKey<'_>> = Vec::with_capacity(group_idx.len());
+                let mut groups: HashMap<Vec<Key<'_>>, (Record, Vec<AggState>)> = HashMap::new();
+                let mut key: Vec<Key<'_>> = Vec::with_capacity(group_idx.len());
                 for r in batch.rows() {
                     self.stats.hash_build_rows += 1;
                     key.clear();
-                    key.extend(group_idx.iter().map(|&i| hash_key(&r[i])));
+                    key.extend(group_idx.iter().map(|&i| Key(&r[i])));
                     let update = |states: &mut [AggState]| {
                         for (state, idx) in states.iter_mut().zip(&agg_idx) {
                             state.update(idx.map(|i| &r[i]));
@@ -334,9 +311,7 @@ impl<'a, T: Borrow<Table>> Executor<'a, T> {
                 rows.sort_by(|a, b| {
                     for &(i, desc) in &key_idx {
                         comparisons += 1;
-                        let ord = a[i]
-                            .cmp_values(&b[i])
-                            .unwrap_or(std::cmp::Ordering::Equal);
+                        let ord = a[i].total_cmp(&b[i]);
                         let ord = if desc { ord.reverse() } else { ord };
                         if ord != std::cmp::Ordering::Equal {
                             return ord;
@@ -421,22 +396,14 @@ impl AggState {
             }
             AggState::Min(cur) => {
                 if let Some(val) = v {
-                    if !val.is_null()
-                        && cur.as_ref().is_none_or(|c| {
-                            val.cmp_values(c) == Some(std::cmp::Ordering::Less)
-                        })
-                    {
+                    if !val.is_null() && cur.as_ref().is_none_or(|c| val.total_cmp(c).is_lt()) {
                         *cur = Some(val.clone());
                     }
                 }
             }
             AggState::Max(cur) => {
                 if let Some(val) = v {
-                    if !val.is_null()
-                        && cur.as_ref().is_none_or(|c| {
-                            val.cmp_values(c) == Some(std::cmp::Ordering::Greater)
-                        })
-                    {
+                    if !val.is_null() && cur.as_ref().is_none_or(|c| val.total_cmp(c).is_gt()) {
                         *cur = Some(val.clone());
                     }
                 }
@@ -758,6 +725,81 @@ mod tests {
         });
         assert_eq!(rows[0], vec![Value::Int(10), Value::Float(8.5)]);
         assert_eq!(rows.len(), 3);
+    }
+
+    /// Join and group keys are [`Key`]s: an Int equals the Float of the
+    /// same value and `-0.0` equals `0.0`, as on every other engine.
+    #[test]
+    fn int_and_float_keys_of_one_value_join_and_group_together() {
+        let mut e = Engine::new();
+        let mut ints = Table::new(Schema::new(vec![Field::new("k", DataType::Int)]));
+        let mut floats = Table::new(Schema::new(vec![Field::new("f", DataType::Float)]));
+        for k in [0, 1, 2] {
+            ints.push(vec![Value::Int(k)]).unwrap();
+        }
+        for f in [-0.0, 0.0, 1.0, 1.5] {
+            floats.push(vec![Value::Float(f)]).unwrap();
+        }
+        e.register("ints", ints).unwrap();
+        e.register("floats", floats).unwrap();
+        let joined = e
+            .sql("SELECT ints.k, floats.f FROM ints JOIN floats ON ints.k = floats.f")
+            .unwrap();
+        let mut pairs: Vec<String> =
+            joined.rows().iter().map(|r| format!("{}={}", r[0], r[1])).collect();
+        pairs.sort();
+        assert_eq!(pairs, ["0=-0", "0=0", "1=1"]);
+        let grouped = e.sql("SELECT f, COUNT(*) FROM floats GROUP BY f").unwrap();
+        let counts: Vec<i64> = grouped.rows().iter().map(|r| r[1].as_i64().unwrap()).collect();
+        assert_eq!(counts, [2, 1, 1], "the two zeros are one group");
+    }
+
+    /// `ORDER BY` sorts by a total order: NaN (after every number) and a
+    /// mixed-type column neither panic the sort nor order differently
+    /// between two runs.
+    #[test]
+    fn order_by_over_nan_and_mixed_type_columns_is_total() {
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Float),
+            Field::nullable("m", DataType::Int),
+        ]);
+        let mut t = Table::new(schema);
+        for i in 0..64 {
+            let x = if i % 3 == 0 { f64::NAN } else { f64::from(i % 7) - 3.0 };
+            let m = match i % 4 {
+                0 => Value::Int(i64::from(i % 5)),
+                1 => Value::from("t"),
+                2 => Value::Null,
+                _ => Value::Float(f64::from(i % 5) + 0.5),
+            };
+            // Unchecked: a typed table cannot hold the mixed column.
+            t.push_unchecked(vec![Value::Float(x), m]);
+        }
+        let mut catalog = Catalog::new();
+        catalog.register("t", t.clone()).unwrap();
+        for key in ["x", "m"] {
+            let plan = LogicalPlan::Sort {
+                input: Box::new(LogicalPlan::Scan {
+                    table: "t".into(),
+                    schema: t.schema().clone(),
+                    projection: None,
+                }),
+                keys: vec![(key.into(), false)],
+            };
+            // `run` validates rows against the schema, which the mixed
+            // column fails by design; `execute` is the sort itself.
+            let sorted = |plan: &LogicalPlan| {
+                let rows = Executor::new(&catalog).execute(plan).unwrap().into_owned();
+                rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>()
+            };
+            let once = sorted(&plan);
+            assert_eq!(sorted(&plan), once, "ORDER BY {key}");
+            assert_eq!(once.len(), 64);
+            if key == "x" {
+                assert!(once[..42].iter().all(|r| !r.contains("NaN")), "numbers first");
+                assert!(once[42..].iter().all(|r| r.contains("NaN")), "NaN last");
+            }
+        }
     }
 
     #[test]

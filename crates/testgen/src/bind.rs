@@ -6,19 +6,23 @@
 //! systems of the same type" — and, via the functional view, of different
 //! types. [`SqlBinding`] lowers a pattern to relational plans on
 //! `bdb-sql`; [`MapReduceBinding`] lowers the same pattern to MapReduce
-//! jobs on `bdb-mapreduce`. Both must produce identical result sets (up to
-//! row order), which the ABL2 ablation bench and the binding tests verify.
+//! jobs on `bdb-mapreduce` (map-only jobs for select and project). Both
+//! are lent their input rows, build their output by one schema rule and
+//! compare keys by one order (`Value::total_cmp`), so that both produce
+//! identical result sets (up to row order) — which the ABL2 ablation
+//! bench, the binding tests and `tests/engine_equivalence.rs` verify.
 
 use crate::ops::{AggSpec, CompareOp, Operation, PredicateSpec, ScalarSpec};
 use crate::pattern::{InputRef, Step, WorkloadPattern};
 use bdb_common::record::{cmp_records, Record, Table};
-use bdb_common::value::{DataType, Field, Schema, Value};
+use bdb_common::value::{DataType, Field, Key, Schema, Value};
 use bdb_common::{BdbError, Result};
-use bdb_mapreduce::{run_job, JobConfig};
+use bdb_mapreduce::{run_job, run_map, JobConfig};
 use bdb_sql::expr::{BinOp, Expr};
+use bdb_sql::parser::AggFunc;
 use bdb_sql::plan::LogicalPlan;
 use bdb_sql::{Catalog, Executor};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// One executed step of a bound test, for structured tracing.
@@ -48,7 +52,7 @@ pub struct BoundExecution {
 impl BoundExecution {
     /// Output rows sorted canonically, for cross-engine comparison.
     pub fn sorted_rows(&self) -> Vec<Record> {
-        let mut rows = self.output.rows().to_vec();
+        let mut rows = Vec::from(self.output.rows());
         rows.sort_by(cmp_records);
         rows
     }
@@ -100,6 +104,71 @@ fn predicate_to_expr(p: &PredicateSpec) -> Expr {
         CompareOp::Ge => BinOp::Ge,
     };
     Expr::binary(Expr::col(&p.column), op, Expr::Literal(lit))
+}
+
+fn col_index(schema: &Schema, name: &str) -> Result<usize> {
+    schema
+        .index_of(name)
+        .ok_or_else(|| BdbError::NotFound(format!("column {name}")))
+}
+
+/// The schema `op` produces over `inputs`: the one rule both bindings
+/// build their output tables by.
+fn output_schema(op: &Operation, inputs: &[&Table]) -> Result<Schema> {
+    let input = inputs[0].schema();
+    let field = |name: &String| col_index(input, name).map(|i| input.fields()[i].clone());
+    let qualified = |prefix: &'static str, t: &Table| -> Vec<Field> {
+        // Qualify both join sides to avoid duplicate column names.
+        let fields = t.schema().fields().iter();
+        fields.map(|f| Field::nullable(format!("{prefix}.{}", f.name), f.data_type)).collect()
+    };
+    Ok(match op {
+        Operation::Select { .. }
+        | Operation::SortBy { .. }
+        | Operation::TopK { .. }
+        | Operation::IntersectOn { .. } => input.clone(),
+        Operation::Project { columns } => {
+            input.project(&columns.iter().map(String::as_str).collect::<Vec<_>>())?
+        }
+        Operation::Count => Schema::new(vec![Field::nullable("count", DataType::Int)]),
+        Operation::Distinct { column } => Schema::new(vec![field(column)?]),
+        Operation::Aggregate { function, column, group_by } => {
+            let mut fields: Vec<Field> = group_by.iter().map(field).collect::<Result<_>>()?;
+            let out_type = match function {
+                AggSpec::Count => DataType::Int,
+                AggSpec::Avg => DataType::Float,
+                _ => column
+                    .as_ref()
+                    .and_then(|c| input.field(c))
+                    .map_or(DataType::Float, |f| f.data_type),
+            };
+            fields.push(Field::nullable("agg", out_type));
+            Schema::new(fields)
+        }
+        Operation::Join { .. } => {
+            let mut fields = qualified("l", inputs[0]);
+            fields.extend(qualified("r", inputs[1]));
+            Schema::new(fields)
+        }
+        Operation::Union if input != inputs[1].schema() => {
+            return Err(BdbError::TestGen("union schema mismatch".into()))
+        }
+        Operation::Union => input.clone(),
+        other => {
+            return Err(BdbError::TestGen(format!(
+                "operation {} has no table lowering",
+                other.name()
+            )))
+        }
+    })
+}
+
+/// Union is the same on every engine: the rows of both inputs, in order
+/// ([`output_schema`] has checked the schemas match).
+fn union(inputs: &[&Table]) -> Result<Table> {
+    let mut t = inputs[0].clone();
+    t.append(inputs[1].clone())?;
+    Ok(t)
 }
 
 /// The one DAG walk both bindings share: resolve the tables each step
@@ -190,173 +259,95 @@ impl SqlBinding {
     /// # Errors
     /// Fails when the operation has no relational lowering.
     fn build_step_plan(op: &Operation, inputs: &[&Table]) -> Result<Option<LogicalPlan>> {
-        let scan = |i: usize| -> LogicalPlan {
-            LogicalPlan::Scan {
+        let schema = output_schema(op, inputs)?;
+        let scan = |i: usize| -> Box<LogicalPlan> {
+            Box::new(LogicalPlan::Scan {
                 table: format!("__in{i}"),
                 schema: inputs[i].schema().clone(),
                 projection: None,
-            }
+            })
         };
-        let plan = match op {
-            Operation::Select { predicate } => LogicalPlan::Filter {
-                input: Box::new(scan(0)),
-                predicate: predicate_to_expr(predicate),
-            },
-            Operation::Project { columns } => {
-                let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-                let schema = inputs[0].schema().project(&names)?;
-                LogicalPlan::Project {
-                    input: Box::new(scan(0)),
-                    exprs: columns
-                        .iter()
-                        .map(|c| (Expr::col(c), c.clone()))
-                        .collect(),
-                    schema,
-                }
+        let aggregate = |group_by: &[String], aggregates, schema| LogicalPlan::Aggregate {
+            input: scan(0),
+            group_by: group_by.to_vec(),
+            aggregates,
+            schema,
+        };
+        Ok(Some(match op {
+            Operation::Select { predicate } => {
+                LogicalPlan::Filter { input: scan(0), predicate: predicate_to_expr(predicate) }
             }
-            Operation::SortBy { column, descending } => LogicalPlan::Sort {
-                input: Box::new(scan(0)),
-                keys: vec![(column.clone(), *descending)],
+            Operation::Project { columns } => LogicalPlan::Project {
+                input: scan(0),
+                exprs: columns.iter().map(|c| (Expr::col(c), c.clone())).collect(),
+                schema,
             },
+            Operation::SortBy { column, descending } => {
+                LogicalPlan::Sort { input: scan(0), keys: vec![(column.clone(), *descending)] }
+            }
             Operation::TopK { column, k } => LogicalPlan::Limit {
                 input: Box::new(LogicalPlan::Sort {
-                    input: Box::new(scan(0)),
+                    input: scan(0),
                     keys: vec![(column.clone(), true)],
                 }),
                 n: *k,
             },
-            Operation::Count => LogicalPlan::Aggregate {
-                input: Box::new(scan(0)),
-                group_by: vec![],
-                aggregates: vec![(bdb_sql::parser::AggFunc::Count, None, "count".into())],
-                schema: Schema::new(vec![Field::nullable("count", DataType::Int)]),
-            },
+            Operation::Count => {
+                aggregate(&[], vec![(AggFunc::Count, None, "count".into())], schema)
+            }
             Operation::Distinct { column } => {
-                let field = inputs[0]
-                    .schema()
-                    .field(column)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {column}")))?
-                    .clone();
-                LogicalPlan::Aggregate {
-                    input: Box::new(scan(0)),
-                    group_by: vec![column.clone()],
-                    aggregates: vec![],
-                    schema: Schema::new(vec![field]),
-                }
+                aggregate(std::slice::from_ref(column), vec![], schema)
             }
             Operation::Aggregate { function, column, group_by } => {
                 let func = match function {
-                    AggSpec::Count => bdb_sql::parser::AggFunc::Count,
-                    AggSpec::Sum => bdb_sql::parser::AggFunc::Sum,
-                    AggSpec::Avg => bdb_sql::parser::AggFunc::Avg,
-                    AggSpec::Min => bdb_sql::parser::AggFunc::Min,
-                    AggSpec::Max => bdb_sql::parser::AggFunc::Max,
+                    AggSpec::Count => AggFunc::Count,
+                    AggSpec::Sum => AggFunc::Sum,
+                    AggSpec::Avg => AggFunc::Avg,
+                    AggSpec::Min => AggFunc::Min,
+                    AggSpec::Max => AggFunc::Max,
                 };
-                let in_schema = inputs[0].schema();
-                let mut fields: Vec<Field> = group_by
-                    .iter()
-                    .map(|g| {
-                        in_schema
-                            .field(g)
-                            .cloned()
-                            .ok_or_else(|| BdbError::NotFound(format!("column {g}")))
-                    })
-                    .collect::<Result<_>>()?;
-                let out_name = "agg".to_string();
-                let out_type = match function {
-                    AggSpec::Count => DataType::Int,
-                    AggSpec::Avg => DataType::Float,
-                    _ => column
-                        .as_ref()
-                        .and_then(|c| in_schema.field(c))
-                        .map_or(DataType::Float, |f| f.data_type),
-                };
-                fields.push(Field::nullable(out_name.clone(), out_type));
-                LogicalPlan::Aggregate {
-                    input: Box::new(scan(0)),
-                    group_by: group_by.clone(),
-                    aggregates: vec![(func, column.clone(), out_name)],
-                    schema: Schema::new(fields),
-                }
+                aggregate(group_by, vec![(func, column.clone(), "agg".into())], schema)
             }
             Operation::Join { left_on, right_on } => {
-                // Qualify both sides to avoid duplicate column names.
-                let qualify = |prefix: &str, t: &Table, idx: usize| -> LogicalPlan {
-                    let schema = Schema::new(
-                        t.schema()
-                            .fields()
-                            .iter()
-                            .map(|f| Field::nullable(format!("{prefix}.{}", f.name), f.data_type))
+                // Each side is projected to its share of the qualified
+                // output columns.
+                let (l_fields, r_fields) = schema.fields().split_at(inputs[0].schema().len());
+                let qualify = |i: usize, fields: &[Field]| -> Box<LogicalPlan> {
+                    let stored = inputs[i].schema().fields().iter();
+                    Box::new(LogicalPlan::Project {
+                        input: scan(i),
+                        exprs: stored
+                            .zip(fields)
+                            .map(|(f, q)| (Expr::col(&f.name), q.name.clone()))
                             .collect(),
-                    );
-                    LogicalPlan::Project {
-                        input: Box::new(LogicalPlan::Scan {
-                            table: format!("__in{idx}"),
-                            schema: t.schema().clone(),
-                            projection: None,
-                        }),
-                        exprs: t
-                            .schema()
-                            .fields()
-                            .iter()
-                            .map(|f| (Expr::col(&f.name), format!("{prefix}.{}", f.name)))
-                            .collect(),
-                        schema,
-                    }
+                        schema: Schema::new(fields.to_vec()),
+                    })
                 };
-                let left = qualify("l", inputs[0], 0);
-                let right = qualify("r", inputs[1], 1);
-                let mut fields = left.schema().fields().to_vec();
-                fields.extend(right.schema().fields().to_vec());
                 LogicalPlan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
+                    left: qualify(0, l_fields),
+                    right: qualify(1, r_fields),
                     left_key: format!("l.{left_on}"),
                     right_key: format!("r.{right_on}"),
-                    schema: Schema::new(fields),
+                    schema,
                 }
             }
-            Operation::Union | Operation::IntersectOn { .. } => return Ok(None),
-            other => {
-                return Err(BdbError::TestGen(format!(
-                    "operation {} has no relational lowering",
-                    other.name()
-                )))
-            }
-        };
-        Ok(Some(plan))
+            // `output_schema` has refused everything without a lowering.
+            _ => return Ok(None),
+        }))
     }
 
     /// Execute the direct table operations that bypass the planner.
     fn run_direct(op: &Operation, inputs: &[&Table]) -> Result<Table> {
         match op {
-            Operation::Union => {
-                if inputs[0].schema() != inputs[1].schema() {
-                    return Err(BdbError::TestGen("union schema mismatch".into()));
-                }
-                let mut t = inputs[0].clone();
-                t.append(inputs[1].clone())?;
-                Ok(t)
-            }
             Operation::IntersectOn { column } => {
                 // Semi-join: keep left rows whose key appears on the right.
-                let rk: std::collections::BTreeSet<String> = inputs[1]
-                    .column(column)?
-                    .iter()
-                    .map(Value::to_string)
-                    .collect();
-                let idx = inputs[0]
-                    .schema()
-                    .index_of(column)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {column}")))?;
-                let rows: Vec<Record> = inputs[0]
-                    .rows()
-                    .iter()
-                    .filter(|r| rk.contains(&r[idx].to_string()))
-                    .cloned()
-                    .collect();
-                Table::from_rows(inputs[0].schema().clone(), rows)
+                let li = col_index(inputs[0].schema(), column)?;
+                let ri = col_index(inputs[1].schema(), column)?;
+                let keys: HashSet<Key<'_>> = inputs[1].rows().iter().map(|r| Key(&r[ri])).collect();
+                let rows = inputs[0].rows().iter().filter(|r| keys.contains(&Key(&r[li])));
+                Table::from_rows(inputs[0].schema().clone(), rows.cloned().collect())
             }
+            Operation::Union => union(inputs),
             other => Err(BdbError::TestGen(format!(
                 "operation {} is not a direct table operation",
                 other.name()
@@ -479,219 +470,141 @@ impl PatternExecutor for SqlBinding {
 // ---------------------------------------------------------------------
 
 /// Lower patterns to MapReduce jobs.
-#[derive(Debug, Clone, Copy)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MapReduceBinding {
     /// Job configuration used for every lowered job.
     pub config: JobConfig,
 }
 
-
-/// A totally ordered wrapper over `Value` usable as a MapReduce key.
-#[derive(Debug, Clone, PartialEq)]
-struct OrdValue(Value);
-
-impl Eq for OrdValue {}
-
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .cmp_values(&other.0)
-            .unwrap_or_else(|| format!("{}", self.0).cmp(&format!("{}", other.0)))
-    }
-}
-
-impl std::hash::Hash for OrdValue {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        format!("{}", self.0).hash(state);
-    }
+/// Both inputs of a two-input job as one tagged input: 0 = left, 1 = right.
+fn tagged<'t>(left: &'t Table, right: &'t Table) -> Vec<(u8, &'t Record)> {
+    let side = |tag, t: &'t Table| t.rows().iter().map(move |r| (tag, r));
+    side(0, left).chain(side(1, right)).collect()
 }
 
 impl MapReduceBinding {
     fn run_step(&self, op: &Operation, inputs: Vec<&Table>) -> Result<(Table, u64)> {
         let cfg = &self.config;
-        match op {
+        let schema = output_schema(op, &inputs)?;
+        let input = inputs[0].schema();
+        let rows = inputs[0].rows();
+        let (out, ops) = match op {
+            // Select and project are map-only jobs, as Hive plans them.
             Operation::Select { predicate } => {
-                let schema = inputs[0].schema().clone();
-                let pred = predicate_to_expr(predicate).bind(&schema)?;
-                let rows = inputs[0].rows().to_vec();
-                let r = run_job(
-                    cfg,
-                    rows,
-                    move |row: &Record, emit| {
-                        // A row the predicate cannot type is not selected.
-                        if pred.eval_predicate(row).unwrap_or(false) {
-                            emit(0u8, row.clone());
-                        }
-                    },
-                    |_k: &u8, vs: Vec<Record>, out| {
-                        for v in vs {
-                            out(v);
-                        }
-                    },
-                );
-                Ok((
-                    Table::from_rows(schema, r.outputs)?,
-                    r.counters.total_record_ops(),
-                ))
+                let pred = predicate_to_expr(predicate).bind(input)?;
+                let r = run_map(cfg, rows, |row: &Record, out| match pred.eval_predicate(row) {
+                    Ok(true) => out(Ok(row.clone())),
+                    Ok(false) => {}
+                    Err(e) => out(Err(e)),
+                });
+                // The first error in input order, as the SQL filter reports.
+                let selected = r.outputs.into_iter().collect::<Result<_>>()?;
+                (selected, r.counters.total_record_ops())
             }
             Operation::Project { columns } => {
-                let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-                let schema = inputs[0].schema().project(&names)?;
-                let idx: Vec<usize> = columns
-                    .iter()
-                    .map(|c| inputs[0].schema().index_of(c).expect("projected"))
-                    .collect();
-                let rows = inputs[0].rows().to_vec();
-                let r = run_job(
-                    cfg,
-                    rows,
-                    move |row: &Record, emit| {
-                        emit(0u8, idx.iter().map(|&i| row[i].clone()).collect::<Record>());
-                    },
-                    |_k: &u8, vs: Vec<Record>, out| {
-                        for v in vs {
-                            out(v);
-                        }
-                    },
-                );
-                Ok((
-                    Table::from_rows(schema, r.outputs)?,
-                    r.counters.total_record_ops(),
-                ))
+                let idx: Vec<usize> =
+                    columns.iter().map(|c| col_index(input, c)).collect::<Result<_>>()?;
+                let r = run_map(cfg, rows, |row: &Record, out| {
+                    out(idx.iter().map(|&i| row[i].clone()).collect::<Record>());
+                });
+                (r.outputs, r.counters.total_record_ops())
             }
             Operation::SortBy { column, descending } => {
                 // The classic MR sort: key on the column, one reducer,
                 // framework sort order.
-                let schema = inputs[0].schema().clone();
-                let idx = schema
-                    .index_of(column)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {column}")))?;
-                let rows = inputs[0].rows().to_vec();
-                let single = JobConfig { reduce_tasks: 1, ..*cfg };
+                let idx = col_index(input, column)?;
                 let r = run_job(
-                    &single,
+                    &JobConfig { reduce_tasks: 1, ..*cfg },
                     rows,
-                    move |row: &Record, emit| emit(OrdValue(row[idx].clone()), row.clone()),
-                    |_k: &OrdValue, vs: Vec<Record>, out| {
-                        for v in vs {
-                            out(v);
-                        }
-                    },
+                    |row, emit| emit(Key(&row[idx]), row),
+                    |_k, vs: Vec<&Record>, out| vs.into_iter().for_each(|v| out(v.clone())),
                 );
-                let mut rows = r.outputs;
+                let mut sorted = r.outputs;
                 if *descending {
-                    rows.reverse();
+                    sorted.reverse();
                 }
-                Ok((Table::from_rows(schema, rows)?, r.counters.total_record_ops()))
+                (sorted, r.counters.total_record_ops())
             }
             Operation::TopK { column, k } => {
-                let (sorted, ops) = self.run_step(
-                    &Operation::SortBy { column: column.clone(), descending: true },
-                    inputs,
-                )?;
-                let rows: Vec<Record> = sorted.rows().iter().take(*k).cloned().collect();
-                Ok((Table::from_rows(sorted.schema().clone(), rows)?, ops))
+                let by = Operation::SortBy { column: column.clone(), descending: true };
+                let (sorted, ops) = self.run_step(&by, inputs)?;
+                let mut top = sorted.into_rows();
+                top.truncate(*k);
+                (top, ops)
             }
             Operation::Count => {
-                let rows = inputs[0].rows().to_vec();
                 let r = run_job(
                     cfg,
                     rows,
-                    |_row: &Record, emit| emit(0u8, 1u64),
-                    |_k: &u8, vs: Vec<u64>, out| out(vs.iter().sum::<u64>()),
+                    |_row, emit| emit(0u8, 1u64),
+                    |_k, vs: Vec<u64>, out| out(vs.iter().sum::<u64>()),
                 );
                 let count = r.outputs.first().copied().unwrap_or(0);
-                let schema = Schema::new(vec![Field::nullable("count", DataType::Int)]);
-                Ok((
-                    Table::from_rows(schema, vec![vec![Value::Int(count as i64)]])?,
-                    r.counters.total_record_ops(),
-                ))
+                (vec![vec![Value::Int(count as i64)]], r.counters.total_record_ops())
             }
             Operation::Distinct { column } => {
-                let field = inputs[0]
-                    .schema()
-                    .field(column)
-                    .cloned()
-                    .ok_or_else(|| BdbError::NotFound(format!("column {column}")))?;
-                let idx = inputs[0].schema().index_of(column).expect("field exists");
-                let rows = inputs[0].rows().to_vec();
+                let idx = col_index(input, column)?;
                 let r = run_job(
                     cfg,
                     rows,
-                    move |row: &Record, emit| emit(OrdValue(row[idx].clone()), ()),
-                    |k: &OrdValue, _vs: Vec<()>, out| out(vec![k.0.clone()]),
+                    |row, emit| emit(Key(&row[idx]), ()),
+                    |k, _vs: Vec<()>, out| out(vec![k.0.clone()]),
                 );
-                Ok((
-                    Table::from_rows(Schema::new(vec![field]), r.outputs)?,
-                    r.counters.total_record_ops(),
-                ))
+                (r.outputs, r.counters.total_record_ops())
             }
             Operation::Aggregate { function, column, group_by } => {
-                self.run_aggregate(*function, column.as_deref(), group_by, inputs[0])
+                self.run_aggregate(*function, column.as_deref(), group_by, inputs[0])?
             }
             Operation::Join { left_on, right_on } => {
-                self.run_join(left_on, right_on, inputs[0], inputs[1])
-            }
-            Operation::Union => {
-                if inputs[0].schema() != inputs[1].schema() {
-                    return Err(BdbError::TestGen("union schema mismatch".into()));
-                }
-                let mut t = inputs[0].clone();
-                t.append(inputs[1].clone())?;
-                let n = t.len() as u64;
-                Ok((t, n))
-            }
-            Operation::IntersectOn { column } => {
-                // Repartition semi-join as one MR job over tagged rows.
-                let idx0 = inputs[0]
-                    .schema()
-                    .index_of(column)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {column}")))?;
-                let idx1 = inputs[1]
-                    .schema()
-                    .index_of(column)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {column}")))?;
-                let tagged: Vec<(u8, Record)> = inputs[0]
-                    .rows()
-                    .iter()
-                    .map(|r| (0u8, r.clone()))
-                    .chain(inputs[1].rows().iter().map(|r| (1u8, r.clone())))
-                    .collect();
+                let li = col_index(input, left_on)?;
+                let ri = col_index(inputs[1].schema(), right_on)?;
                 let r = run_job(
                     cfg,
-                    tagged,
-                    move |(tag, row): &(u8, Record), emit| {
-                        let key = if *tag == 0 { &row[idx0] } else { &row[idx1] };
-                        emit(OrdValue(key.clone()), (*tag, row.clone()));
+                    &tagged(inputs[0], inputs[1]),
+                    |&(tag, row), emit| {
+                        let key = &row[if tag == 0 { li } else { ri }];
+                        if !key.is_null() {
+                            emit(Key(key), (tag, row));
+                        }
                     },
-                    |_k: &OrdValue, vs: Vec<(u8, Record)>, out| {
-                        let right_present = vs.iter().any(|(t, _)| *t == 1);
-                        if right_present {
-                            for (t, row) in vs {
-                                if t == 0 {
-                                    out(row);
-                                }
+                    |_k, vs: Vec<(u8, &Record)>, out| {
+                        let (lefts, rights): (Vec<_>, Vec<_>) =
+                            vs.into_iter().partition(|(t, _)| *t == 0);
+                        for (_, l) in &lefts {
+                            for (_, r) in &rights {
+                                out(l.iter().chain(r.iter()).cloned().collect::<Record>());
                             }
                         }
                     },
                 );
-                Ok((
-                    Table::from_rows(inputs[0].schema().clone(), r.outputs)?,
-                    r.counters.total_record_ops(),
-                ))
+                (r.outputs, r.counters.total_record_ops())
             }
-            other => Err(BdbError::TestGen(format!(
-                "operation {} has no MapReduce lowering",
-                other.name()
-            ))),
-        }
+            Operation::IntersectOn { column } => {
+                // Repartition semi-join as one MR job over tagged rows.
+                let li = col_index(input, column)?;
+                let ri = col_index(inputs[1].schema(), column)?;
+                let r = run_job(
+                    cfg,
+                    &tagged(inputs[0], inputs[1]),
+                    |&(tag, row), emit| emit(Key(&row[if tag == 0 { li } else { ri }]), (tag, row)),
+                    |_k, vs: Vec<(u8, &Record)>, out| {
+                        if vs.iter().any(|(t, _)| *t == 1) {
+                            for (_, row) in vs.iter().filter(|(t, _)| *t == 0) {
+                                out((*row).clone());
+                            }
+                        }
+                    },
+                );
+                (r.outputs, r.counters.total_record_ops())
+            }
+            // Union is all that is left: `output_schema` refused the rest.
+            _ => {
+                let t = union(&inputs)?;
+                let n = t.len() as u64;
+                return Ok((t, n));
+            }
+        };
+        Ok((Table::from_rows(schema, out)?, ops))
     }
 
     fn run_aggregate(
@@ -700,91 +613,42 @@ impl MapReduceBinding {
         column: Option<&str>,
         group_by: &[String],
         input: &Table,
-    ) -> Result<(Table, u64)> {
+    ) -> Result<(Vec<Record>, u64)> {
         let schema = input.schema();
-        let group_idx: Vec<usize> = group_by
-            .iter()
-            .map(|g| {
-                schema
-                    .index_of(g)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {g}")))
-            })
-            .collect::<Result<_>>()?;
-        let col_idx = column
-            .map(|c| {
-                schema
-                    .index_of(c)
-                    .ok_or_else(|| BdbError::NotFound(format!("column {c}")))
-            })
-            .transpose()?;
-        let mut fields: Vec<Field> = group_idx
-            .iter()
-            .map(|&i| schema.fields()[i].clone())
-            .collect();
-        let out_type = match function {
-            AggSpec::Count => DataType::Int,
-            AggSpec::Avg => DataType::Float,
-            _ => col_idx.map_or(DataType::Float, |i| schema.fields()[i].data_type),
-        };
-        fields.push(Field::nullable("agg", out_type));
-        let out_schema = Schema::new(fields);
-
-        let rows = input.rows().to_vec();
-        let gi = group_idx.clone();
+        let group_idx: Vec<usize> =
+            group_by.iter().map(|g| col_index(schema, g)).collect::<Result<_>>()?;
+        let col_idx = column.map(|c| col_index(schema, c)).transpose()?;
+        // COUNT(*) counts a non-null constant per row.
+        static ONE: Value = Value::Int(1);
         let r = run_job(
             &self.config,
-            rows,
-            move |row: &Record, emit| {
-                let key: Vec<OrdValue> =
-                    gi.iter().map(|&i| OrdValue(row[i].clone())).collect();
-                // Carry (value, count) so AVG composes.
-                let payload = match col_idx {
-                    Some(i) => (row[i].clone(), 1u64),
-                    None => (Value::Int(1), 1u64),
-                };
-                emit(key, payload);
+            input.rows(),
+            |row, emit| {
+                let key: Vec<Key<'_>> = group_idx.iter().map(|&i| Key(&row[i])).collect();
+                emit(key, col_idx.map_or(&ONE, |i| &row[i]));
             },
-            move |key: &Vec<OrdValue>, vs: Vec<(Value, u64)>, out| {
+            |key, vs: Vec<&Value>, out| {
+                let present = || vs.iter().copied().filter(|v| !v.is_null());
+                let or_null = |v: Option<&Value>| v.cloned().unwrap_or(Value::Null);
                 let agg = match function {
-                    AggSpec::Count => Value::Int(
-                        vs.iter()
-                            .filter(|(v, _)| !v.is_null())
-                            .map(|(_, c)| *c as i64)
-                            .sum(),
-                    ),
+                    AggSpec::Count => Value::Int(present().count() as i64),
                     AggSpec::Sum => {
-                        let all_int = vs
-                            .iter()
-                            .all(|(v, _)| matches!(v, Value::Int(_) | Value::Null));
-                        if all_int {
-                            Value::Int(vs.iter().filter_map(|(v, _)| v.as_i64()).sum())
+                        if vs.iter().all(|v| matches!(v, Value::Int(_) | Value::Null)) {
+                            Value::Int(vs.iter().filter_map(|v| v.as_i64()).sum())
                         } else {
-                            Value::Float(vs.iter().filter_map(|(v, _)| v.as_f64()).sum())
+                            Value::Float(vs.iter().filter_map(|v| v.as_f64()).sum())
                         }
                     }
                     AggSpec::Avg => {
-                        let xs: Vec<f64> =
-                            vs.iter().filter_map(|(v, _)| v.as_f64()).collect();
+                        let xs: Vec<f64> = vs.iter().filter_map(|v| v.as_f64()).collect();
                         if xs.is_empty() {
                             Value::Null
                         } else {
                             Value::Float(xs.iter().sum::<f64>() / xs.len() as f64)
                         }
                     }
-                    AggSpec::Min => vs
-                        .iter()
-                        .map(|(v, _)| v)
-                        .filter(|v| !v.is_null())
-                        .min_by(|a, b| OrdValue((*a).clone()).cmp(&OrdValue((*b).clone())))
-                        .cloned()
-                        .unwrap_or(Value::Null),
-                    AggSpec::Max => vs
-                        .iter()
-                        .map(|(v, _)| v)
-                        .filter(|v| !v.is_null())
-                        .max_by(|a, b| OrdValue((*a).clone()).cmp(&OrdValue((*b).clone())))
-                        .cloned()
-                        .unwrap_or(Value::Null),
+                    AggSpec::Min => or_null(present().min_by(|a, b| a.total_cmp(b))),
+                    AggSpec::Max => or_null(present().max_by(|a, b| a.total_cmp(b))),
                 };
                 let mut row: Record = key.iter().map(|k| k.0.clone()).collect();
                 row.push(agg);
@@ -794,74 +658,7 @@ impl MapReduceBinding {
         let mut rows = r.outputs;
         // Deterministic order, matching the SQL engine's aggregate output.
         rows.sort_by(cmp_records);
-        Ok((
-            Table::from_rows(out_schema, rows)?,
-            r.counters.total_record_ops(),
-        ))
-    }
-
-    fn run_join(
-        &self,
-        left_on: &str,
-        right_on: &str,
-        left: &Table,
-        right: &Table,
-    ) -> Result<(Table, u64)> {
-        let li = left
-            .schema()
-            .index_of(left_on)
-            .ok_or_else(|| BdbError::NotFound(format!("column {left_on}")))?;
-        let ri = right
-            .schema()
-            .index_of(right_on)
-            .ok_or_else(|| BdbError::NotFound(format!("column {right_on}")))?;
-        // Output schema matches the SQL binding: qualified l.* then r.*.
-        let mut fields: Vec<Field> = left
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| Field::nullable(format!("l.{}", f.name), f.data_type))
-            .collect();
-        fields.extend(
-            right
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| Field::nullable(format!("r.{}", f.name), f.data_type)),
-        );
-        let out_schema = Schema::new(fields);
-
-        let tagged: Vec<(u8, Record)> = left
-            .rows()
-            .iter()
-            .map(|r| (0u8, r.clone()))
-            .chain(right.rows().iter().map(|r| (1u8, r.clone())))
-            .collect();
-        let r = run_job(
-            &self.config,
-            tagged,
-            move |(tag, row): &(u8, Record), emit| {
-                let key = if *tag == 0 { &row[li] } else { &row[ri] };
-                if !key.is_null() {
-                    emit(OrdValue(key.clone()), (*tag, row.clone()));
-                }
-            },
-            |_k: &OrdValue, vs: Vec<(u8, Record)>, out| {
-                let (lefts, rights): (Vec<_>, Vec<_>) =
-                    vs.into_iter().partition(|(t, _)| *t == 0);
-                for (_, l) in &lefts {
-                    for (_, r) in &rights {
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        out(row);
-                    }
-                }
-            },
-        );
-        Ok((
-            Table::from_rows(out_schema, r.outputs)?,
-            r.counters.total_record_ops(),
-        ))
+        Ok((rows, r.counters.total_record_ops()))
     }
 }
 
@@ -973,6 +770,49 @@ mod tests {
         let want = BdbError::NotFound("column nope".into());
         assert_eq!(SqlBinding.execute(&p, &datasets()).unwrap_err(), want);
         assert_eq!(MapReduceBinding::default().execute(&p, &datasets()).unwrap_err(), want);
+    }
+
+    /// A predicate the column cannot be compared by is an error on both
+    /// engines, not an empty selection on one of them.
+    #[test]
+    fn select_with_an_untypable_predicate_is_the_same_error_on_both_engines() {
+        let p = WorkloadPattern::Single {
+            op: Operation::Select {
+                predicate: PredicateSpec {
+                    column: "user_id".into(),
+                    op: CompareOp::Eq,
+                    value: ScalarSpec::Text("x".into()),
+                },
+            },
+            input: "orders".into(),
+        };
+        let sql = SqlBinding.execute(&p, &datasets()).unwrap_err();
+        assert!(matches!(sql, BdbError::TypeMismatch { .. }), "{sql:?}");
+        // Whatever the split count, the first failing row in input order reports.
+        for map_tasks in [1, 2, 5] {
+            let mr = MapReduceBinding { config: JobConfig { map_tasks, ..JobConfig::default() } };
+            assert_eq!(mr.execute(&p, &datasets()).unwrap_err(), sql, "{map_tasks} map tasks");
+        }
+    }
+
+    /// Select and project are map-only jobs: rows in and rows out, no
+    /// shuffle or reduce records, and input order kept.
+    #[test]
+    fn select_and_project_run_map_only() {
+        let select = Operation::Select {
+            predicate: PredicateSpec {
+                column: "total".into(),
+                op: CompareOp::Ge,
+                value: ScalarSpec::Float(5.0),
+            },
+        };
+        let project = Operation::Project { columns: vec!["city".into(), "id".into()] };
+        for (op, rows_out) in [(select, 3), (project, 5)] {
+            let p = WorkloadPattern::Single { op, input: "orders".into() };
+            let (sql, mr) = both_agree(&p);
+            assert_eq!(mr.record_ops, 5 + rows_out, "{p:?}");
+            assert_eq!(mr.output, sql.output, "same rows in the same (input) order");
+        }
     }
 
     #[test]

@@ -515,8 +515,10 @@ fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
 // Relational DAGs
 // ---------------------------------------------------------------------
 
-/// `Value` with the engines' shared total order: `cmp_values`, falling
-/// back to the display-string order for incomparable pairs.
+/// `Value` under the reference order, written apart from the engines'
+/// `Value::total_cmp` on purpose: `cmp_values`, falling back to the
+/// display-string order for incomparable pairs. The two agree on typed
+/// columns (`ord_val_agrees_with_total_cmp_on_typed_columns`).
 #[derive(Debug, Clone)]
 struct OrdVal(Value);
 
@@ -840,6 +842,37 @@ mod tests {
 
     fn rel(cols: &[&str], rows: Vec<Vec<Value>>) -> Rel {
         Rel { cols: cols.iter().map(|c| (*c).to_string()).collect(), rows }
+    }
+
+    /// The reference comparator and the engines' `Value::total_cmp` are
+    /// written apart and must agree wherever a typed column can take them:
+    /// one type plus NULL per column, an Int column against a Float one
+    /// (join keys). They differ by design only off that ground: NaN, ints
+    /// past 2^53 against floats, and mixed types (display-string order here,
+    /// type rank there).
+    #[test]
+    fn ord_val_agrees_with_total_cmp_on_typed_columns() {
+        let ints = [i64::MIN, -7, 0, 1, 1 << 53, i64::MAX].map(Value::Int);
+        let floats = [f64::NEG_INFINITY, -7.0, -0.0, 0.0, 0.5, 1.0, 1e300, f64::INFINITY]
+            .map(Value::Float);
+        let typed_columns: Vec<Vec<Value>> = vec![
+            ints.to_vec(),
+            floats.to_vec(),
+            ["", "10", "9", "a", "ab"].map(Value::from).to_vec(),
+            [false, true].map(Value::Bool).to_vec(),
+            [-5, 0, 5].map(Value::Timestamp).to_vec(),
+            // Small ints against floats: what an Int-to-Float join compares.
+            ints[1..4].iter().chain(&floats).cloned().collect(),
+        ];
+        for mut column in typed_columns {
+            column.push(Value::Null);
+            for a in &column {
+                for b in &column {
+                    let reference = OrdVal(a.clone()).cmp(&OrdVal(b.clone()));
+                    assert_eq!(reference, a.total_cmp(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

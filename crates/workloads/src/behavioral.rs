@@ -60,14 +60,13 @@ pub fn behavioral_mapreduce(
     config: &JobConfig,
 ) -> (BehavioralOutcome, WorkloadResult) {
     let total = events.len() as u64;
-    let input: Vec<Event> = events.to_vec();
     let map = |e: &Event, emit: &mut dyn FnMut(u64, (u64, u64))| {
         emit(e.key, (e.ts_ms, e.value as u64));
     };
     let outcome = match spec {
         BehavioralSpec::Sessionize { gap_ms } => {
             let gap_ms = *gap_ms;
-            let job = run_job(config, input, map, |user: &u64, hits, out| {
+            let job = run_job(config, events, map, |user: &u64, hits, out| {
                 let mut agg = SessionizeAgg::default();
                 for (ts, _) in hits {
                     agg.observe(ts);
@@ -83,7 +82,7 @@ pub fn behavioral_mapreduce(
         }
         BehavioralSpec::Retention { period_ms, periods } => {
             let period_ms = *period_ms;
-            let job = run_job(config, input, map, |_user: &u64, hits, out| {
+            let job = run_job(config, events, map, |_user: &u64, hits, out| {
                 let mut agg = RetentionAgg::default();
                 for (ts, _) in hits {
                     agg.observe(ts, period_ms);
@@ -104,7 +103,7 @@ pub fn behavioral_mapreduce(
         }
         BehavioralSpec::WindowFunnel { window_ms, steps } => {
             let (window_ms, steps) = (*window_ms, steps.clone());
-            let job = run_job(config, input, map, |user: &u64, hits, out| {
+            let job = run_job(config, events, map, |user: &u64, hits, out| {
                 let mut agg = FunnelAgg::default();
                 for (ts, action) in hits {
                     agg.observe(ts, action, &steps);
@@ -117,7 +116,7 @@ pub fn behavioral_mapreduce(
         }
         BehavioralSpec::SequenceMatch { steps } => {
             let steps = steps.clone();
-            let job = run_job(config, input, map, |user: &u64, hits, out| {
+            let job = run_job(config, events, map, |user: &u64, hits, out| {
                 let mut agg = SequenceAgg::default();
                 for (ts, action) in hits {
                     agg.observe(ts, action, &steps);

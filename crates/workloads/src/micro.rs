@@ -40,7 +40,7 @@ pub fn sort_mapreduce(keys: &[u64], config: &JobConfig) -> (Vec<u64>, WorkloadRe
     let cfg = JobConfig { reduce_tasks: 1, ..*config };
     let r = run_job(
         &cfg,
-        keys.to_vec(),
+        keys,
         |k: &u64, emit| emit(*k, ()),
         |k: &u64, vs: Vec<()>, out| {
             for _ in vs {
@@ -169,7 +169,7 @@ pub fn wordcount_mapreduce(
     let collector = MetricsCollector::new();
     let r = run_job_with_combiner(
         config,
-        docs.to_vec(),
+        docs,
         |d: &Document, emit| {
             for &w in &d.words {
                 emit(w, 1u64);
@@ -241,12 +241,11 @@ pub fn grep_mapreduce(
 ) -> (Vec<usize>, WorkloadResult) {
     let collector = MetricsCollector::new();
     let target = vocab.id(pattern);
-    let indexed: Vec<(usize, Document)> =
-        docs.iter().cloned().enumerate().collect();
+    let indexed: Vec<(usize, &Document)> = docs.iter().enumerate().collect();
     let r = run_job(
         config,
-        indexed,
-        move |(i, d): &(usize, Document), emit| {
+        &indexed,
+        move |(i, d): &(usize, &Document), emit| {
             if let Some(t) = target {
                 if d.words.contains(&t) {
                     emit(*i, ());

@@ -51,16 +51,11 @@ pub fn inverted_index_mapreduce(
     config: &JobConfig,
 ) -> (InvertedIndex, WorkloadResult) {
     let collector = MetricsCollector::new();
-    let indexed: Vec<(u32, Document)> = docs
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, d)| (i as u32, d))
-        .collect();
+    let indexed: Vec<(u32, &Document)> = (0u32..).zip(docs).collect();
     let r = run_job(
         config,
-        indexed,
-        |(doc_id, d): &(u32, Document), emit| {
+        &indexed,
+        |(doc_id, d): &(u32, &Document), emit| {
             let mut seen = std::collections::BTreeSet::new();
             for &w in &d.words {
                 if seen.insert(w) {
@@ -206,19 +201,19 @@ pub fn pagerank_mapreduce(
     let mut ranks = vec![1.0 / n as f64; n];
     let mut iterations = 0u32;
     let mut record_ops = 0u64;
+    // Input: one record per vertex; its rank and out-neighbours are read
+    // in place.
+    let vertices: Vec<u32> = (0..n as u32).collect();
     loop {
         iterations += 1;
-        // Input: one record per vertex (id, rank, out-neighbours).
-        let input: Vec<(u32, f64, Vec<u32>)> = (0..n as u32)
-            .map(|v| (v, ranks[v as usize], csr.neighbors(v).to_vec()))
-            .collect();
         let r = run_job(
             job,
-            input,
-            |(v, rank, neigh): &(u32, f64, Vec<u32>), emit| {
+            &vertices,
+            |v: &u32, emit| {
+                let (rank, neigh) = (ranks[*v as usize], csr.neighbors(*v));
                 if neigh.is_empty() {
                     // Dangling mass keyed to a sentinel for redistribution.
-                    emit(u32::MAX, *rank);
+                    emit(u32::MAX, rank);
                 } else {
                     let share = rank / neigh.len() as f64;
                     for &t in neigh {

@@ -203,15 +203,14 @@ pub fn kmeans_mapreduce(
     let mut record_ops = 0u64;
     loop {
         iterations += 1;
-        let cents = centroids.clone();
         let r = run_job(
             job,
-            points.to_vec(),
-            move |p: &Point, emit| emit(nearest(&cents, p), p.clone()),
-            |k: &usize, vs: Vec<Point>, out| {
+            points,
+            |p: &Point, emit| emit(nearest(&centroids, p), p),
+            |k: &usize, vs: Vec<&Point>, out| {
                 let n = vs.len() as f64;
                 let mut mean = vec![0.0f64; vs[0].len()];
-                for v in &vs {
+                for v in vs {
                     for (m, x) in mean.iter_mut().zip(v) {
                         *m += x;
                     }
@@ -308,19 +307,18 @@ pub fn connected_components_mapreduce(
     let mut iterations = 0u32;
     let mut record_ops = 0u64;
     let mut changed = n > 0;
+    let vertices: Vec<u32> = (0..n as u32).collect();
     while changed {
         iterations += 1;
-        let input: Vec<(u32, u32, Vec<u32>)> = (0..n as u32)
-            .map(|v| (v, labels[v as usize], graph.neighbors(v).to_vec()))
-            .collect();
         let r = run_job(
             job,
-            input,
-            |(v, label, neigh): &(u32, u32, Vec<u32>), emit| {
+            &vertices,
+            |v: &u32, emit| {
                 // A vertex hears its own label plus its neighbours'.
-                emit(*v, *label);
-                for &t in neigh {
-                    emit(t, *label);
+                let label = labels[*v as usize];
+                emit(*v, label);
+                for &t in graph.neighbors(*v) {
+                    emit(t, label);
                 }
             },
             |v: &u32, ls: Vec<u32>, out| {

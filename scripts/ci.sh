@@ -222,6 +222,10 @@ if [ "$ab_status" -eq 0 ] || ! grep -q "jq not found" <<<"$ab_err"; then
 fi
 echo "ab smoke: usage and missing-jq errors named"
 
+echo "== line counts (scripts/loc.sh; informational, never fails the gate) =="
+# The numbers ROADMAP.md and CHANGES.md quote come from this table.
+bash -n scripts/loc.sh && bash scripts/loc.sh || echo "loc: scripts/loc.sh did not run"
+
 if [ "$(git diff HEAD 2>/dev/null | cksum)" != "$tracked_before" ]; then
     echo "ci: the gate changed a tracked file:"; git status --short; exit 1
 fi

@@ -11,32 +11,61 @@ use bdbench::testgen::pattern::{InputRef, Step, WorkloadPattern};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-fn table_from_rows(rows: &[(i64, i64, f64)]) -> Table {
+/// A row of the test table: key, group, value, text. All but the value
+/// may be NULL (see `arb_op` for why the value may not).
+type Row = (Option<i64>, Option<i64>, f64, Option<&'static str>);
+
+/// `rows` as the table `(k, g, v, t)`, the key column typed `key_type`
+/// (an Int key and the Float of the same value are one key to every engine).
+fn table_of(rows: &[Row], key_type: DataType) -> Table {
     let schema = Schema::new(vec![
-        Field::new("k", DataType::Int),
-        Field::new("g", DataType::Int),
+        Field::nullable("k", key_type),
+        Field::nullable("g", DataType::Int),
         Field::new("v", DataType::Float),
+        Field::nullable("t", DataType::Text),
     ]);
     let mut t = Table::new(schema);
-    for &(k, g, v) in rows {
-        t.push(vec![Value::Int(k), Value::Int(g), Value::Float(v)])
-            .unwrap();
+    for &(k, g, v, text) in rows {
+        let key = match key_type {
+            DataType::Float => k.map(|k| Value::Float(k as f64)),
+            _ => k.map(Value::Int),
+        };
+        t.push(vec![
+            key.unwrap_or(Value::Null),
+            g.map_or(Value::Null, Value::Int),
+            Value::Float(v),
+            text.map_or(Value::Null, Value::from),
+        ])
+        .unwrap();
     }
     t
 }
 
-fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, f64)>> {
+fn table_from_rows(rows: &[Row]) -> Table {
+    table_of(rows, DataType::Int)
+}
+
+/// One time in eight NULL, otherwise a draw from `values`.
+fn nullable<T: std::fmt::Debug>(
+    values: impl Strategy<Value = T>,
+) -> impl Strategy<Value = Option<T>> {
+    (0u8..8, values).prop_map(|(null, v)| (null != 0).then_some(v))
+}
+
+fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     prop::collection::vec(
         (
-            -20i64..20,
-            0i64..5,
+            nullable(-20i64..20),
+            nullable(0i64..5),
             (-100i32..100).prop_map(|x| x as f64 / 4.0),
+            nullable((0usize..5).prop_map(|i| ["", "a", "ab", "b", "10"][i])),
         ),
         0..60,
     )
 }
 
 fn arb_op() -> impl Strategy<Value = Operation> {
+    let column = || prop_oneof![Just("g".to_string()), Just("t".to_string())];
     prop_oneof![
         ( -20i64..20, prop_oneof![
             Just(CompareOp::Eq), Just(CompareOp::Ne), Just(CompareOp::Lt),
@@ -45,18 +74,28 @@ fn arb_op() -> impl Strategy<Value = Operation> {
             predicate: PredicateSpec { column: "k".into(), op, value: ScalarSpec::Int(n) },
         }),
         Just(Operation::Count),
-        Just(Operation::Distinct { column: "g".into() }),
+        column().prop_map(|column| Operation::Distinct { column }),
         (1usize..10).prop_map(|k| Operation::TopK { column: "v".into(), k }),
-        prop_oneof![
-            Just(AggSpec::Count), Just(AggSpec::Sum), Just(AggSpec::Avg),
-            Just(AggSpec::Min), Just(AggSpec::Max),
-        ].prop_map(|f| Operation::Aggregate {
-            function: f,
-            column: Some("v".into()),
-            group_by: vec!["g".into()],
+        (
+            prop_oneof![
+                Just(AggSpec::Count), Just(AggSpec::Sum), Just(AggSpec::Avg),
+                Just(AggSpec::Min), Just(AggSpec::Max),
+            ],
+            any::<bool>(),
+            prop_oneof![
+                Just(vec![]), Just(vec!["g".to_string()]), Just(vec!["t".to_string()]),
+                Just(vec!["t".to_string(), "g".to_string()]),
+            ],
+        ).prop_map(|(function, over_g, group_by)| {
+            // `g` holds NULLs, which every aggregate skips. SUM stays on the
+            // column without them: over an all-NULL group it is NULL on sql
+            // and 0 on mapreduce and in the oracle (ROADMAP item 9).
+            let column = if over_g && function != AggSpec::Sum { "g" } else { "v" };
+            Operation::Aggregate { function, column: Some(column.into()), group_by }
         }),
-        Just(Operation::Project { columns: vec!["g".into(), "v".into()] }),
-        Just(Operation::SortBy { column: "k".into(), descending: false }),
+        Just(Operation::Project { columns: vec!["t".into(), "v".into()] }),
+        (prop_oneof![Just("k".to_string()), Just("t".to_string())], any::<bool>())
+            .prop_map(|(column, descending)| Operation::SortBy { column, descending }),
     ]
 }
 
@@ -75,15 +114,24 @@ proptest! {
         datasets.insert("t".to_string(), table_from_rows(&rows));
         let pattern = WorkloadPattern::Single { op, input: "t".into() };
         let sql = SqlBinding.execute(&pattern, &datasets).unwrap();
-        let mr_binding =
-            MapReduceBinding { config: JobConfig { map_tasks: 3, reduce_tasks: 2, workers: 2 } };
+        // The binding's answer does not depend on how a job is cut into
+        // tasks: one split and one reducer, or more of both than rows.
+        let [mr_binding, wide_binding] =
+            [(1, 1, 1), (7, 9, 2)].map(|(map_tasks, reduce_tasks, workers)| MapReduceBinding {
+                config: JobConfig { map_tasks, reduce_tasks, workers },
+            });
         let mr = mr_binding.execute(&pattern, &datasets).unwrap();
+        let wide = wide_binding.execute(&pattern, &datasets).unwrap();
+        prop_assert_eq!(wide.sorted_rows(), mr.sorted_rows());
+        prop_assert_eq!(wide.output.schema(), mr.output.schema());
+        prop_assert_eq!(wide.record_ops, mr.record_ops);
         // One execution path: the owned-map adapter and the lent entry the
         // engines call return the same rows, work and steps.
         let lent_sql = SqlBinding.execute_lent(&pattern, &|n| datasets.get(n)).unwrap();
         let lent_mr = mr_binding.execute_lent(&pattern, &|n| datasets.get(n)).unwrap();
         prop_assert_eq!(untimed(&lent_sql), untimed(&sql));
         prop_assert_eq!(untimed(&lent_mr), untimed(&mr));
+        prop_assert_eq!(sql.output.schema(), mr.output.schema());
         if is_topk {
             // Ties at the k-th rank legitimately admit different row
             // choices; the ranking-column values must still agree.
@@ -144,31 +192,56 @@ proptest! {
     }
 
     #[test]
-    fn join_agrees_and_matches_nested_loop_reference(
-        left in arb_rows(), right in arb_rows()
+    fn two_input_ops_agree_and_match_nested_loop_references(
+        left in arb_rows(), right in arb_rows(), float_right in any::<bool>()
     ) {
+        // An Int key against the Float of the same value is one key.
+        let right_key = if float_right { DataType::Float } else { DataType::Int };
         let mut datasets = BTreeMap::new();
         datasets.insert("l".to_string(), table_from_rows(&left));
-        datasets.insert("r".to_string(), table_from_rows(&right));
-        let pattern = WorkloadPattern::Multi {
-            steps: vec![Step {
-                id: 0,
-                op: Operation::Join { left_on: "k".into(), right_on: "k".into() },
-                inputs: vec![
-                    InputRef::Dataset("l".into()),
-                    InputRef::Dataset("r".into()),
-                ],
-            }],
+        datasets.insert("r".to_string(), table_of(&right, right_key));
+        let run = |op: Operation| {
+            let pattern = WorkloadPattern::Multi {
+                steps: vec![Step {
+                    id: 0,
+                    op,
+                    inputs: vec![InputRef::Dataset("l".into()), InputRef::Dataset("r".into())],
+                }],
+            };
+            let sql = SqlBinding.execute(&pattern, &datasets);
+            let mr = MapReduceBinding::default().execute(&pattern, &datasets);
+            (sql, mr)
         };
-        let sql = SqlBinding.execute(&pattern, &datasets).unwrap();
-        let mr = MapReduceBinding::default().execute(&pattern, &datasets).unwrap();
+        let keys_of = |rows: &[Row]| -> Vec<Option<i64>> { rows.iter().map(|r| r.0).collect() };
+        let (lk, rk) = (keys_of(&left), keys_of(&right));
+
+        let (sql, mr) = run(Operation::Join { left_on: "k".into(), right_on: "k".into() });
+        let (sql, mr) = (sql.unwrap(), mr.unwrap());
         prop_assert_eq!(sql.sorted_rows(), mr.sorted_rows());
-        // Reference: nested-loop join cardinality.
-        let expected: usize = left
-            .iter()
-            .map(|&(k, ..)| right.iter().filter(|&&(k2, ..)| k2 == k).count())
-            .sum();
+        prop_assert_eq!(sql.output.schema(), mr.output.schema());
+        // Reference: nested-loop cardinality; a NULL key joins nothing.
+        let expected: usize =
+            lk.iter().flatten().map(|k| rk.iter().flatten().filter(|k2| *k2 == k).count()).sum();
         prop_assert_eq!(sql.output.len(), expected);
+
+        let (sql, mr) = run(Operation::IntersectOn { column: "k".into() });
+        let (sql, mr) = (sql.unwrap(), mr.unwrap());
+        prop_assert_eq!(sql.sorted_rows(), mr.sorted_rows());
+        // Reference: a semi-join keeps each left row once; NULL matches NULL.
+        prop_assert_eq!(sql.output.len(), lk.iter().filter(|k| rk.contains(k)).count());
+
+        match run(Operation::Union) {
+            (Ok(sql), Ok(mr)) => {
+                prop_assert!(!float_right);
+                prop_assert_eq!(&sql.output, &mr.output);
+                prop_assert_eq!(sql.output.len(), left.len() + right.len());
+            }
+            // Differently typed key columns are not union-compatible.
+            (sql, mr) => {
+                prop_assert!(float_right);
+                prop_assert_eq!(sql.unwrap_err(), mr.unwrap_err());
+            }
+        }
     }
 
     #[test]
