@@ -28,10 +28,12 @@ fn loaded_store(bloom_bits: usize, records: u64) -> LsmStore {
     s
 }
 
-fn report() {
+/// Prints the table; returns how many "all hits" reads found nothing.
+fn report() -> u64 {
     bdb_bench::banner("ABL3", "Bloom filters on the LSM read path");
     let records = 50_000u64;
     let reads = 50_000u64;
+    let mut lost = 0u64;
     let mut table = TableReporter::new(
         "Point-read cost, 50k records across many runs",
         &["workload", "bloom", "reads/sec", "run probes", "bloom skips"],
@@ -43,7 +45,8 @@ fn report() {
             let t0 = Instant::now();
             for i in 0..reads {
                 let k = if miss { records + i } else { i % records };
-                black_box(s.get(&key(k)));
+                let found = black_box(s.get(&key(k))).is_some();
+                lost += u64::from(!miss && !found);
             }
             let secs = t0.elapsed().as_secs_f64().max(1e-9);
             let st = s.stats();
@@ -58,8 +61,14 @@ fn report() {
     }
     println!("{}", table.to_text());
     println!("Shape: with filters on, miss-heavy reads skip nearly every run\nprobe and get markedly faster; hit reads pay only the filter check.");
+    lost
 }
 
 fn main() {
-    report();
+    // The stores' compactions merge ~65 runs; a lost key fails the run.
+    let lost = report();
+    if lost > 0 {
+        eprintln!("ABL3: {lost} \"all hits\" reads returned None");
+        std::process::exit(1);
+    }
 }

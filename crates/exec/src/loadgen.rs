@@ -413,8 +413,16 @@ impl LoadSession for KvSession {
                 "ok".to_string()
             }
             LoadOp::Scan { start, len } => {
-                let n = self.store.scan(key_of(start).as_bytes(), None, len as usize).len();
-                format!("scan:{n}")
+                let got = self.store.scan(key_of(start).as_bytes(), None, len as usize);
+                match (got.first(), got.last()) {
+                    (Some((first, _)), Some((last, _))) => format!(
+                        "scan:{}:{}..{}",
+                        got.len(),
+                        String::from_utf8_lossy(first),
+                        String::from_utf8_lossy(last)
+                    ),
+                    _ => "scan:0".to_string(),
+                }
             }
         }
     }
@@ -434,8 +442,12 @@ impl LoadTarget for KvLoadTarget {
             // Every key is preloaded and puts rewrite the same value.
             LoadOp::Get { key } => value_of(key),
             LoadOp::Put { .. } => "ok".to_string(),
-            // Keys are contiguous and never deleted.
-            LoadOp::Scan { start, len } => format!("scan:{}", len.min(KEYSPACE - start)),
+            // Keys are contiguous, zero-padded (so byte order is index
+            // order) and never deleted: the count and both end keys.
+            LoadOp::Scan { start, len } => match len.min(KEYSPACE - start) {
+                0 => "scan:0".to_string(),
+                n => format!("scan:{n}:{}..{}", key_of(start), key_of(start + n - 1)),
+            },
         }
     }
 }
@@ -1284,6 +1296,45 @@ mod tests {
         ] {
             assert_eq!(sess.execute(&op), t.expected(&op), "{op:?}");
         }
+    }
+
+    #[test]
+    fn kv_oracle_diverges_on_a_scan_that_starts_one_key_late() {
+        // Same count of keys, the wrong ones: only the end keys tell.
+        struct LateScan(KvLoadTarget);
+        struct LateSession<'a>(Box<dyn LoadSession + 'a>);
+        impl LoadSession for LateSession<'_> {
+            fn execute(&mut self, op: &LoadOp) -> String {
+                self.0.execute(&match *op {
+                    LoadOp::Scan { start, len } => LoadOp::Scan { start: start + 1, len },
+                    other => other,
+                })
+            }
+        }
+        impl LoadTarget for LateScan {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn session(&self) -> Box<dyn LoadSession + '_> {
+                Box::new(LateSession(self.0.session()))
+            }
+            fn expected(&self, op: &LoadOp) -> String {
+                self.0.expected(op)
+            }
+        }
+        let p = LoadProfile { sample_every: 1, ..quick_profile() };
+        let schedule = build_schedule(&p, 3).unwrap();
+        assert!(schedule.iter().any(|s| matches!(s.op, LoadOp::Scan { .. })));
+        let trace = RunTrace::new();
+        let late = run_target(&LateScan(KvLoadTarget::new()), &p, &schedule, &trace).unwrap();
+        assert!(!late.conformance_passed, "a scan one key late must be DIVERGED");
+        let detail = trace.events().iter().find_map(|e| match e {
+            TraceEvent::ConformanceChecked { detail, .. } => Some(detail.clone()),
+            _ => None,
+        });
+        assert!(detail.is_some_and(|d| d.contains("scan:")), "the mismatch names the scan");
+        let honest = run_target(&KvLoadTarget::new(), &p, &schedule, &RunTrace::new()).unwrap();
+        assert!(honest.conformance_passed);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl LinkStore {
     }
 
     /// Fetch a node's payload.
-    pub fn get_node(&mut self, id: u64) -> Option<Vec<u8>> {
+    pub fn get_node(&self, id: u64) -> Option<Vec<u8>> {
         self.store.get(&node_key(id))
     }
 
@@ -134,7 +134,7 @@ impl LinkStore {
     }
 
     /// Fetch a single link.
-    pub fn get_link(&mut self, id1: u64, link_type: u32, time: u64, id2: u64) -> Option<Link> {
+    pub fn get_link(&self, id1: u64, link_type: u32, time: u64, id2: u64) -> Option<Link> {
         let key = link_key(id1, link_type, time, id2);
         let data = self.store.get(&key)?;
         decode_link(id1, link_type, &key, &data).ok()
@@ -142,7 +142,7 @@ impl LinkStore {
 
     /// LinkBench's `assoc_range`: newest links of `(id1, link_type)` first,
     /// up to `limit`.
-    pub fn get_link_list(&mut self, id1: u64, link_type: u32, limit: usize) -> Vec<Link> {
+    pub fn get_link_list(&self, id1: u64, link_type: u32, limit: usize) -> Vec<Link> {
         let prefix = link_prefix(id1, link_type);
         let end = prefix_end(&prefix);
         let end_ref = if end.is_empty() { None } else { Some(end.as_slice()) };
@@ -154,7 +154,7 @@ impl LinkStore {
     }
 
     /// LinkBench's count query, answered from the maintained count index.
-    pub fn count_links(&mut self, id1: u64, link_type: u32) -> u64 {
+    pub fn count_links(&self, id1: u64, link_type: u32) -> u64 {
         self.store
             .get(&count_key(id1, link_type))
             .map(|v| u64::from_be_bytes(v.as_slice().try_into().unwrap_or([0; 8])))

@@ -8,6 +8,15 @@
 //! exercises — memtable hits are cheap, cold point reads pay one binary
 //! search per run, scans pay a k-way merge.
 //!
+//! # The merge
+//!
+//! Scans, [`LsmStore::len`] and compaction share one lazy newest-wins
+//! k-way merge over key-sorted sources given newest first: the memtable,
+//! then the runs newest → oldest. It yields each key once — the smallest
+//! head, a tie going to the newest source, whose version shadows (and
+//! advances past) every older one — so a scan stops after `limit` live
+//! keys and clones only what it returns.
+//!
 //! # Durability
 //!
 //! A store opened with [`LsmStore::open`] is backed by a directory:
@@ -35,6 +44,10 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub type Key = Vec<u8>;
 /// Raw byte value.
 pub type Val = Vec<u8>;
+
+/// One borrowed source of the merge: `(key, value-or-tombstone)` pairs
+/// in key order.
+type Versions<'a> = Box<dyn Iterator<Item = (&'a Key, &'a Option<Val>)> + 'a>;
 
 /// Tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,13 +175,63 @@ impl Run {
         &'a self,
         start: &'a [u8],
         end: Option<&'a [u8]>,
-    ) -> impl Iterator<Item = &'a (Key, Option<Val>)> + 'a {
+    ) -> impl Iterator<Item = (&'a Key, &'a Option<Val>)> + 'a {
         let from = self
             .entries
             .partition_point(|(k, _)| k.as_slice() < start);
         self.entries[from..]
             .iter()
             .take_while(move |(k, _)| end.is_none_or(|e| k.as_slice() < e))
+            .map(|(k, v)| (k, v))
+    }
+}
+
+/// The newest-wins k-way merge (see the module docs). Each source must
+/// be strictly key-ascending; `sources[0]` is the newest. Tombstones
+/// (`None` values) are yielded like any version — callers skip them.
+/// There are at most `max_runs + 1` heads (7 by default), so the pick is
+/// a linear pass, not a heap.
+struct NewestWins<I: Iterator> {
+    sources: Vec<I>,
+    /// The next unconsumed item of each source, parallel to `sources`.
+    heads: Vec<Option<I::Item>>,
+}
+
+impl<I: Iterator> NewestWins<I> {
+    fn new(sources: impl IntoIterator<Item = I>) -> Self {
+        let mut sources: Vec<I> = sources.into_iter().collect();
+        let heads = sources.iter_mut().map(Iterator::next).collect();
+        Self { sources, heads }
+    }
+}
+
+impl<I, K: Ord, V> Iterator for NewestWins<I>
+where
+    I: Iterator<Item = (K, V)>,
+{
+    type Item = (K, V);
+
+    fn next(&mut self) -> Option<(K, V)> {
+        // Smallest head; a strict `<` keeps the first, i.e. newest, on ties.
+        let mut best: Option<(usize, &K)> = None;
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some((k, _)) = head {
+                if best.is_none_or(|(_, b)| k < b) {
+                    best = Some((i, k));
+                }
+            }
+        }
+        let win = best?.0;
+        let next = self.sources[win].next();
+        let (key, val) = std::mem::replace(&mut self.heads[win], next)?;
+        // Only an older source can hold the same key: drop its shadowed
+        // version. Keys are unique within a source, so one step suffices.
+        for i in win + 1..self.heads.len() {
+            if self.heads[i].as_ref().is_some_and(|(k, _)| *k == key) {
+                self.heads[i] = self.sources[i].next();
+            }
+        }
+        Some((key, val))
     }
 }
 
@@ -465,17 +528,10 @@ impl LsmStore {
             return Ok(());
         }
         StatCells::bump(&self.stats.compactions);
-        // Newest-wins merge: iterate runs oldest → newest into a map.
-        let mut merged: BTreeMap<Key, Option<Val>> = BTreeMap::new();
-        for run in self.runs.drain(..) {
-            for (k, v) in run.entries {
-                merged.insert(k, v);
-            }
-        }
-        let entries: Vec<(Key, Option<Val>)> = merged
-            .into_iter()
-            .filter(|(_, v)| v.is_some())
-            .collect();
+        let entries: Vec<(Key, Option<Val>)> =
+            NewestWins::new(self.runs.drain(..).rev().map(|run| run.entries.into_iter()))
+                .filter(|(_, v)| v.is_some())
+                .collect();
         if let Some(d) = &mut self.durability {
             let epoch = d.manifest.next_epoch();
             let new_epochs = if entries.is_empty() {
@@ -526,38 +582,45 @@ impl LsmStore {
     }
 
     /// Ordered range scan from `start` (inclusive) to `end` (exclusive,
-    /// unbounded when `None`), returning up to `limit` live entries.
-    /// Takes `&self` for the same shared-read discipline as [`Self::get`].
+    /// unbounded when `None`), returning up to `limit` live entries; an
+    /// `end` before `start` is an empty range. Takes `&self` for the same
+    /// shared-read discipline as [`Self::get`].
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Key, Val)> {
         StatCells::bump(&self.stats.scans);
-        // Merge all levels into one view, newer levels overwriting older.
-        let mut view: BTreeMap<Key, Option<Val>> = BTreeMap::new();
-        for run in &self.runs {
-            for (k, v) in run.range(start, end) {
-                view.insert(k.clone(), v.clone());
-            }
-        }
-        let mem_range = self.memtable.range((
-            Bound::Included(start.to_vec()),
-            end.map_or(Bound::Unbounded, |e| Bound::Excluded(e.to_vec())),
-        ));
-        for (k, v) in mem_range {
-            view.insert(k.clone(), v.clone());
-        }
-        view.into_iter()
-            .filter_map(|(k, v)| v.map(|val| (k, val)))
+        self.live(start, end)
             .take(limit)
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 
-    /// Number of live keys (scans everything; for tests and reports).
+    /// The newest live version of every key in `[start, end)`, in key
+    /// order, borrowed from the memtable and runs.
+    fn live<'a>(
+        &'a self,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+    ) -> impl Iterator<Item = (&'a Key, &'a Val)> + 'a {
+        let mut sources: Vec<Versions<'a>> = Vec::with_capacity(self.runs.len() + 1);
+        // `BTreeMap::range` panics on reversed bounds.
+        if end.is_none_or(|e| start <= e) {
+            let bounds = (Bound::Included(start), end.map_or(Bound::Unbounded, Bound::Excluded));
+            sources.push(Box::new(self.memtable.range::<[u8], _>(bounds)));
+            for run in self.runs.iter().rev() {
+                sources.push(Box::new(run.range(start, end)));
+            }
+        }
+        NewestWins::new(sources).filter_map(|(k, v)| Some((k, v.as_ref()?)))
+    }
+
+    /// Number of live keys (walks everything; for tests and reports). Not
+    /// a user scan: `KvStats::scans` does not move.
     pub fn len(&self) -> usize {
-        self.scan(&[], None, usize::MAX).len()
+        self.live(&[], None).count()
     }
 
     /// True when no live keys exist.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live(&[], None).next().is_none()
     }
 
     /// Counter snapshot.
@@ -742,6 +805,40 @@ mod tests {
         assert_eq!(keys, expect);
         // Limit applies.
         assert_eq!(s.scan(&k(0), None, 5).len(), 5);
+    }
+
+    #[test]
+    fn reversed_or_empty_bounds_scan_nothing() {
+        let mut s = tiny();
+        for i in 0..40 {
+            s.put(k(i), b"v".to_vec());
+        }
+        assert!(s.run_count() > 0, "the scan must cross runs too");
+        assert!(s.scan(b"b", Some(b"a"), 10).is_empty());
+        assert!(s.scan(&k(20), Some(&k(10)), 10).is_empty());
+        assert!(s.scan(&k(10), Some(&k(10)), 10).is_empty());
+        assert!(s.scan(&k(0), None, 0).is_empty());
+        // Under the shared handle too, and the lock is still usable after.
+        let shared = SharedLsm::default();
+        shared.put(b"a".to_vec(), b"1".to_vec());
+        assert!(shared.scan(b"b", Some(b"a"), 10).is_empty());
+        shared.put(b"b".to_vec(), b"2".to_vec());
+        assert_eq!(shared.scan(b"a", None, 10).len(), 2);
+    }
+
+    #[test]
+    fn len_is_not_a_user_scan() {
+        let mut s = tiny();
+        for i in 0..40 {
+            s.put(k(i), b"v".to_vec());
+        }
+        s.delete(k(3));
+        s.scan(&k(0), None, 5);
+        assert_eq!(s.stats().scans, 1);
+        assert_eq!(s.len(), 39);
+        assert!(!s.is_empty());
+        assert_eq!(s.stats().scans, 1, "len/is_empty must not count as scans");
+        assert!(LsmStore::default().is_empty());
     }
 
     #[test]

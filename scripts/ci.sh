@@ -204,8 +204,15 @@ cargo bench -q -p bdb-bench --bench fig4_testgen >"$report_out" \
     || { echo "report smoke: fig4_testgen failed"; cat "$report_out"; exit 1; }
 grep -q "^FIG4: " "$report_out" && grep -q "relational/select-aggregate" "$report_out" \
     || { echo "report smoke: expected the FIG4 prescription inventory"; cat "$report_out"; exit 1; }
-rm -f "$report_out"
 echo "report smoke: fig4_testgen printed the prescription inventory"
+# abl_bloom's 16 KiB memtable and max_runs 64 make each compaction merge
+# ~65 runs in release; it exits nonzero if a loaded key reads back None.
+cargo bench -q -p bdb-bench --bench abl_bloom >"$report_out" \
+    || { echo "report smoke: abl_bloom failed"; cat "$report_out"; exit 1; }
+grep -q "^ABL3" "$report_out" && grep -q "all hits" "$report_out" \
+    || { echo "report smoke: expected the ABL3 table"; cat "$report_out"; exit 1; }
+rm -f "$report_out"
+echo "report smoke: abl_bloom read every loaded key back through many-run compactions"
 
 echo "== ab.sh smoke (the A/B script parses and rejects bad invocations) =="
 # scripts/ab.sh takes minutes per workload, so the gate only checks what
