@@ -9,9 +9,38 @@ use crate::value::{Key, Schema, Value};
 use crate::{BdbError, Result};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::fmt::{Display, Write};
 
 /// One row of values.
 pub type Record = Vec<Value>;
+
+/// The separator between the cells of a row line (U+001F, unit separator).
+pub const CELL_SEP: char = '\u{1f}';
+
+/// Rows as lines, one per row: the cells' `Display` joined by [`CELL_SEP`].
+/// The one way a result row becomes text, so every row set that is
+/// compared or hashed has the same bytes whichever code built it. Each row
+/// is written into one reused buffer and copied out at its exact length.
+pub fn row_lines<R, C>(rows: impl IntoIterator<Item = R>) -> Vec<String>
+where
+    R: IntoIterator<Item = C>,
+    C: Display,
+{
+    let rows = rows.into_iter();
+    let mut lines = Vec::with_capacity(rows.size_hint().0);
+    let mut buf = String::new();
+    for row in rows {
+        buf.clear();
+        for (i, cell) in row.into_iter().enumerate() {
+            if i > 0 {
+                buf.push(CELL_SEP);
+            }
+            write!(buf, "{cell}").expect("writing to a String cannot fail");
+        }
+        lines.push(buf.as_str().to_owned());
+    }
+    lines
+}
 
 /// Lexicographic row order over [`Value::total_cmp`], a shorter row
 /// before its extensions: a total order, so any rows can be sorted by it.
@@ -243,6 +272,17 @@ mod tests {
         reversed.sort_by(cmp_records);
         assert!(reversed.windows(2).all(|w| cmp_records(&w[0], &w[1]).is_le()));
         assert!(once[63].starts_with("[Float(NaN)"), "NaN sorts last: {}", once[63]);
+    }
+
+    #[test]
+    fn row_lines_join_each_rows_cells() {
+        let rows = [
+            vec![Value::Int(-1), Value::Null, Value::Float(-0.0), Value::from("a b")],
+            vec![],
+            vec![Value::Timestamp(5)],
+        ];
+        assert_eq!(row_lines(&rows), ["-1\u{1f}NULL\u{1f}-0\u{1f}a b", "", "@5"]);
+        assert_eq!(row_lines([[3u64, 4]]), ["3\u{1f}4"]);
     }
 
     #[test]

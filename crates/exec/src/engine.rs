@@ -31,7 +31,7 @@ use crate::cost::ObservedCosts;
 use crate::fault::{self, FaultSite, Resilience};
 use crate::planner::{Ranked, Router, RoutingPolicy, Score};
 use crate::trace::RunTrace;
-use bdb_common::record::Table;
+use bdb_common::record::{row_lines, Table};
 use bdb_common::text::{Document, Vocabulary};
 use bdb_common::{BdbError, Result};
 use bdb_datagen::{DataSourceKind, Dataset};
@@ -705,13 +705,14 @@ impl EngineRegistry {
 // ---------------------------------------------------------------------
 //
 // The result contract: an engine attaches what it computed as an
-// `OutputPayload`, in whatever order it emitted it. Row order is
-// normalised in one place (`OutputPayload::canonical_lines`) and hashed in
-// one place (`OutputPayload::digest`); nothing below sorts or hashes.
+// `OutputPayload`, in whatever order it emitted it. A row becomes text in
+// one place (`row_lines`, one line per row), row order is normalised in
+// one place (`OutputPayload::canonical_lines`) and hashed in one place
+// (`CanonicalLines::digest`); nothing below sorts or hashes.
 
 /// Run a table-pattern binding over the request's lent tables and
 /// assemble the uniform result: one trace event per executed DAG step,
-/// and the output rows stringified as emitted.
+/// and the output rows as row lines, in emission order.
 fn execute_table_binding(
     binding: &dyn PatternExecutor,
     engine: &'static str,
@@ -730,12 +731,6 @@ fn execute_table_binding(
     let mut collector = MetricsCollector::new();
     collector.record_operations(bound.output.len() as u64);
     let user = collector.finish_with_duration(bound.elapsed);
-    let rows = bound
-        .output
-        .rows()
-        .iter()
-        .map(|row| row.iter().map(ToString::to_string).collect())
-        .collect();
     let result = WorkloadResult::assemble(
         &req.prescription.name,
         engine,
@@ -745,7 +740,7 @@ fn execute_table_binding(
         req.scale,
     )
     .with_detail("output_rows", bound.output.len() as f64)
-    .with_output(OutputPayload::RowSet(rows));
+    .with_output(OutputPayload::RowSet(row_lines(bound.output.rows())));
     Ok(vec![result])
 }
 
@@ -757,9 +752,7 @@ fn grep_payload(hits: &[usize]) -> OutputPayload {
 
 /// Word counts as an order-insensitive row set of `(word id, count)`.
 fn wordcount_payload(counts: &[(u32, u64)]) -> OutputPayload {
-    OutputPayload::RowSet(
-        counts.iter().map(|(w, c)| vec![w.to_string(), c.to_string()]).collect(),
-    )
+    OutputPayload::RowSet(row_lines(counts.iter().map(|&(w, c)| [u64::from(w), c])))
 }
 
 /// Per-vertex numeric results (`v<i>` → value) for iterative graph

@@ -71,11 +71,13 @@ use bdb_common::hash::Fnv1a;
 use bdb_common::histogram::LogHistogram;
 use bdb_common::rng::{Rng, SeedTree, SplitMix64};
 use bdb_common::value::{DataType, Field, Schema, Value};
-use bdb_common::{pool, record::Table, BdbError, Result};
+use bdb_common::record::{row_lines, Table, CELL_SEP};
+use bdb_common::{pool, BdbError, Result};
 use bdb_kv::{LsmConfig, SharedLsm};
 use bdb_testgen::arrival::{self, ArrivalProcess, ArrivalSpec};
 use bdb_workloads::{behavioral, OutputPayload};
 use std::collections::VecDeque;
+use std::fmt::Display;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -607,7 +609,7 @@ fn sessionize_of(key: u64) -> u64 {
     let out = behavioral::run_behavioral(&stream_events(key), &spec);
     out.rows
         .first()
-        .and_then(|r| r.get(1))
+        .and_then(|line| line.split(CELL_SEP).nth(1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)
 }
@@ -902,16 +904,15 @@ pub fn run_target_resilient(
     }
 
     // Conformance: the sampled outcomes must match the pure oracle.
-    let actual = OutputPayload::RowSet(
-        samples.iter().map(|(i, out)| vec![i.to_string(), out.clone()]).collect(),
-    );
-    let expect = OutputPayload::RowSet(
-        samples
-            .iter()
-            .map(|(i, _)| vec![i.to_string(), target.expected(&schedule[*i].op)])
-            .collect(),
-    );
-    let mismatch = actual.diff(&expect, 0.0);
+    let expected: Vec<String> =
+        samples.iter().map(|(i, _)| target.expected(&schedule[*i].op)).collect();
+    let actual =
+        OutputPayload::RowSet(row_lines(samples.iter().map(|(i, out)| [i as &dyn Display, out])));
+    let expect = OutputPayload::RowSet(row_lines(
+        samples.iter().zip(&expected).map(|((i, _), e)| [i as &dyn Display, e]),
+    ));
+    let actual = actual.canonical_lines();
+    let mismatch = actual.diff(&expect.canonical_lines(), 0.0);
     let passed = mismatch.is_none();
     trace.record(TraceEvent::ConformanceChecked {
         prescription: format!("load/{}", target.name()),

@@ -28,6 +28,7 @@
 //! buffer space (within the per-event ceiling), not correctness.
 
 use bdb_common::event::Event;
+use bdb_common::record::row_lines;
 use std::collections::BTreeMap;
 
 /// Retention tracks at most this many periods per user: the cohort
@@ -224,9 +225,10 @@ impl SequenceAgg {
 /// The result of one behavioral run over a stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BehavioralOutcome {
-    /// Output rows as strings, one row per user (sessionize, funnel,
-    /// sequence-match) or per period offset (retention).
-    pub rows: Vec<Vec<String>>,
+    /// Output rows as row lines (`bdb_common::record::row_lines`), one per
+    /// user (sessionize, funnel, sequence-match) or per period offset
+    /// (retention).
+    pub rows: Vec<String>,
     /// Distinct users observed.
     pub users: u64,
     /// Events consumed.
@@ -251,13 +253,10 @@ pub fn run_behavioral(events: &[Event], spec: &BehavioralSpec) -> BehavioralOutc
             }
             let peak = users.values().map(SessionizeAgg::state_bytes).sum();
             let n = users.len() as u64;
-            let rows = users
-                .into_iter()
-                .map(|(user, mut agg)| {
-                    let (sessions, count) = agg.finalize(*gap_ms);
-                    vec![user.to_string(), sessions.to_string(), count.to_string()]
-                })
-                .collect();
+            let rows = row_lines(users.into_iter().map(|(user, mut agg)| {
+                let (sessions, count) = agg.finalize(*gap_ms);
+                [user, sessions, count]
+            }));
             BehavioralOutcome { rows, users: n, events: total, peak_state_bytes: peak }
         }
         BehavioralSpec::Retention { period_ms, periods } => {
@@ -268,12 +267,10 @@ pub fn run_behavioral(events: &[Event], spec: &BehavioralSpec) -> BehavioralOutc
             let peak = users.values().map(RetentionAgg::state_bytes).sum();
             let n = users.len() as u64;
             let periods = (*periods).min(RETENTION_MAX_PERIODS);
-            let rows = (0..periods)
-                .map(|d| {
-                    let returned = users.values().filter(|a| a.returned(d)).count() as u64;
-                    vec![d.to_string(), returned.to_string(), n.to_string()]
-                })
-                .collect();
+            let rows = row_lines((0..periods).map(|d| {
+                let returned = users.values().filter(|a| a.returned(d)).count() as u64;
+                [u64::from(d), returned, n]
+            }));
             BehavioralOutcome { rows, users: n, events: total, peak_state_bytes: peak }
         }
         BehavioralSpec::WindowFunnel { window_ms, steps } => {
@@ -283,13 +280,9 @@ pub fn run_behavioral(events: &[Event], spec: &BehavioralSpec) -> BehavioralOutc
             }
             let peak = users.values().map(FunnelAgg::state_bytes).sum();
             let n = users.len() as u64;
-            let rows = users
-                .into_iter()
-                .map(|(user, mut agg)| {
-                    let depth = agg.finalize(*window_ms, steps);
-                    vec![user.to_string(), depth.to_string()]
-                })
-                .collect();
+            let rows = row_lines(
+                users.into_iter().map(|(user, mut agg)| [user, agg.finalize(*window_ms, steps)]),
+            );
             BehavioralOutcome { rows, users: n, events: total, peak_state_bytes: peak }
         }
         BehavioralSpec::SequenceMatch { steps } => {
@@ -299,13 +292,10 @@ pub fn run_behavioral(events: &[Event], spec: &BehavioralSpec) -> BehavioralOutc
             }
             let peak = users.values().map(SequenceAgg::state_bytes).sum();
             let n = users.len() as u64;
-            let rows = users
-                .into_iter()
-                .map(|(user, mut agg)| {
-                    let (matched, hit) = agg.finalize(steps);
-                    vec![user.to_string(), matched.to_string(), u64::from(hit).to_string()]
-                })
-                .collect();
+            let rows = row_lines(users.into_iter().map(|(user, mut agg)| {
+                let (matched, hit) = agg.finalize(steps);
+                [user, matched, u64::from(hit)]
+            }));
             BehavioralOutcome { rows, users: n, events: total, peak_state_bytes: peak }
         }
     }
@@ -319,12 +309,17 @@ mod tests {
         Event::new(ts, user, action as f64)
     }
 
+    /// Row lines written with `|` between cells.
+    fn lines(rows: &[&str]) -> Vec<String> {
+        rows.iter().map(|r| r.replace('|', "\u{1f}")).collect()
+    }
+
     #[test]
     fn sessionize_splits_on_gaps() {
         // User 1: gaps 5, 100, 5 with gap_ms=50 → 2 sessions, 4 events.
         let events = vec![ev(0, 1, 0), ev(5, 1, 0), ev(105, 1, 0), ev(110, 1, 0)];
         let out = run_behavioral(&events, &BehavioralSpec::Sessionize { gap_ms: 50 });
-        assert_eq!(out.rows, vec![vec!["1".to_string(), "2".into(), "4".into()]]);
+        assert_eq!(out.rows, lines(&["1|2|4"]));
         assert_eq!(out.users, 1);
         assert_eq!(out.events, 4);
     }
@@ -334,7 +329,7 @@ mod tests {
         // A gap of exactly gap_ms stays in the same session.
         let events = vec![ev(0, 1, 0), ev(50, 1, 0), ev(101, 1, 0)];
         let out = run_behavioral(&events, &BehavioralSpec::Sessionize { gap_ms: 50 });
-        assert_eq!(out.rows[0][1], "2");
+        assert_eq!(out.rows, lines(&["1|2|3"]));
     }
 
     #[test]
@@ -346,11 +341,7 @@ mod tests {
         // d=0: both returned; d=1: none; d=2: user 1.
         assert_eq!(
             out.rows,
-            vec![
-                vec!["0".to_string(), "2".into(), "2".into()],
-                vec!["1".to_string(), "0".into(), "2".into()],
-                vec!["2".to_string(), "1".into(), "2".into()],
-            ]
+            lines(&["0|2|2", "1|0|2", "2|1|2"])
         );
     }
 
@@ -373,11 +364,11 @@ mod tests {
             &events,
             &BehavioralSpec::WindowFunnel { window_ms: 10, steps: steps.clone() },
         );
-        assert_eq!(out.rows, vec![vec!["1".to_string(), "2".into()]]);
+        assert_eq!(out.rows, lines(&["1|2"]));
         // A wider window completes the funnel.
         let out =
             run_behavioral(&events, &BehavioralSpec::WindowFunnel { window_ms: 100, steps });
-        assert_eq!(out.rows, vec![vec!["1".to_string(), "3".into()]]);
+        assert_eq!(out.rows, lines(&["1|3"]));
     }
 
     #[test]
@@ -387,7 +378,7 @@ mod tests {
         let events = vec![ev(0, 1, 0), ev(50, 1, 0), ev(55, 1, 1)];
         let out =
             run_behavioral(&events, &BehavioralSpec::WindowFunnel { window_ms: 10, steps });
-        assert_eq!(out.rows, vec![vec!["1".to_string(), "2".into()]]);
+        assert_eq!(out.rows, lines(&["1|2"]));
     }
 
     #[test]
@@ -395,15 +386,15 @@ mod tests {
         let steps = vec![1, 2, 3];
         let hit = vec![ev(0, 1, 1), ev(1, 1, 5), ev(2, 1, 2), ev(3, 1, 3)];
         let out = run_behavioral(&hit, &BehavioralSpec::SequenceMatch { steps: steps.clone() });
-        assert_eq!(out.rows, vec![vec!["1".to_string(), "3".into(), "1".into()]]);
+        assert_eq!(out.rows, lines(&["1|3|1"]));
         // Same actions, wrong order: only the prefix [1, 2] matches.
         let miss = vec![ev(0, 1, 1), ev(1, 1, 3), ev(2, 1, 2), ev(3, 1, 3)];
         let out = run_behavioral(&miss, &BehavioralSpec::SequenceMatch { steps });
-        assert_eq!(out.rows, vec![vec!["1".to_string(), "3".into(), "1".into()]]);
+        assert_eq!(out.rows, lines(&["1|3|1"]));
         // (1 at ts0, 2 at ts2, 3 at ts3 — still a subsequence.)
         let miss = vec![ev(0, 1, 3), ev(1, 1, 2), ev(2, 1, 1)];
         let out = run_behavioral(&miss, &BehavioralSpec::SequenceMatch { steps: vec![1, 2, 3] });
-        assert_eq!(out.rows, vec![vec!["1".to_string(), "1".into(), "0".into()]]);
+        assert_eq!(out.rows, lines(&["1|1|0"]));
     }
 
     #[test]

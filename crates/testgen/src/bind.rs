@@ -632,6 +632,8 @@ impl MapReduceBinding {
                 let or_null = |v: Option<&Value>| v.cloned().unwrap_or(Value::Null);
                 let agg = match function {
                     AggSpec::Count => Value::Int(present().count() as i64),
+                    // SQL's SUM: NULL when the group has no value to add.
+                    AggSpec::Sum if present().next().is_none() => Value::Null,
                     AggSpec::Sum => {
                         if vs.iter().all(|v| matches!(v, Value::Int(_) | Value::Null)) {
                             Value::Int(vs.iter().filter_map(|v| v.as_i64()).sum())

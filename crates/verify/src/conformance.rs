@@ -7,7 +7,7 @@ use crate::oracle::oracle_payload;
 use bdb_common::Result;
 use bdb_exec::engine::ExecutionRequest;
 use bdb_exec::trace::TraceEvent;
-use bdb_workloads::{OutputPayload, WorkloadResult};
+use bdb_workloads::{CanonicalLines, WorkloadResult};
 
 /// Numeric payloads match within this relative epsilon (absolute below
 /// 1.0) unless the checker is configured otherwise. Wide enough for the
@@ -78,7 +78,10 @@ impl Conformance {
 
     /// Check every result of one dispatched prescription, recording one
     /// trace verdict per check. Returns `true` when all checks passed.
+    /// Each payload is canonicalised and hashed once; the oracle verdict
+    /// and the golden check share the digest.
     pub fn check(&self, req: &ExecutionRequest<'_>, results: &[WorkloadResult]) -> bool {
+        let strict = matches!(self.mode, VerifyMode::Strict | VerifyMode::Update);
         let mut all_passed = true;
         for res in results {
             let engine = res.report.system.clone();
@@ -98,56 +101,65 @@ impl Conformance {
                 all_passed &= passed;
                 continue;
             };
-            if matches!(self.mode, VerifyMode::Strict | VerifyMode::Update) {
-                all_passed &= self.check_oracle(req, &engine, payload);
+            if !strict && self.goldens.is_none() {
+                continue;
+            }
+            let lines = payload.canonical_lines();
+            let digest = lines.digest();
+            if strict {
+                all_passed &= self.check_oracle(req, &engine, &lines, digest);
             }
             if let Some(store) = &self.goldens {
-                all_passed &= self.check_golden(req, store, &engine, payload);
+                let observed = GoldenRecord::of(
+                    payload,
+                    digest,
+                    &req.prescription.name,
+                    &engine,
+                    req.seed,
+                    req.scale,
+                );
+                all_passed &= self.check_golden(req, store, &engine, &observed);
             }
         }
         all_passed
     }
 
     /// Differential check: recompute the payload on the reference
-    /// interpreter and diff.
+    /// interpreter and diff it against the engine payload's `lines`, whose
+    /// digest is `digest`.
     fn check_oracle(
         &self,
         req: &ExecutionRequest<'_>,
         engine: &str,
-        payload: &OutputPayload,
+        lines: &CanonicalLines<'_>,
+        digest: u64,
     ) -> bool {
         let (passed, detail) = match oracle_payload(req) {
-            Ok(expected) => match expected.diff(payload, self.epsilon) {
+            Ok(expected) => match expected.canonical_lines().diff(lines, self.epsilon) {
                 None => (
                     true,
-                    format!(
-                        "matches reference ({} entries, digest {:016x})",
-                        payload.len(),
-                        payload.digest()
-                    ),
+                    format!("matches reference ({} entries, digest {digest:016x})", lines.len()),
                 ),
                 Some(diff) => (false, format!("diverges from reference: {diff}")),
             },
             Err(e) => (false, format!("reference interpreter failed: {e}")),
         };
-        record(req, engine, "oracle", payload.label(), passed, &detail);
+        record(req, engine, "oracle", lines.payload().label(), passed, &detail);
         passed
     }
 
-    /// Golden check: compare the payload digest against the stored run,
+    /// Golden check: compare the observed record against the stored run,
     /// recording a fresh golden when the cell has none yet.
     fn check_golden(
         &self,
         req: &ExecutionRequest<'_>,
         store: &GoldenStore,
         engine: &str,
-        payload: &OutputPayload,
+        observed: &GoldenRecord,
     ) -> bool {
         let key = GoldenStore::key(&req.prescription.name, engine, req.seed, req.scale);
-        let observed =
-            GoldenRecord::of(payload, &req.prescription.name, engine, req.seed, req.scale);
         let (passed, detail) = match (self.mode, store.load(&key)) {
-            (VerifyMode::Update, _) | (_, None) => match store.store(&key, &observed) {
+            (VerifyMode::Update, _) | (_, None) => match store.store(&key, observed) {
                 Ok(()) => (true, format!("golden {key} recorded (digest {})", observed.digest)),
                 Err(e) => (false, format!("golden {key} not writable: {e}")),
             },
@@ -165,7 +177,7 @@ impl Conformance {
                 }
             }
         };
-        record(req, engine, "golden", payload.label(), passed, &detail);
+        record(req, engine, "golden", &observed.shape, passed, &detail);
         passed
     }
 }

@@ -38,9 +38,12 @@ pub struct GoldenRecord {
 }
 
 impl GoldenRecord {
-    /// Build a record from a payload and its run coordinates.
+    /// Build a record from a payload, its digest (`payload.digest()`, which
+    /// a checker that has already hashed the payload passes on rather than
+    /// recomputes) and its run coordinates.
     pub fn of(
         payload: &OutputPayload,
+        digest: u64,
         prescription: &str,
         engine: &str,
         seed: u64,
@@ -53,7 +56,7 @@ impl GoldenRecord {
             scale,
             shape: payload.label().to_string(),
             len: payload.len() as u64,
-            digest: format!("{:016x}", payload.digest()),
+            digest: format!("{digest:016x}"),
         }
     }
 }
@@ -155,7 +158,7 @@ mod tests {
     fn round_trips_records() {
         let store = tmp_store("roundtrip");
         let payload = OutputPayload::Ordered(vec!["a".into(), "b".into()]);
-        let rec = GoldenRecord::of(&payload, "micro/grep", "native", 42, 100);
+        let rec = GoldenRecord::of(&payload, payload.digest(), "micro/grep", "native", 42, 100);
         let key = GoldenStore::key("micro/grep", "native", 42, 100);
         assert_eq!(key, "micro-grep__native__s42__n100");
         assert!(store.load(&key).is_none());
@@ -174,7 +177,7 @@ mod tests {
             OutputPayload::Ordered(vec!["a".into()]),
             OutputPayload::Ordered(vec!["b".into()]),
         ] {
-            let rec = GoldenRecord::of(&payload, "micro/sort", "sql", 1, 10);
+            let rec = GoldenRecord::of(&payload, payload.digest(), "micro/sort", "sql", 1, 10);
             store.store(&key, &rec).unwrap();
             assert_eq!(store.load(&key), Some(rec));
         }
@@ -191,8 +194,8 @@ mod tests {
     fn digest_distinguishes_payloads() {
         let a = OutputPayload::Ordered(vec!["a".into()]);
         let b = OutputPayload::Ordered(vec!["b".into()]);
-        let ra = GoldenRecord::of(&a, "p", "e", 1, 1);
-        let rb = GoldenRecord::of(&b, "p", "e", 1, 1);
+        let ra = GoldenRecord::of(&a, a.digest(), "p", "e", 1, 1);
+        let rb = GoldenRecord::of(&b, b.digest(), "p", "e", 1, 1);
         assert_ne!(ra.digest, rb.digest);
     }
 }

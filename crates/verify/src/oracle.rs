@@ -5,12 +5,15 @@
 //! sharing only the low-level substrate that *defines* the semantics
 //! (the seeded RNG tree, `Value` comparison, the generated data sets) —
 //! never the engine's execution path. Relational DAGs run through a
-//! straight-line interpreter over `Vec<Record>`; graph kernels use
+//! straight-line interpreter over rows it borrows from the input tables
+//! (an operation builds rows only when its output is new: project,
+//! count, distinct, aggregate, join); graph kernels use
 //! union-find and a from-scratch power iteration instead of CSR
 //! label propagation; the YCSB mix is replayed serially, client stream
 //! by client stream, instead of on concurrent threads over the LSM.
 
 use bdb_common::prelude::*;
+use bdb_common::record::row_lines;
 use bdb_datagen::Dataset;
 use bdb_exec::engine::{ExecutionRequest, WorkloadClass};
 use bdb_testgen::ops::{AggSpec, CompareOp, Operation, ScalarSpec};
@@ -18,6 +21,7 @@ use bdb_testgen::pattern::{InputRef, WorkloadPattern};
 use bdb_workloads::search::PageRankConfig;
 use bdb_workloads::social::{self, KMeansConfig};
 use bdb_workloads::OutputPayload;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,9 +81,7 @@ fn text_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
             *counts.entry(w).or_insert(0) += 1;
         }
     }
-    Ok(OutputPayload::RowSet(
-        counts.into_iter().map(|(w, c)| vec![w.to_string(), c.to_string()]).collect(),
-    ))
+    Ok(OutputPayload::RowSet(row_lines(counts.into_iter().map(|(w, c)| [u64::from(w), c]))))
 }
 
 // ---------------------------------------------------------------------
@@ -122,15 +124,12 @@ fn behavioral_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
             )
         })
         .ok_or_else(|| BdbError::Execution("oracle needs a behavioral operation".into()))?;
-    let rows: Vec<Vec<String>> = match op {
-        Operation::Sessionize { gap_ms } => users
-            .iter()
-            .map(|(user, seq)| {
-                let sessions =
-                    1 + seq.windows(2).filter(|w| w[1].0 - w[0].0 > *gap_ms).count() as u64;
-                vec![user.to_string(), sessions.to_string(), seq.len().to_string()]
-            })
-            .collect(),
+    let rows: Vec<String> = match op {
+        Operation::Sessionize { gap_ms } => row_lines(users.iter().map(|(user, seq)| {
+            let sessions =
+                1 + seq.windows(2).filter(|w| w[1].0 - w[0].0 > *gap_ms).count() as u64;
+            [*user, sessions, seq.len() as u64]
+        })),
         Operation::Retention { period_ms, periods } => {
             // One period set per user; periods past 63 clamp to 63 (the
             // engines' documented 64-bit cohort-mask saturation).
@@ -141,59 +140,51 @@ fn behavioral_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
                     seq.iter().map(|(ts, _)| (ts / (*period_ms).max(1)).min(63)).collect()
                 })
                 .collect();
-            (0..(*periods).min(64))
-                .map(|d| {
-                    let returned = sets
-                        .iter()
-                        .filter(|s| {
-                            s.first().is_some_and(|c| {
-                                c + u64::from(d) < 64 && s.contains(&(c + u64::from(d)))
-                            })
+            row_lines((0..(*periods).min(64)).map(|d| {
+                let returned = sets
+                    .iter()
+                    .filter(|s| {
+                        s.first().is_some_and(|c| {
+                            c + u64::from(d) < 64 && s.contains(&(c + u64::from(d)))
                         })
-                        .count() as u64;
-                    vec![d.to_string(), returned.to_string(), total.to_string()]
-                })
-                .collect()
+                    })
+                    .count() as u64;
+                [u64::from(d), returned, total]
+            }))
         }
         Operation::WindowFunnel { window_ms, steps } => {
             // A duplicate step action counts for its first matching step.
             let step_of = |action: u64| steps.iter().position(|&a| a == action);
-            users
-                .iter()
-                .map(|(user, seq)| {
-                    let mut best = 0u64;
-                    for (i, &(t0, a0)) in seq.iter().enumerate() {
-                        if step_of(a0) != Some(0) {
-                            continue;
-                        }
-                        let mut level = 1usize;
-                        for &(ts, action) in &seq[i + 1..] {
-                            if level >= steps.len() || ts - t0 > *window_ms {
-                                break;
-                            }
-                            if step_of(action) == Some(level) {
-                                level += 1;
-                            }
-                        }
-                        best = best.max(level as u64);
+            row_lines(users.iter().map(|(user, seq)| {
+                let mut best = 0u64;
+                for (i, &(t0, a0)) in seq.iter().enumerate() {
+                    if step_of(a0) != Some(0) {
+                        continue;
                     }
-                    vec![user.to_string(), best.to_string()]
-                })
-                .collect()
-        }
-        Operation::SequenceMatch { steps } => users
-            .iter()
-            .map(|(user, seq)| {
-                let mut ptr = 0usize;
-                for &(_, action) in seq {
-                    if ptr < steps.len() && action == steps[ptr] {
-                        ptr += 1;
+                    let mut level = 1usize;
+                    for &(ts, action) in &seq[i + 1..] {
+                        if level >= steps.len() || ts - t0 > *window_ms {
+                            break;
+                        }
+                        if step_of(action) == Some(level) {
+                            level += 1;
+                        }
                     }
+                    best = best.max(level as u64);
                 }
-                let hit = u64::from(ptr == steps.len());
-                vec![user.to_string(), ptr.to_string(), hit.to_string()]
-            })
-            .collect(),
+                [*user, best]
+            }))
+        }
+        Operation::SequenceMatch { steps } => row_lines(users.iter().map(|(user, seq)| {
+            let mut ptr = 0usize;
+            for &(_, action) in seq {
+                if ptr < steps.len() && action == steps[ptr] {
+                    ptr += 1;
+                }
+            }
+            let hit = u64::from(ptr == steps.len());
+            [*user, ptr as u64, hit]
+        })),
         _ => unreachable!("filtered to behavioral operations above"),
     };
     Ok(OutputPayload::RowSet(rows))
@@ -515,44 +506,46 @@ fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
 // Relational DAGs
 // ---------------------------------------------------------------------
 
-/// `Value` under the reference order, written apart from the engines'
-/// `Value::total_cmp` on purpose: `cmp_values`, falling back to the
-/// display-string order for incomparable pairs. The two agree on typed
+/// A borrowed `Value` under the reference order, written apart from the
+/// engines' `Value::total_cmp` on purpose: `cmp_values`, falling back to
+/// the display-string order for incomparable pairs. The two agree on typed
 /// columns (`ord_val_agrees_with_total_cmp_on_typed_columns`).
-#[derive(Debug, Clone)]
-struct OrdVal(Value);
+#[derive(Debug, Clone, Copy)]
+struct OrdVal<'v>(&'v Value);
 
-impl Ord for OrdVal {
+impl Ord for OrdVal<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0
-            .cmp_values(&other.0)
+            .cmp_values(other.0)
             .unwrap_or_else(|| self.0.to_string().cmp(&other.0.to_string()))
     }
 }
-impl PartialOrd for OrdVal {
+impl PartialOrd for OrdVal<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl PartialEq for OrdVal {
+impl PartialEq for OrdVal<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for OrdVal {}
+impl Eq for OrdVal<'_> {}
 
-/// An intermediate relation: named columns over plain rows.
-#[derive(Debug, Clone)]
-struct Rel {
+/// An intermediate relation: named columns over rows that are either lent
+/// by an input table or built by an earlier operation.
+#[derive(Debug)]
+struct Rel<'a> {
     cols: Vec<String>,
-    rows: Vec<Record>,
+    rows: Vec<Cow<'a, [Value]>>,
 }
 
-impl Rel {
-    fn from_table(t: &Table) -> Self {
+impl<'a> Rel<'a> {
+    /// The table's rows, lent: no `Value` is copied.
+    fn from_table(t: &'a Table) -> Self {
         Self {
             cols: t.schema().fields().iter().map(|f| f.name.clone()).collect(),
-            rows: t.rows().to_vec(),
+            rows: t.rows().iter().map(|r| Cow::Borrowed(r.as_slice())).collect(),
         }
     }
 
@@ -561,6 +554,11 @@ impl Rel {
             .iter()
             .position(|c| c == name)
             .ok_or_else(|| BdbError::NotFound(format!("column {name}")))
+    }
+
+    /// The same columns over a subset or reordering of these rows.
+    fn with_rows(&self, rows: Vec<Cow<'a, [Value]>>) -> Self {
+        Self { cols: self.cols.clone(), rows }
     }
 }
 
@@ -573,42 +571,39 @@ fn scalar_value(s: &ScalarSpec) -> Value {
 }
 
 fn relational_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
-    let tables: BTreeMap<&str, &Table> = req
+    let data: BTreeMap<&str, Rel<'_>> = req
         .datasets
         .iter()
         .filter_map(|(k, v)| match v {
-            Dataset::Table(t) => Some((k.as_str(), t)),
+            Dataset::Table(t) => Some((k.as_str(), Rel::from_table(t))),
             _ => None,
         })
         .collect();
-    let rel_of = |name: &str| -> Result<Rel> {
-        tables
-            .get(name)
-            .map(|t| Rel::from_table(t))
-            .ok_or_else(|| BdbError::NotFound(format!("data set {name}")))
+    let data_rel = |name: &str| {
+        data.get(name).ok_or_else(|| BdbError::NotFound(format!("data set {name}")))
     };
     let out = match &req.prescription.pattern {
-        WorkloadPattern::Single { op, input } => apply(op, &[rel_of(input)?])?,
+        WorkloadPattern::Single { op, input } => apply(op, &[data_rel(input)?])?,
         WorkloadPattern::Multi { steps } => {
-            let mut outs: BTreeMap<u32, Rel> = BTreeMap::new();
+            let mut outs: BTreeMap<u32, Rel<'_>> = BTreeMap::new();
             let mut last = None;
             for step in steps {
-                let inputs: Vec<Rel> = step
+                let inputs: Vec<&Rel<'_>> = step
                     .inputs
                     .iter()
                     .map(|r| match r {
-                        InputRef::Dataset(d) => rel_of(d),
+                        InputRef::Dataset(d) => data_rel(d),
                         InputRef::Step(id) => outs
                             .get(id)
-                            .cloned()
                             .ok_or_else(|| BdbError::Execution(format!("step {id} not run"))),
                     })
                     .collect::<Result<_>>()?;
                 let out = apply(&step.op, &inputs)?;
-                outs.insert(step.id, out.clone());
-                last = Some(out);
+                outs.insert(step.id, out);
+                last = Some(step.id);
             }
-            last.ok_or_else(|| BdbError::Execution("empty multi-operation pattern".into()))?
+            last.and_then(|id| outs.remove(&id))
+                .ok_or_else(|| BdbError::Execution("empty multi-operation pattern".into()))?
         }
         WorkloadPattern::Iterative { .. } => {
             return Err(BdbError::Execution(
@@ -616,26 +611,27 @@ fn relational_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
             ))
         }
     };
-    Ok(OutputPayload::RowSet(
-        out.rows
-            .iter()
-            .map(|row| row.iter().map(std::string::ToString::to_string).collect())
-            .collect(),
-    ))
+    Ok(OutputPayload::RowSet(row_lines(out.rows.iter().map(|row| row.iter()))))
 }
 
 /// One operation over its inputs, with the Execution Layer's documented
 /// semantics: SQL three-valued predicates (NULL comparisons filter out),
-/// nulls sort first, aggregates skip nulls, joins drop null keys.
-fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
-    let one = || -> Result<&Rel> {
-        inputs.first().ok_or_else(|| BdbError::Execution("missing input".into()))
+/// nulls sort first, aggregates skip nulls, joins drop null keys. Select,
+/// sort, top-k, union and intersect pass their input rows on; only
+/// project, count, distinct, aggregate and join build rows.
+fn apply<'a>(op: &Operation, inputs: &[&Rel<'a>]) -> Result<Rel<'a>> {
+    let one = || -> Result<&Rel<'a>> {
+        inputs.first().copied().ok_or_else(|| BdbError::Execution("missing input".into()))
     };
-    let two = || -> Result<(&Rel, &Rel)> {
+    let two = || -> Result<(&Rel<'a>, &Rel<'a>)> {
         match inputs {
             [a, b, ..] => Ok((a, b)),
             _ => Err(BdbError::Execution("double-set operation needs two inputs".into())),
         }
+    };
+    let built = |cols: Vec<String>, rows: Vec<Record>| Rel {
+        cols,
+        rows: rows.into_iter().map(Cow::Owned).collect(),
     };
     match op {
         Operation::Select { predicate } => {
@@ -664,59 +660,48 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
                 })
                 .cloned()
                 .collect();
-            Ok(Rel { cols: rel.cols.clone(), rows })
+            Ok(rel.with_rows(rows))
         }
         Operation::Project { columns } => {
             let rel = one()?;
             let idx: Vec<usize> =
                 columns.iter().map(|c| rel.col(c)).collect::<Result<_>>()?;
-            Ok(Rel {
-                cols: columns.clone(),
-                rows: rel
-                    .rows
-                    .iter()
-                    .map(|row| idx.iter().map(|&i| row[i].clone()).collect())
-                    .collect(),
-            })
+            let rows = rel.rows.iter().map(|row| idx.iter().map(|&i| row[i].clone()).collect());
+            Ok(built(columns.clone(), rows.collect()))
         }
         Operation::SortBy { column, descending } => {
             let rel = one()?;
             let idx = rel.col(column)?;
             let mut rows = rel.rows.clone();
             rows.sort_by(|a, b| {
-                let ord = OrdVal(a[idx].clone()).cmp(&OrdVal(b[idx].clone()));
+                let ord = OrdVal(&a[idx]).cmp(&OrdVal(&b[idx]));
                 if *descending {
                     ord.reverse()
                 } else {
                     ord
                 }
             });
-            Ok(Rel { cols: rel.cols.clone(), rows })
+            Ok(rel.with_rows(rows))
         }
         Operation::TopK { column, k } => {
             let rel = one()?;
             let idx = rel.col(column)?;
             let mut rows = rel.rows.clone();
-            rows.sort_by(|a, b| OrdVal(b[idx].clone()).cmp(&OrdVal(a[idx].clone())));
+            rows.sort_by(|a, b| OrdVal(&b[idx]).cmp(&OrdVal(&a[idx])));
             rows.truncate(*k);
-            Ok(Rel { cols: rel.cols.clone(), rows })
+            Ok(rel.with_rows(rows))
         }
         Operation::Count => {
             let rel = one()?;
-            Ok(Rel {
-                cols: vec!["count".into()],
-                rows: vec![vec![Value::Int(rel.rows.len() as i64)]],
-            })
+            Ok(built(vec!["count".into()], vec![vec![Value::Int(rel.rows.len() as i64)]]))
         }
         Operation::Distinct { column } => {
             let rel = one()?;
             let idx = rel.col(column)?;
-            let distinct: BTreeSet<OrdVal> =
-                rel.rows.iter().map(|row| OrdVal(row[idx].clone())).collect();
-            Ok(Rel {
-                cols: vec![column.clone()],
-                rows: distinct.into_iter().map(|v| vec![v.0]).collect(),
-            })
+            let distinct: BTreeSet<OrdVal<'_>> =
+                rel.rows.iter().map(|row| OrdVal(&row[idx])).collect();
+            let rows = distinct.into_iter().map(|v| vec![v.0.clone()]).collect();
+            Ok(built(vec![column.clone()], rows))
         }
         Operation::Aggregate { function, column, group_by } => {
             let rel = one()?;
@@ -724,67 +709,59 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
             let ci = column.as_ref().map(|c| rel.col(c)).transpose()?;
             // Group in input-row order so float accumulation matches the
             // engines' single-pass reducers bit for bit.
-            let mut groups: BTreeMap<Vec<OrdVal>, Vec<Value>> = BTreeMap::new();
+            static ONE: Value = Value::Int(1);
+            let mut groups: BTreeMap<Vec<OrdVal<'_>>, Vec<&Value>> = BTreeMap::new();
             for row in &rel.rows {
-                let key: Vec<OrdVal> = gi.iter().map(|&i| OrdVal(row[i].clone())).collect();
-                let v = match ci {
-                    Some(i) => row[i].clone(),
-                    None => Value::Int(1),
-                };
-                groups.entry(key).or_default().push(v);
+                let key: Vec<OrdVal<'_>> = gi.iter().map(|&i| OrdVal(&row[i])).collect();
+                groups.entry(key).or_default().push(ci.map_or(&ONE, |i| &row[i]));
             }
             let mut rows = Vec::with_capacity(groups.len());
             for (key, vs) in groups {
+                let present = || vs.iter().copied().filter(|v| !v.is_null());
                 let agg = match function {
-                    AggSpec::Count => {
-                        Value::Int(vs.iter().filter(|v| !v.is_null()).count() as i64)
-                    }
+                    AggSpec::Count => Value::Int(present().count() as i64),
+                    // SQL's SUM: NULL when the group has no value to add.
+                    AggSpec::Sum if present().next().is_none() => Value::Null,
                     AggSpec::Sum => {
-                        let all_int =
-                            vs.iter().all(|v| matches!(v, Value::Int(_) | Value::Null));
-                        if all_int {
-                            Value::Int(vs.iter().filter_map(Value::as_i64).sum())
+                        if present().all(|v| matches!(v, Value::Int(_))) {
+                            Value::Int(present().filter_map(Value::as_i64).sum())
                         } else {
-                            Value::Float(vs.iter().filter_map(Value::as_f64).sum())
+                            Value::Float(present().filter_map(Value::as_f64).sum())
                         }
                     }
                     AggSpec::Avg => {
-                        let xs: Vec<f64> = vs.iter().filter_map(Value::as_f64).collect();
+                        let xs: Vec<f64> = present().filter_map(Value::as_f64).collect();
                         if xs.is_empty() {
                             Value::Null
                         } else {
                             Value::Float(xs.iter().sum::<f64>() / xs.len() as f64)
                         }
                     }
-                    AggSpec::Min => vs
-                        .iter()
-                        .filter(|v| !v.is_null())
-                        .min_by(|a, b| OrdVal((*a).clone()).cmp(&OrdVal((*b).clone())))
+                    AggSpec::Min => present()
+                        .min_by(|a, b| OrdVal(a).cmp(&OrdVal(b)))
                         .cloned()
                         .unwrap_or(Value::Null),
-                    AggSpec::Max => vs
-                        .iter()
-                        .filter(|v| !v.is_null())
-                        .max_by(|a, b| OrdVal((*a).clone()).cmp(&OrdVal((*b).clone())))
+                    AggSpec::Max => present()
+                        .max_by(|a, b| OrdVal(a).cmp(&OrdVal(b)))
                         .cloned()
                         .unwrap_or(Value::Null),
                 };
-                let mut row: Record = key.into_iter().map(|k| k.0).collect();
+                let mut row: Record = key.iter().map(|k| k.0.clone()).collect();
                 row.push(agg);
                 rows.push(row);
             }
             let mut cols = group_by.clone();
             cols.push("agg".into());
-            Ok(Rel { cols, rows })
+            Ok(built(cols, rows))
         }
         Operation::Join { left_on, right_on } => {
             let (left, right) = two()?;
             let li = left.col(left_on)?;
             let ri = right.col(right_on)?;
-            let mut by_key: BTreeMap<OrdVal, Vec<&Record>> = BTreeMap::new();
+            let mut by_key: BTreeMap<OrdVal<'_>, Vec<&[Value]>> = BTreeMap::new();
             for row in &right.rows {
                 if !row[ri].is_null() {
-                    by_key.entry(OrdVal(row[ri].clone())).or_default().push(row);
+                    by_key.entry(OrdVal(&row[ri])).or_default().push(row);
                 }
             }
             let mut rows = Vec::new();
@@ -792,41 +769,32 @@ fn apply(op: &Operation, inputs: &[Rel]) -> Result<Rel> {
                 if lrow[li].is_null() {
                     continue;
                 }
-                if let Some(matches) = by_key.get(&OrdVal(lrow[li].clone())) {
-                    for rrow in matches {
-                        let mut row = lrow.clone();
-                        row.extend(rrow.iter().cloned());
-                        rows.push(row);
-                    }
+                for rrow in by_key.get(&OrdVal(&lrow[li])).into_iter().flatten() {
+                    rows.push([&lrow[..], rrow].concat());
                 }
             }
             let mut cols: Vec<String> =
                 left.cols.iter().map(|c| format!("l.{c}")).collect();
             cols.extend(right.cols.iter().map(|c| format!("r.{c}")));
-            Ok(Rel { cols, rows })
+            Ok(built(cols, rows))
         }
         Operation::Union => {
             let (left, right) = two()?;
             if left.cols != right.cols {
                 return Err(BdbError::Execution("union column mismatch".into()));
             }
-            let mut rows = left.rows.clone();
-            rows.extend(right.rows.iter().cloned());
-            Ok(Rel { cols: left.cols.clone(), rows })
+            Ok(left.with_rows(left.rows.iter().chain(&right.rows).cloned().collect()))
         }
         Operation::IntersectOn { column } => {
+            // Semi-join: a left row stays when its key equals some right
+            // key under the reference order (NULL equals NULL).
             let (left, right) = two()?;
             let li = left.col(column)?;
             let ri = right.col(column)?;
-            let keys: BTreeSet<String> =
-                right.rows.iter().map(|row| row[ri].to_string()).collect();
-            let rows = left
-                .rows
-                .iter()
-                .filter(|row| keys.contains(&row[li].to_string()))
-                .cloned()
-                .collect();
-            Ok(Rel { cols: left.cols.clone(), rows })
+            let keys: BTreeSet<OrdVal<'_>> = right.rows.iter().map(|row| OrdVal(&row[ri])).collect();
+            let rows =
+                left.rows.iter().filter(|row| keys.contains(&OrdVal(&row[li]))).cloned().collect();
+            Ok(left.with_rows(rows))
         }
         other => Err(BdbError::Execution(format!(
             "operation {} has no relational oracle",
@@ -840,8 +808,15 @@ mod tests {
     use super::*;
     use bdb_testgen::ops::PredicateSpec;
 
-    fn rel(cols: &[&str], rows: Vec<Vec<Value>>) -> Rel {
-        Rel { cols: cols.iter().map(|c| (*c).to_string()).collect(), rows }
+    fn rel(cols: &[&str], rows: Vec<Vec<Value>>) -> Rel<'static> {
+        Rel {
+            cols: cols.iter().map(|c| (*c).to_string()).collect(),
+            rows: rows.into_iter().map(Cow::Owned).collect(),
+        }
+    }
+
+    fn rows_of(rel: &Rel<'_>) -> Vec<Vec<Value>> {
+        rel.rows.iter().map(|r| r.to_vec()).collect()
     }
 
     /// The reference comparator and the engines' `Value::total_cmp` are
@@ -868,7 +843,7 @@ mod tests {
             column.push(Value::Null);
             for a in &column {
                 for b in &column {
-                    let reference = OrdVal(a.clone()).cmp(&OrdVal(b.clone()));
+                    let reference = OrdVal(a).cmp(&OrdVal(b));
                     assert_eq!(reference, a.total_cmp(b), "{a:?} vs {b:?}");
                 }
             }
@@ -889,11 +864,32 @@ mod tests {
                     value: ScalarSpec::Int(2),
                 },
             },
-            &[r],
+            &[&r],
         )
         .unwrap();
         // NULL >= 2 is NULL, which filters out — not "less".
-        assert_eq!(out.rows, vec![vec![Value::Int(3)]]);
+        assert_eq!(rows_of(&out), vec![vec![Value::Int(3)]]);
+    }
+
+    /// A table's rows are lent and select / sort pass them on; only an
+    /// operation that builds rows (here project) owns what it returns.
+    #[test]
+    fn table_rows_are_lent_and_passed_on() {
+        use bdb_common::value::{DataType, Field, Schema};
+        let mut t = Table::new(Schema::new(vec![Field::new("x", DataType::Int)]));
+        for x in [3, 1, 2] {
+            t.push(vec![Value::Int(x)]).unwrap();
+        }
+        let input = Rel::from_table(&t);
+        let sorted =
+            apply(&Operation::SortBy { column: "x".into(), descending: false }, &[&input])
+                .unwrap();
+        assert!(std::ptr::eq(sorted.rows[0].as_ptr(), t.rows()[1].as_ptr()));
+        assert!(sorted.rows.iter().all(|r| matches!(r, Cow::Borrowed(_))));
+        let projected =
+            apply(&Operation::Project { columns: vec!["x".into()] }, &[&sorted]).unwrap();
+        assert!(projected.rows.iter().all(|r| matches!(r, Cow::Owned(_))));
+        assert_eq!(rows_of(&projected), rows_of(&sorted));
     }
 
     #[test]
@@ -912,12 +908,14 @@ mod tests {
                 column: Some("v".into()),
                 group_by: vec!["g".into()],
             },
-            &[r],
+            &[&r],
         )
         .unwrap();
         assert_eq!(out.cols, vec!["g".to_string(), "agg".to_string()]);
-        assert!(out.rows.contains(&vec![Value::from("a"), Value::Int(5)]));
-        assert!(out.rows.contains(&vec![Value::from("b"), Value::Int(0)]));
+        // SQL's SUM: a group with nothing to add sums to NULL, not 0.
+        let rows = rows_of(&out);
+        assert!(rows.contains(&vec![Value::from("a"), Value::Int(5)]));
+        assert!(rows.contains(&vec![Value::from("b"), Value::Null]));
     }
 
     #[test]
@@ -935,10 +933,24 @@ mod tests {
             vec![vec![Value::Int(1), Value::from("r1")], vec![Value::Int(1), Value::from("r2")]],
         );
         let out =
-            apply(&Operation::Join { left_on: "k".into(), right_on: "k".into() }, &[l, r])
+            apply(&Operation::Join { left_on: "k".into(), right_on: "k".into() }, &[&l, &r])
                 .unwrap();
         assert_eq!(out.rows.len(), 4);
         assert_eq!(out.cols, vec!["l.k", "l.a", "r.k", "r.b"]);
+    }
+
+    /// The semi-join keys by the reference order, as the engines key by
+    /// `Value::total_cmp`: `0` meets `-0.0` (whose display strings differ)
+    /// and NULL meets NULL.
+    #[test]
+    fn intersect_keys_by_the_reference_order() {
+        let l = rel(
+            &["k"],
+            vec![vec![Value::Int(0)], vec![Value::Null], vec![Value::Int(2)], vec![Value::Int(3)]],
+        );
+        let r = rel(&["k"], vec![vec![Value::Float(-0.0)], vec![Value::Null], vec![Value::Float(2.5)]]);
+        let out = apply(&Operation::IntersectOn { column: "k".into() }, &[&l, &r]).unwrap();
+        assert_eq!(rows_of(&out), vec![vec![Value::Int(0)], vec![Value::Null]]);
     }
 
     #[test]

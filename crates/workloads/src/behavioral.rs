@@ -12,6 +12,7 @@
 
 use crate::{OutputPayload, WorkloadCategory, WorkloadResult};
 use bdb_common::event::Event;
+use bdb_common::record::row_lines;
 use bdb_mapreduce::{run_job, JobConfig};
 use bdb_metrics::{MetricsCollector, OpCounts};
 
@@ -73,10 +74,7 @@ pub fn behavioral_mapreduce(
                 }
                 let bytes = agg.state_bytes();
                 let (sessions, count) = agg.finalize(gap_ms);
-                out((
-                    vec![user.to_string(), sessions.to_string(), count.to_string()],
-                    bytes,
-                ));
+                out(([*user, sessions, count], bytes));
             });
             per_user_outcome(job.outputs, total)
         }
@@ -92,13 +90,10 @@ pub fn behavioral_mapreduce(
             let users = job.outputs.len() as u64;
             let peak = job.outputs.iter().map(|(_, b)| *b).sum();
             let periods = (*periods).min(RETENTION_MAX_PERIODS);
-            let rows = (0..periods)
-                .map(|d| {
-                    let returned =
-                        job.outputs.iter().filter(|(a, _)| a.returned(d)).count() as u64;
-                    vec![d.to_string(), returned.to_string(), users.to_string()]
-                })
-                .collect();
+            let rows = row_lines((0..periods).map(|d| {
+                let returned = job.outputs.iter().filter(|(a, _)| a.returned(d)).count() as u64;
+                [u64::from(d), returned, users]
+            }));
             BehavioralOutcome { rows, users, events: total, peak_state_bytes: peak }
         }
         BehavioralSpec::WindowFunnel { window_ms, steps } => {
@@ -110,7 +105,7 @@ pub fn behavioral_mapreduce(
                 }
                 let bytes = agg.state_bytes();
                 let depth = agg.finalize(window_ms, &steps);
-                out((vec![user.to_string(), depth.to_string()], bytes));
+                out(([*user, depth], bytes));
             });
             per_user_outcome(job.outputs, total)
         }
@@ -123,10 +118,7 @@ pub fn behavioral_mapreduce(
                 }
                 let bytes = agg.state_bytes();
                 let (matched, hit) = agg.finalize(&steps);
-                out((
-                    vec![user.to_string(), matched.to_string(), u64::from(hit).to_string()],
-                    bytes,
-                ));
+                out(([*user, matched, u64::from(hit)], bytes));
             });
             per_user_outcome(job.outputs, total)
         }
@@ -135,14 +127,18 @@ pub fn behavioral_mapreduce(
     (outcome, result)
 }
 
-/// Fold per-user reducer outputs (row, state bytes) into an outcome with
-/// rows in user order — the same order the streaming binding emits.
-fn per_user_outcome(outputs: Vec<(Vec<String>, usize)>, total: u64) -> BehavioralOutcome {
+/// Fold per-user reducer outputs (cells led by the user id, state bytes)
+/// into an outcome with rows in user order — the same order the streaming
+/// binding emits.
+fn per_user_outcome<const N: usize>(
+    outputs: Vec<([u64; N], usize)>,
+    total: u64,
+) -> BehavioralOutcome {
     let users = outputs.len() as u64;
     let peak = outputs.iter().map(|(_, b)| *b).sum();
-    let mut rows: Vec<Vec<String>> = outputs.into_iter().map(|(row, _)| row).collect();
-    rows.sort_by_key(|row| row[0].parse::<u64>().unwrap_or(u64::MAX));
-    BehavioralOutcome { rows, users, events: total, peak_state_bytes: peak }
+    let mut rows: Vec<[u64; N]> = outputs.into_iter().map(|(row, _)| row).collect();
+    rows.sort_unstable_by_key(|row| row[0]);
+    BehavioralOutcome { rows: row_lines(rows), users, events: total, peak_state_bytes: peak }
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@ pub mod social;
 pub mod streaming;
 
 use bdb_common::hash::Fnv1a;
+use bdb_common::record::CELL_SEP;
 use bdb_metrics::{CostModel, MetricReport, OpCounts, PowerModel, UserMetrics};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Table 2's three workload categories ("from the perspective of
@@ -73,12 +75,105 @@ impl std::fmt::Display for WorkloadCategory {
 ///   legally differ across engines).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OutputPayload {
-    /// Unordered relational output: a multiset of stringified rows.
-    RowSet(Vec<Vec<String>>),
+    /// Unordered relational output: a multiset of row lines, each built by
+    /// [`row_lines`](bdb_common::record::row_lines) (the cells' `Display`
+    /// joined by U+001F).
+    RowSet(Vec<String>),
     /// Ordered output: one string per emitted element, in order.
     Ordered(Vec<String>),
     /// Named numeric outputs: `(name, value)` pairs in name order.
     Numeric(Vec<(String, f64)>),
+}
+
+/// A payload's canonical lines, lent from it: what
+/// [`OutputPayload::digest`] hashes and [`OutputPayload::diff`] compares.
+/// Row-set lines are sorted references; ordered lines are references in
+/// emission order; only numeric entries are formatted. A checker that both
+/// diffs and hashes one payload builds this once.
+#[derive(Debug)]
+pub struct CanonicalLines<'a> {
+    payload: &'a OutputPayload,
+    lines: Vec<Cow<'a, str>>,
+}
+
+impl<'a> std::ops::Deref for CanonicalLines<'a> {
+    type Target = [Cow<'a, str>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.lines
+    }
+}
+
+impl<'a> CanonicalLines<'a> {
+    /// The payload these lines were built from.
+    pub fn payload(&self) -> &'a OutputPayload {
+        self.payload
+    }
+
+    /// A stable 64-bit FNV-1a digest of the lines, prefixed by the payload
+    /// shape so a row set never collides with an ordered stream of the same
+    /// lines.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write(self.payload.label().as_bytes());
+        h.write(&[0x1e]);
+        for line in &self.lines {
+            h.write(line.as_bytes());
+            h.write(&[0x1e]);
+        }
+        h.finish()
+    }
+
+    /// Compare against another payload's lines under this shape's equality
+    /// contract. Numeric values match within `epsilon` relative error
+    /// (absolute for values below 1). Returns a human-readable mismatch
+    /// description, or `None` when the payloads agree.
+    pub fn diff(&self, other: &CanonicalLines<'_>, epsilon: f64) -> Option<String> {
+        match (self.payload, other.payload) {
+            (OutputPayload::Numeric(a), OutputPayload::Numeric(b)) => {
+                if a.len() != b.len() {
+                    return Some(format!(
+                        "numeric arity differs: {} vs {} values",
+                        a.len(),
+                        b.len()
+                    ));
+                }
+                for ((ka, va), (kb, vb)) in a.iter().zip(b) {
+                    if ka != kb {
+                        return Some(format!("numeric keys differ: {ka} vs {kb}"));
+                    }
+                    let tol = epsilon * va.abs().max(1.0);
+                    if !((va - vb).abs() <= tol || (va.is_nan() && vb.is_nan())) {
+                        return Some(format!("{ka}: {va} vs {vb} (tolerance {tol:e})"));
+                    }
+                }
+                None
+            }
+            (a, b) if a.label() != b.label() => Some(format!(
+                "payload shapes differ: {} vs {}",
+                a.label(),
+                b.label()
+            )),
+            (a, _) => {
+                let (la, lb) = (&self.lines, &other.lines);
+                if la.len() != lb.len() {
+                    return Some(format!(
+                        "{} size differs: {} vs {} entries",
+                        a.label(),
+                        la.len(),
+                        lb.len()
+                    ));
+                }
+                let (i, (x, y)) = la.iter().zip(lb).enumerate().find(|(_, (x, y))| x != y)?;
+                Some(format!(
+                    "{} entry {i} differs: {:?} vs {:?}",
+                    a.label(),
+                    x.replace(CELL_SEP, "|"),
+                    y.replace(CELL_SEP, "|")
+                ))
+            }
+        }
+    }
 }
 
 impl OutputPayload {
@@ -105,97 +200,37 @@ impl OutputPayload {
         self.len() == 0
     }
 
-    /// Canonical text lines: the digest and all comparisons run over this
-    /// form. Row sets are sorted (making multiset equality a plain
-    /// sequence comparison); ordered payloads keep their order; numeric
-    /// values render with full precision via `{:?}`.
-    pub fn canonical_lines(&self) -> Vec<String> {
-        match self {
+    /// The canonical lines, the one place a payload is normalised: row
+    /// sets are sorted (making multiset equality a plain sequence
+    /// comparison), ordered payloads keep their order, and numeric values
+    /// render with full precision via `{:?}`. Row-set and ordered lines are
+    /// lent, never copied.
+    pub fn canonical_lines(&self) -> CanonicalLines<'_> {
+        let lines = match self {
             OutputPayload::RowSet(rows) => {
-                let mut lines: Vec<String> =
-                    rows.iter().map(|r| r.join("\u{1f}")).collect();
+                let mut lines: Vec<Cow<'_, str>> =
+                    rows.iter().map(|r| Cow::Borrowed(r.as_str())).collect();
                 lines.sort_unstable();
                 lines
             }
-            OutputPayload::Ordered(items) => items.clone(),
+            OutputPayload::Ordered(items) => {
+                items.iter().map(|i| Cow::Borrowed(i.as_str())).collect()
+            }
             OutputPayload::Numeric(vals) => {
-                vals.iter().map(|(k, v)| format!("{k}\u{1f}{v:?}")).collect()
+                vals.iter().map(|(k, v)| Cow::Owned(format!("{k}{CELL_SEP}{v:?}"))).collect()
             }
-        }
+        };
+        CanonicalLines { payload: self, lines }
     }
 
-    /// A stable 64-bit FNV-1a digest of the canonical form, prefixed by
-    /// the payload shape so a row set never collides with an ordered
-    /// stream of the same lines.
+    /// [`CanonicalLines::digest`] of this payload.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(self.label().as_bytes());
-        h.write(&[0x1e]);
-        for line in self.canonical_lines() {
-            h.write(line.as_bytes());
-            h.write(&[0x1e]);
-        }
-        h.finish()
+        self.canonical_lines().digest()
     }
 
-    /// Compare against another payload under this shape's equality
-    /// contract. Numeric values match within `epsilon` relative error
-    /// (absolute for values below 1). Returns a human-readable mismatch
-    /// description, or `None` when the payloads agree.
+    /// [`CanonicalLines::diff`] of this payload against `other`.
     pub fn diff(&self, other: &OutputPayload, epsilon: f64) -> Option<String> {
-        match (self, other) {
-            (OutputPayload::Numeric(a), OutputPayload::Numeric(b)) => {
-                if a.len() != b.len() {
-                    return Some(format!(
-                        "numeric arity differs: {} vs {} values",
-                        a.len(),
-                        b.len()
-                    ));
-                }
-                for ((ka, va), (kb, vb)) in a.iter().zip(b) {
-                    if ka != kb {
-                        return Some(format!("numeric keys differ: {ka} vs {kb}"));
-                    }
-                    let tol = epsilon * va.abs().max(1.0);
-                    if !((va - vb).abs() <= tol
-                        || (va.is_nan() && vb.is_nan()))
-                    {
-                        return Some(format!(
-                            "{ka}: {va} vs {vb} (tolerance {tol:e})"
-                        ));
-                    }
-                }
-                None
-            }
-            (a, b) if a.label() != b.label() => Some(format!(
-                "payload shapes differ: {} vs {}",
-                a.label(),
-                b.label()
-            )),
-            (a, b) => {
-                let la = a.canonical_lines();
-                let lb = b.canonical_lines();
-                if la.len() != lb.len() {
-                    return Some(format!(
-                        "{} size differs: {} vs {} entries",
-                        a.label(),
-                        la.len(),
-                        lb.len()
-                    ));
-                }
-                for (i, (x, y)) in la.iter().zip(&lb).enumerate() {
-                    if x != y {
-                        return Some(format!(
-                            "{} entry {i} differs: {:?} vs {:?}",
-                            a.label(),
-                            x.replace('\u{1f}', "|"),
-                            y.replace('\u{1f}', "|")
-                        ));
-                    }
-                }
-                None
-            }
-        }
+        self.canonical_lines().diff(&other.canonical_lines(), epsilon)
     }
 }
 
@@ -284,28 +319,55 @@ mod tests {
         assert!(r.output.is_none());
     }
 
+    fn rows(lines: &[&str]) -> OutputPayload {
+        OutputPayload::RowSet(lines.iter().map(|l| l.replace('|', "\u{1f}")).collect())
+    }
+
     #[test]
     fn rowset_equality_ignores_row_order() {
-        let a = OutputPayload::RowSet(vec![
-            vec!["1".into(), "x".into()],
-            vec!["2".into(), "y".into()],
-        ]);
-        let b = OutputPayload::RowSet(vec![
-            vec!["2".into(), "y".into()],
-            vec!["1".into(), "x".into()],
-        ]);
+        let a = rows(&["1|x", "2|y"]);
+        let b = rows(&["2|y", "1|x"]);
         assert_eq!(a.diff(&b, 0.0), None);
         assert_eq!(a.digest(), b.digest());
-        let c = OutputPayload::RowSet(vec![vec!["1".into(), "z".into()]]);
+        let c = rows(&["1|z"]);
         assert!(a.diff(&c, 0.0).is_some());
         assert_ne!(a.digest(), c.digest());
     }
 
+    /// The digest and diff format goldens and verdicts are written in: an
+    /// unsorted row set with a NULL, a `-0.0`, a float, text and a
+    /// duplicate row hashes to the value the per-cell form computed.
+    #[test]
+    fn rowset_digest_and_diff_message_are_pinned() {
+        use bdb_common::record::row_lines;
+        use bdb_common::value::Value;
+        let mut table = vec![
+            vec![Value::from("b"), Value::Float(-0.0), Value::Int(3)],
+            vec![Value::Null, Value::Float(2.5), Value::Int(-1)],
+            vec![Value::from("a"), Value::Float(0.1), Value::Null],
+            vec![Value::from("b"), Value::Float(-0.0), Value::Int(3)],
+        ];
+        let a = OutputPayload::RowSet(row_lines(&table));
+        assert_eq!(format!("{:016x}", a.digest()), "7d8f737d05c1d07a");
+        table[2][1] = Value::Float(0.25);
+        let b = OutputPayload::RowSet(row_lines(&table));
+        assert_eq!(
+            a.diff(&b, 0.0).as_deref(),
+            Some(r#"rowset entry 1 differs: "a|0.1|NULL" vs "a|0.25|NULL""#)
+        );
+        assert_eq!(
+            a.diff(&OutputPayload::RowSet(vec![]), 0.0).as_deref(),
+            Some("rowset size differs: 4 vs 0 entries")
+        );
+    }
+
     proptest::proptest! {
-        /// What lets an engine emit rows unsorted: a row set stringified in
-        /// emission order and one stringified from the `cmp_records`-sorted
-        /// rows are the same payload — over typed (int, float, text) rows
-        /// with NULLs, signed zeros and duplicate rows.
+        /// What lets an engine emit rows unsorted: a row set built in
+        /// emission order and one built from the `cmp_records`-sorted rows
+        /// are the same payload — over typed (int, float, text) rows with
+        /// NULLs, signed zeros and duplicate rows. Both hash to what the
+        /// per-cell form (a `String` per cell, joined and sorted per call)
+        /// hashed.
         #[test]
         fn rowset_digest_and_diff_ignore_emission_order(
             cells in proptest::collection::vec(
@@ -314,7 +376,7 @@ mod tests {
             ),
             dup in 0usize..40,
         ) {
-            use bdb_common::record::{cmp_records, Record};
+            use bdb_common::record::{cmp_records, row_lines, Record};
             use bdb_common::value::Value;
             let mut emitted: Vec<Record> = cells
                 .iter()
@@ -329,14 +391,24 @@ mod tests {
             }
             let mut sorted = emitted.clone();
             sorted.sort_by(cmp_records);
-            let payload = |rows: &[Record]| {
-                OutputPayload::RowSet(
-                    rows.iter().map(|r| r.iter().map(ToString::to_string).collect()).collect(),
-                )
-            };
-            let (a, b) = (payload(&emitted), payload(&sorted));
+            let (a, b) = (OutputPayload::RowSet(row_lines(&emitted)), OutputPayload::RowSet(row_lines(&sorted)));
             proptest::prop_assert_eq!(a.digest(), b.digest());
             proptest::prop_assert_eq!(a.diff(&b, 0.0), None);
+            let per_cell_digest = {
+                let mut lines: Vec<String> = emitted
+                    .iter()
+                    .map(|r| r.iter().map(ToString::to_string).collect::<Vec<_>>().join("\u{1f}"))
+                    .collect();
+                lines.sort_unstable();
+                let mut h = Fnv1a::new();
+                h.write(b"rowset\x1e");
+                for line in &lines {
+                    h.write(line.as_bytes());
+                    h.write(&[0x1e]);
+                }
+                h.finish()
+            };
+            proptest::prop_assert_eq!(a.digest(), per_cell_digest);
         }
     }
 
@@ -361,7 +433,7 @@ mod tests {
 
     #[test]
     fn digest_separates_shapes() {
-        let rows = OutputPayload::RowSet(vec![vec!["a".into()]]);
+        let rows = rows(&["a"]);
         let ordered = OutputPayload::Ordered(vec!["a".into()]);
         assert_ne!(rows.digest(), ordered.digest());
         assert_eq!(rows.len(), 1);

@@ -110,6 +110,22 @@ done
     | grep -q "verdict   CONFORMANT" \
     || { echo "conformance gate: --rate/--workers changed the generated data"; exit 1; }
 echo "conformance gate: rate-controlled run matches the same golden digest"
+# The strict tier through the binary: each run re-derives its answer on the
+# reference oracle, diffs the engine's row set against it, and matches the
+# committed golden. A run that recorded a golden instead of matching one
+# would leave a new file under goldens/, which fails the gate here.
+for prescription in relational/join micro/sort; do
+    for system in sql mapreduce; do
+        ./target/release/bdbench run "$prescription" --scale 300 --seed 42 --system "$system" \
+            --verify --goldens goldens | grep -q "verdict   CONFORMANT" \
+            || { echo "strict gate: $prescription on $system diverged"; exit 1; }
+        echo "strict gate: $prescription on $system matches the oracle and its golden"
+    done
+done
+if [ -n "$(git status --porcelain goldens)" ]; then
+    echo "strict gate: a run recorded a golden instead of matching one:"
+    git status --porcelain goldens; exit 1
+fi
 
 echo "== adaptive routing smoke (two-pass verify, shared observed costs) =="
 # The full verification matrix swept twice under --routing adaptive with

@@ -12,6 +12,7 @@
 //! retention, at most 16 bytes per event for the collectors.
 
 use bdbench::common::event::Event;
+use bdbench::common::record::row_lines;
 use bdbench::stream::behavioral::{run_behavioral, BehavioralSpec, RETENTION_MAX_PERIODS};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,22 +30,19 @@ fn per_user(events: &[Event]) -> BTreeMap<u64, Vec<(u64, u64)>> {
     users
 }
 
-fn ref_sessionize(events: &[Event], gap_ms: u64) -> Vec<Vec<String>> {
-    per_user(events)
-        .into_iter()
-        .map(|(user, seq)| {
-            let mut sessions = 1u64;
-            for w in seq.windows(2) {
-                if w[1].0 - w[0].0 > gap_ms {
-                    sessions += 1;
-                }
+fn ref_sessionize(events: &[Event], gap_ms: u64) -> Vec<String> {
+    row_lines(per_user(events).into_iter().map(|(user, seq)| {
+        let mut sessions = 1u64;
+        for w in seq.windows(2) {
+            if w[1].0 - w[0].0 > gap_ms {
+                sessions += 1;
             }
-            vec![user.to_string(), sessions.to_string(), seq.len().to_string()]
-        })
-        .collect()
+        }
+        [user, sessions, seq.len() as u64]
+    }))
 }
 
-fn ref_retention(events: &[Event], period_ms: u64, periods: u32) -> Vec<Vec<String>> {
+fn ref_retention(events: &[Event], period_ms: u64, periods: u32) -> Vec<String> {
     let users = per_user(events);
     let sets: Vec<BTreeSet<u64>> = users
         .values()
@@ -54,49 +52,44 @@ fn ref_retention(events: &[Event], period_ms: u64, periods: u32) -> Vec<Vec<Stri
                 .collect()
         })
         .collect();
-    (0..periods.min(RETENTION_MAX_PERIODS))
-        .map(|d| {
-            let returned = sets
-                .iter()
-                .filter(|s| {
-                    s.first().is_some_and(|c| {
-                        c + u64::from(d) < u64::from(RETENTION_MAX_PERIODS)
-                            && s.contains(&(c + u64::from(d)))
-                    })
+    row_lines((0..periods.min(RETENTION_MAX_PERIODS)).map(|d| {
+        let returned = sets
+            .iter()
+            .filter(|s| {
+                s.first().is_some_and(|c| {
+                    c + u64::from(d) < u64::from(RETENTION_MAX_PERIODS)
+                        && s.contains(&(c + u64::from(d)))
                 })
-                .count();
-            vec![d.to_string(), returned.to_string(), sets.len().to_string()]
-        })
-        .collect()
+            })
+            .count();
+        [d as usize, returned, sets.len()]
+    }))
 }
 
-fn ref_funnel(events: &[Event], window_ms: u64, steps: &[u64]) -> Vec<Vec<String>> {
-    per_user(events)
-        .into_iter()
-        .map(|(user, seq)| {
-            // Per-anchor forward scan: try every step-0 hit as the
-            // window anchor and walk the rest of the sequence greedily.
-            let mut best = 0u64;
-            for (i, &(t0, a0)) in seq.iter().enumerate() {
-                if a0 != steps[0] {
-                    continue;
-                }
-                let mut level = 1usize;
-                for &(ts, action) in &seq[i + 1..] {
-                    if level >= steps.len() || ts - t0 > window_ms {
-                        break;
-                    }
-                    // Duplicate step actions count for the first
-                    // matching step only, exactly as the kernel does.
-                    if steps.iter().position(|&s| s == action) == Some(level) {
-                        level += 1;
-                    }
-                }
-                best = best.max(level as u64);
+fn ref_funnel(events: &[Event], window_ms: u64, steps: &[u64]) -> Vec<String> {
+    row_lines(per_user(events).into_iter().map(|(user, seq)| {
+        // Per-anchor forward scan: try every step-0 hit as the
+        // window anchor and walk the rest of the sequence greedily.
+        let mut best = 0u64;
+        for (i, &(t0, a0)) in seq.iter().enumerate() {
+            if a0 != steps[0] {
+                continue;
             }
-            vec![user.to_string(), best.to_string()]
-        })
-        .collect()
+            let mut level = 1usize;
+            for &(ts, action) in &seq[i + 1..] {
+                if level >= steps.len() || ts - t0 > window_ms {
+                    break;
+                }
+                // Duplicate step actions count for the first
+                // matching step only, exactly as the kernel does.
+                if steps.iter().position(|&s| s == action) == Some(level) {
+                    level += 1;
+                }
+            }
+            best = best.max(level as u64);
+        }
+        [user, best]
+    }))
 }
 
 /// Is `pattern` a subsequence of `actions`? Independent two-pointer walk.
@@ -105,25 +98,22 @@ fn is_subsequence(pattern: &[u64], actions: &[u64]) -> bool {
     pattern.iter().all(|p| it.any(|a| a == p))
 }
 
-fn ref_sequence(events: &[Event], steps: &[u64]) -> Vec<Vec<String>> {
-    per_user(events)
-        .into_iter()
-        .map(|(user, seq)| {
-            let actions: Vec<u64> = seq
-                .iter()
-                .filter(|(_, a)| steps.contains(a))
-                .map(|&(_, a)| a)
-                .collect();
-            // Longest matched prefix, checked prefix by prefix from the
-            // longest down — no greedy pointer shared with the kernel.
-            let matched = (0..=steps.len())
-                .rev()
-                .find(|&p| is_subsequence(&steps[..p], &actions))
-                .unwrap_or(0);
-            let hit = u64::from(matched == steps.len());
-            vec![user.to_string(), matched.to_string(), hit.to_string()]
-        })
-        .collect()
+fn ref_sequence(events: &[Event], steps: &[u64]) -> Vec<String> {
+    row_lines(per_user(events).into_iter().map(|(user, seq)| {
+        let actions: Vec<u64> = seq
+            .iter()
+            .filter(|(_, a)| steps.contains(a))
+            .map(|&(_, a)| a)
+            .collect();
+        // Longest matched prefix, checked prefix by prefix from the
+        // longest down — no greedy pointer shared with the kernel.
+        let matched = (0..=steps.len())
+            .rev()
+            .find(|&p| is_subsequence(&steps[..p], &actions))
+            .unwrap_or(0);
+        let hit = u64::from(matched == steps.len());
+        [user, matched as u64, hit]
+    }))
 }
 
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {

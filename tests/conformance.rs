@@ -60,9 +60,9 @@ impl Engine for LyingEngine {
         let mut results = NativeEngine.execute(request)?;
         for r in &mut results {
             match &mut r.output {
-                Some(OutputPayload::RowSet(rows)) => {
-                    if let Some(cell) = rows.first_mut().and_then(|r| r.last_mut()) {
-                        cell.push('9');
+                Some(OutputPayload::RowSet(lines)) => {
+                    if let Some(line) = lines.first_mut() {
+                        line.push('9');
                     }
                 }
                 Some(OutputPayload::Ordered(items)) => {

@@ -1,13 +1,21 @@
 //! Property tests: the same abstract test on different engines yields the
-//! same answer (the paper's functional view), and engine kernels agree
-//! with straightforward reference implementations.
+//! same answer (the paper's functional view), the reference oracle agrees
+//! with them, and engine kernels agree with straightforward reference
+//! implementations.
 
-use bdbench::common::record::Table;
+use bdbench::common::record::{Table, CELL_SEP};
 use bdbench::common::value::{DataType, Field, Schema, Value};
+use bdbench::datagen::Dataset;
+use bdbench::exec::engine::{Engine, ExecutionRequest, SqlEngine};
+use bdbench::exec::{RoutingPolicy, RunTrace, SystemConfig};
 use bdbench::mapreduce::JobConfig;
+use bdbench::testgen::arrival::ArrivalSpec;
 use bdbench::testgen::bind::{BoundExecution, MapReduceBinding, PatternExecutor, SqlBinding};
 use bdbench::testgen::ops::{AggSpec, CompareOp, Operation, PredicateSpec, ScalarSpec};
 use bdbench::testgen::pattern::{InputRef, Step, WorkloadPattern};
+use bdbench::testgen::{Prescription, SystemKind};
+use bdbench::verify::oracle::oracle_payload;
+use bdbench::workloads::OutputPayload;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -16,7 +24,8 @@ use std::collections::BTreeMap;
 type Row = (Option<i64>, Option<i64>, f64, Option<&'static str>);
 
 /// `rows` as the table `(k, g, v, t)`, the key column typed `key_type`
-/// (an Int key and the Float of the same value are one key to every engine).
+/// (an Int key and the Float of the same value are one key to every engine;
+/// a Float zero key is `-0.0`, whose text differs from the Int `0` it equals).
 fn table_of(rows: &[Row], key_type: DataType) -> Table {
     let schema = Schema::new(vec![
         Field::nullable("k", key_type),
@@ -27,7 +36,7 @@ fn table_of(rows: &[Row], key_type: DataType) -> Table {
     let mut t = Table::new(schema);
     for &(k, g, v, text) in rows {
         let key = match key_type {
-            DataType::Float => k.map(|k| Value::Float(k as f64)),
+            DataType::Float => k.map(|k| Value::Float(if k == 0 { -0.0 } else { k as f64 })),
             _ => k.map(Value::Int),
         };
         t.push(vec![
@@ -87,10 +96,9 @@ fn arb_op() -> impl Strategy<Value = Operation> {
                 Just(vec!["t".to_string(), "g".to_string()]),
             ],
         ).prop_map(|(function, over_g, group_by)| {
-            // `g` holds NULLs, which every aggregate skips. SUM stays on the
-            // column without them: over an all-NULL group it is NULL on sql
-            // and 0 on mapreduce and in the oracle (ROADMAP item 9).
-            let column = if over_g && function != AggSpec::Sum { "g" } else { "v" };
+            // `g` holds NULLs, which every aggregate skips; over an all-NULL
+            // group SUM, AVG, MIN and MAX are NULL and COUNT is 0.
+            let column = if over_g { "g" } else { "v" };
             Operation::Aggregate { function, column: Some(column.into()), group_by }
         }),
         Just(Operation::Project { columns: vec!["t".into(), "v".into()] }),
@@ -102,6 +110,80 @@ fn arb_op() -> impl Strategy<Value = Operation> {
 /// What a bound execution computed, without its timings.
 fn untimed(b: &BoundExecution) -> (&Table, u64, Vec<&str>) {
     (&b.output, b.record_ops, b.steps.iter().map(|s| s.op.as_str()).collect())
+}
+
+/// The third party: one request for `pattern` over `tables`, answered by
+/// the reference oracle and by the SQL engine (the sql binding's output as
+/// the row set it attaches). Returns `(oracle, sql)` payloads.
+fn oracle_and_sql(
+    pattern: &WorkloadPattern,
+    tables: &BTreeMap<String, Table>,
+) -> (OutputPayload, OutputPayload) {
+    let datasets: BTreeMap<String, Dataset> =
+        tables.iter().map(|(name, t)| (name.clone(), Dataset::Table(t.clone()))).collect();
+    let prescription = Prescription {
+        name: "equivalence".into(),
+        description: String::new(),
+        data: vec![],
+        pattern: pattern.clone(),
+        arrival: ArrivalSpec::Batch,
+        metrics: vec![],
+    };
+    let (config, trace) = (SystemConfig::default(), RunTrace::new());
+    let request = ExecutionRequest {
+        prescription: &prescription,
+        system: SystemKind::Sql,
+        seed: 1,
+        scale: 0,
+        datasets: &datasets,
+        config: &config,
+        trace: &trace,
+        routing: RoutingPolicy::default(),
+    };
+    let oracle = oracle_payload(&request).unwrap();
+    let sql = SqlEngine.execute(&request).unwrap().remove(0).output.unwrap();
+    (oracle, sql)
+}
+
+/// Column `col` of a row-set payload, as sorted cell texts.
+fn column_of(payload: &OutputPayload, col: usize) -> Vec<String> {
+    let OutputPayload::RowSet(lines) = payload else { panic!("a row set, got {payload:?}") };
+    let mut cells: Vec<String> =
+        lines.iter().map(|l| l.split(CELL_SEP).nth(col).unwrap().to_string()).collect();
+    cells.sort_unstable();
+    cells
+}
+
+/// SQL's rule on every engine: SUM over a group without a non-NULL value
+/// is NULL, over an Int column and over a Float one (where a `0` would not
+/// even fit the output schema).
+#[test]
+fn sum_over_an_all_null_group_is_null_on_every_engine() {
+    let mut t = Table::new(Schema::new(vec![
+        Field::new("grp", DataType::Text),
+        Field::nullable("i", DataType::Int),
+        Field::nullable("f", DataType::Float),
+    ]));
+    for (grp, i, f) in [("a", Some(1), Some(1.5)), ("a", None, None), ("b", None, None)] {
+        let (i, f) = (i.map_or(Value::Null, Value::Int), f.map_or(Value::Null, Value::Float));
+        t.push(vec![Value::from(grp), i, f]).unwrap();
+    }
+    let tables = BTreeMap::from([("t".to_string(), t)]);
+    for (column, sum_a) in [("i", Value::Int(1)), ("f", Value::Float(1.5))] {
+        let op = Operation::Aggregate {
+            function: AggSpec::Sum,
+            column: Some(column.into()),
+            group_by: vec!["grp".into()],
+        };
+        let pattern = WorkloadPattern::Single { op, input: "t".into() };
+        let expected = vec![vec![Value::from("a"), sum_a], vec![Value::from("b"), Value::Null]];
+        let sql = SqlBinding.execute(&pattern, &tables).unwrap();
+        assert_eq!(sql.sorted_rows(), expected, "sql SUM({column})");
+        let mr = MapReduceBinding::default().execute(&pattern, &tables).unwrap();
+        assert_eq!(mr.sorted_rows(), expected, "mapreduce SUM({column})");
+        let (oracle, sql) = oracle_and_sql(&pattern, &tables);
+        assert_eq!(oracle.diff(&sql, 0.0), None, "oracle SUM({column})");
+    }
 }
 
 proptest! {
@@ -148,6 +230,14 @@ proptest! {
             prop_assert_eq!(vs(&sql.output), vs(&mr.output));
         } else {
             prop_assert_eq!(sql.sorted_rows(), mr.sorted_rows());
+        }
+        // The oracle agrees with the sql engine's payload (for TopK, on
+        // the ranking column `v` only).
+        let (oracle, sql) = oracle_and_sql(&pattern, &datasets);
+        if is_topk {
+            prop_assert_eq!(column_of(&oracle, 2), column_of(&sql, 2));
+        } else {
+            prop_assert_eq!(oracle.diff(&sql, 0.0), None);
         }
     }
 
@@ -200,17 +290,23 @@ proptest! {
         let mut datasets = BTreeMap::new();
         datasets.insert("l".to_string(), table_from_rows(&left));
         datasets.insert("r".to_string(), table_of(&right, right_key));
+        let pattern_of = |op: Operation| WorkloadPattern::Multi {
+            steps: vec![Step {
+                id: 0,
+                op,
+                inputs: vec![InputRef::Dataset("l".into()), InputRef::Dataset("r".into())],
+            }],
+        };
         let run = |op: Operation| {
-            let pattern = WorkloadPattern::Multi {
-                steps: vec![Step {
-                    id: 0,
-                    op,
-                    inputs: vec![InputRef::Dataset("l".into()), InputRef::Dataset("r".into())],
-                }],
-            };
+            let pattern = pattern_of(op);
             let sql = SqlBinding.execute(&pattern, &datasets);
             let mr = MapReduceBinding::default().execute(&pattern, &datasets);
             (sql, mr)
+        };
+        // The oracle agrees with the sql engine's payload.
+        let oracle_agrees = |op: Operation| {
+            let (oracle, sql) = oracle_and_sql(&pattern_of(op), &datasets);
+            oracle.diff(&sql, 0.0)
         };
         let keys_of = |rows: &[Row]| -> Vec<Option<i64>> { rows.iter().map(|r| r.0).collect() };
         let (lk, rk) = (keys_of(&left), keys_of(&right));
@@ -223,18 +319,23 @@ proptest! {
         let expected: usize =
             lk.iter().flatten().map(|k| rk.iter().flatten().filter(|k2| *k2 == k).count()).sum();
         prop_assert_eq!(sql.output.len(), expected);
+        prop_assert_eq!(oracle_agrees(Operation::Join { left_on: "k".into(), right_on: "k".into() }), None);
 
         let (sql, mr) = run(Operation::IntersectOn { column: "k".into() });
         let (sql, mr) = (sql.unwrap(), mr.unwrap());
         prop_assert_eq!(sql.sorted_rows(), mr.sorted_rows());
         // Reference: a semi-join keeps each left row once; NULL matches NULL.
         prop_assert_eq!(sql.output.len(), lk.iter().filter(|k| rk.contains(k)).count());
+        // The oracle's semi-join keys by value, not text: a `0` key meets
+        // the right side's `-0.0`, and NULL meets NULL.
+        prop_assert_eq!(oracle_agrees(Operation::IntersectOn { column: "k".into() }), None);
 
         match run(Operation::Union) {
             (Ok(sql), Ok(mr)) => {
                 prop_assert!(!float_right);
                 prop_assert_eq!(&sql.output, &mr.output);
                 prop_assert_eq!(sql.output.len(), left.len() + right.len());
+                prop_assert_eq!(oracle_agrees(Operation::Union), None);
             }
             // Differently typed key columns are not union-compatible.
             (sql, mr) => {
