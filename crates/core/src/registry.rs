@@ -16,7 +16,19 @@ use bdb_datagen::text::markov::MarkovTextGenerator;
 use bdb_datagen::text::NaiveTextGenerator;
 use bdb_datagen::DataGenerator;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The model behind `text/lda`, trained once per process on the embedded
+/// corpus (training is the slow part; every build clones it). The suite
+/// models read the same model for their text generation and veracity
+/// probes.
+pub fn builtin_lda() -> &'static LdaModel {
+    static MODEL: OnceLock<LdaModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let config = LdaConfig { num_topics: 4, alpha: 0.1, beta: 0.01, iterations: 80 };
+        LdaModel::train(&RAW_TEXT_CORPUS, config, 0xBD).expect("the embedded corpus trains")
+    })
+}
 
 type Factory = Arc<dyn Fn() -> Result<Box<dyn DataGenerator>> + Send + Sync>;
 
@@ -43,10 +55,7 @@ impl GeneratorRegistry {
     /// A registry with every built-in generator family registered.
     pub fn with_builtins() -> Self {
         let mut r = Self::new();
-        r.register("text/lda", || {
-            let config = LdaConfig { num_topics: 4, alpha: 0.1, beta: 0.01, iterations: 80 };
-            Ok(Box::new(LdaModel::train(&RAW_TEXT_CORPUS, config, 0xBD)?))
-        });
+        r.register("text/lda", || Ok(Box::new(builtin_lda().clone())));
         r.register("text/markov-bigram", || {
             Ok(Box::new(MarkovTextGenerator::train(&RAW_TEXT_CORPUS)?))
         });
@@ -106,18 +115,12 @@ impl GeneratorRegistry {
 mod tests {
     use super::*;
     use bdb_datagen::volume::VolumeSpec;
-    use bdb_datagen::DataSourceKind;
 
     #[test]
     fn builtins_cover_all_four_kinds() {
         let r = GeneratorRegistry::with_builtins();
         let mut kinds = std::collections::BTreeSet::new();
         for id in r.ids() {
-            // Skip LDA here: training is slow and covered below.
-            if id == "text/lda" {
-                kinds.insert(DataSourceKind::Text.to_string());
-                continue;
-            }
             let gen = r.build(id).unwrap();
             kinds.insert(gen.kind().to_string());
         }
@@ -130,6 +133,19 @@ mod tests {
         let gen = r.build("table/retail-fitted").unwrap();
         let d = gen.generate(1, &VolumeSpec::Items(10)).unwrap();
         assert_eq!(d.item_count(), 10);
+    }
+
+    #[test]
+    fn lda_builds_share_one_model_and_generate_as_a_fresh_one() {
+        assert!(std::ptr::eq(builtin_lda(), builtin_lda()));
+        let config = LdaConfig { num_topics: 4, alpha: 0.1, beta: 0.01, iterations: 80 };
+        let fresh = LdaModel::train(&RAW_TEXT_CORPUS, config, 0xBD).unwrap();
+        let built = GeneratorRegistry::with_builtins().build("text/lda").unwrap();
+        let docs = |gen: &dyn DataGenerator| match gen.generate(7, &VolumeSpec::Items(40)) {
+            Ok(bdb_datagen::Dataset::Text { docs, .. }) => docs,
+            other => panic!("text/lda generated {other:?}"),
+        };
+        assert_eq!(docs(built.as_ref()), docs(&fresh));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The Table 1 / Table 2 classification vocabulary and the suite trait.
 
-use bdb_common::Result;
 use bdb_datagen::{DataGenerator, DataSourceKind};
-use bdb_workloads::{WorkloadCategory, WorkloadResult};
+use bdb_testgen::SystemKind;
+use bdb_workloads::WorkloadCategory;
 
 /// Table 1's *Volume* column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,10 +82,35 @@ pub struct SuiteDescriptor {
     pub veracity: VeracityClass,
     /// Table 2 workload-type cells.
     pub workload_types: Vec<WorkloadCategory>,
-    /// Table 2 example workloads.
-    pub example_workloads: Vec<&'static str>,
-    /// Table 2 software stacks.
-    pub software_stacks: Vec<&'static str>,
+    /// Table 2 example workloads, each paired with what runs it.
+    pub workloads: Vec<SuiteWorkload>,
+    /// Table 2 software stacks, each with the system that stands in for
+    /// it.
+    pub software_stacks: Vec<(&'static str, SystemKind)>,
+}
+
+/// One Table 2 example-workload cell and the repository prescription
+/// that runs it. An example may appear more than once, once per
+/// prescription or system it runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SuiteWorkload {
+    /// The example as the paper names it.
+    pub example: &'static str,
+    /// The prescription and the system it runs on, or `None` when no
+    /// repository prescription expresses the example ("not run").
+    pub run: Option<(&'static str, SystemKind)>,
+}
+
+impl SuiteWorkload {
+    /// An example that runs `prescription` on `system`.
+    pub fn on(example: &'static str, prescription: &'static str, system: SystemKind) -> Self {
+        Self { example, run: Some((prescription, system)) }
+    }
+
+    /// An example no prescription expresses.
+    pub fn not_run(example: &'static str) -> Self {
+        Self { example, run: None }
+    }
 }
 
 /// Capability flags a suite's data-generation tooling exposes; the
@@ -140,9 +165,6 @@ pub trait BenchmarkSuite {
     /// type, or `None` when the suite's generation never looks at real
     /// data (→ un-considered).
     fn veracity_probe(&self, seed: u64) -> Option<VeracityProbe>;
-
-    /// Run the suite's representative workloads at a small scale.
-    fn run_workloads(&self, scale: u64, seed: u64) -> Result<Vec<WorkloadResult>>;
 }
 
 #[cfg(test)]

@@ -3,14 +3,15 @@
 //!
 //! The paper's evaluation artifacts are two survey tables classifying ten
 //! benchmark efforts. This crate makes those classifications *executable*:
-//! each suite in [`catalog`] is a runnable configuration of the framework
-//! that generates data the way the original suite does (e.g. HiBench's
-//! random text writer vs BigDataBench's model-fitted generation) and runs
-//! that suite's representative workloads on the matching engine analogs.
+//! each suite in [`catalog`] generates data the way the original suite
+//! does (e.g. HiBench's random text writer vs BigDataBench's model-fitted
+//! generation) and pairs each of the paper's example workloads with the
+//! repository prescription and system that run it, or "not run".
 //!
 //! * [`descriptor`] — the classification vocabulary (scalable /
 //!   partially-scalable, un-/semi-/fully-controllable, un-/partially-/
-//!   considered) plus the `BenchmarkSuite` trait.
+//!   considered), the example-to-prescription pairing, and the
+//!   `BenchmarkSuite` trait.
 //! * [`catalog`] — the ten surveyed suites (HiBench, GridMix, PigMix,
 //!   YCSB, the Pavlo performance benchmark, TPC-DS, BigBench, LinkBench,
 //!   CloudSuite, BigDataBench) **plus** `bdbench` itself, the framework
@@ -18,8 +19,9 @@
 //!   (fully controllable velocity, veracity metrics).
 //! * [`table1`] — empirically measures each suite's 4V classification and
 //!   prints the Table 1 comparison (paper's cell vs measured cell).
-//! * [`table2`] — runs each suite's workloads and prints the Table 2
-//!   comparison (workload types, examples, stacks) with live metrics.
+//! * [`table2`] — runs each suite's prescriptions through
+//!   `Benchmark::run` under the strict oracle and prints the Table 2
+//!   comparison (measured workload types, examples, stacks, verdicts).
 
 pub mod catalog;
 pub mod descriptor;
@@ -28,7 +30,7 @@ pub mod table2;
 
 pub use catalog::all_suites;
 pub use descriptor::{
-    BenchmarkSuite, SuiteDescriptor, VelocityClass, VeracityClass, VolumeClass,
+    BenchmarkSuite, SuiteDescriptor, SuiteWorkload, VelocityClass, VeracityClass, VolumeClass,
 };
 pub use table1::{measure_suite, MeasuredRow};
-pub use table2::run_suite_workloads;
+pub use table2::{run_suite, SuiteRun};

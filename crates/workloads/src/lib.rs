@@ -10,7 +10,7 @@
 //! | [`social`] | k-means, connected components | social network domain |
 //! | [`ecommerce`] | naive Bayes, item-based collaborative filtering | e-commerce domain |
 //! | [`oltp`] | YCSB A–F analog operation mixes on the LSM store | online services / Cloud OLTP |
-//! | [`relational`] | Pavlo-benchmark tasks: load, selection, aggregation, join | real-time analytics |
+//! | [`relational`] | the Pavlo benchmark's `uservisits` table generator (its tasks are prescriptions) | real-time analytics |
 //! | [`streaming`] | windowed stream analytics at paced arrival rates | real-time analytics |
 //! | [`hybrid`] | Section 5.2 truly-hybrid mixed workload | mixed |
 //!

@@ -1,40 +1,9 @@
-//! Real-time analytics: the Pavlo-benchmark relational tasks.
-//!
-//! Table 2 lists "Data loading, select, aggregate, join, count URL links"
-//! for the performance benchmark of Pavlo et al., and "Relational database
-//! query (select, aggregate, join)" for BigDataBench. This module builds
-//! the benchmark's two tables (`rankings`, `uservisits`) with the 4V table
-//! generator and runs each task on the SQL engine, with MapReduce
-//! equivalents via the `bdb-testgen` bindings where the original paper
-//! compared both systems.
+//! The Pavlo performance benchmark's `uservisits` web-log table, which the
+//! Section 5.2 hybrid mix scans. The benchmark's tasks (select, aggregate,
+//! join) are repository prescriptions.
 
-use crate::{WorkloadCategory, WorkloadResult};
-use bdb_common::record::Table;
 use bdb_common::value::{DataType, Field, Schema};
-use bdb_common::Result;
 use bdb_datagen::table::{ColumnModel, TableGenerator};
-use bdb_metrics::{MetricsCollector, OpCounts};
-use bdb_sql::Engine;
-
-/// The `rankings` table generator: pageURL, pageRank, avgDuration.
-pub fn rankings_generator() -> TableGenerator {
-    let schema = Schema::new(vec![
-        Field::new("page_id", DataType::Int),
-        Field::new("page_rank", DataType::Int),
-        Field::new("avg_duration", DataType::Int),
-    ]);
-    TableGenerator::new(
-        "rankings",
-        schema,
-        vec![
-            ColumnModel::SequentialId { start: 0 },
-            // Page ranks are heavy-tailed.
-            ColumnModel::SkewedKey { cardinality: 10_000, exponent: 0.8 },
-            ColumnModel::UniformInt { lo: 1, hi: 100 },
-        ],
-    )
-    .expect("valid rankings generator")
-}
 
 /// The `uservisits` table generator: sourceIP (as int), destination page,
 /// visit date, ad revenue.
@@ -57,162 +26,4 @@ pub fn uservisits_generator(num_pages: u64) -> TableGenerator {
         ],
     )
     .expect("valid uservisits generator")
-}
-
-/// The Pavlo task suite bound to the SQL engine.
-#[derive(Debug)]
-pub struct PavloTasks {
-    engine: Engine,
-    rankings_rows: u64,
-    visits_rows: u64,
-}
-
-impl PavloTasks {
-    /// Generate both tables (data loading task) and register them.
-    pub fn load(rankings_rows: u64, visits_rows: u64, seed: u64) -> Result<(Self, WorkloadResult)> {
-        let collector = MetricsCollector::new();
-        let rankings = rankings_generator().generate_shard(seed, 0, rankings_rows);
-        let visits = uservisits_generator(rankings_rows).generate_shard(seed ^ 1, 0, visits_rows);
-        let mut engine = Engine::new();
-        engine.register("rankings", rankings)?;
-        engine.register("uservisits", visits)?;
-        let mut c = collector;
-        c.record_operations(rankings_rows + visits_rows);
-        let user = c.finish();
-        let ops = OpCounts { record_ops: rankings_rows + visits_rows, float_ops: 0 };
-        let result = WorkloadResult::assemble(
-            "relational/load",
-            "sql",
-            WorkloadCategory::RealTimeAnalytics,
-            user,
-            ops,
-            rankings_rows + visits_rows,
-        );
-        Ok((Self { engine, rankings_rows, visits_rows }, result))
-    }
-
-    /// Direct access to the engine (for follow-up queries).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    fn run_query(&mut self, name: &str, sql: &str) -> Result<(Table, WorkloadResult)> {
-        self.engine.reset_stats();
-        let collector = MetricsCollector::new();
-        let out = self.engine.sql(sql)?;
-        let mut c = collector;
-        c.record_operations(out.len() as u64);
-        let user = c.finish();
-        let stats = self.engine.stats();
-        let ops = OpCounts { record_ops: stats.total_ops(), float_ops: 0 };
-        let result = WorkloadResult::assemble(
-            name,
-            "sql",
-            WorkloadCategory::RealTimeAnalytics,
-            user,
-            ops,
-            self.rankings_rows + self.visits_rows,
-        )
-        .with_detail("output_rows", out.len() as f64);
-        Ok((out, result))
-    }
-
-    /// Selection task: pages above a rank threshold.
-    pub fn selection(&mut self, min_rank: i64) -> Result<(Table, WorkloadResult)> {
-        self.run_query(
-            "relational/selection",
-            &format!("SELECT page_id, page_rank FROM rankings WHERE page_rank > {min_rank}"),
-        )
-    }
-
-    /// Aggregation task: ad revenue grouped by source IP prefix (here the
-    /// raw source id).
-    pub fn aggregation(&mut self) -> Result<(Table, WorkloadResult)> {
-        self.run_query(
-            "relational/aggregation",
-            "SELECT source_ip, SUM(ad_revenue) AS revenue FROM uservisits GROUP BY source_ip",
-        )
-    }
-
-    /// Join task: average rank and total revenue of visited pages.
-    pub fn join(&mut self) -> Result<(Table, WorkloadResult)> {
-        self.run_query(
-            "relational/join",
-            "SELECT rankings.page_rank, uservisits.ad_revenue FROM uservisits \
-             JOIN rankings ON uservisits.dest_page = rankings.page_id \
-             WHERE rankings.page_rank > 10",
-        )
-    }
-
-    /// Count-URL-links analog: visits per destination page, top 10.
-    pub fn count_links(&mut self) -> Result<(Table, WorkloadResult)> {
-        self.run_query(
-            "relational/count-links",
-            "SELECT dest_page, COUNT(*) AS visits FROM uservisits \
-             GROUP BY dest_page ORDER BY visits DESC LIMIT 10",
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tasks() -> PavloTasks {
-        PavloTasks::load(500, 2000, 7).unwrap().0
-    }
-
-    #[test]
-    fn load_builds_both_tables() {
-        let (t, result) = PavloTasks::load(100, 300, 1).unwrap();
-        assert_eq!(result.report.user.operations, 400);
-        let mut t = t;
-        let out = t.engine_mut().sql("SELECT COUNT(*) FROM rankings").unwrap();
-        assert_eq!(out.rows()[0][0].as_i64(), Some(100));
-    }
-
-    #[test]
-    fn selection_filters_by_rank() {
-        let mut t = tasks();
-        let (out, result) = t.selection(50).unwrap();
-        assert!(out.len() < 500);
-        for row in out.rows() {
-            assert!(row[1].as_i64().unwrap() > 50);
-        }
-        assert_eq!(result.detail("output_rows"), Some(out.len() as f64));
-    }
-
-    #[test]
-    fn aggregation_groups_by_source() {
-        let mut t = tasks();
-        let (out, _) = t.aggregation().unwrap();
-        assert!(!out.is_empty());
-        // Revenue sums are positive (lognormal values).
-        for row in out.rows() {
-            assert!(row[1].as_f64().unwrap() > 0.0);
-        }
-    }
-
-    #[test]
-    fn join_matches_visits_to_pages() {
-        let mut t = tasks();
-        let (out, result) = t.join().unwrap();
-        assert!(!out.is_empty());
-        assert!(out.len() <= 2000);
-        for row in out.rows() {
-            assert!(row[0].as_i64().unwrap() > 10);
-        }
-        assert!(result.report.ops.record_ops > 0);
-    }
-
-    #[test]
-    fn count_links_returns_top_pages_sorted() {
-        let mut t = tasks();
-        let (out, _) = t.count_links().unwrap();
-        assert!(out.len() <= 10);
-        let counts: Vec<i64> = out.rows().iter().map(|r| r[1].as_i64().unwrap()).collect();
-        assert!(counts.windows(2).all(|w| w[0] >= w[1]), "descending {counts:?}");
-        // Popular pages absorb disproportionate visits (Zipf 0.9).
-        assert!(counts[0] >= 10, "hottest page visits {}", counts[0]);
-    }
 }

@@ -127,6 +127,18 @@ if [ -n "$(git status --porcelain goldens)" ]; then
     git status --porcelain goldens; exit 1
 fi
 
+echo "== paper tables (Table 1 and Table 2 regenerate) =="
+# Table 1 exits nonzero when a measured row stops matching the paper.
+# Table 2 runs every suite's prescriptions through the pipeline under the
+# strict oracle and exits nonzero when a run errors or diverges; a type
+# cell that differs from the paper is printed as a finding. Its goldens
+# go to a directory the runner owns, so goldens/ stays as it was (the
+# closing tracked-file check proves it).
+./target/release/bdbench table1 >/dev/null || { echo "table1: a row stopped matching the paper"; exit 1; }
+./target/release/bdbench table2 --scale 200 >/dev/null \
+    || { echo "table2: a suite run errored or diverged"; exit 1; }
+echo "paper tables: table1 matches the paper, table2 runs CONFORMANT"
+
 echo "== adaptive routing smoke (two-pass verify, shared observed costs) =="
 # The full verification matrix swept twice under --routing adaptive with
 # one observed-cost store shared across passes: both passes must be

@@ -50,3 +50,15 @@ fn list_names_the_five_engines() {
         assert!(engines.contains(&format!("  {engine} ")), "{engine} missing from:\n{engines}");
     }
 }
+
+#[test]
+fn suite_tables_at_scale_zero_and_one_never_panic() {
+    for args in [
+        &["table2", "--scale", "0"][..],
+        &["table2", "--scale", "1"][..],
+        &["suite", "hibench", "--scale", "0"][..],
+    ] {
+        let out = bdbench(args);
+        assert!(!stderr(&out).contains("panicked at"), "{args:?}: {}", stderr(&out));
+    }
+}
