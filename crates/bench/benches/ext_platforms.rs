@@ -1,52 +1,40 @@
 //! EXT1 — heterogeneous hardware platforms (Section 5.2).
 //!
-//! Runs real workloads on the baseline engines, then projects each onto
-//! the modeled platform set (Xeon, Xeon+GPGPU, Xeon+MIC, microserver) and
-//! answers the paper's two questions: is there a consistent
-//! performance+energy winner across all applications (expected: no), and
-//! which platform suits each application class.
+//! Runs five repository prescriptions through `Benchmark::run` on the
+//! baseline engines, then projects each measured result onto the modeled
+//! platform set (Xeon, Xeon+GPGPU, Xeon+MIC, microserver) and answers the
+//! paper's two questions: is there a consistent performance+energy winner
+//! across all applications (expected: no), and which platform suits each
+//! application class.
 
-use bdb_common::rng::{Rng, Xoshiro256};
-use bdb_datagen::corpus::RAW_TEXT_CORPUS;
-use bdb_datagen::graph::RmatGenerator;
-use bdb_datagen::text::NaiveTextGenerator;
-use bdb_datagen::volume::VolumeSpec;
-use bdb_datagen::{DataGenerator, Dataset};
+use bdb_core::{Benchmark, BenchmarkSpec};
 use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_metrics::platform::{PlatformProfile, PlatformStudy};
 use bdb_metrics::MetricReport;
-use bdb_workloads::{micro, oltp, search, social};
+use bdb_testgen::SystemKind;
 
+/// The measured baseline: one pipeline run per (prescription, system,
+/// scale), each result's report as it was made.
 fn measured_workloads() -> Vec<MetricReport> {
-    let mut rng = Xoshiro256::new(1);
-    let keys: Vec<u64> = (0..50_000).map(|_| rng.next_u64()).collect();
-    let gen = NaiveTextGenerator::from_corpus(&RAW_TEXT_CORPUS);
-    let docs = match gen.generate(1, &VolumeSpec::Items(2_000)).expect("generates") {
-        Dataset::Text { docs, .. } => docs,
-        _ => unreachable!(),
-    };
-    let graph = RmatGenerator::standard(8.0).generate_graph(1, 12);
-    let (points, _) = social::gaussian_mixture(20_000, 5, 8, 2.0, 1);
-    let ycsb = oltp::run_ycsb(
-        &oltp::YcsbSpec::b(),
-        &oltp::YcsbConfig {
-            record_count: 5_000,
-            operation_count: 10_000,
-            clients: 2,
-            value_size: 64,
-        },
-        1,
-    )
-    .2;
-    vec![
-        micro::sort_native(&keys).1.report,
-        micro::wordcount_native(&docs).1.report,
-        search::pagerank_native(&graph.to_csr(), &Default::default()).2.report,
-        social::kmeans_native(&points, &social::KMeansConfig { k: 5, ..Default::default() }, 1)
-            .3
-            .report,
-        ycsb.report,
+    let bench = Benchmark::new();
+    [
+        ("micro/sort", SystemKind::Sql, 50_000),
+        ("micro/wordcount", SystemKind::Native, 2_000),
+        ("search/pagerank", SystemKind::Native, 1 << 12),
+        ("social/kmeans", SystemKind::Native, 20_000),
+        ("oltp/read-mostly", SystemKind::KeyValue, 5_000),
     ]
+    .into_iter()
+    .map(|(prescription, system, scale)| {
+        let spec = BenchmarkSpec::new("ext1")
+            .with_prescription(prescription)
+            .with_system(system)
+            .with_scale(scale)
+            .with_seed(1);
+        let run = bench.run(&spec).unwrap_or_else(|e| panic!("{prescription} runs: {e}"));
+        run.results[0].report.clone()
+    })
+    .collect()
 }
 
 fn report() {

@@ -30,10 +30,8 @@ pub struct BenchmarkSpec {
     pub scale: Option<u64>,
     /// Target data generation rate (items/sec), if velocity-controlled.
     pub target_rate: Option<f64>,
-    /// Parallel generator workers for the data generation step. `None`
-    /// defers to the Execution Layer's [`SystemConfig`]; `Some(n)` is an
-    /// explicit request (so `Some(1)` forces sequential generation even
-    /// when the system config asks for parallelism).
+    /// Parallel generator workers for the data generation step (0 =
+    /// available parallelism). `None` generates sequentially.
     pub generator_workers: Option<usize>,
     /// Master seed.
     pub seed: u64,
@@ -106,8 +104,7 @@ impl BenchmarkSpec {
     }
 
     /// Deploy N parallel data generators (0 = available parallelism,
-    /// 1 = sequential). An explicit setting always wins over the
-    /// Execution Layer's default.
+    /// 1 = sequential, the default).
     pub fn with_generator_workers(mut self, workers: usize) -> Self {
         self.generator_workers = Some(workers);
         self

@@ -16,7 +16,7 @@
 //! and recovery event is recorded in the run's [`RunTrace`].
 
 use crate::layers::{BenchmarkSpec, ExecutionLayer, FunctionLayer};
-use bdb_common::{pool, Result};
+use bdb_common::{pool, BdbError, Result};
 use bdb_datagen::velocity::VelocityController;
 use bdb_datagen::Dataset;
 use bdb_exec::analyzer::{
@@ -171,6 +171,13 @@ impl Benchmark {
         let t0 = Instant::now();
         let prescription = self.function_layer.repository.get(&spec.prescription)?.clone();
         prescription.validate()?;
+        if let Some(rate) = spec.target_rate {
+            if !(rate.is_finite() && rate > 0.0) {
+                return Err(BdbError::InvalidConfig(format!(
+                    "target rate must be a positive number of items/sec, got {rate}"
+                )));
+            }
+        }
         finish_phase(&trace, Phase::Planning, t0);
 
         // ---- 2. Data generation ----
@@ -180,13 +187,9 @@ impl Benchmark {
         let mut data_summary = Vec::new();
         let mut generation_rate = None;
         let mut generation: Option<GenerationMetrics> = None;
-        // An explicit spec worker knob wins; otherwise the exec-layer
-        // system config decides (its default, 1, means sequential; 0 means
-        // available parallelism).
-        let workers = pool::effective_workers(
-            spec.generator_workers
-                .unwrap_or(self.execution_layer.system_config.generator_workers),
-        );
+        // The spec's worker knob; unset is sequential, 0 is available
+        // parallelism.
+        let workers = pool::effective_workers(spec.generator_workers.unwrap_or(1));
         for (i, data_spec) in prescription.data.iter().enumerate() {
             let generator = self.function_layer.generators.build(&data_spec.generator)?;
             let items = spec.scale.unwrap_or(data_spec.items);
@@ -675,18 +678,11 @@ mod tests {
     }
 
     #[test]
-    fn exec_config_plumbs_generator_workers() {
-        let spec = BenchmarkSpec::new("cfg")
-            .with_prescription("micro/wordcount")
-            .with_scale(150)
-            .with_seed(2);
-        let mut b = Benchmark::new();
-        b.execution_layer_mut().system_config =
-            b.execution_layer_mut().system_config.clone().with_generator_workers(2);
-        let r = b.run(&spec).unwrap();
-        assert_eq!(r.generation.unwrap().workers, 2);
-        assert!(r.generation_rate.is_some());
-        assert_eq!(r.data_summary[0].2, 150);
+    fn generator_workers_default_is_sequential() {
+        let spec = BenchmarkSpec::new("seq").with_prescription("micro/wordcount").with_scale(150);
+        let r = Benchmark::new().run(&spec).unwrap();
+        assert_eq!(r.generation.unwrap().workers, 1);
+        assert!(r.generation_rate.is_none());
     }
 
     #[test]

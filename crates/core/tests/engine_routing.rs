@@ -342,21 +342,15 @@ fn run_trace_spans_the_five_figure1_phases() {
 
 #[test]
 fn explicit_workers_override_system_config() {
-    // --workers 1 (explicit) must force sequential generation even when
-    // the execution layer's system config asks for parallelism.
-    let spec = BenchmarkSpec::new("seq")
-        .with_prescription("micro/wordcount")
-        .with_scale(150)
-        .with_generator_workers(1)
-        .with_seed(3);
+    // The spec's worker knob (--workers) is the only one: the execution
+    // layer's thread count sizes the engines, never data generation.
     let mut b = Benchmark::new();
     b.execution_layer_mut().system_config =
-        b.execution_layer_mut().system_config.clone().with_generator_workers(4);
+        b.execution_layer_mut().system_config.clone().with_threads(4);
+    let spec = BenchmarkSpec::new("cfg").with_prescription("micro/wordcount").with_scale(150);
     let r = b.run(&spec).unwrap();
     assert_eq!(r.generation.unwrap().workers, 1);
 
-    // And with no explicit setting the system config decides.
-    let spec = BenchmarkSpec::new("cfg").with_prescription("micro/wordcount").with_scale(150);
-    let r = b.run(&spec).unwrap();
-    assert_eq!(r.generation.unwrap().workers, 4);
+    let r = b.run(&spec.with_generator_workers(3).with_seed(3)).unwrap();
+    assert_eq!(r.generation.unwrap().workers, 3);
 }

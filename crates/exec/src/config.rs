@@ -8,35 +8,18 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Runtime configuration for one engine under test.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Worker threads for parallel data generation (0 = available
-    /// parallelism, 1 = sequential). Kept separate from `threads` because
-    /// generation and execution are different phases with different
-    /// scaling behaviour.
-    pub generator_workers: usize,
     /// Engine-specific free-form parameters.
     pub parameters: BTreeMap<String, String>,
-}
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        Self { threads: 0, generator_workers: 1, parameters: BTreeMap::new() }
-    }
 }
 
 impl SystemConfig {
     /// Set the thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the data-generation worker count (0 = available parallelism).
-    pub fn with_generator_workers(mut self, workers: usize) -> Self {
-        self.generator_workers = workers;
         self
     }
 
@@ -139,16 +122,9 @@ mod tests {
     fn builder_sets_fields() {
         let c = SystemConfig::default()
             .with_threads(8)
-            .with_generator_workers(4)
             .with_parameter("reduce_tasks", "16");
         assert_eq!(c.effective_threads(), 8);
-        assert_eq!(c.generator_workers, 4);
         assert_eq!(c.parameter::<usize>("reduce_tasks").unwrap(), 16);
-    }
-
-    #[test]
-    fn generator_workers_default_is_sequential() {
-        assert_eq!(SystemConfig::default().generator_workers, 1);
     }
 
     #[test]

@@ -42,12 +42,12 @@ use bdb_testgen::ops::{AggSpec, Operation};
 use bdb_testgen::pattern::WorkloadPattern;
 use bdb_testgen::{Prescription, SystemKind};
 use bdb_workloads::{
-    behavioral, micro, oltp, search, social, streaming, OutputPayload, WorkloadCategory,
+    behavioral, micro, oltp, search, social, streaming, OutputPayload, Work, WorkloadCategory,
     WorkloadResult,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The shape of a prescription's workload pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -150,6 +150,20 @@ impl WorkloadClass {
             return WorkloadClass::Element;
         }
         WorkloadClass::Relational
+    }
+
+    /// The Table 2 category a result of this class is filed under: text
+    /// and iterative kernels are offline analytics; relational, windowed
+    /// and behavioral queries real-time analytics; element mixes online
+    /// services.
+    pub fn category(self) -> WorkloadCategory {
+        match self {
+            WorkloadClass::Text | WorkloadClass::Iterative => WorkloadCategory::OfflineAnalytics,
+            WorkloadClass::Relational | WorkloadClass::Windowed | WorkloadClass::Behavioral => {
+                WorkloadCategory::RealTimeAnalytics
+            }
+            WorkloadClass::Element => WorkloadCategory::OnlineServices,
+        }
     }
 }
 
@@ -704,15 +718,57 @@ impl EngineRegistry {
 // Shared helpers
 // ---------------------------------------------------------------------
 //
-// The result contract: an engine attaches what it computed as an
-// `OutputPayload`, in whatever order it emitted it. A row becomes text in
-// one place (`row_lines`, one line per row), row order is normalised in
-// one place (`OutputPayload::canonical_lines`) and hashed in one place
+// The result contract: a result has one maker. Kernels return what they
+// computed plus the `Work` they counted; `make_result` names the result
+// after the prescription, files it under this engine and the category of
+// the prescription's class, and takes its duration from the one span the
+// engine measured (the same span its `OperationExecuted` event reports).
+// An engine attaches what it computed as an `OutputPayload`, in whatever
+// order it emitted it. A row becomes text in one place (`row_lines`, one
+// line per row), row order is normalised in one place
+// (`OutputPayload::canonical_lines`) and hashed in one place
 // (`CanonicalLines::digest`); nothing below sorts or hashes.
 
-/// Run a table-pattern binding over the request's lent tables and
-/// assemble the uniform result: one trace event per executed DAG step,
-/// and the output rows as row lines, in emission order.
+/// Make the result of `req` on `engine` from what the kernel counted and
+/// the span the engine measured.
+fn make_result(
+    req: &ExecutionRequest<'_>,
+    engine: &'static str,
+    work: Work,
+    elapsed: Duration,
+) -> WorkloadResult {
+    let mut collector = MetricsCollector::new();
+    collector.record_operations(work.operations);
+    WorkloadResult::assemble(
+        &req.prescription.name,
+        engine,
+        WorkloadClass::of(req.prescription).category(),
+        collector.finish_with_duration(elapsed),
+        work.ops,
+        work.input_items,
+    )
+}
+
+/// Run `kernel` once under the engine's clock: the span is recorded as the
+/// operation's trace event (with `rows` of its answer) and is the result's
+/// duration. Returns the kernel's answer and the result made from it.
+fn run_kernel<T>(
+    req: &ExecutionRequest<'_>,
+    engine: &'static str,
+    op: &str,
+    kernel: impl FnOnce() -> (T, Work),
+    rows: impl FnOnce(&T) -> u64,
+) -> (T, WorkloadResult) {
+    let t0 = Instant::now();
+    let (answer, work) = kernel();
+    let elapsed = t0.elapsed();
+    req.trace.operation(engine, op, rows(&answer), elapsed);
+    (answer, make_result(req, engine, work, elapsed))
+}
+
+/// Run a table-pattern binding over the request's lent tables and make
+/// the result: one trace event per executed DAG step, and the output rows
+/// as row lines, in emission order.
 fn execute_table_binding(
     binding: &dyn PatternExecutor,
     engine: &'static str,
@@ -728,31 +784,63 @@ fn execute_table_binding(
     for step in &bound.steps {
         req.trace.operation(engine, &step.op, step.rows_out, step.elapsed);
     }
-    let mut collector = MetricsCollector::new();
-    collector.record_operations(bound.output.len() as u64);
-    let user = collector.finish_with_duration(bound.elapsed);
-    let result = WorkloadResult::assemble(
-        &req.prescription.name,
-        engine,
-        WorkloadCategory::RealTimeAnalytics,
-        user,
-        OpCounts { record_ops: bound.record_ops, float_ops: 0 },
-        req.scale,
-    )
-    .with_detail("output_rows", bound.output.len() as f64)
-    .with_output(OutputPayload::RowSet(row_lines(bound.output.rows())));
+    let rows = bound.output.len() as u64;
+    let work = Work {
+        operations: rows,
+        ops: OpCounts { record_ops: bound.record_ops, float_ops: 0 },
+        input_items: req.scale,
+    };
+    let result = make_result(req, engine, work, bound.elapsed)
+        .with_detail("output_rows", rows as f64)
+        .with_output(OutputPayload::RowSet(row_lines(bound.output.rows())));
     Ok(vec![result])
 }
 
-/// Grep hits (matching document indices, in match order) as an ordered
-/// payload.
-fn grep_payload(hits: &[usize]) -> OutputPayload {
-    OutputPayload::Ordered(hits.iter().map(|i| i.to_string()).collect())
-}
-
-/// Word counts as an order-insensitive row set of `(word id, count)`.
-fn wordcount_payload(counts: &[(u32, u64)]) -> OutputPayload {
-    OutputPayload::RowSet(row_lines(counts.iter().map(|&(w, c)| [u64::from(w), c])))
+/// Text dispatch shared by the native and MapReduce engines: grep when the
+/// pattern greps, WordCount otherwise (`micro/wordcount`, `search/index`).
+fn execute_text(req: &ExecutionRequest<'_>, engine: &'static str) -> Result<Vec<WorkloadResult>> {
+    let (docs, vocab) = req.text_dataset()?;
+    let job = req.job_config();
+    let mapreduce = engine == "mapreduce";
+    let ops = req.prescription.pattern.operations();
+    let r = if let Some(Operation::Grep { pattern }) =
+        ops.iter().find(|o| matches!(o, Operation::Grep { .. }))
+    {
+        let (hits, r) = run_kernel(
+            req,
+            engine,
+            "grep",
+            || {
+                if mapreduce {
+                    micro::grep_mapreduce(docs, vocab, pattern, &job)
+                } else {
+                    micro::grep_native(docs, vocab, pattern)
+                }
+            },
+            |hits| hits.len() as u64,
+        );
+        // Matching document indices, in match order.
+        r.with_output(OutputPayload::Ordered(hits.iter().map(ToString::to_string).collect()))
+    } else {
+        let (counts, r) = run_kernel(
+            req,
+            engine,
+            "wordcount",
+            || {
+                if mapreduce {
+                    micro::wordcount_mapreduce(docs, &job)
+                } else {
+                    micro::wordcount_native(docs)
+                }
+            },
+            |counts| counts.len() as u64,
+        );
+        // An order-insensitive row set of `(word id, count)`.
+        r.with_output(OutputPayload::RowSet(row_lines(
+            counts.iter().map(|&(w, c)| [u64::from(w), c]),
+        )))
+    };
+    Ok(vec![r])
 }
 
 /// Per-vertex numeric results (`v<i>` → value) for iterative graph
@@ -789,19 +877,6 @@ fn iterative_agg(pattern: &WorkloadPattern) -> Option<AggSpec> {
     }
 }
 
-fn timed<T>(
-    req: &ExecutionRequest<'_>,
-    engine: &'static str,
-    op: &str,
-    f: impl FnOnce() -> T,
-    rows: impl FnOnce(&T) -> u64,
-) -> T {
-    let t0 = Instant::now();
-    let out = f();
-    req.trace.operation(engine, op, rows(&out), t0.elapsed());
-    out
-}
-
 // ---------------------------------------------------------------------
 // Built-in engines
 // ---------------------------------------------------------------------
@@ -830,26 +905,9 @@ impl Engine for NativeEngine {
     }
 
     fn execute(&self, req: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
-        let ops = req.prescription.pattern.operations();
         match WorkloadClass::of(req.prescription) {
-            WorkloadClass::Text => {
-                let (docs, vocab) = req.text_dataset()?;
-                let r = if let Some(Operation::Grep { pattern }) =
-                    ops.iter().find(|o| matches!(o, Operation::Grep { .. }))
-                {
-                    let (hits, r) = timed(req, "native", "grep", || {
-                        micro::grep_native(docs, vocab, pattern)
-                    }, |r| r.0.len() as u64);
-                    r.with_output(grep_payload(&hits))
-                } else {
-                    let (counts, r) = timed(req, "native", "wordcount", || {
-                        micro::wordcount_native(docs)
-                    }, |r| r.0.len() as u64);
-                    r.with_output(wordcount_payload(&counts))
-                };
-                Ok(vec![r])
-            }
-            WorkloadClass::Iterative => execute_iterative(req, IterativeBackend::Native),
+            WorkloadClass::Text => execute_text(req, "native"),
+            WorkloadClass::Iterative => execute_iterative(req, "native"),
             other => Err(BdbError::Execution(format!(
                 "native engine cannot execute {other} workloads"
             ))),
@@ -857,24 +915,16 @@ impl Engine for NativeEngine {
     }
 }
 
-/// Which concrete kernels an iterative prescription lowers to.
-enum IterativeBackend {
-    Native,
-    MapReduce,
-}
-
 /// Iterative dispatch shared by the native and MapReduce engines: graph
 /// data runs connected components (Min fold) or PageRank; table data runs
 /// k-means over the generated feature vectors.
 fn execute_iterative(
     req: &ExecutionRequest<'_>,
-    backend: IterativeBackend,
+    engine: &'static str,
 ) -> Result<Vec<WorkloadResult>> {
     let agg = iterative_agg(&req.prescription.pattern);
-    let engine = match backend {
-        IterativeBackend::Native => "native",
-        IterativeBackend::MapReduce => "mapreduce",
-    };
+    let job = req.job_config();
+    let mapreduce = engine == "mapreduce";
     if let Some(Dataset::Graph(g)) =
         req.datasets.values().find(|d| matches!(d, Dataset::Graph(_)))
     {
@@ -885,36 +935,39 @@ fn execute_iterative(
                 und.add_edge(v, u);
             }
             let csr = und.to_csr();
-            let (labels, _, r) = match backend {
-                IterativeBackend::Native => {
-                    timed(req, engine, "aggregate", || {
-                        social::connected_components(&csr)
-                    }, |r| r.0.len() as u64)
-                }
-                IterativeBackend::MapReduce => {
-                    let job = req.job_config();
-                    timed(req, engine, "aggregate", || {
+            let ((labels, iterations), r) = run_kernel(
+                req,
+                engine,
+                "aggregate",
+                || {
+                    let (labels, iterations, work) = if mapreduce {
                         social::connected_components_mapreduce(&csr, &job)
-                    }, |r| r.0.len() as u64)
-                }
-            };
-            r.with_output(vertex_payload(&labels))
+                    } else {
+                        social::connected_components(&csr)
+                    };
+                    ((labels, iterations), work)
+                },
+                |(labels, _)| labels.len() as u64,
+            );
+            r.with_detail("iterations", f64::from(iterations))
+                .with_detail("components", social::component_count(&labels) as f64)
+                .with_output(vertex_payload(&labels))
         } else {
-            let (ranks, _, r) = match backend {
-                IterativeBackend::Native => {
-                    let csr = g.to_csr();
-                    timed(req, engine, "aggregate", || {
-                        search::pagerank_native(&csr, &Default::default())
-                    }, |r| r.0.len() as u64)
-                }
-                IterativeBackend::MapReduce => {
-                    let job = req.job_config();
-                    timed(req, engine, "aggregate", || {
-                        search::pagerank_mapreduce(g, &Default::default(), &job)
-                    }, |r| r.0.len() as u64)
-                }
-            };
-            r.with_output(vertex_payload(&ranks))
+            let csr = (!mapreduce).then(|| g.to_csr());
+            let ((ranks, iterations), r) = run_kernel(
+                req,
+                engine,
+                "aggregate",
+                || {
+                    let (ranks, iterations, work) = match &csr {
+                        Some(csr) => search::pagerank_native(csr, &Default::default()),
+                        None => search::pagerank_mapreduce(g, &Default::default(), &job),
+                    };
+                    ((ranks, iterations), work)
+                },
+                |(ranks, _)| ranks.len() as u64,
+            );
+            r.with_detail("iterations", f64::from(iterations)).with_output(vertex_payload(&ranks))
         };
         return Ok(vec![r]);
     }
@@ -922,22 +975,23 @@ fn execute_iterative(
     // columns, so --scale/--seed data actually reaches the kernel.
     let table = req.first_table()?;
     let points = social::points_from_table(table)?;
-    let n = points.len();
-    let (centroids, _, _, r) = match backend {
-        IterativeBackend::Native => {
-            timed(req, engine, "aggregate", || {
-                social::kmeans_native(&points, &Default::default(), req.seed)
-            }, |r| r.1.len() as u64)
-        }
-        IterativeBackend::MapReduce => {
-            let job = req.job_config();
-            timed(req, engine, "aggregate", || {
+    let ((centroids, iterations), r) = run_kernel(
+        req,
+        engine,
+        "aggregate",
+        || {
+            let (centroids, _, iterations, work) = if mapreduce {
                 social::kmeans_mapreduce(&points, &Default::default(), req.seed, &job)
-            }, |r| r.1.len() as u64)
-        }
-    };
+            } else {
+                social::kmeans_native(&points, &Default::default(), req.seed)
+            };
+            ((centroids, iterations), work)
+        },
+        |_| points.len() as u64,
+    );
     Ok(vec![r
-        .with_detail("input_points", n as f64)
+        .with_detail("iterations", f64::from(iterations))
+        .with_detail("input_points", points.len() as f64)
         .with_output(centroid_payload(&centroids))])
 }
 
@@ -971,33 +1025,15 @@ impl Engine for MapReduceEngine {
     }
 
     fn execute(&self, req: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
-        let ops = req.prescription.pattern.operations();
         match WorkloadClass::of(req.prescription) {
-            WorkloadClass::Text => {
-                let (docs, vocab) = req.text_dataset()?;
-                let job = req.job_config();
-                let r = if let Some(Operation::Grep { pattern }) =
-                    ops.iter().find(|o| matches!(o, Operation::Grep { .. }))
-                {
-                    let (hits, r) = timed(req, "mapreduce", "grep", || {
-                        micro::grep_mapreduce(docs, vocab, pattern, &job)
-                    }, |r| r.0.len() as u64);
-                    r.with_output(grep_payload(&hits))
-                } else {
-                    let (counts, r) = timed(req, "mapreduce", "wordcount", || {
-                        micro::wordcount_mapreduce(docs, &job)
-                    }, |r| r.0.len() as u64);
-                    r.with_output(wordcount_payload(&counts))
-                };
-                Ok(vec![r])
-            }
-            WorkloadClass::Iterative => execute_iterative(req, IterativeBackend::MapReduce),
+            WorkloadClass::Text => execute_text(req, "mapreduce"),
+            WorkloadClass::Iterative => execute_iterative(req, "mapreduce"),
             WorkloadClass::Relational => execute_table_binding(
                 &MapReduceBinding { config: req.job_config() },
                 "mapreduce",
                 req,
             ),
-            WorkloadClass::Behavioral => execute_behavioral(req, BehavioralBackend::MapReduce),
+            WorkloadClass::Behavioral => execute_behavioral(req, "mapreduce"),
             other => Err(BdbError::Execution(format!(
                 "mapreduce engine cannot execute {other} workloads"
             ))),
@@ -1096,9 +1132,14 @@ impl Engine for KvEngine {
             clients: req.config.effective_threads().min(8),
             value_size: 100,
         };
-        let (_store, counts, r) = timed(req, "kv", "element-mix", || {
-            oltp::run_ycsb(&spec, &config, req.seed)
-        }, |r| r.1.reads + r.1.updates + r.1.inserts + r.1.scans + r.1.rmws);
+        // `run_ycsb` makes its own result: its per-operation latencies,
+        // timed over the run phase, are the online-services metric. The
+        // engine files it under the prescription.
+        let t0 = Instant::now();
+        let (_store, counts, mut r) = oltp::run_ycsb(&spec, &config, req.seed);
+        let issued = counts.reads + counts.updates + counts.inserts + counts.scans + counts.rmws;
+        req.trace.operation("kv", "element-mix", issued, t0.elapsed());
+        r.report.workload = req.prescription.name.clone();
         // Op counts and the final key population are deterministic for a
         // given (spec, config, seed) even under concurrent clients: each
         // client's operation stream is seeded independently, and inserted
@@ -1114,12 +1155,6 @@ impl Engine for KvEngine {
         ]);
         Ok(vec![r.with_output(payload)])
     }
-}
-
-/// Which binding a behavioral prescription lowers to.
-enum BehavioralBackend {
-    Streaming,
-    MapReduce,
 }
 
 /// Extract the behavioral operation from a prescription's pattern.
@@ -1159,7 +1194,7 @@ fn behavioral_spec(prescription: &Prescription) -> Result<behavioral::Behavioral
 /// their row sets are identical (the conformance matrix asserts it).
 fn execute_behavioral(
     req: &ExecutionRequest<'_>,
-    backend: BehavioralBackend,
+    engine: &'static str,
 ) -> Result<Vec<WorkloadResult>> {
     let spec = behavioral_spec(req.prescription)?;
     let events = req
@@ -1172,30 +1207,24 @@ fn execute_behavioral(
         .ok_or_else(|| {
             BdbError::Execution("behavioral operations need a stream data set".into())
         })?;
-    let r = match backend {
-        BehavioralBackend::Streaming => {
-            timed(
-                req,
-                "streaming",
-                spec.name(),
-                || behavioral::behavioral_streaming(events, &spec),
-                |r| r.0.rows.len() as u64,
-            )
-            .1
-        }
-        BehavioralBackend::MapReduce => {
-            let job = req.job_config();
-            timed(
-                req,
-                "mapreduce",
-                spec.name(),
-                || behavioral::behavioral_mapreduce(events, &spec, &job),
-                |r| r.0.rows.len() as u64,
-            )
-            .1
-        }
-    };
-    Ok(vec![r])
+    let job = req.job_config();
+    let (outcome, r) = run_kernel(
+        req,
+        engine,
+        spec.name(),
+        || {
+            if engine == "mapreduce" {
+                behavioral::behavioral_mapreduce(events, &spec, &job)
+            } else {
+                behavioral::behavioral_streaming(events, &spec)
+            }
+        },
+        |outcome| outcome.rows.len() as u64,
+    );
+    Ok(vec![r
+        .with_detail("users", outcome.users as f64)
+        .with_detail("peak_state_bytes", outcome.peak_state_bytes as f64)
+        .with_output(OutputPayload::RowSet(outcome.rows))])
 }
 
 /// The streaming engine (`bdb-stream`): windowed aggregation and
@@ -1219,7 +1248,7 @@ impl Engine for StreamingEngine {
 
     fn execute(&self, req: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
         if WorkloadClass::of(req.prescription) == WorkloadClass::Behavioral {
-            return execute_behavioral(req, BehavioralBackend::Streaming);
+            return execute_behavioral(req, "streaming");
         }
         let window_ms = req
             .prescription
@@ -1244,13 +1273,19 @@ impl Engine for StreamingEngine {
                 BdbError::Execution("window aggregation needs a stream data set".into())
             })?;
         let cfg = streaming::StreamAnalyticsConfig { window_ms, ..Default::default() };
-        let (outcome, r) = timed(
+        let (outcome, r) = run_kernel(
             req,
             "streaming",
             "window-aggregate",
             || streaming::windowed_aggregation(events, &cfg),
-            |r| r.0.windows.len() as u64,
+            |outcome| outcome.windows.len() as u64,
         );
+        let mut r = r
+            .with_detail("windows", outcome.windows.len() as f64)
+            .with_detail("throughput_eps", outcome.throughput_eps);
+        if let Some(lag) = outcome.max_lag_ms {
+            r = r.with_detail("max_lag_ms", lag);
+        }
         // Stream output is ordered: with zero allowed lateness and an
         // in-order source, panes close in deterministic
         // (window_start, key) order — the documented lateness contract.

@@ -7,10 +7,6 @@
 //! memtable that flushes to immutable sorted runs, k-way-merge compaction,
 //! tombstone deletes, and ordered range scans across all levels.
 //!
-//! [`linkstore`] layers a LinkBench-style social-graph association store
-//! (assoc add / get / range / count) on top via order-preserving composite
-//! keys.
-//!
 //! ```
 //! use bdb_kv::LsmStore;
 //!
@@ -22,13 +18,11 @@
 //! ```
 
 pub mod bloom;
-pub mod linkstore;
 pub mod lsm;
 pub mod manifest;
 pub mod wal;
 
 pub use bloom::BloomFilter;
-pub use linkstore::{Link, LinkStore};
 pub use lsm::{CrashPoint, KvStats, LsmConfig, LsmStore, SharedLsm};
 pub use manifest::Manifest;
 pub use wal::{Wal, WalRecord, WalReplay};

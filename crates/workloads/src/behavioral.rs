@@ -10,48 +10,36 @@
 //! arrival-order-insensitive, both bindings produce identical rows for
 //! any task count or shuffle interleaving.
 
-use crate::{OutputPayload, WorkloadCategory, WorkloadResult};
+use crate::Work;
 use bdb_common::event::Event;
 use bdb_common::record::row_lines;
 use bdb_mapreduce::{run_job, JobConfig};
-use bdb_metrics::{MetricsCollector, OpCounts};
+use bdb_metrics::OpCounts;
 
 pub use bdb_stream::behavioral::{
     run_behavioral, BehavioralOutcome, BehavioralSpec, FunnelAgg, RetentionAgg, SequenceAgg,
     SessionizeAgg, RETENTION_MAX_PERIODS,
 };
 
-/// Assemble the standard result for one behavioral run on `system`.
-fn assemble(outcome: &BehavioralOutcome, spec: &BehavioralSpec, system: &str) -> WorkloadResult {
-    let mut collector = MetricsCollector::new();
-    collector.record_operations(outcome.events);
-    let user = collector.finish();
-    let ops = OpCounts {
-        record_ops: outcome.events + outcome.rows.len() as u64,
-        // One float→action decode per event.
-        float_ops: outcome.events,
-    };
-    WorkloadResult::assemble(
-        &format!("behavioral/{}", spec.name()),
-        system,
-        WorkloadCategory::RealTimeAnalytics,
-        user,
-        ops,
-        outcome.events,
-    )
-    .with_detail("users", outcome.users as f64)
-    .with_detail("peak_state_bytes", outcome.peak_state_bytes as f64)
-    .with_output(OutputPayload::RowSet(outcome.rows.clone()))
+/// The work of one behavioral run, the same on both bindings: every event
+/// read and decoded once, every output row written once.
+fn work(outcome: &BehavioralOutcome) -> Work {
+    Work {
+        operations: outcome.events,
+        ops: OpCounts {
+            record_ops: outcome.events + outcome.rows.len() as u64,
+            // One float→action decode per event.
+            float_ops: outcome.events,
+        },
+        input_items: outcome.events,
+    }
 }
 
 /// Run one behavioral operation on the streaming engine.
-pub fn behavioral_streaming(
-    events: &[Event],
-    spec: &BehavioralSpec,
-) -> (BehavioralOutcome, WorkloadResult) {
+pub fn behavioral_streaming(events: &[Event], spec: &BehavioralSpec) -> (BehavioralOutcome, Work) {
     let outcome = run_behavioral(events, spec);
-    let result = assemble(&outcome, spec, "streaming");
-    (outcome, result)
+    let work = work(&outcome);
+    (outcome, work)
 }
 
 /// Run one behavioral operation as a MapReduce job.
@@ -59,7 +47,7 @@ pub fn behavioral_mapreduce(
     events: &[Event],
     spec: &BehavioralSpec,
     config: &JobConfig,
-) -> (BehavioralOutcome, WorkloadResult) {
+) -> (BehavioralOutcome, Work) {
     let total = events.len() as u64;
     let map = |e: &Event, emit: &mut dyn FnMut(u64, (u64, u64))| {
         emit(e.key, (e.ts_ms, e.value as u64));
@@ -123,8 +111,8 @@ pub fn behavioral_mapreduce(
             per_user_outcome(job.outputs, total)
         }
     };
-    let result = assemble(&outcome, spec, "mapreduce");
-    (outcome, result)
+    let work = work(&outcome);
+    (outcome, work)
 }
 
 /// Fold per-user reducer outputs (cells led by the user id, state bytes)
@@ -165,10 +153,10 @@ mod tests {
     fn mapreduce_binding_matches_streaming_binding() {
         let evts = events(42, 3_000);
         for spec in specs() {
-            let (stream_out, stream_res) = behavioral_streaming(&evts, &spec);
-            let (mr_out, mr_res) = behavioral_mapreduce(&evts, &spec, &JobConfig::default());
+            let (stream_out, stream_work) = behavioral_streaming(&evts, &spec);
+            let (mr_out, mr_work) = behavioral_mapreduce(&evts, &spec, &JobConfig::default());
             assert_eq!(stream_out, mr_out, "{}", spec.name());
-            assert_eq!(stream_res.output, mr_res.output, "{}", spec.name());
+            assert_eq!(stream_work, mr_work, "{}", spec.name());
         }
     }
 
@@ -188,14 +176,13 @@ mod tests {
     #[test]
     fn results_carry_state_and_user_details() {
         let evts = events(1, 2_000);
-        let (outcome, result) =
+        let (outcome, work) =
             behavioral_streaming(&evts, &BehavioralSpec::Sessionize { gap_ms: 10_000 });
-        assert_eq!(result.detail("users"), Some(outcome.users as f64));
-        assert_eq!(
-            result.detail("peak_state_bytes"),
-            Some(outcome.peak_state_bytes as f64)
-        );
-        assert!(matches!(result.output, Some(OutputPayload::RowSet(_))));
-        assert_eq!(result.report.workload, "behavioral/sessionize");
+        // One row per user, and the state the aggregates held.
+        assert_eq!(outcome.rows.len() as u64, outcome.users);
+        assert!(outcome.users > 0 && outcome.peak_state_bytes > 0);
+        assert_eq!(outcome.events, 2_000);
+        assert_eq!(work.operations, outcome.events);
+        assert_eq!(work.ops.record_ops, outcome.events + outcome.users);
     }
 }

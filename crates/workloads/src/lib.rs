@@ -1,18 +1,27 @@
-//! The workload implementations named by the paper's Table 2.
+//! The kernels behind the prescriptions the Execution Layer runs.
 //!
-//! Every example workload the survey attributes to the studied benchmark
-//! suites is implemented here, runnable against the workspace's engines:
-//!
-//! | Module | Workloads | Table 2 category |
+//! | Module | Kernels | Prescriptions |
 //! |---|---|---|
-//! | [`micro`] | sort, TeraSort-style sampled range-partition sort, WordCount, grep | offline analytics (HiBench/GridMix/BigDataBench micro) |
-//! | [`search`] | inverted index ("Nutch indexing" analog), PageRank | search engine domain |
-//! | [`social`] | k-means, connected components | social network domain |
-//! | [`ecommerce`] | naive Bayes, item-based collaborative filtering | e-commerce domain |
-//! | [`oltp`] | YCSB A–F analog operation mixes on the LSM store | online services / Cloud OLTP |
-//! | [`relational`] | the Pavlo benchmark's `uservisits` table generator (its tasks are prescriptions) | real-time analytics |
-//! | [`streaming`] | windowed stream analytics at paced arrival rates | real-time analytics |
-//! | [`hybrid`] | Section 5.2 truly-hybrid mixed workload | mixed |
+//! | [`micro`] | WordCount, grep | `micro/wordcount`, `micro/grep`, `search/index` |
+//! | [`search`] | PageRank | `search/pagerank` |
+//! | [`social`] | k-means, connected components | `social/kmeans`, `social/connected-components` |
+//! | [`streaming`] | windowed stream analytics at paced rates | `streaming/window-aggregation` |
+//! | [`behavioral`] | sessionize, retention, window funnel, sequence match | `behavioral/*` |
+//! | [`oltp`] | YCSB A–F analog operation mixes on the LSM store | `oltp/*` |
+//! | [`relational`] | the Pavlo `uservisits` table generator | (the hybrid mix's table) |
+//! | [`hybrid`] | Section 5.2 truly-hybrid mixed workload | (report program only) |
+//!
+//! Relational prescriptions (`micro/sort`, `relational/*`, `ecommerce/*`)
+//! have no kernel here: they bind to the sql and MapReduce engines through
+//! `bdb_testgen::bind`.
+//!
+//! **Kernels return answers; the engine makes results.** A kernel returns
+//! what it computed plus the [`Work`] it counted. The engine that ran it
+//! times it once and makes the [`WorkloadResult`]: the prescription's
+//! name, the engine's name, the category of the prescription's class, and
+//! the one measured span as the duration. Only [`oltp::run_ycsb`] (whose
+//! per-operation latencies are the online-services metric) and the hybrid
+//! mix assemble their own result.
 //!
 //! The analytics kernels come in two bindings where Table 2's suites do:
 //! a native in-memory kernel and a MapReduce lowering — the *functional
@@ -20,7 +29,6 @@
 //! assert.
 
 pub mod behavioral;
-pub mod ecommerce;
 pub mod hybrid;
 pub mod micro;
 pub mod oltp;
@@ -232,6 +240,19 @@ impl OutputPayload {
     pub fn diff(&self, other: &OutputPayload, epsilon: f64) -> Option<String> {
         self.canonical_lines().diff(&other.canonical_lines(), epsilon)
     }
+}
+
+/// What a kernel counted while it computed its answer. The engine that
+/// ran the kernel turns this and its own measured span into the result's
+/// user and architecture metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Operations a user would count (tokens, edges × iterations, events).
+    pub operations: u64,
+    /// Record and float operations behind the architecture metrics.
+    pub ops: OpCounts,
+    /// Input items the kernel read (the per-item denominator).
+    pub input_items: u64,
 }
 
 /// The uniform result of running any workload.

@@ -1,90 +1,15 @@
-//! Search-engine domain workloads: inverted index and PageRank.
+//! Search-engine domain workloads: PageRank.
 //!
 //! Table 2 lists "Nutch Indexing" (HiBench) and "index, PageRank"
-//! (BigDataBench's search-engine domain). The index build is implemented
-//! natively and as a MapReduce job; PageRank runs natively over CSR and as
-//! the classic iterative MapReduce job.
+//! (BigDataBench's search-engine domain). The index build is the
+//! `search/index` prescription, a keyed term aggregation the text kernels
+//! in [`crate::micro`] run; PageRank runs natively over CSR and as the
+//! classic iterative MapReduce job.
 
-use crate::{WorkloadCategory, WorkloadResult};
+use crate::Work;
 use bdb_common::graph::{CsrGraph, EdgeListGraph};
-use bdb_common::text::Document;
 use bdb_mapreduce::{run_job, JobConfig};
-use bdb_metrics::{MetricsCollector, OpCounts};
-
-/// A term → sorted postings-list index.
-pub type InvertedIndex = std::collections::BTreeMap<u32, Vec<u32>>;
-
-/// Build an inverted index natively: term id → sorted unique doc ids.
-pub fn inverted_index_native(docs: &[Document]) -> (InvertedIndex, WorkloadResult) {
-    let collector = MetricsCollector::new();
-    let mut index: InvertedIndex = Default::default();
-    let mut tokens = 0u64;
-    for (doc_id, d) in docs.iter().enumerate() {
-        tokens += d.len() as u64;
-        let mut seen = std::collections::BTreeSet::new();
-        for &w in &d.words {
-            if seen.insert(w) {
-                index.entry(w).or_default().push(doc_id as u32);
-            }
-        }
-    }
-    let mut c = collector;
-    c.record_operations(tokens);
-    let user = c.finish();
-    let ops = OpCounts { record_ops: tokens * 2, float_ops: 0 };
-    let result = WorkloadResult::assemble(
-        "search/index",
-        "native",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        docs.len() as u64,
-    )
-    .with_detail("terms", index.len() as f64);
-    (index, result)
-}
-
-/// Build the inverted index as a MapReduce job: map emits
-/// `(term, doc_id)`, reduce sorts and dedups postings.
-pub fn inverted_index_mapreduce(
-    docs: &[Document],
-    config: &JobConfig,
-) -> (InvertedIndex, WorkloadResult) {
-    let collector = MetricsCollector::new();
-    let indexed: Vec<(u32, &Document)> = (0u32..).zip(docs).collect();
-    let r = run_job(
-        config,
-        &indexed,
-        |(doc_id, d): &(u32, &Document), emit| {
-            let mut seen = std::collections::BTreeSet::new();
-            for &w in &d.words {
-                if seen.insert(w) {
-                    emit(w, *doc_id);
-                }
-            }
-        },
-        |w: &u32, mut vs: Vec<u32>, out| {
-            vs.sort_unstable();
-            vs.dedup();
-            out((*w, vs));
-        },
-    );
-    let index: InvertedIndex = r.outputs.into_iter().collect();
-    let mut c = collector;
-    c.record_operations(r.counters.map_output_records);
-    let user = c.finish();
-    let ops = OpCounts { record_ops: r.counters.total_record_ops(), float_ops: 0 };
-    let result = WorkloadResult::assemble(
-        "search/index",
-        "mapreduce",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        docs.len() as u64,
-    )
-    .with_detail("terms", index.len() as f64);
-    (index, result)
-}
+use bdb_metrics::OpCounts;
 
 /// PageRank configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,23 +29,11 @@ impl Default for PageRankConfig {
 }
 
 /// Native PageRank: power iteration over CSR with dangling-mass
-/// redistribution. Returns (ranks, iterations).
-pub fn pagerank_native(
-    graph: &CsrGraph,
-    config: &PageRankConfig,
-) -> (Vec<f64>, u32, WorkloadResult) {
-    let collector = MetricsCollector::new();
+/// redistribution. Returns (ranks, iterations, work).
+pub fn pagerank_native(graph: &CsrGraph, config: &PageRankConfig) -> (Vec<f64>, u32, Work) {
     let n = graph.num_vertices();
     if n == 0 {
-        let result = WorkloadResult::assemble(
-            "search/pagerank",
-            "native",
-            WorkloadCategory::OfflineAnalytics,
-            collector.finish(),
-            OpCounts::default(),
-            0,
-        );
-        return (Vec::new(), 0, result);
+        return (Vec::new(), 0, Work::default());
     }
     let d = config.damping;
     let mut ranks = vec![1.0 / n as f64; n];
@@ -156,23 +69,13 @@ pub fn pagerank_native(
             break;
         }
     }
-    let mut c = collector;
-    c.record_operations(graph.num_edges() as u64 * iterations as u64);
-    let user = c.finish();
-    let ops = OpCounts {
-        record_ops: graph.num_edges() as u64 * iterations as u64,
-        float_ops,
+    let edge_visits = graph.num_edges() as u64 * iterations as u64;
+    let work = Work {
+        operations: edge_visits,
+        ops: OpCounts { record_ops: edge_visits, float_ops },
+        input_items: n as u64,
     };
-    let result = WorkloadResult::assemble(
-        "search/pagerank",
-        "native",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        graph.num_vertices() as u64,
-    )
-    .with_detail("iterations", iterations as f64);
-    (ranks, iterations, result)
+    (ranks, iterations, work)
 }
 
 /// PageRank as iterated MapReduce jobs (the classic Hadoop formulation):
@@ -182,19 +85,10 @@ pub fn pagerank_mapreduce(
     graph: &EdgeListGraph,
     config: &PageRankConfig,
     job: &JobConfig,
-) -> (Vec<f64>, u32, WorkloadResult) {
-    let collector = MetricsCollector::new();
+) -> (Vec<f64>, u32, Work) {
     let n = graph.num_vertices();
     if n == 0 {
-        let result = WorkloadResult::assemble(
-            "search/pagerank",
-            "mapreduce",
-            WorkloadCategory::OfflineAnalytics,
-            collector.finish(),
-            OpCounts::default(),
-            0,
-        );
-        return (Vec::new(), 0, result);
+        return (Vec::new(), 0, Work::default());
     }
     let csr = graph.to_csr();
     let d = config.damping;
@@ -247,70 +141,27 @@ pub fn pagerank_mapreduce(
             break;
         }
     }
-    let mut c = collector;
-    c.record_operations(record_ops);
-    let user = c.finish();
-    let ops = OpCounts {
-        record_ops,
-        float_ops: graph.num_edges() as u64 * iterations as u64,
+    let work = Work {
+        operations: record_ops,
+        ops: OpCounts { record_ops, float_ops: graph.num_edges() as u64 * iterations as u64 },
+        input_items: n as u64,
     };
-    let result = WorkloadResult::assemble(
-        "search/pagerank",
-        "mapreduce",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        n as u64,
-    )
-    .with_detail("iterations", iterations as f64);
-    (ranks, iterations, result)
+    (ranks, iterations, work)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdb_datagen::corpus::{karate_club_graph, RAW_TEXT_CORPUS};
-    use bdb_datagen::text::NaiveTextGenerator;
-    use bdb_datagen::volume::VolumeSpec;
-    use bdb_datagen::{DataGenerator, Dataset};
-
-    fn docs() -> Vec<Document> {
-        let g = NaiveTextGenerator::from_corpus(&RAW_TEXT_CORPUS);
-        match g.generate(2, &VolumeSpec::Items(100)).unwrap() {
-            Dataset::Text { docs, .. } => docs,
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn index_bindings_agree() {
-        let docs = docs();
-        let (native, nres) = inverted_index_native(&docs);
-        let (mr, _) = inverted_index_mapreduce(&docs, &JobConfig::default());
-        assert_eq!(native, mr);
-        assert!(nres.detail("terms").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn index_postings_are_sorted_unique() {
-        let docs = docs();
-        let (index, _) = inverted_index_native(&docs);
-        for (term, postings) in &index {
-            assert!(
-                postings.windows(2).all(|w| w[0] < w[1]),
-                "term {term} postings not strictly sorted"
-            );
-        }
-    }
+    use bdb_datagen::corpus::karate_club_graph;
 
     #[test]
     fn pagerank_sums_to_one_and_ranks_hubs_highest() {
         let g = karate_club_graph();
-        let (ranks, iters, result) = pagerank_native(&g.to_csr(), &PageRankConfig::default());
+        let (ranks, iters, work) = pagerank_native(&g.to_csr(), &PageRankConfig::default());
         let total: f64 = ranks.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "total {total}");
         assert!(iters > 1);
-        assert_eq!(result.detail("iterations"), Some(iters as f64));
+        assert_eq!(work.operations, g.num_edges() as u64 * u64::from(iters));
         // Vertices 33 and 0 are the two hubs of the karate club.
         let mut idx: Vec<usize> = (0..ranks.len()).collect();
         idx.sort_by(|&a, &b| ranks[b].partial_cmp(&ranks[a]).unwrap());
@@ -343,9 +194,10 @@ mod tests {
     #[test]
     fn pagerank_empty_graph() {
         let g = EdgeListGraph::new(0);
-        let (ranks, iters, _) = pagerank_native(&g.to_csr(), &PageRankConfig::default());
+        let (ranks, iters, work) = pagerank_native(&g.to_csr(), &PageRankConfig::default());
         assert!(ranks.is_empty());
         assert_eq!(iters, 0);
+        assert_eq!(work, Work::default());
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! MapReduce jobs (assignment map + centroid-average reduce); connected
 //! components uses label propagation over CSR.
 
-use crate::{WorkloadCategory, WorkloadResult};
+use crate::Work;
 use bdb_common::graph::CsrGraph;
 use bdb_common::prelude::*;
 use bdb_mapreduce::{run_job, JobConfig};
-use bdb_metrics::{MetricsCollector, OpCounts};
+use bdb_metrics::OpCounts;
 
 /// A point in feature space.
 pub type Point = Vec<f64>;
@@ -30,37 +30,6 @@ impl Default for KMeansConfig {
     fn default() -> Self {
         Self { k: 4, epsilon: 1e-6, max_iterations: 100 }
     }
-}
-
-/// Generate `n` points from a `k`-component Gaussian mixture in `dim`
-/// dimensions — the synthetic feature vectors the clustering workloads
-/// consume. Returns (points, true component of each point).
-pub fn gaussian_mixture(
-    n: usize,
-    k: usize,
-    dim: usize,
-    spread: f64,
-    seed: u64,
-) -> (Vec<Point>, Vec<usize>) {
-    let tree = SeedTree::new(seed).child_named("mixture");
-    let mut centers_rng = tree.child_named("centers").rng();
-    let centers: Vec<Point> = (0..k)
-        .map(|_| (0..dim).map(|_| centers_rng.next_f64() * 100.0).collect())
-        .collect();
-    let noise = Gaussian::new(0.0, spread);
-    let mut points = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut rng = tree.cell(i as u64);
-        let c = rng.next_bounded(k as u64) as usize;
-        let p: Point = centers[c]
-            .iter()
-            .map(|&x| x + noise.sample(&mut rng))
-            .collect();
-        points.push(p);
-        labels.push(c);
-    }
-    (points, labels)
 }
 
 /// Engine adapter: extract feature vectors from a generated table, one
@@ -125,13 +94,13 @@ fn init_centroids(points: &[Point], k: usize, seed: u64) -> Vec<Point> {
     (0..k).map(|i| points[idx[i % idx.len()]].clone()).collect()
 }
 
-/// Native Lloyd's k-means. Returns (centroids, assignments, iterations).
+/// Native Lloyd's k-means. Returns (centroids, assignments, iterations,
+/// work).
 pub fn kmeans_native(
     points: &[Point],
     config: &KMeansConfig,
     seed: u64,
-) -> (Vec<Point>, Vec<usize>, u32, WorkloadResult) {
-    let collector = MetricsCollector::new();
+) -> (Vec<Point>, Vec<usize>, u32, Work) {
     assert!(!points.is_empty() && config.k > 0, "kmeans needs points and k");
     let dim = points[0].len();
     let mut centroids = init_centroids(points, config.k, seed);
@@ -168,23 +137,13 @@ pub fn kmeans_native(
             break;
         }
     }
-    let mut c = collector;
-    c.record_operations(points.len() as u64 * iterations as u64);
-    let user = c.finish();
-    let ops = OpCounts {
-        record_ops: points.len() as u64 * iterations as u64,
-        float_ops,
+    let point_visits = points.len() as u64 * iterations as u64;
+    let work = Work {
+        operations: point_visits,
+        ops: OpCounts { record_ops: point_visits, float_ops },
+        input_items: points.len() as u64,
     };
-    let result = WorkloadResult::assemble(
-        "social/kmeans",
-        "native",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        points.len() as u64,
-    )
-    .with_detail("iterations", iterations as f64);
-    (centroids, assignments, iterations, result)
+    (centroids, assignments, iterations, work)
 }
 
 /// K-means as iterated MapReduce jobs: map assigns points to the nearest
@@ -194,8 +153,7 @@ pub fn kmeans_mapreduce(
     config: &KMeansConfig,
     seed: u64,
     job: &JobConfig,
-) -> (Vec<Point>, Vec<usize>, u32, WorkloadResult) {
-    let collector = MetricsCollector::new();
+) -> (Vec<Point>, Vec<usize>, u32, Work) {
     assert!(!points.is_empty() && config.k > 0, "kmeans needs points and k");
     let dim = points[0].len();
     let mut centroids = init_centroids(points, config.k, seed);
@@ -232,30 +190,21 @@ pub fn kmeans_mapreduce(
         }
     }
     let assignments: Vec<usize> = points.iter().map(|p| nearest(&centroids, p)).collect();
-    let mut c = collector;
-    c.record_operations(record_ops);
-    let user = c.finish();
-    let ops = OpCounts {
-        record_ops,
-        float_ops: (points.len() * config.k * dim * 3) as u64 * iterations as u64,
+    let work = Work {
+        operations: record_ops,
+        ops: OpCounts {
+            record_ops,
+            float_ops: (points.len() * config.k * dim * 3) as u64 * iterations as u64,
+        },
+        input_items: points.len() as u64,
     };
-    let result = WorkloadResult::assemble(
-        "social/kmeans",
-        "mapreduce",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        points.len() as u64,
-    )
-    .with_detail("iterations", iterations as f64);
-    (centroids, assignments, iterations, result)
+    (centroids, assignments, iterations, work)
 }
 
 /// Connected components by label propagation over an undirected graph
 /// (given as a bidirectional CSR). Returns per-vertex component labels
-/// (the minimum vertex id in the component).
-pub fn connected_components(graph: &CsrGraph) -> (Vec<u32>, u32, WorkloadResult) {
-    let collector = MetricsCollector::new();
+/// (the minimum vertex id in the component), iterations and work.
+pub fn connected_components(graph: &CsrGraph) -> (Vec<u32>, u32, Work) {
     let n = graph.num_vertices();
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut iterations = 0u32;
@@ -276,22 +225,21 @@ pub fn connected_components(graph: &CsrGraph) -> (Vec<u32>, u32, WorkloadResult)
             }
         }
     }
-    let mut c = collector;
-    c.record_operations(record_ops);
-    let user = c.finish();
-    let ops = OpCounts { record_ops, float_ops: 0 };
-    let result = WorkloadResult::assemble(
-        "social/connected-components",
-        "native",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        n as u64,
-    )
-    .with_detail("iterations", iterations as f64);
-    let components: std::collections::BTreeSet<u32> = labels.iter().copied().collect();
-    let result = result.with_detail("components", components.len() as f64);
-    (labels, iterations, result)
+    (labels, iterations, label_work(record_ops, n))
+}
+
+/// The work of a label-propagation run over `n` vertices.
+fn label_work(record_ops: u64, n: usize) -> Work {
+    Work {
+        operations: record_ops,
+        ops: OpCounts { record_ops, float_ops: 0 },
+        input_items: n as u64,
+    }
+}
+
+/// The number of distinct components in a labelling.
+pub fn component_count(labels: &[u32]) -> usize {
+    labels.iter().collect::<std::collections::BTreeSet<_>>().len()
 }
 
 /// Connected components as iterated MapReduce jobs (the Hadoop/Pregel-style
@@ -300,8 +248,7 @@ pub fn connected_components(graph: &CsrGraph) -> (Vec<u32>, u32, WorkloadResult)
 pub fn connected_components_mapreduce(
     graph: &CsrGraph,
     job: &JobConfig,
-) -> (Vec<u32>, u32, WorkloadResult) {
-    let collector = MetricsCollector::new();
+) -> (Vec<u32>, u32, Work) {
     let n = graph.num_vertices();
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut iterations = 0u32;
@@ -334,20 +281,7 @@ pub fn connected_components_mapreduce(
             }
         }
     }
-    let mut c = collector;
-    c.record_operations(record_ops);
-    let user = c.finish();
-    let ops = OpCounts { record_ops, float_ops: 0 };
-    let result = WorkloadResult::assemble(
-        "social/connected-components",
-        "mapreduce",
-        WorkloadCategory::OfflineAnalytics,
-        user,
-        ops,
-        n as u64,
-    )
-    .with_detail("iterations", iterations as f64);
-    (labels, iterations, result)
+    (labels, iterations, label_work(record_ops, n))
 }
 
 #[cfg(test)]
@@ -356,25 +290,29 @@ mod tests {
     use bdb_common::graph::EdgeListGraph;
     use bdb_datagen::corpus::karate_club_graph;
 
-    #[test]
-    fn mixture_shapes() {
-        let (points, labels) = gaussian_mixture(500, 4, 3, 2.0, 1);
-        assert_eq!(points.len(), 500);
-        assert_eq!(labels.len(), 500);
-        assert!(points.iter().all(|p| p.len() == 3));
-        assert!(labels.iter().all(|&l| l < 4));
-        // Deterministic.
-        let (again, _) = gaussian_mixture(500, 4, 3, 2.0, 1);
-        assert_eq!(points, again);
+    /// `n` points in `k` blobs, each point's blob chosen at random: blob
+    /// `c` is centred at `100·c` on every axis, with uniform jitter of
+    /// width `spread`. Returns (points, blob of each point).
+    fn blobs(n: usize, k: usize, dim: usize, spread: f64, seed: u64) -> (Vec<Point>, Vec<usize>) {
+        let mut rng = Xoshiro256::new(seed);
+        (0..n)
+            .map(|_| {
+                let c = rng.next_bounded(k as u64) as usize;
+                let p = (0..dim)
+                    .map(|_| c as f64 * 100.0 + (rng.next_f64() - 0.5) * spread)
+                    .collect();
+                (p, c)
+            })
+            .unzip()
     }
 
     #[test]
     fn kmeans_recovers_well_separated_clusters() {
-        let (points, truth) = gaussian_mixture(600, 3, 2, 1.0, 7);
+        let (points, truth) = blobs(600, 3, 2, 4.0, 2);
         let cfg = KMeansConfig { k: 3, ..Default::default() };
-        let (_, assignments, iters, result) = kmeans_native(&points, &cfg, 11);
+        let (_, assignments, iters, work) = kmeans_native(&points, &cfg, 11);
         assert!(iters >= 1);
-        assert_eq!(result.detail("iterations"), Some(iters as f64));
+        assert_eq!(work.operations, 600 * u64::from(iters));
         // Cluster purity: points sharing a true component should mostly
         // share an assigned cluster.
         let mut agree = 0usize;
@@ -393,7 +331,7 @@ mod tests {
 
     #[test]
     fn kmeans_mapreduce_matches_native() {
-        let (points, _) = gaussian_mixture(300, 3, 2, 1.0, 3);
+        let (points, _) = blobs(300, 3, 2, 4.0, 3);
         let cfg = KMeansConfig { k: 3, epsilon: 1e-9, max_iterations: 50 };
         let (cn, an, _, _) = kmeans_native(&points, &cfg, 5);
         let (cm, am, _, _) = kmeans_mapreduce(&points, &cfg, 5, &JobConfig::default());
@@ -409,10 +347,10 @@ mod tests {
     #[test]
     fn cc_finds_single_component_of_karate_club() {
         let g = karate_club_graph();
-        let (labels, iters, result) = connected_components(&g.to_csr());
+        let (labels, iters, _) = connected_components(&g.to_csr());
         assert!(labels.iter().all(|&l| l == 0), "karate club is connected");
         assert!(iters >= 1);
-        assert_eq!(result.detail("components"), Some(1.0));
+        assert_eq!(component_count(&labels), 1);
     }
 
     #[test]
@@ -422,12 +360,12 @@ mod tests {
         g.add_undirected_edge(1, 2);
         g.add_undirected_edge(3, 4);
         // vertex 5 isolated
-        let (labels, _, result) = connected_components(&g.to_csr());
+        let (labels, _, _) = connected_components(&g.to_csr());
         assert_eq!(labels[0], labels[2]);
         assert_eq!(labels[3], labels[4]);
         assert_ne!(labels[0], labels[3]);
         assert_eq!(labels[5], 5);
-        assert_eq!(result.detail("components"), Some(3.0));
+        assert_eq!(component_count(&labels), 3);
     }
 
     #[test]

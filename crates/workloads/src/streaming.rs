@@ -7,9 +7,9 @@
 //! traffic, run either at full speed (sustainable throughput) or paced
 //! (keep-up test with lag measurement).
 
-use crate::{WorkloadCategory, WorkloadResult};
+use crate::Work;
 use bdb_common::event::Event;
-use bdb_metrics::{MetricsCollector, OpCounts};
+use bdb_metrics::OpCounts;
 use bdb_stream::{Pipeline, RunOutcome, WindowSpec};
 
 /// Configuration for the windowed-aggregation workload.
@@ -33,8 +33,7 @@ impl Default for StreamAnalyticsConfig {
 pub fn windowed_aggregation(
     events: Vec<Event>,
     config: &StreamAnalyticsConfig,
-) -> (RunOutcome, WorkloadResult) {
-    let collector = MetricsCollector::new();
+) -> (RunOutcome, Work) {
     let n = events.len() as u64;
     let min_value = config.min_value;
     let pipeline = Pipeline::new()
@@ -44,27 +43,15 @@ pub fn windowed_aggregation(
         Some(rate) => pipeline.run_paced(events, rate),
         None => pipeline.run(events),
     };
-    let mut c = collector;
-    c.record_operations(n);
-    let user = c.finish();
-    let ops = OpCounts {
-        record_ops: outcome.events_in + outcome.events_out + outcome.windows.len() as u64,
-        float_ops: outcome.events_out * 3, // sum, min, max per event
+    let work = Work {
+        operations: n,
+        ops: OpCounts {
+            record_ops: outcome.events_in + outcome.events_out + outcome.windows.len() as u64,
+            float_ops: outcome.events_out * 3, // sum, min, max per event
+        },
+        input_items: n,
     };
-    let mut result = WorkloadResult::assemble(
-        "streaming/windowed-aggregation",
-        "streaming",
-        WorkloadCategory::RealTimeAnalytics,
-        user,
-        ops,
-        n,
-    )
-    .with_detail("windows", outcome.windows.len() as f64)
-    .with_detail("throughput_eps", outcome.throughput_eps);
-    if let Some(lag) = outcome.max_lag_ms {
-        result = result.with_detail("max_lag_ms", lag);
-    }
-    (outcome, result)
+    (outcome, work)
 }
 
 /// The keep-up probe: find the highest arrival rate (from `candidates`,
@@ -101,11 +88,12 @@ mod tests {
     #[test]
     fn window_counts_cover_all_events() {
         let evts = events(5000);
-        let (outcome, result) = windowed_aggregation(evts.clone(), &StreamAnalyticsConfig::default());
+        let (outcome, work) = windowed_aggregation(evts.clone(), &StreamAnalyticsConfig::default());
         let counted: u64 = outcome.windows.iter().map(|w| w.count).sum();
         assert_eq!(counted, 5000);
-        assert!(result.detail("windows").unwrap() > 1.0);
-        assert!(result.detail("max_lag_ms").is_none());
+        assert_eq!(work.operations, 5000);
+        assert!(outcome.windows.len() > 1);
+        assert!(outcome.max_lag_ms.is_none());
     }
 
     #[test]
@@ -128,8 +116,8 @@ mod tests {
             paced_rate_eps: Some(50_000.0),
             ..Default::default()
         };
-        let (_, result) = windowed_aggregation(evts.clone(), &cfg);
-        assert!(result.detail("max_lag_ms").is_some());
+        let (outcome, _) = windowed_aggregation(evts.clone(), &cfg);
+        assert!(outcome.max_lag_ms.is_some());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! E-commerce domain scenario.
 //!
-//! Fits column models to the raw retail table, generates a larger
-//! synthetic table, then runs the domain's workloads: a YCSB-style OLTP
-//! mix on the key-value store, relational queries on the SQL engine, and
-//! collaborative filtering over purchases.
+//! Fits column models to the raw retail table and generates a larger
+//! synthetic table, then queries it on the SQL engine. Runs the domain's
+//! prescriptions through the five-step pipeline: a YCSB-B-style OLTP mix
+//! on the key-value store (`oltp/read-mostly`), and `ecommerce/*` on the
+//! SQL engine and on MapReduce, whose answers must agree.
 //!
 //! ```text
 //! cargo run --release --example ecommerce
@@ -14,7 +15,16 @@ use bdbench::datagen::table::TableGenerator;
 use bdbench::datagen::veracity;
 use bdbench::prelude::*;
 use bdbench::sql::Engine;
-use bdbench::workloads::{ecommerce, oltp};
+
+/// Run one prescription on `system` and return its result.
+fn run(prescription: &str, system: SystemKind) -> Result<WorkloadResult> {
+    let spec = BenchmarkSpec::new("ecommerce")
+        .with_prescription(prescription)
+        .with_system(system)
+        .with_scale(10_000)
+        .with_seed(1);
+    Ok(Benchmark::new().run(&spec)?.results.remove(0))
+}
 
 fn main() -> Result<()> {
     // --- 4V table generation: fit models to the raw orders extract.
@@ -32,20 +42,9 @@ fn main() -> Result<()> {
         veracity::table_veracity(&raw, &small)?.overall()
     );
 
-    // --- Cloud OLTP on the KV store (YCSB workload B).
-    let config = oltp::YcsbConfig {
-        record_count: 10_000,
-        operation_count: 30_000,
-        clients: 4,
-        value_size: 100,
-    };
-    let (_, counts, result) = oltp::run_ycsb(&oltp::YcsbSpec::b(), &config, 1);
-    println!("\nYCSB-B: {} reads, {} updates", counts.reads, counts.updates);
-    println!("{}", result.report);
-
-    // --- Relational queries (real-time analytics).
+    // --- Relational queries (real-time analytics) on the generated table.
     let mut engine = Engine::new();
-    engine.register("orders", orders.clone())?;
+    engine.register("orders", orders)?;
     let revenue = engine.sql(
         "SELECT category, SUM(price) AS revenue, COUNT(*) AS n \
          FROM orders GROUP BY category ORDER BY revenue DESC",
@@ -55,33 +54,26 @@ fn main() -> Result<()> {
         println!("  {:<12} {:>12} ({} orders)", row[0], format!("{:.2}", row[1].as_f64().unwrap()), row[2]);
     }
 
-    // --- Collaborative filtering over (customer, product) purchases.
-    let purchases: Vec<(u32, u32)> = orders
-        .rows()
-        .iter()
-        .map(|r| {
-            let customer = r[1].as_i64().unwrap() as u32;
-            let product = orders.schema().index_of("product").unwrap();
-            // Hash product names into small item ids.
-            let item = r[product]
-                .as_str()
-                .unwrap()
-                .bytes()
-                .fold(0u32, |h, b| h.wrapping_mul(31).wrapping_add(b as u32))
-                % 64;
-            (customer, item)
-        })
-        .collect();
-    let (recs, cf_result) = ecommerce::collaborative_filtering(&purchases, 3);
-    let with_recs = recs.values().filter(|r| !r.is_empty()).count();
-    println!("\ncollaborative filtering: {} customers with recommendations", with_recs);
-    println!("{}", cf_result.report);
+    // --- Cloud OLTP on the KV store (YCSB workload B).
+    let oltp = run("oltp/read-mostly", SystemKind::KeyValue)?;
+    println!(
+        "\noltp/read-mostly: read hit rate {:.3}",
+        oltp.detail("read_hit_rate").unwrap_or_default()
+    );
+    println!("{}", oltp.report);
 
-    // --- Naive Bayes classification.
-    let data = ecommerce::synthetic_labelled_data(5_000, 4, 5, 0.25, 9);
-    let (train, test) = data.split_at(4_000);
-    let (accuracy, nb_result) = ecommerce::naive_bayes_classify(train, test);
-    println!("\nnaive bayes accuracy: {accuracy:.3}");
-    println!("{}", nb_result.report);
+    // --- The e-commerce analytics on both bindings (functional view).
+    for prescription in ["ecommerce/collaborative-filtering", "ecommerce/naive-bayes"] {
+        let sql = run(prescription, SystemKind::Sql)?;
+        let mapreduce = run(prescription, SystemKind::MapReduce)?;
+        let digest = |r: &WorkloadResult| r.output.as_ref().map(|o| o.digest());
+        assert_eq!(digest(&sql), digest(&mapreduce), "functional view: {prescription}");
+        println!(
+            "\n{prescription}: {} output rows, sql == mapreduce",
+            sql.detail("output_rows").unwrap_or_default()
+        );
+        println!("{}", sql.report);
+        println!("{}", mapreduce.report);
+    }
     Ok(())
 }

@@ -1,23 +1,36 @@
 //! Search-engine domain scenario.
 //!
-//! Generates an LDA-modelled document corpus and an RMAT web graph, then
-//! runs the domain's workloads: inverted-index construction (native and
-//! MapReduce — the functional view requires identical indexes) and
-//! PageRank, and reports veracity of the synthetic corpus against the raw
-//! one.
+//! Trains an LDA topic model on the raw corpus, generates a larger
+//! synthetic corpus from it and reports its veracity against the raw one.
+//! Then runs the domain's prescriptions through the five-step pipeline:
+//! `search/index` on the native kernel and on MapReduce (the functional
+//! view requires identical answers, compared by output digest) and
+//! `search/pagerank` over a generated web graph.
 //!
 //! ```text
 //! cargo run --release --example search_engine
 //! ```
 
 use bdbench::datagen::corpus::RAW_TEXT_CORPUS;
-use bdbench::datagen::graph::RmatGenerator;
 use bdbench::datagen::text::lda::{LdaConfig, LdaModel};
 use bdbench::datagen::veracity;
-use bdbench::datagen::{DataGenerator, Dataset};
-use bdbench::mapreduce::JobConfig;
 use bdbench::prelude::*;
-use bdbench::workloads::search;
+use bdbench::workloads::OutputPayload;
+
+/// Run one prescription through `Benchmark::run`.
+fn run(prescription: &str, system: SystemKind, scale: u64) -> Result<BenchmarkRun> {
+    let spec = BenchmarkSpec::new("search_engine")
+        .with_prescription(prescription)
+        .with_system(system)
+        .with_scale(scale)
+        .with_seed(7);
+    Benchmark::new().run(&spec)
+}
+
+/// The first result of a run (every prescription here makes one).
+fn result(run: &BenchmarkRun) -> &WorkloadResult {
+    &run.results[0]
+}
 
 fn main() -> Result<()> {
     // --- Data generation (Figure 3): learn a dictionary + topic model
@@ -50,21 +63,32 @@ fn main() -> Result<()> {
         println!("  veracity {name}: {score:.4}");
     }
 
-    // --- Workloads: index construction on both bindings.
-    let (native_index, native_result) = search::inverted_index_native(docs);
-    let (mr_index, mr_result) = search::inverted_index_mapreduce(docs, &JobConfig::default());
-    assert_eq!(native_index, mr_index, "functional view: indexes must match");
-    println!("\nindex build (native):     {}", native_result.report);
-    println!("index build (mapreduce):  {}", mr_result.report);
+    // --- Index construction on both bindings.
+    let native = run("search/index", SystemKind::Native, 3_000)?;
+    let mapreduce = run("search/index", SystemKind::MapReduce, 3_000)?;
+    let digest = |run: &BenchmarkRun| result(run).output.as_ref().map(OutputPayload::digest);
+    assert_eq!(digest(&native), digest(&mapreduce), "functional view: indexes must match");
+    println!(
+        "\nfunctional view: search/index native == mapreduce (digest {:016x})",
+        digest(&native).unwrap_or_default()
+    );
+    println!("{}", result(&native).report);
+    println!("{}", result(&mapreduce).report);
 
     // --- PageRank over a generated web graph.
-    let graph = RmatGenerator::standard(8.0).generate_graph(3, 12);
-    let (ranks, iterations, pr_result) =
-        search::pagerank_native(&graph.to_csr(), &Default::default());
-    let mut top: Vec<usize> = (0..ranks.len()).collect();
-    top.sort_by(|&a, &b| ranks[b].partial_cmp(&ranks[a]).unwrap());
-    println!("\npagerank: {} vertices, {iterations} iterations", ranks.len());
-    println!("  top pages: {:?}", &top[..5]);
-    println!("{}", pr_result.report);
+    let pagerank = run("search/pagerank", SystemKind::Native, 1 << 12)?;
+    let pr = result(&pagerank);
+    if let Some(OutputPayload::Numeric(ranks)) = &pr.output {
+        let mut top: Vec<&(String, f64)> = ranks.iter().collect();
+        top.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let names: Vec<&str> = top.iter().take(5).map(|(v, _)| v.as_str()).collect();
+        println!(
+            "\npagerank: {} vertices, {} iterations",
+            ranks.len(),
+            pr.detail("iterations").unwrap_or_default()
+        );
+        println!("  top pages: {names:?}");
+    }
+    println!("{}", pr.report);
     Ok(())
 }

@@ -1,9 +1,10 @@
 //! Social-network domain scenario.
 //!
-//! Fits an RMAT model to a real social graph (Zachary's karate club),
-//! generates a larger synthetic graph preserving its degree-distribution
-//! shape, runs connected components and k-means, and demonstrates the
-//! *update frequency* meaning of velocity with a controlled update
+//! Fits an RMAT model to a real social graph (Zachary's karate club) and
+//! checks that a larger synthetic graph preserves its degree-distribution
+//! shape. Runs the domain's prescriptions, `social/connected-components`
+//! and `social/kmeans`, through the five-step pipeline, and demonstrates
+//! the *update frequency* meaning of velocity with a controlled update
 //! stream.
 //!
 //! ```text
@@ -15,7 +16,16 @@ use bdbench::datagen::graph::{degree_distribution_distance, fit_rmat, ErdosRenyi
 use bdbench::datagen::stream::{UpdateOp, UpdateStreamGenerator};
 use bdbench::kv::SharedLsm;
 use bdbench::prelude::*;
-use bdbench::workloads::social;
+
+/// Run one prescription on the native kernels and return its result.
+fn run(prescription: &str, scale: u64) -> Result<WorkloadResult> {
+    let spec = BenchmarkSpec::new("social_network")
+        .with_prescription(prescription)
+        .with_system(SystemKind::Native)
+        .with_scale(scale)
+        .with_seed(3);
+    Ok(Benchmark::new().run(&spec)?.results.remove(0))
+}
 
 fn main() -> Result<()> {
     // --- Fit a graph model to the raw data (Figure 3 step 2).
@@ -42,23 +52,21 @@ fn main() -> Result<()> {
     );
 
     // --- Workloads: connected components + k-means.
-    let mut und = synthetic.clone();
-    for &(u, v) in synthetic.edges() {
-        und.add_edge(v, u);
-    }
-    let (labels, iters, cc_result) = social::connected_components(&und.to_csr());
-    let components: std::collections::BTreeSet<u32> = labels.iter().copied().collect();
+    let cc = run("social/connected-components", 1 << 12)?;
     println!(
-        "\nconnected components: {} components in {iters} iterations",
-        components.len()
+        "\nconnected components: {} components in {} iterations",
+        cc.detail("components").unwrap_or_default(),
+        cc.detail("iterations").unwrap_or_default()
     );
-    println!("{}", cc_result.report);
+    println!("{}", cc.report);
 
-    let (points, _) = social::gaussian_mixture(5_000, 5, 8, 2.0, 3);
-    let (_, _, kmeans_iters, km_result) =
-        social::kmeans_native(&points, &social::KMeansConfig { k: 5, ..Default::default() }, 3);
-    println!("\nk-means: converged in {kmeans_iters} iterations");
-    println!("{}", km_result.report);
+    let kmeans = run("social/kmeans", 5_000)?;
+    println!(
+        "\nk-means: {} points converged in {} iterations",
+        kmeans.detail("input_points").unwrap_or_default(),
+        kmeans.detail("iterations").unwrap_or_default()
+    );
+    println!("{}", kmeans.report);
 
     // --- Velocity as update frequency (Section 5.1): replay a 2k ops/sec
     // social-graph update stream against the KV store.

@@ -224,9 +224,9 @@ rm -f "$chaos_a" "$chaos_b"
 echo "chaos load smoke: $trips breaker trip(s), recovered to closed at quiesce"
 
 echo "== report program smoke (paper-artifact report, cheapest) =="
-# The report programs under crates/bench/benches/ are plain `fn main`s
-# that no test or gate runs; one of them executed end to end keeps the
-# set from rotting.
+# The report programs under crates/bench/benches/ and the examples are
+# plain `fn main`s that `cargo test` only compiles; running some of them
+# end to end keeps the set from rotting.
 report_out=$(mktemp)
 cargo bench -q -p bdb-bench --bench fig4_testgen >"$report_out" \
     || { echo "report smoke: fig4_testgen failed"; cat "$report_out"; exit 1; }
@@ -239,8 +239,27 @@ cargo bench -q -p bdb-bench --bench abl_bloom >"$report_out" \
     || { echo "report smoke: abl_bloom failed"; cat "$report_out"; exit 1; }
 grep -q "^ABL3" "$report_out" && grep -q "all hits" "$report_out" \
     || { echo "report smoke: expected the ABL3 table"; cat "$report_out"; exit 1; }
-rm -f "$report_out"
 echo "report smoke: abl_bloom read every loaded key back through many-run compactions"
+# The four examples and the EXT1 report take their results from
+# Benchmark::run on repository prescriptions; each must exit 0 and print
+# its headline line.
+for pair in "quickstart|^=== micro/wordcount on native ===$" \
+    "search_engine|^functional view: search/index native == mapreduce" \
+    "social_network|^connected components: [0-9]* components" \
+    "ecommerce|^ecommerce/naive-bayes: .*sql == mapreduce$"; do
+    example=${pair%%|*}; headline=${pair#*|}
+    cargo run -q --release --example "$example" >"$report_out" \
+        || { echo "report smoke: example $example failed"; cat "$report_out"; exit 1; }
+    grep -q "$headline" "$report_out" \
+        || { echo "report smoke: example $example did not print its headline"; cat "$report_out"; exit 1; }
+    echo "report smoke: example $example printed its headline"
+done
+cargo bench -q -p bdb-bench --bench ext_platforms >"$report_out" \
+    || { echo "report smoke: ext_platforms failed"; cat "$report_out"; exit 1; }
+grep -q "^EXT1: " "$report_out" && grep -q "^Question (1): " "$report_out" \
+    || { echo "report smoke: expected the EXT1 table and its answers"; cat "$report_out"; exit 1; }
+rm -f "$report_out"
+echo "report smoke: ext_platforms projected five pipeline results and answered Question (1)"
 
 echo "== ab.sh smoke (the A/B script parses and rejects bad invocations) =="
 # scripts/ab.sh takes minutes per workload, so the gate only checks what

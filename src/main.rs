@@ -280,9 +280,7 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
             bdbench::common::BdbError::InvalidConfig(format!("bad --scale {scale}"))
         })?);
     }
-    // --workers 0 = available parallelism, 1 = sequential. An explicit
-    // value always wins over the execution layer's configuration, so
-    // `--workers 1` forces sequential generation.
+    // --workers 0 = available parallelism, 1 = sequential (the default).
     if opts.contains_key("workers") {
         spec = spec.with_generator_workers(opt_u64(&opts, "workers", 1) as usize);
     }

@@ -62,3 +62,14 @@ fn suite_tables_at_scale_zero_and_one_never_panic() {
         assert!(!stderr(&out).contains("panicked at"), "{args:?}: {}", stderr(&out));
     }
 }
+
+#[test]
+fn non_positive_generation_rates_are_named_config_errors() {
+    for rate in ["0", "-5", "NaN", "inf"] {
+        let out = bdbench(&["run", "micro/sort", "--scale", "50", "--rate", rate]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "--rate {rate}: {err}");
+        assert!(err.contains("invalid configuration: target rate"), "--rate {rate}: {err}");
+        assert!(!err.contains("panicked at"), "--rate {rate}: {err}");
+    }
+}

@@ -34,6 +34,55 @@ fn every_builtin_prescription_executes_on_its_natural_system() {
 }
 
 #[test]
+fn every_result_is_named_timed_and_filed_by_its_engine() {
+    // A result has one maker: whatever kernel ran, the result carries the
+    // prescription's name, the engine that ran it, and the Table 2
+    // category of the prescription's class; a kernel's duration is the
+    // span its trace event reports.
+    use bdbench::exec::engine::{EngineRegistry, TestProfile, WorkloadClass};
+    use bdbench::exec::trace::TraceEvent;
+    use WorkloadCategory::{OfflineAnalytics, OnlineServices, RealTimeAnalytics};
+    let engines = EngineRegistry::with_builtins();
+    let mut runs = 0;
+    for p in builtin_prescriptions() {
+        let profile = TestProfile::declared(&p).unwrap();
+        let category = match profile.class {
+            WorkloadClass::Text | WorkloadClass::Iterative => OfflineAnalytics,
+            WorkloadClass::Relational | WorkloadClass::Windowed | WorkloadClass::Behavioral => {
+                RealTimeAnalytics
+            }
+            WorkloadClass::Element => OnlineServices,
+        };
+        let kernel = !matches!(profile.class, WorkloadClass::Relational | WorkloadClass::Element);
+        for engine in engines.engines().filter(|e| e.capabilities().supports(&profile)) {
+            let run = run(&p.name, engine.capabilities().systems[0], 200);
+            let cell = format!("{} on {}", p.name, engine.name());
+            let [r] = run.results.as_slice() else { panic!("{cell}: one result") };
+            assert_eq!(r.report.workload, p.name, "{cell}");
+            assert_eq!(r.report.system, engine.name(), "{cell}");
+            assert_eq!(r.category, category, "{cell}");
+            if kernel {
+                let spans: Vec<u64> = run
+                    .trace
+                    .events()
+                    .into_iter()
+                    .filter_map(|e| match e {
+                        TraceEvent::OperationExecuted { micros, .. } => Some(micros),
+                        _ => None,
+                    })
+                    .collect();
+                let [micros] = spans.as_slice() else { panic!("{cell}: one span, got {spans:?}") };
+                let secs = r.report.user.duration_secs;
+                let gap = (secs * 1e6 - *micros as f64).abs();
+                assert!(gap <= 1.0, "{cell}: {secs} s vs {micros} us");
+            }
+            runs += 1;
+        }
+    }
+    assert!(runs > builtin_prescriptions().len(), "{runs} runs");
+}
+
+#[test]
 fn layers_compose_a_custom_generator_and_prescription() {
     // FIG2: register a custom generator + prescription through the
     // function layer and run it.
@@ -74,7 +123,7 @@ fn layers_compose_a_custom_generator_and_prescription() {
     let spec = BenchmarkSpec::new("custom").with_prescription("custom/wc").with_scale(50);
     let run = bench.run(&spec).unwrap();
     assert_eq!(run.data_summary[0].2, 50);
-    assert_eq!(run.results[0].report.workload, "micro/wordcount");
+    assert_eq!(run.results[0].report.workload, "custom/wc");
 }
 
 #[test]
@@ -120,7 +169,7 @@ fn velocity_layer_reports_rate_for_parallel_generation() {
 fn streaming_prescription_runs_the_window_workload() {
     // The fourth data source (stream) flows through the same pipeline.
     let r = run("streaming/window-aggregation", SystemKind::Streaming, 5_000);
-    assert_eq!(r.results[0].report.workload, "streaming/windowed-aggregation");
+    assert_eq!(r.results[0].report.workload, "streaming/window-aggregation");
     assert_eq!(r.data_summary[0].1, "stream");
     assert!(r.results[0].detail("windows").unwrap() >= 1.0);
 }
