@@ -8,10 +8,9 @@
 
 use crate::registry::GeneratorRegistry;
 use bdb_exec::config::SystemConfig;
-use bdb_exec::engine::EngineRegistry;
+use bdb_exec::engine::{EngineRegistry, RoutingPolicy};
 use bdb_exec::fault::FaultPlan;
 use bdb_exec::loadgen::LoadProfile;
-use bdb_exec::planner::RoutingPolicy;
 use bdb_metrics::{CostModel, PowerModel};
 use bdb_testgen::{PrescriptionRepository, SystemKind};
 use bdb_verify::VerifyMode;
@@ -52,9 +51,7 @@ pub struct BenchmarkSpec {
     ///
     /// [`Benchmark::run_load`]: crate::pipeline::Benchmark::run_load
     pub load: Option<LoadProfile>,
-    /// How the registry orders capable engines for the run: the
-    /// historical first-capable default, static cost ranking, or the
-    /// adaptive observed-runtime loop.
+    /// Read by nothing; see [`RoutingPolicy`].
     pub routing: RoutingPolicy,
 }
 
@@ -153,12 +150,6 @@ impl BenchmarkSpec {
         self.load = Some(profile);
         self
     }
-
-    /// Choose how the registry ranks capable engines.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
-        self
-    }
 }
 
 /// Alias making the Figure 2 naming explicit.
@@ -242,13 +233,6 @@ mod tests {
         assert!(s.faults.is_none());
         assert_eq!(s.retries, 0);
         assert!(s.deadline_ms.is_none());
-        assert_eq!(s.routing, RoutingPolicy::FirstCapable);
-    }
-
-    #[test]
-    fn spec_routing_builder() {
-        let s = BenchmarkSpec::new("x").with_routing(RoutingPolicy::Adaptive);
-        assert_eq!(s.routing, RoutingPolicy::Adaptive);
     }
 
     #[test]

@@ -31,14 +31,14 @@ pub mod pipeline;
 pub mod registry;
 
 pub use layers::{BenchmarkSpec, ExecutionLayer, FunctionLayer, UserInterfaceLayer};
-pub use matrix::{verify_matrix, verify_matrix_routed, MatrixCell, MatrixReport, MatrixRouting};
+pub use matrix::{verify_matrix, verify_matrix_routed, MatrixCell, MatrixReport};
 pub use pipeline::{Benchmark, BenchmarkRun, LoadRun, PhaseTiming};
 pub use registry::GeneratorRegistry;
 
 /// Glob import for applications.
 pub mod prelude {
     pub use crate::layers::BenchmarkSpec;
-    pub use crate::matrix::{verify_matrix, verify_matrix_routed, MatrixReport, MatrixRouting};
+    pub use crate::matrix::{verify_matrix, verify_matrix_routed, MatrixReport};
     pub use crate::pipeline::{Benchmark, BenchmarkRun, LoadRun};
     pub use bdb_exec::loadgen::{LoadArrival, LoadProfile};
     pub use bdb_verify::VerifyMode;

@@ -22,20 +22,17 @@
 use crate::layers::BenchmarkSpec;
 use crate::pipeline::Benchmark;
 use bdb_common::{BdbError, Result};
-use bdb_exec::analyzer::{RecoverySummary, RoutingSummary};
+use bdb_exec::analyzer::RecoverySummary;
 use bdb_exec::config::SystemConfig;
-use bdb_exec::cost::ObservedCosts;
 use bdb_exec::engine::{
     Engine, EngineRegistry, KvEngine, MapReduceEngine, NativeEngine, SqlEngine, StreamingEngine,
     TestProfile,
 };
 use bdb_exec::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 use bdb_exec::journal::{CellCheckpoint, RunJournal};
-use bdb_exec::planner::RoutingPolicy;
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_testgen::{PrescriptionRepository, SystemKind};
 use bdb_verify::{GoldenStore, VerifyMode};
-use std::sync::Arc;
 
 /// Engine threads pinned for matrix runs, keeping KV client sharding —
 /// and therefore Element-class golden digests — machine-independent.
@@ -72,10 +69,6 @@ pub struct MatrixReport {
     /// Recovery activity of the sweep itself: checkpoints written, cells
     /// resumed from a journal, kill points fired.
     pub recovery: RecoverySummary,
-    /// Routing activity across the sweep's cells: dispatch decisions,
-    /// cost predictions vs observations, engine migrations. Empty under
-    /// the first-capable default.
-    pub routing: RoutingSummary,
 }
 
 impl MatrixReport {
@@ -118,10 +111,6 @@ impl MatrixReport {
         if !self.recovery.is_quiet() || self.recovery.checkpoints_written > 0 {
             out.push('\n');
             out.push_str(&bdb_exec::reporter::render_resilience(&self.recovery));
-        }
-        if !self.routing.is_empty() {
-            out.push('\n');
-            out.push_str(&bdb_exec::reporter::render_routing(&self.routing));
         }
         let verdict = if self.all_passed() { "CONFORMANT" } else { "DIVERGED" };
         let resumed = self.cells.iter().filter(|c| c.resumed).count();
@@ -183,42 +172,6 @@ pub struct MatrixDurability<'a> {
     pub faults: Option<&'a FaultPlan>,
 }
 
-/// Routing knobs for a matrix sweep: which dispatch policy each cell
-/// runs under, and the observed-cost store cells share.
-///
-/// The store is the adaptive loop's memory: every cell folds its engines'
-/// observed runtimes into it, so later cells (and later *sweeps*, when
-/// the caller reuses one store across passes) rank engines by what the
-/// matrix actually measured instead of the static table.
-#[derive(Debug, Clone)]
-pub struct MatrixRouting {
-    /// Dispatch policy for every cell in the sweep.
-    pub policy: RoutingPolicy,
-    /// EWMA store shared by all cells (and across passes when reused).
-    pub observed: Arc<ObservedCosts>,
-    /// Extra system-config parameters applied to every cell's execution
-    /// layer (e.g. the `breaker.*` knobs from the CLI). Invalid values
-    /// fail the first cell loudly instead of being silently ignored.
-    pub parameters: Vec<(String, String)>,
-}
-
-impl Default for MatrixRouting {
-    fn default() -> Self {
-        Self {
-            policy: RoutingPolicy::default(),
-            observed: Arc::new(ObservedCosts::new()),
-            parameters: Vec::new(),
-        }
-    }
-}
-
-impl MatrixRouting {
-    /// A routing config under `policy` with a fresh observed-cost store.
-    pub fn with_policy(policy: RoutingPolicy) -> Self {
-        Self { policy, ..Self::default() }
-    }
-}
-
 /// Sweep every built-in prescription across every capable built-in
 /// engine, verifying each cell under `mode`. Incapable pairs are skipped
 /// (they are not matrix cells); a capable pair that fails to execute is
@@ -239,18 +192,15 @@ pub fn verify_matrix(
         mode,
         goldens_dir,
         &MatrixDurability::default(),
-        &MatrixRouting::default(),
+        &[],
     )
 }
 
 /// [`verify_matrix`] with journaling, resumption and kill points (see the
-/// module docs for the crash/resume contract) under an explicit dispatch
-/// policy. Each cell still runs in a single-engine registry — the sweep
-/// is a conformance harness, so the routed engine must stay the cell's
-/// engine — but every cell's registry shares `routing.observed`, records
-/// its routing decisions into the report, and feeds observed runtimes
-/// back for the next cell (or the next pass, when the caller reuses the
-/// store).
+/// module docs for the crash/resume contract). `parameters` are extra
+/// system-config parameters applied to every cell's execution layer (the
+/// CLI's `breaker.*` knobs); an invalid value fails the first cell loudly
+/// instead of being silently ignored.
 ///
 /// # Errors
 /// Fails as [`verify_matrix`] does, plus [`BdbError::Crashed`] when an
@@ -262,7 +212,7 @@ pub fn verify_matrix_routed(
     mode: VerifyMode,
     goldens_dir: Option<&str>,
     durability: &MatrixDurability<'_>,
-    routing: &MatrixRouting,
+    parameters: &[(String, String)],
 ) -> Result<MatrixReport> {
     // ONE injector spans the sweep: a fresh injector per cell would
     // restart the deterministic draw sequence and a `crash@exec:1`
@@ -283,7 +233,6 @@ pub fn verify_matrix_routed(
         }
     }
     let mut cells = Vec::new();
-    let mut routing_events = Vec::new();
     for (name, engine) in capable_cells()? {
         let engine_name = engine.name();
         let key = RunJournal::cell_key(&name, engine_name, seed, scale);
@@ -302,37 +251,23 @@ pub fn verify_matrix_routed(
             .unwrap_or(SystemKind::Native);
         let mut bench = Benchmark::new();
         let mut config = SystemConfig::default().with_threads(MATRIX_THREADS);
-        for (key, value) in &routing.parameters {
+        for (key, value) in parameters {
             config = config.with_parameter(key, value);
         }
         bench.execution_layer_mut().system_config = config;
         let mut registry = EngineRegistry::new();
         registry.register(engine);
-        // All cells share the sweep's observed-cost store: each cell
-        // feeds its runtime into the EWMA the next cell (or pass) ranks
-        // with.
-        registry.set_observed(routing.observed.clone());
         bench.execution_layer_mut().engines = registry;
         let mut spec = BenchmarkSpec::new(&format!("verify/{name}/{engine_name}"))
             .with_prescription(&name)
             .with_system(system)
             .with_scale(scale)
             .with_seed(seed)
-            .with_verify(mode)
-            .with_routing(routing.policy);
+            .with_verify(mode);
         if let Some(dir) = goldens_dir {
             spec = spec.with_goldens_dir(dir);
         }
         let run = bench.run(&spec)?;
-        routing_events.extend(
-            run.trace
-                .events()
-                .iter()
-                .filter(|e| {
-                    matches!(e, TraceEvent::RoutingDecision { .. } | TraceEvent::CostObserved { .. })
-                })
-                .cloned(),
-        );
         let digest = run
             .results
             .iter()
@@ -381,8 +316,7 @@ pub fn verify_matrix_routed(
         }
     }
     let recovery = RecoverySummary::from_events(&sweep_trace.events());
-    let routing = RoutingSummary::from_events(&routing_events);
-    Ok(MatrixReport { mode, cells, recovery, routing })
+    Ok(MatrixReport { mode, cells, recovery })
 }
 
 /// Turn a journal checkpoint back into a matrix cell, re-verifying its
@@ -461,12 +395,12 @@ mod tests {
         use crate::registry::GeneratorRegistry;
         use bdb_datagen::volume::VolumeSpec;
         use bdb_datagen::Dataset;
-        use bdb_exec::engine::ExecutionRequest;
+        use bdb_exec::engine::{ExecutionRequest, RoutingPolicy};
         use std::collections::BTreeMap;
 
-        // The pre-check asks the declared profile; the router asks the
+        // The pre-check asks the declared profile; routing asks the
         // generated data. They must agree on every prescription, or the
-        // sweep would skip (or attempt) a cell the router sees differently.
+        // sweep would skip (or attempt) a cell routing sees differently.
         let repository = PrescriptionRepository::with_builtins();
         let generators = GeneratorRegistry::with_builtins();
         let (config, trace) = (SystemConfig::default(), RunTrace::new());
@@ -489,7 +423,7 @@ mod tests {
                 datasets: &datasets,
                 config: &config,
                 trace: &trace,
-                routing: RoutingPolicy::default(),
+                routing: RoutingPolicy::FirstCapable,
             };
             assert_eq!(TestProfile::declared(prescription).unwrap(), request.profile(), "{name}");
         }
@@ -511,7 +445,6 @@ mod tests {
             mode: VerifyMode::Digest,
             cells: Vec::new(),
             recovery: RecoverySummary::default(),
-            routing: RoutingSummary::default(),
         };
         assert!(!r.all_passed());
     }
@@ -531,7 +464,6 @@ mod tests {
             mode: VerifyMode::Digest,
             cells: vec![cell(false), cell(true)],
             recovery: RecoverySummary::default(),
-            routing: RoutingSummary::default(),
         };
         let text = r.render();
         assert!(text.contains("pass (resumed)"), "{text}");

@@ -19,15 +19,12 @@ use crate::layers::{BenchmarkSpec, ExecutionLayer, FunctionLayer};
 use bdb_common::{pool, BdbError, Result};
 use bdb_datagen::velocity::VelocityController;
 use bdb_datagen::Dataset;
-use bdb_exec::analyzer::{
-    ConformanceSummary, HealthSummary, LoadSummary, RecoverySummary, RoutingSummary,
-};
-use bdb_exec::engine::ExecutionRequest;
+use bdb_exec::analyzer::{ConformanceSummary, HealthSummary, LoadSummary, RecoverySummary};
+use bdb_exec::engine::{ExecutionRequest, RoutingPolicy};
 use bdb_exec::fault::{self, FaultSite, Resilience, RetryPolicy};
 use bdb_exec::loadgen::{self, LoadProfile};
 use bdb_exec::reporter::{
-    fmt_num, render_conformance, render_health, render_load, render_resilience, render_routing,
-    TableReporter,
+    fmt_num, render_conformance, render_health, render_load, render_resilience, TableReporter,
 };
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_metrics::GenerationMetrics;
@@ -152,9 +149,9 @@ impl Benchmark {
             },
             spec.seed,
         );
-        // Fresh breakers per run: the health store is shared with the
-        // router, so stale trips from a previous run must not leak into
-        // this one's routing or admission decisions.
+        // Fresh breakers per run: the registry routes by the health store,
+        // so stale trips from a previous run must not leak into this
+        // one's routing or admission decisions.
         self.execution_layer
             .engines
             .health()
@@ -264,7 +261,7 @@ impl Benchmark {
             datasets: &datasets,
             config: &self.execution_layer.system_config,
             trace: &trace,
-            routing: spec.routing,
+            routing: RoutingPolicy::FirstCapable,
         };
         let results = self.execution_layer.engines.dispatch_resilient(&request, &resilience)?;
         finish_phase(&trace, Phase::Execution, t0);
@@ -433,14 +430,6 @@ fn render_analysis(
     } else {
         format!("\n{}", render_conformance(conformance))
     };
-    // Routing appears only under cost/adaptive policies — first-capable
-    // runs record no routing events and keep their analysis unchanged.
-    let routing_summary = RoutingSummary::from_events(events);
-    let routing_section = if routing_summary.is_empty() {
-        String::new()
-    } else {
-        format!("\n{}", render_routing(&routing_summary))
-    };
     // Health appears only when a breaker changed state — runs whose
     // breakers stayed closed keep their analysis unchanged.
     let health_summary = HealthSummary::from_events(events);
@@ -450,14 +439,13 @@ fn render_analysis(
         format!("\n{}", render_health(&health_summary))
     };
     format!(
-        "{}\n{}{}{}{}{}{}{}",
+        "{}\n{}{}{}{}{}{}",
         data.to_text(),
         gen_line,
         dispatch_lines,
         table.to_text(),
         resilience_section,
         conformance_section,
-        routing_section,
         health_section
     )
 }
@@ -582,31 +570,6 @@ mod tests {
         let r = run("micro/wordcount", SystemKind::Native, 100);
         assert!(r.conformance.is_empty());
         assert!(!r.analysis.contains("Conformance"));
-        // First-capable runs record no routing events and no section.
-        assert!(!r.analysis.contains("== Routing =="));
-        assert!(!r.trace.events().iter().any(|e| e.label() == "routing_decision"));
-    }
-
-    #[test]
-    fn cost_routed_run_records_decisions() {
-        let spec = BenchmarkSpec::new("routed")
-            .with_prescription("relational/select-aggregate")
-            .with_system(SystemKind::Sql)
-            .with_scale(300)
-            .with_seed(5)
-            .with_routing(bdb_exec::planner::RoutingPolicy::Cost);
-        let r = Benchmark::new().run(&spec).unwrap();
-        assert_eq!(r.results[0].report.system, "sql");
-        let events = r.trace.events();
-        assert!(events.iter().any(|e| e.label() == "routing_decision"));
-        assert!(events.iter().any(|e| e.label() == "cost_observed"));
-        assert!(r.analysis.contains("== Routing =="));
-        // Cost routing must not change the result itself.
-        let baseline = run("relational/select-aggregate", SystemKind::Sql, 300);
-        assert_eq!(
-            r.results[0].detail("output_rows"),
-            baseline.results[0].detail("output_rows")
-        );
     }
 
     #[test]

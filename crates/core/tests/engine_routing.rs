@@ -5,18 +5,14 @@
 
 use bdb_core::layers::BenchmarkSpec;
 use bdb_core::pipeline::{Benchmark, BenchmarkRun};
-use bdb_exec::engine::{
-    Capabilities, Engine, EngineRegistry, ExecutionRequest, NativeEngine,
-};
+use bdb_exec::engine::{EngineRegistry, ExecutionRequest, RoutingPolicy};
 use bdb_exec::fault::Resilience;
-use bdb_exec::planner::RoutingPolicy;
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_exec::SystemConfig;
 use bdb_testgen::arrival::ArrivalSpec;
 use bdb_testgen::ops::AggSpec;
 use bdb_testgen::pattern::WorkloadPattern;
 use bdb_testgen::{MetricKind, Operation, Prescription, SystemKind};
-use bdb_workloads::WorkloadResult;
 use std::collections::BTreeMap;
 
 const ALL_SYSTEMS: [SystemKind; 5] = [
@@ -175,7 +171,7 @@ fn empty_registry_reports_the_absence_of_candidates() {
         datasets: &datasets,
         config: &config,
         trace: &trace,
-        routing: bdb_exec::planner::RoutingPolicy::default(),
+        routing: RoutingPolicy::FirstCapable,
     };
     let err = EngineRegistry::new()
         .dispatch_resilient(&request, &Resilience::passive(0)).unwrap_err().to_string();
@@ -203,120 +199,6 @@ fn sql_and_mapreduce_agree_on_relational_output() {
         assert_eq!(digest(&sql), digest(&mr), "{name}: output rows diverge");
         assert!(digest(&sql).is_some());
     }
-}
-
-fn run_routed(prescription: &str, system: SystemKind, routing: RoutingPolicy) -> BenchmarkRun {
-    let spec = BenchmarkSpec::new("routing")
-        .with_prescription(prescription)
-        .with_system(system)
-        .with_scale(300)
-        .with_seed(11)
-        .with_routing(routing);
-    Benchmark::new()
-        .run(&spec)
-        .unwrap_or_else(|e| panic!("{prescription} on {system} ({routing}): {e}"))
-}
-
-#[test]
-fn cost_routing_is_payload_identical_to_first_capable() {
-    // The cost ranker may reorder candidates but must never change what a
-    // run computes: across the full prescription × system matrix, the
-    // output payload under `--routing cost` is byte-identical (same
-    // shape, length and canonical digest) to the first-capable default's.
-    let repo = bdb_testgen::PrescriptionRepository::with_builtins();
-    for name in repo.names() {
-        for system in ALL_SYSTEMS {
-            let first = run_routed(name, system, RoutingPolicy::FirstCapable);
-            let cost = run_routed(name, system, RoutingPolicy::Cost);
-            let payload = |r: &BenchmarkRun| {
-                r.results
-                    .iter()
-                    .find_map(|res| res.output.as_ref())
-                    .map(|p| (p.label().to_string(), p.len(), p.digest()))
-            };
-            assert_eq!(
-                payload(&first),
-                payload(&cost),
-                "{name} on {system}: cost routing changed the output payload"
-            );
-            // Cost routing records its decision; the default stays silent.
-            assert!(first.trace.events().iter().all(|e| e.label() != "routing_decision"));
-            assert!(cost.trace.events().iter().any(|e| e.label() == "routing_decision"));
-        }
-    }
-}
-
-/// A deliberately slow text engine whose optimistic self-estimate wins
-/// the first adaptive dispatch — until its observed runtime feeds back.
-struct SlowTextEngine;
-
-impl Engine for SlowTextEngine {
-    fn name(&self) -> &'static str {
-        "slowtext"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        NativeEngine.capabilities()
-    }
-
-    fn execute(&self, req: &ExecutionRequest<'_>) -> bdb_common::Result<Vec<WorkloadResult>> {
-        // Busy-wait so the observed runtime dwarfs both the claimed
-        // estimate and the native engine's actual runtime.
-        let start = std::time::Instant::now();
-        while start.elapsed() < std::time::Duration::from_millis(5) {
-            std::hint::spin_loop();
-        }
-        NativeEngine.execute(req)
-    }
-
-    fn estimate_cost(&self, _req: &ExecutionRequest<'_>) -> Option<f64> {
-        Some(1.0)
-    }
-}
-
-#[test]
-fn adaptive_routing_migrates_off_an_engine_that_lied_about_its_cost() {
-    // Two explicit candidates for the native system: the slow engine is
-    // registered first and claims to be near-free, so the static view
-    // (and the first adaptive pass) picks it. Its observed runtime then
-    // contradicts the claim, and the second pass migrates to the native
-    // engine — the adaptive loop overruling a wrong cost model.
-    let mut bench = Benchmark::new();
-    let mut registry = EngineRegistry::new();
-    registry.register(Box::new(SlowTextEngine));
-    registry.register(Box::new(NativeEngine));
-    bench.execution_layer_mut().engines = registry;
-    let spec = BenchmarkSpec::new("adaptive")
-        .with_prescription("micro/wordcount")
-        .with_system(SystemKind::Native)
-        .with_scale(200)
-        .with_seed(17)
-        .with_routing(RoutingPolicy::Adaptive);
-
-    let pass1 = bench.run(&spec).unwrap();
-    let (engine1, _) = dispatched_engine(&pass1);
-    assert_eq!(engine1, "slowtext", "claimed cost of 1us must win the cold dispatch");
-
-    let pass2 = bench.run(&spec).unwrap();
-    let (engine2, _) = dispatched_engine(&pass2);
-    assert_eq!(engine2, "native", "observed ~5ms must overrule the claimed 1us");
-
-    // The second pass's decision shows slowtext rejected on its observed
-    // EWMA, and both passes compute the same wordcount output.
-    assert!(
-        pass2.trace.events().iter().any(|e| matches!(
-            e,
-            TraceEvent::RoutingDecision { engine, rejected, .. }
-                if engine == "native"
-                    && rejected.iter().any(|r| r.starts_with("slowtext@") && r.ends_with("[observed]"))
-        )),
-        "pass 2 decision must cite slowtext's observed cost: {:?}",
-        pass2.trace.events()
-    );
-    let payload = |r: &BenchmarkRun| {
-        r.results.iter().find_map(|res| res.output.as_ref()).map(|p| (p.len(), p.digest()))
-    };
-    assert_eq!(payload(&pass1), payload(&pass2), "migration changed the computed output");
 }
 
 #[test]

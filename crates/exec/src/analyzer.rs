@@ -395,108 +395,16 @@ impl HealthSummary {
     }
 }
 
-/// Routing metrics distilled from a run's trace: what the cost-based
-/// router decided, how its predictions compared with observed runtimes,
-/// and which prescriptions migrated engines mid-run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RoutingSummary {
-    /// Routing decisions recorded, total.
-    pub decisions: u64,
-    /// Decisions per winning engine.
-    pub by_engine: BTreeMap<String, u64>,
-    /// Decisions per prediction source ("observed", "engine", "static",
-    /// "unknown").
-    pub by_source: BTreeMap<String, u64>,
-    /// Cost observations folded into the EWMA store.
-    pub observations: u64,
-    /// Prediction-vs-reality pairs:
-    /// `(prescription, engine, predicted µs, observed µs)`, one per
-    /// observation whose dispatch carried a usable prediction.
-    pub pairs: Vec<(String, String, f64, f64)>,
-    /// Engine migrations: `(prescription, from, to)` each time a repeated
-    /// prescription's winning engine changed.
-    pub migrations: Vec<(String, String, String)>,
-}
+/// What is left of the routing report now that the registry has one
+/// fixed order: nothing. `benchmark/API.md` pins `from_events`, so the
+/// name survives until ROADMAP item 11's `[benchmark]` change deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RoutingSummary;
 
 impl RoutingSummary {
-    /// Build the summary from a run's trace events.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut s = RoutingSummary::default();
-        // Last winning engine per prescription (for migrations) and the
-        // prediction attached to the most recent decision per
-        // (prescription, engine) pair (to match with CostObserved).
-        let mut last_engine: BTreeMap<String, String> = BTreeMap::new();
-        let mut last_prediction: BTreeMap<(String, String), (f64, String)> = BTreeMap::new();
-        for e in events {
-            match e {
-                TraceEvent::RoutingDecision {
-                    prescription,
-                    engine,
-                    predicted_micros,
-                    source,
-                    ..
-                } => {
-                    s.decisions += 1;
-                    *s.by_engine.entry(engine.clone()).or_insert(0) += 1;
-                    *s.by_source.entry(source.clone()).or_insert(0) += 1;
-                    if let Some(prev) = last_engine.insert(prescription.clone(), engine.clone()) {
-                        if prev != *engine {
-                            s.migrations.push((prescription.clone(), prev, engine.clone()));
-                        }
-                    }
-                    last_prediction.insert(
-                        (prescription.clone(), engine.clone()),
-                        (*predicted_micros, source.clone()),
-                    );
-                }
-                TraceEvent::CostObserved { prescription, engine, micros, .. } => {
-                    s.observations += 1;
-                    if let Some((predicted, source)) =
-                        last_prediction.get(&(prescription.clone(), engine.clone()))
-                    {
-                        if source != "unknown" && *predicted > 0.0 {
-                            s.pairs.push((
-                                prescription.clone(),
-                                engine.clone(),
-                                *predicted,
-                                *micros as f64,
-                            ));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        s
-    }
-
-    /// True when the run recorded no routing activity (the default
-    /// first-capable path).
-    pub fn is_empty(&self) -> bool {
-        self.decisions == 0 && self.observations == 0
-    }
-
-    /// Decisions whose prediction came from the observed-runtime store.
-    pub fn from_observed(&self) -> u64 {
-        self.by_source.get("observed").copied().unwrap_or(0)
-    }
-
-    /// Geometric mean of the prediction error ratio
-    /// `max(predicted, observed) / min(predicted, observed)` across all
-    /// pairs — 1.0 means perfect prediction; returns 1.0 with no pairs.
-    pub fn mean_error_ratio(&self) -> f64 {
-        if self.pairs.is_empty() {
-            return 1.0;
-        }
-        let log_sum: f64 = self
-            .pairs
-            .iter()
-            .map(|(_, _, p, o)| {
-                let (p, o) = (p.max(1e-9), o.max(1e-9));
-                (p.max(o) / p.min(o)).ln()
-            })
-            .sum();
-        (log_sum / self.pairs.len() as f64).exp()
+    /// The empty summary, whatever the events.
+    pub fn from_events(_events: &[TraceEvent]) -> Self {
+        RoutingSummary
     }
 }
 
@@ -758,78 +666,6 @@ mod tests {
         assert!(quiet.is_empty());
         assert!(quiet.all_closed());
         assert_eq!(quiet.total_trips(), 0);
-    }
-
-    #[test]
-    fn routing_summary_condenses_trace() {
-        let decision = |prescription: &str, engine: &str, predicted: f64, source: &str| {
-            TraceEvent::RoutingDecision {
-                prescription: prescription.into(),
-                policy: "adaptive".into(),
-                engine: engine.into(),
-                predicted_micros: predicted,
-                source: source.into(),
-                rejected: vec![],
-            }
-        };
-        let observed = |prescription: &str, engine: &str, micros: u64| TraceEvent::CostObserved {
-            prescription: prescription.into(),
-            engine: engine.into(),
-            key: format!("{engine}/relational/table/s2"),
-            micros,
-            ewma_micros: micros as f64,
-            samples: 1,
-        };
-        let s = RoutingSummary::from_events(&[
-            decision("relational/join", "mapreduce", 800.0, "static"),
-            observed("relational/join", "mapreduce", 1600),
-            decision("relational/join", "sql", 400.0, "observed"),
-            observed("relational/join", "sql", 400),
-            decision("micro/sort", "native", 0.0, "unknown"),
-            observed("micro/sort", "native", 100),
-        ]);
-        assert!(!s.is_empty());
-        assert_eq!(s.decisions, 3);
-        assert_eq!(s.observations, 3);
-        assert_eq!(s.by_engine.get("sql"), Some(&1));
-        assert_eq!(s.by_source.get("static"), Some(&1));
-        assert_eq!(s.from_observed(), 1);
-        // The unknown-source decision contributes no prediction pair.
-        assert_eq!(s.pairs.len(), 2);
-        // mapreduce over-ran its prediction 2x, sql was exact → geomean √2.
-        assert!((s.mean_error_ratio() - 2f64.sqrt()).abs() < 1e-9);
-        assert_eq!(
-            s.migrations,
-            vec![("relational/join".to_string(), "mapreduce".to_string(), "sql".to_string())]
-        );
-
-        let quiet = RoutingSummary::from_events(&[]);
-        assert!(quiet.is_empty());
-        assert_eq!(quiet.mean_error_ratio(), 1.0);
-    }
-
-    #[test]
-    fn routing_events_do_not_skew_recovery_total_ops() {
-        let s = RecoverySummary::from_events(&[
-            TraceEvent::RoutingDecision {
-                prescription: "micro/sort".into(),
-                policy: "cost".into(),
-                engine: "native".into(),
-                predicted_micros: 90.0,
-                source: "static".into(),
-                rejected: vec![],
-            },
-            TraceEvent::CostObserved {
-                prescription: "micro/sort".into(),
-                engine: "native".into(),
-                key: "native/text/text/s2".into(),
-                micros: 120,
-                ewma_micros: 120.0,
-                samples: 1,
-            },
-        ]);
-        assert_eq!(s.total_ops, 0);
-        assert!(s.is_quiet());
     }
 
     #[test]

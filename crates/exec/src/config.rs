@@ -38,28 +38,6 @@ impl SystemConfig {
         }
     }
 
-    /// EWMA smoothing factor for the router's observed-cost store: the
-    /// `routing.ewma_alpha` parameter when set, else
-    /// [`crate::cost::DEFAULT_EWMA_ALPHA`].
-    ///
-    /// # Errors
-    /// Fails when the parameter is set but unparsable or outside `(0, 1]`
-    /// — an alpha of 0 never learns and one above 1 diverges, so feeding
-    /// either into the EWMA would silently corrupt every estimate.
-    pub fn routing_ewma_alpha(&self) -> Result<f64> {
-        if !self.parameters.contains_key("routing.ewma_alpha") {
-            return Ok(crate::cost::DEFAULT_EWMA_ALPHA);
-        }
-        let alpha = self.parameter::<f64>("routing.ewma_alpha")?;
-        if alpha > 0.0 && alpha <= 1.0 {
-            Ok(alpha)
-        } else {
-            Err(BdbError::InvalidConfig(format!(
-                "routing.ewma_alpha={alpha} out of range: must be in (0, 1]"
-            )))
-        }
-    }
-
     /// Circuit-breaker thresholds for the run's [`HealthStore`]: each
     /// `breaker.*` parameter overrides the matching
     /// [`BreakerPolicy`] field, with
@@ -131,37 +109,6 @@ mod tests {
     fn zero_threads_falls_back_to_parallelism() {
         let c = SystemConfig::default();
         assert!(c.effective_threads() >= 1);
-    }
-
-    #[test]
-    fn routing_alpha_defaults_and_accepts_valid_range() {
-        assert_eq!(
-            SystemConfig::default().routing_ewma_alpha().unwrap(),
-            crate::cost::DEFAULT_EWMA_ALPHA
-        );
-        let c = SystemConfig::default().with_parameter("routing.ewma_alpha", "0.9");
-        assert!((c.routing_ewma_alpha().unwrap() - 0.9).abs() < 1e-12);
-        // The upper bound is inclusive: alpha = 1 means "latest sample
-        // wins", which is a valid (if forgetful) EWMA.
-        let c = SystemConfig::default().with_parameter("routing.ewma_alpha", "1.0");
-        assert_eq!(c.routing_ewma_alpha().unwrap(), 1.0);
-    }
-
-    #[test]
-    fn routing_alpha_rejects_both_bounds() {
-        // Lower bound is exclusive: alpha = 0 never learns.
-        let c = SystemConfig::default().with_parameter("routing.ewma_alpha", "0.0");
-        let err = c.routing_ewma_alpha().unwrap_err().to_string();
-        assert!(err.contains("(0, 1]"), "error should name the valid range: {err}");
-        // Above the upper bound the EWMA diverges.
-        let c = SystemConfig::default().with_parameter("routing.ewma_alpha", "1.5");
-        let err = c.routing_ewma_alpha().unwrap_err().to_string();
-        assert!(err.contains("(0, 1]"), "error should name the valid range: {err}");
-        // Negative values and garbage are rejected too.
-        let c = SystemConfig::default().with_parameter("routing.ewma_alpha", "-0.3");
-        assert!(c.routing_ewma_alpha().is_err());
-        let c = SystemConfig::default().with_parameter("routing.ewma_alpha", "fast");
-        assert!(c.routing_ewma_alpha().is_err());
     }
 
     #[test]

@@ -6,17 +6,12 @@
 //! [`SystemKind`]s it implements, which data kinds, operation classes and
 //! pattern shapes it can execute — and runs an [`ExecutionRequest`] into
 //! workload results. An [`EngineRegistry`] routes a prescribed test by
-//! capability match: engines implementing the requested system form the
-//! *explicit* partition and always outrank capability fallbacks. Within
-//! each partition the order is decided by the request's
-//! [`RoutingPolicy`]: first-capable keeps registration order (the
-//! historical behaviour, mirroring BigOP-style automatic mapping of
-//! abstract operations onto concrete systems), while the cost and
-//! adaptive policies hand the candidates to the [`crate::planner`]
-//! router, which ranks them by predicted cost (static model,
-//! engine-reported plan costs, and — adaptively — runtimes observed
-//! earlier in the run). Adding a backend is a registry entry, not a
-//! pipeline edit.
+//! capability match, in one fixed order: engines implementing the
+//! requested system (the *explicit* partition) first, then capability
+//! fallbacks in registration order — BigOP-style mapping of abstract
+//! operations onto the first capable system — and finally any engine
+//! whose circuit breaker is open is demoted below every healthy one.
+//! Adding a backend is a registry entry, not a pipeline edit.
 //!
 //! There is one dispatch entry point:
 //! [`EngineRegistry::dispatch_resilient`] wraps each candidate engine in
@@ -27,9 +22,8 @@
 //! With a passive [`Resilience`] it runs the routed engine once.
 
 use crate::config::SystemConfig;
-use crate::cost::ObservedCosts;
 use crate::fault::{self, FaultSite, Resilience};
-use crate::planner::{Ranked, Router, RoutingPolicy, Score};
+use crate::health::HealthStore;
 use crate::trace::RunTrace;
 use bdb_common::record::{row_lines, Table};
 use bdb_common::text::{Document, Vocabulary};
@@ -271,8 +265,18 @@ pub struct ExecutionRequest<'a> {
     pub config: &'a SystemConfig,
     /// The run's structured event sink.
     pub trace: &'a RunTrace,
-    /// How the registry orders capable candidates for this request.
+    /// Read by nothing; see [`RoutingPolicy`].
     pub routing: RoutingPolicy,
+}
+
+/// The one order the registry routes in. `benchmark/API.md` pins
+/// `BenchmarkSpec.routing` and `ExecutionRequest.routing`, so the type
+/// survives until ROADMAP item 11's `[benchmark]` change deletes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum RoutingPolicy {
+    /// Explicit system first, then registration order.
+    #[default]
+    FirstCapable,
 }
 
 impl<'a> ExecutionRequest<'a> {
@@ -296,9 +300,8 @@ impl<'a> ExecutionRequest<'a> {
             .ok_or_else(|| BdbError::Execution("prescription needs a text data set".into()))
     }
 
-    /// Lend the table data sets by name — the lookup both
-    /// [`PatternExecutor::execute_lent`] and [`SqlBinding::estimate_cost`]
-    /// read through. Nothing is copied.
+    /// Lend the table data sets by name — the lookup
+    /// [`PatternExecutor::execute_lent`] reads through. Nothing is copied.
     fn lent_tables(&self) -> impl Fn(&str) -> Option<&'a Table> {
         let datasets = self.datasets;
         move |name| match datasets.get(name) {
@@ -328,13 +331,6 @@ pub trait Engine: Send + Sync {
 
     /// Execute a prescribed test.
     fn execute(&self, request: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>>;
-
-    /// The engine's own cost estimate for this request, in estimated
-    /// microseconds — e.g. the SQL engine prices its memo-extracted plan.
-    /// `None` (the default) defers to the router's static cost table.
-    fn estimate_cost(&self, _request: &ExecutionRequest<'_>) -> Option<f64> {
-        None
-    }
 }
 
 /// The outcome of routing a request through the registry.
@@ -351,14 +347,12 @@ pub struct Routing {
 ///
 /// Routing: engines that both *implement the requested system* and
 /// *support the test profile* outrank engines that merely support the
-/// profile; within each partition the request's [`RoutingPolicy`] decides
-/// — registration order under first-capable, predicted cost (ties keep
-/// registration order) under the cost and adaptive policies. When no
-/// engine is capable the error lists every candidate with its
-/// capabilities.
+/// profile; each partition keeps registration order, and engines whose
+/// breaker is open in [`EngineRegistry::health`] go last. When no engine
+/// is capable the error lists every candidate with its capabilities.
 pub struct EngineRegistry {
     engines: Vec<Box<dyn Engine>>,
-    router: Router,
+    health: Arc<HealthStore>,
 }
 
 impl std::fmt::Debug for EngineRegistry {
@@ -376,7 +370,7 @@ impl Default for EngineRegistry {
 impl EngineRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        Self { engines: Vec::new(), router: Router::new() }
+        Self { engines: Vec::new(), health: Arc::new(HealthStore::default()) }
     }
 
     /// The five built-in backends. Registration order is the capability
@@ -407,51 +401,35 @@ impl EngineRegistry {
         self.engines.iter().map(Box::as_ref)
     }
 
-    /// The router scoring candidates for this registry.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// Share an observed-cost store with this registry's router (e.g.
-    /// one store across every cell of a matrix sweep).
-    pub fn set_observed(&mut self, store: Arc<ObservedCosts>) {
-        self.router.set_observed(store);
-    }
-
-    /// The observed-runtime store the router consults under the adaptive
-    /// policy.
-    pub fn observed(&self) -> Arc<ObservedCosts> {
-        self.router.observed()
-    }
-
     /// Share a health store (per-engine circuit breakers) with this
-    /// registry's router, e.g. one store across every run of a server.
-    pub fn set_health(&mut self, store: Arc<crate::health::HealthStore>) {
-        self.router.set_health(store);
+    /// registry, e.g. one store across every run of a server.
+    pub fn set_health(&mut self, store: Arc<HealthStore>) {
+        self.health = store;
     }
 
-    /// The per-engine breaker store: the router demotes open engines,
+    /// The per-engine breaker store: routing demotes open engines,
     /// resilient dispatch skips them and records outcomes, and the load
     /// driver's admission controller consults it for brownout.
-    pub fn health(&self) -> Arc<crate::health::HealthStore> {
-        self.router.health()
+    pub fn health(&self) -> Arc<HealthStore> {
+        Arc::clone(&self.health)
     }
 
-    /// The single capability-matching pass every routing entry point
-    /// shares: the engines that support the request's profile, split into
-    /// the explicit partition (implementing the requested system) and the
-    /// capability fallbacks, each in registration order. Failover and
-    /// cost ranking both consume this candidate order.
-    fn capable_candidates(
-        &self,
-        request: &ExecutionRequest<'_>,
-    ) -> Result<Vec<(&dyn Engine, Routing)>> {
-        // Validate the routing smoothing factor and breaker thresholds up
-        // front: every dispatch entry point funnels through here, so a bad
-        // `routing.ewma_alpha` or `breaker.*` parameter fails loudly
-        // before any engine runs instead of corrupting the observed-cost
-        // store or disarming the breaker after the fact.
-        request.config.routing_ewma_alpha()?;
+    /// Every engine capable of executing a request, in dispatch order:
+    /// the explicit partition (engines implementing the requested system)
+    /// first, then the capability fallbacks, each in registration order.
+    /// Failover walks this same order.
+    ///
+    /// Engines whose circuit breaker is fully open are demoted below all
+    /// healthier candidates — a stable partition, so relative order
+    /// inside each health class is preserved, even below the explicit
+    /// partition, because a pinned engine that cannot serve is worse than
+    /// any healthy fallback. When no breaker is open — every no-fault run
+    /// — the demotion is the identity.
+    pub fn route_all(&self, request: &ExecutionRequest<'_>) -> Result<Vec<(&dyn Engine, Routing)>> {
+        // Validate the breaker thresholds up front: every dispatch entry
+        // point funnels through here, so a bad `breaker.*` parameter
+        // fails loudly before any engine runs instead of disarming the
+        // breaker after the fact.
         request.config.breaker_policy()?;
         let profile = request.profile();
         let capable: Vec<&dyn Engine> = self
@@ -485,7 +463,7 @@ impl EngineRegistry {
         let (explicit, fallback): (Vec<&dyn Engine>, Vec<&dyn Engine>) = capable
             .into_iter()
             .partition(|e| e.capabilities().implements(request.system));
-        Ok(explicit
+        let mut ranked: Vec<(&dyn Engine, Routing)> = explicit
             .into_iter()
             .map(|e| (e, Routing { engine: e.name().into(), explicit: true }))
             .chain(
@@ -493,75 +471,13 @@ impl EngineRegistry {
                     .into_iter()
                     .map(|e| (e, Routing { engine: e.name().into(), explicit: false })),
             )
-            .collect())
-    }
-
-    /// Capable candidates in the order the active policy dispatches them,
-    /// with their cost scores.
-    fn ranked_candidates(&self, request: &ExecutionRequest<'_>) -> Result<Vec<Ranked<'_>>> {
-        Ok(self.router.rank(self.capable_candidates(request)?, request))
-    }
-
-    /// Record the cost-ranked routing decision in the trace (a no-op
-    /// under the default first-capable policy, whose order is static).
-    fn record_routing_decision(&self, request: &ExecutionRequest<'_>, ranked: &[Ranked<'_>]) {
-        if request.routing == RoutingPolicy::FirstCapable || ranked.is_empty() {
-            return;
+            .collect();
+        if ranked.iter().any(|(_, r)| self.health.is_open(&r.engine)) {
+            let (healthy, open): (Vec<_>, Vec<_>) =
+                ranked.into_iter().partition(|(_, r)| !self.health.is_open(&r.engine));
+            ranked = healthy.into_iter().chain(open).collect();
         }
-        let finite = |s: &Score| {
-            if s.predicted_micros.is_finite() { s.predicted_micros } else { 0.0 }
-        };
-        request.trace.record(crate::trace::TraceEvent::RoutingDecision {
-            prescription: request.prescription.name.clone(),
-            policy: request.routing.to_string(),
-            engine: ranked[0].routing.engine.clone(),
-            predicted_micros: finite(&ranked[0].score),
-            source: ranked[0].score.source.to_string(),
-            rejected: ranked[1..]
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{}@{:.1}us[{}]",
-                        r.routing.engine, r.score.predicted_micros, r.score.source
-                    )
-                })
-                .collect(),
-        });
-    }
-
-    /// Fold an observed engine runtime into the router's store and record
-    /// it in the trace (skipped under first-capable, which never consults
-    /// the store).
-    fn record_observed_cost(
-        &self,
-        request: &ExecutionRequest<'_>,
-        engine: &str,
-        micros: u64,
-    ) {
-        if request.routing == RoutingPolicy::FirstCapable {
-            return;
-        }
-        let (key, entry) = self.router.observe(engine, request, micros as f64);
-        request.trace.record(crate::trace::TraceEvent::CostObserved {
-            prescription: request.prescription.name.clone(),
-            engine: engine.to_string(),
-            key,
-            micros,
-            ewma_micros: entry.ewma_micros,
-            samples: entry.samples,
-        });
-    }
-
-    /// Every engine capable of executing a request, in dispatch order:
-    /// the explicit partition first, each partition ordered by the
-    /// request's routing policy (registration order under first-capable,
-    /// predicted cost otherwise). Failover walks this same order.
-    pub fn route_all(&self, request: &ExecutionRequest<'_>) -> Result<Vec<(&dyn Engine, Routing)>> {
-        Ok(self
-            .ranked_candidates(request)?
-            .into_iter()
-            .map(|r| (r.engine, r.routing))
-            .collect())
+        Ok(ranked)
     }
 
     /// Pick the engine for a request without executing it.
@@ -588,8 +504,8 @@ impl EngineRegistry {
         request: &ExecutionRequest<'_>,
         resilience: &Resilience,
     ) -> Result<Vec<WorkloadResult>> {
-        let candidates = self.ranked_candidates(request)?;
-        let health = self.router.health();
+        let candidates = self.route_all(request)?;
+        let health = &self.health;
         let started = Instant::now();
         let mut total_attempts = 0u32;
         let mut total_faults = 0u32;
@@ -600,8 +516,7 @@ impl EngineRegistry {
         // and that engine's own attempt count), never breaker skips.
         let mut prev_failed: Option<(String, u32)> = None;
         let mut dispatched = false;
-        for candidate in &candidates {
-            let engine = candidate.engine;
+        for (engine, routing) in &candidates {
             let admission = health.admit(engine.name());
             if admission.half_opened {
                 request.trace.record(crate::trace::TraceEvent::BreakerHalfOpen {
@@ -617,19 +532,18 @@ impl EngineRegistry {
                 // failover events then narrate re-routes.
                 request.trace.record(crate::trace::TraceEvent::EngineDispatched {
                     prescription: request.prescription.name.clone(),
-                    engine: candidate.routing.engine.clone(),
+                    engine: routing.engine.clone(),
                     requested_system: request.system.to_string(),
-                    explicit: candidate.routing.explicit,
+                    explicit: routing.explicit,
                     candidates: self.names().iter().map(|n| n.to_string()).collect(),
                 });
-                self.record_routing_decision(request, &candidates);
             }
             if let Some((from, engine_attempts)) = prev_failed.take() {
                 failovers += 1;
                 request.trace.record(crate::trace::TraceEvent::EngineFailedOver {
                     prescription: request.prescription.name.clone(),
                     from,
-                    to: candidate.routing.engine.clone(),
+                    to: routing.engine.clone(),
                     attempts: total_attempts,
                     engine_attempts,
                     error: last_error
@@ -639,7 +553,6 @@ impl EngineRegistry {
                 });
             }
             let site = FaultSite::execution(engine.name(), &request.prescription.name);
-            let engine_started = Instant::now();
             let outcome = fault::run_with_recovery(
                 resilience,
                 request.trace,
@@ -650,14 +563,6 @@ impl EngineRegistry {
             match outcome {
                 Ok(recovered) => {
                     health.record_traced(request.trace, engine.name(), true, admission.probe);
-                    // Feed the adaptive loop: what this engine actually
-                    // took (including any injected faults and retries it
-                    // absorbed) becomes its next predicted cost.
-                    self.record_observed_cost(
-                        request,
-                        engine.name(),
-                        engine_started.elapsed().as_micros() as u64,
-                    );
                     total_attempts += recovered.attempts;
                     total_faults += recovered.faults;
                     let degraded = failovers > 0 || total_attempts > 1 || total_faults > 0;
@@ -685,7 +590,7 @@ impl EngineRegistry {
                     // resuming. Deadline exhaustion likewise ends the
                     // whole dispatch, not just this candidate.
                     let terminal = failure.deadline_hit || failure.crashed;
-                    prev_failed = Some((candidate.routing.engine.clone(), failure.attempts));
+                    prev_failed = Some((routing.engine.clone(), failure.attempts));
                     last_error = Some(failure.error);
                     if terminal {
                         break;
@@ -1063,13 +968,6 @@ impl Engine for SqlEngine {
     fn execute(&self, req: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
         execute_table_binding(&SqlBinding, "sql", req)
     }
-
-    /// The cost of the memo-extracted plans the binding would execute:
-    /// the SQL engine reports its optimizer's own estimate to the router
-    /// instead of relying on the static table.
-    fn estimate_cost(&self, req: &ExecutionRequest<'_>) -> Option<f64> {
-        SqlBinding::estimate_cost(&req.prescription.pattern, &req.lent_tables())
-    }
 }
 
 /// The key-value engine (`bdb-kv`): element-operation mixes run as a
@@ -1383,46 +1281,13 @@ mod tests {
         assert!(err.to_string().contains("none registered"), "{err}");
     }
 
-    #[test]
-    fn dispatch_rejects_out_of_range_ewma_alpha() {
-        // The registry validates `routing.ewma_alpha` up front, so a bad
-        // value fails loudly at routing time instead of being silently
-        // ignored inside the router's observation fold.
-        let registry = EngineRegistry::with_builtins();
-        let p = prescription("micro/sort");
-        let datasets = BTreeMap::new();
-        let config = SystemConfig::default().with_parameter("routing.ewma_alpha", "2.0");
-        let trace = RunTrace::new();
-        let req = ExecutionRequest {
-            prescription: &p,
-            system: SystemKind::Sql,
-            seed: 1,
-            scale: 10,
-            datasets: &datasets,
-            config: &config,
-            trace: &trace,
-            routing: RoutingPolicy::Cost,
-        };
-        let err = match registry.route(&req) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("route accepted alpha=2.0"),
-        };
-        assert!(err.contains("(0, 1]"), "error names the valid range: {err}");
-        let err = registry
-            .dispatch_resilient(&req, &Resilience::passive(0))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("routing.ewma_alpha=2"), "dispatch rejects too: {err}");
-    }
-
-    /// A capable fake relational engine with a fixed self-reported cost.
-    struct PricedEngine {
+    /// A capable fake relational engine that never runs.
+    struct FakeEngine {
         name: &'static str,
         system: SystemKind,
-        cost: f64,
     }
 
-    impl Engine for PricedEngine {
+    impl Engine for FakeEngine {
         fn name(&self) -> &'static str {
             self.name
         }
@@ -1437,95 +1302,56 @@ mod tests {
         }
 
         fn execute(&self, _req: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
-            Err(BdbError::Execution("priced fake does not execute".into()))
-        }
-
-        fn estimate_cost(&self, _req: &ExecutionRequest<'_>) -> Option<f64> {
-            Some(self.cost)
+            Err(BdbError::Execution("fake engine does not execute".into()))
         }
     }
 
-    fn priced_registry(costs: &[(&'static str, SystemKind, f64)]) -> EngineRegistry {
-        let mut r = EngineRegistry::new();
-        for (name, system, cost) in costs {
-            r.register(Box::new(PricedEngine { name, system: *system, cost: *cost }));
-        }
-        r
-    }
-
-    fn route_names(registry: &EngineRegistry, routing: RoutingPolicy) -> Vec<String> {
+    fn route_names(registry: &EngineRegistry, system: SystemKind) -> Vec<String> {
         let p = prescription("micro/sort");
         let datasets = BTreeMap::new();
         let config = SystemConfig::default();
         let trace = RunTrace::new();
         let req = ExecutionRequest {
             prescription: &p,
-            system: SystemKind::Sql,
+            system,
             seed: 1,
             scale: 100,
             datasets: &datasets,
             config: &config,
             trace: &trace,
-            routing,
+            routing: RoutingPolicy::FirstCapable,
         };
-        registry
-            .route_all(&req)
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r.engine)
-            .collect()
+        registry.route_all(&req).unwrap().into_iter().map(|(_, r)| r.engine).collect()
     }
 
     #[test]
-    fn cost_policy_reorders_within_a_partition() {
-        // Both fakes implement the requested system; the cheaper one wins
-        // under cost routing despite registering second, while
-        // first-capable keeps registration order.
-        let registry = priced_registry(&[
-            ("pricey", SystemKind::Sql, 900.0),
-            ("bargain", SystemKind::Sql, 10.0),
-        ]);
-        assert_eq!(route_names(&registry, RoutingPolicy::FirstCapable), vec!["pricey", "bargain"]);
-        assert_eq!(route_names(&registry, RoutingPolicy::Cost), vec!["bargain", "pricey"]);
-    }
-
-    #[test]
-    fn explicit_pin_outranks_cheaper_fallback() {
-        // The engine implementing the requested system wins even when a
-        // capability fallback predicts a far lower cost.
-        let registry = priced_registry(&[
-            ("cheap-fallback", SystemKind::MapReduce, 1.0),
-            ("pinned", SystemKind::Sql, 5_000.0),
-        ]);
-        assert_eq!(
-            route_names(&registry, RoutingPolicy::Cost),
-            vec!["pinned", "cheap-fallback"]
-        );
-    }
-
-    proptest::proptest! {
-        /// Whatever the candidate costs, cost routing always dispatches a
-        /// capable engine whose predicted cost is minimal within the
-        /// leading partition, and ties keep registration order.
-        #[test]
-        fn router_picks_minimal_cost_capable_engine(
-            costs in proptest::collection::vec(0u32..10_000, 1..6)
-        ) {
-            static NAMES: [&str; 6] = ["e0", "e1", "e2", "e3", "e4", "e5"];
-            let registry = priced_registry(
-                &costs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (NAMES[i], SystemKind::Sql, f64::from(*c)))
-                    .collect::<Vec<_>>(),
-            );
-            let order = route_names(&registry, RoutingPolicy::Cost);
-            let min = costs.iter().copied().min().unwrap();
-            // The winner carries the minimal cost; among minimal-cost
-            // candidates the earliest-registered wins.
-            let first_min = costs.iter().position(|c| *c == min).unwrap();
-            proptest::prop_assert_eq!(&order[0], NAMES[first_min]);
-            proptest::prop_assert_eq!(order.len(), costs.len());
+    fn route_all_puts_explicit_first_then_registration_order_then_open_breakers() {
+        let mut registry = EngineRegistry::new();
+        for (name, system) in [
+            ("a", SystemKind::Sql),
+            ("b", SystemKind::MapReduce),
+            ("c", SystemKind::Sql),
+            ("d", SystemKind::MapReduce),
+        ] {
+            registry.register(Box::new(FakeEngine { name, system }));
         }
+        // No breaker open: a system nobody implements routes in
+        // registration order, and a named system only moves its own
+        // engines ahead, keeping their relative order.
+        assert_eq!(route_names(&registry, SystemKind::Native), ["a", "b", "c", "d"]);
+        assert_eq!(route_names(&registry, SystemKind::Sql), ["a", "c", "b", "d"]);
+
+        // One failure trips a breaker under this policy.
+        let policy = crate::health::BreakerPolicy { min_samples: 1, ..Default::default() };
+        registry.set_health(Arc::new(HealthStore::new(policy, 1)));
+        registry.health().record("a", false, false);
+        assert!(registry.health().is_open("a"));
+        // The open engine goes after every healthy candidate, even when it
+        // is the engine implementing the requested system.
+        assert_eq!(route_names(&registry, SystemKind::Sql), ["c", "b", "d", "a"]);
+        assert_eq!(route_names(&registry, SystemKind::Native), ["b", "c", "d", "a"]);
+        // Demotion is stable: open engines keep their relative order.
+        registry.health().record("b", false, false);
+        assert_eq!(route_names(&registry, SystemKind::Sql), ["c", "d", "a", "b"]);
     }
 }

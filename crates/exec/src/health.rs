@@ -1,7 +1,7 @@
 //! Per-engine circuit breakers for health-aware serving.
 //!
-//! A persistently failing engine should stop being offered traffic: the
-//! router demotes it, dispatch skips it, and the load driver's admission
+//! A persistently failing engine should stop being offered traffic:
+//! routing demotes it, dispatch skips it, and the load driver's admission
 //! controller sheds proportionally while it recovers. Each engine gets a
 //! three-state breaker:
 //!
@@ -18,14 +18,14 @@
 //!   everything else is still denied. Consecutive probe successes close
 //!   the breaker; one probe failure reopens it.
 //!
-//! The [`HealthStore`] is the thread-safe shared home of all breakers,
-//! modeled on [`crate::cost::ObservedCosts`]: interior-mutable behind a
-//! mutex, shareable as `Arc<HealthStore>` between the router (which
-//! demotes open engines in [`crate::planner::Router::rank`]), resilient
-//! dispatch (which skips open engines and records outcomes) and the load
-//! driver's brownout controller. The store emits no trace events itself;
-//! call sites translate returned transitions into
-//! [`crate::trace::TraceEvent`]s so the event stream stays attributable.
+//! The [`HealthStore`] is the thread-safe shared home of all breakers:
+//! interior-mutable behind a mutex, shareable as `Arc<HealthStore>`
+//! between the registry (which demotes open engines in
+//! [`crate::engine::EngineRegistry::route_all`]), resilient dispatch
+//! (which skips open engines and records outcomes) and the load driver's
+//! brownout controller. The store emits no trace events itself; call
+//! sites translate returned transitions into [`crate::trace::TraceEvent`]s
+//! so the event stream stays attributable.
 
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::hash::Fnv1a;
@@ -212,10 +212,9 @@ struct Inner {
 
 /// Thread-safe shared store of per-engine circuit breakers.
 ///
-/// Interior-mutable and shareable (`Arc<HealthStore>`) like
-/// [`crate::cost::ObservedCosts`]: the registry records outcomes into it
-/// after every dispatch, the router reads it to demote open engines, and
-/// the load driver's pacer consults it for admission and brownout.
+/// Interior-mutable and shareable (`Arc<HealthStore>`): the registry
+/// records outcomes into it after every dispatch and reads it to demote
+/// open engines, and the load driver's pacer consults it for admission and brownout.
 #[derive(Debug)]
 pub struct HealthStore {
     inner: Mutex<Inner>,

@@ -21,7 +21,7 @@
 //!   a killed run `--resume` without re-executing completed cells.
 //! * [`health`] — health-aware serving: per-engine circuit breakers
 //!   (closed → open → half-open) in a thread-safe shared
-//!   [`health::HealthStore`]; the router demotes open engines, dispatch
+//!   [`health::HealthStore`]; routing demotes open engines, dispatch
 //!   skips them, and the load driver's brownout controller sheds
 //!   proportionally while they recover.
 //! * [`loadgen`] — the concurrent load driver: N client sessions × M
@@ -30,25 +30,18 @@
 //! * [`engine`] — the pluggable engine abstraction: an [`engine::Engine`]
 //!   trait with declared [`engine::Capabilities`], five builtin engine
 //!   implementations (native, sql, kv, streaming, mapreduce) and a
-//!   capability-routing [`engine::EngineRegistry`].
-//! * [`cost`] — the dispatch cost model: static per-engine cost functions
-//!   over (class × data kind × scale) and the EWMA observed-runtime store
-//!   the adaptive router learns from.
-//! * [`planner`] — the cost-based router: scores `route_all` candidates
-//!   and re-orders each routing partition by predicted cost under
-//!   `--routing cost|adaptive`.
+//!   capability-routing [`engine::EngineRegistry`] (explicit system
+//!   first, then registration order, open breakers last).
 //! * [`trace`] — structured phase/dispatch/operation tracing for one run.
 
 pub mod analyzer;
 pub mod config;
 pub mod convert;
-pub mod cost;
 pub mod engine;
 pub mod fault;
 pub mod health;
 pub mod journal;
 pub mod loadgen;
-pub mod planner;
 pub mod reporter;
 pub mod trace;
 
@@ -58,12 +51,10 @@ pub use analyzer::{
 };
 pub use config::SystemConfig;
 pub use convert::DataFormat;
-pub use cost::{CostFn, ObservedCosts, StaticCostModel};
 pub use engine::{
-    Capabilities, Engine, EngineRegistry, ExecutionRequest, PatternShape, Routing, TestProfile,
-    WorkloadClass,
+    Capabilities, Engine, EngineRegistry, ExecutionRequest, PatternShape, Routing, RoutingPolicy,
+    TestProfile, WorkloadClass,
 };
-pub use planner::{CostSource, Ranked, Router, RoutingPolicy, Score};
 pub use fault::{FaultInjector, FaultKind, FaultPhase, FaultPlan, FaultSite, Resilience, RetryPolicy};
 pub use health::{Admission, BreakerPolicy, BreakerSnapshot, BreakerState, HealthStore};
 pub use journal::{CellCheckpoint, RunJournal};

@@ -186,28 +186,6 @@ pub fn render_trace(trace: &crate::trace::RunTrace) -> String {
             TraceEvent::LoadShed { engine, count } => {
                 (engine.clone(), format!("{count} ops shed at the admission queue"))
             }
-            TraceEvent::RoutingDecision {
-                prescription,
-                policy,
-                engine,
-                predicted_micros,
-                source,
-                rejected,
-            } => (
-                prescription.clone(),
-                format!(
-                    "-> {engine} @{predicted_micros:.1} us [{source}] ({policy}){}",
-                    if rejected.is_empty() {
-                        String::new()
-                    } else {
-                        format!("; rejected: {}", rejected.join(", "))
-                    }
-                ),
-            ),
-            TraceEvent::CostObserved { prescription, engine, key, micros, ewma_micros, samples } => (
-                format!("{prescription}@{engine}"),
-                format!("{micros} us -> ewma {ewma_micros:.1} us over {samples} sample(s) [{key}]"),
-            ),
             TraceEvent::BreakerOpened { engine, failure_rate } => (
                 engine.clone(),
                 format!("tripped at {:.0}% windowed failure rate", failure_rate * 100.0),
@@ -394,47 +372,6 @@ pub fn render_health(summary: &crate::analyzer::HealthSummary) -> String {
         } else {
             format!("open breakers: {}", summary.not_closed().join(", "))
         },
-    ));
-    out
-}
-
-/// Render a [`RoutingSummary`](crate::analyzer::RoutingSummary) as an
-/// aligned text table: decisions per engine and prediction source, the
-/// prediction error against observed runtimes, and engine migrations.
-/// Returns a one-line note when no routing decisions were recorded (the
-/// default first-capable path).
-pub fn render_routing(summary: &crate::analyzer::RoutingSummary) -> String {
-    if summary.is_empty() {
-        return "== Routing ==\nno routing decisions recorded (first-capable)\n".to_string();
-    }
-    let mut t = TableReporter::new("Routing", &["metric", "value"]);
-    t.add_row(&["decisions".into(), summary.decisions.to_string()]);
-    for (engine, n) in &summary.by_engine {
-        t.add_row(&[format!("  -> {engine}"), n.to_string()]);
-    }
-    for (source, n) in &summary.by_source {
-        t.add_row(&[format!("  from {source}"), n.to_string()]);
-    }
-    t.add_row(&["observations".into(), summary.observations.to_string()]);
-    if !summary.pairs.is_empty() {
-        t.add_row(&[
-            "prediction error".into(),
-            format!(
-                "{}x geomean over {} pair(s)",
-                fmt_num(summary.mean_error_ratio()),
-                summary.pairs.len()
-            ),
-        ]);
-    }
-    t.add_row(&["migrations".into(), summary.migrations.len().to_string()]);
-    for (prescription, from, to) in &summary.migrations {
-        t.add_row(&[format!("  {prescription}"), format!("{from} -> {to}")]);
-    }
-    let mut out = t.to_text();
-    out.push_str(&format!(
-        "routing: {} decision(s), {} predicted from observed costs\n",
-        summary.decisions,
-        summary.from_observed(),
     ));
     out
 }
@@ -725,67 +662,6 @@ mod tests {
         assert!(text.contains("8 in-flight lanes"));
         assert!(text.contains("321 ops"));
         assert!(text.contains("9 ops shed"));
-    }
-
-    #[test]
-    fn routing_report_quiet_and_active() {
-        use crate::analyzer::RoutingSummary;
-        use crate::trace::TraceEvent;
-        let quiet = RoutingSummary::default();
-        assert!(render_routing(&quiet).contains("no routing decisions recorded"));
-
-        let s = RoutingSummary::from_events(&[
-            TraceEvent::RoutingDecision {
-                prescription: "relational/join".into(),
-                policy: "adaptive".into(),
-                engine: "sql".into(),
-                predicted_micros: 400.0,
-                source: "observed".into(),
-                rejected: vec!["mapreduce@900.0us[static]".into()],
-            },
-            TraceEvent::CostObserved {
-                prescription: "relational/join".into(),
-                engine: "sql".into(),
-                key: "sql/relational/table/s2".into(),
-                micros: 800,
-                ewma_micros: 600.0,
-                samples: 2,
-            },
-        ]);
-        let text = render_routing(&s);
-        assert!(text.contains("== Routing =="));
-        assert!(text.contains("-> sql"));
-        assert!(text.contains("from observed"));
-        assert!(text.contains("prediction error"));
-        assert!(text.contains("routing: 1 decision(s), 1 predicted from observed costs"));
-    }
-
-    #[test]
-    fn trace_renders_routing_events() {
-        use crate::trace::{RunTrace, TraceEvent};
-        let trace = RunTrace::new();
-        trace.record(TraceEvent::RoutingDecision {
-            prescription: "relational/join".into(),
-            policy: "cost".into(),
-            engine: "sql".into(),
-            predicted_micros: 410.5,
-            source: "engine".into(),
-            rejected: vec!["mapreduce@850.0us[static]".into()],
-        });
-        trace.record(TraceEvent::CostObserved {
-            prescription: "relational/join".into(),
-            engine: "sql".into(),
-            key: "sql/relational/table/s2".into(),
-            micros: 390,
-            ewma_micros: 402.3,
-            samples: 2,
-        });
-        let text = render_trace(&trace);
-        assert!(text.contains("routing_decision"));
-        assert!(text.contains("-> sql @410.5 us [engine] (cost)"));
-        assert!(text.contains("rejected: mapreduce@850.0us[static]"));
-        assert!(text.contains("cost_observed"));
-        assert!(text.contains("ewma 402.3 us over 2 sample(s)"));
     }
 
     #[test]

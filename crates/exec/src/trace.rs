@@ -172,42 +172,6 @@ pub enum TraceEvent {
         /// Operations shed over the run.
         count: u64,
     },
-    /// The cost-based router chose among capable candidates (recorded
-    /// only under `--routing cost|adaptive`; the default first-capable
-    /// path leaves traces untouched).
-    RoutingDecision {
-        /// Prescription name.
-        prescription: String,
-        /// Active routing policy ("cost" or "adaptive").
-        policy: String,
-        /// The winning engine.
-        engine: String,
-        /// The winner's predicted cost in estimated microseconds
-        /// (0 when no predictor covered it).
-        predicted_micros: f64,
-        /// Where the winning prediction came from ("observed", "engine",
-        /// "static" or "unknown").
-        source: String,
-        /// Rejected alternatives as `engine@<cost>us[<source>]`, in the
-        /// order the router ranked them.
-        rejected: Vec<String>,
-    },
-    /// An engine's measured runtime was folded into the observed-cost
-    /// store (recorded only under `--routing cost|adaptive`).
-    CostObserved {
-        /// Prescription name.
-        prescription: String,
-        /// The engine that ran.
-        engine: String,
-        /// The cost-model key the sample was stored under.
-        key: String,
-        /// The measured wall-clock in microseconds.
-        micros: u64,
-        /// The smoothed estimate after folding in this sample.
-        ewma_micros: f64,
-        /// Samples folded into the estimate so far.
-        samples: u64,
-    },
     /// An engine's circuit breaker tripped: its windowed failure rate
     /// reached the trip ratio and admissions are now denied.
     BreakerOpened {
@@ -291,8 +255,6 @@ impl TraceEvent {
             TraceEvent::LoadSessionStarted { .. } => "load_session_started",
             TraceEvent::LoadSessionFinished { .. } => "load_session_finished",
             TraceEvent::LoadShed { .. } => "load_shed",
-            TraceEvent::RoutingDecision { .. } => "routing_decision",
-            TraceEvent::CostObserved { .. } => "cost_observed",
             TraceEvent::BreakerOpened { .. } => "breaker_opened",
             TraceEvent::BreakerHalfOpen { .. } => "breaker_half_open",
             TraceEvent::BreakerClosed { .. } => "breaker_closed",
@@ -520,36 +482,6 @@ mod tests {
         assert_eq!(events[0].label(), "load_session_started");
         assert_eq!(events[1].label(), "load_session_finished");
         assert_eq!(events[2].label(), "load_shed");
-        for e in &events {
-            assert!(!e.is_recovery(), "{}", e.label());
-            let json = serde_json::to_string(e).unwrap();
-            let back: TraceEvent = serde_json::from_str(&json).unwrap();
-            assert_eq!(*e, back);
-        }
-    }
-
-    #[test]
-    fn routing_events_serialize_and_classify() {
-        let events = vec![
-            TraceEvent::RoutingDecision {
-                prescription: "relational/join".into(),
-                policy: "adaptive".into(),
-                engine: "sql".into(),
-                predicted_micros: 410.5,
-                source: "observed".into(),
-                rejected: vec!["mapreduce@850.0us[static]".into()],
-            },
-            TraceEvent::CostObserved {
-                prescription: "relational/join".into(),
-                engine: "sql".into(),
-                key: "sql/relational/table/s2".into(),
-                micros: 390,
-                ewma_micros: 402.3,
-                samples: 2,
-            },
-        ];
-        assert_eq!(events[0].label(), "routing_decision");
-        assert_eq!(events[1].label(), "cost_observed");
         for e in &events {
             assert!(!e.is_recovery(), "{}", e.label());
             let json = serde_json::to_string(e).unwrap();

@@ -106,7 +106,7 @@ impl Engine {
     }
 
     /// Plan a query and return the memo-extracted plan with its
-    /// estimated cost — what the engine reports to the dispatch router.
+    /// estimated cost.
     pub fn plan_with_cost(&self, query: &str) -> Result<(LogicalPlan, PlanCost)> {
         let stmt = parser::parse(query)?;
         let plan = plan::build_logical_plan(stmt, &self.catalog)?;

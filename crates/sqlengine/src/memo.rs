@@ -11,10 +11,6 @@
 //! exactly what [`crate::optimizer::optimize`] produces whenever the
 //! rewrites don't hurt (they never do under this model — each pass only
 //! shrinks intermediate cardinalities or scan widths).
-//!
-//! The extracted plan's cost is what the SQL engine reports upward to the
-//! dispatch router's cost model, so cross-engine routing sees the cost of
-//! the plan that would actually run.
 
 use crate::catalog::Catalog;
 use crate::expr::{BinOp, Expr};

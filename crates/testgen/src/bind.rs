@@ -366,84 +366,6 @@ impl SqlBinding {
             None => Self::run_direct(op, &inputs),
         }
     }
-
-    /// Price the memo-extracted plans the binding would execute for
-    /// `pattern`, in the memo's rows-touched units. `dataset` looks a
-    /// table data set up by name; only its row count and schema are read.
-    ///
-    /// Steps whose inputs are all concrete data sets are priced through
-    /// [`bdb_sql::memo::optimize_with_cost`]; steps consuming
-    /// intermediate results (whose tables don't exist yet) fall back to
-    /// per-operation cardinality rules over the estimated input rows.
-    /// Returns `None` when the pattern has no relational lowering.
-    pub fn estimate_cost(pattern: &WorkloadPattern, dataset: TableLookup<'_, '_>) -> Option<f64> {
-        let steps = steps_of(pattern).ok()?;
-        let mut rows_of: BTreeMap<u32, f64> = BTreeMap::new();
-        let mut total = 0.0;
-        for step in &steps {
-            let mut tables: Vec<Option<&Table>> = Vec::with_capacity(step.inputs.len());
-            let mut in_rows: Vec<f64> = Vec::with_capacity(step.inputs.len());
-            for r in &step.inputs {
-                match r {
-                    InputRef::Dataset(name) => {
-                        let t = dataset(name)?;
-                        tables.push(Some(t));
-                        in_rows.push(t.len() as f64);
-                    }
-                    InputRef::Step(id) => {
-                        tables.push(None);
-                        in_rows.push(*rows_of.get(id)?);
-                    }
-                }
-            }
-            let concrete: Option<Vec<&Table>> = tables.into_iter().collect();
-            let (rows, cost) = match concrete {
-                Some(ts) => match Self::build_step_plan(&step.op, &ts) {
-                    Ok(Some(plan)) => {
-                        let catalog = Self::input_catalog(&ts).ok()?;
-                        let (_, c) = bdb_sql::memo::optimize_with_cost(plan, &catalog);
-                        (c.rows, c.cost)
-                    }
-                    Ok(None) => Self::approx_step(&step.op, &in_rows)?,
-                    Err(_) => return None,
-                },
-                None => Self::approx_step(&step.op, &in_rows)?,
-            };
-            rows_of.insert(step.id, rows);
-            total += cost;
-        }
-        Some(total)
-    }
-
-    /// Cardinality-rule fallback for steps the memo can't price because
-    /// their input tables aren't materialised yet. Mirrors the memo's
-    /// default selectivities.
-    fn approx_step(op: &Operation, in_rows: &[f64]) -> Option<(f64, f64)> {
-        let lg = |n: f64| if n > 1.0 { n.log2() } else { 0.0 };
-        let sum: f64 = in_rows.iter().sum();
-        let first = in_rows.first().copied().unwrap_or(0.0);
-        let pair_min = in_rows
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(first);
-        Some(match op {
-            Operation::Select { .. } => (first * 0.25, sum),
-            Operation::Project { .. } => (first, sum),
-            Operation::SortBy { .. } => (first, sum + first * lg(first)),
-            Operation::TopK { k, .. } => ((*k as f64).min(first), sum + first * lg(first)),
-            Operation::Count => (1.0, sum),
-            Operation::Distinct { .. } => ((first * 0.1).max(1.0), sum),
-            Operation::Aggregate { group_by, .. } => (
-                if group_by.is_empty() { 1.0 } else { (first * 0.1).max(1.0) },
-                sum,
-            ),
-            Operation::Join { .. } => (pair_min, sum),
-            Operation::Union => (sum, sum),
-            Operation::IntersectOn { .. } => (pair_min, sum),
-            _ => return None,
-        })
-    }
 }
 
 impl PatternExecutor for SqlBinding {
@@ -993,48 +915,5 @@ mod tests {
     fn missing_dataset_errors() {
         let p = WorkloadPattern::Single { op: Operation::Count, input: "nope".into() };
         assert!(SqlBinding.execute(&p, &datasets()).is_err());
-    }
-
-    #[test]
-    fn estimate_cost_prices_bindable_patterns() {
-        let ds = datasets();
-        let single = WorkloadPattern::Single { op: Operation::Count, input: "orders".into() };
-        let c1 = SqlBinding::estimate_cost(&single, &|n| ds.get(n)).unwrap();
-        assert!(c1 > 0.0);
-
-        // A join + aggregate pipeline (intermediate-input second step)
-        // must price higher than the lone count.
-        let pipeline = WorkloadPattern::Multi {
-            steps: vec![
-                Step {
-                    id: 0,
-                    op: Operation::Join { left_on: "user_id".into(), right_on: "uid".into() },
-                    inputs: vec![
-                        InputRef::Dataset("orders".into()),
-                        InputRef::Dataset("users".into()),
-                    ],
-                },
-                Step {
-                    id: 1,
-                    op: Operation::Aggregate {
-                        function: AggSpec::Sum,
-                        column: Some("l.total".into()),
-                        group_by: vec!["r.name".into()],
-                    },
-                    inputs: vec![InputRef::Step(0)],
-                },
-            ],
-        };
-        let c2 = SqlBinding::estimate_cost(&pipeline, &|n| ds.get(n)).unwrap();
-        assert!(c2 > c1);
-
-        // Kernel-only ops and missing datasets have no price.
-        let kv = WorkloadPattern::Single {
-            op: Operation::Get { key: "k".into() },
-            input: "orders".into(),
-        };
-        assert!(SqlBinding::estimate_cost(&kv, &|n| ds.get(n)).is_none());
-        let missing = WorkloadPattern::Single { op: Operation::Count, input: "nope".into() };
-        assert!(SqlBinding::estimate_cost(&missing, &|n| ds.get(n)).is_none());
     }
 }

@@ -139,28 +139,6 @@ echo "== paper tables (Table 1 and Table 2 regenerate) =="
     || { echo "table2: a suite run errored or diverged"; exit 1; }
 echo "paper tables: table1 matches the paper, table2 runs CONFORMANT"
 
-echo "== adaptive routing smoke (two-pass verify, shared observed costs) =="
-# The full verification matrix swept twice under --routing adaptive with
-# one observed-cost store shared across passes: both passes must be
-# CONFORMANT (adaptive decisions never change results), every cell must
-# record a routing decision, and the second pass must rank engines from
-# the runtimes the first pass observed (all 33 predictions sourced from
-# the EWMA store, not the static table).
-routing_out=$(mktemp)
-./target/release/bdbench verify --scale 300 --seed 42 --mode digest --goldens goldens \
-    --routing adaptive --passes 2 >"$routing_out" \
-    || { echo "adaptive smoke: sweep failed or diverged"; cat "$routing_out"; exit 1; }
-conformant=$(grep -c "33 cells, 33 passed: CONFORMANT" "$routing_out")
-if [ "$conformant" -ne 2 ]; then
-    echo "adaptive smoke: expected both passes CONFORMANT (got $conformant)"
-    cat "$routing_out"; exit 1
-fi
-grep -q "^routing: 33 decision(s), 33 predicted from observed costs$" "$routing_out" \
-    || { echo "adaptive smoke: pass 2 must predict every cell from observed costs"; \
-         cat "$routing_out"; exit 1; }
-rm -f "$routing_out"
-echo "adaptive smoke: 2 passes CONFORMANT, pass 2 routed on observed costs"
-
 echo "== load smoke (concurrent driver, seeded) =="
 # A 2-second seeded load drive across every builtin load target: the
 # run must complete a nonzero number of ops on each engine and every

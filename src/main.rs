@@ -1,8 +1,7 @@
 //! The `bdbench` command-line interface.
 //!
 //! ```text
-//! bdbench list [--costs]               # prescriptions, generators, engines, suites
-//!                                      # --costs: the static routing cost table
+//! bdbench list                         # prescriptions, generators, engines, suites
 //! bdbench run <prescription> [opts]    # the five-step pipeline
 //!     --system <native|mapreduce|sql|kv|streaming>
 //!     --scale <items>  --seed <n>  --workers <n>  --rate <items/sec>
@@ -12,12 +11,8 @@
 //!     --deadline-ms <n>                # per-operation wall-clock deadline
 //!     --verify[=strict|digest|update]  # differential conformance check
 //!     --goldens <dir>                  # explicit golden-store directory
-//!     --routing <first-capable|cost|adaptive>  # engine dispatch policy
 //! bdbench verify [--scale n] [--seed n] [--mode M] [--goldens dir]
-//!                [--routing P] [--passes n]
-//!                                      # sweep prescriptions × engines;
-//!                                      # --passes > 1 reruns the sweep sharing
-//!                                      # observed costs across passes
+//!                                      # sweep prescriptions × engines
 //! bdbench load [opts]                  # concurrent load driver
 //!     --clients <n>  --inflight <m>    # N sessions × M in-flight lanes
 //!     --duration-ms <n>  --seed <n>
@@ -35,13 +30,15 @@
 //! bdbench table2 [--scale n] [--seed n]# regenerate the paper's Table 2
 //! bdbench suite <name> [--scale n]     # run one suite's prescriptions (strict)
 //! ```
+//!
+//! A run executes on the system it names (`--system`, native by default);
+//! when that system cannot execute the test, the first capable engine in
+//! registration order runs it.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::exec::loadgen::{LoadArrival, LoadProfile};
-use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability, MatrixRouting};
-use bdbench::exec::cost::StaticCostModel;
+use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability};
 use bdbench::exec::fault::FaultPlan;
-use bdbench::exec::planner::RoutingPolicy;
 use bdbench::exec::journal::{CellCheckpoint, RunJournal};
 use bdbench::core::pipeline::Benchmark;
 use bdbench::core::registry::GeneratorRegistry;
@@ -52,9 +49,34 @@ use bdbench::suites::{all_suites, run_suite, table1, table2};
 use bdbench::testgen::{PrescriptionRepository, SystemKind};
 use bdbench::verify::VerifyMode;
 
+// Every line the CLI prints goes through `write_stdout`: these two
+// macros shadow the standard ones for the rest of this file.
+macro_rules! println {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// Write to stdout. A reader that went away (`bdbench list | head -1`)
+/// ends the process quietly with exit 0, not a panic; any other write
+/// error exits 1 naming it.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list [--costs]\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR] [--routing first-capable|cost|adaptive] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC] [--routing P] [--passes N] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
+        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
     );
     std::process::exit(2)
 }
@@ -78,10 +100,14 @@ fn parse_opts<'a>(
                 None => (rest, None),
             };
             if !allowed.contains(&key) {
-                eprintln!(
-                    "unknown option --{key} (expected one of: {})",
-                    allowed.iter().map(|k| format!("--{k}")).collect::<Vec<_>>().join(", ")
-                );
+                if allowed.is_empty() {
+                    eprintln!("unknown option --{key} (this command takes none)");
+                } else {
+                    eprintln!(
+                        "unknown option --{key} (expected one of: {})",
+                        allowed.iter().map(|k| format!("--{k}")).collect::<Vec<_>>().join(", ")
+                    );
+                }
                 usage();
             }
             let value = if let Some(v) = inline {
@@ -145,6 +171,18 @@ fn opt_u64(opts: &std::collections::BTreeMap<String, String>, key: &str, default
     })
 }
 
+/// `--retries N` (0 when absent); a count that does not fit the retry
+/// policy's `u32` is a configuration error, not a wrapped value.
+fn opt_retries(opts: &std::collections::BTreeMap<String, String>) -> bdbench::common::Result<u32> {
+    let retries = opt_u64(opts, "retries", 0);
+    u32::try_from(retries).map_err(|_| {
+        bdbench::common::BdbError::InvalidConfig(format!(
+            "--retries {retries} exceeds the maximum of {}",
+            u32::MAX
+        ))
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
@@ -171,13 +209,10 @@ fn main() {
 }
 
 fn cmd_list(args: &[String]) -> bdbench::common::Result<()> {
-    let (positional, opts) = parse_opts(args, &["costs"], &["costs"]);
+    let (positional, _) = parse_opts(args, &[], &[]);
     if !positional.is_empty() {
         eprintln!("bdbench list takes no positional arguments");
         usage();
-    }
-    if opts.contains_key("costs") {
-        return list_costs();
     }
     let repo = PrescriptionRepository::with_builtins();
     println!("prescriptions:");
@@ -200,43 +235,6 @@ fn cmd_list(args: &[String]) -> bdbench::common::Result<()> {
     Ok(())
 }
 
-/// `bdbench list --costs`: the static routing cost table — one row per
-/// (engine, operation class, data kind) curve — plus which engine the
-/// table predicts cheapest for each covered profile at three scales.
-fn list_costs() -> bdbench::common::Result<()> {
-    use bdbench::exec::reporter::TableReporter;
-    let model = StaticCostModel::with_builtins();
-    let mut t = TableReporter::new(
-        "Static dispatch costs (us ~ startup + per_item*n + log_factor*n*log2 n)",
-        &["engine", "class", "kind", "startup", "per_item", "log_factor"],
-    );
-    for (engine, class, kind, f) in model.entries() {
-        t.add_row(&[
-            engine.to_string(),
-            class.to_string(),
-            kind.to_string(),
-            format!("{:.1}", f.startup),
-            format!("{:.2}", f.per_item),
-            format!("{:.2}", f.log_factor),
-        ]);
-    }
-    println!("{}", t.to_text());
-    let mut w = TableReporter::new(
-        "Predicted winner by scale",
-        &["class", "kind", "n=1", "n=10", "n=100"],
-    );
-    for (class, kind) in model.covered_profiles() {
-        let win = |scale: u64| {
-            model
-                .winner(class, kind, scale)
-                .map_or_else(|| "-".to_string(), |(e, c)| format!("{e} ({c:.0} us)"))
-        };
-        w.add_row(&[class.to_string(), kind.to_string(), win(1), win(10), win(100)]);
-    }
-    println!("{}", w.to_text());
-    Ok(())
-}
-
 fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
     let (positional, opts) = parse_opts(
         args,
@@ -252,7 +250,6 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
             "deadline-ms",
             "verify",
             "goldens",
-            "routing",
             "breaker-window",
             "breaker-trip-ratio",
             "breaker-cooldown",
@@ -292,9 +289,7 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
     if let Some(faults) = opts.get("faults") {
         spec = spec.with_faults(faults.parse()?);
     }
-    if opts.contains_key("retries") {
-        spec = spec.with_retries(opt_u64(&opts, "retries", 0) as u32);
-    }
+    spec = spec.with_retries(opt_retries(&opts)?);
     if opts.contains_key("deadline-ms") {
         spec = spec.with_deadline_ms(opt_u64(&opts, "deadline-ms", 0));
     }
@@ -303,9 +298,6 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
     }
     if let Some(dir) = opts.get("goldens") {
         spec = spec.with_goldens_dir(dir);
-    }
-    if let Some(routing) = opts.get("routing") {
-        spec = spec.with_routing(parse_routing(routing)?);
     }
     let run = benchmark_with_breaker(&opts).run(&spec)?;
     println!("== phases ==");
@@ -351,12 +343,6 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
     Ok(())
 }
 
-/// Parse a `--routing` value, mapping the policy's own error text into
-/// the CLI's configuration error.
-fn parse_routing(value: &str) -> bdbench::common::Result<RoutingPolicy> {
-    value.parse::<RoutingPolicy>().map_err(bdbench::common::BdbError::InvalidConfig)
-}
-
 fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
     let (_, opts) = parse_opts(
         args,
@@ -368,8 +354,6 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
             "journal",
             "resume",
             "faults",
-            "routing",
-            "passes",
             "breaker-window",
             "breaker-trip-ratio",
             "breaker-cooldown",
@@ -387,43 +371,21 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
         .map(RunJournal::open)
         .transpose()?;
     let faults = opts.get("faults").map(|s| s.parse::<FaultPlan>()).transpose()?;
-    let mut routing = MatrixRouting::with_policy(
-        opts.get("routing").map_or(Ok(RoutingPolicy::default()), |r| parse_routing(r))?,
-    );
-    routing.parameters = breaker_params(&opts);
-    let passes = opt_u64(&opts, "passes", 1).max(1);
-    let mut diverged = 0usize;
-    for pass in 1..=passes {
-        // The journal's resume granularity is one sweep, so only the
-        // first pass journals; later passes re-execute every cell — the
-        // point of a multi-pass run is re-routing on observed costs, and
-        // `routing` (with its shared EWMA store) carries across passes.
-        let durability = if pass == 1 {
-            MatrixDurability { journal: journal.as_ref(), faults: faults.as_ref() }
-        } else {
-            MatrixDurability::default()
-        };
-        let report = verify_matrix_routed(
-            opt_u64(&opts, "scale", 300),
-            opt_u64(&opts, "seed", 42),
-            mode,
-            opts.get("goldens").map(String::as_str),
-            &durability,
-            &routing,
-        )?;
-        if passes > 1 {
-            println!("== pass {pass}/{passes} ==");
-        }
-        println!("{}", report.render());
-        if !report.all_passed() {
-            diverged += report.failed_cells().len();
-        }
-    }
-    if diverged == 0 {
+    let report = verify_matrix_routed(
+        opt_u64(&opts, "scale", 300),
+        opt_u64(&opts, "seed", 42),
+        mode,
+        opts.get("goldens").map(String::as_str),
+        &MatrixDurability { journal: journal.as_ref(), faults: faults.as_ref() },
+        &breaker_params(&opts),
+    )?;
+    println!("{}", report.render());
+    if report.all_passed() {
         Ok(())
     } else {
         Err(bdbench::common::BdbError::Execution(format!(
-            "verification matrix diverged in {diverged} cell(s)"
+            "verification matrix diverged in {} cell(s)",
+            report.failed_cells().len()
         )))
     }
 }
@@ -479,9 +441,7 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     if let Some(faults) = opts.get("faults") {
         spec = spec.with_faults(faults.parse()?);
     }
-    if opts.contains_key("retries") {
-        spec = spec.with_retries(opt_u64(&opts, "retries", 0) as u32);
-    }
+    spec = spec.with_retries(opt_retries(&opts)?);
     if opts.contains_key("deadline-ms") {
         spec = spec.with_deadline_ms(opt_u64(&opts, "deadline-ms", 0));
     }

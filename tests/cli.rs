@@ -1,7 +1,7 @@
 //! The built `bdbench` binary, driven as a user drives it: rejected input
 //! is named on stderr with a non-zero exit, never a panic.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bdbench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bdbench")).args(args).output().expect("bdbench starts")
@@ -31,6 +31,11 @@ fn bad_options_name_the_offending_token_without_panicking() {
         (&["run", "x", "--bogus", "1"][..], "--bogus"),
         (&["run", "x", "--scale"][..], "--scale"),
         (&["load", "--clients", "abc"][..], "abc"),
+        // Routing by cost or observed runtime is gone: a run executes on
+        // the system it names.
+        (&["run", "x", "--routing", "cost"][..], "unknown option --routing"),
+        (&["verify", "--passes", "2"][..], "unknown option --passes"),
+        (&["list", "--costs"][..], "unknown option --costs"),
     ] {
         let out = bdbench(args);
         let err = stderr(&out);
@@ -72,4 +77,41 @@ fn non_positive_generation_rates_are_named_config_errors() {
         assert!(err.contains("invalid configuration: target rate"), "--rate {rate}: {err}");
         assert!(!err.contains("panicked at"), "--rate {rate}: {err}");
     }
+}
+
+#[test]
+fn retry_counts_past_u32_are_config_errors_not_wrapped() {
+    // 2^32 would wrap to 0 retries and 2^32 + 2 to 2.
+    for retries in ["4294967296", "4294967298"] {
+        for args in [
+            &["run", "micro/sort", "--scale", "50", "--retries", retries][..],
+            &["load", "--duration-ms", "50", "--retries", retries][..],
+        ] {
+            let out = bdbench(args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(err.contains("invalid configuration: --retries"), "{args:?}: {err}");
+            assert!(!err.contains("panicked at"), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // `bdbench verify | head -1`: the reader is gone before the report
+    // is written. A private golden store keeps the committed one clean.
+    let goldens = std::env::temp_dir().join(format!("bdb-cli-goldens-{}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bdbench"))
+        .args(["verify", "--scale", "100", "--seed", "1", "--goldens"])
+        .arg(&goldens)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("bdbench starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("bdbench exits");
+    let _ = std::fs::remove_dir_all(&goldens);
+    let err = stderr(&out);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked at"), "{err}");
 }

@@ -5,7 +5,7 @@
 //! state / resumed run is identical to an uninterrupted one.
 
 use bdbench::core::layers::BenchmarkSpec;
-use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability, MatrixRouting};
+use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability};
 use bdbench::core::pipeline::Benchmark;
 use bdbench::exec::journal::RunJournal;
 use bdbench::kv::{CrashPoint, LsmConfig, LsmStore};
@@ -122,9 +122,8 @@ fn killed_matrix_resumes_to_identical_digests() {
     let goldens_dir = temp_dir("matrix-goldens");
     std::fs::create_dir_all(&goldens_dir).unwrap();
     let goldens = goldens_dir.to_str().unwrap();
-    let routing = MatrixRouting::default();
     let uninterrupted =
-        verify_matrix_routed(scale, seed, mode, Some(goldens), &MatrixDurability::default(), &routing)
+        verify_matrix_routed(scale, seed, mode, Some(goldens), &MatrixDurability::default(), &[])
             .unwrap();
     assert!(uninterrupted.all_passed(), "{}", uninterrupted.render());
 
@@ -138,7 +137,7 @@ fn killed_matrix_resumes_to_identical_digests() {
         mode,
         Some(goldens),
         &MatrixDurability { journal: Some(&journal), faults: Some(&plan) },
-        &routing,
+        &[],
     );
     let err = crashed.unwrap_err();
     assert!(err.is_crash(), "expected a crash, got {err}");
@@ -154,7 +153,7 @@ fn killed_matrix_resumes_to_identical_digests() {
         mode,
         Some(goldens),
         &MatrixDurability { journal: Some(&journal), faults: None },
-        &routing,
+        &[],
     )
     .unwrap();
     assert!(resumed.all_passed(), "{}", resumed.render());
