@@ -11,7 +11,6 @@ use bdb_exec::config::SystemConfig;
 use bdb_exec::engine::{EngineRegistry, RoutingPolicy};
 use bdb_exec::fault::FaultPlan;
 use bdb_exec::loadgen::LoadProfile;
-use bdb_metrics::{CostModel, PowerModel};
 use bdb_testgen::{PrescriptionRepository, SystemKind};
 use bdb_verify::VerifyMode;
 
@@ -155,17 +154,13 @@ impl BenchmarkSpec {
 /// Alias making the Figure 2 naming explicit.
 pub type UserInterfaceLayer = BenchmarkSpec;
 
-/// Function Layer: data generators + test generator + metrics models.
+/// Function Layer: data generators + test generator.
 #[derive(Debug)]
 pub struct FunctionLayer {
     /// The data generators component.
     pub generators: GeneratorRegistry,
     /// The test generator component (prescription repository + binding).
     pub repository: PrescriptionRepository,
-    /// Metrics: the energy model.
-    pub power_model: PowerModel,
-    /// Metrics: the cost model.
-    pub cost_model: CostModel,
 }
 
 impl Default for FunctionLayer {
@@ -173,8 +168,6 @@ impl Default for FunctionLayer {
         Self {
             generators: GeneratorRegistry::with_builtins(),
             repository: PrescriptionRepository::with_builtins(),
-            power_model: PowerModel::default(),
-            cost_model: CostModel::default(),
         }
     }
 }

@@ -192,15 +192,11 @@ pub fn verify_matrix(
         mode,
         goldens_dir,
         &MatrixDurability::default(),
-        &[],
     )
 }
 
 /// [`verify_matrix`] with journaling, resumption and kill points (see the
-/// module docs for the crash/resume contract). `parameters` are extra
-/// system-config parameters applied to every cell's execution layer (the
-/// CLI's `breaker.*` knobs); an invalid value fails the first cell loudly
-/// instead of being silently ignored.
+/// module docs for the crash/resume contract).
 ///
 /// # Errors
 /// Fails as [`verify_matrix`] does, plus [`BdbError::Crashed`] when an
@@ -212,7 +208,6 @@ pub fn verify_matrix_routed(
     mode: VerifyMode,
     goldens_dir: Option<&str>,
     durability: &MatrixDurability<'_>,
-    parameters: &[(String, String)],
 ) -> Result<MatrixReport> {
     // ONE injector spans the sweep: a fresh injector per cell would
     // restart the deterministic draw sequence and a `crash@exec:1`
@@ -250,11 +245,7 @@ pub fn verify_matrix_routed(
             .copied()
             .unwrap_or(SystemKind::Native);
         let mut bench = Benchmark::new();
-        let mut config = SystemConfig::default().with_threads(MATRIX_THREADS);
-        for (key, value) in parameters {
-            config = config.with_parameter(key, value);
-        }
-        bench.execution_layer_mut().system_config = config;
+        bench.execution_layer_mut().system_config = SystemConfig::default().with_threads(MATRIX_THREADS);
         let mut registry = EngineRegistry::new();
         registry.register(engine);
         bench.execution_layer_mut().engines = registry;

@@ -152,10 +152,7 @@ impl Benchmark {
         // Fresh breakers per run: the registry routes by the health store,
         // so stale trips from a previous run must not leak into this
         // one's routing or admission decisions.
-        self.execution_layer
-            .engines
-            .health()
-            .reset(self.execution_layer.system_config.breaker_policy()?, spec.seed);
+        self.execution_layer.engines.health().reset(spec.seed);
         let mut phases = Vec::with_capacity(5);
         let mut finish_phase = |trace: &RunTrace, phase: Phase, started: Instant| {
             let duration = started.elapsed();
@@ -330,10 +327,7 @@ impl Benchmark {
             },
             spec.seed,
         );
-        self.execution_layer
-            .engines
-            .health()
-            .reset(self.execution_layer.system_config.breaker_policy()?, spec.seed);
+        self.execution_layer.engines.health().reset(spec.seed);
         trace.phase_started("load");
         let t0 = Instant::now();
         let reports = loadgen::run_load_resilient(

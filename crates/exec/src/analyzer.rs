@@ -1,53 +1,14 @@
-//! Result analysis: speedups, winners, crossovers, recovery metrics.
+//! Result analysis: crossovers and trace summaries.
 //!
 //! The benchmarking process's final step "analyse\[s\] and evaluate\[s\]" the
-//! results. [`compare`] ranks two runs of the same workload;
-//! [`find_crossover`] locates the input size where the faster system
+//! results. [`find_crossover`] locates the input size where the faster system
 //! changes — the shape the EXPERIMENTS.md reproduction checks care about.
 //! [`RecoverySummary`] condenses the recovery-path trace events of a
 //! chaos run (injected faults, retries, failovers, deadline hits) into
 //! the dependability metrics the resilience reports print.
 
 use crate::trace::TraceEvent;
-use bdb_metrics::MetricReport;
 use std::collections::BTreeMap;
-
-/// The outcome of comparing two runs of one workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Name of the faster system.
-    pub winner: String,
-    /// Name of the slower system.
-    pub loser: String,
-    /// How many times faster the winner was (>= 1).
-    pub speedup: f64,
-    /// Winner's advantage in ops/joule (>= 0; 0 when not computable).
-    pub energy_ratio: f64,
-}
-
-/// Compare two metric reports of the same workload by duration.
-pub fn compare(a: &MetricReport, b: &MetricReport) -> Comparison {
-    let (w, l) = if a.user.duration_secs <= b.user.duration_secs {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    let speedup = l.user.duration_secs / w.user.duration_secs.max(1e-12);
-    let energy_ratio = {
-        let (we, le) = (w.ops_per_joule(), l.ops_per_joule());
-        if le > 0.0 {
-            we / le
-        } else {
-            0.0
-        }
-    };
-    Comparison {
-        winner: w.system.clone(),
-        loser: l.system.clone(),
-        speedup,
-        energy_ratio,
-    }
-}
 
 /// Given a series of `(x, duration_a, duration_b)` points sorted by `x`,
 /// find the first `x` interval where the faster system flips. Returns the
@@ -65,19 +26,6 @@ pub fn find_crossover(series: &[(f64, f64, f64)]) -> Option<f64> {
         prev = Some(a_wins);
     }
     None
-}
-
-/// Geometric-mean speedup across many paired runs — the standard way to
-/// summarise multi-workload suites.
-pub fn geomean_speedup(pairs: &[(f64, f64)]) -> f64 {
-    if pairs.is_empty() {
-        return 1.0;
-    }
-    let log_sum: f64 = pairs
-        .iter()
-        .map(|&(a, b)| (b.max(1e-12) / a.max(1e-12)).ln())
-        .sum();
-    (log_sum / pairs.len() as f64).exp()
 }
 
 /// Recovery metrics distilled from a run's trace: how much chaos the run
@@ -411,37 +359,6 @@ impl RoutingSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdb_metrics::collector::UserMetrics;
-
-    fn report(system: &str, duration: f64) -> MetricReport {
-        MetricReport {
-            system: system.into(),
-            workload: "w".into(),
-            user: UserMetrics { duration_secs: duration, operations: 100, ..Default::default() },
-            energy_joules: duration * 100.0,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn compare_picks_faster_system() {
-        let a = report("sql", 1.0);
-        let b = report("mapreduce", 4.0);
-        let c = compare(&a, &b);
-        assert_eq!(c.winner, "sql");
-        assert_eq!(c.loser, "mapreduce");
-        assert!((c.speedup - 4.0).abs() < 1e-9);
-        // Energy scales with duration here, so the winner also wins energy.
-        assert!(c.energy_ratio > 1.0);
-    }
-
-    #[test]
-    fn compare_is_symmetric_in_winner() {
-        let a = report("sql", 5.0);
-        let b = report("mapreduce", 1.0);
-        assert_eq!(compare(&a, &b).winner, "mapreduce");
-        assert_eq!(compare(&b, &a).winner, "mapreduce");
-    }
 
     #[test]
     fn crossover_found_at_flip() {
@@ -666,13 +583,5 @@ mod tests {
         assert!(quiet.is_empty());
         assert!(quiet.all_closed());
         assert_eq!(quiet.total_trips(), 0);
-    }
-
-    #[test]
-    fn geomean_is_scale_stable() {
-        // Speedups of 2x and 8x → geomean 4x.
-        let g = geomean_speedup(&[(1.0, 2.0), (1.0, 8.0)]);
-        assert!((g - 4.0).abs() < 1e-9);
-        assert_eq!(geomean_speedup(&[]), 1.0);
     }
 }

@@ -401,12 +401,6 @@ impl EngineRegistry {
         self.engines.iter().map(Box::as_ref)
     }
 
-    /// Share a health store (per-engine circuit breakers) with this
-    /// registry, e.g. one store across every run of a server.
-    pub fn set_health(&mut self, store: Arc<HealthStore>) {
-        self.health = store;
-    }
-
     /// The per-engine breaker store: routing demotes open engines,
     /// resilient dispatch skips them and records outcomes, and the load
     /// driver's admission controller consults it for brownout.
@@ -426,11 +420,6 @@ impl EngineRegistry {
     /// any healthy fallback. When no breaker is open — every no-fault run
     /// — the demotion is the identity.
     pub fn route_all(&self, request: &ExecutionRequest<'_>) -> Result<Vec<(&dyn Engine, Routing)>> {
-        // Validate the breaker thresholds up front: every dispatch entry
-        // point funnels through here, so a bad `breaker.*` parameter
-        // fails loudly before any engine runs instead of disarming the
-        // breaker after the fact.
-        request.config.breaker_policy()?;
         let profile = request.profile();
         let capable: Vec<&dyn Engine> = self
             .engines
@@ -1341,17 +1330,20 @@ mod tests {
         assert_eq!(route_names(&registry, SystemKind::Native), ["a", "b", "c", "d"]);
         assert_eq!(route_names(&registry, SystemKind::Sql), ["a", "c", "b", "d"]);
 
-        // One failure trips a breaker under this policy.
-        let policy = crate::health::BreakerPolicy { min_samples: 1, ..Default::default() };
-        registry.set_health(Arc::new(HealthStore::new(policy, 1)));
-        registry.health().record("a", false, false);
-        assert!(registry.health().is_open("a"));
+        // Four straight failures trip a breaker under the default policy.
+        let trip = |engine: &str| {
+            for _ in 0..4 {
+                registry.health().record(engine, false, false);
+            }
+            assert!(registry.health().is_open(engine));
+        };
+        trip("a");
         // The open engine goes after every healthy candidate, even when it
         // is the engine implementing the requested system.
         assert_eq!(route_names(&registry, SystemKind::Sql), ["c", "b", "d", "a"]);
         assert_eq!(route_names(&registry, SystemKind::Native), ["b", "c", "d", "a"]);
         // Demotion is stable: open engines keep their relative order.
-        registry.health().record("b", false, false);
+        trip("b");
         assert_eq!(route_names(&registry, SystemKind::Sql), ["c", "d", "a", "b"]);
     }
 }

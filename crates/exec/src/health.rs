@@ -30,7 +30,6 @@
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::hash::Fnv1a;
 use bdb_common::rng::SplitMix64;
-use bdb_common::{BdbError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -58,9 +57,8 @@ impl std::fmt::Display for BreakerState {
 
 /// Thresholds governing every breaker in a [`HealthStore`].
 ///
-/// Overridable per run via `breaker.*` system-config parameters (see
-/// [`crate::config::SystemConfig::breaker_policy`]), which validate each
-/// field's range before any engine runs.
+/// A run's registry uses [`BreakerPolicy::default`]; tests build tighter
+/// policies through [`HealthStore::new`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerPolicy {
     /// Sliding outcome-window length (samples), ≥ 1.
@@ -89,47 +87,6 @@ impl Default for BreakerPolicy {
             probe_stride: 4,
             close_after: 2,
         }
-    }
-}
-
-impl BreakerPolicy {
-    /// Check every threshold's range.
-    ///
-    /// # Errors
-    /// Fails naming the offending field and its valid range.
-    pub fn validate(&self) -> Result<()> {
-        if self.window < 1 {
-            return Err(BdbError::InvalidConfig(
-                "breaker.window=0 out of range: must be >= 1".into(),
-            ));
-        }
-        if !(self.trip_ratio > 0.0 && self.trip_ratio <= 1.0) {
-            return Err(BdbError::InvalidConfig(format!(
-                "breaker.trip_ratio={} out of range: must be in (0, 1]",
-                self.trip_ratio
-            )));
-        }
-        if self.min_samples < 1 {
-            return Err(BdbError::InvalidConfig(
-                "breaker.min_samples=0 out of range: must be >= 1".into(),
-            ));
-        }
-        if self.cooldown < 1 {
-            return Err(BdbError::InvalidConfig(
-                "breaker.cooldown=0 out of range: must be >= 1".into(),
-            ));
-        }
-        if self.probe_stride < 1 {
-            return Err(BdbError::InvalidConfig(
-                "breaker.probe_stride=0 out of range: must be >= 1".into(),
-            ));
-        }
-        if self.close_after < 1 {
-            return Err(BdbError::InvalidConfig(
-                "breaker.close_after=0 out of range: must be >= 1".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -234,12 +191,11 @@ impl HealthStore {
         }
     }
 
-    /// Re-arm the store for a new run: adopt the run's policy and seed
-    /// and forget every breaker. Interior-mutable so a shared registry
-    /// can be re-armed per run without `&mut` access.
-    pub fn reset(&self, policy: BreakerPolicy, seed: u64) {
+    /// Re-arm the store for a new run: adopt the run's seed and forget
+    /// every breaker. Interior-mutable so a shared registry can be
+    /// re-armed per run without `&mut` access.
+    pub fn reset(&self, seed: u64) {
         let mut inner = self.lock();
-        inner.policy = policy;
         inner.seed = seed;
         inner.breakers.clear();
     }
@@ -559,29 +515,9 @@ mod tests {
     fn reset_forgets_history() {
         let s = HealthStore::new(tight(), 7);
         trip(&s, "kv", 2);
-        s.reset(tight(), 8);
+        s.reset(8);
         assert!(s.is_empty());
         assert_eq!(s.state("kv"), BreakerState::Closed);
-    }
-
-    #[test]
-    fn policy_validation_names_ranges() {
-        assert!(BreakerPolicy::default().validate().is_ok());
-        let bad = BreakerPolicy { trip_ratio: 1.5, ..BreakerPolicy::default() };
-        let err = bad.validate().unwrap_err().to_string();
-        assert!(err.contains("(0, 1]"), "error should name the valid range: {err}");
-        let bad = BreakerPolicy { trip_ratio: 0.0, ..BreakerPolicy::default() };
-        assert!(bad.validate().is_err());
-        for bad in [
-            BreakerPolicy { window: 0, ..BreakerPolicy::default() },
-            BreakerPolicy { min_samples: 0, ..BreakerPolicy::default() },
-            BreakerPolicy { cooldown: 0, ..BreakerPolicy::default() },
-            BreakerPolicy { probe_stride: 0, ..BreakerPolicy::default() },
-            BreakerPolicy { close_after: 0, ..BreakerPolicy::default() },
-        ] {
-            let err = bad.validate().unwrap_err().to_string();
-            assert!(err.contains(">= 1"), "error should name the valid range: {err}");
-        }
     }
 
     /// Drive one breaker with a deterministic admission/outcome script

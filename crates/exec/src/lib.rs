@@ -46,8 +46,8 @@ pub mod reporter;
 pub mod trace;
 
 pub use analyzer::{
-    compare, find_crossover, Comparison, ConformanceSummary, HealthSummary, LoadSummary,
-    RecoverySummary, RoutingSummary,
+    find_crossover, ConformanceSummary, HealthSummary, LoadSummary, RecoverySummary,
+    RoutingSummary,
 };
 pub use config::SystemConfig;
 pub use convert::DataFormat;

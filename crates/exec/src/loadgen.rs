@@ -150,6 +150,16 @@ impl std::str::FromStr for LoadArrival {
     }
 }
 
+/// The most operations one schedule holds, whatever the arrival
+/// discipline: a closed loop is clamped to it, and
+/// [`LoadProfile::validate`] rejects an open loop that would exceed it.
+const MAX_SCHEDULE_OPS: usize = 200_000;
+
+/// Operations an open-loop schedule holds: rate × duration, rounded.
+fn open_loop_ops(rate_per_sec: f64, duration_ms: u64) -> f64 {
+    (rate_per_sec * duration_ms as f64 / 1000.0).round()
+}
+
 /// Configuration of one load run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadProfile {
@@ -190,7 +200,8 @@ impl LoadProfile {
     /// Check the profile for nonsense values.
     ///
     /// # Errors
-    /// Fails on zero clients/inflight/sample rate or an empty duration.
+    /// Fails on zero clients/inflight/sample rate, an empty duration, or
+    /// an open loop whose rate × duration exceeds the schedule ceiling.
     pub fn validate(&self) -> Result<()> {
         if self.clients == 0 || self.inflight == 0 {
             return Err(BdbError::InvalidConfig(
@@ -205,6 +216,14 @@ impl LoadProfile {
         }
         if self.queue_capacity == Some(0) {
             return Err(BdbError::InvalidConfig("queue capacity must be >= 1".into()));
+        }
+        if let LoadArrival::Poisson { rate_per_sec } | LoadArrival::Uniform { rate_per_sec } = self.arrival {
+            if open_loop_ops(rate_per_sec, self.duration_ms) > MAX_SCHEDULE_OPS as f64 {
+                return Err(BdbError::InvalidConfig(format!(
+                    "open-loop schedule of {rate_per_sec:e} ops/s over {} ms exceeds the {MAX_SCHEDULE_OPS}-op ceiling",
+                    self.duration_ms
+                )));
+            }
         }
         Ok(())
     }
@@ -276,9 +295,9 @@ pub fn build_schedule(profile: &LoadProfile, seed: u64) -> Result<Vec<ScheduledO
     let n = match profile.arrival {
         // Closed loop has no arrival clock: duration sizes the schedule
         // (drained as fast as the engine allows).
-        LoadArrival::Closed => (profile.duration_ms.saturating_mul(32)).clamp(256, 200_000) as usize,
+        LoadArrival::Closed => (profile.duration_ms.saturating_mul(32)).clamp(256, MAX_SCHEDULE_OPS as u64) as usize,
         LoadArrival::Poisson { rate_per_sec } | LoadArrival::Uniform { rate_per_sec } => {
-            ((rate_per_sec * profile.duration_ms as f64 / 1000.0).round() as usize).max(1)
+            (open_loop_ops(rate_per_sec, profile.duration_ms) as usize).max(1)
         }
     };
     let arrivals: Vec<f64> = match profile.arrival {
@@ -1257,6 +1276,13 @@ mod tests {
         assert!(LoadProfile { queue_capacity: Some(0), ..LoadProfile::default() }
             .validate()
             .is_err());
+        let open = |rate_per_sec| LoadProfile {
+            arrival: LoadArrival::Poisson { rate_per_sec },
+            duration_ms: 1000,
+            ..LoadProfile::default()
+        };
+        assert!(open(MAX_SCHEDULE_OPS as f64).validate().is_ok());
+        assert!(open(MAX_SCHEDULE_OPS as f64 + 1.0).validate().is_err());
         assert_eq!(LoadProfile::default().queue_cap(), 32);
     }
 

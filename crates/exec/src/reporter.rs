@@ -1,8 +1,9 @@
-//! Result reporting: aligned text and Markdown tables.
+//! Result reporting: aligned text tables.
 //!
 //! The reporter renders the evaluation tables the harnesses regenerate
-//! (Table 1, Table 2, and the per-figure series) as plain text for the
-//! terminal and Markdown for EXPERIMENTS.md.
+//! (Table 1, Table 2, and the per-figure series) and the run analysis's
+//! resilience, conformance, load and health sections as plain text for
+//! the terminal.
 
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone, Default)]
@@ -28,11 +29,6 @@ impl TableReporter {
         row.resize(self.header.len(), String::new());
         row.truncate(self.header.len());
         self.rows.push(row);
-    }
-
-    /// Convenience for `&str` cells.
-    pub fn add_row_strs(&mut self, cells: &[&str]) {
-        self.add_row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
     }
 
     /// Number of data rows.
@@ -80,148 +76,6 @@ impl TableReporter {
         }
         out
     }
-
-    /// Render as a Markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            out.push_str(&format!("### {}\n\n", self.title));
-        }
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            "---|".repeat(self.header.len())
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-}
-
-/// Render a [`RunTrace`](crate::trace::RunTrace) as an aligned text table:
-/// one row per event, in record order, with the event-specific fields
-/// flattened into a detail column.
-pub fn render_trace(trace: &crate::trace::RunTrace) -> String {
-    use crate::trace::TraceEvent;
-    let mut t = TableReporter::new("Run trace", &["event", "subject", "detail"]);
-    for e in trace.events() {
-        let (subject, detail) = match &e {
-            TraceEvent::PhaseStarted { phase } => (phase.clone(), String::new()),
-            TraceEvent::PhaseFinished { phase, micros } => {
-                (phase.clone(), format!("{micros} us"))
-            }
-            TraceEvent::DatasetGenerated { name, kind, items, bytes, workers, micros } => (
-                name.clone(),
-                format!("{kind}, {items} items, {bytes} bytes, {workers} workers, {micros} us"),
-            ),
-            TraceEvent::EngineDispatched {
-                prescription,
-                engine,
-                requested_system,
-                explicit,
-                candidates,
-            } => (
-                prescription.clone(),
-                format!(
-                    "-> {engine} ({} for system {requested_system}; candidates: {})",
-                    if *explicit { "explicit" } else { "capability fallback" },
-                    candidates.join(", ")
-                ),
-            ),
-            TraceEvent::OperationExecuted { engine, op, rows_out, micros } => {
-                (format!("{engine}/{op}"), format!("{rows_out} rows, {micros} us"))
-            }
-            TraceEvent::FaultInjected { site, kind, latency_ms } => (
-                site.clone(),
-                if *latency_ms > 0 {
-                    format!("{kind} (+{latency_ms} ms)")
-                } else {
-                    kind.clone()
-                },
-            ),
-            TraceEvent::OperationRetried { site, attempt, delay_ms, error } => (
-                site.clone(),
-                format!("attempt {attempt} failed ({error}); backoff {delay_ms} ms"),
-            ),
-            TraceEvent::EngineFailedOver {
-                prescription,
-                from,
-                to,
-                attempts,
-                engine_attempts,
-                error,
-            } => (
-                prescription.clone(),
-                format!(
-                    "{from} -> {to} after {attempts} attempts ({engine_attempts} on {from}): {error}"
-                ),
-            ),
-            TraceEvent::DeadlineExceeded { site, elapsed_ms, deadline_ms } => (
-                site.clone(),
-                format!("{elapsed_ms} ms elapsed > {deadline_ms} ms deadline"),
-            ),
-            TraceEvent::CheckpointWritten { key, digest } => {
-                (key.clone(), format!("digest {digest}"))
-            }
-            TraceEvent::CellResumed { key, digest, reverified } => (
-                key.clone(),
-                format!(
-                    "digest {digest} from journal{}",
-                    if *reverified { " (re-verified vs golden)" } else { "" }
-                ),
-            ),
-            TraceEvent::RunResumed { journal, completed } => (
-                journal.clone(),
-                format!("{completed} completed cells honoured"),
-            ),
-            TraceEvent::LoadSessionStarted { engine, session, lanes } => (
-                format!("{engine}#{session}"),
-                format!("{lanes} in-flight lanes"),
-            ),
-            TraceEvent::LoadSessionFinished { engine, session, completed, micros } => (
-                format!("{engine}#{session}"),
-                format!("{completed} ops, {micros} us"),
-            ),
-            TraceEvent::LoadShed { engine, count } => {
-                (engine.clone(), format!("{count} ops shed at the admission queue"))
-            }
-            TraceEvent::BreakerOpened { engine, failure_rate } => (
-                engine.clone(),
-                format!("tripped at {:.0}% windowed failure rate", failure_rate * 100.0),
-            ),
-            TraceEvent::BreakerHalfOpen { engine } => {
-                (engine.clone(), "cooldown elapsed; admitting probes".to_string())
-            }
-            TraceEvent::BreakerClosed { engine } => {
-                (engine.clone(), "probes succeeded; breaker closed".to_string())
-            }
-            TraceEvent::ProbeResult { engine, ok } => (
-                engine.clone(),
-                format!("probe {}", if *ok { "succeeded" } else { "failed" }),
-            ),
-            TraceEvent::BrownoutEngaged { engine, pressure, shed_fraction } => (
-                engine.clone(),
-                format!(
-                    "brownout engaged at pressure {pressure}: shedding {:.0}% of arrivals",
-                    shed_fraction * 100.0
-                ),
-            ),
-            TraceEvent::BrownoutReleased { engine, shed } => {
-                (engine.clone(), format!("brownout released after shedding {shed} arrival(s)"))
-            }
-            TraceEvent::ConformanceChecked { prescription, engine, check, payload, passed, detail } => (
-                format!("{prescription}@{engine}"),
-                format!(
-                    "{check} [{payload}] {}{}{detail}",
-                    if *passed { "PASS" } else { "FAIL" },
-                    if detail.is_empty() { "" } else { ": " },
-                ),
-            ),
-        };
-        t.add_row(&[e.label().to_string(), subject, detail]);
-    }
-    t.to_text()
 }
 
 /// Render a [`RecoverySummary`](crate::analyzer::RecoverySummary) as an
@@ -397,78 +251,9 @@ mod tests {
 
     fn sample() -> TableReporter {
         let mut t = TableReporter::new("Demo", &["name", "value"]);
-        t.add_row_strs(&["alpha", "1"]);
+        t.add_row(&["alpha".into(), "1".into()]);
         t.add_row(&["beta-long-name".into(), "2".into()]);
         t
-    }
-
-    #[test]
-    fn trace_renders_one_row_per_event() {
-        use crate::trace::RunTrace;
-        let trace = RunTrace::new();
-        trace.phase_started("execution");
-        trace.operation("sql", "sort", 42, std::time::Duration::from_micros(5));
-        let text = render_trace(&trace);
-        assert!(text.contains("== Run trace =="));
-        assert!(text.contains("phase_started"));
-        assert!(text.contains("sql/sort"));
-        assert!(text.contains("42 rows"));
-    }
-
-    #[test]
-    fn trace_renders_recovery_events() {
-        use crate::trace::{RunTrace, TraceEvent};
-        let trace = RunTrace::new();
-        trace.record(TraceEvent::FaultInjected {
-            site: "exec/sql:micro/sort".into(),
-            kind: "latency".into(),
-            latency_ms: 25,
-        });
-        trace.record(TraceEvent::OperationRetried {
-            site: "exec/sql:micro/sort".into(),
-            attempt: 1,
-            delay_ms: 10,
-            error: "injected".into(),
-        });
-        trace.record(TraceEvent::EngineFailedOver {
-            prescription: "micro/sort".into(),
-            from: "sql".into(),
-            to: "mapreduce".into(),
-            attempts: 3,
-            engine_attempts: 2,
-            error: "injected engine fault".into(),
-        });
-        trace.record(TraceEvent::DeadlineExceeded {
-            site: "datagen/events".into(),
-            elapsed_ms: 70,
-            deadline_ms: 50,
-        });
-        let text = render_trace(&trace);
-        assert!(text.contains("fault_injected"));
-        assert!(text.contains("latency (+25 ms)"));
-        assert!(text.contains("backoff 10 ms"));
-        assert!(text.contains(
-            "sql -> mapreduce after 3 attempts (2 on sql): injected engine fault"
-        ));
-        assert!(text.contains("70 ms elapsed > 50 ms deadline"));
-    }
-
-    #[test]
-    fn trace_renders_breaker_events() {
-        use crate::trace::{RunTrace, TraceEvent};
-        let trace = RunTrace::new();
-        trace.record(TraceEvent::BreakerOpened { engine: "kv".into(), failure_rate: 0.75 });
-        trace.record(TraceEvent::BreakerHalfOpen { engine: "kv".into() });
-        trace.record(TraceEvent::ProbeResult { engine: "kv".into(), ok: false });
-        trace.record(TraceEvent::ProbeResult { engine: "kv".into(), ok: true });
-        trace.record(TraceEvent::BreakerClosed { engine: "kv".into() });
-        let text = render_trace(&trace);
-        assert!(text.contains("breaker_opened"));
-        assert!(text.contains("tripped at 75% windowed failure rate"));
-        assert!(text.contains("cooldown elapsed; admitting probes"));
-        assert!(text.contains("probe failed"));
-        assert!(text.contains("probe succeeded"));
-        assert!(text.contains("probes succeeded; breaker closed"));
     }
 
     #[test]
@@ -645,26 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_renders_load_events() {
-        use crate::trace::{RunTrace, TraceEvent};
-        let trace = RunTrace::new();
-        trace.record(TraceEvent::LoadSessionStarted { engine: "kv".into(), session: 2, lanes: 8 });
-        trace.record(TraceEvent::LoadSessionFinished {
-            engine: "kv".into(),
-            session: 2,
-            completed: 321,
-            micros: 5000,
-        });
-        trace.record(TraceEvent::LoadShed { engine: "kv".into(), count: 9 });
-        let text = render_trace(&trace);
-        assert!(text.contains("load_session_started"));
-        assert!(text.contains("kv#2"));
-        assert!(text.contains("8 in-flight lanes"));
-        assert!(text.contains("321 ops"));
-        assert!(text.contains("9 ops shed"));
-    }
-
-    #[test]
     fn text_render_aligns_columns() {
         let text = sample().to_text();
         assert!(text.contains("== Demo =="));
@@ -676,14 +441,6 @@ mod tests {
         // "value" column starts at the same offset in header and rows.
         let col = lines[1].find("value").unwrap();
         assert_eq!(&lines[3][col..col + 1], "1");
-    }
-
-    #[test]
-    fn markdown_render_has_separator() {
-        let md = sample().to_markdown();
-        assert!(md.contains("| name | value |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| alpha | 1 |"));
     }
 
     #[test]

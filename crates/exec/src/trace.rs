@@ -8,8 +8,8 @@
 //! and deadline hit. The sink uses
 //! interior mutability so it can ride inside a shared
 //! [`crate::engine::ExecutionRequest`] without threading `&mut`
-//! everywhere. Traces render as a reporter table
-//! ([`crate::reporter::render_trace`]) or dump as JSON-lines
+//! everywhere. Traces fold into the [`crate::analyzer`] summaries a run
+//! report prints, and dump as JSON-lines
 //! ([`crate::convert::trace_to_jsonl`]).
 
 use serde::{Deserialize, Serialize};

@@ -64,11 +64,6 @@ impl<T: Borrow<Table>> Catalog<T> {
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(String::as_str).collect()
     }
-
-    /// Row count of a registered table — the memo's cardinality source.
-    pub fn row_count(&self, name: &str) -> Option<usize> {
-        self.tables.get(name).map(|t| t.borrow().len())
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +94,6 @@ mod tests {
         let mut lent = Catalog::new();
         lent.register("a", &owned_table).unwrap();
         assert_eq!(lent.get("a").unwrap(), &owned_table);
-        assert_eq!(lent.row_count("a"), Some(1));
         assert!(lent.register("a", &owned_table).is_err());
     }
 

@@ -6,7 +6,8 @@
 //! analytics* workload class of Table 2 — `select`, `aggregate`, `join` —
 //! through a genuine pipeline: SQL text → tokens → AST → logical plan →
 //! optimizer (predicate pushdown, projection pruning) → physical operators
-//! (scan, filter, project, hash join, hash aggregate, sort, limit).
+//! (scan, filter, project, hash join, hash aggregate, sort, limit). Each
+//! statement runs the one plan [`optimizer::optimize`] returns.
 //!
 //! ```
 //! use bdb_sql::Engine;
@@ -41,7 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use catalog::Catalog;
 pub use exec::{ExecStats, Executor};
-pub use memo::{optimize_with_cost, Memo, PlanCost};
 pub use plan::LogicalPlan;
 
 /// The engine facade: a catalog plus the full SQL pipeline. Queries take
@@ -79,10 +79,9 @@ impl Engine {
         &mut self.catalog
     }
 
-    /// Parse, plan, optimise (via the cost-ranked memo) and execute a
-    /// SQL query.
+    /// Parse, plan, optimise and execute a SQL query.
     pub fn sql(&self, query: &str) -> Result<Table> {
-        let (plan, _) = self.plan_with_cost(query)?;
+        let plan = self.plan(query)?;
         let mut exec = Executor::new(&self.catalog);
         let out = exec.run(&plan)?;
         let s = exec.stats();
@@ -102,15 +101,8 @@ impl Engine {
 
     /// Plan a query without executing it (for inspection and tests).
     pub fn plan(&self, query: &str) -> Result<LogicalPlan> {
-        Ok(self.plan_with_cost(query)?.0)
-    }
-
-    /// Plan a query and return the memo-extracted plan with its
-    /// estimated cost.
-    pub fn plan_with_cost(&self, query: &str) -> Result<(LogicalPlan, PlanCost)> {
         let stmt = parser::parse(query)?;
-        let plan = plan::build_logical_plan(stmt, &self.catalog)?;
-        Ok(memo::optimize_with_cost(plan, &self.catalog))
+        Ok(optimizer::optimize(plan::build_logical_plan(stmt, &self.catalog)?))
     }
 
     /// Cumulative execution statistics across all queries run so far —

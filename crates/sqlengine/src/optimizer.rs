@@ -3,10 +3,6 @@
 //! Small but real: pushdown moves filters below the projection wrappers a
 //! join introduces (so non-matching rows die before the hash tables), and
 //! pruning narrows scans to the columns any ancestor actually uses.
-//!
-//! The rewrites double as the alternative generators of the cost-ranked
-//! memo in [`crate::memo`]: each pass produces one plan alternative, and
-//! extraction picks the cheapest under the memo's cardinality model.
 
 use crate::expr::Expr;
 use crate::plan::LogicalPlan;
@@ -70,7 +66,7 @@ fn join_conjuncts(mut conjuncts: Vec<Expr>) -> Option<Expr> {
     )
 }
 
-pub(crate) fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
+fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             let input = push_down_filters(*input);
@@ -171,7 +167,7 @@ pub(crate) fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// Collect the columns a node needs from its input, then narrow the scans.
-pub(crate) fn prune_scan_columns(plan: LogicalPlan) -> LogicalPlan {
+fn prune_scan_columns(plan: LogicalPlan) -> LogicalPlan {
     // Top level: all output columns are needed.
     let needed: Vec<String> = plan
         .schema()

@@ -359,9 +359,8 @@ impl SqlBinding {
         match Self::build_step_plan(op, &inputs)? {
             Some(plan) => {
                 let catalog = Self::input_catalog(&inputs)?;
-                let (plan, _) = bdb_sql::memo::optimize_with_cost(plan, &catalog);
                 let mut exec = Executor::new(&catalog);
-                exec.run(&plan)
+                exec.run(&bdb_sql::optimizer::optimize(plan))
             }
             None => Self::run_direct(op, &inputs),
         }

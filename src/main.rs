@@ -22,10 +22,6 @@
 //!     --faults <spec>                  # per-op chaos under load
 //!     --retries <n>  --deadline-ms <n> # per-op recovery policy
 //!     --trace <path|->                 # dump the load trace as JSON-lines
-//!
-//! run, verify and load also accept the circuit-breaker knobs
-//! `--breaker-window <n>`, `--breaker-trip-ratio <f>` and
-//! `--breaker-cooldown <n>` (the `breaker.*` system-config parameters).
 //! bdbench table1 [--seed n]            # regenerate the paper's Table 1
 //! bdbench table2 [--scale n] [--seed n]# regenerate the paper's Table 2
 //! bdbench suite <name> [--scale n]     # run one suite's prescriptions (strict)
@@ -33,7 +29,8 @@
 //!
 //! A run executes on the system it names (`--system`, native by default);
 //! when that system cannot execute the test, the first capable engine in
-//! registration order runs it.
+//! registration order runs it. Circuit breakers use the fixed thresholds
+//! of `BreakerPolicy::default`.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::exec::loadgen::{LoadArrival, LoadProfile};
@@ -76,7 +73,7 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-] [--breaker-window N] [--breaker-trip-ratio F] [--breaker-cooldown N]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
+        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
     );
     std::process::exit(2)
 }
@@ -129,37 +126,6 @@ fn parse_opts<'a>(
         }
     }
     (positional, opts)
-}
-
-/// The circuit-breaker CLI knobs accepted by run, verify and load, and
-/// the `breaker.*` system-config parameters they map to. Values are
-/// passed through verbatim: [`SystemConfig::breaker_policy`] validates
-/// them where the run starts, so a bad value fails loudly there.
-const BREAKER_OPTS: &[(&str, &str)] = &[
-    ("breaker-window", "breaker.window"),
-    ("breaker-trip-ratio", "breaker.trip_ratio"),
-    ("breaker-cooldown", "breaker.cooldown"),
-];
-
-/// Collect the breaker knobs present in `opts` as system-config
-/// parameter pairs.
-fn breaker_params(opts: &std::collections::BTreeMap<String, String>) -> Vec<(String, String)> {
-    BREAKER_OPTS
-        .iter()
-        .filter_map(|(opt, param)| opts.get(*opt).map(|v| (param.to_string(), v.clone())))
-        .collect()
-}
-
-/// A benchmark runner whose execution layer carries the CLI's breaker
-/// knobs (when any were given).
-fn benchmark_with_breaker(opts: &std::collections::BTreeMap<String, String>) -> Benchmark {
-    let mut bench = Benchmark::new();
-    let mut config = bench.execution_layer_mut().system_config.clone();
-    for (param, value) in breaker_params(opts) {
-        config = config.with_parameter(&param, &value);
-    }
-    bench.execution_layer_mut().system_config = config;
-    bench
 }
 
 fn opt_u64(opts: &std::collections::BTreeMap<String, String>, key: &str, default: u64) -> u64 {
@@ -250,9 +216,6 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
             "deadline-ms",
             "verify",
             "goldens",
-            "breaker-window",
-            "breaker-trip-ratio",
-            "breaker-cooldown",
         ],
         &["verify"],
     );
@@ -299,7 +262,7 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
     if let Some(dir) = opts.get("goldens") {
         spec = spec.with_goldens_dir(dir);
     }
-    let run = benchmark_with_breaker(&opts).run(&spec)?;
+    let run = Benchmark::new().run(&spec)?;
     println!("== phases ==");
     for phase in &run.phases {
         println!(
@@ -354,9 +317,6 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
             "journal",
             "resume",
             "faults",
-            "breaker-window",
-            "breaker-trip-ratio",
-            "breaker-cooldown",
         ],
         &[],
     );
@@ -377,7 +337,6 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
         mode,
         opts.get("goldens").map(String::as_str),
         &MatrixDurability { journal: journal.as_ref(), faults: faults.as_ref() },
-        &breaker_params(&opts),
     )?;
     println!("{}", report.render());
     if report.all_passed() {
@@ -408,9 +367,6 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
             "retries",
             "deadline-ms",
             "trace",
-            "breaker-window",
-            "breaker-trip-ratio",
-            "breaker-cooldown",
         ],
         &[],
     );
@@ -445,7 +401,7 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     if opts.contains_key("deadline-ms") {
         spec = spec.with_deadline_ms(opt_u64(&opts, "deadline-ms", 0));
     }
-    let run = benchmark_with_breaker(&opts).run_load(&spec)?;
+    let run = Benchmark::new().run_load(&spec)?;
     println!("{}", run.analysis);
     for report in &run.summary.reports {
         println!(

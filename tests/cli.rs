@@ -36,6 +36,11 @@ fn bad_options_name_the_offending_token_without_panicking() {
         (&["run", "x", "--routing", "cost"][..], "unknown option --routing"),
         (&["verify", "--passes", "2"][..], "unknown option --passes"),
         (&["list", "--costs"][..], "unknown option --costs"),
+        // Breaker thresholds are fixed at their defaults: no command
+        // takes them.
+        (&["run", "x", "--breaker-window", "4"][..], "unknown option --breaker-window"),
+        (&["verify", "--breaker-trip-ratio", "0.5"][..], "unknown option --breaker-trip-ratio"),
+        (&["load", "--breaker-cooldown", "8"][..], "unknown option --breaker-cooldown"),
     ] {
         let out = bdbench(args);
         let err = stderr(&out);
@@ -76,6 +81,19 @@ fn non_positive_generation_rates_are_named_config_errors() {
         assert_eq!(out.status.code(), Some(1), "--rate {rate}: {err}");
         assert!(err.contains("invalid configuration: target rate"), "--rate {rate}: {err}");
         assert!(!err.contains("panicked at"), "--rate {rate}: {err}");
+    }
+}
+
+#[test]
+fn load_schedules_past_the_ceiling_are_config_errors() {
+    // Rate × duration sizes an open-loop schedule: at 1e300 ops/s it
+    // would overflow a Vec's capacity, at 1e12 ops/s exhaust memory.
+    for rate in ["poisson:1e300", "poisson:1e12"] {
+        let out = bdbench(&["load", "--arrival", rate, "--duration-ms", "10"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "--arrival {rate}: {err}");
+        assert!(err.contains("invalid configuration"), "--arrival {rate}: {err}");
+        assert!(!err.contains("panicked at"), "--arrival {rate}: {err}");
     }
 }
 

@@ -123,7 +123,7 @@ fn killed_matrix_resumes_to_identical_digests() {
     std::fs::create_dir_all(&goldens_dir).unwrap();
     let goldens = goldens_dir.to_str().unwrap();
     let uninterrupted =
-        verify_matrix_routed(scale, seed, mode, Some(goldens), &MatrixDurability::default(), &[])
+        verify_matrix_routed(scale, seed, mode, Some(goldens), &MatrixDurability::default())
             .unwrap();
     assert!(uninterrupted.all_passed(), "{}", uninterrupted.render());
 
@@ -137,7 +137,6 @@ fn killed_matrix_resumes_to_identical_digests() {
         mode,
         Some(goldens),
         &MatrixDurability { journal: Some(&journal), faults: Some(&plan) },
-        &[],
     );
     let err = crashed.unwrap_err();
     assert!(err.is_crash(), "expected a crash, got {err}");
@@ -153,7 +152,6 @@ fn killed_matrix_resumes_to_identical_digests() {
         mode,
         Some(goldens),
         &MatrixDurability { journal: Some(&journal), faults: None },
-        &[],
     )
     .unwrap();
     assert!(resumed.all_passed(), "{}", resumed.render());
