@@ -36,8 +36,8 @@ pub enum BdbError {
 }
 
 impl BdbError {
-    /// True for [`BdbError::Crashed`] — the one error class retry,
-    /// failover and deadline machinery must never absorb.
+    /// True for [`BdbError::Crashed`] — the one error class retry and
+    /// deadline machinery must never absorb.
     pub fn is_crash(&self) -> bool {
         matches!(self, BdbError::Crashed(_))
     }

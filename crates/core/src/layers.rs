@@ -124,8 +124,8 @@ impl BenchmarkSpec {
         self
     }
 
-    /// Bound each operation (including its retries and failovers) by a
-    /// wall-clock deadline in milliseconds.
+    /// Bound each operation (including its retries) by a wall-clock
+    /// deadline in milliseconds.
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = Some(deadline_ms);
         self

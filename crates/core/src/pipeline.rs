@@ -11,7 +11,7 @@
 //! capable engine — resiliently, when the spec configures a fault plan,
 //! retries or a deadline ([`BenchmarkSpec::faults`] and friends): data-set
 //! generation and engine execution then run inside the recovery loop
-//! ([`bdb_exec::fault::run_with_recovery`]) with capability failover.
+//! ([`bdb_exec::fault::run_with_recovery`]) on the one routed engine.
 //! Every step, generated data set, dispatch decision, executed operation
 //! and recovery event is recorded in the run's [`RunTrace`].
 
@@ -19,12 +19,12 @@ use crate::layers::{BenchmarkSpec, ExecutionLayer, FunctionLayer};
 use bdb_common::{pool, BdbError, Result};
 use bdb_datagen::velocity::VelocityController;
 use bdb_datagen::Dataset;
-use bdb_exec::analyzer::{ConformanceSummary, HealthSummary, LoadSummary, RecoverySummary};
+use bdb_exec::analyzer::{ConformanceSummary, LoadSummary, RecoverySummary};
 use bdb_exec::engine::{ExecutionRequest, RoutingPolicy};
 use bdb_exec::fault::{self, FaultSite, Resilience, RetryPolicy};
 use bdb_exec::loadgen::{self, LoadProfile};
 use bdb_exec::reporter::{
-    fmt_num, render_conformance, render_health, render_load, render_resilience, TableReporter,
+    fmt_num, render_conformance, render_load, render_resilience, TableReporter,
 };
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_metrics::GenerationMetrics;
@@ -149,10 +149,6 @@ impl Benchmark {
             },
             spec.seed,
         );
-        // Fresh breakers per run: the registry routes by the health store,
-        // so stale trips from a previous run must not leak into this
-        // one's routing or admission decisions.
-        self.execution_layer.engines.health().reset(spec.seed);
         let mut phases = Vec::with_capacity(5);
         let mut finish_phase = |trace: &RunTrace, phase: Phase, started: Instant| {
             let duration = started.elapsed();
@@ -317,7 +313,7 @@ impl Benchmark {
         let trace = RunTrace::new();
         let profile = spec.load.clone().unwrap_or_default();
         // The spec's fault plan rides into every lane: each issued op runs
-        // inside the recovery loop and feeds the per-engine breakers.
+        // inside the recovery loop.
         let resilience = Resilience::new(
             spec.faults.clone(),
             RetryPolicy {
@@ -327,7 +323,6 @@ impl Benchmark {
             },
             spec.seed,
         );
-        self.execution_layer.engines.health().reset(spec.seed);
         trace.phase_started("load");
         let t0 = Instant::now();
         let reports = loadgen::run_load_resilient(
@@ -346,16 +341,7 @@ impl Benchmark {
             .first()
             .map(|r| r.digest.clone())
             .unwrap_or_default();
-        // Breaker activity appears only when chaos tripped something —
-        // clean drives keep their analysis unchanged.
-        let health = HealthSummary::from_events(&events);
-        let health_section = if health.is_empty() {
-            String::new()
-        } else {
-            format!("\n{}", render_health(&health))
-        };
-        let analysis =
-            format!("{}: load\n{}{}", spec.name, render_load(&summary), health_section);
+        let analysis = format!("{}: load\n{}", spec.name, render_load(&summary));
         Ok(LoadRun { profile, summary, conformance, analysis, trace, digest })
     }
 }
@@ -424,23 +410,14 @@ fn render_analysis(
     } else {
         format!("\n{}", render_conformance(conformance))
     };
-    // Health appears only when a breaker changed state — runs whose
-    // breakers stayed closed keep their analysis unchanged.
-    let health_summary = HealthSummary::from_events(events);
-    let health_section = if health_summary.is_empty() {
-        String::new()
-    } else {
-        format!("\n{}", render_health(&health_summary))
-    };
     format!(
-        "{}\n{}{}{}{}{}{}",
+        "{}\n{}{}{}{}{}",
         data.to_text(),
         gen_line,
         dispatch_lines,
         table.to_text(),
         resilience_section,
-        conformance_section,
-        health_section
+        conformance_section
     )
 }
 

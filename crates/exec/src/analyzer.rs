@@ -4,7 +4,7 @@
 //! results. [`find_crossover`] locates the input size where the faster system
 //! changes — the shape the EXPERIMENTS.md reproduction checks care about.
 //! [`RecoverySummary`] condenses the recovery-path trace events of a
-//! chaos run (injected faults, retries, failovers, deadline hits) into
+//! chaos run (injected faults, retries, deadline hits) into
 //! the dependability metrics the resilience reports print.
 
 use crate::trace::TraceEvent;
@@ -36,8 +36,6 @@ pub struct RecoverySummary {
     pub faults_by_kind: BTreeMap<String, u64>,
     /// Retries performed.
     pub retries: u64,
-    /// Engine failovers performed.
-    pub failovers: u64,
     /// Operations that ran out of their deadline.
     pub deadline_hits: u64,
     /// Latency added by injected spikes and retry backoffs, milliseconds.
@@ -77,7 +75,6 @@ impl RecoverySummary {
                     let entry = s.attempts_per_site.entry(site.clone()).or_insert(1);
                     *entry += 1;
                 }
-                TraceEvent::EngineFailedOver { .. } => s.failovers += 1,
                 TraceEvent::DeadlineExceeded { site, .. } => {
                     s.deadline_hits += 1;
                     s.attempts_per_site.entry(site.clone()).or_insert(1);
@@ -101,7 +98,6 @@ impl RecoverySummary {
     pub fn is_quiet(&self) -> bool {
         self.faults_injected() == 0
             && self.retries == 0
-            && self.failovers == 0
             && self.deadline_hits == 0
             && self.cells_resumed == 0
     }
@@ -230,122 +226,29 @@ impl LoadSummary {
         self.reports.iter().map(|r| r.faults).sum()
     }
 
-    /// Breaker trips across all engines during the drive.
-    pub fn total_breaker_trips(&self) -> u64 {
-        self.reports.iter().map(|r| r.breaker_trips).sum()
-    }
-
     /// True when every engine's sampled results matched the oracle.
     pub fn all_conformant(&self) -> bool {
         self.reports.iter().all(|r| r.conformance_passed)
     }
 }
 
-/// One engine's breaker history within a [`HealthSummary`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthEngineRow {
-    /// Engine name.
-    pub engine: String,
-    /// Times the breaker tripped open.
-    pub trips: u64,
-    /// Times the breaker closed again after probing.
-    pub recoveries: u64,
-    /// Half-open probes admitted.
-    pub probes: u64,
-    /// Probes that failed (each re-opens the breaker).
-    pub probe_failures: u64,
-    /// The state the breaker quiesced in ("closed", "open", "half-open").
-    pub final_state: String,
-}
-
-/// Health metrics distilled from a run's trace: per-engine circuit
-/// breaker trips, probe outcomes, and recoveries, replayed from the
-/// `breaker_*`/`probe_result` events resilient dispatch and the load
-/// driver record.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HealthSummary {
-    /// One row per engine whose breaker left the closed state, in
-    /// first-trip order.
-    pub engines: Vec<HealthEngineRow>,
-}
+/// What is left of the health report now that a request runs on the one
+/// engine it was routed to, with no breakers: nothing. `benchmark/API.md`
+/// pins `from_events`, so the name survives until a `[benchmark]` change
+/// deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HealthSummary;
 
 impl HealthSummary {
-    /// Build the summary from a run's trace events.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut s = HealthSummary::default();
-        for e in events {
-            match e {
-                TraceEvent::BreakerOpened { engine, .. } => {
-                    let row = s.row(engine);
-                    row.trips += 1;
-                    row.final_state = "open".into();
-                }
-                TraceEvent::BreakerHalfOpen { engine } => {
-                    s.row(engine).final_state = "half-open".into();
-                }
-                TraceEvent::BreakerClosed { engine } => {
-                    let row = s.row(engine);
-                    row.recoveries += 1;
-                    row.final_state = "closed".into();
-                }
-                TraceEvent::ProbeResult { engine, ok } => {
-                    let row = s.row(engine);
-                    row.probes += 1;
-                    if !ok {
-                        row.probe_failures += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        s
-    }
-
-    fn row(&mut self, engine: &str) -> &mut HealthEngineRow {
-        if let Some(i) = self.engines.iter().position(|r| r.engine == engine) {
-            &mut self.engines[i]
-        } else {
-            self.engines.push(HealthEngineRow {
-                engine: engine.to_string(),
-                trips: 0,
-                recoveries: 0,
-                probes: 0,
-                probe_failures: 0,
-                final_state: "closed".into(),
-            });
-            self.engines.last_mut().expect("row just pushed")
-        }
-    }
-
-    /// True when no breaker ever left the closed state.
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
-    }
-
-    /// Breaker trips across all engines.
-    pub fn total_trips(&self) -> u64 {
-        self.engines.iter().map(|r| r.trips).sum()
-    }
-
-    /// True when every tracked breaker quiesced closed (vacuously true
-    /// when none ever tripped).
-    pub fn all_closed(&self) -> bool {
-        self.engines.iter().all(|r| r.final_state == "closed")
-    }
-
-    /// Engines whose breaker did not quiesce closed.
-    pub fn not_closed(&self) -> Vec<String> {
-        self.engines
-            .iter()
-            .filter(|r| r.final_state != "closed")
-            .map(|r| r.engine.clone())
-            .collect()
+    /// The empty summary, whatever the events.
+    pub fn from_events(_events: &[TraceEvent]) -> Self {
+        HealthSummary
     }
 }
 
 /// What is left of the routing report now that the registry has one
 /// fixed order: nothing. `benchmark/API.md` pins `from_events`, so the
-/// name survives until ROADMAP item 11's `[benchmark]` change deletes it.
+/// name survives until a `[benchmark]` change deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingSummary;
 
@@ -411,14 +314,6 @@ mod tests {
                 kind: "latency".into(),
                 latency_ms: 25,
             },
-            TraceEvent::EngineFailedOver {
-                prescription: "micro/sort".into(),
-                from: "sql".into(),
-                to: "mapreduce".into(),
-                attempts: 2,
-                engine_attempts: 2,
-                error: "injected engine fault".into(),
-            },
             TraceEvent::DeadlineExceeded {
                 site: "datagen/events".into(),
                 elapsed_ms: 70,
@@ -430,7 +325,6 @@ mod tests {
         assert_eq!(s.faults_by_kind.get("error"), Some(&1));
         assert_eq!(s.faults_by_kind.get("latency"), Some(&1));
         assert_eq!(s.retries, 1);
-        assert_eq!(s.failovers, 1);
         assert_eq!(s.deadline_hits, 1);
         assert_eq!(s.added_latency_ms, 10 + 25);
         assert_eq!(s.total_ops, 2);
@@ -514,7 +408,6 @@ mod tests {
             failed: 0,
             faults: 0,
             retries: 0,
-            breaker_trips: 0,
             duration_secs: 1.0,
             throughput_ops_per_sec: 90.0,
             p50_us: 10.0,
@@ -549,39 +442,5 @@ mod tests {
         assert!(quiet.is_empty());
         assert!(quiet.all_conformant());
         assert_eq!(quiet.total_completed(), 0);
-    }
-
-    #[test]
-    fn health_summary_replays_breaker_lifecycle() {
-        let s = HealthSummary::from_events(&[
-            TraceEvent::BreakerOpened { engine: "kv".into(), failure_rate: 0.75 },
-            TraceEvent::BreakerHalfOpen { engine: "kv".into() },
-            TraceEvent::ProbeResult { engine: "kv".into(), ok: false },
-            TraceEvent::BreakerOpened { engine: "kv".into(), failure_rate: 0.8 },
-            TraceEvent::BreakerHalfOpen { engine: "kv".into() },
-            TraceEvent::ProbeResult { engine: "kv".into(), ok: true },
-            TraceEvent::ProbeResult { engine: "kv".into(), ok: true },
-            TraceEvent::BreakerClosed { engine: "kv".into() },
-            TraceEvent::BreakerOpened { engine: "sql".into(), failure_rate: 1.0 },
-        ]);
-        assert!(!s.is_empty());
-        assert_eq!(s.total_trips(), 3);
-        assert_eq!(s.engines.len(), 2);
-        let kv = &s.engines[0];
-        assert_eq!(kv.engine, "kv");
-        assert_eq!(kv.trips, 2);
-        assert_eq!(kv.recoveries, 1);
-        assert_eq!(kv.probes, 3);
-        assert_eq!(kv.probe_failures, 1);
-        assert_eq!(kv.final_state, "closed");
-        // sql tripped and never recovered, so the run did not quiesce
-        // healthy.
-        assert!(!s.all_closed());
-        assert_eq!(s.not_closed(), vec!["sql".to_string()]);
-
-        let quiet = HealthSummary::from_events(&[]);
-        assert!(quiet.is_empty());
-        assert!(quiet.all_closed());
-        assert_eq!(quiet.total_trips(), 0);
     }
 }

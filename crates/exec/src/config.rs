@@ -1,8 +1,7 @@
 //! System configuration tools.
 //!
 //! A [`SystemConfig`] carries everything needed to run a prescribed test
-//! on one engine: its concurrency. Circuit-breaker thresholds are fixed
-//! at [`crate::health::BreakerPolicy::default`].
+//! on one engine: its concurrency.
 
 use serde::{Deserialize, Serialize};
 

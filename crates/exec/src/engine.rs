@@ -9,21 +9,18 @@
 //! capability match, in one fixed order: engines implementing the
 //! requested system (the *explicit* partition) first, then capability
 //! fallbacks in registration order — BigOP-style mapping of abstract
-//! operations onto the first capable system — and finally any engine
-//! whose circuit breaker is open is demoted below every healthy one.
-//! Adding a backend is a registry entry, not a pipeline edit.
+//! operations onto the first capable system. Adding a backend is a
+//! registry entry, not a pipeline edit.
 //!
 //! There is one dispatch entry point:
-//! [`EngineRegistry::dispatch_resilient`] wraps each candidate engine in
+//! [`EngineRegistry::dispatch_resilient`] wraps the one routed engine in
 //! the [`crate::fault`] retry loop (seeded fault injection, jittered
-//! backoff, per-operation deadline), consults the candidate's circuit
-//! breaker, and fails over to the next capable engine when the selected
-//! one exhausts its retries, recording the degradation in the run trace.
-//! With a passive [`Resilience`] it runs the routed engine once.
+//! backoff, per-operation deadline), recording any degradation in the run
+//! trace. When that engine exhausts its retries the run fails with its
+//! error. With a passive [`Resilience`] it runs the routed engine once.
 
 use crate::config::SystemConfig;
 use crate::fault::{self, FaultSite, Resilience};
-use crate::health::HealthStore;
 use crate::trace::RunTrace;
 use bdb_common::record::{row_lines, Table};
 use bdb_common::text::{Document, Vocabulary};
@@ -40,7 +37,6 @@ use bdb_workloads::{
     WorkloadResult,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The shape of a prescription's workload pattern.
@@ -347,12 +343,10 @@ pub struct Routing {
 ///
 /// Routing: engines that both *implement the requested system* and
 /// *support the test profile* outrank engines that merely support the
-/// profile; each partition keeps registration order, and engines whose
-/// breaker is open in [`EngineRegistry::health`] go last. When no engine
-/// is capable the error lists every candidate with its capabilities.
+/// profile; each partition keeps registration order. When no engine is
+/// capable the error lists every candidate with its capabilities.
 pub struct EngineRegistry {
     engines: Vec<Box<dyn Engine>>,
-    health: Arc<HealthStore>,
 }
 
 impl std::fmt::Debug for EngineRegistry {
@@ -370,7 +364,7 @@ impl Default for EngineRegistry {
 impl EngineRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        Self { engines: Vec::new(), health: Arc::new(HealthStore::default()) }
+        Self { engines: Vec::new() }
     }
 
     /// The five built-in backends. Registration order is the capability
@@ -401,210 +395,77 @@ impl EngineRegistry {
         self.engines.iter().map(Box::as_ref)
     }
 
-    /// The per-engine breaker store: routing demotes open engines,
-    /// resilient dispatch skips them and records outcomes, and the load
-    /// driver's admission controller consults it for brownout.
-    pub fn health(&self) -> Arc<HealthStore> {
-        Arc::clone(&self.health)
-    }
-
-    /// Every engine capable of executing a request, in dispatch order:
-    /// the explicit partition (engines implementing the requested system)
-    /// first, then the capability fallbacks, each in registration order.
-    /// Failover walks this same order.
+    /// Pick the engine for a request without executing it: the first
+    /// capable engine that implements the requested system (the
+    /// *explicit* partition), else the first capable engine, each in
+    /// registration order.
     ///
-    /// Engines whose circuit breaker is fully open are demoted below all
-    /// healthier candidates — a stable partition, so relative order
-    /// inside each health class is preserved, even below the explicit
-    /// partition, because a pinned engine that cannot serve is worse than
-    /// any healthy fallback. When no breaker is open — every no-fault run
-    /// — the demotion is the identity.
-    pub fn route_all(&self, request: &ExecutionRequest<'_>) -> Result<Vec<(&dyn Engine, Routing)>> {
+    /// # Errors
+    /// Fails when no engine is capable, listing every candidate with its
+    /// capabilities.
+    pub fn route(&self, request: &ExecutionRequest<'_>) -> Result<(&dyn Engine, Routing)> {
         let profile = request.profile();
-        let capable: Vec<&dyn Engine> = self
+        let capable = || self.engines().filter(|e| e.capabilities().supports(&profile));
+        let explicit = capable().find(|e| e.capabilities().implements(request.system));
+        if let Some(e) = explicit.or_else(|| capable().next()) {
+            return Ok((e, Routing { engine: e.name().into(), explicit: explicit.is_some() }));
+        }
+        let candidates = self
             .engines
             .iter()
-            .map(Box::as_ref)
-            .filter(|e| e.capabilities().supports(&profile))
-            .collect();
-        if capable.is_empty() {
-            let candidates = self
-                .engines
+            .map(|e| format!("{} [{}]", e.name(), e.capabilities().summary()))
+            .collect::<Vec<_>>()
+            .join("; ");
+        Err(BdbError::Execution(format!(
+            "no engine can execute prescription {} (system={}, class={}, pattern={}, data={}); candidate engines: {}",
+            request.prescription.name,
+            request.system,
+            profile.class,
+            profile.shape,
+            profile
+                .data_kinds
                 .iter()
-                .map(|e| format!("{} [{}]", e.name(), e.capabilities().summary()))
+                .map(|k| k.to_string())
                 .collect::<Vec<_>>()
-                .join("; ");
-            return Err(BdbError::Execution(format!(
-                "no engine can execute prescription {} (system={}, class={}, pattern={}, data={}); candidate engines: {}",
-                request.prescription.name,
-                request.system,
-                profile.class,
-                profile.shape,
-                profile
-                    .data_kinds
-                    .iter()
-                    .map(|k| k.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                if candidates.is_empty() { "(none registered)".into() } else { candidates },
-            )));
-        }
-        let (explicit, fallback): (Vec<&dyn Engine>, Vec<&dyn Engine>) = capable
-            .into_iter()
-            .partition(|e| e.capabilities().implements(request.system));
-        let mut ranked: Vec<(&dyn Engine, Routing)> = explicit
-            .into_iter()
-            .map(|e| (e, Routing { engine: e.name().into(), explicit: true }))
-            .chain(
-                fallback
-                    .into_iter()
-                    .map(|e| (e, Routing { engine: e.name().into(), explicit: false })),
-            )
-            .collect();
-        if ranked.iter().any(|(_, r)| self.health.is_open(&r.engine)) {
-            let (healthy, open): (Vec<_>, Vec<_>) =
-                ranked.into_iter().partition(|(_, r)| !self.health.is_open(&r.engine));
-            ranked = healthy.into_iter().chain(open).collect();
-        }
-        Ok(ranked)
+                .join(","),
+            if candidates.is_empty() { "(none registered)".into() } else { candidates },
+        )))
     }
 
-    /// Pick the engine for a request without executing it.
-    pub fn route(&self, request: &ExecutionRequest<'_>) -> Result<(&dyn Engine, Routing)> {
-        Ok(self.route_all(request)?.remove(0))
-    }
-
-    /// Resilient dispatch: route the request, run the chosen engine under
-    /// the retry policy (with fault injection when a plan is active), and
-    /// **fail over** to the next capable engine when the selected one
-    /// exhausts its retries. Recovery is recorded in the trace (fault,
-    /// retry, failover and deadline events) and on the results
-    /// (`attempts` / `failovers` details) whenever the run was degraded.
-    ///
-    /// Dispatch is health-aware: every candidate's circuit breaker is
-    /// consulted before it runs. Open breakers are skipped outright
-    /// (half-open ones admit only their deterministic probes, whose
-    /// outcomes close or reopen the breaker), each real outcome is
-    /// folded back into the breaker window, and when *every* capable
-    /// engine is denied the dispatch fails fast with each breaker's
-    /// status named in the error.
+    /// Resilient dispatch: route the request and run the one routed engine
+    /// under the retry policy (with fault injection when a plan is
+    /// active). Recovery is recorded in the trace (fault, retry and
+    /// deadline events) and, when the run was degraded, as an `attempts`
+    /// detail on the results. When the engine exhausts its retries, its
+    /// last error is the run's result: a failure is a finding about the
+    /// system named, so nothing re-routes it.
     pub fn dispatch_resilient(
         &self,
         request: &ExecutionRequest<'_>,
         resilience: &Resilience,
     ) -> Result<Vec<WorkloadResult>> {
-        let candidates = self.route_all(request)?;
-        let health = &self.health;
-        let started = Instant::now();
-        let mut total_attempts = 0u32;
-        let mut total_faults = 0u32;
-        let mut failovers = 0u32;
-        let mut last_error: Option<BdbError> = None;
-        // The last candidate that actually ran and failed: failover
-        // events narrate real engine handoffs (with the triggering error
-        // and that engine's own attempt count), never breaker skips.
-        let mut prev_failed: Option<(String, u32)> = None;
-        let mut dispatched = false;
-        for (engine, routing) in &candidates {
-            let admission = health.admit(engine.name());
-            if admission.half_opened {
-                request.trace.record(crate::trace::TraceEvent::BreakerHalfOpen {
-                    engine: engine.name().to_string(),
-                });
-            }
-            if !admission.allowed {
-                continue;
-            }
-            if !dispatched {
-                dispatched = true;
-                // The primary routing decision is recorded once;
-                // failover events then narrate re-routes.
-                request.trace.record(crate::trace::TraceEvent::EngineDispatched {
-                    prescription: request.prescription.name.clone(),
-                    engine: routing.engine.clone(),
-                    requested_system: request.system.to_string(),
-                    explicit: routing.explicit,
-                    candidates: self.names().iter().map(|n| n.to_string()).collect(),
-                });
-            }
-            if let Some((from, engine_attempts)) = prev_failed.take() {
-                failovers += 1;
-                request.trace.record(crate::trace::TraceEvent::EngineFailedOver {
-                    prescription: request.prescription.name.clone(),
-                    from,
-                    to: routing.engine.clone(),
-                    attempts: total_attempts,
-                    engine_attempts,
-                    error: last_error
-                        .as_ref()
-                        .map(ToString::to_string)
-                        .unwrap_or_default(),
-                });
-            }
-            let site = FaultSite::execution(engine.name(), &request.prescription.name);
-            let outcome = fault::run_with_recovery(
-                resilience,
-                request.trace,
-                &site,
-                started,
-                &mut || engine.execute(request),
-            );
-            match outcome {
-                Ok(recovered) => {
-                    health.record_traced(request.trace, engine.name(), true, admission.probe);
-                    total_attempts += recovered.attempts;
-                    total_faults += recovered.faults;
-                    let degraded = failovers > 0 || total_attempts > 1 || total_faults > 0;
-                    let results = recovered
-                        .value
-                        .into_iter()
-                        .map(|r| {
-                            if degraded {
-                                r.with_detail("attempts", f64::from(total_attempts))
-                                    .with_detail("failovers", f64::from(failovers))
-                            } else {
-                                r
-                            }
-                        })
-                        .collect();
-                    return Ok(results);
-                }
-                Err(failure) => {
-                    health.record_traced(request.trace, engine.name(), false, admission.probe);
-                    total_attempts += failure.attempts;
-                    total_faults += failure.faults;
-                    // A crash is the process dying, not this engine
-                    // misbehaving — failing over would "survive" a death
-                    // the chaos run is trying to prove we handle by
-                    // resuming. Deadline exhaustion likewise ends the
-                    // whole dispatch, not just this candidate.
-                    let terminal = failure.deadline_hit || failure.crashed;
-                    prev_failed = Some((routing.engine.clone(), failure.attempts));
-                    last_error = Some(failure.error);
-                    if terminal {
-                        break;
-                    }
-                }
-            }
+        let (engine, routing) = self.route(request)?;
+        request.trace.record(crate::trace::TraceEvent::EngineDispatched {
+            prescription: request.prescription.name.clone(),
+            engine: routing.engine,
+            requested_system: request.system.to_string(),
+            explicit: routing.explicit,
+            candidates: self.names().iter().map(|n| n.to_string()).collect(),
+        });
+        let site = FaultSite::execution(engine.name(), &request.prescription.name);
+        let recovered = fault::run_with_recovery(
+            resilience,
+            request.trace,
+            &site,
+            Instant::now(),
+            &mut || engine.execute(request),
+        )
+        .map_err(|failure| failure.error)?;
+        if recovered.attempts == 1 && recovered.faults == 0 {
+            return Ok(recovered.value);
         }
-        Err(last_error.unwrap_or_else(|| {
-            // Nothing ran at all: every capable engine's breaker denied
-            // admission. Fail fast, naming each breaker's status, instead
-            // of hammering engines the health layer already condemned.
-            let status = health
-                .unhealthy()
-                .iter()
-                .map(|(e, s)| format!("{e}: {s}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            BdbError::Execution(format!(
-                "all {} capable engine(s) for prescription {} denied by open circuit \
-                 breakers ({status}); admission resumes when a breaker's cooldown \
-                 elapses and its probes succeed",
-                candidates.len(),
-                request.prescription.name,
-            ))
-        }))
+        let attempts = f64::from(recovered.attempts);
+        Ok(recovered.value.into_iter().map(|r| r.with_detail("attempts", attempts)).collect())
     }
 }
 
@@ -1295,7 +1156,7 @@ mod tests {
         }
     }
 
-    fn route_names(registry: &EngineRegistry, system: SystemKind) -> Vec<String> {
+    fn routed(registry: &EngineRegistry, system: SystemKind) -> Routing {
         let p = prescription("micro/sort");
         let datasets = BTreeMap::new();
         let config = SystemConfig::default();
@@ -1310,40 +1171,28 @@ mod tests {
             trace: &trace,
             routing: RoutingPolicy::FirstCapable,
         };
-        registry.route_all(&req).unwrap().into_iter().map(|(_, r)| r.engine).collect()
+        registry.route(&req).unwrap().1
     }
 
     #[test]
-    fn route_all_puts_explicit_first_then_registration_order_then_open_breakers() {
+    fn route_picks_explicit_first_then_registration_order() {
         let mut registry = EngineRegistry::new();
         for (name, system) in [
             ("a", SystemKind::Sql),
             ("b", SystemKind::MapReduce),
-            ("c", SystemKind::Sql),
-            ("d", SystemKind::MapReduce),
+            ("c", SystemKind::MapReduce),
         ] {
             registry.register(Box::new(FakeEngine { name, system }));
         }
-        // No breaker open: a system nobody implements routes in
-        // registration order, and a named system only moves its own
-        // engines ahead, keeping their relative order.
-        assert_eq!(route_names(&registry, SystemKind::Native), ["a", "b", "c", "d"]);
-        assert_eq!(route_names(&registry, SystemKind::Sql), ["a", "c", "b", "d"]);
-
-        // Four straight failures trip a breaker under the default policy.
-        let trip = |engine: &str| {
-            for _ in 0..4 {
-                registry.health().record(engine, false, false);
-            }
-            assert!(registry.health().is_open(engine));
+        let route = |system| {
+            let r = routed(&registry, system);
+            (r.engine, r.explicit)
         };
-        trip("a");
-        // The open engine goes after every healthy candidate, even when it
-        // is the engine implementing the requested system.
-        assert_eq!(route_names(&registry, SystemKind::Sql), ["c", "b", "d", "a"]);
-        assert_eq!(route_names(&registry, SystemKind::Native), ["b", "c", "d", "a"]);
-        // Demotion is stable: open engines keep their relative order.
-        trip("b");
-        assert_eq!(route_names(&registry, SystemKind::Sql), ["c", "d", "a", "b"]);
+        // A system nobody implements falls back to registration order; a
+        // named system picks its first implementer, ahead of earlier
+        // registrations.
+        assert_eq!(route(SystemKind::Native), ("a".to_string(), false));
+        assert_eq!(route(SystemKind::Sql), ("a".to_string(), true));
+        assert_eq!(route(SystemKind::MapReduce), ("b".to_string(), true));
     }
 }

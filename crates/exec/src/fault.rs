@@ -24,10 +24,10 @@
 //!   fault/retry/deadline events in the [`RunTrace`], and backs off
 //!   between attempts.
 //!
-//! Engine **failover** — re-routing a prescription to the next capable
-//! engine once the selected one exhausts its retries — lives in
-//! [`crate::engine::EngineRegistry::dispatch_resilient`], which calls
-//! [`run_with_recovery`] once per candidate engine.
+//! [`crate::engine::EngineRegistry::dispatch_resilient`] calls
+//! [`run_with_recovery`] once, on the one engine the request was routed
+//! to; when that engine exhausts its retries, its error is the run's
+//! result.
 //!
 //! # Fault spec grammar
 //!
@@ -42,7 +42,7 @@
 //!   operation runs), `panic` (a pool worker thread panics; the hardened
 //!   pool catches it and surfaces a structured error), or `crash` (the
 //!   process "dies" at a kill point: the run aborts immediately — no
-//!   retry, no failover — leaving durable state for `--resume`).
+//!   retry — leaving durable state for `--resume`).
 //! * `phase` — `datagen`, `exec`, or `any`.
 //! * `rate` — probability in `[0, 1]` that the clause fires on a given
 //!   draw (`1` = always, until `max` is reached).
@@ -74,7 +74,7 @@ pub enum FaultKind {
     /// A worker thread panics mid-operation.
     Panic,
     /// The process "dies" at the operation: a terminal
-    /// [`BdbError::Crashed`] that recovery must not retry or fail over —
+    /// [`BdbError::Crashed`] that recovery must not retry —
     /// the run aborts with durable state (run journal, KV WAL) exactly
     /// as written, and resuming is a fresh process's job.
     Crash,
@@ -405,8 +405,7 @@ pub struct RetryPolicy {
     pub base_delay_ms: u64,
     /// Cap on a single backoff delay.
     pub max_delay_ms: u64,
-    /// Wall-clock budget for one operation including all its retries (and,
-    /// for engine dispatch, all failover attempts).
+    /// Wall-clock budget for one operation including all its retries.
     pub deadline_ms: Option<u64>,
 }
 
@@ -497,11 +496,11 @@ pub struct RecoveryFailure {
     /// Faults injected across those attempts.
     pub faults: u32,
     /// True when the per-operation deadline, not the retry budget, ended
-    /// the operation (callers should stop failing over).
+    /// the operation.
     pub deadline_hit: bool,
     /// True when the operation crashed (an injected `crash@` fault or a
     /// [`BdbError::Crashed`] kill point below the engine): terminal —
-    /// no retry was attempted and callers must not fail over.
+    /// no retry was attempted.
     pub crashed: bool,
 }
 

@@ -7,23 +7,17 @@
 //! generated data set into a format capable of being used by this test.
 //! The result analyzer and reporter display evaluation results."
 //!
-//! * [`config`] — system configuration tools (threads, generator
-//!   workers, engine parameters).
+//! * [`config`] — system configuration tools (engine threads).
 //! * [`convert`] — format conversion: CSV/TSV, JSON-lines, plain text and
 //!   a length-prefixed binary format, all round-trippable.
-//! * [`analyzer`] — result analysis: speedups, winners, crossover points
-//!   and recovery summaries for chaos runs.
+//! * [`analyzer`] — result analysis: crossover points and the trace
+//!   summaries (recovery, conformance, load) run reports print.
 //! * [`reporter`] — plain-text and Markdown table rendering.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]),
 //!   retry with jittered backoff ([`fault::RetryPolicy`]) and the
 //!   recovery loop resilient dispatch is built from.
 //! * [`journal`] — the run journal: atomic per-cell checkpoints that let
 //!   a killed run `--resume` without re-executing completed cells.
-//! * [`health`] — health-aware serving: per-engine circuit breakers
-//!   (closed → open → half-open) in a thread-safe shared
-//!   [`health::HealthStore`]; routing demotes open engines, dispatch
-//!   skips them, and the load driver's brownout controller sheds
-//!   proportionally while they recover.
 //! * [`loadgen`] — the concurrent load driver: N client sessions × M
 //!   in-flight ops, closed- and open-loop arrivals, bounded admission
 //!   with shedding, tail-latency and saturation reporting.
@@ -31,7 +25,7 @@
 //!   trait with declared [`engine::Capabilities`], five builtin engine
 //!   implementations (native, sql, kv, streaming, mapreduce) and a
 //!   capability-routing [`engine::EngineRegistry`] (explicit system
-//!   first, then registration order, open breakers last).
+//!   first, then registration order).
 //! * [`trace`] — structured phase/dispatch/operation tracing for one run.
 
 pub mod analyzer;
@@ -39,7 +33,6 @@ pub mod config;
 pub mod convert;
 pub mod engine;
 pub mod fault;
-pub mod health;
 pub mod journal;
 pub mod loadgen;
 pub mod reporter;
@@ -56,7 +49,6 @@ pub use engine::{
     TestProfile, WorkloadClass,
 };
 pub use fault::{FaultInjector, FaultKind, FaultPhase, FaultPlan, FaultSite, Resilience, RetryPolicy};
-pub use health::{Admission, BreakerPolicy, BreakerSnapshot, BreakerState, HealthStore};
 pub use journal::{CellCheckpoint, RunJournal};
 pub use loadgen::{run_load, run_load_resilient, LoadArrival, LoadProfile, LoadReport};
 pub use reporter::TableReporter;

@@ -38,32 +38,14 @@
 //! `(seed, index)` — identical counts at any concurrency. Ops that
 //! exhaust recovery (or hit a `crash@` kill point, which is terminal
 //! per-op) count as **failed**, extending conservation to
-//! `issued == completed + shed + failed`. In open-loop drives the pacer
-//! additionally runs the serving-side protection in schedule order:
-//!
-//! * **circuit breaker** — each arrival is admitted through the target
-//!   engine's [`HealthStore`] breaker and its *planned* outcome (the
-//!   same pure function the lanes will execute) is recorded, so breaker
-//!   trips and recoveries form one deterministic sequence; denied
-//!   arrivals are shed.
-//! * **adaptive brownout** — sustained queue overload or a half-open
-//!   breaker builds a pressure counter; past the grace threshold a
-//!   proportional, seed-deterministic fraction of arrivals is shed
-//!   before dispatch and the episode is traced
-//!   (`brownout_engaged`/`brownout_released`).
-//!
-//! Both mechanisms engage only when the drive carries an active fault
-//! plan: passive drives take the historical byte-identical path. With a
-//! per-op deadline the *actual* fail/complete split becomes
-//! timing-dependent (reports stay truthful; only the breaker feed keeps
-//! using planned outcomes), so deterministic chaos suites avoid
-//! deadlines.
+//! `issued == completed + shed + failed`. A failed op is a finding about
+//! the target: nothing re-routes it, and the open-loop pacer times the
+//! same arrivals with or without a fault plan. With a per-op deadline the
+//! fail/complete split becomes timing-dependent (reports stay truthful),
+//! so deterministic chaos suites avoid deadlines.
 
 use crate::engine::EngineRegistry;
-use crate::fault::{
-    run_with_recovery, FaultInjector, FaultKind, FaultPlan, FaultSite, Resilience, RetryPolicy,
-};
-use crate::health::{BreakerState, HealthStore};
+use crate::fault::{run_with_recovery, FaultPlan, FaultSite, Resilience, RetryPolicy};
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::dist::{Distribution, Zipf};
 use bdb_common::event::Event;
@@ -201,7 +183,8 @@ impl LoadProfile {
     ///
     /// # Errors
     /// Fails on zero clients/inflight/sample rate, an empty duration, or
-    /// an open loop whose rate × duration exceeds the schedule ceiling.
+    /// an open loop whose rate × duration rounds to no op or exceeds the
+    /// schedule ceiling.
     pub fn validate(&self) -> Result<()> {
         if self.clients == 0 || self.inflight == 0 {
             return Err(BdbError::InvalidConfig(
@@ -218,9 +201,16 @@ impl LoadProfile {
             return Err(BdbError::InvalidConfig("queue capacity must be >= 1".into()));
         }
         if let LoadArrival::Poisson { rate_per_sec } | LoadArrival::Uniform { rate_per_sec } = self.arrival {
-            if open_loop_ops(rate_per_sec, self.duration_ms) > MAX_SCHEDULE_OPS as f64 {
+            let ops = open_loop_ops(rate_per_sec, self.duration_ms);
+            if ops > MAX_SCHEDULE_OPS as f64 {
                 return Err(BdbError::InvalidConfig(format!(
                     "open-loop schedule of {rate_per_sec:e} ops/s over {} ms exceeds the {MAX_SCHEDULE_OPS}-op ceiling",
+                    self.duration_ms
+                )));
+            }
+            if ops < 1.0 {
+                return Err(BdbError::InvalidConfig(format!(
+                    "open-loop schedule of {rate_per_sec:e} ops/s over {} ms holds no op (rate × duration rounds to 0)",
                     self.duration_ms
                 )));
             }
@@ -297,7 +287,7 @@ pub fn build_schedule(profile: &LoadProfile, seed: u64) -> Result<Vec<ScheduledO
         // (drained as fast as the engine allows).
         LoadArrival::Closed => (profile.duration_ms.saturating_mul(32)).clamp(256, MAX_SCHEDULE_OPS as u64) as usize,
         LoadArrival::Poisson { rate_per_sec } | LoadArrival::Uniform { rate_per_sec } => {
-            (open_loop_ops(rate_per_sec, profile.duration_ms) as usize).max(1)
+            open_loop_ops(rate_per_sec, profile.duration_ms) as usize
         }
     };
     let arrivals: Vec<f64> = match profile.arrival {
@@ -682,8 +672,7 @@ pub struct LoadReport {
     pub issued: u64,
     /// Ops that executed to completion.
     pub completed: u64,
-    /// Ops shed at the admission queue, by the brownout controller, or by
-    /// an open circuit breaker (open loop only).
+    /// Ops shed because the admission queue was full (open loop only).
     pub shed: u64,
     /// Ops that exhausted recovery (or crashed) and failed.
     pub failed: u64,
@@ -691,8 +680,6 @@ pub struct LoadReport {
     pub faults: u64,
     /// Retries the drive's lanes performed.
     pub retries: u64,
-    /// Times this engine's circuit breaker tripped open during the drive.
-    pub breaker_trips: u64,
     /// Wall-clock of the drive, seconds.
     pub duration_secs: f64,
     /// Saturation throughput: completed ops per second.
@@ -728,29 +715,8 @@ struct LaneOut {
     samples: Vec<(usize, String)>,
 }
 
-/// Arrivals of sustained overload pressure before the brownout starts
-/// shedding.
-pub const BROWNOUT_GRACE: u64 = 8;
-/// Shed fraction added per pressure unit above the grace threshold.
-const BROWNOUT_STEP: f64 = 1.0 / 16.0;
-/// The brownout never sheds more than this fraction — enough traffic must
-/// get through for half-open probes to run and the queue to drain.
-const BROWNOUT_CEILING: f64 = 0.75;
-
-/// The brownout's shed fraction at a given pressure: 0 under the grace
-/// threshold, then proportional and capped.
-fn brownout_fraction(pressure: u64) -> f64 {
-    (pressure.saturating_sub(BROWNOUT_GRACE) as f64 * BROWNOUT_STEP).min(BROWNOUT_CEILING)
-}
-
-/// A uniform draw in `[0, 1)` from one mixed word.
-fn unit_draw(word: u64) -> f64 {
-    (SplitMix64::mix(word) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Everything one chaos drive shares across lanes and the pacer: the
-/// fault plan, retry policy, and the run seed per-op injectors derive
-/// from.
+/// Everything one chaos drive shares across lanes: the fault plan, retry
+/// policy, and the run seed per-op injectors derive from.
 struct ChaosCtx {
     plan: FaultPlan,
     policy: RetryPolicy,
@@ -774,32 +740,6 @@ impl ChaosCtx {
     /// so an op's fault sequence is identical at any concurrency.
     fn op_seed(&self, idx: usize) -> u64 {
         SplitMix64::mix(self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// The outcome op `idx`'s recovery loop will reach, without running
-    /// it: a fresh injector over the same `(seed, idx)` draw sequence.
-    /// Latency spikes still complete; errors and panics fail once the
-    /// retry budget is spent; a crash is terminal on its first injection.
-    /// Mirrors [`run_with_recovery`] over an always-succeeding operation
-    /// with no deadline.
-    fn planned_ok(&self, idx: usize) -> bool {
-        let inj = FaultInjector::new(self.plan.clone(), self.op_seed(idx));
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match inj.sample(&self.site) {
-                None => return true,
-                Some(fault) => match fault.kind {
-                    FaultKind::Latency => return true,
-                    FaultKind::Crash => return false,
-                    FaultKind::Error | FaultKind::Panic => {
-                        if attempt >= self.policy.attempts() {
-                            return false;
-                        }
-                    }
-                },
-            }
-        }
     }
 
     /// Execute op `idx` under its per-op resilience, folding fault/retry
@@ -829,7 +769,7 @@ impl ChaosCtx {
 }
 
 /// Drive one target with the given schedule and profile, fault-free (the
-/// historical path: no injector, no breaker, no brownout).
+/// historical path: no injector).
 ///
 /// # Errors
 /// Fails when a worker panics or the profile is invalid.
@@ -839,21 +779,12 @@ pub fn run_target(
     schedule: &[ScheduledOp],
     trace: &RunTrace,
 ) -> Result<LoadReport> {
-    run_target_resilient(
-        target,
-        profile,
-        schedule,
-        &Resilience::passive(0),
-        &HealthStore::default(),
-        0,
-        trace,
-    )
+    run_target_resilient(target, profile, schedule, &Resilience::passive(0), 0, trace)
 }
 
 /// Drive one target with the given schedule under a resilience
-/// configuration: per-op deterministic fault injection, and — for
-/// open-loop drives with an active plan — breaker admission and adaptive
-/// brownout at the pacer (see the module docs).
+/// configuration: per-op deterministic fault injection in the lanes (see
+/// the module docs).
 ///
 /// # Errors
 /// Fails when a worker panics, the profile is invalid, or op accounting
@@ -863,7 +794,6 @@ pub fn run_target_resilient(
     profile: &LoadProfile,
     schedule: &[ScheduledOp],
     res: &Resilience,
-    health: &HealthStore,
     seed: u64,
     trace: &RunTrace,
 ) -> Result<LoadReport> {
@@ -871,18 +801,17 @@ pub fn run_target_resilient(
     let chaos = ChaosCtx::from_resilience(res, seed, target.name());
     let chaos = chaos.as_ref();
     let t0 = Instant::now();
-    let (lanes, shed, breaker_trips) = if profile.arrival.is_open() {
+    let (lanes, shed) = if profile.arrival.is_open() {
         // Open loop: a pacer thread admits arrivals on the wall clock and
         // each lane claims one admitted index at a time.
         let admission = Admission { cap: profile.queue_cap(), ..Admission::default() };
         std::thread::scope(|scope| {
-            let pacer = scope
-                .spawn(|| pace(&admission, schedule, t0, chaos, health, target.name(), trace));
+            let pacer = scope.spawn(|| pace(&admission, schedule, t0));
             let lanes = run_lanes(target, profile, schedule, trace, t0, chaos, &|| {
                 admission.pop().map(|idx| idx..idx + 1)
             });
-            let (shed, trips) = pacer.join().expect("pacer thread");
-            lanes.map(|l| (l, shed, trips))
+            let shed = pacer.join().expect("pacer thread");
+            lanes.map(|l| (l, shed))
         })?
     } else {
         // Closed loop: lanes claim contiguous batches of `inflight` ops
@@ -894,7 +823,7 @@ pub fn run_target_resilient(
             let base = cursor.fetch_add(profile.inflight, Ordering::SeqCst);
             (base < schedule.len()).then(|| base..(base + profile.inflight).min(schedule.len()))
         })?;
-        (lanes, 0, 0)
+        (lanes, 0)
     };
 
     let mut all = LaneOut::default();
@@ -952,7 +881,6 @@ pub fn run_target_resilient(
         failed,
         faults,
         retries,
-        breaker_trips,
         duration_secs,
         throughput_ops_per_sec: completed as f64 / duration_secs,
         p50_us: lat.quantile(0.50) as f64 / 1e3,
@@ -1059,30 +987,10 @@ impl Admission {
 }
 
 /// The open-loop pacer: walk the schedule on the wall clock, admitting
-/// each op to the bounded queue (full → shed, never block). Returns
-/// `(shed, breaker trips)`.
-///
-/// On a chaos drive the pacer is also the serving-side admission
-/// controller, in schedule order: the brownout sheds a proportional
-/// fraction of arrivals under sustained pressure, the engine's circuit
-/// breaker denies (sheds) arrivals while open, and every admitted op's
-/// planned outcome feeds the breaker — one deterministic trip/recovery
-/// sequence per `(seed, plan)`.
-fn pace(
-    admission: &Admission,
-    schedule: &[ScheduledOp],
-    start: Instant,
-    chaos: Option<&ChaosCtx>,
-    health: &HealthStore,
-    engine: &str,
-    trace: &RunTrace,
-) -> (u64, u64) {
-    let cap = admission.cap;
+/// each op to the bounded queue (full → shed, never block). Returns the
+/// number of ops shed.
+fn pace(admission: &Admission, schedule: &[ScheduledOp], start: Instant) -> u64 {
     let mut shed = 0u64;
-    let mut trips = 0u64;
-    let mut pressure = 0u64;
-    let mut brownout_shed = 0u64;
-    let mut engaged = false;
     for (idx, slot) in schedule.iter().enumerate() {
         let due = Duration::from_secs_f64(slot.at_ms / 1000.0);
         let now = start.elapsed();
@@ -1090,54 +998,7 @@ fn pace(
             std::thread::sleep(due - now);
         }
         let mut q = admission.queue.lock().expect("load queue");
-        if let Some(c) = chaos {
-            // Breaker admission first: open → shed (fail fast), and every
-            // admitted arrival feeds the breaker its planned outcome —
-            // *before* brownout or queue shedding, so the trip/recovery
-            // sequence is a pure function of `(seed, plan, policy)`
-            // regardless of worker timing.
-            let admitted = health.admit(engine);
-            if admitted.half_opened {
-                trace.record(TraceEvent::BreakerHalfOpen { engine: engine.to_string() });
-            }
-            if !admitted.allowed {
-                shed += 1;
-                continue;
-            }
-            let recorded = health.record_traced(trace, engine, c.planned_ok(idx), admitted.probe);
-            if recorded.transition == Some(BreakerState::Open) {
-                trips += 1;
-            }
-            // Brownout second: sustained queue overload (≥ 3/4 full) or a
-            // half-open breaker builds pressure; past the grace threshold
-            // a proportional, per-index-seeded fraction of arrivals is
-            // shed before dispatch. Adaptive by design — the queue signal
-            // tracks real worker timing.
-            let overloaded =
-                q.len() * 4 >= cap * 3 || health.state(engine) == BreakerState::HalfOpen;
-            pressure = if overloaded { pressure + 1 } else { pressure.saturating_sub(1) };
-            let fraction = brownout_fraction(pressure);
-            if fraction > 0.0 && !engaged {
-                engaged = true;
-                trace.record(TraceEvent::BrownoutEngaged {
-                    engine: engine.to_string(),
-                    pressure,
-                    shed_fraction: fraction,
-                });
-            } else if fraction == 0.0 && engaged {
-                engaged = false;
-                trace.record(TraceEvent::BrownoutReleased {
-                    engine: engine.to_string(),
-                    shed: brownout_shed,
-                });
-            }
-            if fraction > 0.0 && unit_draw(c.seed ^ 0xB707_0000 ^ idx as u64) < fraction {
-                brownout_shed += 1;
-                shed += 1;
-                continue;
-            }
-        }
-        if q.len() >= cap {
+        if q.len() >= admission.cap {
             // Shed: the arrival clock never blocks on a full queue; the
             // op is counted and dropped.
             shed += 1;
@@ -1147,12 +1008,9 @@ fn pace(
         drop(q);
         admission.ready.notify_one();
     }
-    if engaged {
-        trace.record(TraceEvent::BrownoutReleased { engine: engine.to_string(), shed: brownout_shed });
-    }
     admission.done.store(true, Ordering::SeqCst);
     admission.ready.notify_all();
-    (shed, trips)
+    shed
 }
 
 /// The load targets the registry's engines support, honouring the
@@ -1211,10 +1069,7 @@ pub fn run_load(
 
 /// Drive every selected target under a resilience configuration: the
 /// chaos counterpart of [`run_load`], injecting per-op faults into the
-/// lanes and running breaker/brownout admission at the pacer. Breaker
-/// state lives in the registry's shared [`HealthStore`], keyed per
-/// engine, so a drive's trips are visible to later resilient dispatch
-/// (and to [`crate::analyzer::HealthSummary`]).
+/// lanes.
 ///
 /// # Errors
 /// Fails on an invalid profile, an empty engine filter, a worker panic,
@@ -1228,18 +1083,9 @@ pub fn run_load_resilient(
 ) -> Result<Vec<LoadReport>> {
     let schedule = build_schedule(profile, seed)?;
     let targets = default_targets(registry, profile)?;
-    let health = registry.health();
     let mut reports = Vec::with_capacity(targets.len());
     for target in &targets {
-        reports.push(run_target_resilient(
-            target.as_ref(),
-            profile,
-            &schedule,
-            res,
-            &health,
-            seed,
-            trace,
-        )?);
+        reports.push(run_target_resilient(target.as_ref(), profile, &schedule, res, seed, trace)?);
     }
     Ok(reports)
 }
@@ -1283,6 +1129,9 @@ mod tests {
         };
         assert!(open(MAX_SCHEDULE_OPS as f64).validate().is_ok());
         assert!(open(MAX_SCHEDULE_OPS as f64 + 1.0).validate().is_err());
+        // Rate × duration rounds: 0.5 ops is one op, anything less none.
+        assert!(open(0.5).validate().is_ok());
+        assert!(open(0.49).validate().is_err());
         assert_eq!(LoadProfile::default().queue_cap(), 32);
     }
 
@@ -1487,9 +1336,7 @@ mod tests {
                 RetryPolicy { max_retries: 1, base_delay_ms: 0, ..RetryPolicy::default() },
                 21,
             );
-            let health = HealthStore::default();
-            run_target_resilient(&NativeLoadTarget, &p, &schedule, &res, &health, 21, &trace)
-                .unwrap()
+            run_target_resilient(&NativeLoadTarget, &p, &schedule, &res, 21, &trace).unwrap()
         };
         let a = drive();
         let b = drive();
@@ -1504,142 +1351,6 @@ mod tests {
             (b.completed, b.failed, b.faults, b.retries, &b.digest),
             "chaos counts must be a pure function of the seed"
         );
-    }
-
-    #[test]
-    fn planned_outcomes_equal_what_the_lanes_reach() {
-        // The pacer feeds the breaker `planned_ok(idx)` without running
-        // the op; the lanes run the real recovery loop. With no deadline
-        // the two must agree on every index, for every fault kind.
-        let p = quick_profile();
-        let schedule = build_schedule(&p, 33).unwrap();
-        for spec in [
-            "error@exec:0.4",
-            "panic@exec:0.05",
-            "latency@exec:0.1:ms=1",
-            "crash@exec:0.2",
-            "error@exec:0.3,crash@exec:0.1,latency@exec:0.1:ms=1",
-        ] {
-            let res = Resilience::new(
-                Some(spec.parse().unwrap()),
-                RetryPolicy { max_retries: 1, base_delay_ms: 0, ..RetryPolicy::default() },
-                33,
-            );
-            let chaos = ChaosCtx::from_resilience(&res, 33, "native").unwrap();
-            let planned_failures =
-                (0..schedule.len()).filter(|&idx| !chaos.planned_ok(idx)).count() as u64;
-            let r = run_target_resilient(
-                &NativeLoadTarget,
-                &p,
-                &schedule,
-                &res,
-                &HealthStore::default(),
-                33,
-                &RunTrace::new(),
-            )
-            .unwrap();
-            assert_eq!(r.failed, planned_failures, "{spec}");
-            assert_eq!(r.completed + r.failed, r.issued, "{spec}");
-            assert!(r.faults > 0, "{spec}: the plan must have fired");
-        }
-    }
-
-    #[test]
-    fn open_loop_chaos_breaker_sequence_is_deterministic() {
-        let plan: FaultPlan = "error@exec:0.8".parse().unwrap();
-        let p = LoadProfile {
-            arrival: LoadArrival::Uniform { rate_per_sec: 2000.0 },
-            duration_ms: 100,
-            clients: 2,
-            inflight: 2,
-            ..LoadProfile::default()
-        };
-        let drive = || {
-            let trace = RunTrace::new();
-            let schedule = build_schedule(&p, 5).unwrap();
-            let res = Resilience::new(
-                Some(plan.clone()),
-                RetryPolicy { base_delay_ms: 0, ..RetryPolicy::default() },
-                5,
-            );
-            let health = HealthStore::default();
-            let r = run_target_resilient(&NativeLoadTarget, &p, &schedule, &res, &health, 5, &trace)
-                .unwrap();
-            let breaker: Vec<String> = trace
-                .events()
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e,
-                        TraceEvent::BreakerOpened { .. }
-                            | TraceEvent::BreakerHalfOpen { .. }
-                            | TraceEvent::BreakerClosed { .. }
-                            | TraceEvent::ProbeResult { .. }
-                    )
-                })
-                .map(|e| format!("{e:?}"))
-                .collect();
-            (r, breaker)
-        };
-        let (a, breaker_a) = drive();
-        let (b, breaker_b) = drive();
-        assert_eq!(a.issued, a.completed + a.shed + a.failed, "conservation");
-        assert!(a.breaker_trips >= 1, "planned failure rate 0.8 must trip the breaker");
-        assert!(a.shed > 0, "an open breaker denies (sheds) arrivals");
-        assert_eq!(a.breaker_trips, b.breaker_trips, "trips are seed-deterministic");
-        assert_eq!(
-            breaker_a, breaker_b,
-            "the breaker event sequence is fed planned outcomes in schedule order \
-             and must not depend on worker timing"
-        );
-    }
-
-    #[test]
-    fn brownout_engages_under_sustained_overload() {
-        // The undersized-queue scenario with chaos active: arrivals far
-        // outpace a slow single worker, so the queue stays full and the
-        // pacer's pressure counter passes the grace threshold.
-        struct SlowTarget;
-        struct SlowSession;
-        impl LoadSession for SlowSession {
-            fn execute(&mut self, _op: &LoadOp) -> String {
-                std::thread::sleep(Duration::from_millis(3));
-                "slow".to_string()
-            }
-        }
-        impl LoadTarget for SlowTarget {
-            fn name(&self) -> &'static str {
-                "slow"
-            }
-            fn session(&self) -> Box<dyn LoadSession + '_> {
-                Box::new(SlowSession)
-            }
-            fn expected(&self, _op: &LoadOp) -> String {
-                "slow".to_string()
-            }
-        }
-        let trace = RunTrace::new();
-        let p = LoadProfile {
-            arrival: LoadArrival::Uniform { rate_per_sec: 5000.0 },
-            duration_ms: 60,
-            clients: 1,
-            inflight: 1,
-            queue_capacity: Some(1),
-            ..LoadProfile::default()
-        };
-        let schedule = build_schedule(&p, 9).unwrap();
-        let res = Resilience::new(
-            Some("error@exec:0.01".parse().unwrap()),
-            RetryPolicy::default(),
-            9,
-        );
-        let health = HealthStore::default();
-        let r = run_target_resilient(&SlowTarget, &p, &schedule, &res, &health, 9, &trace).unwrap();
-        assert_eq!(r.issued, r.completed + r.shed + r.failed, "conservation");
-        assert!(r.shed > 0, "overload must shed");
-        let labels: Vec<&'static str> = trace.events().iter().map(|e| e.label()).collect();
-        assert!(labels.contains(&"brownout_engaged"), "{labels:?}");
-        assert!(labels.contains(&"brownout_released"), "{labels:?}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The reporter renders the evaluation tables the harnesses regenerate
 //! (Table 1, Table 2, and the per-figure series) and the run analysis's
-//! resilience, conformance, load and health sections as plain text for
-//! the terminal.
+//! resilience, conformance and load sections as plain text for the
+//! terminal.
 
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone, Default)]
@@ -83,7 +83,7 @@ impl TableReporter {
 /// the run saw no recovery activity.
 pub fn render_resilience(summary: &crate::analyzer::RecoverySummary) -> String {
     if summary.is_quiet() {
-        return "== Resilience ==\nno faults injected, no retries, no failovers\n".to_string();
+        return "== Resilience ==\nno faults injected, no retries\n".to_string();
     }
     let mut t = TableReporter::new("Resilience", &["metric", "value"]);
     t.add_row(&["faults injected".into(), summary.faults_injected().to_string()]);
@@ -91,7 +91,6 @@ pub fn render_resilience(summary: &crate::analyzer::RecoverySummary) -> String {
         t.add_row(&[format!("  {kind}"), n.to_string()]);
     }
     t.add_row(&["retries".into(), summary.retries.to_string()]);
-    t.add_row(&["failovers".into(), summary.failovers.to_string()]);
     t.add_row(&["deadline hits".into(), summary.deadline_hits.to_string()]);
     if summary.checkpoints_written > 0 || summary.cells_resumed > 0 {
         t.add_row(&["checkpoints written".into(), summary.checkpoints_written.to_string()]);
@@ -176,57 +175,17 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
         if summary.all_conformant() { "CONFORMANT" } else { "DIVERGED" },
     ));
     // Chaos accounting appears only when the drive actually saw faults,
-    // retries, failures or breaker trips — clean drives keep the
-    // historical footer untouched.
-    let chaos: u64 = summary
-        .reports
-        .iter()
-        .map(|r| r.failed + r.faults + r.retries + r.breaker_trips)
-        .sum();
+    // retries or failures — clean drives keep the historical footer
+    // untouched.
+    let chaos: u64 = summary.reports.iter().map(|r| r.failed + r.faults + r.retries).sum();
     if chaos > 0 {
         for r in &summary.reports {
             out.push_str(&format!(
-                "chaos[{}]: {} failed, {} faults, {} retries, {} breaker trip(s)\n",
-                r.engine, r.failed, r.faults, r.retries, r.breaker_trips,
+                "chaos[{}]: {} failed, {} faults, {} retries\n",
+                r.engine, r.failed, r.faults, r.retries,
             ));
         }
     }
-    out
-}
-
-/// Render a [`HealthSummary`](crate::analyzer::HealthSummary) as an
-/// aligned text table: per engine the breaker trips, recoveries, probe
-/// outcomes, and the state the breaker quiesced in. Returns a one-line
-/// note when no breaker ever left the closed state.
-pub fn render_health(summary: &crate::analyzer::HealthSummary) -> String {
-    if summary.is_empty() {
-        return "== Health ==\nall circuit breakers stayed closed\n".to_string();
-    }
-    let mut t = TableReporter::new(
-        "Health",
-        &["engine", "trips", "recoveries", "probes", "probe fails", "final state"],
-    );
-    for e in &summary.engines {
-        t.add_row(&[
-            e.engine.clone(),
-            e.trips.to_string(),
-            e.recoveries.to_string(),
-            e.probes.to_string(),
-            e.probe_failures.to_string(),
-            e.final_state.clone(),
-        ]);
-    }
-    let mut out = t.to_text();
-    out.push_str(&format!(
-        "health: {} trip(s) across {} engine(s); at quiesce {}\n",
-        summary.total_trips(),
-        summary.engines.len(),
-        if summary.all_closed() {
-            "all breakers closed".to_string()
-        } else {
-            format!("open breakers: {}", summary.not_closed().join(", "))
-        },
-    ));
     out
 }
 
@@ -340,7 +299,6 @@ mod tests {
             failed: 0,
             faults: 0,
             retries: 0,
-            breaker_trips: 0,
             duration_secs: 2.0,
             throughput_ops_per_sec: 475.0,
             p50_us: 12.0,
@@ -379,7 +337,6 @@ mod tests {
             failed: 20,
             faults: 37,
             retries: 17,
-            breaker_trips: 2,
             duration_secs: 2.0,
             throughput_ops_per_sec: 465.0,
             p50_us: 12.0,
@@ -393,40 +350,9 @@ mod tests {
         let text = render_load(&LoadSummary::new(vec![report], &[]));
         assert!(text.contains("failed"));
         assert!(
-            text.contains("chaos[kv]: 20 failed, 37 faults, 17 retries, 2 breaker trip(s)"),
+            text.contains("chaos[kv]: 20 failed, 37 faults, 17 retries\n"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn health_report_quiet_and_active() {
-        use crate::analyzer::HealthSummary;
-        use crate::trace::TraceEvent;
-        let quiet = HealthSummary::default();
-        assert!(render_health(&quiet).contains("all circuit breakers stayed closed"));
-
-        let s = HealthSummary::from_events(&[
-            TraceEvent::BreakerOpened { engine: "kv".into(), failure_rate: 0.6 },
-            TraceEvent::BreakerHalfOpen { engine: "kv".into() },
-            TraceEvent::ProbeResult { engine: "kv".into(), ok: false },
-            TraceEvent::BreakerOpened { engine: "kv".into(), failure_rate: 0.6 },
-            TraceEvent::BreakerHalfOpen { engine: "kv".into() },
-            TraceEvent::ProbeResult { engine: "kv".into(), ok: true },
-            TraceEvent::ProbeResult { engine: "kv".into(), ok: true },
-            TraceEvent::BreakerClosed { engine: "kv".into() },
-        ]);
-        let text = render_health(&s);
-        assert!(text.contains("== Health =="));
-        assert!(text.contains("kv"));
-        assert!(text.contains("final state"));
-        assert!(text.contains("at quiesce all breakers closed"), "{text}");
-
-        let open = HealthSummary::from_events(&[TraceEvent::BreakerOpened {
-            engine: "sql".into(),
-            failure_rate: 1.0,
-        }]);
-        let text = render_health(&open);
-        assert!(text.contains("open breakers: sql"), "{text}");
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! benchmark run: the pipeline records a span per Figure 1 phase, one
 //! event per generated data set, one event per engine-dispatch decision,
 //! and engines record one event per operation they execute; the resilient
-//! dispatcher adds one event per injected fault, retry, engine failover
-//! and deadline hit. The sink uses
-//! interior mutability so it can ride inside a shared
+//! dispatcher adds one event per injected fault, retry and deadline
+//! hit. The sink uses interior mutability so it can ride inside a shared
 //! [`crate::engine::ExecutionRequest`] without threading `&mut`
 //! everywhere. Traces fold into the [`crate::analyzer`] summaries a run
 //! report prints, and dump as JSON-lines
@@ -92,22 +91,6 @@ pub enum TraceEvent {
         /// The error that triggered the retry.
         error: String,
     },
-    /// An engine exhausted its retries and the prescription was re-routed
-    /// to the next capable engine.
-    EngineFailedOver {
-        /// Prescription name.
-        prescription: String,
-        /// The engine that gave up.
-        from: String,
-        /// The engine taking over.
-        to: String,
-        /// Attempts consumed across all engines before the failover.
-        attempts: u32,
-        /// Attempts the `from` engine itself consumed.
-        engine_attempts: u32,
-        /// The error that triggered the failover.
-        error: String,
-    },
     /// An operation ran out of its wall-clock deadline.
     DeadlineExceeded {
         /// The operation site.
@@ -172,51 +155,6 @@ pub enum TraceEvent {
         /// Operations shed over the run.
         count: u64,
     },
-    /// An engine's circuit breaker tripped: its windowed failure rate
-    /// reached the trip ratio and admissions are now denied.
-    BreakerOpened {
-        /// The engine whose breaker tripped.
-        engine: String,
-        /// Windowed failure rate at the trip.
-        failure_rate: f64,
-    },
-    /// An open breaker finished its cooldown and now admits probes.
-    BreakerHalfOpen {
-        /// The engine whose breaker is probing.
-        engine: String,
-    },
-    /// A half-open breaker saw enough probe successes and closed.
-    BreakerClosed {
-        /// The recovered engine.
-        engine: String,
-    },
-    /// One half-open probe operation completed.
-    ProbeResult {
-        /// The probed engine.
-        engine: String,
-        /// Did the probe succeed?
-        ok: bool,
-    },
-    /// The load driver's adaptive brownout engaged: sustained queue
-    /// overload or a half-open breaker pushed admission pressure past the
-    /// grace threshold, and a proportional fraction of arrivals is now
-    /// shed before dispatch.
-    BrownoutEngaged {
-        /// The engine being driven.
-        engine: String,
-        /// Consecutive-pressure count when the brownout engaged.
-        pressure: u64,
-        /// Fraction of arrivals being shed, in `(0, 1)`.
-        shed_fraction: f64,
-    },
-    /// The brownout released: pressure drained back under the grace
-    /// threshold (or the drive quiesced).
-    BrownoutReleased {
-        /// The engine being driven.
-        engine: String,
-        /// Arrivals the brownout shed while engaged.
-        shed: u64,
-    },
     /// A conformance check compared an engine's result against the
     /// reference oracle or a stored golden digest.
     ConformanceChecked {
@@ -247,7 +185,6 @@ impl TraceEvent {
             TraceEvent::OperationExecuted { .. } => "operation_executed",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::OperationRetried { .. } => "operation_retried",
-            TraceEvent::EngineFailedOver { .. } => "engine_failed_over",
             TraceEvent::DeadlineExceeded { .. } => "deadline_exceeded",
             TraceEvent::CheckpointWritten { .. } => "checkpoint_written",
             TraceEvent::CellResumed { .. } => "cell_resumed",
@@ -255,36 +192,22 @@ impl TraceEvent {
             TraceEvent::LoadSessionStarted { .. } => "load_session_started",
             TraceEvent::LoadSessionFinished { .. } => "load_session_finished",
             TraceEvent::LoadShed { .. } => "load_shed",
-            TraceEvent::BreakerOpened { .. } => "breaker_opened",
-            TraceEvent::BreakerHalfOpen { .. } => "breaker_half_open",
-            TraceEvent::BreakerClosed { .. } => "breaker_closed",
-            TraceEvent::ProbeResult { .. } => "probe_result",
-            TraceEvent::BrownoutEngaged { .. } => "brownout_engaged",
-            TraceEvent::BrownoutReleased { .. } => "brownout_released",
             TraceEvent::ConformanceChecked { .. } => "conformance_checked",
         }
     }
 
     /// True for the recovery-path events: what the resilient dispatcher
-    /// emits (fault, retry, failover, deadline), what a resumed run
-    /// emits (run/cell resumption), and the health layer's breaker
-    /// transitions and probe outcomes. Checkpoint writes are *not*
-    /// recovery — every journaled run writes them, crashed or not.
+    /// emits (fault, retry, deadline) and what a resumed run emits
+    /// (run/cell resumption). Checkpoint writes are *not* recovery —
+    /// every journaled run writes them, crashed or not.
     pub fn is_recovery(&self) -> bool {
         matches!(
             self,
             TraceEvent::FaultInjected { .. }
                 | TraceEvent::OperationRetried { .. }
-                | TraceEvent::EngineFailedOver { .. }
                 | TraceEvent::DeadlineExceeded { .. }
                 | TraceEvent::CellResumed { .. }
                 | TraceEvent::RunResumed { .. }
-                | TraceEvent::BreakerOpened { .. }
-                | TraceEvent::BreakerHalfOpen { .. }
-                | TraceEvent::BreakerClosed { .. }
-                | TraceEvent::ProbeResult { .. }
-                | TraceEvent::BrownoutEngaged { .. }
-                | TraceEvent::BrownoutReleased { .. }
         )
     }
 }
@@ -400,14 +323,6 @@ mod tests {
                 delay_ms: 12,
                 error: "injected engine fault".into(),
             },
-            TraceEvent::EngineFailedOver {
-                prescription: "micro/sort".into(),
-                from: "sql".into(),
-                to: "mapreduce".into(),
-                attempts: 2,
-                engine_attempts: 2,
-                error: "injected engine fault".into(),
-            },
             TraceEvent::DeadlineExceeded { site: "datagen/events".into(), elapsed_ms: 70, deadline_ms: 50 },
         ];
         for e in &events {
@@ -432,8 +347,7 @@ mod tests {
         assert_eq!(check, back);
         assert_eq!(events[0].label(), "fault_injected");
         assert_eq!(events[1].label(), "operation_retried");
-        assert_eq!(events[2].label(), "engine_failed_over");
-        assert_eq!(events[3].label(), "deadline_exceeded");
+        assert_eq!(events[2].label(), "deadline_exceeded");
     }
 
     #[test]
@@ -484,34 +398,6 @@ mod tests {
         assert_eq!(events[2].label(), "load_shed");
         for e in &events {
             assert!(!e.is_recovery(), "{}", e.label());
-            let json = serde_json::to_string(e).unwrap();
-            let back: TraceEvent = serde_json::from_str(&json).unwrap();
-            assert_eq!(*e, back);
-        }
-    }
-
-    #[test]
-    fn breaker_events_serialize_and_classify() {
-        let events = vec![
-            TraceEvent::BreakerOpened { engine: "kv".into(), failure_rate: 0.75 },
-            TraceEvent::BreakerHalfOpen { engine: "kv".into() },
-            TraceEvent::ProbeResult { engine: "kv".into(), ok: true },
-            TraceEvent::BreakerClosed { engine: "kv".into() },
-            TraceEvent::BrownoutEngaged {
-                engine: "kv".into(),
-                pressure: 9,
-                shed_fraction: 0.125,
-            },
-            TraceEvent::BrownoutReleased { engine: "kv".into(), shed: 12 },
-        ];
-        assert_eq!(events[0].label(), "breaker_opened");
-        assert_eq!(events[1].label(), "breaker_half_open");
-        assert_eq!(events[2].label(), "probe_result");
-        assert_eq!(events[3].label(), "breaker_closed");
-        assert_eq!(events[4].label(), "brownout_engaged");
-        assert_eq!(events[5].label(), "brownout_released");
-        for e in &events {
-            assert!(e.is_recovery(), "{}", e.label());
             let json = serde_json::to_string(e).unwrap();
             let back: TraceEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(*e, back);

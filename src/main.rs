@@ -29,8 +29,8 @@
 //!
 //! A run executes on the system it names (`--system`, native by default);
 //! when that system cannot execute the test, the first capable engine in
-//! registration order runs it. Circuit breakers use the fixed thresholds
-//! of `BreakerPolicy::default`.
+//! registration order runs it. A failure on that engine, after its
+//! retries, is the run's result: nothing re-routes it.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::exec::loadgen::{LoadArrival, LoadProfile};
@@ -415,10 +415,10 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
             report.shed,
             report.failed,
         );
-        if report.faults + report.retries + report.breaker_trips > 0 {
+        if report.faults + report.retries > 0 {
             println!(
-                "chaos[{}]: {} fault(s), {} retry(ies), {} breaker trip(s)",
-                report.engine, report.faults, report.retries, report.breaker_trips,
+                "chaos[{}]: {} fault(s), {} retry(ies)",
+                report.engine, report.faults, report.retries,
             );
         }
     }

@@ -1,9 +1,8 @@
 //! Chaos-under-load contracts: every fault kind injected under real
 //! concurrency conserves ops (`issued == completed + shed + failed`),
-//! closed-loop chaos counts are a pure function of the seed, the
-//! open-loop breaker trip/recovery sequence is seed-deterministic, and
-//! the pipeline surfaces the whole story (chaos accounting, health
-//! section) from one `BenchmarkSpec`.
+//! closed-loop chaos counts are a pure function of the seed, open-loop
+//! chaos conserves every op and stays conformant, and the pipeline
+//! surfaces the chaos accounting from one `BenchmarkSpec`.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::core::pipeline::Benchmark;
@@ -100,16 +99,16 @@ fn crash_faults_are_terminal_per_op() {
     let r = drive("crash@exec:0.2", 3, 17);
     assert_conserved(&r);
     assert!(r.failed > 0, "crashes must fail their op");
-    assert_eq!(r.retries, 0, "a crash is terminal: no retry, no failover");
+    assert_eq!(r.retries, 0, "a crash is terminal: no retry");
     assert!(r.completed > 0, "the drive itself survives per-op crashes");
     assert!(r.conformance_passed);
 }
 
 #[test]
-fn open_loop_chaos_trips_breakers_deterministically() {
-    // A high error rate under open-loop arrivals must trip the native
-    // breaker; shed/completed splits are timing-dependent there, but the
-    // trip count replays identically for a fixed seed.
+fn open_loop_chaos_conserves_every_op() {
+    // A high error rate under open-loop arrivals fails ops on the one
+    // target; shed/completed splits are timing-dependent there, but every
+    // op is accounted for and the issued ops replay for a fixed seed.
     let spec = || {
         BenchmarkSpec::new("chaos")
             .with_seed(5)
@@ -127,20 +126,11 @@ fn open_loop_chaos_trips_breakers_deterministically() {
         for r in &run.summary.reports {
             assert_conserved(r);
         }
-        assert!(run.summary.total_breaker_trips() > 0, "an 80% error rate must trip");
+        assert!(run.summary.all_conformant(), "{}", run.analysis);
+        assert!(run.summary.total_failed() > 0, "an 80% error rate must fail ops");
+        assert!(!run.analysis.contains("== Health =="), "{}", run.analysis);
     }
-    assert_eq!(
-        one.summary.total_breaker_trips(),
-        two.summary.total_breaker_trips(),
-        "same seed, same trip sequence"
-    );
     assert_eq!(one.digest, two.digest);
-    // The analysis surfaces the health story alongside the load table.
-    assert!(one.analysis.contains("== Health =="), "{}", one.analysis);
-    assert!(one.analysis.contains("breaker trip"), "{}", one.analysis);
-    let labels: Vec<&str> = one.trace.events().iter().map(|e| e.label()).collect();
-    assert!(labels.contains(&"breaker_opened"));
-    assert!(labels.contains(&"probe_result"));
 }
 
 #[test]
@@ -151,7 +141,7 @@ fn clean_load_keeps_its_analysis_quiet() {
     let run = Benchmark::new().run_load(&spec).unwrap();
     for r in &run.summary.reports {
         assert_conserved(r);
-        assert_eq!(r.failed + r.faults + r.retries + r.breaker_trips, 0);
+        assert_eq!(r.failed + r.faults + r.retries, 0);
     }
     assert!(!run.analysis.contains("== Health =="), "{}", run.analysis);
     assert!(!run.analysis.contains("chaos["), "{}", run.analysis);

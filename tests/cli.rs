@@ -36,8 +36,8 @@ fn bad_options_name_the_offending_token_without_panicking() {
         (&["run", "x", "--routing", "cost"][..], "unknown option --routing"),
         (&["verify", "--passes", "2"][..], "unknown option --passes"),
         (&["list", "--costs"][..], "unknown option --costs"),
-        // Breaker thresholds are fixed at their defaults: no command
-        // takes them.
+        // There are no circuit breakers: no command takes their
+        // thresholds.
         (&["run", "x", "--breaker-window", "4"][..], "unknown option --breaker-window"),
         (&["verify", "--breaker-trip-ratio", "0.5"][..], "unknown option --breaker-trip-ratio"),
         (&["load", "--breaker-cooldown", "8"][..], "unknown option --breaker-cooldown"),
@@ -85,16 +85,41 @@ fn non_positive_generation_rates_are_named_config_errors() {
 }
 
 #[test]
-fn load_schedules_past_the_ceiling_are_config_errors() {
+fn load_schedules_of_no_op_or_past_the_ceiling_are_config_errors() {
     // Rate × duration sizes an open-loop schedule: at 1e300 ops/s it
-    // would overflow a Vec's capacity, at 1e12 ops/s exhaust memory.
-    for rate in ["poisson:1e300", "poisson:1e12"] {
-        let out = bdbench(&["load", "--arrival", rate, "--duration-ms", "10"]);
+    // would overflow a Vec's capacity, at 1e12 ops/s exhaust memory. At
+    // 1e-300 ops/s the one op's arrival is past any clock, and at 1e-3
+    // ops/s it lands 1 000 s into a 100 ms drive.
+    for (rate, duration_ms) in [
+        ("poisson:1e300", "10"),
+        ("poisson:1e12", "10"),
+        ("poisson:1e-300", "100"),
+        ("uniform:1e-3", "100"),
+    ] {
+        let out = bdbench(&[
+            "load", "--engine", "native", "--arrival", rate, "--duration-ms", duration_ms,
+        ]);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(1), "--arrival {rate}: {err}");
         assert!(err.contains("invalid configuration"), "--arrival {rate}: {err}");
+        assert!(err.contains(&format!("over {duration_ms} ms")), "--arrival {rate}: {err}");
         assert!(!err.contains("panicked at"), "--arrival {rate}: {err}");
     }
+}
+
+#[test]
+fn an_engine_that_exhausts_its_retries_fails_the_run() {
+    // Both attempts on the named engine fail. The run reports that
+    // failure instead of filing another engine's result under it.
+    let out = bdbench(&[
+        "run", "micro/sort", "--system", "sql", "--scale", "20", "--seed", "42",
+        "--faults", "error@exec:1:max=2", "--retries", "1",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("exec/sql"), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("mapreduce"), "{stdout}");
 }
 
 #[test]

@@ -176,9 +176,8 @@ fn killed_matrix_resumes_to_identical_digests() {
     let _ = std::fs::remove_dir_all(&goldens_dir);
 }
 
-/// A `crash@exec` fault in a single run is terminal: no retries, no
-/// failover — the run dies exactly as a killed process would, and the
-/// error says so.
+/// A `crash@exec` fault in a single run is terminal: no retries — the
+/// run dies exactly as a killed process would, and the error says so.
 #[test]
 fn single_run_crash_aborts_without_failover() {
     let spec = BenchmarkSpec::new("crash")

@@ -1,6 +1,6 @@
 //! End-to-end tests for resilient execution: deterministic fault
-//! injection, retry with backoff, engine failover, deadlines, and the
-//! recovery trace/report contract.
+//! injection, retry with backoff, deadlines, a failure that stays on the
+//! engine it was routed to, and the recovery trace/report contract.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::core::pipeline::Benchmark;
@@ -30,35 +30,19 @@ fn injected_errors_are_retried_to_success() {
     assert_eq!(retries, 2);
     // Degradation is visible on the result itself.
     assert_eq!(run.results[0].detail("attempts"), Some(3.0));
-    assert_eq!(run.results[0].detail("failovers"), Some(0.0));
     // ... and in the analysis report.
     assert!(run.analysis.contains("== Resilience =="), "{}", run.analysis);
 }
 
 #[test]
-fn exhausted_engine_fails_over_to_next_capable() {
-    // retries=1 gives the primary engine two attempts; max=2 makes both
-    // fail, so the prescription re-routes to the capability fallback.
-    let run = Benchmark::new().run(&chaos_spec("error@exec:1:max=2", 1)).unwrap();
-    let events = run.trace.events();
-    let failover = events
-        .iter()
-        .find_map(|e| match e {
-            TraceEvent::EngineFailedOver { from, to, attempts, .. } => {
-                Some((from.clone(), to.clone(), *attempts))
-            }
-            _ => None,
-        })
-        .expect("a failover event");
-    assert_eq!(failover.0, "native");
-    assert_eq!(failover.1, "mapreduce");
-    assert_eq!(failover.2, 2);
-    // The fallback engine actually produced the result.
-    assert_eq!(run.results[0].report.system, "mapreduce");
-    assert_eq!(run.results[0].detail("failovers"), Some(1.0));
-    // Exactly one dispatch decision is still recorded (the primary).
-    let dispatches = events.iter().filter(|e| e.label() == "engine_dispatched").count();
-    assert_eq!(dispatches, 1);
+fn exhausted_engine_fails_the_run() {
+    // retries=1 gives the routed engine two attempts and max=2 makes both
+    // fail. The failure is the run's result: no other engine runs it.
+    let err = Benchmark::new().run(&chaos_spec("error@exec:1:max=2", 1)).unwrap_err();
+    assert!(
+        err.to_string().contains("exec/native:micro/wordcount (attempt 2)"),
+        "unexpected error: {err}"
+    );
 }
 
 #[test]
@@ -128,7 +112,6 @@ fn recovery_summary_matches_trace_counts() {
     let summary = RecoverySummary::from_events(&run.trace.events());
     assert_eq!(summary.faults_injected(), 2);
     assert_eq!(summary.retries, 2);
-    assert_eq!(summary.failovers, 0);
     assert_eq!(summary.deadline_hits, 0);
     assert!(summary.added_latency_ms > 0, "backoff delays should accrue");
     assert!(!summary.is_quiet());
