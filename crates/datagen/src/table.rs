@@ -177,8 +177,8 @@ impl ColumnModel {
                     .filter_map(|v| v.as_str().map(str::to_string))
                     .collect();
                 let vals: Vec<Value> = distinct.into_iter().map(Value::Text).collect();
-                let n = vals.len().max(1);
-                ColumnModel::Empirical { values: vals, weights: vec![1.0; n] }
+                let weights = vec![1.0; vals.len()];
+                ColumnModel::Empirical { values: vals, weights }
             }
             DataType::Bool => ColumnModel::Bernoulli { p: 0.5 },
             DataType::Int => {
@@ -200,9 +200,81 @@ impl ColumnModel {
         }
     }
 
-    /// Generate the value of this column at `row`, drawing from `rng`.
+    /// Compile this model into the sampler that generation draws from,
+    /// building each distribution once. The error names the first invalid
+    /// parameter: every model that compiles generates without a panic.
+    fn compile(&self) -> std::result::Result<ColumnSampler, String> {
+        let finite = |name: &str, x: f64| {
+            if x.is_finite() {
+                Ok(x)
+            } else {
+                Err(format!("{name} must be finite"))
+            }
+        };
+        let non_negative = |name: &str, x: f64| match finite(name, x)? {
+            x if x < 0.0 => Err(format!("{name} must not be negative")),
+            x => Ok(x),
+        };
+        Ok(match self {
+            ColumnModel::SequentialId { start } => ColumnSampler::SequentialId(*start),
+            ColumnModel::UniformInt { lo, hi } => {
+                if lo > hi {
+                    return Err("lo must not exceed hi".into());
+                }
+                ColumnSampler::UniformInt(*lo, *hi)
+            }
+            ColumnModel::SkewedKey { cardinality, exponent } => {
+                if *cardinality == 0 {
+                    return Err("cardinality must be positive".into());
+                }
+                if finite("exponent", *exponent)? <= 0.0 {
+                    ColumnSampler::UniformKey(*cardinality)
+                } else {
+                    ColumnSampler::Zipf(Zipf::new(*cardinality, *exponent))
+                }
+            }
+            ColumnModel::GaussianFloat { mean, std_dev } => ColumnSampler::Gaussian(Gaussian::new(
+                finite("mean", *mean)?,
+                non_negative("std_dev", *std_dev)?,
+            )),
+            ColumnModel::LogNormalFloat { mu, sigma } => ColumnSampler::LogNormal(LogNormal::new(
+                finite("mu", *mu)?,
+                non_negative("sigma", *sigma)?,
+            )),
+            ColumnModel::Empirical { values, weights } => {
+                if values.is_empty() {
+                    return Err("no values".into());
+                }
+                if values.len() != weights.len() {
+                    return Err(format!("{} values but {} weights", values.len(), weights.len()));
+                }
+                for &w in weights {
+                    non_negative("every weight", w)?;
+                }
+                let total: f64 = weights.iter().sum();
+                if !(total > 0.0 && total.is_finite()) {
+                    return Err("weights must have a positive, finite sum".into());
+                }
+                ColumnSampler::Empirical(values.clone(), Categorical::new(weights))
+            }
+            ColumnModel::Bernoulli { p } => {
+                if !(0.0..=1.0).contains(p) {
+                    return Err("p must be in [0, 1]".into());
+                }
+                ColumnSampler::Bernoulli(*p)
+            }
+            ColumnModel::MonotonicTimestamp { start, mean_gap_ms } => ColumnSampler::Timestamp(
+                *start,
+                Exponential::new(1.0 / finite("mean_gap_ms", *mean_gap_ms)?.max(1.0)),
+            ),
+        })
+    }
+
+    /// The interpreted reference for [`ColumnSampler::draw`]: the value of
+    /// this column at `row`, building its distribution per cell.
     ///
     /// `prev_ts` carries the running timestamp for monotonic columns.
+    #[cfg(test)]
     fn generate(&self, row: u64, rng: &mut dyn Rng, prev_ts: &mut i64) -> Value {
         match self {
             ColumnModel::SequentialId { start } => Value::Int(start + row as i64),
@@ -238,12 +310,66 @@ impl ColumnModel {
     }
 }
 
-/// A schema plus one [`ColumnModel`] per column.
+/// A [`ColumnModel`] compiled by [`ColumnModel::compile`]: its
+/// distribution is built, so a cell costs a seed and its draws. Each arm
+/// draws exactly what the model's interpreted `generate` draws.
+#[derive(Debug, Clone)]
+enum ColumnSampler {
+    SequentialId(i64),
+    UniformInt(i64, i64),
+    /// `SkewedKey` with `exponent <= 0`: uniform over `0..cardinality`.
+    UniformKey(u64),
+    Zipf(Zipf),
+    Gaussian(Gaussian),
+    LogNormal(LogNormal),
+    Empirical(Vec<Value>, Categorical),
+    Bernoulli(f64),
+    /// First timestamp and the gap distribution.
+    Timestamp(i64, Exponential),
+}
+
+impl ColumnSampler {
+    /// The value of this column at `row`, drawing from the cell's `rng`.
+    ///
+    /// `prev_ts` carries the running timestamp for monotonic columns.
+    fn draw(&self, row: u64, rng: &mut Xoshiro256, prev_ts: &mut i64) -> Value {
+        match self {
+            ColumnSampler::SequentialId(start) => Value::Int(start + row as i64),
+            ColumnSampler::UniformInt(lo, hi) => Value::Int(rng.next_range(*lo, *hi)),
+            ColumnSampler::UniformKey(cardinality) => {
+                Value::Int(rng.next_bounded(*cardinality) as i64)
+            }
+            ColumnSampler::Zipf(zipf) => Value::Int(zipf.sample(rng) as i64),
+            ColumnSampler::Gaussian(dist) => Value::Float(dist.sample(rng)),
+            ColumnSampler::LogNormal(dist) => Value::Float(dist.sample(rng)),
+            ColumnSampler::Empirical(values, cdf) => values[cdf.sample(rng)].clone(),
+            ColumnSampler::Bernoulli(p) => Value::Bool(rng.next_bool(*p)),
+            ColumnSampler::Timestamp(start, gap) => {
+                *prev_ts = if *prev_ts == i64::MIN {
+                    *start
+                } else {
+                    *prev_ts + gap_step(gap, rng)
+                };
+                Value::Timestamp(*prev_ts)
+            }
+        }
+    }
+}
+
+/// One row's clock increment: an exponential gap, truncated, plus 1 ms so
+/// timestamps strictly increase.
+fn gap_step(gap: &Exponential, rng: &mut Xoshiro256) -> i64 {
+    gap.sample(rng) as i64 + 1
+}
+
+/// A schema plus one [`ColumnModel`] per column, each compiled once into
+/// the sampler that generation draws from.
 #[derive(Debug, Clone)]
 pub struct TableGenerator {
     name: String,
     schema: Schema,
     models: Vec<ColumnModel>,
+    samplers: Vec<ColumnSampler>,
 }
 
 impl TableGenerator {
@@ -251,8 +377,12 @@ impl TableGenerator {
     /// synthetic styles).
     ///
     /// # Errors
-    /// Fails when the model count does not match the schema.
+    /// Fails when the model count does not match the schema, or when a
+    /// model is invalid (an empty range or support, a negative spread or
+    /// weight, a non-finite parameter); the error names the table, the
+    /// column and the model.
     pub fn new(name: impl Into<String>, schema: Schema, models: Vec<ColumnModel>) -> Result<Self> {
+        let name = name.into();
         if models.len() != schema.len() {
             return Err(BdbError::InvalidConfig(format!(
                 "{} models for {} columns",
@@ -260,7 +390,20 @@ impl TableGenerator {
                 schema.len()
             )));
         }
-        Ok(Self { name: name.into(), schema, models })
+        let samplers = schema
+            .fields()
+            .iter()
+            .zip(&models)
+            .map(|(field, model)| {
+                model.compile().map_err(|reason| {
+                    BdbError::InvalidConfig(format!(
+                        "table {name} column {}: {model:?}: {reason}",
+                        field.name
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Self { name, schema, models, samplers })
     }
 
     /// Fit every column from a raw table (veracity-considered).
@@ -337,27 +480,29 @@ impl TableGenerator {
         rows: u64,
         anchors: &[i64],
     ) -> Table {
-        let tree = SeedTree::new(seed).child_named(&self.name);
+        let columns = self.column_seeds(seed);
         let mut out = Table::with_capacity(self.schema.clone(), rows as usize);
-        let mut prev_ts: Vec<i64> = self
-            .models
-            .iter()
-            .enumerate()
-            .map(|(c, _)| anchors.get(c).copied().unwrap_or(i64::MIN))
+        let mut prev_ts: Vec<i64> = (0..self.samplers.len())
+            .map(|c| anchors.get(c).copied().unwrap_or(i64::MIN))
             .collect();
         for r in row_offset..row_offset + rows {
             let row = self
-                .models
+                .samplers
                 .iter()
-                .enumerate()
-                .map(|(c, m)| {
-                    let mut rng = tree.child(c as u64).cell(r);
-                    m.generate(r, &mut rng, &mut prev_ts[c])
-                })
+                .zip(&columns)
+                .zip(&mut prev_ts)
+                .map(|((sampler, column), prev)| sampler.draw(r, &mut column.cell(r), prev))
                 .collect();
             out.push_unchecked(row);
         }
         out
+    }
+
+    /// The seed-tree node of every column, `(table → column)`; a cell is
+    /// `column.cell(row)`.
+    fn column_seeds(&self, seed: u64) -> Vec<SeedTree> {
+        let table = SeedTree::new(seed).child_named(&self.name);
+        (0..self.samplers.len() as u64).map(|c| table.child(c)).collect()
     }
 
     /// For every column, the summed integer timestamp increments of rows
@@ -369,21 +514,13 @@ impl TableGenerator {
     /// pass of the exact two-pass parallel table generation. Row 0
     /// contributes no gap (it emits `start` itself).
     pub fn ts_gap_sums(&self, seed: u64, row_offset: u64, rows: u64) -> Vec<i64> {
-        let tree = SeedTree::new(seed).child_named(&self.name);
-        self.models
+        self.samplers
             .iter()
-            .enumerate()
-            .map(|(c, m)| match m {
-                ColumnModel::MonotonicTimestamp { mean_gap_ms, .. } => {
-                    let col = tree.child(c as u64);
-                    let dist = Exponential::new(1.0 / mean_gap_ms.max(1.0));
-                    (row_offset.max(1)..row_offset + rows)
-                        .map(|r| {
-                            let mut rng = col.cell(r);
-                            dist.sample(&mut rng) as i64 + 1
-                        })
-                        .sum()
-                }
+            .zip(self.column_seeds(seed))
+            .map(|(sampler, column)| match sampler {
+                ColumnSampler::Timestamp(_, gap) => (row_offset.max(1)..row_offset + rows)
+                    .map(|r| gap_step(gap, &mut column.cell(r)))
+                    .sum(),
                 _ => 0,
             })
             .collect()
@@ -484,6 +621,7 @@ impl DataGenerator for TableGenerator {
 mod tests {
     use super::*;
     use crate::corpus::raw_retail_table;
+    use proptest::prelude::*;
 
     #[test]
     fn fit_recognises_sequential_ids() {
@@ -663,6 +801,284 @@ mod tests {
             full.value(39, ts_idx).unwrap().as_i64().unwrap()
         );
     }
+
+    /// FNV-1a over the rows' lines, in row order: moves if any cell does.
+    fn row_digest(t: &Table) -> u64 {
+        let mut h = bdb_common::hash::Fnv1a::new();
+        for line in bdb_common::record::row_lines(t.rows()) {
+            h.write(line.as_bytes());
+            h.write(b"\n");
+        }
+        h.finish()
+    }
+
+    /// One column of every model variant, `SkewedKey` at both branches.
+    fn every_variant() -> TableGenerator {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::new("uniform", DataType::Int),
+            Field::new("key_uniform", DataType::Int),
+            Field::new("key_zipf", DataType::Int),
+            Field::new("gauss", DataType::Float),
+            Field::new("lognormal", DataType::Float),
+            Field::new("category", DataType::Text),
+            Field::new("flag", DataType::Bool),
+            Field::new("ts", DataType::Timestamp),
+        ]);
+        let models = vec![
+            ColumnModel::SequentialId { start: 10 },
+            ColumnModel::UniformInt { lo: -5, hi: 50 },
+            ColumnModel::SkewedKey { cardinality: 1000, exponent: 0.0 },
+            ColumnModel::SkewedKey { cardinality: 1000, exponent: 0.9 },
+            ColumnModel::GaussianFloat { mean: 3.0, std_dev: 2.0 },
+            ColumnModel::LogNormalFloat { mu: 0.5, sigma: 0.7 },
+            ColumnModel::Empirical {
+                values: vec!["a".into(), "b".into(), "c".into(), "d".into()],
+                weights: vec![3.0, 1.0, 0.0, 2.0],
+            },
+            ColumnModel::Bernoulli { p: 0.3 },
+            ColumnModel::MonotonicTimestamp { start: 1_000, mean_gap_ms: 250.0 },
+        ];
+        TableGenerator::new("every", schema, models).unwrap()
+    }
+
+    #[test]
+    fn every_variant_digest_is_pinned() {
+        // Computed with the interpreted per-cell models, before they were
+        // compiled: compiling must not move a single cell.
+        let g = every_variant();
+        assert_eq!(row_digest(&g.generate_shard(1, 0, 2000)), 0xfe6c_f198_738c_69c2);
+        assert_eq!(row_digest(&g.generate_shard(42, 0, 2000)), 0x662b_0f81_ebe1_902f);
+    }
+
+    /// The interpreted reference: every cell through
+    /// [`ColumnModel::generate`], seeded as generation seeds it.
+    fn reference_shard(
+        g: &TableGenerator,
+        seed: u64,
+        row_offset: u64,
+        rows: u64,
+        anchors: &[i64],
+    ) -> Table {
+        let tree = SeedTree::new(seed).child_named(&g.name);
+        let mut prev_ts = anchors.to_vec();
+        let mut out = Table::new(g.schema.clone());
+        for r in row_offset..row_offset + rows {
+            let row = g
+                .models
+                .iter()
+                .enumerate()
+                .map(|(c, m)| m.generate(r, &mut tree.child(c as u64).cell(r), &mut prev_ts[c]))
+                .collect();
+            out.push_unchecked(row);
+        }
+        out
+    }
+
+    /// A valid model of any variant, with the column type it generates.
+    fn arb_model() -> impl Strategy<Value = (DataType, ColumnModel)> {
+        prop_oneof![
+            (-1000i64..1000)
+                .prop_map(|start| (DataType::Int, ColumnModel::SequentialId { start })),
+            (-1000i64..1000, 0i64..1000).prop_map(|(lo, span)| {
+                (DataType::Int, ColumnModel::UniformInt { lo, hi: lo + span })
+            }),
+            (1u64..5000, 0.0f64..2.0, any::<bool>()).prop_map(|(cardinality, e, zipf)| {
+                let exponent = if zipf { e } else { -e };
+                (DataType::Int, ColumnModel::SkewedKey { cardinality, exponent })
+            }),
+            (-100.0f64..100.0, 0.0f64..10.0).prop_map(|(mean, std_dev)| {
+                (DataType::Float, ColumnModel::GaussianFloat { mean, std_dev })
+            }),
+            (-2.0f64..2.0, 0.0f64..2.0).prop_map(|(mu, sigma)| {
+                (DataType::Float, ColumnModel::LogNormalFloat { mu, sigma })
+            }),
+            prop::collection::vec(0.0f64..3.0, 1..12).prop_map(|mut weights| {
+                // A third of the weights zero, but never all of them.
+                for w in &mut weights {
+                    if *w < 1.0 {
+                        *w = 0.0;
+                    }
+                }
+                *weights.last_mut().unwrap() += 1.0;
+                let values = (0..weights.len()).map(|i| Value::Text(format!("v{i}"))).collect();
+                (DataType::Text, ColumnModel::Empirical { values, weights })
+            }),
+            (0.0f64..=1.0).prop_map(|p| (DataType::Bool, ColumnModel::Bernoulli { p })),
+            (-1000i64..1000, -10.0f64..5000.0).prop_map(|(start, mean_gap_ms)| {
+                (DataType::Timestamp, ColumnModel::MonotonicTimestamp { start, mean_gap_ms })
+            }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn compiled_samplers_match_the_interpreted_models(
+            columns in prop::collection::vec(arb_model(), 1..7),
+            seed in any::<u64>(),
+            row_offset in 1u64..100_000,
+            rows in 1u64..200,
+            anchor in -1_000_000i64..1_000_000,
+        ) {
+            let (types, models): (Vec<_>, Vec<_>) = columns.into_iter().unzip();
+            let fields = types
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| Field::new(format!("c{i}"), t))
+                .collect();
+            let g = TableGenerator::new("prop", Schema::new(fields), models).unwrap();
+            // A fresh shard (row 0 semantics), an offset one, an anchored one.
+            let fresh = vec![i64::MIN; g.models.len()];
+            let anchored = vec![anchor; g.models.len()];
+            for (offset, anchors) in [(0, &fresh), (row_offset, &fresh), (row_offset, &anchored)] {
+                prop_assert_eq!(
+                    g.generate_shard_anchored(seed, offset, rows, anchors),
+                    reference_shard(&g, seed, offset, rows, anchors)
+                );
+            }
+            // An anchored shard's clock ends at the anchor plus its gap sum.
+            let t = reference_shard(&g, seed, row_offset, rows, &anchored);
+            let ends: Vec<i64> = g
+                .models
+                .iter()
+                .enumerate()
+                .map(|(c, m)| match m {
+                    ColumnModel::MonotonicTimestamp { .. } => {
+                        t.value(rows as usize - 1, c).unwrap().as_i64().unwrap() - anchor
+                    }
+                    _ => 0,
+                })
+                .collect();
+            prop_assert_eq!(g.ts_gap_sums(seed, row_offset, rows), ends);
+        }
+    }
+
+    /// `model` in a one-column table is rejected by name, not by a panic.
+    fn assert_rejected(model: ColumnModel, reason: &str) {
+        let schema = Schema::new(vec![Field::new("col", DataType::Int)]);
+        match TableGenerator::new("tbl", schema, vec![model.clone()]) {
+            Err(BdbError::InvalidConfig(m)) => {
+                assert!(m.starts_with("table tbl column col: "), "{m}");
+                assert!(m.contains(&format!("{model:?}")), "{m}");
+                assert!(m.ends_with(reason), "{m}");
+            }
+            other => panic!("{model:?} must be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zipf_key_over_no_keys_is_rejected() {
+        assert_rejected(
+            ColumnModel::SkewedKey { cardinality: 0, exponent: 1.0 },
+            "cardinality must be positive",
+        );
+    }
+
+    #[test]
+    fn uniform_key_over_no_keys_is_rejected() {
+        assert_rejected(
+            ColumnModel::SkewedKey { cardinality: 0, exponent: 0.0 },
+            "cardinality must be positive",
+        );
+    }
+
+    #[test]
+    fn empty_int_range_is_rejected() {
+        assert_rejected(ColumnModel::UniformInt { lo: 5, hi: 1 }, "lo must not exceed hi");
+    }
+
+    #[test]
+    fn empirical_without_values_is_rejected() {
+        assert_rejected(ColumnModel::Empirical { values: vec![], weights: vec![] }, "no values");
+    }
+
+    #[test]
+    fn empirical_with_zero_weights_is_rejected() {
+        assert_rejected(
+            ColumnModel::Empirical { values: vec![1.into(), 2.into()], weights: vec![0.0, 0.0] },
+            "weights must have a positive, finite sum",
+        );
+    }
+
+    #[test]
+    fn empirical_weight_count_mismatch_is_rejected() {
+        assert_rejected(
+            ColumnModel::Empirical { values: vec![1.into(), 2.into()], weights: vec![1.0] },
+            "2 values but 1 weights",
+        );
+    }
+
+    #[test]
+    fn negative_std_dev_is_rejected() {
+        assert_rejected(
+            ColumnModel::GaussianFloat { mean: 0.0, std_dev: -1.0 },
+            "std_dev must not be negative",
+        );
+    }
+
+    #[test]
+    fn infinite_timestamp_gap_is_rejected() {
+        assert_rejected(
+            ColumnModel::MonotonicTimestamp { start: 0, mean_gap_ms: f64::INFINITY },
+            "mean_gap_ms must be finite",
+        );
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        for (model, reason) in [
+            (ColumnModel::SkewedKey { cardinality: 10, exponent: nan }, "exponent must be finite"),
+            (ColumnModel::GaussianFloat { mean: inf, std_dev: 1.0 }, "mean must be finite"),
+            (ColumnModel::GaussianFloat { mean: 0.0, std_dev: nan }, "std_dev must be finite"),
+            (ColumnModel::LogNormalFloat { mu: nan, sigma: 1.0 }, "mu must be finite"),
+            (ColumnModel::LogNormalFloat { mu: 0.0, sigma: -inf }, "sigma must be finite"),
+            (
+                ColumnModel::Empirical { values: vec![Value::Int(1)], weights: vec![nan] },
+                "every weight must be finite",
+            ),
+            (ColumnModel::Bernoulli { p: nan }, "p must be in [0, 1]"),
+            (
+                ColumnModel::MonotonicTimestamp { start: 0, mean_gap_ms: nan },
+                "mean_gap_ms must be finite",
+            ),
+        ] {
+            assert_rejected(model, reason);
+        }
+    }
+
+    #[test]
+    fn out_of_domain_parameters_are_rejected() {
+        for (model, reason) in [
+            (
+                ColumnModel::Empirical { values: vec![1.into()], weights: vec![-1.0] },
+                "every weight must not be negative",
+            ),
+            (ColumnModel::LogNormalFloat { mu: 0.0, sigma: -0.5 }, "sigma must not be negative"),
+            (ColumnModel::Bernoulli { p: 1.5 }, "p must be in [0, 1]"),
+        ] {
+            assert_rejected(model, reason);
+        }
+    }
+
+    #[test]
+    fn naive_text_column_without_values_is_rejected() {
+        let schema = Schema::new(vec![Field::nullable("name", DataType::Text)]);
+        for raw in [
+            Table::new(schema.clone()),
+            Table::from_rows(schema.clone(), vec![vec![Value::Null], vec![Value::Null]]).unwrap(),
+        ] {
+            match TableGenerator::naive("people", &raw) {
+                Err(BdbError::InvalidConfig(m)) => {
+                    assert!(m.starts_with("table people column name: "), "{m}");
+                    assert!(m.ends_with("no values"), "{m}");
+                }
+                other => panic!("expected a named error, got {other:?}"),
+            }
+        }
+    }
+
 
     #[test]
     fn volume_bytes_resolves() {

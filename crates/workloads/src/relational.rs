@@ -27,3 +27,26 @@ pub fn uservisits_generator(num_pages: u64) -> TableGenerator {
     )
     .expect("valid uservisits generator")
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bdb_common::hash::Fnv1a;
+    use bdb_common::record::row_lines;
+
+    #[test]
+    fn uservisits_digest_is_pinned() {
+        // Computed before the column models were compiled once per
+        // generator; `goldens/` never reaches the Zipf branch of
+        // `SkewedKey`, so this pin is what holds it still.
+        let g = uservisits_generator(1000);
+        for (seed, pinned) in [(1u64, 0xbbd0_6803_af75_c124), (42, 0x2a52_03d5_0a51_a60c)] {
+            let mut h = Fnv1a::new();
+            for line in row_lines(g.generate_shard(seed, 0, 2000).rows()) {
+                h.write(line.as_bytes());
+                h.write(b"\n");
+            }
+            assert_eq!(h.finish(), pinned, "seed {seed}");
+        }
+    }
+}

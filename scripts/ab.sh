@@ -2,15 +2,19 @@
 # A/B two revisions on one machine: this working tree ("change") against
 # <rev> ("parent"), measured by benchmark/ — the only measurement system.
 #
-#   scripts/ab.sh <rev> [workload...]    # default: every workload in BENCHMARK.json
+#   scripts/ab.sh [--seed N] <rev> [workload...]
+#
+# Workloads default to every one in BENCHMARK.json and the seed to 42. A
+# claimed gain should also hold at a seed the change was not written
+# against: re-run with another --seed.
 #
 # <rev> is exported with `git archive` into a temp dir and built with its
-# own CARGO_TARGET_DIR. Each workload then runs exactly as the cross-commit
-# driver runs it (`benchmark/run.sh --workload W --seed 42 --seconds
-# <run_seconds> --trace 0`) as ten parent/change pairs, alternating which
-# side goes first. One row per (workload, end-to-end metric): both medians,
-# pairs the change won/lost/tied, the parent's IQR, direction and bound
-# from BENCHMARK.json, and a verdict:
+# own CARGO_TARGET_DIR. Each workload then runs as `benchmark/run.sh
+# --workload W --seed N --seconds <run_seconds> --trace 0`, with
+# run_seconds from BENCHMARK.json, as ten parent/change pairs, alternating
+# which side goes first. One row per (workload, end-to-end metric): both
+# medians, pairs the change won/lost/tied, the parent's IQR, direction and
+# bound from BENCHMARK.json, and a verdict:
 #
 #   gain        >= 9/10 of the non-tied pairs won AND the medians differ by
 #               more than the parent's IQR
@@ -22,7 +26,18 @@
 # benchmark/Cargo.lock (cargo rewrites it) is restored and the temp dir
 # removed on exit. Takes ~2 x 10 x (set-up + run_seconds) per workload.
 set -euo pipefail
-[ $# -ge 1 ] || { echo "usage: scripts/ab.sh <rev> [workload...]" >&2; exit 2; }
+usage() {
+    printf '%s\n' "usage: scripts/ab.sh <rev> [workload...]" \
+        "       scripts/ab.sh --seed N <rev> [workload...]" >&2
+    exit 2
+}
+seed=42
+if [ "${1:-}" = --seed ]; then
+    [[ "${2:-}" =~ ^[0-9]+$ ]] || usage
+    seed=$2
+    shift 2
+fi
+[ $# -ge 1 ] || usage
 command -v jq >/dev/null \
     || { echo "ab.sh: jq not found (it reads BENCHMARK.json and the result lines)" >&2; exit 2; }
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -44,10 +59,10 @@ declare -A target=([parent]="$tmp/target" [change]="$PWD/benchmark/target")
 # One run of workload $2 on side $1; prints the JSON result line.
 run() {
     (cd "${dir[$1]}" && CARGO_TARGET_DIR="${target[$1]}" benchmark/run.sh \
-        --workload "$2" --seed 42 --seconds "$seconds" --trace 0 | tail -n 1)
+        --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
 }
 
-echo "ab: parent ${rev:0:7} vs working tree, $pairs pairs, --seed 42 --seconds $seconds --trace 0"
+echo "ab: parent ${rev:0:7} vs working tree, $pairs pairs, --seed $seed --seconds $seconds --trace 0"
 row='%-16s %-12s %12s %12s %-14s %12s %-12s %s\n'
 # shellcheck disable=SC2059
 printf "$row" workload metric parent change won/lost/tied parent_iqr better/bound verdict
