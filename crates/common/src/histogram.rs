@@ -62,8 +62,9 @@ impl LogHistogram {
         self.max
     }
 
-    /// Approximate quantile: geometric midpoint of the bucket containing the
-    /// q-th sample.
+    /// Approximate quantile: the arithmetic midpoint of the power-of-two
+    /// bucket holding the q-th sample, clamped to the recorded
+    /// `[min, max]` so it never reads outside the samples (0 when empty).
     pub fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         if self.count == 0 {
@@ -76,7 +77,7 @@ impl LogHistogram {
             if acc >= target {
                 let lo = if i == 0 { 0u64 } else { 1u64 << i };
                 let hi = if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
-                return lo + (hi - lo) / 2;
+                return (lo + (hi - lo) / 2).clamp(self.min, self.max);
             }
         }
         self.max
@@ -117,7 +118,30 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(0);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile(0.5), 1); // midpoint of [0,2)
+        assert_eq!(h.quantile(0.5), 0); // midpoint of [0,2), clamped to max
+    }
+
+    #[test]
+    fn quantile_stays_within_the_samples() {
+        // 1000 samples of 100 sit in [64, 128), whose midpoint 96 is below
+        // every sample; a lone 1000 sits in [512, 1024), midpoint 768.
+        let mut h = LogHistogram::new();
+        for _ in 0..1000 {
+            h.record(100);
+        }
+        assert_eq!(h.quantile(0.5), 100);
+        let mut lone = LogHistogram::new();
+        lone.record(1000);
+        assert_eq!(lone.quantile(0.5), 1000);
+        // Mixed samples: every quantile lies in [min, max].
+        let mut mixed = LogHistogram::new();
+        for x in [70, 100, 130, 5000, 9000] {
+            mixed.record(x);
+        }
+        for q in [0.0, 0.2, 0.5, 0.9, 1.0] {
+            let v = mixed.quantile(q);
+            assert!((70..=9000).contains(&v), "q={q} -> {v}");
+        }
     }
 
     #[test]

@@ -402,6 +402,7 @@ mod tests {
             engine: "kv".into(),
             clients: 2,
             inflight: 4,
+            arrival: crate::loadgen::LoadArrival::Poisson { rate_per_sec: 100.0 },
             issued: 100,
             completed: 90,
             shed: 10,

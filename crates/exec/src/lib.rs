@@ -19,8 +19,9 @@
 //! * [`journal`] — the run journal: atomic per-cell checkpoints that let
 //!   a killed run `--resume` without re-executing completed cells.
 //! * [`loadgen`] — the concurrent load driver: N client sessions × M
-//!   in-flight ops, closed- and open-loop arrivals, bounded admission
-//!   with shedding, tail-latency and saturation reporting.
+//!   in-flight ops, closed- and open-loop arrivals (self-pacing lanes, a
+//!   bounded queue of waiting ops with shedding), tail-latency, rate and
+//!   dispatch-lateness reporting.
 //! * [`engine`] — the pluggable engine abstraction: an [`engine::Engine`]
 //!   trait with declared [`engine::Capabilities`], five builtin engine
 //!   implementations (native, sql, kv, streaming, mapreduce) and a

@@ -11,21 +11,29 @@
 //!   issued operations is always a prefix of the deterministic schedule —
 //!   the issued-op digest is identical for 1 client and 8.
 //! * **Open loop** — arrival instants come from the seeded arrival
-//!   processes of [`bdb_testgen::arrival`] (Poisson or uniform). A pacer
-//!   thread walks the schedule on the wall clock and admits each op into
-//!   a bounded queue; when the queue is full the op is **shed** (counted,
-//!   never blocking the arrival clock). Latency is measured from the
-//!   *intended arrival instant*, not dispatch, so queueing delay is
-//!   charged to the engine — the coordinated-omission discipline.
+//!   processes of [`bdb_testgen::arrival`] (Poisson or uniform). Each lane
+//!   paces itself: it claims the next schedule index from a shared cursor
+//!   and waits for that op's intended arrival, sleeping to a fixed margin
+//!   before it and yielding for the rest, so an op starts at its arrival
+//!   rather than a timer slack and a thread hand-off later. Ops that have
+//!   arrived and that no lane has claimed form a queue of `queue_cap`:
+//!   when a lane is about to dispatch an op and `queue_cap` later ops
+//!   already wait behind it, the op is **shed** (counted, never blocking
+//!   the arrival clock). This drops the oldest waiting op where a queue
+//!   that refuses new arrivals drops the newest; the count shed per
+//!   overflow is the same. Latency is measured from the *intended arrival
+//!   instant*, not dispatch, so queueing delay is charged to the engine —
+//!   the coordinated-omission discipline — and the mean dispatch lateness
+//!   is reported beside it.
 //!
 //! Both disciplines run the same lane loop (`run_lanes`): they differ
 //! only in how a lane claims its next index range (a cursor batch, or one
-//! index popped from the admission queue) and where its latency clock
-//! starts. The pacer is the only open-loop-specific code.
+//! index it waits for) and where its latency clock starts. The claim
+//! closure is the only open-loop-specific code.
 //!
 //! Per-lane latencies land in thread-local histograms merged at quiesce
 //! ([`LogHistogram::merge`](bdb_common::histogram::LogHistogram::merge)),
-//! reporting p50/p99/p999 and saturation throughput per engine. A sampled
+//! reporting p50/p99/p999 and completed ops per second per engine. A sampled
 //! subset of op results is compared against a pure oracle through
 //! [`OutputPayload`] diffing and recorded as `ConformanceChecked` trace
 //! events — concurrency must not change answers.
@@ -39,8 +47,8 @@
 //! exhaust recovery (or hit a `crash@` kill point, which is terminal
 //! per-op) count as **failed**, extending conservation to
 //! `issued == completed + shed + failed`. A failed op is a finding about
-//! the target: nothing re-routes it, and the open-loop pacer times the
-//! same arrivals with or without a fault plan. With a per-op deadline the
+//! the target: nothing re-routes it, and open-loop lanes pace the same
+//! arrivals with or without a fault plan. With a per-op deadline the
 //! fail/complete split becomes timing-dependent (reports stay truthful),
 //! so deterministic chaos suites avoid deadlines.
 
@@ -58,11 +66,9 @@ use bdb_common::{pool, BdbError, Result};
 use bdb_kv::{LsmConfig, SharedLsm};
 use bdb_testgen::arrival::{self, ArrivalProcess, ArrivalSpec};
 use bdb_workloads::{behavioral, OutputPayload};
-use std::collections::VecDeque;
 use std::fmt::Display;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Keys in every target's preloaded working set.
@@ -153,8 +159,8 @@ pub struct LoadProfile {
     pub duration_ms: u64,
     /// Arrival discipline.
     pub arrival: LoadArrival,
-    /// Bounded admission queue capacity for open-loop runs; `None`
-    /// defaults to `clients * inflight`.
+    /// Open-loop queue capacity: how many arrived ops may wait unclaimed
+    /// before the oldest is shed; `None` defaults to `clients * inflight`.
     pub queue_capacity: Option<usize>,
     /// Run every `sample_every`-th op's result through the conformance
     /// oracle.
@@ -218,7 +224,7 @@ impl LoadProfile {
         Ok(())
     }
 
-    /// The open-loop admission queue capacity.
+    /// The open-loop queue capacity.
     pub fn queue_cap(&self) -> usize {
         self.queue_capacity.unwrap_or(self.clients * self.inflight)
     }
@@ -668,11 +674,13 @@ pub struct LoadReport {
     pub clients: usize,
     /// In-flight ops per session.
     pub inflight: usize,
+    /// The arrival discipline driven.
+    pub arrival: LoadArrival,
     /// Ops the arrival clock issued (the whole schedule).
     pub issued: u64,
     /// Ops that executed to completion.
     pub completed: u64,
-    /// Ops shed because the admission queue was full (open loop only).
+    /// Ops shed because the queue of waiting ops was full (open loop only).
     pub shed: u64,
     /// Ops that exhausted recovery (or crashed) and failed.
     pub failed: u64,
@@ -682,7 +690,8 @@ pub struct LoadReport {
     pub retries: u64,
     /// Wall-clock of the drive, seconds.
     pub duration_secs: f64,
-    /// Saturation throughput: completed ops per second.
+    /// Completed ops per second: saturation throughput in a closed loop;
+    /// in an open loop the offered rate, less what was shed or failed.
     pub throughput_ops_per_sec: f64,
     /// Median latency, microseconds.
     pub p50_us: f64,
@@ -690,7 +699,8 @@ pub struct LoadReport {
     pub p99_us: f64,
     /// 99.9th percentile latency, microseconds.
     pub p999_us: f64,
-    /// Mean admission-queue delay, milliseconds (0 for closed loop).
+    /// Mean dispatch lateness: how long after its intended arrival an
+    /// open-loop op started, milliseconds (0 for closed loop).
     pub mean_queue_delay_ms: f64,
     /// Results sampled into the conformance check.
     pub sampled: u64,
@@ -802,17 +812,21 @@ pub fn run_target_resilient(
     let chaos = chaos.as_ref();
     let t0 = Instant::now();
     let (lanes, shed) = if profile.arrival.is_open() {
-        // Open loop: a pacer thread admits arrivals on the wall clock and
-        // each lane claims one admitted index at a time.
-        let admission = Admission { cap: profile.queue_cap(), ..Admission::default() };
-        std::thread::scope(|scope| {
-            let pacer = scope.spawn(|| pace(&admission, schedule, t0));
-            let lanes = run_lanes(target, profile, schedule, trace, t0, chaos, &|| {
-                admission.pop().map(|idx| idx..idx + 1)
-            });
-            let shed = pacer.join().expect("pacer thread");
-            lanes.map(|l| (l, shed))
-        })?
+        // Open loop: each lane claims the next index and waits for its
+        // intended arrival, then sheds it if the ops that arrived behind
+        // it already fill the queue.
+        let (next, shed) = (AtomicUsize::new(0), AtomicU64::new(0));
+        let lanes = run_lanes(target, profile, schedule, trace, t0, chaos, &|| loop {
+            let idx = next.fetch_add(1, Ordering::SeqCst);
+            wait_until(t0, Duration::from_secs_f64(schedule.get(idx)?.at_ms / 1000.0));
+            let now_ms = t0.elapsed().as_secs_f64() * 1e3;
+            if sheds(schedule, next.load(Ordering::SeqCst), now_ms, profile.queue_cap()) {
+                shed.fetch_add(1, Ordering::SeqCst);
+                continue;
+            }
+            return Some(idx..idx + 1);
+        })?;
+        (lanes, shed.into_inner())
     } else {
         // Closed loop: lanes claim contiguous batches of `inflight` ops
         // from a shared cursor until the schedule drains, so the issued
@@ -875,6 +889,7 @@ pub fn run_target_resilient(
         engine: target.name().to_string(),
         clients: profile.clients,
         inflight: profile.inflight,
+        arrival: profile.arrival,
         issued: schedule.len() as u64,
         completed,
         shed,
@@ -897,8 +912,8 @@ pub fn run_target_resilient(
 /// each opening a [`LoadSession`] and executing the index ranges `claim`
 /// hands out until it returns `None`. In an open loop latency runs from
 /// the op's intended arrival instant (coordinated omission) and the
-/// dispatch-minus-arrival gap is captured separately as queue delay; in a
-/// closed loop it runs from dispatch.
+/// dispatch-minus-arrival gap is captured separately as dispatch
+/// lateness; in a closed loop it runs from dispatch.
 fn run_lanes(
     target: &dyn LoadTarget,
     profile: &LoadProfile,
@@ -958,59 +973,39 @@ fn run_lanes(
     .map_err(|p| BdbError::Execution(format!("load worker panicked: {p}")))
 }
 
-/// The open loop's bounded admission queue: the pacer pushes admitted
-/// schedule indices, lanes pop them, and `done` releases the lanes once
-/// the schedule is exhausted.
-#[derive(Default)]
-struct Admission {
-    queue: Mutex<VecDeque<usize>>,
-    ready: Condvar,
-    done: AtomicBool,
-    cap: usize,
-}
+/// How long before an op's intended arrival a waiting lane stops
+/// sleeping and starts yielding. `thread::sleep` wakes late by the
+/// kernel's timer slack (50 µs by default on Linux) plus the wake-up
+/// itself, so a lane sleeps only to this margin and covers the rest with
+/// `yield_now`, which hands the core to any other runnable lane rather
+/// than spinning on it.
+const SLEEP_MARGIN: Duration = Duration::from_micros(200);
 
-impl Admission {
-    /// The next admitted index; `None` once the pacer is done and the
-    /// queue has drained.
-    fn pop(&self) -> Option<usize> {
-        let mut q = self.queue.lock().expect("load queue");
-        loop {
-            if let Some(idx) = q.pop_front() {
-                return Some(idx);
-            }
-            if self.done.load(Ordering::SeqCst) {
-                return None;
-            }
-            q = self.ready.wait_timeout(q, Duration::from_millis(10)).expect("load queue").0;
+/// Block until `start + due`: sleep to within [`SLEEP_MARGIN`], then yield.
+fn wait_until(start: Instant, due: Duration) {
+    loop {
+        let left = due.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            return;
+        }
+        if left > SLEEP_MARGIN {
+            std::thread::sleep(left - SLEEP_MARGIN);
+        } else {
+            std::thread::yield_now();
         }
     }
 }
 
-/// The open-loop pacer: walk the schedule on the wall clock, admitting
-/// each op to the bounded queue (full → shed, never block). Returns the
-/// number of ops shed.
-fn pace(admission: &Admission, schedule: &[ScheduledOp], start: Instant) -> u64 {
-    let mut shed = 0u64;
-    for (idx, slot) in schedule.iter().enumerate() {
-        let due = Duration::from_secs_f64(slot.at_ms / 1000.0);
-        let now = start.elapsed();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let mut q = admission.queue.lock().expect("load queue");
-        if q.len() >= admission.cap {
-            // Shed: the arrival clock never blocks on a full queue; the
-            // op is counted and dropped.
-            shed += 1;
-            continue;
-        }
-        q.push_back(idx);
-        drop(q);
-        admission.ready.notify_one();
-    }
-    admission.done.store(true, Ordering::SeqCst);
-    admission.ready.notify_all();
-    shed
+/// The open-loop shed rule, applied when a lane is about to dispatch the
+/// op it claimed. `unclaimed` is the first schedule index no lane has
+/// claimed yet. The ops from there on that have already arrived by
+/// `now_ms` wait in a queue of `cap`; when they fill it, the op about to
+/// run is the oldest waiter and is shed. A lane that dispatches on time
+/// finds no op behind it unless every other lane is busy. Arrivals are
+/// monotone, so the waiting ops are a prefix of `schedule[unclaimed..]`.
+fn sheds(schedule: &[ScheduledOp], unclaimed: usize, now_ms: f64, cap: usize) -> bool {
+    let rest = schedule.get(unclaimed..).unwrap_or_default();
+    rest.partition_point(|s| s.at_ms <= now_ms) >= cap
 }
 
 /// The load targets the registry's engines support, honouring the
@@ -1284,7 +1279,7 @@ mod tests {
         let trace = RunTrace::new();
         // One slow client, a queue of 1, arrivals far faster than the
         // engine: most ops must shed and the run must still finish
-        // promptly (the pacer never blocks).
+        // promptly (a late lane sheds instead of waiting).
         struct SlowTarget;
         struct SlowSession;
         impl LoadSession for SlowSession {
@@ -1322,6 +1317,27 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::LoadShed { .. }))
             .count();
         assert_eq!(shed_events, 1);
+    }
+
+    #[test]
+    fn shed_rule_counts_arrived_unclaimed_ops_against_the_cap() {
+        let s: Vec<ScheduledOp> = [0.0, 1.0, 2.0, 3.0, 4.0, 10.0]
+            .into_iter()
+            .map(|at_ms| ScheduledOp { at_ms, op: LoadOp::Get { key: 0 } })
+            .collect();
+        // Op 0 claimed late at 3.5 ms: ops 1, 2 and 3 have arrived unclaimed.
+        assert!(!sheds(&s, 1, 3.5, 4), "backlog 3 below a cap of 4");
+        assert!(sheds(&s, 1, 3.5, 3), "backlog 3 at a cap of 3");
+        assert!(sheds(&s, 1, 3.5, 2), "backlog 3 above a cap of 2");
+        // Another lane already claimed ops 1 and 2: only op 3 waits.
+        assert!(!sheds(&s, 3, 3.5, 2));
+        assert!(sheds(&s, 3, 3.5, 1));
+        // An op due exactly now has arrived; one due later has not.
+        assert!(sheds(&s, 1, 3.0, 3));
+        assert!(!sheds(&s, 4, 3.999, 1));
+        // No unclaimed op left: nothing waits, whatever the clock.
+        assert!(!sheds(&s, 6, 99.0, 1));
+        assert!(!sheds(&s, 9, 99.0, 1));
     }
 
     #[test]

@@ -137,8 +137,10 @@ pub fn render_conformance(summary: &crate::analyzer::ConformanceSummary) -> Stri
 }
 
 /// Render a [`LoadSummary`](crate::analyzer::LoadSummary) as an aligned
-/// text table: one row per engine with saturation throughput and
-/// p50/p99/p999 tail latency. Returns a one-line note when no load ran.
+/// text table: one row per engine with completed ops per second and
+/// p50/p99/p999 tail latency. Each open-loop engine adds a line with its
+/// offered arrivals and how late, on average, its ops were dispatched.
+/// Returns a one-line note when no load ran.
 pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
     if summary.is_empty() {
         return "== Load ==\nno load was driven\n".to_string();
@@ -174,6 +176,14 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
         summary.shed_events,
         if summary.all_conformant() { "CONFORMANT" } else { "DIVERGED" },
     ));
+    for r in summary.reports.iter().filter(|r| r.arrival.is_open()) {
+        out.push_str(&format!(
+            "lateness[{}]: mean {:.1} us from intended arrival to dispatch (offered {})\n",
+            r.engine,
+            r.mean_queue_delay_ms * 1e3,
+            r.arrival,
+        ));
+    }
     // Chaos accounting appears only when the drive actually saw faults,
     // retries or failures — clean drives keep the historical footer
     // untouched.
@@ -187,6 +197,25 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
         }
     }
     out
+}
+
+/// The one-line summary `bdbench load` prints per engine. A closed loop's
+/// rate is its saturation throughput; an open loop's is set by the
+/// offered arrivals, so its line names them and the mean dispatch
+/// lateness instead. The `(N completed, …)` tail is the same for both.
+pub fn render_load_line(r: &crate::loadgen::LoadReport) -> String {
+    let (rate, late) = if r.arrival.is_open() {
+        (
+            format!("{:.0} ops/s of offered {}", r.throughput_ops_per_sec, r.arrival),
+            format!(", mean lateness {:.1} us", r.mean_queue_delay_ms * 1e3),
+        )
+    } else {
+        (format!("{:.0} ops/s saturation", r.throughput_ops_per_sec), String::new())
+    };
+    format!(
+        "load[{}]: {rate}, p50 {:.1} us, p99 {:.1} us, p999 {:.1} us{late} ({} completed, {} shed, {} failed)",
+        r.engine, r.p50_us, r.p99_us, r.p999_us, r.completed, r.shed, r.failed,
+    )
 }
 
 /// Format a float compactly for table cells.
@@ -293,6 +322,7 @@ mod tests {
             engine: "kv".into(),
             clients: 4,
             inflight: 8,
+            arrival: crate::loadgen::LoadArrival::Poisson { rate_per_sec: 500.0 },
             issued: 1000,
             completed: 950,
             shed: 50,
@@ -325,12 +355,62 @@ mod tests {
     }
 
     #[test]
+    fn load_reports_name_lateness_for_open_loops_only() {
+        use crate::analyzer::LoadSummary;
+        use crate::loadgen::{LoadArrival, LoadReport};
+        let report = |engine: &str, arrival| LoadReport {
+            engine: engine.into(),
+            clients: 1,
+            inflight: 8,
+            arrival,
+            issued: 2000,
+            completed: 2000,
+            shed: 0,
+            failed: 0,
+            faults: 0,
+            retries: 0,
+            duration_secs: 1.0,
+            throughput_ops_per_sec: 2000.0,
+            p50_us: 3.0,
+            p99_us: 40.0,
+            p999_us: 90.0,
+            mean_queue_delay_ms: if arrival.is_open() { 0.0021 } else { 0.0 },
+            sampled: 125,
+            conformance_passed: true,
+            digest: "0xfeed".into(),
+        };
+        let closed = render_load(&LoadSummary::new(vec![report("kv", LoadArrival::Closed)], &[]));
+        assert!(!closed.contains("lateness["), "{closed}");
+        assert_eq!(
+            render_load_line(&report("kv", LoadArrival::Closed)),
+            "load[kv]: 2000 ops/s saturation, p50 3.0 us, p99 40.0 us, p999 90.0 us (2000 completed, 0 shed, 0 failed)"
+        );
+        assert_eq!(
+            render_load_line(&report("kv", LoadArrival::Uniform { rate_per_sec: 2000.0 })),
+            "load[kv]: 2000 ops/s of offered uniform:2000, p50 3.0 us, p99 40.0 us, p999 90.0 us, mean lateness 2.1 us (2000 completed, 0 shed, 0 failed)"
+        );
+        let open = render_load(&LoadSummary::new(
+            vec![
+                report("kv", LoadArrival::Poisson { rate_per_sec: 2000.0 }),
+                report("sql", LoadArrival::Closed),
+            ],
+            &[],
+        ));
+        assert!(
+            open.contains("lateness[kv]: mean 2.1 us from intended arrival to dispatch (offered poisson:2000)\n"),
+            "{open}"
+        );
+        assert!(!open.contains("lateness[sql]"), "{open}");
+    }
+
+    #[test]
     fn load_report_with_chaos_appends_accounting() {
         use crate::analyzer::LoadSummary;
         let report = crate::loadgen::LoadReport {
             engine: "kv".into(),
             clients: 4,
             inflight: 8,
+            arrival: crate::loadgen::LoadArrival::Poisson { rate_per_sec: 500.0 },
             issued: 1000,
             completed: 930,
             shed: 50,

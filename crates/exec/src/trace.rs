@@ -147,8 +147,8 @@ pub enum TraceEvent {
         /// Session wall-clock in microseconds.
         micros: u64,
     },
-    /// The load driver's bounded admission queue overflowed and ops were
-    /// shed (counted, never blocking the arrival clock).
+    /// The load driver's bounded queue of waiting open-loop ops overflowed
+    /// and ops were shed (counted, never blocking the arrival clock).
     LoadShed {
         /// The engine whose queue overflowed.
         engine: String,

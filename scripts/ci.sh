@@ -158,6 +158,29 @@ for engine in kv sql native streaming; do
 done
 rm -f "$load_out"
 
+echo "== open-loop load smoke (every target, seeded, no faults) =="
+# A 1-second Poisson drive at 2000 ops/s on one client over all four
+# targets: each lane waits for its op's intended arrival. The drive must
+# be CONFORMANT, conserve every op per engine
+# (issued == completed + shed + failed), and print each engine's mean
+# dispatch lateness on its load[...] line.
+open_out=$(mktemp)
+./target/release/bdbench load --clients 1 --arrival poisson:2000 --duration-ms 1000 --seed 42 \
+    >"$open_out" || { echo "open-loop smoke: drive failed or diverged"; cat "$open_out"; exit 1; }
+grep -q "verdict: CONFORMANT" "$open_out" \
+    || { echo "open-loop smoke: expected a CONFORMANT verdict"; cat "$open_out"; exit 1; }
+for engine in kv sql native streaming; do
+    read -r issued completed shed failed <<<"$(awk -v e="$engine" '$1==e && NF>10 {print $4, $5, $6, $7}' "$open_out")"
+    if [ -z "$failed" ] || [ "$issued" -ne $((completed + shed + failed)) ]; then
+        echo "open-loop smoke: $engine conservation violated ($issued != $completed + $shed + $failed)"
+        cat "$open_out"; exit 1
+    fi
+    grep -Eq "^load\[$engine\]: .*, mean lateness [0-9.]+ us \(" "$open_out" \
+        || { echo "open-loop smoke: load[$engine] line lacks its mean lateness"; cat "$open_out"; exit 1; }
+    echo "open-loop smoke: $engine conserved $issued ops ($completed completed, $shed shed, $failed failed)"
+done
+rm -f "$open_out"
+
 echo "== chaos load smoke (closed and open loop, seeded) =="
 # Closed-loop chaos: a 40% error rate past one retry fails some ops but
 # the drive stays CONFORMANT, conserves every op

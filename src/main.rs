@@ -41,6 +41,7 @@ use bdbench::core::pipeline::Benchmark;
 use bdbench::core::registry::GeneratorRegistry;
 use bdbench::exec::convert::trace_to_jsonl;
 use bdbench::exec::engine::EngineRegistry;
+use bdbench::exec::reporter::render_load_line;
 use bdbench::suites::table2::{render_workload_details, SuiteRun};
 use bdbench::suites::{all_suites, run_suite, table1, table2};
 use bdbench::testgen::{PrescriptionRepository, SystemKind};
@@ -350,7 +351,9 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
 }
 
 /// `bdbench load`: drive N concurrent clients × M in-flight lanes
-/// against the built-in engines and report tail latency + saturation.
+/// against the built-in engines and report tail latency and rate (the
+/// saturation throughput of a closed loop, or an open loop's offered
+/// arrivals and their mean dispatch lateness).
 fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     let (positional, opts) = parse_opts(
         args,
@@ -404,17 +407,7 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     let run = Benchmark::new().run_load(&spec)?;
     println!("{}", run.analysis);
     for report in &run.summary.reports {
-        println!(
-            "load[{}]: {:.0} ops/s saturation, p50 {:.1} us, p99 {:.1} us, p999 {:.1} us ({} completed, {} shed, {} failed)",
-            report.engine,
-            report.throughput_ops_per_sec,
-            report.p50_us,
-            report.p99_us,
-            report.p999_us,
-            report.completed,
-            report.shed,
-            report.failed,
-        );
+        println!("{}", render_load_line(report));
         if report.faults + report.retries > 0 {
             println!(
                 "chaos[{}]: {} fault(s), {} retry(ies)",

@@ -1,18 +1,20 @@
 //! End-to-end contracts of the concurrent load driver: the issued-op
 //! schedule is a pure function of the seed (never of concurrency), the
-//! closed loop conserves ops, the open loop sheds instead of blocking,
-//! and KV readers make progress while induced flushes hold the write
-//! lock.
+//! closed loop conserves ops, the open loop sheds instead of blocking
+//! and never starts an op before its intended arrival, and KV readers
+//! make progress while induced flushes hold the write lock.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::core::pipeline::Benchmark;
 use bdbench::exec::engine::EngineRegistry;
 use bdbench::exec::loadgen::{
-    self, build_schedule, issued_digest, run_target, KvLoadTarget, LoadArrival, LoadProfile,
-    KEYSPACE,
+    self, build_schedule, issued_digest, run_target, KvLoadTarget, LoadArrival, LoadOp,
+    LoadProfile, LoadSession, LoadTarget, NativeLoadTarget, ScheduledOp, KEYSPACE,
 };
 use bdbench::exec::trace::RunTrace;
 use bdbench::kv::lsm::LsmConfig;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 fn profile(clients: usize, duration_ms: u64) -> LoadProfile {
     LoadProfile {
@@ -95,10 +97,37 @@ fn every_arrival_discipline_conserves_issued_ops() {
     }
 }
 
+/// The kv target with every op held 200 µs before it runs: four gaps of
+/// a 20 000/s arrival clock, so two lanes serve half the offered rate.
+struct SlowKv(KvLoadTarget);
+
+struct SlowKvSession<'a>(Box<dyn LoadSession + 'a>);
+
+impl LoadSession for SlowKvSession<'_> {
+    fn execute(&mut self, op: &LoadOp) -> String {
+        std::thread::sleep(Duration::from_micros(200));
+        self.0.execute(op)
+    }
+}
+
+impl LoadTarget for SlowKv {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn session(&self) -> Box<dyn LoadSession + '_> {
+        Box::new(SlowKvSession(self.0.session()))
+    }
+    fn expected(&self, op: &LoadOp) -> String {
+        self.0.expected(op)
+    }
+}
+
 #[test]
 fn open_loop_conserves_and_sheds_under_an_undersized_queue() {
-    // One admission slot against a fast arrival process must shed, and
-    // every arrival is accounted for: issued == completed + shed.
+    // One queue slot against arrivals twice as fast as the lanes can
+    // serve them must shed, and every arrival is accounted for:
+    // issued == completed + shed. A sleep never returns early, so the
+    // backlog outgrows the slot whatever the timing of the box.
     let p = LoadProfile {
         clients: 2,
         inflight: 1,
@@ -108,16 +137,85 @@ fn open_loop_conserves_and_sheds_under_an_undersized_queue() {
         engines: Some(vec!["kv".into()]),
         ..LoadProfile::default()
     };
-    let registry = EngineRegistry::with_builtins();
+    let schedule = build_schedule(&p, 3).unwrap();
     let trace = RunTrace::new();
-    let reports = loadgen::run_load(&registry, &p, 3, &trace).unwrap();
-    assert_eq!(reports.len(), 1);
-    let r = &reports[0];
+    let r = run_target(&SlowKv(KvLoadTarget::new()), &p, &schedule, &trace).unwrap();
     assert_eq!(r.issued, r.completed + r.shed, "conservation");
     assert!(r.completed > 0, "some ops must still complete");
-    assert!(r.shed > 0, "a 1-slot queue at 20k/s must shed");
+    assert!(r.shed > 0, "a 1-slot queue at twice the service rate must shed");
+    assert!(r.conformance_passed, "shedding must not change answers");
     let events = trace.events();
     assert!(events.iter().any(|e| e.label() == "load_shed"));
+}
+
+/// The native target, with sessions that stamp when each op starts,
+/// measured from an epoch taken immediately before the drive. The epoch
+/// is no later than the driver's own start instant and precedes it by
+/// only the driver's profile checks (no thread start, no I/O), so a stamp
+/// overstates how late an op started by that sub-microsecond setup.
+struct Stamping {
+    epoch: Instant,
+    starts: Mutex<Vec<(LoadOp, Duration)>>,
+}
+
+struct StampingSession<'a>(&'a Stamping, Box<dyn LoadSession + 'static>);
+
+impl LoadSession for StampingSession<'_> {
+    fn execute(&mut self, op: &LoadOp) -> String {
+        let start = self.0.epoch.elapsed();
+        self.0.starts.lock().unwrap().push((*op, start));
+        self.1.execute(op)
+    }
+}
+
+impl LoadTarget for Stamping {
+    fn name(&self) -> &'static str {
+        "stamping"
+    }
+    fn session(&self) -> Box<dyn LoadSession + '_> {
+        Box::new(StampingSession(self, NativeLoadTarget.session()))
+    }
+    fn expected(&self, op: &LoadOp) -> String {
+        NativeLoadTarget.expected(op)
+    }
+}
+
+#[test]
+fn open_loop_never_starts_an_op_before_its_intended_arrival() {
+    for clients in [1, 4] {
+        let p = LoadProfile {
+            clients,
+            inflight: 1,
+            duration_ms: 100,
+            arrival: LoadArrival::Poisson { rate_per_sec: 4000.0 },
+            sample_every: 1,
+            ..LoadProfile::default()
+        };
+        // The seeded arrival instants, with op `i` made a get of key `i`
+        // so every executed op names its schedule slot.
+        let schedule: Vec<ScheduledOp> = build_schedule(&p, 17)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| ScheduledOp { at_ms: s.at_ms, op: LoadOp::Get { key: i as u64 } })
+            .collect();
+        assert!(schedule.len() as u64 <= KEYSPACE);
+        let trace = RunTrace::new();
+        let target = Stamping { epoch: Instant::now(), starts: Mutex::new(Vec::new()) };
+        let r = run_target(&target, &p, &schedule, &trace).unwrap();
+        assert_eq!(r.issued, r.completed + r.shed + r.failed, "clients={clients}: conservation");
+        assert!(r.conformance_passed, "clients={clients}: CONFORMANT");
+        let starts = target.starts.into_inner().unwrap();
+        assert_eq!(starts.len() as u64, r.completed, "clients={clients}");
+        let mut seen = vec![false; schedule.len()];
+        for (op, start) in starts {
+            let LoadOp::Get { key } = op else { panic!("{op:?} is not in the schedule") };
+            let slot = key as usize;
+            assert!(!std::mem::replace(&mut seen[slot], true), "op {slot} ran twice");
+            let due = Duration::from_secs_f64(schedule[slot].at_ms / 1000.0);
+            assert!(start >= due, "clients={clients}: op {slot} started at {start:?}, due {due:?}");
+        }
+    }
 }
 
 #[test]
