@@ -1,9 +1,9 @@
 //! S5.2 — the truly hybrid workload.
 //!
-//! Mixed OLTP + analytics operation streams with controlled arrival rates
-//! and sequences: a mix-ratio sweep showing how analytics share degrades
-//! aggregate throughput while per-class latency stays stable, plus bursty
-//! vs smooth arrival comparison.
+//! Mixed OLTP + analytics operation sequences issued back to back: a
+//! mix-ratio sweep showing how analytics share degrades aggregate
+//! throughput while per-class latency stays stable, plus a bursty vs
+//! smooth comparison of the arrival processes' gap statistics.
 
 use bdb_exec::reporter::{fmt_num, TableReporter};
 use bdb_testgen::arrival::{schedule, ArrivalProcess, ArrivalSpec};
@@ -12,7 +12,7 @@ use bdb_workloads::hybrid::{run_hybrid, HybridConfig};
 fn report() {
     bdb_bench::banner("S5.2", "hybrid workloads with arrival patterns");
     let mut table = TableReporter::new(
-        "Mix-ratio sweep (2000 ops, open-loop Poisson arrivals)",
+        "Mix-ratio sweep (2000 ops, back-to-back)",
         &["oltp share", "throughput ops/s", "oltp p50 us", "olap p50 us"],
     );
     for share in [0.99, 0.9, 0.5, 0.1] {
@@ -22,10 +22,6 @@ fn report() {
             operations: 2_000,
             kv_records: 5_000,
             table_rows: 5_000,
-            arrival: ArrivalSpec::Open {
-                rate_per_sec: 1_000_000.0,
-                process: ArrivalProcess::Poisson,
-            },
         };
         let (outcome, result) = run_hybrid(&cfg, 7).expect("runs");
         table.add_row(&[

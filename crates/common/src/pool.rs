@@ -1,24 +1,25 @@
-//! A scoped, chunk-dispatching worker pool built on `std::thread::scope`.
+//! A scoped, index-dispatching worker pool built on `std::thread::scope`:
+//! the one body behind every parallel fan-out in the workspace.
 //!
 //! The data generators need BDGS/PDGF-style parallelism: N workers produce
 //! disjoint slices of one logical data set, and the concatenation of the
 //! slices — in slice order — must equal a sequential run of the same seed.
-//! The pool therefore separates *scheduling* from *merging*: chunks are
-//! handed to whichever worker is free (an atomic cursor, so a slow chunk
-//! never stalls the others), but results are always returned in chunk-index
-//! order, making the output independent of thread timing.
+//! The pool therefore separates *scheduling* from *merging*: items (a
+//! generator's [`Chunk`]s, a MapReduce job's splits and partitions, a load
+//! driver's clients) are handed to whichever worker is free (an atomic
+//! cursor, so a slow item never stalls the others), but results are always
+//! returned in input order, making the output independent of thread timing.
 //!
-//! No external crates: the registry is offline, so this mirrors the
-//! `std::thread::scope` pattern already used by `bdb-mapreduce`'s runtime
-//! instead of pulling in rayon. Worker count `0` means "use
-//! [`std::thread::available_parallelism`]" everywhere.
+//! No external crates: the registry is offline, so this is plain
+//! `std::thread::scope` instead of rayon. Worker count `0` means "use
+//! [`std::thread::available_parallelism`]" everywhere, through
+//! [`effective_workers`].
 //!
 //! The pool is panic-hardened: a task that panics is caught in its worker
-//! and surfaced as a structured [`WorkerPanic`] by the `try_` variants
-//! ([`try_par_map_chunks`], [`try_par_map`]) instead of tearing down the
-//! process — which is what lets the resilient execution layer treat a
-//! crashed generator worker as a retryable fault. The panic-propagating
-//! [`par_map_chunks`]/[`par_map`] wrappers keep the old contract for
+//! and surfaced as a structured [`WorkerPanic`] by [`try_par_map`] instead
+//! of tearing down the process — which is what lets the resilient
+//! execution layer treat a crashed generator worker as a retryable fault.
+//! The panic-propagating [`par_map`] wrapper keeps the old contract for
 //! callers whose tasks cannot fail.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,7 +30,7 @@ use std::sync::Mutex;
 /// crashing task fails the operation instead of aborting the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
-    /// Index of the chunk/item whose task panicked (the lowest index when
+    /// Index of the item whose task panicked (the lowest index when
     /// several workers panic).
     pub task_index: usize,
     /// The panic payload rendered as text.
@@ -110,100 +111,14 @@ pub fn chunk_ranges(total: u64, chunk_size: u64) -> Vec<Chunk> {
     chunks
 }
 
-/// Run `f` over every chunk on `workers` threads (0 = available
-/// parallelism) and return the results **in chunk-index order**,
-/// independent of which worker ran which chunk. A panicking task is
-/// caught and returned as a [`WorkerPanic`] naming the lowest panicking
-/// chunk index; remaining chunks are not started once a panic is seen.
+/// Map `f` over `items` on `workers` threads (0 = available parallelism)
+/// and return the results **in input order**, independent of which worker
+/// ran which item. A panicking task is caught and returned as a
+/// [`WorkerPanic`] naming the lowest panicking index; remaining items are
+/// not started once a panic is seen.
 ///
-/// Chunks are dispatched through a shared atomic cursor, so load imbalance
-/// between chunks is absorbed by whichever workers finish early.
-pub fn try_par_map_chunks<R, F>(
-    workers: usize,
-    chunks: Vec<Chunk>,
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(Chunk) -> R + Sync,
-{
-    let workers = effective_workers(workers).min(chunks.len().max(1));
-    if workers <= 1 || chunks.len() <= 1 {
-        return chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| {
-                catch_unwind(AssertUnwindSafe(|| f(c))).map_err(|p| WorkerPanic {
-                    task_index: i,
-                    message: panic_message(p.as_ref()),
-                })
-            })
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let panic: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..chunks.len()).map(|_| None).collect());
-    let chunks = &chunks;
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(chunks[i]))) {
-                        Ok(out) => slots.lock().expect("pool slots poisoned")[i] = Some(out),
-                        Err(payload) => {
-                            let caught = WorkerPanic {
-                                task_index: i,
-                                message: panic_message(payload.as_ref()),
-                            };
-                            let mut first = panic.lock().expect("pool panic slot poisoned");
-                            // Keep the lowest-index panic so the reported
-                            // error is independent of thread timing.
-                            if first.as_ref().is_none_or(|p| caught.task_index < p.task_index) {
-                                *first = Some(caught);
-                            }
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("pool worker thread died outside a task");
-        }
-    });
-    if let Some(p) = panic.into_inner().expect("pool panic slot poisoned") {
-        return Err(p);
-    }
-    Ok(slots
-        .into_inner()
-        .expect("pool slots poisoned")
-        .into_iter()
-        .map(|s| s.expect("every chunk produced a result"))
-        .collect())
-}
-
-/// Panic-propagating wrapper around [`try_par_map_chunks`] for callers
-/// whose tasks are known not to panic.
-pub fn par_map_chunks<R, F>(workers: usize, chunks: Vec<Chunk>, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Chunk) -> R + Sync,
-{
-    try_par_map_chunks(workers, chunks, f).unwrap_or_else(|p| panic!("{p}"))
-}
-
-/// Map `f` over `items` on `workers` threads, preserving input order in
-/// the output and catching task panics. Convenience wrapper for task
-/// lists that are not ranges.
+/// Items are dispatched through a shared atomic cursor, so load imbalance
+/// between items is absorbed by whichever workers finish early.
 pub fn try_par_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Result<Vec<R>, WorkerPanic>
 where
     T: Send,
@@ -255,6 +170,8 @@ where
                                 message: panic_message(payload.as_ref()),
                             };
                             let mut first = panic.lock().expect("pool panic slot poisoned");
+                            // Keep the lowest-index panic so the reported
+                            // error is independent of thread timing.
                             if first.as_ref().is_none_or(|p| caught.task_index < p.task_index) {
                                 *first = Some(caught);
                             }
@@ -327,10 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunks_merges_in_index_order() {
+    fn par_map_merges_chunks_in_index_order() {
         for workers in [1, 2, 4, 0] {
             let chunks = chunk_ranges(1000, 37);
-            let got = par_map_chunks(workers, chunks.clone(), |c| {
+            let got = par_map(workers, chunks.clone(), |c| {
                 (c.offset..c.offset + c.len).collect::<Vec<u64>>()
             });
             let flat: Vec<u64> = got.into_iter().flatten().collect();
@@ -339,12 +256,12 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunks_is_deterministic_under_imbalance() {
+    fn par_map_is_deterministic_under_imbalance() {
         // Uneven per-chunk work must not perturb merge order.
         let chunks = split_even(64, 16);
         let run = || {
-            par_map_chunks(4, chunks.clone(), |c| {
-                if c.index % 3 == 0 {
+            par_map(4, chunks.clone(), |c| {
+                if c.index.is_multiple_of(3) {
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
                 c.offset
@@ -366,7 +283,7 @@ mod tests {
     #[test]
     fn panicking_task_surfaces_structured_error() {
         for workers in [1, 4] {
-            let err = try_par_map_chunks(workers, split_even(32, 8), |c| {
+            let err = try_par_map(workers, split_even(32, 8), |c| {
                 if c.index == 3 {
                     panic!("chunk {} exploded", c.index);
                 }
@@ -411,7 +328,7 @@ mod tests {
     #[test]
     fn pool_actually_runs_on_multiple_threads() {
         use std::collections::BTreeSet;
-        let ids = par_map_chunks(4, split_even(64, 64), |_c| {
+        let ids = par_map(4, split_even(64, 64), |_c| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             format!("{:?}", std::thread::current().id())
         });

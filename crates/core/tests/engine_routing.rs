@@ -12,7 +12,7 @@ use bdb_exec::SystemConfig;
 use bdb_testgen::arrival::ArrivalSpec;
 use bdb_testgen::ops::AggSpec;
 use bdb_testgen::pattern::WorkloadPattern;
-use bdb_testgen::{MetricKind, Operation, Prescription, SystemKind};
+use bdb_testgen::{Operation, Prescription, SystemKind};
 use std::collections::BTreeMap;
 
 const ALL_SYSTEMS: [SystemKind; 5] = [
@@ -130,7 +130,6 @@ fn incapable_pairing_lists_candidate_engines() {
             input: "orders".into(),
         },
         arrival: ArrivalSpec::Batch,
-        metrics: vec![MetricKind::UserPerceivable],
     };
     prescription.validate().unwrap();
 
@@ -161,7 +160,6 @@ fn empty_registry_reports_the_absence_of_candidates() {
             input: "t".into(),
         },
         arrival: ArrivalSpec::Batch,
-        metrics: vec![MetricKind::UserPerceivable],
     };
     let request = ExecutionRequest {
         prescription: &prescription,

@@ -204,7 +204,7 @@ pub trait DataGenerator: Send + Sync {
         chunks: Vec<pool::Chunk>,
         after_shard: &(dyn Fn(pool::Chunk) + Sync),
     ) -> Result<Dataset> {
-        let parts = pool::par_map_chunks(workers, chunks, |c| {
+        let parts = pool::par_map(workers, chunks, |c| {
             let shard = self.generate_shard(seed, volume, c.offset, c.len);
             after_shard(c);
             shard

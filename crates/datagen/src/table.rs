@@ -579,7 +579,7 @@ impl DataGenerator for TableGenerator {
         // The first chunk starts fresh (row 0 emits `start` itself).
         let mut anchors = vec![vec![i64::MIN; self.models.len()]];
         if self.models.iter().any(|m| matches!(m, ColumnModel::MonotonicTimestamp { .. })) {
-            let sums = pool::par_map_chunks(workers, chunks.clone(), |c| {
+            let sums = pool::par_map(workers, chunks.clone(), |c| {
                 self.ts_gap_sums(seed, c.offset, c.len)
             });
             // Exclusive prefix sum over chunk gap sums, offset by each
@@ -603,7 +603,7 @@ impl DataGenerator for TableGenerator {
         } else {
             anchors.resize(chunks.len(), anchors[0].clone());
         }
-        let parts = pool::par_map_chunks(workers, chunks, |c| {
+        let parts = pool::par_map(workers, chunks, |c| {
             let shard = self.generate_shard_anchored(seed, c.offset, c.len, &anchors[c.index]);
             after_shard(c);
             shard

@@ -18,15 +18,6 @@ impl SystemConfig {
         self.threads = threads;
         self
     }
-
-    /// Effective thread count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -36,12 +27,6 @@ mod tests {
     #[test]
     fn builder_sets_fields() {
         let c = SystemConfig::default().with_threads(8);
-        assert_eq!(c.effective_threads(), 8);
-    }
-
-    #[test]
-    fn zero_threads_falls_back_to_parallelism() {
-        let c = SystemConfig::default();
-        assert!(c.effective_threads() >= 1);
+        assert_eq!(c.threads, 8);
     }
 }

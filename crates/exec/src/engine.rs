@@ -24,7 +24,7 @@ use crate::fault::{self, FaultSite, Resilience};
 use crate::trace::RunTrace;
 use bdb_common::record::{row_lines, Table};
 use bdb_common::text::{Document, Vocabulary};
-use bdb_common::{BdbError, Result};
+use bdb_common::{pool, BdbError, Result};
 use bdb_datagen::{DataSourceKind, Dataset};
 use bdb_mapreduce::JobConfig;
 use bdb_metrics::{MetricsCollector, OpCounts};
@@ -877,7 +877,7 @@ impl Engine for KvEngine {
         let config = oltp::YcsbConfig {
             record_count: req.scale,
             operation_count: req.scale * 2,
-            clients: req.config.effective_threads().min(8),
+            clients: pool::effective_workers(req.config.threads).min(8),
             value_size: 100,
         };
         // `run_ycsb` makes its own result: its per-operation latencies,

@@ -4,10 +4,13 @@
 //! key hash → shuffle → sort within partition → group → reduce (parallel);
 //! `run_map` stops after the map phase. A job is lent its input: splits
 //! are subslices, and what a mapper emits may borrow from the records it
-//! was shown. The dataflow is the real thing; only the transport (memory
+//! was shown. Both phases run on the workspace pool
+//! ([`bdb_common::pool`]): map and reduce tasks queue on `workers`
+//! threads. The dataflow is the real thing; only the transport (memory
 //! instead of disk/network) is simulated.
 
 use crate::counters::{CounterSnapshot, Counters};
+use bdb_common::pool;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
@@ -19,7 +22,8 @@ pub struct JobConfig {
     pub map_tasks: usize,
     /// Number of reduce tasks (shuffle partitions).
     pub reduce_tasks: usize,
-    /// Worker threads for both phases. 0 = available parallelism.
+    /// Worker threads for both phases: map and reduce tasks queue on this
+    /// many threads. 0 = available parallelism.
     pub workers: usize,
 }
 
@@ -30,19 +34,11 @@ impl Default for JobConfig {
 }
 
 impl JobConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        }
-    }
-
     fn effective_map_tasks(&self) -> usize {
         if self.map_tasks > 0 {
             self.map_tasks
         } else {
-            self.effective_workers()
+            pool::effective_workers(self.workers)
         }
     }
 }
@@ -78,17 +74,6 @@ fn split_input<I>(input: &[I], n: usize) -> Vec<&[I]> {
             split
         })
         .collect()
-}
-
-/// Run `task` over each item on its own scoped thread; results come back
-/// in item order.
-fn run_tasks<T: Send, U: Send>(items: Vec<T>, task: impl Fn(T) -> U + Sync) -> Vec<U> {
-    std::thread::scope(|scope| {
-        let task = &task;
-        let handles: Vec<_> =
-            items.into_iter().map(|item| scope.spawn(move || task(item))).collect();
-        handles.into_iter().map(|h| h.join().expect("map or reduce task panicked")).collect()
-    })
 }
 
 /// Run a MapReduce job without a combiner over the lent `input`: the
@@ -145,7 +130,8 @@ where
 {
     let start = Instant::now();
     let counters = Counters::new();
-    let outputs = run_tasks(split_input(input, config.effective_map_tasks()), |split| {
+    let splits = split_input(input, config.effective_map_tasks());
+    let outputs = pool::par_map(config.workers, splits, |split| {
         let mut out = Vec::new();
         for record in split {
             mapper(record, &mut |o| out.push(o));
@@ -181,7 +167,7 @@ where
     // ---- Map phase (parallel over splits) ----
     // Each map task produces `reduce_tasks` partitions of (K, V).
     let splits = split_input(input, config.effective_map_tasks());
-    let map_outputs: Vec<Vec<Vec<(K, V)>>> = run_tasks(splits, |split| {
+    let map_outputs: Vec<Vec<Vec<(K, V)>>> = pool::par_map(config.workers, splits, |split| {
         let mut partitions: Vec<Vec<(K, V)>> = (0..reduce_tasks).map(|_| Vec::new()).collect();
         let mut emitted = 0u64;
         for record in split {
@@ -217,7 +203,7 @@ where
     Counters::add(&counters.shuffle_records, shuffled);
 
     // ---- Reduce phase (parallel over partitions, sorted input) ----
-    let partition_outputs: Vec<Vec<O>> = run_tasks(reduce_inputs, |mut pairs| {
+    let partition_outputs: Vec<Vec<O>> = pool::par_map(config.workers, reduce_inputs, |mut pairs| {
         // The sort that defines MapReduce reduce-input order.
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         let mut outputs = Vec::new();
@@ -405,6 +391,30 @@ mod tests {
             assert_eq!((c.map_input_records, c.map_output_records), (23, 15));
             assert_eq!(c.total_record_ops(), 23 + 15, "no shuffle or reduce records");
         }
+    }
+
+    #[test]
+    fn reduce_tasks_queue_on_the_configured_workers() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let input: Vec<u64> = (0..400).collect();
+        let run = |workers: usize| {
+            let threads = Mutex::new(HashSet::new());
+            let r = run_job(
+                &JobConfig { map_tasks: 4, reduce_tasks: 8, workers },
+                &input,
+                |x: &u64, emit| emit(x % 64, *x),
+                |k: &u64, vs: Vec<u64>, out| {
+                    threads.lock().unwrap().insert(std::thread::current().id());
+                    out((*k, vs.iter().sum::<u64>()));
+                },
+            );
+            (r.outputs, threads.into_inner().unwrap().len())
+        };
+        let (sequential, _) = run(1);
+        let (pooled, distinct) = run(2);
+        assert!(distinct <= 2, "8 reduce tasks ran on {distinct} threads, want at most 2");
+        assert_eq!(pooled, sequential, "partition order must not depend on workers");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::arrival::ArrivalSpec;
 use crate::ops::Operation;
 use crate::pattern::WorkloadPattern;
-use crate::prescription::{DataSpec, MetricKind, Prescription};
+use crate::prescription::{DataSpec, Prescription};
 use bdb_common::{BdbError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +58,6 @@ pub struct TestGenerator {
     operations: Vec<Operation>,
     pattern: Option<WorkloadPattern>,
     arrival: ArrivalSpec,
-    metrics: Vec<MetricKind>,
 }
 
 impl TestGenerator {
@@ -92,13 +91,6 @@ impl TestGenerator {
         self
     }
 
-    /// Optional: choose metrics (defaults to user-perceivable +
-    /// architecture).
-    pub fn with_metrics(mut self, metrics: Vec<MetricKind>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     /// Step 4: produce and validate the prescription.
     pub fn prescribe(
         self,
@@ -118,18 +110,12 @@ impl TestGenerator {
                 )));
             }
         }
-        let metrics = if self.metrics.is_empty() {
-            vec![MetricKind::UserPerceivable, MetricKind::Architecture]
-        } else {
-            self.metrics
-        };
         let p = Prescription {
             name: name.into(),
             description: description.into(),
             data: self.data,
             pattern,
             arrival: self.arrival,
-            metrics,
         };
         p.validate()?;
         Ok(p)
@@ -202,21 +188,5 @@ mod tests {
             })
             .prescribe("x", "y");
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn default_metrics_are_filled_in() {
-        let p = TestGenerator::new()
-            .select_data(data_spec())
-            .select_pattern(WorkloadPattern::Single {
-                op: Operation::Count,
-                input: "orders".into(),
-            })
-            .prescribe("x", "y")
-            .unwrap();
-        assert_eq!(
-            p.metrics,
-            vec![MetricKind::UserPerceivable, MetricKind::Architecture]
-        );
     }
 }

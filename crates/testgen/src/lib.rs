@@ -14,8 +14,9 @@
 //!   a stopping condition, so the operation count is only known at run
 //!   time).
 //! * [`prescription`] — the serialisable artifact bundling a data spec,
-//!   operations/pattern, an arrival pattern and metrics — "the
-//!   information needed to produce a benchmarking test".
+//!   operations/pattern and an arrival pattern — "the information needed
+//!   to produce a benchmarking test". Every result reports all four
+//!   metric families, so a prescription does not pick them.
 //! * [`arrival`] — operation arrival patterns (rates and sequences,
 //!   Section 5.2), including hybrid mixes of prescriptions.
 //! * [`bind`] — the *system view*: executing one abstract test on
@@ -36,5 +37,5 @@ pub mod repository;
 pub use generator::{PrescribedTest, SystemKind, TestGenerator};
 pub use ops::{Operation, OperationKind};
 pub use pattern::{StoppingCondition, WorkloadPattern};
-pub use prescription::{DataSpec, MetricKind, Prescription};
+pub use prescription::{DataSpec, Prescription};
 pub use repository::PrescriptionRepository;

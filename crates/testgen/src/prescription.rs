@@ -24,19 +24,6 @@ pub struct DataSpec {
     pub items: u64,
 }
 
-/// The metric families a test should report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MetricKind {
-    /// Duration, latency, throughput.
-    UserPerceivable,
-    /// MIPS/MFLOPS-style counter rates.
-    Architecture,
-    /// Modelled energy.
-    Energy,
-    /// Modelled cost.
-    Cost,
-}
-
 /// A complete, portable test specification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Prescription {
@@ -50,8 +37,6 @@ pub struct Prescription {
     pub pattern: WorkloadPattern,
     /// How operations arrive.
     pub arrival: ArrivalSpec,
-    /// Metrics to report.
-    pub metrics: Vec<MetricKind>,
 }
 
 impl Prescription {
@@ -69,9 +54,6 @@ impl Prescription {
                     "pattern reads undeclared data set {needed}"
                 )));
             }
-        }
-        if self.metrics.is_empty() {
-            return Err(BdbError::TestGen("prescription reports no metrics".into()));
         }
         Ok(())
     }
@@ -112,7 +94,6 @@ mod tests {
                 input: "docs".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: vec![MetricKind::UserPerceivable, MetricKind::Architecture],
         }
     }
 
@@ -129,12 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_name_or_metrics_rejected() {
+    fn empty_name_rejected() {
         let mut p = sample();
         p.name.clear();
-        assert!(p.validate().is_err());
-        let mut p = sample();
-        p.metrics.clear();
         assert!(p.validate().is_err());
     }
 

@@ -10,7 +10,7 @@
 use crate::arrival::{ArrivalProcess, ArrivalSpec};
 use crate::ops::{AggSpec, CompareOp, Operation, PredicateSpec, ScalarSpec};
 use crate::pattern::{InputRef, Step, StoppingCondition, WorkloadPattern};
-use crate::prescription::{DataSpec, MetricKind, Prescription};
+use crate::prescription::{DataSpec, Prescription};
 use bdb_common::{BdbError, Result};
 use std::collections::BTreeMap;
 
@@ -107,10 +107,6 @@ fn behavioral_data(name: &str, items: u64) -> DataSpec {
     }
 }
 
-fn default_metrics() -> Vec<MetricKind> {
-    vec![MetricKind::UserPerceivable, MetricKind::Architecture]
-}
-
 /// The built-in domain prescriptions.
 pub fn builtin_prescriptions() -> Vec<Prescription> {
     vec![
@@ -125,7 +121,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "rows".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "micro/wordcount".into(),
@@ -136,7 +131,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "docs".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "micro/grep".into(),
@@ -147,7 +141,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "docs".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         // ---- Basic database operations: Cloud OLTP (YCSB style) ----
         Prescription {
@@ -170,12 +163,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 ],
             },
             arrival: ArrivalSpec::Open { rate_per_sec: 10_000.0, process: ArrivalProcess::Poisson },
-            metrics: vec![
-                MetricKind::UserPerceivable,
-                MetricKind::Architecture,
-                MetricKind::Energy,
-                MetricKind::Cost,
-            ],
         },
         Prescription {
             name: "oltp/scan-heavy".into(),
@@ -196,7 +183,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 ],
             },
             arrival: ArrivalSpec::Open { rate_per_sec: 5_000.0, process: ArrivalProcess::Poisson },
-            metrics: default_metrics(),
         },
         // ---- Relational queries (real-time analytics) ----
         Prescription {
@@ -229,7 +215,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 ],
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "relational/join".into(),
@@ -249,7 +234,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 }],
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         // ---- Search engine ----
         Prescription {
@@ -261,7 +245,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "docs".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "search/pagerank".into(),
@@ -280,7 +263,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 stop: StoppingCondition::Convergence { epsilon: 1e-6, max_iterations: 50 },
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         // ---- Social network ----
         Prescription {
@@ -300,7 +282,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 stop: StoppingCondition::Convergence { epsilon: 0.5, max_iterations: 100 },
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "social/kmeans".into(),
@@ -319,7 +300,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 stop: StoppingCondition::Convergence { epsilon: 1e-4, max_iterations: 50 },
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         // ---- Stream analytics (real-time) ----
         Prescription {
@@ -331,7 +311,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "events".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         // ---- Behavioral analytics (internet-service clickstream) ----
         Prescription {
@@ -343,7 +322,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "events".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "behavioral/retention".into(),
@@ -354,7 +332,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "events".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "behavioral/window-funnel".into(),
@@ -365,7 +342,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "events".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "behavioral/sequence-match".into(),
@@ -376,7 +352,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 input: "events".into(),
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         // ---- E-commerce ----
         Prescription {
@@ -404,7 +379,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 ],
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
         Prescription {
             name: "ecommerce/naive-bayes".into(),
@@ -422,7 +396,6 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
                 }],
             },
             arrival: ArrivalSpec::Batch,
-            metrics: default_metrics(),
         },
     ]
 }

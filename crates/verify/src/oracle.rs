@@ -12,6 +12,7 @@
 //! label propagation; the YCSB mix is replayed serially, client stream
 //! by client stream, instead of on concurrent threads over the LSM.
 
+use bdb_common::pool;
 use bdb_common::prelude::*;
 use bdb_common::record::row_lines;
 use bdb_datagen::Dataset;
@@ -465,7 +466,7 @@ fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
 
     let record_count = req.scale;
     let operation_count = req.scale * 2;
-    let clients = req.config.effective_threads().clamp(1, 8);
+    let clients = pool::effective_workers(req.config.threads).min(8);
     let per_client = operation_count / clients as u64;
     let zipf = Zipf::new(record_count.max(1), 0.99f64.max(0.01));
     let tree = SeedTree::new(req.seed);

@@ -3,9 +3,10 @@
 //! "The truly hybrid workload, i.e. the workload \[that\] consists of the
 //! mix of various data processing operations and their arriving rates and
 //! sequences, has not been adequately supported." This module supports
-//! it: a weighted mix of OLTP point operations (on the LSM store) and
-//! relational analytics queries (on the SQL engine) interleaved according
-//! to a scheduled arrival sequence, with per-component latency metrics.
+//! the "sequences" half: a weighted mix of OLTP point operations (on the
+//! LSM store) and relational analytics queries (on the SQL engine),
+//! interleaved in a seeded sequence and issued back to back, with
+//! per-component latency metrics. The mix is not paced by an arrival rate.
 
 use crate::{WorkloadCategory, WorkloadResult};
 use bdb_common::prelude::*;
@@ -29,8 +30,6 @@ pub struct HybridConfig {
     pub kv_records: u64,
     /// Rows in the analytics table.
     pub table_rows: u64,
-    /// Arrival pattern of the merged stream.
-    pub arrival: ArrivalSpec,
 }
 
 impl Default for HybridConfig {
@@ -41,7 +40,6 @@ impl Default for HybridConfig {
             operations: 1000,
             kv_records: 2000,
             table_rows: 2000,
-            arrival: ArrivalSpec::Batch,
         }
     }
 }
@@ -67,7 +65,7 @@ pub fn run_hybrid(config: &HybridConfig, seed: u64) -> Result<(HybridOutcome, Wo
             ("oltp/point-ops".into(), config.oltp_weight),
             ("relational/aggregate".into(), config.olap_weight),
         ],
-        config.arrival,
+        ArrivalSpec::Batch,
     )?;
     let slots = mix.schedule(config.operations, seed)?;
 

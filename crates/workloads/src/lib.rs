@@ -290,7 +290,7 @@ impl WorkloadResult {
             &PowerModel::default(),
             &CostModel::default(),
             0.7,
-            std::thread::available_parallelism().map_or(4, |n| n.get()),
+            bdb_common::pool::effective_workers(0),
         );
         Self { report, category, details: BTreeMap::new(), output: None }
     }

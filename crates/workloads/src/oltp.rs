@@ -7,10 +7,10 @@
 //! with Zipfian key choice, collecting per-operation latencies.
 
 use crate::{WorkloadCategory, WorkloadResult};
+use bdb_common::pool;
 use bdb_common::prelude::*;
 use bdb_kv::{LsmConfig, SharedLsm};
 use bdb_metrics::{MetricsCollector, OpCounts};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One YCSB-style operation mix.
@@ -140,67 +140,58 @@ pub fn run_ycsb(
     let collector = MetricsCollector::new();
     let zipf = Zipf::new(config.record_count.max(1), spec.zipf_exponent.max(0.01));
     let next_insert = std::sync::atomic::AtomicU64::new(config.record_count);
-    let totals = Mutex::new((MetricsCollector::new(), YcsbOpCounts::default()));
-    let per_client = config.operation_count / config.clients.max(1) as u64;
-    std::thread::scope(|scope| {
-        for client in 0..config.clients.max(1) {
-            let store = store.clone();
-            let spec = *spec;
-            let next_insert = &next_insert;
-            let totals = &totals;
-            let value_size = config.value_size;
-            scope.spawn(move || {
-                let mut rng = tree.child_named("run").child(client as u64).rng();
-                let mut local = MetricsCollector::new();
-                let mut counts = YcsbOpCounts::default();
-                let mut payload = vec![0u8; value_size];
-                for _ in 0..per_client {
-                    let u = rng.next_f64();
-                    let key = key_of(zipf.sample(&mut rng));
-                    payload[0] = payload[0].wrapping_add(1);
-                    let t0 = Instant::now();
-                    if u < spec.read {
-                        counts.reads += 1;
-                        if store.get(&key).is_some() {
-                            counts.read_hits += 1;
-                        }
-                    } else if u < spec.read + spec.update {
-                        counts.updates += 1;
-                        store.put(key, payload.clone());
-                    } else if u < spec.read + spec.update + spec.insert {
-                        counts.inserts += 1;
-                        let id = next_insert
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        store.put(key_of(id), payload.clone());
-                    } else if u < spec.read + spec.update + spec.insert + spec.scan {
-                        counts.scans += 1;
-                        let _ = store.scan(&key, None, spec.scan_len);
-                    } else {
-                        counts.rmws += 1;
-                        let mut v = store.get(&key).unwrap_or_default();
-                        if v.is_empty() {
-                            v = payload.clone();
-                        } else {
-                            v[0] = v[0].wrapping_add(1);
-                        }
-                        store.put(key, v);
-                    }
-                    local.record_latency(t0.elapsed());
+    let clients = config.clients.max(1);
+    let per_client = config.operation_count / clients as u64;
+    let tallies = pool::par_map(clients, (0..clients).collect(), |client: usize| {
+        let mut rng = tree.child_named("run").child(client as u64).rng();
+        let mut local = MetricsCollector::new();
+        let mut counts = YcsbOpCounts::default();
+        let mut payload = vec![0u8; config.value_size];
+        for _ in 0..per_client {
+            let u = rng.next_f64();
+            let key = key_of(zipf.sample(&mut rng));
+            payload[0] = payload[0].wrapping_add(1);
+            let t0 = Instant::now();
+            if u < spec.read {
+                counts.reads += 1;
+                if store.get(&key).is_some() {
+                    counts.read_hits += 1;
                 }
-                let mut guard = totals.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.0.merge(&local);
-                guard.1.reads += counts.reads;
-                guard.1.updates += counts.updates;
-                guard.1.inserts += counts.inserts;
-                guard.1.scans += counts.scans;
-                guard.1.rmws += counts.rmws;
-                guard.1.read_hits += counts.read_hits;
-            });
+            } else if u < spec.read + spec.update {
+                counts.updates += 1;
+                store.put(key, payload.clone());
+            } else if u < spec.read + spec.update + spec.insert {
+                counts.inserts += 1;
+                let id = next_insert.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                store.put(key_of(id), payload.clone());
+            } else if u < spec.read + spec.update + spec.insert + spec.scan {
+                counts.scans += 1;
+                let _ = store.scan(&key, None, spec.scan_len);
+            } else {
+                counts.rmws += 1;
+                let mut v = store.get(&key).unwrap_or_default();
+                if v.is_empty() {
+                    v = payload.clone();
+                } else {
+                    v[0] = v[0].wrapping_add(1);
+                }
+                store.put(key, v);
+            }
+            local.record_latency(t0.elapsed());
         }
+        (local, counts)
     });
-    let (latencies, counts) = totals.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut merged = collector;
-    merged.merge(&latencies);
+    let mut counts = YcsbOpCounts::default();
+    for (local, c) in &tallies {
+        merged.merge(local);
+        counts.reads += c.reads;
+        counts.updates += c.updates;
+        counts.inserts += c.inserts;
+        counts.scans += c.scans;
+        counts.rmws += c.rmws;
+        counts.read_hits += c.read_hits;
+    }
     let user = merged.finish();
     let kv_stats = store.stats();
     let ops = OpCounts { record_ops: kv_stats.total_ops(), float_ops: 0 };

@@ -266,6 +266,57 @@ grep -q "^EXT1: " "$report_out" && grep -q "^Question (1): " "$report_out" \
 rm -f "$report_out"
 echo "report smoke: ext_platforms projected five pipeline results and answered Question (1)"
 
+echo "== second-compiler differential (nightly release build, same answers) =="
+# Every benchmark number comes from the release binary, so its answers are
+# checked against a second compiler. The nightly toolchain builds the
+# workspace in release into its own target dir, and its release test suite
+# must pass. Its binary must print what the stable binary prints for the
+# strict verification sweep, the load driver's issued-op digest and
+# Table 2 with its time columns masked: a miscompile that changes an answer
+# rather than crashing shows up here.
+nightly_target=target/nightly
+cargo +nightly build --offline --release --workspace --target-dir "$nightly_target" || exit 1
+cargo +nightly test --offline --release -q --workspace --target-dir "$nightly_target" || exit 1
+# Table 2 cells split on runs of two or more spaces; the time-derived
+# columns (secs, ops/s, p99 us, Mrops) become `#`, and rule lines, whose
+# width follows those cells, become one dash.
+mask_table2_times() {
+    awk '
+        /^== / { header = 1; split("", mask); print; next }
+        /^-+$/ { print "-"; next }
+        /^$/ || /^finding:/ { print; next }
+        {
+            n = split($0, f, /  +/); line = ""
+            for (i = 1; i <= n; i++) {
+                if (header && f[i] ~ /^(total secs|Mrops \(geo\)|secs|ops\/s|p99 us|Mrops)$/) mask[i] = 1
+                line = line (i > 1 ? "  " : "") ((!header && i in mask) ? "#" : f[i])
+            }
+            header = 0
+            print line
+        }'
+}
+differential=$(mktemp -d)
+for toolchain in stable nightly; do
+    bin=target/release/bdbench
+    [ "$toolchain" = nightly ] && bin=$nightly_target/release/bdbench
+    out=$differential/$toolchain
+    mkdir "$out"
+    "$bin" verify --scale 300 --seed 42 --mode strict --goldens goldens >"$out/verify" \
+        || { echo "differential: $toolchain verify failed"; cat "$out/verify"; exit 1; }
+    "$bin" load --seed 42 | grep "^issued-op digest" >"$out/load" \
+        || { echo "differential: $toolchain load printed no digest"; exit 1; }
+    "$bin" table2 | mask_table2_times >"$out/table2" \
+        || { echo "differential: $toolchain table2 failed"; exit 1; }
+done
+for check in verify load table2; do
+    if ! diff "$differential/stable/$check" "$differential/nightly/$check" >/dev/null; then
+        echo "differential: stable and nightly binaries disagree on $check:"
+        diff "$differential/stable/$check" "$differential/nightly/$check" | head -20; exit 1
+    fi
+done
+rm -rf "$differential"
+echo "differential: nightly release tests pass; verify, load digest and table2 match stable"
+
 echo "== ab.sh smoke (the A/B script parses and rejects bad invocations) =="
 # scripts/ab.sh takes minutes per workload, so the gate only checks what
 # cannot wait for a real comparison: it parses, and its two precondition

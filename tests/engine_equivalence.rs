@@ -127,7 +127,6 @@ fn oracle_and_sql(
         data: vec![],
         pattern: pattern.clone(),
         arrival: ArrivalSpec::Batch,
-        metrics: vec![],
     };
     let (config, trace) = (SystemConfig::default(), RunTrace::new());
     let request = ExecutionRequest {

@@ -89,7 +89,7 @@ fn layers_compose_a_custom_generator_and_prescription() {
     use bdbench::datagen::text::NaiveTextGenerator;
     use bdbench::testgen::ops::Operation;
     use bdbench::testgen::pattern::WorkloadPattern;
-    use bdbench::testgen::prescription::{DataSpec, MetricKind};
+    use bdbench::testgen::prescription::DataSpec;
 
     let mut bench = Benchmark::new();
     bench
@@ -117,7 +117,6 @@ fn layers_compose_a_custom_generator_and_prescription() {
                 input: "docs".into(),
             },
             arrival: bdbench::testgen::arrival::ArrivalSpec::Batch,
-            metrics: vec![MetricKind::UserPerceivable],
         })
         .unwrap();
     let spec = BenchmarkSpec::new("custom").with_prescription("custom/wc").with_scale(50);
