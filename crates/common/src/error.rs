@@ -29,15 +29,14 @@ pub enum BdbError {
     /// An I/O failure, carried as a string so the error stays `Clone`.
     Io(String),
     /// The process (or an injected kill point) aborted mid-operation.
-    /// Crashes are terminal: the recovery loop must not retry or fail
-    /// over past one — the run ends and durable state is whatever was
-    /// already written. Recovery happens on the next open/resume.
+    /// Crashes are terminal: the run ends and durable state is whatever
+    /// was already written. Recovery happens on the next open/resume.
     Crashed(String),
 }
 
 impl BdbError {
-    /// True for [`BdbError::Crashed`] — the one error class retry and
-    /// deadline machinery must never absorb.
+    /// True for [`BdbError::Crashed`]: a kill point, which the next
+    /// open or `--resume` recovers from, not the run that hit it.
     pub fn is_crash(&self) -> bool {
         matches!(self, BdbError::Crashed(_))
     }
@@ -97,7 +96,7 @@ mod tests {
     #[test]
     fn only_crashes_are_crashes() {
         assert!(BdbError::Crashed("kill point".into()).is_crash());
-        assert!(!BdbError::Execution("retryable".into()).is_crash());
+        assert!(!BdbError::Execution("engine failure".into()).is_crash());
         assert!(!BdbError::Io("disk".into()).is_crash());
     }
 

@@ -18,7 +18,8 @@
 //! The pool is panic-hardened: a task that panics is caught in its worker
 //! and surfaced as a structured [`WorkerPanic`] by [`try_par_map`] instead
 //! of tearing down the process — which is what lets the resilient
-//! execution layer treat a crashed generator worker as a retryable fault.
+//! execution layer turn a crashed generator worker into the named error of
+//! the operation it hit.
 //! The panic-propagating [`par_map`] wrapper keeps the old contract for
 //! callers whose tasks cannot fail.
 

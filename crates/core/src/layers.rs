@@ -35,10 +35,6 @@ pub struct BenchmarkSpec {
     pub seed: u64,
     /// Deterministic fault plan for chaos runs (`None` = no injection).
     pub faults: Option<FaultPlan>,
-    /// Retries per operation after the first attempt (0 = fail fast).
-    pub retries: u32,
-    /// Per-operation wall-clock deadline, milliseconds (`None` = none).
-    pub deadline_ms: Option<u64>,
     /// Differential conformance verification for the run's results
     /// (`None` = no verification, the historical behaviour).
     pub verify: Option<VerifyMode>,
@@ -66,8 +62,6 @@ impl BenchmarkSpec {
             generator_workers: None,
             seed: 0xBDBE,
             faults: None,
-            retries: 0,
-            deadline_ms: None,
             verify: None,
             goldens_dir: None,
             load: None,
@@ -115,19 +109,6 @@ impl BenchmarkSpec {
     /// Inject faults from a deterministic plan during the run.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Allow up to `retries` retries per operation (with backoff).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Bound each operation (including its retries) by a wall-clock
-    /// deadline in milliseconds.
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
         self
     }
 
@@ -206,9 +187,7 @@ mod tests {
             .with_target_rate(5000.0)
             .with_generator_workers(4)
             .with_seed(7)
-            .with_faults("error@exec:0.5".parse().unwrap())
-            .with_retries(3)
-            .with_deadline_ms(500);
+            .with_faults("error@exec:0.5".parse().unwrap());
         assert_eq!(s.prescription, "micro/sort");
         assert_eq!(s.system, SystemKind::MapReduce);
         assert_eq!(s.scale, Some(1000));
@@ -216,16 +195,12 @@ mod tests {
         assert_eq!(s.generator_workers, Some(4));
         assert_eq!(s.seed, 7);
         assert_eq!(s.faults.as_ref().unwrap().clauses.len(), 1);
-        assert_eq!(s.retries, 3);
-        assert_eq!(s.deadline_ms, Some(500));
     }
 
     #[test]
     fn spec_defaults_are_resilience_neutral() {
         let s = BenchmarkSpec::new("x");
         assert!(s.faults.is_none());
-        assert_eq!(s.retries, 0);
-        assert!(s.deadline_ms.is_none());
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! The execution step itself is delegated to the Execution Layer's
 //! [`EngineRegistry`](bdb_exec::engine::EngineRegistry): the pipeline
 //! builds one [`ExecutionRequest`] and the registry routes it to the
-//! capable engine — resiliently, when the spec configures a fault plan,
-//! retries or a deadline ([`BenchmarkSpec::faults`] and friends): data-set
-//! generation and engine execution then run inside the recovery loop
-//! ([`bdb_exec::fault::run_with_recovery`]) on the one routed engine.
+//! capable engine. Each data-set generation and the one engine dispatch
+//! run once under [`bdb_exec::fault::run_with_faults`]: a panic becomes a
+//! named error, and when the spec sets a fault plan
+//! ([`BenchmarkSpec::faults`]) an injected fault fails the data set or
+//! dispatch it hits, and with it the run. Nothing is retried.
 //! Every step, generated data set, dispatch decision, executed operation
-//! and recovery event is recorded in the run's [`RunTrace`].
+//! and injected fault is recorded in the run's [`RunTrace`].
 
 use crate::layers::{BenchmarkSpec, ExecutionLayer, FunctionLayer};
 use bdb_common::{pool, BdbError, Result};
@@ -21,7 +22,7 @@ use bdb_datagen::velocity::VelocityController;
 use bdb_datagen::Dataset;
 use bdb_exec::analyzer::{ConformanceSummary, LoadSummary, RecoverySummary};
 use bdb_exec::engine::{ExecutionRequest, RoutingPolicy};
-use bdb_exec::fault::{self, FaultSite, Resilience, RetryPolicy};
+use bdb_exec::fault::{self, FaultInjector, FaultSite};
 use bdb_exec::loadgen::{self, LoadProfile};
 use bdb_exec::reporter::{
     fmt_num, render_conformance, render_load, render_resilience, TableReporter,
@@ -140,15 +141,7 @@ impl Benchmark {
     /// Run the five-step process for `spec`.
     pub fn run(&self, spec: &BenchmarkSpec) -> Result<BenchmarkRun> {
         let trace = RunTrace::new();
-        let resilience = Resilience::new(
-            spec.faults.clone(),
-            RetryPolicy {
-                max_retries: spec.retries,
-                deadline_ms: spec.deadline_ms,
-                ..RetryPolicy::default()
-            },
-            spec.seed,
-        );
+        let injector = spec.faults.clone().map(|plan| FaultInjector::new(plan, spec.seed));
         let mut phases = Vec::with_capacity(5);
         let mut finish_phase = |trace: &RunTrace, phase: Phase, started: Instant| {
             let duration = started.elapsed();
@@ -195,18 +188,11 @@ impl Benchmark {
             }
             let gen_started = Instant::now();
             let site = FaultSite::datagen(&data_spec.name);
-            // Each data set generates inside the recovery loop: injected
-            // faults (including worker panics surfaced by the hardened
-            // pool) are retried under the spec's policy.
-            let outcome = fault::run_with_recovery(
-                &resilience,
-                &trace,
-                &site,
-                gen_started,
-                &mut || controller.run(generator.as_ref(), seed, items),
-            )
-            .map_err(|failure| failure.error)?
-            .value;
+            // An injected fault (including a worker panic surfaced by the
+            // hardened pool) fails the data set, and with it the run.
+            let outcome = fault::run_with_faults(injector.as_ref(), &trace, &site, || {
+                controller.run(generator.as_ref(), seed, items)
+            })?;
             let gen_elapsed = gen_started.elapsed();
             if spec.target_rate.is_some() || workers > 1 {
                 generation_rate = Some((outcome.achieved_rate, outcome.rate_error()));
@@ -256,7 +242,7 @@ impl Benchmark {
             trace: &trace,
             routing: RoutingPolicy::FirstCapable,
         };
-        let results = self.execution_layer.engines.dispatch_resilient(&request, &resilience)?;
+        let results = self.execution_layer.engines.dispatch(&request, injector.as_ref())?;
         finish_phase(&trace, Phase::Execution, t0);
 
         // ---- 5. Analysis & evaluation ----
@@ -312,23 +298,14 @@ impl Benchmark {
     pub fn run_load(&self, spec: &BenchmarkSpec) -> Result<LoadRun> {
         let trace = RunTrace::new();
         let profile = spec.load.clone().unwrap_or_default();
-        // The spec's fault plan rides into every lane: each issued op runs
-        // inside the recovery loop.
-        let resilience = Resilience::new(
-            spec.faults.clone(),
-            RetryPolicy {
-                max_retries: spec.retries,
-                deadline_ms: spec.deadline_ms,
-                ..RetryPolicy::default()
-            },
-            spec.seed,
-        );
+        // The spec's fault plan rides into every lane: each issued op
+        // draws its own fault.
         trace.phase_started("load");
         let t0 = Instant::now();
-        let reports = loadgen::run_load_resilient(
+        let reports = loadgen::run_load(
             &self.execution_layer.engines,
             &profile,
-            &resilience,
+            spec.faults.as_ref(),
             spec.seed,
             &trace,
         )?;

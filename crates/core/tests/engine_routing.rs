@@ -6,7 +6,6 @@
 use bdb_core::layers::BenchmarkSpec;
 use bdb_core::pipeline::{Benchmark, BenchmarkRun};
 use bdb_exec::engine::{EngineRegistry, ExecutionRequest, RoutingPolicy};
-use bdb_exec::fault::Resilience;
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_exec::SystemConfig;
 use bdb_testgen::arrival::ArrivalSpec;
@@ -172,7 +171,7 @@ fn empty_registry_reports_the_absence_of_candidates() {
         routing: RoutingPolicy::FirstCapable,
     };
     let err = EngineRegistry::new()
-        .dispatch_resilient(&request, &Resilience::passive(0)).unwrap_err().to_string();
+        .dispatch(&request, None).unwrap_err().to_string();
     assert!(err.contains("no engine"), "unexpected error: {err}");
 }
 

@@ -4,11 +4,11 @@
 //! results. [`find_crossover`] locates the input size where the faster system
 //! changes — the shape the EXPERIMENTS.md reproduction checks care about.
 //! [`RecoverySummary`] condenses the recovery-path trace events of a
-//! chaos run (injected faults, retries, deadline hits) into
+//! chaos run (injected faults, journal checkpoints, resumed cells) into
 //! the dependability metrics the resilience reports print.
 
 use crate::trace::TraceEvent;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Given a series of `(x, duration_a, duration_b)` points sorted by `x`,
 /// find the first `x` interval where the faster system flips. Returns the
@@ -34,15 +34,10 @@ pub fn find_crossover(series: &[(f64, f64, f64)]) -> Option<f64> {
 pub struct RecoverySummary {
     /// Injected faults by kind ("error", "latency", "panic", "crash").
     pub faults_by_kind: BTreeMap<String, u64>,
-    /// Retries performed.
-    pub retries: u64,
-    /// Operations that ran out of their deadline.
-    pub deadline_hits: u64,
-    /// Latency added by injected spikes and retry backoffs, milliseconds.
+    /// Latency added by injected spikes, milliseconds.
     pub added_latency_ms: u64,
-    /// Attempts per operation site (first attempt included), for every
-    /// site that needed recovery.
-    pub attempts_per_site: BTreeMap<String, u64>,
+    /// Operation sites an injected fault hit.
+    pub faulted_sites: BTreeSet<String>,
     /// Resilient operations the run executed (generated data sets plus
     /// engine dispatches) — the denominator for [`degraded_pct`](Self::degraded_pct).
     pub total_ops: u64,
@@ -66,18 +61,7 @@ impl RecoverySummary {
                 TraceEvent::FaultInjected { site, kind, latency_ms } => {
                     *s.faults_by_kind.entry(kind.clone()).or_insert(0) += 1;
                     s.added_latency_ms += latency_ms;
-                    s.attempts_per_site.entry(site.clone()).or_insert(1);
-                }
-                TraceEvent::OperationRetried { site, delay_ms, .. } => {
-                    s.retries += 1;
-                    s.added_latency_ms += delay_ms;
-                    // attempt n failed, so the site is at attempt n + 1.
-                    let entry = s.attempts_per_site.entry(site.clone()).or_insert(1);
-                    *entry += 1;
-                }
-                TraceEvent::DeadlineExceeded { site, .. } => {
-                    s.deadline_hits += 1;
-                    s.attempts_per_site.entry(site.clone()).or_insert(1);
+                    s.faulted_sites.insert(site.clone());
                 }
                 TraceEvent::CheckpointWritten { .. } => s.checkpoints_written += 1,
                 TraceEvent::CellResumed { .. } => s.cells_resumed += 1,
@@ -96,19 +80,16 @@ impl RecoverySummary {
     /// writes alone keep a run quiet (journaling is routine); resumed
     /// cells do not (the run recovered from a crash).
     pub fn is_quiet(&self) -> bool {
-        self.faults_injected() == 0
-            && self.retries == 0
-            && self.deadline_hits == 0
-            && self.cells_resumed == 0
+        self.faults_injected() == 0 && self.cells_resumed == 0
     }
 
-    /// Fraction of resilient operations that were degraded (needed a
-    /// fault recovery, a retry, or hit a deadline), in `[0, 1]`.
+    /// Fraction of resilient operations an injected fault hit, in
+    /// `[0, 1]`.
     pub fn degraded_pct(&self) -> f64 {
         if self.total_ops == 0 {
             return 0.0;
         }
-        (self.attempts_per_site.len() as f64 / self.total_ops as f64).min(1.0)
+        (self.faulted_sites.len() as f64 / self.total_ops as f64).min(1.0)
     }
 }
 
@@ -303,33 +284,25 @@ mod tests {
                 kind: "error".into(),
                 latency_ms: 0,
             },
-            TraceEvent::OperationRetried {
-                site: "exec/sql:micro/sort".into(),
-                attempt: 1,
-                delay_ms: 10,
-                error: "injected engine fault".into(),
-            },
             TraceEvent::FaultInjected {
                 site: "exec/sql:micro/sort".into(),
                 kind: "latency".into(),
                 latency_ms: 25,
             },
-            TraceEvent::DeadlineExceeded {
+            TraceEvent::FaultInjected {
                 site: "datagen/events".into(),
-                elapsed_ms: 70,
-                deadline_ms: 50,
+                kind: "latency".into(),
+                latency_ms: 10,
             },
         ];
         let s = RecoverySummary::from_events(&events);
-        assert_eq!(s.faults_injected(), 2);
+        assert_eq!(s.faults_injected(), 3);
         assert_eq!(s.faults_by_kind.get("error"), Some(&1));
-        assert_eq!(s.faults_by_kind.get("latency"), Some(&1));
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.deadline_hits, 1);
-        assert_eq!(s.added_latency_ms, 10 + 25);
+        assert_eq!(s.faults_by_kind.get("latency"), Some(&2));
+        assert_eq!(s.added_latency_ms, 25 + 10);
         assert_eq!(s.total_ops, 2);
-        assert_eq!(s.attempts_per_site.get("exec/sql:micro/sort"), Some(&2));
-        assert_eq!(s.attempts_per_site.get("datagen/events"), Some(&1));
+        let sites: Vec<&str> = s.faulted_sites.iter().map(String::as_str).collect();
+        assert_eq!(sites, vec!["datagen/events", "exec/sql:micro/sort"]);
         assert!((s.degraded_pct() - 1.0).abs() < 1e-9);
         assert!(!s.is_quiet());
     }
@@ -408,7 +381,6 @@ mod tests {
             shed: 10,
             failed: 0,
             faults: 0,
-            retries: 0,
             duration_secs: 1.0,
             throughput_ops_per_sec: 90.0,
             p50_us: 10.0,

@@ -12,15 +12,14 @@
 //! operations onto the first capable system. Adding a backend is a
 //! registry entry, not a pipeline edit.
 //!
-//! There is one dispatch entry point:
-//! [`EngineRegistry::dispatch_resilient`] wraps the one routed engine in
-//! the [`crate::fault`] retry loop (seeded fault injection, jittered
-//! backoff, per-operation deadline), recording any degradation in the run
-//! trace. When that engine exhausts its retries the run fails with its
-//! error. With a passive [`Resilience`] it runs the routed engine once.
+//! There is one dispatch entry point: [`EngineRegistry::dispatch`] runs
+//! the one routed engine once, under [`crate::fault::run_with_faults`]
+//! (seeded fault injection when the run has a fault plan, and a panic
+//! turned into a named error). When that engine fails, its error is the
+//! run's result.
 
 use crate::config::SystemConfig;
-use crate::fault::{self, FaultSite, Resilience};
+use crate::fault::{self, FaultInjector, FaultSite};
 use crate::trace::RunTrace;
 use bdb_common::record::{row_lines, Table};
 use bdb_common::text::{Document, Vocabulary};
@@ -432,17 +431,15 @@ impl EngineRegistry {
         )))
     }
 
-    /// Resilient dispatch: route the request and run the one routed engine
-    /// under the retry policy (with fault injection when a plan is
-    /// active). Recovery is recorded in the trace (fault, retry and
-    /// deadline events) and, when the run was degraded, as an `attempts`
-    /// detail on the results. When the engine exhausts its retries, its
-    /// last error is the run's result: a failure is a finding about the
-    /// system named, so nothing re-routes it.
-    pub fn dispatch_resilient(
+    /// Route the request and run the one routed engine once, drawing a
+    /// fault from `injector` when the run has a fault plan (an injected
+    /// fault is recorded in the trace). When the engine fails, injected
+    /// or not, its error is the run's result: a failure is a finding
+    /// about the system named, so nothing re-routes or retries it.
+    pub fn dispatch(
         &self,
         request: &ExecutionRequest<'_>,
-        resilience: &Resilience,
+        injector: Option<&FaultInjector>,
     ) -> Result<Vec<WorkloadResult>> {
         let (engine, routing) = self.route(request)?;
         request.trace.record(crate::trace::TraceEvent::EngineDispatched {
@@ -453,19 +450,7 @@ impl EngineRegistry {
             candidates: self.names().iter().map(|n| n.to_string()).collect(),
         });
         let site = FaultSite::execution(engine.name(), &request.prescription.name);
-        let recovered = fault::run_with_recovery(
-            resilience,
-            request.trace,
-            &site,
-            Instant::now(),
-            &mut || engine.execute(request),
-        )
-        .map_err(|failure| failure.error)?;
-        if recovered.attempts == 1 && recovered.faults == 0 {
-            return Ok(recovered.value);
-        }
-        let attempts = f64::from(recovered.attempts);
-        Ok(recovered.value.into_iter().map(|r| r.with_detail("attempts", attempts)).collect())
+        fault::run_with_faults(injector, request.trace, &site, || engine.execute(request))
     }
 }
 
@@ -1127,7 +1112,7 @@ mod tests {
             trace: &trace,
             routing: RoutingPolicy::FirstCapable,
         };
-        let err = registry.dispatch_resilient(&req, &Resilience::passive(0)).unwrap_err();
+        let err = registry.dispatch(&req, None).unwrap_err();
         assert!(err.to_string().contains("none registered"), "{err}");
     }
 

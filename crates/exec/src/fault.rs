@@ -1,11 +1,11 @@
-//! Deterministic fault injection, retry/backoff and recovery accounting.
+//! Deterministic fault injection.
 //!
 //! The paper's veracity axis asks benchmarks to measure systems under
 //! realistic conditions, and for big data systems realistic includes
-//! transient failures, stragglers and retries — BigOP-style *operation
-//! patterns* cover failure behaviour, not just the happy path. This
-//! module provides the pieces the Execution Layer composes into resilient
-//! dispatch:
+//! failures and stragglers — BigOP-style *operation patterns* cover
+//! failure behaviour, not just the happy path. This module provides the
+//! pieces the Execution Layer wraps around each resilient operation
+//! (data-set generation, engine execution, a load op):
 //!
 //! * [`FaultPlan`] — a parsed, seedable chaos specification: which fault
 //!   [`FaultKind`]s fire in which Figure 1 [`FaultPhase`]s, at what rate,
@@ -15,19 +15,18 @@
 //!   are pure functions of `(seed, clause, draw index)`, so the same seed
 //!   and plan always produce the same fault sequence regardless of wall
 //!   clock or thread timing.
-//! * [`RetryPolicy`] — jittered exponential backoff (deterministic jitter
-//!   derived from the run seed) plus an optional per-operation deadline.
-//! * [`run_with_recovery`] — the retry loop wrapped around every
-//!   resilient operation (data-set generation, engine execution). It asks
-//!   the injector for a fault before each attempt, converts worker panics
-//!   into structured [`BdbError`]s via the hardened pool, records
-//!   fault/retry/deadline events in the [`RunTrace`], and backs off
-//!   between attempts.
+//! * [`run_with_faults`] — one guarded attempt at an operation. It asks
+//!   the injector for a fault, returns an injected error, worker panic or
+//!   kill point as the operation's error, delays the operation by an
+//!   injected latency spike, converts a panic inside the operation into a
+//!   structured [`BdbError`], and records each injected fault in the
+//!   [`RunTrace`].
 //!
-//! [`crate::engine::EngineRegistry::dispatch_resilient`] calls
-//! [`run_with_recovery`] once, on the one engine the request was routed
-//! to; when that engine exhausts its retries, its error is the run's
-//! result.
+//! Nothing is retried. Every engine is in-process and a deterministic
+//! function of its request and seed, so a real failure repeats on a
+//! second attempt; a retry could only recover a fault this module
+//! injected itself. A fault fails the operation it hits, and that
+//! failure is the result of the one engine the request was routed to.
 //!
 //! # Fault spec grammar
 //!
@@ -40,15 +39,17 @@
 //! * `kind` — `error` (the operation fails with an injected engine
 //!   error), `latency` (a spike of `ms` milliseconds is added before the
 //!   operation runs), `panic` (a pool worker thread panics; the hardened
-//!   pool catches it and surfaces a structured error), or `crash` (the
-//!   process "dies" at a kill point: the run aborts immediately — no
-//!   retry — leaving durable state for `--resume`).
+//!   pool catches it and the operation fails with a structured error), or
+//!   `crash` (the process "dies" at a kill point: the run aborts, leaving
+//!   durable state for `--resume`).
 //! * `phase` — `datagen`, `exec`, or `any`.
 //! * `rate` — probability in `[0, 1]` that the clause fires on a given
 //!   draw (`1` = always, until `max` is reached).
+//! * `ms` — the spike length of a `latency` clause (default 10); any
+//!   other kind rejects it.
 //! * `max` — optional cap on total injections from the clause, which
-//!   makes recovery scenarios exactly reproducible: `error@exec:1:max=2`
-//!   fails the first two attempts and lets the third through.
+//!   makes chaos scenarios exactly reproducible: `crash@exec:1:max=1`
+//!   kills the first execution it reaches and lets every later one run.
 //!
 //! Example: `error@exec:0.5,latency@exec:0.3:ms=25,panic@datagen:1:max=1`.
 
@@ -57,7 +58,7 @@ use bdb_common::rng::SplitMix64;
 use bdb_common::{pool, BdbError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Every fault kind the grammar accepts, for error messages.
 pub const FAULT_KINDS: &str = "error|latency|panic|crash";
@@ -74,9 +75,9 @@ pub enum FaultKind {
     /// A worker thread panics mid-operation.
     Panic,
     /// The process "dies" at the operation: a terminal
-    /// [`BdbError::Crashed`] that recovery must not retry —
-    /// the run aborts with durable state (run journal, KV WAL) exactly
-    /// as written, and resuming is a fresh process's job.
+    /// [`BdbError::Crashed`] — the run aborts with durable state (run
+    /// journal, KV WAL) exactly as written, and resuming is a fresh
+    /// process's job.
     Crash,
 }
 
@@ -204,6 +205,11 @@ impl FaultClause {
                 BdbError::InvalidConfig(format!("fault field {field:?} needs an integer"))
             })?;
             match key {
+                "ms" if kind != FaultKind::Latency => {
+                    return Err(BdbError::InvalidConfig(format!(
+                        "fault field {field:?} only applies to latency clauses"
+                    )))
+                }
                 "ms" => latency_ms = parsed,
                 "max" => max = Some(parsed),
                 other => {
@@ -358,11 +364,6 @@ impl FaultInjector {
         Self { plan, seed, state }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Total faults injected so far.
     pub fn injected(&self) -> u64 {
         self.state.lock().expect("injector state").iter().map(|s| s.injected).sum()
@@ -396,215 +397,41 @@ impl FaultInjector {
     }
 }
 
-/// Jittered exponential backoff with an optional per-operation deadline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first (`0` = fail fast).
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub base_delay_ms: u64,
-    /// Cap on a single backoff delay.
-    pub max_delay_ms: u64,
-    /// Wall-clock budget for one operation including all its retries.
-    pub deadline_ms: Option<u64>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_retries: 0, base_delay_ms: 10, max_delay_ms: 1_000, deadline_ms: None }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy allowing `retries` extra attempts.
-    pub fn with_retries(retries: u32) -> Self {
-        Self { max_retries: retries, ..Self::default() }
-    }
-
-    /// Set the per-operation deadline.
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
-    /// Total attempts the policy allows.
-    pub fn attempts(&self) -> u32 {
-        self.max_retries.saturating_add(1)
-    }
-
-    /// The backoff before retry number `attempt` (1-based): exponential
-    /// doubling from `base_delay_ms`, capped at `max_delay_ms`, with up to
-    /// +50% jitter derived deterministically from `seed` and `attempt`.
-    pub fn delay(&self, seed: u64, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay_ms
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
-            .min(self.max_delay_ms);
-        let word = SplitMix64::mix(seed ^ 0xBAC0FF ^ u64::from(attempt));
-        let jitter = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * 0.5;
-        let total = (exp as f64 * (1.0 + jitter)) as u64;
-        Duration::from_millis(total.min(self.max_delay_ms))
-    }
-}
-
-/// Everything [`run_with_recovery`] needs: the retry policy, the optional
-/// fault injector, and the run seed the deterministic jitter derives from.
-#[derive(Debug)]
-pub struct Resilience {
-    /// Retry/backoff/deadline settings.
-    pub policy: RetryPolicy,
-    /// The active fault injector, if the run is a chaos run.
-    pub injector: Option<FaultInjector>,
-    /// Run seed, used for deterministic backoff jitter.
-    pub seed: u64,
-}
-
-impl Resilience {
-    /// A no-fault, no-retry configuration (the default run mode).
-    pub fn passive(seed: u64) -> Self {
-        Self { policy: RetryPolicy::default(), injector: None, seed }
-    }
-
-    /// A configuration from user knobs: an optional fault plan plus the
-    /// retry/deadline settings.
-    pub fn new(plan: Option<FaultPlan>, policy: RetryPolicy, seed: u64) -> Self {
-        let injector = plan
-            .filter(|p| !p.is_empty())
-            .map(|p| FaultInjector::new(p, seed));
-        Self { policy, injector, seed }
-    }
-}
-
-/// The successful outcome of a recovered operation.
-#[derive(Debug)]
-pub struct Recovered<T> {
-    /// The operation's result.
-    pub value: T,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// Faults injected across those attempts.
-    pub faults: u32,
-}
-
-/// Why a recovered operation ultimately failed.
-#[derive(Debug)]
-pub struct RecoveryFailure {
-    /// The last error observed.
-    pub error: BdbError,
-    /// Attempts consumed before giving up.
-    pub attempts: u32,
-    /// Faults injected across those attempts.
-    pub faults: u32,
-    /// True when the per-operation deadline, not the retry budget, ended
-    /// the operation.
-    pub deadline_hit: bool,
-    /// True when the operation crashed (an injected `crash@` fault or a
-    /// [`BdbError::Crashed`] kill point below the engine): terminal —
-    /// no retry was attempted.
-    pub crashed: bool,
-}
-
-/// Run `f` under the resilience configuration: inject faults before each
-/// attempt, convert panics into structured errors, back off between
-/// attempts, and honour the deadline measured from `started`. Records one
-/// [`TraceEvent`] per injected fault, retry, and deadline hit.
-pub fn run_with_recovery<T>(
-    res: &Resilience,
+/// Run `f` once at `site`, with the fault `injector` draws for it, if any.
+///
+/// An injected `error`, `panic` or `crash` fault is the operation's error
+/// and `f` never runs; a `latency` fault sleeps its spike, then runs `f`.
+/// A panic inside `f` becomes a structured [`BdbError`]. Records one
+/// [`TraceEvent::FaultInjected`] per injected fault.
+pub fn run_with_faults<T>(
+    injector: Option<&FaultInjector>,
     trace: &RunTrace,
     site: &FaultSite,
-    started: Instant,
-    f: &mut dyn FnMut() -> Result<T>,
-) -> std::result::Result<Recovered<T>, RecoveryFailure> {
-    let mut faults = 0u32;
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        if let Some(deadline_ms) = res.policy.deadline_ms {
-            let elapsed_ms = started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-            if elapsed_ms >= deadline_ms {
-                trace.record(TraceEvent::DeadlineExceeded {
-                    site: site.to_string(),
-                    elapsed_ms,
-                    deadline_ms,
-                });
-                return Err(RecoveryFailure {
-                    error: BdbError::Execution(format!(
-                        "deadline of {deadline_ms} ms exceeded at {site} after {elapsed_ms} ms"
-                    )),
-                    attempts: attempt - 1,
-                    faults,
-                    deadline_hit: true,
-                    crashed: false,
-                });
-            }
-        }
-        let injected = res.injector.as_ref().and_then(|inj| inj.sample(site));
-        let outcome: Result<T> = match injected {
-            Some(fault) => {
-                faults += 1;
-                trace.record(TraceEvent::FaultInjected {
-                    site: site.to_string(),
-                    kind: fault.kind.to_string(),
-                    latency_ms: if fault.kind == FaultKind::Latency { fault.latency_ms } else { 0 },
-                });
-                match fault.kind {
-                    FaultKind::Error => Err(BdbError::Execution(format!(
-                        "injected engine fault at {site} (attempt {attempt})"
-                    ))),
-                    FaultKind::Panic => Err(injected_worker_panic(site)),
-                    FaultKind::Crash => Err(BdbError::Crashed(format!(
-                        "injected kill point at {site} (attempt {attempt})"
-                    ))),
-                    FaultKind::Latency => {
-                        std::thread::sleep(Duration::from_millis(fault.latency_ms));
-                        run_guarded(f)
-                    }
-                }
-            }
-            None => run_guarded(f),
-        };
-        match outcome {
-            Ok(value) => return Ok(Recovered { value, attempts: attempt, faults }),
-            Err(error) => {
-                // A crash is not a transient fault: the process (or the
-                // simulated one) is gone, so retrying in place would run
-                // against dead state. Surface it immediately; recovery is
-                // a fresh open + `--resume`, not another attempt.
-                if error.is_crash() {
-                    return Err(RecoveryFailure {
-                        error,
-                        attempts: attempt,
-                        faults,
-                        deadline_hit: false,
-                        crashed: true,
-                    });
-                }
-                if attempt >= res.policy.attempts() {
-                    return Err(RecoveryFailure {
-                        error,
-                        attempts: attempt,
-                        faults,
-                        deadline_hit: false,
-                        crashed: false,
-                    });
-                }
-                let delay = res.policy.delay(res.seed, attempt);
-                trace.record(TraceEvent::OperationRetried {
-                    site: site.to_string(),
-                    attempt,
-                    delay_ms: delay.as_millis().min(u128::from(u64::MAX)) as u64,
-                    error: error.to_string(),
-                });
-                std::thread::sleep(delay);
-            }
+    f: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    let Some(fault) = injector.and_then(|inj| inj.sample(site)) else {
+        return run_guarded(f);
+    };
+    trace.record(TraceEvent::FaultInjected {
+        site: site.to_string(),
+        kind: fault.kind.to_string(),
+        latency_ms: if fault.kind == FaultKind::Latency { fault.latency_ms } else { 0 },
+    });
+    match fault.kind {
+        FaultKind::Error => Err(BdbError::Execution(format!("injected engine fault at {site}"))),
+        FaultKind::Panic => Err(injected_worker_panic(site)),
+        FaultKind::Crash => Err(BdbError::Crashed(format!("injected kill point at {site}"))),
+        FaultKind::Latency => {
+            std::thread::sleep(Duration::from_millis(fault.latency_ms));
+            run_guarded(f)
         }
     }
 }
 
-/// Run one attempt, converting any panic (an engine bug, or an injected
+/// Run the operation, converting any panic (an engine bug, or an injected
 /// worker panic that escaped a non-hardened path) into a structured error.
-fn run_guarded<T>(f: &mut dyn FnMut() -> Result<T>) -> Result<T> {
-    match catch_unwind(AssertUnwindSafe(&mut *f)) {
+fn run_guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
+    match catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => result,
         Err(payload) => Err(BdbError::Execution(format!(
             "operation panicked: {}",
@@ -631,12 +458,18 @@ fn injected_worker_panic(site: &FaultSite) -> BdbError {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn site() -> FaultSite {
         FaultSite::execution("sql", "micro/sort")
+    }
+
+    fn labels(trace: &RunTrace) -> Vec<&'static str> {
+        trace.events().iter().map(|e| e.label()).collect()
     }
 
     #[test]
@@ -683,8 +516,57 @@ mod tests {
             "error@exec:1.5",     // rate out of range
             "error@exec:1:max",   // field without value
             "error@exec:1:bog=2", // unknown field
+            "error@exec:1:ms=5",  // spike length on a non-latency clause
         ] {
             assert!(bad.parse::<FaultPlan>().is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn ms_applies_only_to_latency_clauses() {
+        for kind in ["error", "panic", "crash"] {
+            let spec = format!("{kind}@exec:1:ms=5");
+            let err = spec.parse::<FaultPlan>().unwrap_err();
+            assert!(matches!(err, BdbError::InvalidConfig(_)), "{spec}: {err}");
+            assert!(err.to_string().contains("\"ms=5\" only applies to latency"), "{err}");
+        }
+        let plan: FaultPlan = "latency@exec:1:ms=5".parse().unwrap();
+        assert_eq!(plan.to_string(), "latency@exec:1:ms=5");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every plan that parses prints back to a spec that parses to an
+        /// equal plan. The generator writes `ms=` on every kind and rates
+        /// past 1, so rejected clauses are drawn as well.
+        #[test]
+        fn printed_plans_parse_back_equal(
+            clauses in proptest::collection::vec(
+                (0usize..4, 0usize..3, 0u32..=1200, (0u8..3, 0u64..100), (0u8..2, 0u64..5)),
+                1..4,
+            ),
+        ) {
+            let spec: Vec<String> = clauses
+                .iter()
+                .map(|&(kind, phase, milli_rate, (ms_field, ms), (max_field, max))| {
+                    let kind = ["error", "latency", "panic", "crash"][kind];
+                    let phase = ["datagen", "exec", "any"][phase];
+                    let mut clause = format!("{kind}@{phase}:{}", f64::from(milli_rate) / 1000.0);
+                    if ms_field > 0 {
+                        clause.push_str(&format!(":ms={ms}"));
+                    }
+                    if max_field > 0 {
+                        clause.push_str(&format!(":max={max}"));
+                    }
+                    clause
+                })
+                .collect();
+            if let Ok(plan) = spec.join(",").parse::<FaultPlan>() {
+                let printed = plan.to_string();
+                let reparsed: FaultPlan = printed.parse().unwrap();
+                prop_assert_eq!(reparsed, plan, "{} printed as {}", spec.join(","), printed);
+            }
         }
     }
 
@@ -716,170 +598,97 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_is_capped_and_deterministic() {
-        let p = RetryPolicy { max_retries: 8, base_delay_ms: 10, max_delay_ms: 100, deadline_ms: None };
-        let d1 = p.delay(3, 1);
-        let d2 = p.delay(3, 2);
-        assert_eq!(d1, p.delay(3, 1), "same seed+attempt = same delay");
-        assert!(d2 >= d1, "backoff should not shrink: {d1:?} -> {d2:?}");
-        assert!(p.delay(3, 8) <= Duration::from_millis(100), "cap applies");
-        assert!(d1 >= Duration::from_millis(10) && d1 <= Duration::from_millis(15));
-    }
-
-    #[test]
-    fn recovery_retries_until_success() {
-        let plan: FaultPlan = "error@exec:1:max=2".parse().unwrap();
-        let res = Resilience::new(
-            Some(plan),
-            RetryPolicy { max_retries: 3, base_delay_ms: 1, ..RetryPolicy::default() },
-            9,
-        );
+    fn injected_error_fails_the_operation() {
+        let inj = FaultInjector::new("error@exec:1:max=1".parse().unwrap(), 9);
         let trace = RunTrace::new();
         let mut calls = 0;
-        let rec = run_with_recovery(&res, &trace, &site(), Instant::now(), &mut || {
+        let err = run_with_faults(Some(&inj), &trace, &site(), || {
             calls += 1;
-            Ok(42)
-        })
-        .unwrap();
-        assert_eq!(rec.value, 42);
-        assert_eq!(rec.attempts, 3, "two injected failures, third attempt runs");
-        assert_eq!(rec.faults, 2);
-        assert_eq!(calls, 1, "injected errors never reach the operation");
-        let labels: Vec<&str> = trace.events().iter().map(|e| e.label()).collect();
-        assert_eq!(
-            labels,
-            vec!["fault_injected", "operation_retried", "fault_injected", "operation_retried"]
-        );
-    }
-
-    #[test]
-    fn recovery_exhausts_retries() {
-        let plan: FaultPlan = "error@exec:1".parse().unwrap();
-        let res = Resilience::new(
-            Some(plan),
-            RetryPolicy { max_retries: 2, base_delay_ms: 1, ..RetryPolicy::default() },
-            9,
-        );
-        let trace = RunTrace::new();
-        let fail = run_with_recovery::<u32>(&res, &trace, &site(), Instant::now(), &mut || Ok(1))
-            .unwrap_err();
-        assert_eq!(fail.attempts, 3);
-        assert_eq!(fail.faults, 3, "every attempt was an injected fault");
-        assert!(!fail.deadline_hit);
-        assert!(fail.error.to_string().contains("injected engine fault"));
-    }
-
-    #[test]
-    fn deadline_stops_retrying() {
-        let res = Resilience::new(
-            Some("error@exec:1".parse().unwrap()),
-            RetryPolicy {
-                max_retries: 100,
-                base_delay_ms: 1,
-                max_delay_ms: 2,
-                deadline_ms: Some(0),
-            },
-            9,
-        );
-        let trace = RunTrace::new();
-        let fail = run_with_recovery::<u32>(&res, &trace, &site(), Instant::now(), &mut || Ok(1))
-            .unwrap_err();
-        assert!(fail.deadline_hit);
-        assert_eq!(fail.attempts, 0);
-        assert_eq!(fail.faults, 0);
-        assert!(trace.events().iter().any(|e| e.label() == "deadline_exceeded"));
-    }
-
-    #[test]
-    fn injected_crash_is_terminal_despite_retry_budget() {
-        let plan: FaultPlan = "crash@exec:1".parse().unwrap();
-        let res = Resilience::new(
-            Some(plan),
-            RetryPolicy { max_retries: 5, base_delay_ms: 1, ..RetryPolicy::default() },
-            9,
-        );
-        let trace = RunTrace::new();
-        let mut calls = 0;
-        let fail = run_with_recovery::<u32>(&res, &trace, &site(), Instant::now(), &mut || {
-            calls += 1;
-            Ok(1)
+            Ok(1u32)
         })
         .unwrap_err();
-        assert!(fail.crashed);
-        assert!(fail.error.is_crash());
-        assert_eq!(fail.attempts, 1, "a crash must not be retried");
-        assert_eq!(fail.faults, 1);
+        assert_eq!(err.to_string(), "execution error: injected engine fault at exec/sql:micro/sort");
+        assert_eq!(calls, 0, "an injected error never reaches the operation");
+        assert_eq!(labels(&trace), vec!["fault_injected"]);
+        // The cap is spent: the next operation at the site runs.
+        assert_eq!(run_with_faults(Some(&inj), &trace, &site(), || Ok(2u32)).unwrap(), 2);
+        assert_eq!(labels(&trace), vec!["fault_injected"]);
+    }
+
+    #[test]
+    fn injected_crash_is_terminal() {
+        let inj = FaultInjector::new("crash@exec:1".parse().unwrap(), 9);
+        let trace = RunTrace::new();
+        let mut calls = 0;
+        let err = run_with_faults(Some(&inj), &trace, &site(), || {
+            calls += 1;
+            Ok(1u32)
+        })
+        .unwrap_err();
+        assert!(err.is_crash(), "{err}");
         assert_eq!(calls, 0, "the crash pre-empts the operation");
-        let labels: Vec<&str> = trace.events().iter().map(|e| e.label()).collect();
-        assert_eq!(labels, vec!["fault_injected"], "no retry events after a crash");
+        assert_eq!(labels(&trace), vec!["fault_injected"]);
     }
 
     #[test]
     fn crash_errors_from_the_operation_are_terminal_too() {
-        let res = Resilience {
-            policy: RetryPolicy { max_retries: 5, base_delay_ms: 1, ..RetryPolicy::default() },
-            injector: None,
-            seed: 0,
-        };
         let trace = RunTrace::new();
-        let fail = run_with_recovery::<u32>(&res, &trace, &site(), Instant::now(), &mut || {
+        let err = run_with_faults::<u32>(None, &trace, &site(), || {
             Err(BdbError::Crashed("kill point mid-WAL-append".into()))
         })
         .unwrap_err();
-        assert!(fail.crashed);
-        assert_eq!(fail.attempts, 1);
-        assert_eq!(fail.faults, 0, "a real kill point is not an injected fault");
-        assert!(trace.is_empty(), "no retry events for a real kill point");
+        assert!(err.is_crash());
+        assert!(trace.is_empty(), "a real kill point is not an injected fault");
     }
 
     #[test]
     fn injected_panic_becomes_structured_error() {
-        let plan: FaultPlan = "panic@exec:1:max=1".parse().unwrap();
-        let res = Resilience::new(
-            Some(plan),
-            RetryPolicy { max_retries: 1, base_delay_ms: 1, ..RetryPolicy::default() },
-            3,
-        );
+        let inj = FaultInjector::new("panic@exec:1:max=1".parse().unwrap(), 3);
         let trace = RunTrace::new();
-        let rec = run_with_recovery(&res, &trace, &site(), Instant::now(), &mut || Ok(7u32))
-            .unwrap();
-        assert_eq!(rec.value, 7);
-        assert_eq!(rec.attempts, 2);
-        let retried = trace.events().iter().any(|e| match e {
-            TraceEvent::OperationRetried { error, .. } => error.contains("worker panic"),
-            _ => false,
-        });
-        assert!(retried, "retry event should carry the structured panic error");
+        let err = run_with_faults(Some(&inj), &trace, &site(), || Ok(7u32)).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("worker panic") && msg.contains("exec/sql:micro/sort"), "{msg}");
+        assert!(trace.events().iter().any(|e| matches!(
+            e,
+            TraceEvent::FaultInjected { kind, .. } if kind == "panic"
+        )));
     }
 
     #[test]
     fn real_panics_in_the_operation_are_caught() {
-        let res = Resilience {
-            policy: RetryPolicy { max_retries: 1, base_delay_ms: 1, ..RetryPolicy::default() },
-            injector: None,
-            seed: 0,
-        };
         let trace = RunTrace::new();
-        let mut first = true;
-        let rec = run_with_recovery(&res, &trace, &site(), Instant::now(), &mut || {
-            if std::mem::take(&mut first) {
-                panic!("engine bug");
-            }
-            Ok(1u32)
+        let mut calls = 0;
+        let err = run_with_faults::<u32>(None, &trace, &site(), || {
+            calls += 1;
+            panic!("engine bug");
         })
-        .unwrap();
-        assert_eq!(rec.attempts, 2);
-        assert_eq!(rec.faults, 0);
+        .unwrap_err();
+        assert_eq!(err.to_string(), "execution error: operation panicked: engine bug");
+        assert_eq!(calls, 1, "the panicking operation runs exactly once");
+        assert!(trace.is_empty(), "a real panic is not an injected fault");
+    }
+
+    #[test]
+    fn latency_fault_delays_then_runs_the_operation() {
+        let inj = FaultInjector::new("latency@exec:1:ms=2".parse().unwrap(), 5);
+        let trace = RunTrace::new();
+        let started = std::time::Instant::now();
+        assert_eq!(run_with_faults(Some(&inj), &trace, &site(), || Ok(3u32)).unwrap(), 3);
+        assert!(started.elapsed() >= Duration::from_millis(2));
+        assert_eq!(
+            trace.events(),
+            vec![TraceEvent::FaultInjected {
+                site: "exec/sql:micro/sort".into(),
+                kind: "latency".into(),
+                latency_ms: 2,
+            }]
+        );
     }
 
     #[test]
     fn passive_resilience_is_transparent() {
-        let res = Resilience::passive(1);
         let trace = RunTrace::new();
-        let rec = run_with_recovery(&res, &trace, &site(), Instant::now(), &mut || Ok("ok"))
-            .unwrap();
-        assert_eq!(rec.value, "ok");
-        assert_eq!(rec.attempts, 1);
+        assert_eq!(run_with_faults(None, &trace, &site(), || Ok("ok")).unwrap(), "ok");
         assert!(trace.is_empty(), "no events on the happy path");
     }
 }

@@ -13,9 +13,9 @@
 //! * [`analyzer`] — result analysis: crossover points and the trace
 //!   summaries (recovery, conformance, load) run reports print.
 //! * [`reporter`] — plain-text and Markdown table rendering.
-//! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]),
-//!   retry with jittered backoff ([`fault::RetryPolicy`]) and the
-//!   recovery loop resilient dispatch is built from.
+//! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`])
+//!   and the one guarded attempt ([`fault::run_with_faults`]) every
+//!   dataset, dispatch and load op runs under. Nothing is retried.
 //! * [`journal`] — the run journal: atomic per-cell checkpoints that let
 //!   a killed run `--resume` without re-executing completed cells.
 //! * [`loadgen`] — the concurrent load driver: N client sessions × M
@@ -49,8 +49,8 @@ pub use engine::{
     Capabilities, Engine, EngineRegistry, ExecutionRequest, PatternShape, Routing, RoutingPolicy,
     TestProfile, WorkloadClass,
 };
-pub use fault::{FaultInjector, FaultKind, FaultPhase, FaultPlan, FaultSite, Resilience, RetryPolicy};
+pub use fault::{FaultInjector, FaultKind, FaultPhase, FaultPlan, FaultSite};
 pub use journal::{CellCheckpoint, RunJournal};
-pub use loadgen::{run_load, run_load_resilient, LoadArrival, LoadProfile, LoadReport};
+pub use loadgen::{run_load, LoadArrival, LoadProfile, LoadReport};
 pub use reporter::TableReporter;
 pub use trace::{RunTrace, TraceEvent};

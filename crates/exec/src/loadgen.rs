@@ -40,20 +40,18 @@
 //!
 //! # Chaos under load
 //!
-//! [`run_load_resilient`] drives the same schedules with an active
-//! [`Resilience`]: every op gets its own injector seeded by
-//! `mix(seed ^ index)`, so its fault/retry outcome is a pure function of
-//! `(seed, index)` — identical counts at any concurrency. Ops that
-//! exhaust recovery (or hit a `crash@` kill point, which is terminal
-//! per-op) count as **failed**, extending conservation to
-//! `issued == completed + shed + failed`. A failed op is a finding about
-//! the target: nothing re-routes it, and open-loop lanes pace the same
-//! arrivals with or without a fault plan. With a per-op deadline the
-//! fail/complete split becomes timing-dependent (reports stay truthful),
-//! so deterministic chaos suites avoid deadlines.
+//! [`run_load`] with a [`FaultPlan`] drives the same schedules with
+//! faults injected per op: every op gets its own injector seeded by
+//! `mix(seed ^ index)`, so its fault outcome is a pure function of
+//! `(seed, index)` — identical counts at any concurrency. An op hit by an
+//! `error@`, `panic@` or `crash@` fault counts as **failed**, extending
+//! conservation to `issued == completed + shed + failed`; a `latency@`
+//! fault delays the op and it completes. A failed op is a finding about
+//! the target: nothing retries or re-routes it, and open-loop lanes pace
+//! the same arrivals with or without a fault plan.
 
 use crate::engine::EngineRegistry;
-use crate::fault::{run_with_recovery, FaultPlan, FaultSite, Resilience, RetryPolicy};
+use crate::fault::{run_with_faults, FaultInjector, FaultPlan, FaultSite};
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::dist::{Distribution, Zipf};
 use bdb_common::event::Event;
@@ -682,12 +680,10 @@ pub struct LoadReport {
     pub completed: u64,
     /// Ops shed because the queue of waiting ops was full (open loop only).
     pub shed: u64,
-    /// Ops that exhausted recovery (or crashed) and failed.
+    /// Ops an injected fault failed.
     pub failed: u64,
     /// Faults injected across the drive's lanes.
     pub faults: u64,
-    /// Retries the drive's lanes performed.
-    pub retries: u64,
     /// Wall-clock of the drive, seconds.
     pub duration_secs: f64,
     /// Completed ops per second: saturation throughput in a closed loop;
@@ -721,42 +717,34 @@ struct LaneOut {
     completed: u64,
     failed: u64,
     faults: u64,
-    retries: u64,
     samples: Vec<(usize, String)>,
 }
 
-/// Everything one chaos drive shares across lanes: the fault plan, retry
-/// policy, and the run seed per-op injectors derive from.
-struct ChaosCtx {
-    plan: FaultPlan,
-    policy: RetryPolicy,
+/// Everything one chaos drive shares across lanes: the fault plan and
+/// the run seed per-op injectors derive from.
+struct ChaosCtx<'a> {
+    plan: &'a FaultPlan,
     seed: u64,
     site: FaultSite,
 }
 
-impl ChaosCtx {
-    /// Build the context when `res` carries an active injector; `None`
-    /// keeps the drive on the historical no-chaos path.
-    fn from_resilience(res: &Resilience, seed: u64, engine: &str) -> Option<Self> {
-        res.injector.as_ref().map(|inj| ChaosCtx {
-            plan: inj.plan().clone(),
-            policy: res.policy.clone(),
-            seed,
-            site: FaultSite::execution(engine, "load"),
-        })
-    }
-
+impl ChaosCtx<'_> {
     /// The injector seed for op `idx`: a pure function of `(seed, idx)`,
-    /// so an op's fault sequence is identical at any concurrency.
+    /// so an op's fault is identical at any concurrency.
     fn op_seed(&self, idx: usize) -> u64 {
         SplitMix64::mix(self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// Execute op `idx` under its per-op resilience, folding fault/retry
-    /// counts into the lane. Returns the outcome string when the op
-    /// completed. Recovery-path trace events go to a scratch trace — at
-    /// load volumes per-op fault events would swamp the run trace; the
-    /// counts land in the [`LoadReport`] instead.
+    /// Execute op `idx` with its own injector, folding the fault and
+    /// failure counts into the lane. Returns the outcome string when the
+    /// op completed. Fault events go to a scratch trace — at load volumes
+    /// per-op fault events would swamp the run trace; the counts land in
+    /// the [`LoadReport`] instead.
+    ///
+    /// Never inlined: inlined into the lane loop, this chaos-only path
+    /// cost the fault-free `load_sql_closed` drive about 5 % of its
+    /// ops/s (median of 12 rotated runs, 2-vCPU box).
+    #[inline(never)]
     fn execute(
         &self,
         lane: &mut LaneOut,
@@ -764,15 +752,11 @@ impl ChaosCtx {
         op: &LoadOp,
         idx: usize,
     ) -> Option<String> {
-        let res = Resilience::new(Some(self.plan.clone()), self.policy.clone(), self.op_seed(idx));
-        let mut attempt_op = || Ok(sess.execute(op));
-        let (value, attempts, faults) =
-            match run_with_recovery(&res, &RunTrace::new(), &self.site, Instant::now(), &mut attempt_op) {
-                Ok(rec) => (Some(rec.value), rec.attempts, rec.faults),
-                Err(fail) => (None, fail.attempts, fail.faults),
-            };
-        lane.faults += u64::from(faults);
-        lane.retries += u64::from(attempts.saturating_sub(1));
+        let injector = FaultInjector::new(self.plan.clone(), self.op_seed(idx));
+        let value =
+            run_with_faults(Some(&injector), &RunTrace::new(), &self.site, || Ok(sess.execute(op)))
+                .ok();
+        lane.faults += injector.injected();
         lane.failed += u64::from(value.is_none());
         value
     }
@@ -789,26 +773,29 @@ pub fn run_target(
     schedule: &[ScheduledOp],
     trace: &RunTrace,
 ) -> Result<LoadReport> {
-    run_target_resilient(target, profile, schedule, &Resilience::passive(0), 0, trace)
+    run_target_with_faults(target, profile, schedule, None, 0, trace)
 }
 
-/// Drive one target with the given schedule under a resilience
-/// configuration: per-op deterministic fault injection in the lanes (see
-/// the module docs).
+/// Drive one target with the given schedule, injecting `faults` per op
+/// with injectors derived from `seed` (see the module docs).
 ///
 /// # Errors
 /// Fails when a worker panics, the profile is invalid, or op accounting
 /// breaks conservation (`issued == completed + shed + failed`).
-pub fn run_target_resilient(
+pub fn run_target_with_faults(
     target: &dyn LoadTarget,
     profile: &LoadProfile,
     schedule: &[ScheduledOp],
-    res: &Resilience,
+    faults: Option<&FaultPlan>,
     seed: u64,
     trace: &RunTrace,
 ) -> Result<LoadReport> {
     profile.validate()?;
-    let chaos = ChaosCtx::from_resilience(res, seed, target.name());
+    let chaos = faults.map(|plan| ChaosCtx {
+        plan,
+        seed,
+        site: FaultSite::execution(target.name(), "load"),
+    });
     let chaos = chaos.as_ref();
     let t0 = Instant::now();
     let (lanes, shed) = if profile.arrival.is_open() {
@@ -848,11 +835,9 @@ pub fn run_target_resilient(
         all.completed += lane.completed;
         all.failed += lane.failed;
         all.faults += lane.faults;
-        all.retries += lane.retries;
         all.samples.extend(lane.samples);
     }
-    let LaneOut { lat, queue_delay_ms_sum, queue_delays, completed, failed, faults, retries, samples } =
-        all;
+    let LaneOut { lat, queue_delay_ms_sum, queue_delays, completed, failed, faults, samples } = all;
     let duration_secs = t0.elapsed().as_secs_f64().max(1e-9);
     // Conservation: every scheduled op completed, was shed, or failed.
     if completed + shed + failed != schedule.len() as u64 {
@@ -895,7 +880,6 @@ pub fn run_target_resilient(
         shed,
         failed,
         faults,
-        retries,
         duration_secs,
         throughput_ops_per_sec: completed as f64 / duration_secs,
         p50_us: lat.quantile(0.50) as f64 / 1e3,
@@ -920,7 +904,7 @@ fn run_lanes(
     schedule: &[ScheduledOp],
     trace: &RunTrace,
     start: Instant,
-    chaos: Option<&ChaosCtx>,
+    chaos: Option<&ChaosCtx<'_>>,
     claim: &(dyn Fn() -> Option<Range<usize>> + Sync),
 ) -> Result<Vec<LaneOut>> {
     let open = profile.arrival.is_open();
@@ -1048,31 +1032,15 @@ pub fn default_targets(
 
 /// Drive every selected target with one shared deterministic schedule,
 /// engine after engine (saturation measurements must not overlap),
-/// fault-free.
-///
-/// # Errors
-/// Fails on an invalid profile, an empty engine filter, or a worker
-/// panic.
-pub fn run_load(
-    registry: &EngineRegistry,
-    profile: &LoadProfile,
-    seed: u64,
-    trace: &RunTrace,
-) -> Result<Vec<LoadReport>> {
-    run_load_resilient(registry, profile, &Resilience::passive(seed), seed, trace)
-}
-
-/// Drive every selected target under a resilience configuration: the
-/// chaos counterpart of [`run_load`], injecting per-op faults into the
-/// lanes.
+/// injecting `faults` per op when a plan is given.
 ///
 /// # Errors
 /// Fails on an invalid profile, an empty engine filter, a worker panic,
 /// or broken op conservation.
-pub fn run_load_resilient(
+pub fn run_load(
     registry: &EngineRegistry,
     profile: &LoadProfile,
-    res: &Resilience,
+    faults: Option<&FaultPlan>,
     seed: u64,
     trace: &RunTrace,
 ) -> Result<Vec<LoadReport>> {
@@ -1080,7 +1048,7 @@ pub fn run_load_resilient(
     let targets = default_targets(registry, profile)?;
     let mut reports = Vec::with_capacity(targets.len());
     for target in &targets {
-        reports.push(run_target_resilient(target.as_ref(), profile, &schedule, res, seed, trace)?);
+        reports.push(run_target_with_faults(target.as_ref(), profile, &schedule, faults, seed, trace)?);
     }
     Ok(reports)
 }
@@ -1347,24 +1315,19 @@ mod tests {
             let trace = RunTrace::new();
             let p = quick_profile();
             let schedule = build_schedule(&p, 21).unwrap();
-            let res = Resilience::new(
-                Some(plan.clone()),
-                RetryPolicy { max_retries: 1, base_delay_ms: 0, ..RetryPolicy::default() },
-                21,
-            );
-            run_target_resilient(&NativeLoadTarget, &p, &schedule, &res, 21, &trace).unwrap()
+            run_target_with_faults(&NativeLoadTarget, &p, &schedule, Some(&plan), 21, &trace)
+                .unwrap()
         };
         let a = drive();
         let b = drive();
         assert_eq!(a.completed + a.failed, a.issued, "closed loop sheds nothing");
         assert_eq!(a.shed, 0);
-        assert!(a.failed > 0, "rate 0.4 with one retry must exhaust some ops");
-        assert!(a.faults > a.failed, "every failure burned >= 2 faults");
-        assert!(a.retries > 0);
+        assert!(a.failed > 0, "rate 0.4 must fail some ops");
+        assert_eq!(a.faults, a.failed, "every injected error fails its op");
         assert!(a.conformance_passed, "failed ops never reach the sample set");
         assert_eq!(
-            (a.completed, a.failed, a.faults, a.retries, &a.digest),
-            (b.completed, b.failed, b.faults, b.retries, &b.digest),
+            (a.completed, a.failed, a.faults, &a.digest),
+            (b.completed, b.failed, b.faults, &b.digest),
             "chaos counts must be a pure function of the seed"
         );
     }
@@ -1377,7 +1340,7 @@ mod tests {
             engines: Some(vec!["native".into(), "kv".into()]),
             ..quick_profile()
         };
-        let reports = run_load(&registry, &p, 11, &trace).unwrap();
+        let reports = run_load(&registry, &p, None, 11, &trace).unwrap();
         let names: Vec<&str> = reports.iter().map(|r| r.engine.as_str()).collect();
         assert_eq!(names, vec!["kv", "native"]);
         assert!(reports.iter().all(|r| r.conformance_passed));

@@ -83,15 +83,13 @@ impl TableReporter {
 /// the run saw no recovery activity.
 pub fn render_resilience(summary: &crate::analyzer::RecoverySummary) -> String {
     if summary.is_quiet() {
-        return "== Resilience ==\nno faults injected, no retries\n".to_string();
+        return "== Resilience ==\nno faults injected\n".to_string();
     }
     let mut t = TableReporter::new("Resilience", &["metric", "value"]);
     t.add_row(&["faults injected".into(), summary.faults_injected().to_string()]);
     for (kind, n) in &summary.faults_by_kind {
         t.add_row(&[format!("  {kind}"), n.to_string()]);
     }
-    t.add_row(&["retries".into(), summary.retries.to_string()]);
-    t.add_row(&["deadline hits".into(), summary.deadline_hits.to_string()]);
     if summary.checkpoints_written > 0 || summary.cells_resumed > 0 {
         t.add_row(&["checkpoints written".into(), summary.checkpoints_written.to_string()]);
         t.add_row(&["cells resumed".into(), summary.cells_resumed.to_string()]);
@@ -101,13 +99,13 @@ pub fn render_resilience(summary: &crate::analyzer::RecoverySummary) -> String {
         "degraded ops".into(),
         format!(
             "{}/{} ({:.1}%)",
-            summary.attempts_per_site.len(),
+            summary.faulted_sites.len(),
             summary.total_ops,
             summary.degraded_pct() * 100.0
         ),
     ]);
-    for (site, attempts) in &summary.attempts_per_site {
-        t.add_row(&[format!("  {site}"), format!("{attempts} attempts")]);
+    for site in &summary.faulted_sites {
+        t.add_row(&[format!("  {site}"), "faulted".into()]);
     }
     t.to_text()
 }
@@ -184,15 +182,14 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
             r.arrival,
         ));
     }
-    // Chaos accounting appears only when the drive actually saw faults,
-    // retries or failures — clean drives keep the historical footer
-    // untouched.
-    let chaos: u64 = summary.reports.iter().map(|r| r.failed + r.faults + r.retries).sum();
+    // Chaos accounting appears only when the drive actually saw faults
+    // or failures — clean drives keep the historical footer untouched.
+    let chaos: u64 = summary.reports.iter().map(|r| r.failed + r.faults).sum();
     if chaos > 0 {
         for r in &summary.reports {
             out.push_str(&format!(
-                "chaos[{}]: {} failed, {} faults, {} retries\n",
-                r.engine, r.failed, r.faults, r.retries,
+                "chaos[{}]: {} failed, {} faults\n",
+                r.engine, r.failed, r.faults,
             ));
         }
     }
@@ -261,14 +258,8 @@ mod tests {
             },
             TraceEvent::FaultInjected {
                 site: "exec/sql:micro/sort".into(),
-                kind: "error".into(),
-                latency_ms: 0,
-            },
-            TraceEvent::OperationRetried {
-                site: "exec/sql:micro/sort".into(),
-                attempt: 1,
-                delay_ms: 10,
-                error: "injected".into(),
+                kind: "latency".into(),
+                latency_ms: 10,
             },
         ]);
         let text = render_resilience(&s);
@@ -276,7 +267,7 @@ mod tests {
         assert!(text.contains("faults injected"));
         assert!(text.contains("degraded ops"));
         assert!(text.contains("1/1 (100.0%)"));
-        assert!(text.contains("2 attempts"));
+        assert!(text.contains("exec/sql:micro/sort") && text.contains("faulted"), "{text}");
     }
 
     #[test]
@@ -328,7 +319,6 @@ mod tests {
             shed: 50,
             failed: 0,
             faults: 0,
-            retries: 0,
             duration_secs: 2.0,
             throughput_ops_per_sec: 475.0,
             p50_us: 12.0,
@@ -368,7 +358,6 @@ mod tests {
             shed: 0,
             failed: 0,
             faults: 0,
-            retries: 0,
             duration_secs: 1.0,
             throughput_ops_per_sec: 2000.0,
             p50_us: 3.0,
@@ -416,7 +405,6 @@ mod tests {
             shed: 50,
             failed: 20,
             faults: 37,
-            retries: 17,
             duration_secs: 2.0,
             throughput_ops_per_sec: 465.0,
             p50_us: 12.0,
@@ -430,7 +418,7 @@ mod tests {
         let text = render_load(&LoadSummary::new(vec![report], &[]));
         assert!(text.contains("failed"));
         assert!(
-            text.contains("chaos[kv]: 20 failed, 37 faults, 17 retries\n"),
+            text.contains("chaos[kv]: 20 failed, 37 faults\n"),
             "{text}"
         );
     }

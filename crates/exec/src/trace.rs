@@ -3,9 +3,8 @@
 //! A [`RunTrace`] is an append-only event sink threaded through a
 //! benchmark run: the pipeline records a span per Figure 1 phase, one
 //! event per generated data set, one event per engine-dispatch decision,
-//! and engines record one event per operation they execute; the resilient
-//! dispatcher adds one event per injected fault, retry and deadline
-//! hit. The sink uses interior mutability so it can ride inside a shared
+//! and engines record one event per operation they execute; fault
+//! injection adds one event per injected fault. The sink uses interior mutability so it can ride inside a shared
 //! [`crate::engine::ExecutionRequest`] without threading `&mut`
 //! everywhere. Traces fold into the [`crate::analyzer`] summaries a run
 //! report prints, and dump as JSON-lines
@@ -79,26 +78,6 @@ pub enum TraceEvent {
         kind: String,
         /// Spike length for latency faults (0 otherwise).
         latency_ms: u64,
-    },
-    /// A failed attempt is being retried after a backoff.
-    OperationRetried {
-        /// The operation site.
-        site: String,
-        /// The attempt that failed (1-based).
-        attempt: u32,
-        /// Backoff before the next attempt, milliseconds.
-        delay_ms: u64,
-        /// The error that triggered the retry.
-        error: String,
-    },
-    /// An operation ran out of its wall-clock deadline.
-    DeadlineExceeded {
-        /// The operation site.
-        site: String,
-        /// Elapsed wall-clock, milliseconds.
-        elapsed_ms: u64,
-        /// The configured deadline, milliseconds.
-        deadline_ms: u64,
     },
     /// A run journal recorded one completed matrix cell / workload, so a
     /// crashed run can skip it on `--resume`.
@@ -184,8 +163,6 @@ impl TraceEvent {
             TraceEvent::EngineDispatched { .. } => "engine_dispatched",
             TraceEvent::OperationExecuted { .. } => "operation_executed",
             TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::OperationRetried { .. } => "operation_retried",
-            TraceEvent::DeadlineExceeded { .. } => "deadline_exceeded",
             TraceEvent::CheckpointWritten { .. } => "checkpoint_written",
             TraceEvent::CellResumed { .. } => "cell_resumed",
             TraceEvent::RunResumed { .. } => "run_resumed",
@@ -196,16 +173,13 @@ impl TraceEvent {
         }
     }
 
-    /// True for the recovery-path events: what the resilient dispatcher
-    /// emits (fault, retry, deadline) and what a resumed run emits
-    /// (run/cell resumption). Checkpoint writes are *not* recovery —
+    /// True for the recovery-path events: an injected fault and what a
+    /// resumed run emits (run/cell resumption). Checkpoint writes are *not* recovery —
     /// every journaled run writes them, crashed or not.
     pub fn is_recovery(&self) -> bool {
         matches!(
             self,
             TraceEvent::FaultInjected { .. }
-                | TraceEvent::OperationRetried { .. }
-                | TraceEvent::DeadlineExceeded { .. }
                 | TraceEvent::CellResumed { .. }
                 | TraceEvent::RunResumed { .. }
         )
@@ -317,13 +291,7 @@ mod tests {
     fn recovery_events_serialize_and_classify() {
         let events = vec![
             TraceEvent::FaultInjected { site: "exec/sql:micro/sort".into(), kind: "error".into(), latency_ms: 0 },
-            TraceEvent::OperationRetried {
-                site: "exec/sql:micro/sort".into(),
-                attempt: 1,
-                delay_ms: 12,
-                error: "injected engine fault".into(),
-            },
-            TraceEvent::DeadlineExceeded { site: "datagen/events".into(), elapsed_ms: 70, deadline_ms: 50 },
+            TraceEvent::FaultInjected { site: "datagen/events".into(), kind: "latency".into(), latency_ms: 25 },
         ];
         for e in &events {
             assert!(e.is_recovery(), "{}", e.label());
@@ -346,8 +314,6 @@ mod tests {
         let back: TraceEvent = serde_json::from_str(&json).unwrap();
         assert_eq!(check, back);
         assert_eq!(events[0].label(), "fault_injected");
-        assert_eq!(events[1].label(), "operation_retried");
-        assert_eq!(events[2].label(), "deadline_exceeded");
     }
 
     #[test]

@@ -47,21 +47,44 @@ cargo clippy --workspace "${clippy_excludes[@]}" --all-targets -- -D warnings ||
 echo "clippy: clean"
 
 echo "== chaos smoke (seeded fault injection) =="
-# A seeded chaos run: the first two execution attempts fail, a generator
-# worker panics once, and the run must still complete (exit 0) with the
-# recovery recorded in the trace. Same seed + plan = same trace, always.
-chaos_trace=$(mktemp)
-./target/release/bdbench run micro/wordcount --scale 200 --seed 42 \
-    --faults "error@exec:1:max=2,panic@datagen:1:max=1" --retries 3 \
-    --trace "$chaos_trace" >/dev/null || { echo "chaos run failed"; exit 1; }
-faults=$(grep -c '"FaultInjected"' "$chaos_trace")
-retries=$(grep -c '"OperationRetried"' "$chaos_trace")
-rm -f "$chaos_trace"
-if [ "$faults" -lt 1 ] || [ "$retries" -lt 1 ]; then
-    echo "chaos smoke: expected recovered faults in the trace (faults=$faults retries=$retries)"
-    exit 1
+# A seeded chaos run: an injected fault fails the data set or dispatch it
+# hits, and with it the run — nothing retries it. The generator worker
+# panic fires first, so the run must exit nonzero with an error naming
+# the datagen site, and the same seed + plan must print the same error.
+# (The panic hook's own report names a thread id, so only the error line
+# is compared.)
+chaos_err_a=$(mktemp); chaos_err_b=$(mktemp)
+for err in "$chaos_err_a" "$chaos_err_b"; do
+    if ./target/release/bdbench run micro/wordcount --scale 200 --seed 42 \
+        --faults "error@exec:1:max=2,panic@datagen:1:max=1" >/dev/null 2>"$err"; then
+        echo "chaos smoke: an injected fault must fail the run"; exit 1
+    fi
+done
+grep -q "^error: .*worker panic.*injected worker panic at datagen/" "$chaos_err_a" \
+    || { echo "chaos smoke: expected a worker-panic error naming the datagen site, got:"; cat "$chaos_err_a"; exit 1; }
+if ! diff <(grep "^error:" "$chaos_err_a") <(grep "^error:" "$chaos_err_b") >/dev/null; then
+    echo "chaos smoke: same seed must print the same error"; diff "$chaos_err_a" "$chaos_err_b"; exit 1
 fi
-echo "chaos smoke: recovered from $faults injected fault(s) with $retries retr(y/ies)"
+chaos_error=$(grep "^error:" "$chaos_err_a")
+rm -f "$chaos_err_a" "$chaos_err_b"
+echo "chaos smoke: the injected fault failed the run: $chaos_error"
+# A latency fault delays the operation it hits and the run completes:
+# exit 0, the fault in the trace, and the same faults for the same seed.
+latency_a=$(mktemp); latency_b=$(mktemp)
+for trace in "$latency_a" "$latency_b"; do
+    ./target/release/bdbench run micro/wordcount --scale 200 --seed 42 \
+        --faults "latency@exec:1:ms=5" --trace "$trace" >/dev/null 2>&1 \
+        || { echo "chaos smoke: a latency fault must not fail the run"; exit 1; }
+done
+faults=$(grep -c '"FaultInjected"' "$latency_a")
+if [ "$faults" -lt 1 ]; then
+    echo "chaos smoke: expected the latency fault in the trace"; exit 1
+fi
+if ! diff <(grep '"FaultInjected"' "$latency_a") <(grep '"FaultInjected"' "$latency_b") >/dev/null; then
+    echo "chaos smoke: same seed must inject the same latency faults"; exit 1
+fi
+rm -f "$latency_a" "$latency_b"
+echo "chaos smoke: $faults latency fault(s) traced, run completed"
 
 echo "== crash smoke (kill point, journal, resume) =="
 # A seeded verification sweep is killed by an injected crash point
@@ -182,14 +205,14 @@ done
 rm -f "$open_out"
 
 echo "== chaos load smoke (closed and open loop, seeded) =="
-# Closed-loop chaos: a 40% error rate past one retry fails some ops but
-# the drive stays CONFORMANT, conserves every op
+# Closed-loop chaos: a 40% error rate fails the ops it hits but the
+# drive stays CONFORMANT, conserves every op
 # (issued == completed + shed + failed), and the same seed reproduces
 # identical chaos accounting and the identical issued-op digest.
 chaos_a=$(mktemp); chaos_b=$(mktemp)
 for out in "$chaos_a" "$chaos_b"; do
     ./target/release/bdbench load --clients 2 --inflight 2 --duration-ms 300 \
-        --engine native --seed 42 --faults "error@exec:0.4" --retries 1 >"$out" \
+        --engine native --seed 42 --faults "error@exec:0.4" >"$out" \
         || { echo "chaos load smoke: drive failed or diverged"; cat "$out"; exit 1; }
     grep -q "verdict: CONFORMANT" "$out" \
         || { echo "chaos load smoke: expected CONFORMANT"; cat "$out"; exit 1; }
@@ -213,7 +236,7 @@ echo "chaos load smoke: conserved $issued ops ($completed completed, $failed fai
 # accounted for (issued == completed + shed + failed).
 ./target/release/bdbench load --clients 2 --inflight 2 --duration-ms 300 \
     --engine native --seed 42 --arrival uniform:2000 \
-    --faults "error@exec:0.3" --retries 0 >"$chaos_a" \
+    --faults "error@exec:0.3" >"$chaos_a" \
     || { echo "chaos load smoke: open-loop drive failed"; cat "$chaos_a"; exit 1; }
 grep -q "verdict: CONFORMANT" "$chaos_a" \
     || { echo "chaos load smoke: open loop expected CONFORMANT"; cat "$chaos_a"; exit 1; }

