@@ -166,9 +166,9 @@ pub struct MatrixDurability<'a> {
     /// Journal completed cells here (and honour any checkpoints already
     /// present — an existing journal resumes the sweep).
     pub journal: Option<&'a RunJournal>,
-    /// Kill points for the sweep. Only `crash` clauses act at this level
-    /// (sampled once after every completed cell, by one injector spanning
-    /// the sweep); other kinds belong in per-cell run specs.
+    /// Kill points for the sweep: `crash` clauses only (any other kind is
+    /// an [`BdbError::InvalidConfig`]), sampled once after every completed
+    /// cell by one injector spanning the sweep.
     pub faults: Option<&'a FaultPlan>,
 }
 
@@ -209,13 +209,20 @@ pub fn verify_matrix_routed(
     goldens_dir: Option<&str>,
     durability: &MatrixDurability<'_>,
 ) -> Result<MatrixReport> {
+    // Only kill points act between cells: any other clause would be drawn
+    // and dropped, injecting nothing while the sweep reads CONFORMANT.
+    if let Some(clause) =
+        durability.faults.and_then(|p| p.clauses.iter().find(|c| c.kind != FaultKind::Crash))
+    {
+        return Err(BdbError::InvalidConfig(format!(
+            "verify --faults arms kill points between cells and takes only crash@ clauses, \
+             got {clause}"
+        )));
+    }
     // ONE injector spans the sweep: a fresh injector per cell would
     // restart the deterministic draw sequence and a `crash@exec:1`
     // clause would kill every cell instead of one point in the run.
-    let injector = durability
-        .faults
-        .filter(|p| !p.is_empty())
-        .map(|p| FaultInjector::new(p.clone(), seed));
+    let injector = durability.faults.map(|p| FaultInjector::new(p.clone(), seed));
     let golden_store = goldens_dir.map(GoldenStore::at).or_else(|| GoldenStore::discover(false));
     let sweep_trace = RunTrace::new();
     if let Some(journal) = durability.journal {
@@ -289,12 +296,10 @@ pub fn verify_matrix_routed(
         // The kill point sits between cells: the checkpoint for the
         // finished cell is durable, the next cell never starts — exactly
         // a process death mid-sweep.
-        let fired = injector
-            .as_ref()
-            .and_then(|inj| inj.sample(&FaultSite::execution(engine_name, &name)));
-        if fired.is_some_and(|f| f.kind == FaultKind::Crash) {
+        let site = FaultSite::execution(engine_name, &name);
+        if injector.as_ref().and_then(|inj| inj.sample(&site)).is_some() {
             sweep_trace.record(TraceEvent::FaultInjected {
-                site: format!("exec/{engine_name}:{name}"),
+                site: site.to_string(),
                 kind: "crash".into(),
                 latency_ms: 0,
             });
@@ -374,6 +379,21 @@ fn checkpoint_of(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn verify_faults_take_only_crash_clauses() {
+        // Non-crash clauses would be drawn between cells and dropped, and
+        // one that fires first would shadow the crash behind it: the sweep
+        // refuses the plan before running a cell.
+        for spec in ["error@exec:1,panic@any:1,latency@exec:1:ms=500", "panic@any:1,crash@exec:1"] {
+            let plan: FaultPlan = spec.parse().unwrap();
+            let durability = MatrixDurability { journal: None, faults: Some(&plan) };
+            let err = verify_matrix_routed(300, 42, VerifyMode::Digest, None, &durability)
+                .unwrap_err();
+            assert!(matches!(err, BdbError::InvalidConfig(_)), "{spec}: {err}");
+            assert!(err.to_string().contains("only crash@ clauses"), "{err}");
+        }
+    }
 
     #[test]
     fn builtin_engines_are_the_five() {

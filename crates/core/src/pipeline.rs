@@ -9,7 +9,7 @@
 //! [`EngineRegistry`](bdb_exec::engine::EngineRegistry): the pipeline
 //! builds one [`ExecutionRequest`] and the registry routes it to the
 //! capable engine. Each data-set generation and the one engine dispatch
-//! run once under [`bdb_exec::fault::run_with_faults`]: a panic becomes a
+//! run once under [`bdb_exec::fault::run_with_fault`]: a panic becomes a
 //! named error, and when the spec sets a fault plan
 //! ([`BenchmarkSpec::faults`]) an injected fault fails the data set or
 //! dispatch it hits, and with it the run. Nothing is retried.
@@ -190,7 +190,8 @@ impl Benchmark {
             let site = FaultSite::datagen(&data_spec.name);
             // An injected fault (including a worker panic surfaced by the
             // hardened pool) fails the data set, and with it the run.
-            let outcome = fault::run_with_faults(injector.as_ref(), &trace, &site, || {
+            let drawn = injector.as_ref().and_then(|inj| inj.sample(&site));
+            let outcome = fault::run_with_fault(drawn, &trace, &site, || {
                 controller.run(generator.as_ref(), seed, items)
             })?;
             let gen_elapsed = gen_started.elapsed();

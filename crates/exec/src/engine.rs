@@ -13,7 +13,7 @@
 //! registry entry, not a pipeline edit.
 //!
 //! There is one dispatch entry point: [`EngineRegistry::dispatch`] runs
-//! the one routed engine once, under [`crate::fault::run_with_faults`]
+//! the one routed engine once, under [`crate::fault::run_with_fault`]
 //! (seeded fault injection when the run has a fault plan, and a panic
 //! turned into a named error). When that engine fails, its error is the
 //! run's result.
@@ -450,7 +450,8 @@ impl EngineRegistry {
             candidates: self.names().iter().map(|n| n.to_string()).collect(),
         });
         let site = FaultSite::execution(engine.name(), &request.prescription.name);
-        fault::run_with_faults(injector, request.trace, &site, || engine.execute(request))
+        let drawn = injector.and_then(|inj| inj.sample(&site));
+        fault::run_with_fault(drawn, request.trace, &site, || engine.execute(request))
     }
 }
 
@@ -999,32 +1000,29 @@ impl Engine for StreamingEngine {
             .datasets
             .values()
             .find_map(|d| match d {
-                Dataset::Stream(e) => Some(e.clone()),
+                Dataset::Stream(e) => Some(e),
                 _ => None,
             })
             .ok_or_else(|| {
                 BdbError::Execution("window aggregation needs a stream data set".into())
             })?;
-        let cfg = streaming::StreamAnalyticsConfig { window_ms, ..Default::default() };
-        let (outcome, r) = run_kernel(
+        let (windows, r) = run_kernel(
             req,
             "streaming",
             "window-aggregate",
-            || streaming::windowed_aggregation(events, &cfg),
-            |outcome| outcome.windows.len() as u64,
+            || streaming::windowed_aggregation(events, window_ms),
+            |windows| windows.len() as u64,
         );
-        let mut r = r
-            .with_detail("windows", outcome.windows.len() as f64)
-            .with_detail("throughput_eps", outcome.throughput_eps);
-        if let Some(lag) = outcome.max_lag_ms {
-            r = r.with_detail("max_lag_ms", lag);
-        }
+        // One operation per event: the kernel span's ops/s is events/s.
+        let throughput_eps = r.report.user.throughput_ops_per_sec;
+        let r = r
+            .with_detail("windows", windows.len() as f64)
+            .with_detail("throughput_eps", throughput_eps);
         // Stream output is ordered: with zero allowed lateness and an
         // in-order source, panes close in deterministic
         // (window_start, key) order — the documented lateness contract.
         let payload = OutputPayload::Ordered(
-            outcome
-                .windows
+            windows
                 .iter()
                 .map(|w| {
                     format!(

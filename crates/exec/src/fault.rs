@@ -15,12 +15,13 @@
 //!   are pure functions of `(seed, clause, draw index)`, so the same seed
 //!   and plan always produce the same fault sequence regardless of wall
 //!   clock or thread timing.
-//! * [`run_with_faults`] — one guarded attempt at an operation. It asks
-//!   the injector for a fault, returns an injected error, worker panic or
-//!   kill point as the operation's error, delays the operation by an
-//!   injected latency spike, converts a panic inside the operation into a
-//!   structured [`BdbError`], and records each injected fault in the
-//!   [`RunTrace`].
+//! * [`run_with_fault`] — one guarded attempt at an operation under a
+//!   fault already drawn for it. It returns an injected error, worker
+//!   panic or kill point as the operation's error, delays the operation
+//!   by an injected latency spike, converts a panic inside the operation
+//!   into a structured [`BdbError`], and records each injected fault in
+//!   the [`RunTrace`]. A run draws each operation's fault just before
+//!   it; a load drive draws every op's fault before the drive starts.
 //!
 //! Nothing is retried. Every engine is in-process and a deterministic
 //! function of its request and seed, so a real failure repeats on a
@@ -38,8 +39,8 @@
 //!
 //! * `kind` — `error` (the operation fails with an injected engine
 //!   error), `latency` (a spike of `ms` milliseconds is added before the
-//!   operation runs), `panic` (a pool worker thread panics; the hardened
-//!   pool catches it and the operation fails with a structured error), or
+//!   operation runs), `panic` (the operation fails with the structured
+//!   error the hardened pool makes of a worker panic), or
 //!   `crash` (the process "dies" at a kill point: the run aborts, leaving
 //!   durable state for `--resume`).
 //! * `phase` — `datagen`, `exec`, or `any`.
@@ -72,7 +73,7 @@ pub enum FaultKind {
     Error,
     /// A latency spike is added before the operation runs (a straggler).
     Latency,
-    /// A worker thread panics mid-operation.
+    /// The operation fails as if a pool worker panicked mid-operation.
     Panic,
     /// The process "dies" at the operation: a terminal
     /// [`BdbError::Crashed`] — the run aborts with durable state (run
@@ -246,18 +247,6 @@ pub struct FaultPlan {
     pub clauses: Vec<FaultClause>,
 }
 
-impl FaultPlan {
-    /// A plan with no clauses (never injects).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// True when the plan can never inject a fault.
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-}
-
 impl std::str::FromStr for FaultPlan {
     type Err = BdbError;
 
@@ -364,11 +353,6 @@ impl FaultInjector {
         Self { plan, seed, state }
     }
 
-    /// Total faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.state.lock().expect("injector state").iter().map(|s| s.injected).sum()
-    }
-
     /// Decide whether a fault fires for one attempt at `site`. The first
     /// clause (in plan order) that matches the site's phase and fires
     /// wins; clauses that hit their `max` cap stop drawing.
@@ -397,19 +381,20 @@ impl FaultInjector {
     }
 }
 
-/// Run `f` once at `site`, with the fault `injector` draws for it, if any.
+/// Run `f` once at `site` under `fault`, the fault drawn for it
+/// ([`FaultInjector::sample`]), if any.
 ///
 /// An injected `error`, `panic` or `crash` fault is the operation's error
 /// and `f` never runs; a `latency` fault sleeps its spike, then runs `f`.
 /// A panic inside `f` becomes a structured [`BdbError`]. Records one
 /// [`TraceEvent::FaultInjected`] per injected fault.
-pub fn run_with_faults<T>(
-    injector: Option<&FaultInjector>,
+pub fn run_with_fault<T>(
+    fault: Option<InjectedFault>,
     trace: &RunTrace,
     site: &FaultSite,
     f: impl FnOnce() -> Result<T>,
 ) -> Result<T> {
-    let Some(fault) = injector.and_then(|inj| inj.sample(site)) else {
+    let Some(fault) = fault else {
         return run_guarded(f);
     };
     trace.record(TraceEvent::FaultInjected {
@@ -419,7 +404,11 @@ pub fn run_with_faults<T>(
     });
     match fault.kind {
         FaultKind::Error => Err(BdbError::Execution(format!("injected engine fault at {site}"))),
-        FaultKind::Panic => Err(injected_worker_panic(site)),
+        // The error a worker panic surfaces as through the hardened pool
+        // (`pool::try_par_map`), without starting threads to panic.
+        FaultKind::Panic => Err(BdbError::Execution(format!(
+            "worker panic in task 0: injected worker panic at {site}"
+        ))),
         FaultKind::Crash => Err(BdbError::Crashed(format!("injected kill point at {site}"))),
         FaultKind::Latency => {
             std::thread::sleep(Duration::from_millis(fault.latency_ms));
@@ -439,25 +428,6 @@ fn run_guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
         ))),
     }
 }
-
-/// Fire a real panic inside a real pool worker thread and surface the
-/// structured error the hardened pool produces — the fault path a
-/// generator-worker crash takes in production.
-fn injected_worker_panic(site: &FaultSite) -> BdbError {
-    let outcome = pool::try_par_map(2, vec![true, false], |crash| {
-        if crash {
-            panic!("injected worker panic at {site}");
-        }
-    });
-    match outcome {
-        Err(panic) => BdbError::Execution(format!(
-            "worker panic in task {}: {}",
-            panic.task_index, panic.message
-        )),
-        Ok(_) => BdbError::Execution(format!("injected worker panic at {site}")),
-    }
-}
-
 
 #[cfg(test)]
 mod tests {
@@ -592,9 +562,8 @@ mod tests {
         let dg = FaultSite::datagen("events");
         assert!(inj.sample(&dg).is_some());
         assert!(inj.sample(&dg).is_some());
-        // Cap reached.
-        assert!(inj.sample(&dg).is_none());
-        assert_eq!(inj.injected(), 2);
+        // Cap reached: the clause stops firing for good.
+        assert!((0..8).all(|_| inj.sample(&dg).is_none()));
     }
 
     #[test]
@@ -602,7 +571,7 @@ mod tests {
         let inj = FaultInjector::new("error@exec:1:max=1".parse().unwrap(), 9);
         let trace = RunTrace::new();
         let mut calls = 0;
-        let err = run_with_faults(Some(&inj), &trace, &site(), || {
+        let err = run_with_fault(inj.sample(&site()), &trace, &site(), || {
             calls += 1;
             Ok(1u32)
         })
@@ -611,7 +580,7 @@ mod tests {
         assert_eq!(calls, 0, "an injected error never reaches the operation");
         assert_eq!(labels(&trace), vec!["fault_injected"]);
         // The cap is spent: the next operation at the site runs.
-        assert_eq!(run_with_faults(Some(&inj), &trace, &site(), || Ok(2u32)).unwrap(), 2);
+        assert_eq!(run_with_fault(inj.sample(&site()), &trace, &site(), || Ok(2u32)).unwrap(), 2);
         assert_eq!(labels(&trace), vec!["fault_injected"]);
     }
 
@@ -620,7 +589,7 @@ mod tests {
         let inj = FaultInjector::new("crash@exec:1".parse().unwrap(), 9);
         let trace = RunTrace::new();
         let mut calls = 0;
-        let err = run_with_faults(Some(&inj), &trace, &site(), || {
+        let err = run_with_fault(inj.sample(&site()), &trace, &site(), || {
             calls += 1;
             Ok(1u32)
         })
@@ -633,7 +602,7 @@ mod tests {
     #[test]
     fn crash_errors_from_the_operation_are_terminal_too() {
         let trace = RunTrace::new();
-        let err = run_with_faults::<u32>(None, &trace, &site(), || {
+        let err = run_with_fault::<u32>(None, &trace, &site(), || {
             Err(BdbError::Crashed("kill point mid-WAL-append".into()))
         })
         .unwrap_err();
@@ -645,9 +614,11 @@ mod tests {
     fn injected_panic_becomes_structured_error() {
         let inj = FaultInjector::new("panic@exec:1:max=1".parse().unwrap(), 3);
         let trace = RunTrace::new();
-        let err = run_with_faults(Some(&inj), &trace, &site(), || Ok(7u32)).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("worker panic") && msg.contains("exec/sql:micro/sort"), "{msg}");
+        let err = run_with_fault(inj.sample(&site()), &trace, &site(), || Ok(7u32)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "execution error: worker panic in task 0: injected worker panic at exec/sql:micro/sort"
+        );
         assert!(trace.events().iter().any(|e| matches!(
             e,
             TraceEvent::FaultInjected { kind, .. } if kind == "panic"
@@ -658,7 +629,7 @@ mod tests {
     fn real_panics_in_the_operation_are_caught() {
         let trace = RunTrace::new();
         let mut calls = 0;
-        let err = run_with_faults::<u32>(None, &trace, &site(), || {
+        let err = run_with_fault::<u32>(None, &trace, &site(), || {
             calls += 1;
             panic!("engine bug");
         })
@@ -673,7 +644,7 @@ mod tests {
         let inj = FaultInjector::new("latency@exec:1:ms=2".parse().unwrap(), 5);
         let trace = RunTrace::new();
         let started = std::time::Instant::now();
-        assert_eq!(run_with_faults(Some(&inj), &trace, &site(), || Ok(3u32)).unwrap(), 3);
+        assert_eq!(run_with_fault(inj.sample(&site()), &trace, &site(), || Ok(3u32)).unwrap(), 3);
         assert!(started.elapsed() >= Duration::from_millis(2));
         assert_eq!(
             trace.events(),
@@ -688,7 +659,7 @@ mod tests {
     #[test]
     fn passive_resilience_is_transparent() {
         let trace = RunTrace::new();
-        assert_eq!(run_with_faults(None, &trace, &site(), || Ok("ok")).unwrap(), "ok");
+        assert_eq!(run_with_fault(None, &trace, &site(), || Ok("ok")).unwrap(), "ok");
         assert!(trace.is_empty(), "no events on the happy path");
     }
 }

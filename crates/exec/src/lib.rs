@@ -14,7 +14,7 @@
 //!   summaries (recovery, conformance, load) run reports print.
 //! * [`reporter`] — plain-text and Markdown table rendering.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`])
-//!   and the one guarded attempt ([`fault::run_with_faults`]) every
+//!   and the one guarded attempt ([`fault::run_with_fault`]) every
 //!   dataset, dispatch and load op runs under. Nothing is retried.
 //! * [`journal`] — the run journal: atomic per-cell checkpoints that let
 //!   a killed run `--resume` without re-executing completed cells.

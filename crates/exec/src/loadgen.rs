@@ -41,23 +41,24 @@
 //! # Chaos under load
 //!
 //! [`run_load`] with a [`FaultPlan`] drives the same schedules with
-//! faults injected per op: every op gets its own injector seeded by
-//! `mix(seed ^ index)`, so its fault outcome is a pure function of
-//! `(seed, index)` — identical counts at any concurrency. An op hit by an
-//! `error@`, `panic@` or `crash@` fault counts as **failed**, extending
-//! conservation to `issued == completed + shed + failed`; a `latency@`
-//! fault delays the op and it completes. A failed op is a finding about
-//! the target: nothing retries or re-routes it, and open-loop lanes pace
-//! the same arrivals with or without a fault plan.
+//! faults injected per op: one injector seeded by the run seed draws
+//! every op's fault before the drive, in schedule order, so an op's
+//! fault is a pure function of `(seed, index)` — identical counts at any
+//! concurrency — and a clause's `max=` caps it across the drive. An op
+//! hit by an `error@`, `panic@` or `crash@` fault counts as **failed**,
+//! extending conservation to `issued == completed + shed + failed`; a
+//! `latency@` fault delays the op and it completes. A failed op is a
+//! finding about the target: nothing retries or re-routes it, and
+//! open-loop lanes pace the same arrivals with or without a fault plan.
 
 use crate::engine::EngineRegistry;
-use crate::fault::{run_with_faults, FaultInjector, FaultPlan, FaultSite};
+use crate::fault::{run_with_fault, FaultInjector, FaultPlan, FaultSite, InjectedFault};
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::dist::{Distribution, Zipf};
 use bdb_common::event::Event;
 use bdb_common::hash::Fnv1a;
 use bdb_common::histogram::LogHistogram;
-use bdb_common::rng::{Rng, SeedTree, SplitMix64};
+use bdb_common::rng::{Rng, SeedTree};
 use bdb_common::value::{DataType, Field, Schema, Value};
 use bdb_common::record::{row_lines, Table, CELL_SEP};
 use bdb_common::{pool, BdbError, Result};
@@ -700,7 +701,8 @@ pub struct LoadReport {
     pub mean_queue_delay_ms: f64,
     /// Results sampled into the conformance check.
     pub sampled: u64,
-    /// Did the sampled results match the oracle?
+    /// At least one result was sampled, and every sampled result matched
+    /// the oracle.
     pub conformance_passed: bool,
     /// The issued-op digest of the schedule this engine consumed.
     pub digest: String,
@@ -720,22 +722,24 @@ struct LaneOut {
     samples: Vec<(usize, String)>,
 }
 
-/// Everything one chaos drive shares across lanes: the fault plan and
-/// the run seed per-op injectors derive from.
-struct ChaosCtx<'a> {
-    plan: &'a FaultPlan,
-    seed: u64,
+/// Everything one chaos drive shares across lanes: the fault each op
+/// drew, by schedule index, and the site they are injected at.
+struct ChaosCtx {
+    faults: Vec<Option<InjectedFault>>,
     site: FaultSite,
 }
 
-impl ChaosCtx<'_> {
-    /// The injector seed for op `idx`: a pure function of `(seed, idx)`,
-    /// so an op's fault is identical at any concurrency.
-    fn op_seed(&self, idx: usize) -> u64 {
-        SplitMix64::mix(self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+impl ChaosCtx {
+    /// Draw every op's fault before the drive, in schedule order, from one
+    /// injector: a clause's `max=` caps it across the whole drive, and an
+    /// op's fault is a pure function of `(seed, index)` at any concurrency.
+    fn draw(plan: &FaultPlan, seed: u64, target: &str, ops: usize) -> Self {
+        let site = FaultSite::execution(target, "load");
+        let injector = FaultInjector::new(plan.clone(), seed);
+        Self { faults: (0..ops).map(|_| injector.sample(&site)).collect(), site }
     }
 
-    /// Execute op `idx` with its own injector, folding the fault and
+    /// Execute op `idx` under the fault it drew, folding the fault and
     /// failure counts into the lane. Returns the outcome string when the
     /// op completed. Fault events go to a scratch trace — at load volumes
     /// per-op fault events would swamp the run trace; the counts land in
@@ -752,11 +756,10 @@ impl ChaosCtx<'_> {
         op: &LoadOp,
         idx: usize,
     ) -> Option<String> {
-        let injector = FaultInjector::new(self.plan.clone(), self.op_seed(idx));
+        let fault = self.faults[idx];
         let value =
-            run_with_faults(Some(&injector), &RunTrace::new(), &self.site, || Ok(sess.execute(op)))
-                .ok();
-        lane.faults += injector.injected();
+            run_with_fault(fault, &RunTrace::new(), &self.site, || Ok(sess.execute(op))).ok();
+        lane.faults += u64::from(fault.is_some());
         lane.failed += u64::from(value.is_none());
         value
     }
@@ -777,7 +780,7 @@ pub fn run_target(
 }
 
 /// Drive one target with the given schedule, injecting `faults` per op
-/// with injectors derived from `seed` (see the module docs).
+/// as drawn from one injector seeded by `seed` (see the module docs).
 ///
 /// # Errors
 /// Fails when a worker panics, the profile is invalid, or op accounting
@@ -791,11 +794,7 @@ pub fn run_target_with_faults(
     trace: &RunTrace,
 ) -> Result<LoadReport> {
     profile.validate()?;
-    let chaos = faults.map(|plan| ChaosCtx {
-        plan,
-        seed,
-        site: FaultSite::execution(target.name(), "load"),
-    });
+    let chaos = faults.map(|plan| ChaosCtx::draw(plan, seed, target.name(), schedule.len()));
     let chaos = chaos.as_ref();
     let t0 = Instant::now();
     let (lanes, shed) = if profile.arrival.is_open() {
@@ -859,7 +858,12 @@ pub fn run_target_with_faults(
         samples.iter().zip(&expected).map(|((i, _), e)| [i as &dyn Display, e]),
     ));
     let actual = actual.canonical_lines();
-    let mismatch = actual.diff(&expect.canonical_lines(), 0.0);
+    // A drive that sampled nothing has checked nothing: it does not pass.
+    let mismatch = if samples.is_empty() {
+        Some(format!("nothing sampled: {completed} of {} ops completed", schedule.len()))
+    } else {
+        actual.diff(&expect.canonical_lines(), 0.0)
+    };
     let passed = mismatch.is_none();
     trace.record(TraceEvent::ConformanceChecked {
         prescription: format!("load/{}", target.name()),
@@ -904,7 +908,7 @@ fn run_lanes(
     schedule: &[ScheduledOp],
     trace: &RunTrace,
     start: Instant,
-    chaos: Option<&ChaosCtx<'_>>,
+    chaos: Option<&ChaosCtx>,
     claim: &(dyn Fn() -> Option<Range<usize>> + Sync),
 ) -> Result<Vec<LaneOut>> {
     let open = profile.arrival.is_open();
@@ -1330,6 +1334,44 @@ mod tests {
             (b.completed, b.failed, b.faults, &b.digest),
             "chaos counts must be a pure function of the seed"
         );
+    }
+
+    #[test]
+    fn max_caps_a_clause_across_the_whole_drive() {
+        // `max=1` is the clause's total over the drive, not per op, and
+        // the op it fails is the same at any concurrency.
+        let plan: FaultPlan = "error@exec:1:max=1".parse().unwrap();
+        let counts = |clients| {
+            let p = LoadProfile { clients, inflight: 2, duration_ms: 100, ..quick_profile() };
+            let schedule = build_schedule(&p, 42).unwrap();
+            let trace = RunTrace::new();
+            let r =
+                run_target_with_faults(&NativeLoadTarget, &p, &schedule, Some(&plan), 42, &trace)
+                    .unwrap();
+            assert!(r.conformance_passed);
+            (r.issued, r.completed, r.failed, r.faults)
+        };
+        let one = counts(1);
+        assert_eq!((one.1 + 1, one.2, one.3), (one.0, 1, 1), "exactly one op fails: {one:?}");
+        assert_eq!(one, counts(4));
+    }
+
+    #[test]
+    fn a_drive_that_sampled_nothing_does_not_pass() {
+        let plan: FaultPlan = "error@exec:1".parse().unwrap();
+        let trace = RunTrace::new();
+        let p = quick_profile();
+        let schedule = build_schedule(&p, 3).unwrap();
+        let r = run_target_with_faults(&NativeLoadTarget, &p, &schedule, Some(&plan), 3, &trace)
+            .unwrap();
+        assert_eq!((r.completed, r.failed, r.sampled), (0, r.issued, 0));
+        assert!(!r.conformance_passed, "a drive that checked nothing must not pass");
+        let detail = trace.events().iter().find_map(|e| match e {
+            TraceEvent::ConformanceChecked { passed: false, detail, .. } => Some(detail.clone()),
+            _ => None,
+        });
+        let want = format!("nothing sampled: 0 of {} ops completed", r.issued);
+        assert_eq!(detail.as_deref(), Some(want.as_str()));
     }
 
     #[test]

@@ -2,28 +2,28 @@
 //!
 //! The substrate for the paper's third meaning of data *velocity*: "data
 //! streams continuously arrive and must be processed in real-time to keep
-//! up with their arriving speed". The engine runs a pipeline of operator
-//! stages (map, filter, keyed event-time windows) on dedicated threads
-//! connected by bounded channels — so backpressure is real — and reports
-//! the two numbers a streaming benchmark needs: sustained **processing
-//! rate** and, under paced replay, **processing lag**.
+//! up with their arriving speed". Two operator families run on the
+//! caller's thread, one event at a time: keyed event-time windows
+//! ([`Windower`], with a watermark and an allowed-lateness budget) and the
+//! order-insensitive per-user aggregates of [`behavioral`]. The keep-up
+//! test — offered arrival rate against processing latency — is the load
+//! driver's open loop over the streaming engine, not a second pacer here.
 //!
 //! ```
-//! use bdb_stream::{Pipeline, WindowSpec};
+//! use bdb_stream::{WindowSpec, Windower};
 //! use bdb_common::event::Event;
 //!
-//! let events: Vec<Event> =
-//!     (0..100).map(|i| Event::new(i * 10, i % 2, 1.0)).collect();
-//! let outcome = Pipeline::new()
-//!     .filter(|e| e.value > 0.0)
-//!     .window(WindowSpec::tumbling(100))
-//!     .run(events);
-//! assert!(outcome.windows.len() >= 10); // ~10 windows x 2 keys
+//! let mut windower = Windower::new(WindowSpec::tumbling(100));
+//! let mut windows = Vec::new();
+//! for i in 0..100 {
+//!     windows.extend(windower.push(&Event::new(i * 10, i % 2, 1.0)));
+//! }
+//! windows.extend(windower.flush());
+//! assert_eq!(windows.len(), 20); // 10 windows x 2 keys
+//! assert_eq!(windows.iter().map(|w| w.count).sum::<u64>(), 100);
 //! ```
 
 pub mod behavioral;
-pub mod pipeline;
 pub mod window;
 
-pub use pipeline::{Pipeline, RunOutcome};
-pub use window::{WindowAggregate, WindowSpec};
+pub use window::{WindowAggregate, WindowSpec, Windower};

@@ -389,6 +389,34 @@ mod tests {
         assert_eq!(w0.count, 2);
     }
 
+    /// Push every event, then flush: all panes in emission order.
+    fn run(mut w: Windower, events: &[Event]) -> (Vec<WindowAggregate>, Windower) {
+        let mut out: Vec<WindowAggregate> = events.iter().flat_map(|e| w.push(e)).collect();
+        out.extend(w.flush());
+        (out, w)
+    }
+
+    #[test]
+    fn empty_input_is_fine() {
+        let (out, w) = run(Windower::new(WindowSpec::tumbling(10)), &[]);
+        assert!(out.is_empty());
+        assert_eq!((w.late_events(), w.late_panes()), (0, 0));
+    }
+
+    #[test]
+    fn out_of_order_stream_reports_late_events() {
+        // An ordered stream with one event far behind the watermark.
+        let mut events: Vec<Event> = (0..100).map(|i| Event::new(i * 10, i % 4, 1.0)).collect();
+        events.push(Event::new(5, 0, 1.0));
+        let (_, strict) = run(Windower::new(WindowSpec::tumbling(50)), &events);
+        assert_eq!(strict.late_events(), 1);
+        // With generous lateness the same event is accepted.
+        let lenient = Windower::with_allowed_lateness(WindowSpec::tumbling(50), 10_000);
+        let (out, lenient) = run(lenient, &events);
+        assert_eq!(lenient.late_events(), 0);
+        assert_eq!(out.iter().map(|w| w.count).sum::<u64>(), 101);
+    }
+
     #[test]
     fn out_of_order_event_within_open_window_still_counts() {
         let mut w = Windower::new(WindowSpec::tumbling(100));

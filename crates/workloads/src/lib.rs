@@ -5,7 +5,7 @@
 //! | [`micro`] | WordCount, grep | `micro/wordcount`, `micro/grep`, `search/index` |
 //! | [`search`] | PageRank | `search/pagerank` |
 //! | [`social`] | k-means, connected components | `social/kmeans`, `social/connected-components` |
-//! | [`streaming`] | windowed stream analytics at paced rates | `streaming/window-aggregation` |
+//! | [`streaming`] | keyed tumbling-window aggregation | `streaming/window-aggregation` |
 //! | [`behavioral`] | sessionize, retention, window funnel, sequence match | `behavioral/*` |
 //! | [`oltp`] | YCSB A–F analog operation mixes on the LSM store | `oltp/*` |
 //! | [`relational`] | the Pavlo `uservisits` table generator | (the hybrid mix's table) |

@@ -50,9 +50,9 @@ echo "== chaos smoke (seeded fault injection) =="
 # A seeded chaos run: an injected fault fails the data set or dispatch it
 # hits, and with it the run — nothing retries it. The generator worker
 # panic fires first, so the run must exit nonzero with an error naming
-# the datagen site, and the same seed + plan must print the same error.
-# (The panic hook's own report names a thread id, so only the error line
-# is compared.)
+# the datagen site, and the same seed + plan must print the same stderr,
+# byte for byte (an injected panic is a named error, not a real panic
+# whose hook report would name a thread id).
 chaos_err_a=$(mktemp); chaos_err_b=$(mktemp)
 for err in "$chaos_err_a" "$chaos_err_b"; do
     if ./target/release/bdbench run micro/wordcount --scale 200 --seed 42 \
@@ -62,8 +62,8 @@ for err in "$chaos_err_a" "$chaos_err_b"; do
 done
 grep -q "^error: .*worker panic.*injected worker panic at datagen/" "$chaos_err_a" \
     || { echo "chaos smoke: expected a worker-panic error naming the datagen site, got:"; cat "$chaos_err_a"; exit 1; }
-if ! diff <(grep "^error:" "$chaos_err_a") <(grep "^error:" "$chaos_err_b") >/dev/null; then
-    echo "chaos smoke: same seed must print the same error"; diff "$chaos_err_a" "$chaos_err_b"; exit 1
+if ! diff "$chaos_err_a" "$chaos_err_b" >/dev/null; then
+    echo "chaos smoke: same seed must print the same stderr"; diff "$chaos_err_a" "$chaos_err_b"; exit 1
 fi
 chaos_error=$(grep "^error:" "$chaos_err_a")
 rm -f "$chaos_err_a" "$chaos_err_b"
@@ -288,6 +288,12 @@ grep -q "^EXT1: " "$report_out" && grep -q "^Question (1): " "$report_out" \
     || { echo "report smoke: expected the EXT1 table and its answers"; cat "$report_out"; exit 1; }
 rm -f "$report_out"
 echo "report smoke: ext_platforms projected five pipeline results and answered Question (1)"
+
+echo "== cargo test --release (stable) =="
+# The release profile is what every benchmark number runs, so its test
+# suite must pass on the default (stable) toolchain too, not only on the
+# nightly one below.
+cargo test --offline --release -q --workspace || exit 1
 
 echo "== second-compiler differential (nightly release build, same answers) =="
 # Every benchmark number comes from the release binary, so its answers are

@@ -108,6 +108,10 @@ fn open_loop_chaos_conserves_every_op() {
             .with_load(LoadProfile {
                 arrival: LoadArrival::Uniform { rate_per_sec: 2000.0 },
                 duration_ms: 100,
+                // Check every surviving op: at one in 16, the few sampled
+                // indices an 80% error rate spares can all be shed, and a
+                // drive that sampled nothing is not conformant.
+                sample_every: 1,
                 ..profile(100)
             })
     };
