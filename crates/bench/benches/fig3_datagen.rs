@@ -5,6 +5,7 @@
 //! MMPP) across a volume sweep, printing items/sec per generator — the
 //! *volume* and *velocity* columns of the process.
 
+use bdb_datagen::behavioral::BehavioralEvents;
 use bdb_datagen::corpus::{karate_club_graph, raw_retail_table, RAW_TEXT_CORPUS};
 use bdb_datagen::graph::{fit_rmat, BaGenerator, RmatGenerator};
 use bdb_datagen::stream::{MmppArrivals, PoissonArrivals};
@@ -70,7 +71,8 @@ fn report() {
 
 /// Thread-scaling report: the BDGS-style parallel deployment lever.
 /// Prints achieved items/sec and speedup vs one worker for the table and
-/// stream generators at 1/2/4/N workers (N = available parallelism).
+/// behavioral event generators at 1/2/4/N workers (N = available
+/// parallelism); Poisson and MMPP streams do not shard.
 fn thread_scaling_report() {
     let n_auto = std::thread::available_parallelism().map_or(4, |n| n.get());
     let mut workers: Vec<usize> = vec![1, 2, 4];
@@ -78,10 +80,10 @@ fn thread_scaling_report() {
         workers.push(n_auto);
     }
     let table_gen = TableGenerator::fit("retail", &raw_retail_table()).expect("fits");
-    let stream_gen = PoissonArrivals::new(10_000.0, 64).expect("valid");
+    let events_gen = BehavioralEvents::new(64, 8, 500, 2_000).expect("valid");
     let cases: Vec<(&str, &dyn DataGenerator, u64)> = vec![
         ("table/retail-fitted", &table_gen, 1_000_000),
-        ("stream/poisson", &stream_gen, 2_000_000),
+        ("behavioral/events", &events_gen, 2_000_000),
     ];
     let mut report = TableReporter::new(
         "Parallel generation scaling (items/sec by workers)",

@@ -203,7 +203,12 @@ impl Benchmark {
             // and the summary row.
             let (kind, items, bytes) =
                 (dataset.kind().to_string(), dataset.item_count(), dataset.byte_size());
-            let gm = GenerationMetrics::measure(items as u64, bytes as u64, gen_elapsed, workers);
+            let gm = GenerationMetrics::measure(
+                items as u64,
+                bytes as u64,
+                gen_elapsed,
+                outcome.workers,
+            );
             match &mut generation {
                 Some(total) => total.merge(&gm),
                 None => generation = Some(gm),
@@ -213,7 +218,7 @@ impl Benchmark {
                 kind: kind.clone(),
                 items: items as u64,
                 bytes: bytes as u64,
-                workers,
+                workers: outcome.workers,
                 micros: gen_elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
             });
             data_summary.push((data_spec.name.clone(), kind, items, bytes));
@@ -549,18 +554,26 @@ mod tests {
 
     #[test]
     fn velocity_controlled_generation_reports_rate() {
-        let spec = BenchmarkSpec::new("rate")
-            .with_prescription("micro/wordcount")
-            .with_scale(200)
-            .with_generator_workers(2)
-            .with_target_rate(5_000.0)
-            .with_seed(1);
-        let r = Benchmark::new().run(&spec).unwrap();
-        let (rate, err) = r.generation_rate.unwrap();
-        assert!(rate > 0.0);
-        assert!(err.unwrap() < 0.5, "rate error {err:?}");
-        // All requested items were generated.
-        assert_eq!(r.data_summary[0].2, 200);
+        // Streams do not shard; `--rate` still holds the data set until
+        // its last event is due.
+        for (prescription, system) in [
+            ("micro/wordcount", SystemKind::Native),
+            ("streaming/window-aggregation", SystemKind::Streaming),
+        ] {
+            let spec = BenchmarkSpec::new("rate")
+                .with_prescription(prescription)
+                .with_system(system)
+                .with_scale(200)
+                .with_generator_workers(2)
+                .with_target_rate(5_000.0)
+                .with_seed(1);
+            let r = Benchmark::new().run(&spec).unwrap();
+            let (rate, err) = r.generation_rate.unwrap();
+            assert!(rate > 0.0);
+            assert!(err.unwrap() < 0.5, "{prescription}: rate error {err:?}");
+            // All requested items were generated.
+            assert_eq!(r.data_summary[0].2, 200, "{prescription}");
+        }
     }
 
     #[test]
@@ -587,6 +600,30 @@ mod tests {
         assert!(g.items_per_sec() > 0.0);
         assert!(g.bytes_per_sec() > 0.0);
         assert!(par.analysis.contains("generation:"));
+    }
+
+    #[test]
+    fn generation_reports_the_workers_that_ran() {
+        // A stream generator does not shard: asked for 2 workers, it runs
+        // once on the calling thread, and the run says so.
+        let spec = BenchmarkSpec::new("stream")
+            .with_prescription("streaming/window-aggregation")
+            .with_system(SystemKind::Streaming)
+            .with_scale(500)
+            .with_generator_workers(2);
+        let r = Benchmark::new().run(&spec).unwrap();
+        assert_eq!(r.generation.unwrap().workers, 1);
+        assert!(r.analysis.contains("on 1 worker(s)"), "{}", r.analysis);
+        let traced: Vec<usize> = r
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::DatasetGenerated { workers, .. } => Some(*workers),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, vec![1]);
     }
 
     #[test]

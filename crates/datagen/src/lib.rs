@@ -148,6 +148,8 @@ impl std::str::FromStr for DataSourceKind {
 /// merges them in index order, so the parallel output equals the
 /// sequential output. It is the one sharded path: [`generate_parallel`]
 /// runs it unpaced, the [`velocity`] controller with a deadline pacer.
+/// A shard is exact, or `plan_items` is `None` and the generator runs
+/// once, in order.
 ///
 /// [`plan_items`]: DataGenerator::plan_items
 /// [`generate_shard`]: DataGenerator::generate_shard
@@ -165,17 +167,15 @@ pub trait DataGenerator: Send + Sync {
 
     /// The number of shardable items (rows, documents, edges, events) a
     /// sequential [`generate`](DataGenerator::generate) of this volume
-    /// would produce, or `None` when the generator cannot shard (its
-    /// items depend on global state, like preferential attachment).
+    /// would produce, or `None` when the generator cannot shard exactly
+    /// (its items depend on sequential state, like preferential attachment
+    /// or a running event clock).
     fn plan_items(&self, _seed: u64, _volume: &volume::VolumeSpec) -> Result<Option<u64>> {
         Ok(None)
     }
 
     /// Generate items `[offset, offset + len)` of the sequential run for
-    /// `(seed, volume)`. Shards of non-timestamp data concatenate to the
-    /// exact sequential output; running clocks (stream timestamps,
-    /// monotonic table columns) re-anchor at `offset` using the expected
-    /// mean gap and carry a documented tolerance instead.
+    /// `(seed, volume)`: shards concatenate to the exact sequential output.
     fn generate_shard(
         &self,
         _seed: u64,

@@ -5,7 +5,11 @@
 //! * **Processing-speed inputs** — [`PoissonArrivals`] and
 //!   [`MmppArrivals`] generate timestamped event streams whose arrival
 //!   law is controllable (smooth vs bursty); the streaming engine consumes
-//!   them to measure processing speed.
+//!   them to measure processing speed. A timestamp depends on every
+//!   earlier gap (and, for MMPP, on the modulation state), so an
+//!   exact shard would cost the sequential pass it meant to save: neither
+//!   generator plans items, and [`DataGenerator::generate_parallel`] and
+//!   the velocity controller generate them once, in order.
 //! * **Update frequency** — [`UpdateStreamGenerator`] emits a mixed
 //!   insert/update/delete operation stream against a keyspace at a
 //!   configured updates-per-second rate (the axis the paper says existing
@@ -40,26 +44,16 @@ impl PoissonArrivals {
     }
 
     /// Generate `n` events.
-    pub fn generate_events(&self, seed: u64, n: u64) -> Vec<Event> {
-        self.generate_events_shard(seed, 0, n)
-    }
-
-    /// Generate events `[offset, offset + n)` of the stream.
     ///
     /// Every event draws its gap, key and value from its own [`SeedTree`]
-    /// cell, so keys and values of any event range are *exactly* those of
-    /// the sequential run. The running clock is sequential by nature: a
-    /// shard re-anchors it at the expected arrival time of event `offset`
-    /// (`offset / rate`), mirroring the table generator's
-    /// `MonotonicTimestamp` re-anchor — timestamps carry that documented
-    /// tolerance while remaining monotonic within the shard.
-    pub fn generate_events_shard(&self, seed: u64, offset: u64, n: u64) -> Vec<Event> {
+    /// cell; its timestamp is the running sum of every earlier gap.
+    pub fn generate_events(&self, seed: u64, n: u64) -> Vec<Event> {
         let tree = SeedTree::new(seed).child_named("poisson");
         let gap = Exponential::new(self.rate_per_sec / 1000.0); // per ms
         let keys = Zipf::new(self.num_keys, 0.99);
         let value = Gaussian::new(100.0, 15.0);
-        let mut ts = offset as f64 * (1000.0 / self.rate_per_sec);
-        (offset..offset + n)
+        let mut ts = 0.0f64;
+        (0..n)
             .map(|i| {
                 let mut rng = tree.cell(i);
                 ts += gap.sample(&mut rng);
@@ -85,22 +79,6 @@ impl DataGenerator for PoissonArrivals {
     fn generate(&self, seed: u64, volume: &VolumeSpec) -> Result<Dataset> {
         let n = volume.resolve_items(std::mem::size_of::<Event>() as f64, 10_000)?;
         Ok(Dataset::Stream(self.generate_events(seed, n)))
-    }
-
-    fn plan_items(&self, _seed: u64, volume: &VolumeSpec) -> Result<Option<u64>> {
-        volume
-            .resolve_items(std::mem::size_of::<Event>() as f64, 10_000)
-            .map(Some)
-    }
-
-    fn generate_shard(
-        &self,
-        seed: u64,
-        _volume: &VolumeSpec,
-        offset: u64,
-        len: u64,
-    ) -> Result<Dataset> {
-        Ok(Dataset::Stream(self.generate_events_shard(seed, offset, len)))
     }
 }
 
@@ -140,41 +118,24 @@ impl MmppArrivals {
     }
 
     /// Generate `n` events.
-    pub fn generate_events(&self, seed: u64, n: u64) -> Vec<Event> {
-        self.generate_events_shard(seed, 0, n)
-    }
-
-    /// Generate events `[offset, offset + n)` of the stream.
     ///
-    /// Per-event randomness (a unit-mean gap later scaled by the current
-    /// state's rate, the key, the value) comes from the event's own
-    /// [`SeedTree`] cell, so keys and values of any range are exactly the
-    /// sequential run's. The calm/burst dwell process is its own
-    /// deterministic boundary sequence (seed subtree `"dwell"`), walked
-    /// from zero to the shard's clock anchor — the expected arrival time
-    /// of event `offset` under the time-averaged rate — so a shard resumes
-    /// in the same modulation state the sequential run would be near that
-    /// time. Timestamps carry the documented anchor tolerance.
-    pub fn generate_events_shard(&self, seed: u64, offset: u64, n: u64) -> Vec<Event> {
+    /// Per-event randomness (a unit-mean gap scaled by the current state's
+    /// rate, the key, the value) comes from the event's own [`SeedTree`]
+    /// cell; the calm/burst dwell process is its own boundary sequence
+    /// (seed subtree `"dwell"`), walked alongside the running clock.
+    pub fn generate_events(&self, seed: u64, n: u64) -> Vec<Event> {
         let tree = SeedTree::new(seed).child_named("mmpp");
         let dwell_tree = tree.child_named("dwell");
         let keys = Zipf::new(self.num_keys, 0.99);
         let value = Gaussian::new(100.0, 15.0);
         let dwell = Exponential::new(1.0 / self.mean_state_ms);
         let unit_gap = Exponential::new(1.0);
-        let avg_rate = (self.calm_rate_per_sec + self.burst_rate_per_sec) / 2.0;
-        let mut ts = offset as f64 * (1000.0 / avg_rate);
-        // Walk the dwell boundary sequence up to the anchor.
+        let mut ts = 0.0f64;
         let mut burst = false;
         let mut state_ends = dwell.sample(&mut dwell_tree.cell(0));
         let mut boundary = 1u64;
-        while state_ends < ts {
-            burst = !burst;
-            state_ends += dwell.sample(&mut dwell_tree.cell(boundary));
-            boundary += 1;
-        }
         let mut events = Vec::with_capacity(n as usize);
-        for i in offset..offset + n {
+        for i in 0..n {
             let mut rng = tree.cell(i);
             let rate = if burst { self.burst_rate_per_sec } else { self.calm_rate_per_sec };
             ts += unit_gap.sample(&mut rng) * 1000.0 / rate;
@@ -205,22 +166,6 @@ impl DataGenerator for MmppArrivals {
     fn generate(&self, seed: u64, volume: &VolumeSpec) -> Result<Dataset> {
         let n = volume.resolve_items(std::mem::size_of::<Event>() as f64, 10_000)?;
         Ok(Dataset::Stream(self.generate_events(seed, n)))
-    }
-
-    fn plan_items(&self, _seed: u64, volume: &VolumeSpec) -> Result<Option<u64>> {
-        volume
-            .resolve_items(std::mem::size_of::<Event>() as f64, 10_000)
-            .map(Some)
-    }
-
-    fn generate_shard(
-        &self,
-        seed: u64,
-        _volume: &VolumeSpec,
-        offset: u64,
-        len: u64,
-    ) -> Result<Dataset> {
-        Ok(Dataset::Stream(self.generate_events_shard(seed, offset, len)))
     }
 }
 
@@ -381,50 +326,17 @@ mod tests {
     }
 
     #[test]
-    fn poisson_shard_keys_and_values_match_sequential() {
-        let g = PoissonArrivals::new(500.0, 100).unwrap();
-        let full = g.generate_events(9, 1000);
-        let shard = g.generate_events_shard(9, 400, 300);
-        for (i, e) in shard.iter().enumerate() {
-            assert_eq!(e.key, full[400 + i].key, "event {i}");
-            assert_eq!(e.value, full[400 + i].value, "event {i}");
-        }
-        // The anchored clock stays monotonic and lands near the sequential
-        // clock: within a few mean gaps of the expected arrival time.
-        assert!(shard.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
-        let mean_gap_ms = 1000.0 / 500.0;
-        let expect = 400.0 * mean_gap_ms;
-        let drift = (shard[0].ts_ms as f64 - expect).abs();
-        assert!(drift < 100.0 * mean_gap_ms, "drift {drift}ms");
-    }
-
-    #[test]
-    fn mmpp_shard_keys_and_values_match_sequential() {
-        let g = MmppArrivals::new(200.0, 1800.0, 500.0, 10).unwrap();
-        let full = g.generate_events(5, 2000);
-        let shard = g.generate_events_shard(5, 1500, 500);
-        for (i, e) in shard.iter().enumerate() {
-            assert_eq!(e.key, full[1500 + i].key, "event {i}");
-            assert_eq!(e.value, full[1500 + i].value, "event {i}");
-        }
-        assert!(shard.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
-    }
-
-    #[test]
     fn parallel_stream_generation_preserves_count_and_keys() {
-        let g = PoissonArrivals::new(1000.0, 50).unwrap();
+        // Streams do not shard: `generate_parallel` is the sequential run.
         let vol = VolumeSpec::Items(4000);
-        let seq = g.generate(3, &vol).unwrap();
-        let par = g.generate_parallel(3, &vol, 4).unwrap();
-        match (seq, par) {
-            (Dataset::Stream(a), Dataset::Stream(b)) => {
-                assert_eq!(a.len(), b.len());
-                let keys = |e: &[Event]| e.iter().map(|x| x.key).collect::<Vec<_>>();
-                assert_eq!(keys(&a), keys(&b));
-                let vals = |e: &[Event]| e.iter().map(|x| x.value).collect::<Vec<_>>();
-                assert_eq!(vals(&a), vals(&b));
+        let poisson = PoissonArrivals::new(1000.0, 50).unwrap();
+        let mmpp = MmppArrivals::new(200.0, 1800.0, 500.0, 50).unwrap();
+        for g in [&poisson as &dyn DataGenerator, &mmpp] {
+            assert_eq!(g.plan_items(3, &vol).unwrap(), None, "{}", g.name());
+            match (g.generate(3, &vol).unwrap(), g.generate_parallel(3, &vol, 4).unwrap()) {
+                (Dataset::Stream(a), Dataset::Stream(b)) => assert_eq!(a, b, "{}", g.name()),
+                _ => panic!("expected streams"),
             }
-            _ => panic!("expected streams"),
         }
     }
 

@@ -441,27 +441,27 @@ impl TableGenerator {
     /// Generate `rows` rows starting at `row_offset` — the PDGF-style
     /// parallel entry point: workers call this with disjoint offsets and
     /// the union equals a single sequential generation of the same seed,
-    /// column by column.
+    /// cell for cell.
     ///
-    /// Monotonic timestamp columns are sequential by nature, so a shard
-    /// re-anchors its running clock **unconditionally** at `row_offset`
-    /// using the expected mean gap (`start + row_offset * mean_gap_ms`):
-    /// those cells match the sequential run in expectation, not exactly.
-    /// For byte-exact parallel timestamps use
-    /// [`generate_shard_anchored`](Self::generate_shard_anchored) with
-    /// anchors from [`ts_gap_sums`](Self::ts_gap_sums), which is what
-    /// [`DataGenerator::generate_parallel`] does.
+    /// Monotonic timestamp columns are sequential by nature, so a shard at
+    /// `row_offset > 0` anchors its running clock at the exact timestamp of
+    /// row `row_offset - 1`: `start` plus [`ts_gap_sums`](Self::ts_gap_sums)
+    /// over the earlier rows, one gap draw per earlier row.
+    /// [`DataGenerator::generate_parallel`] computes those anchors for all
+    /// of its shards at once, in parallel.
     pub fn generate_shard(&self, seed: u64, row_offset: u64, rows: u64) -> Table {
-        let anchors: Vec<i64> = self
-            .models
-            .iter()
-            .map(|m| match m {
-                ColumnModel::MonotonicTimestamp { start, mean_gap_ms } if row_offset > 0 => {
-                    start + (row_offset as f64 * mean_gap_ms) as i64
-                }
-                _ => i64::MIN,
-            })
-            .collect();
+        let anchors: Vec<i64> = if row_offset == 0 {
+            vec![i64::MIN; self.models.len()]
+        } else {
+            self.models
+                .iter()
+                .zip(self.ts_gap_sums(seed, 0, row_offset))
+                .map(|(m, sum)| match m {
+                    ColumnModel::MonotonicTimestamp { start, .. } => start + sum,
+                    _ => i64::MIN,
+                })
+                .collect()
+        };
         self.generate_shard_anchored(seed, row_offset, rows, &anchors)
     }
 
@@ -673,22 +673,11 @@ mod tests {
 
     #[test]
     fn shards_union_to_non_timestamp_columns_of_full_run() {
-        let raw = raw_retail_table();
-        let g = TableGenerator::fit("retail", &raw).unwrap();
-        let full = g.generate_shard(4, 0, 40);
-        let a = g.generate_shard(4, 0, 20);
-        let b = g.generate_shard(4, 20, 20);
-        // Non-timestamp cells must match cell-for-cell (PDGF property).
-        let ts_idx = raw.schema().index_of("order_ts").unwrap();
-        for r in 0..20 {
-            for c in 0..raw.schema().len() {
-                if c == ts_idx {
-                    continue;
-                }
-                assert_eq!(full.value(r, c), a.value(r, c), "row {r} col {c}");
-                assert_eq!(full.value(r + 20, c), b.value(r, c), "row {} col {c}", r + 20);
-            }
-        }
+        // PDGF property: every column matches, the timestamp column too.
+        let g = TableGenerator::fit("retail", &raw_retail_table()).unwrap();
+        let mut union = g.generate_shard(4, 0, 20);
+        union.append(g.generate_shard(4, 20, 20)).unwrap();
+        assert_eq!(union, g.generate_shard(4, 0, 40));
     }
 
     #[test]
@@ -741,11 +730,8 @@ mod tests {
 
     #[test]
     fn shard_reanchors_timestamps_unconditionally() {
-        // Regression: the old re-anchor only fired when the shard's first
-        // generated clock value equalled `start`, so an offset shard could
-        // silently restart its clock at `start` and diverge from the
-        // sequential run by the whole anchor offset. The anchor must apply
-        // for every `row_offset > 0`, regardless of generated values.
+        // A shard at any `row_offset > 0` continues the sequential clock
+        // exactly, whatever its generated values.
         let schema = Schema::new(vec![Field::new("ts", DataType::Timestamp)]);
         let g = TableGenerator::new(
             "t",
@@ -753,18 +739,9 @@ mod tests {
             vec![ColumnModel::MonotonicTimestamp { start: 1_000, mean_gap_ms: 100.0 }],
         )
         .unwrap();
+        let full = g.generate_shard(7, 0, 510);
         let shard = g.generate_shard(7, 500, 10);
-        let anchor = 1_000 + (500.0 * 100.0) as i64;
-        let first = shard.value(0, 0).unwrap().as_i64().unwrap();
-        assert!(
-            first > anchor && first < anchor + 20 * 100,
-            "shard clock {first} must continue from anchor {anchor}, not restart at start"
-        );
-        // And it stays monotonic from there.
-        let col = shard.column("ts").unwrap();
-        for w in col.windows(2) {
-            assert!(w[0].as_i64().unwrap() < w[1].as_i64().unwrap());
-        }
+        assert_eq!(shard.rows(), &full.rows()[500..]);
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! the target, and the outcome reports the relative rate error (the
 //! Table 1 "velocity controllability" probe). Velocity is pacing only:
 //! the output equals `generate(seed, volume)` for every worker count,
-//! chunk size and target rate (up to the running-clock tolerance stream
-//! shards document).
+//! chunk size and target rate.
 
 use crate::volume::VolumeSpec;
 use crate::{DataGenerator, Dataset};
@@ -40,6 +39,9 @@ pub struct GenerationOutcome {
     pub achieved_rate: f64,
     /// The requested rate, if any.
     pub target_rate: Option<f64>,
+    /// Worker threads that generated the data: 1 when the generator
+    /// cannot shard or the run is sequential.
+    pub workers: usize,
 }
 
 impl GenerationOutcome {
@@ -94,9 +96,10 @@ impl VelocityController {
     /// through [`DataGenerator::generate_chunks`]; under a target rate a
     /// worker holds each finished shard until `(offset + len) / rate`
     /// seconds after the start. A generator that cannot shard is
-    /// generated once, sequentially and unpaced, and the outcome reports
-    /// the rate it achieved. With one worker and no target rate the run
-    /// is exactly one `generate` call.
+    /// generated once, sequentially, on the calling thread, and under a
+    /// target rate held as one chunk until its last item is due; the
+    /// outcome reports one worker. With one worker and no target rate the
+    /// run is exactly one `generate` call.
     pub fn run(
         &self,
         generator: &dyn DataGenerator,
@@ -116,15 +119,17 @@ impl VelocityController {
                 std::thread::sleep(due.saturating_sub(start.elapsed()));
             }
         };
-        let dataset = match planned {
-            Some(n) => generator.generate_chunks(
-                seed,
-                &volume,
-                self.workers,
-                pool::chunk_ranges(n, self.chunk_items),
-                &pace,
-            )?,
-            None => generator.generate(seed, &volume)?,
+        let (dataset, workers) = match planned {
+            Some(n) => {
+                let chunks = pool::chunk_ranges(n, self.chunk_items);
+                let workers = self.workers.min(chunks.len());
+                (generator.generate_chunks(seed, &volume, workers, chunks, &pace)?, workers)
+            }
+            None => {
+                let dataset = generator.generate(seed, &volume)?;
+                pace(Chunk { index: 0, offset: 0, len: dataset.item_count() as u64 });
+                (dataset, 1)
+            }
         };
         let elapsed = start.elapsed().as_secs_f64().max(1e-9);
         let items = dataset.item_count() as u64;
@@ -133,6 +138,7 @@ impl VelocityController {
             elapsed_secs: elapsed,
             achieved_rate: items as f64 / elapsed,
             target_rate: self.target_rate,
+            workers,
             dataset,
         })
     }
@@ -171,6 +177,7 @@ mod tests {
         assert_eq!(out.dataset.item_count(), 100);
         assert!(out.achieved_rate > 0.0);
         assert_eq!(out.rate_error(), None);
+        assert_eq!(out.workers, 3);
     }
 
     #[test]

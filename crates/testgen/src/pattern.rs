@@ -108,7 +108,7 @@ impl WorkloadPattern {
     /// sane stopping condition.
     pub fn validate(&self) -> Result<()> {
         match self {
-            WorkloadPattern::Single { .. } => Ok(()),
+            WorkloadPattern::Single { op, .. } => validate_op("single step", op),
             WorkloadPattern::Multi { steps } => validate_steps(steps),
             WorkloadPattern::Iterative { body, stop } => {
                 validate_steps(body)?;
@@ -165,6 +165,7 @@ fn validate_steps(steps: &[Step]) -> Result<()> {
         }
     }
     for (pos, s) in steps.iter().enumerate() {
+        validate_op(&format!("step {}", s.id), &s.op)?;
         if s.inputs.len() != s.op.arity() {
             return Err(BdbError::TestGen(format!(
                 "step {}: op {} takes {} inputs, got {}",
@@ -199,6 +200,17 @@ fn validate_steps(steps: &[Step]) -> Result<()> {
     Ok(())
 }
 
+/// Reject operation parameters no engine can run, naming the step.
+fn validate_op(step: &str, op: &Operation) -> Result<()> {
+    match op {
+        Operation::WindowAggregate { window_ms: 0, .. } => Err(BdbError::TestGen(format!(
+            "{step}: {} with a zero-width window (window_ms = 0)",
+            op.name()
+        ))),
+        _ => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +228,25 @@ mod tests {
 
     fn agg_op() -> Operation {
         Operation::Aggregate { function: AggSpec::Sum, column: Some("x".into()), group_by: vec![] }
+    }
+
+    #[test]
+    fn zero_width_window_is_a_named_error() {
+        let window = |window_ms| Operation::WindowAggregate { window_ms, function: AggSpec::Sum };
+        let single = WorkloadPattern::Single { op: window(0), input: "events".into() };
+        let err = single.validate().unwrap_err();
+        assert!(matches!(err, BdbError::TestGen(_)), "{err:?}");
+        let named = "single step: window-aggregate with a zero-width window";
+        assert!(err.to_string().contains(named), "{err}");
+        let multi = WorkloadPattern::Multi {
+            steps: vec![Step {
+                id: 7,
+                op: window(0),
+                inputs: vec![InputRef::Dataset("e".into())],
+            }],
+        };
+        assert!(multi.validate().unwrap_err().to_string().contains("step 7: window-aggregate"));
+        WorkloadPattern::Single { op: window(1), input: "events".into() }.validate().unwrap();
     }
 
     #[test]

@@ -131,5 +131,14 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         assert!(Prescription::from_json(&json).is_err());
         assert!(Prescription::from_json("not json").is_err());
+        // A zero-width window is a named error, not an engine panic.
+        let mut p = sample();
+        p.pattern = WorkloadPattern::Single {
+            op: Operation::WindowAggregate { window_ms: 0, function: crate::ops::AggSpec::Count },
+            input: "docs".into(),
+        };
+        let err = Prescription::from_json(&p.to_json().unwrap()).unwrap_err();
+        assert!(matches!(err, BdbError::TestGen(_)), "{err:?}");
+        assert!(err.to_string().contains("zero-width window"), "{err}");
     }
 }

@@ -11,12 +11,12 @@
 use crate::Work;
 use bdb_common::event::Event;
 use bdb_metrics::OpCounts;
-use bdb_stream::{WindowAggregate, WindowSpec, Windower};
+use bdb_stream::{WindowAggregate, Windower};
 
 /// Aggregate `events` into tumbling windows of `window_ms` event-time ms
 /// per key: the closed panes in emission order, and the work counted.
 pub fn windowed_aggregation(events: &[Event], window_ms: u64) -> (Vec<WindowAggregate>, Work) {
-    let mut windower = Windower::new(WindowSpec::tumbling(window_ms));
+    let mut windower = Windower::new(window_ms);
     let mut windows = Vec::new();
     for e in events {
         windows.extend(windower.push(e));

@@ -133,6 +133,19 @@ done
     | grep -q "verdict   CONFORMANT" \
     || { echo "conformance gate: --rate/--workers changed the generated data"; exit 1; }
 echo "conformance gate: rate-controlled run matches the same golden digest"
+# Stream data has one clock: at a scale whose 1 s windows would show any
+# drift in the event timestamps, a 2-worker, rate-controlled run must match
+# the golden the plain run records in a scratch store.
+stream_goldens=$(mktemp -d)
+./target/release/bdbench run streaming/window-aggregation --scale 20000 --seed 42 \
+    --verify=digest --goldens "$stream_goldens" >/dev/null \
+    || { echo "conformance gate: the plain stream run failed"; exit 1; }
+./target/release/bdbench run streaming/window-aggregation --scale 20000 --seed 42 \
+    --workers 2 --rate 100000000 --verify=digest --goldens "$stream_goldens" \
+    | grep -q "verdict   CONFORMANT" \
+    || { echo "conformance gate: --rate/--workers changed the stream data"; exit 1; }
+rm -rf "$stream_goldens"
+echo "conformance gate: rate-controlled stream run matches the plain run's golden"
 # The strict tier through the binary: each run re-derives its answer on the
 # reference oracle, diffs the engine's row set against it, and matches the
 # committed golden. A run that recorded a golden instead of matching one

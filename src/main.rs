@@ -35,7 +35,7 @@ use bdbench::core::layers::BenchmarkSpec;
 use bdbench::exec::loadgen::{LoadArrival, LoadProfile};
 use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability};
 use bdbench::exec::fault::FaultPlan;
-use bdbench::exec::journal::{CellCheckpoint, RunJournal};
+use bdbench::exec::journal::RunJournal;
 use bdbench::core::pipeline::Benchmark;
 use bdbench::core::registry::GeneratorRegistry;
 use bdbench::exec::convert::trace_to_jsonl;
@@ -73,7 +73,7 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N] [--resume DIR]"
+        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N]"
     );
     std::process::exit(2)
 }
@@ -474,88 +474,16 @@ fn paper_cells_hold(table: &str, drifted: &[&str]) -> bdbench::common::Result<()
 }
 
 fn cmd_suite(args: &[String]) -> bdbench::common::Result<()> {
-    let (positional, opts) = parse_opts(args, &["scale", "seed", "resume"], &[]);
+    let (positional, opts) = parse_opts(args, &["scale", "seed"], &[]);
     let Some(name) = positional.first() else { usage() };
     let suites = all_suites();
     let suite = suites
         .iter()
         .find(|s| s.descriptor().name.eq_ignore_ascii_case(name))
         .ok_or_else(|| bdbench::common::BdbError::NotFound(format!("suite {name}")))?;
-    let suite_name = suite.descriptor().name;
     let scale = opt_u64(&opts, "scale", 400);
     let seed = opt_u64(&opts, "seed", 0xBD);
-    let journal = opts.get("resume").map(RunJournal::open).transpose()?;
-    // The resume granularity is the whole suite: a completion marker plus
-    // one checkpoint per run. A marker in the journal means the prior run
-    // finished — print its recorded outcomes instead of re-executing.
-    let marker_key = RunJournal::cell_key(&format!("suite/{suite_name}"), "suite", seed, scale);
-    if let Some(journal) = &journal {
-        if journal.load(&marker_key).is_some() {
-            let cells: Vec<CellCheckpoint> = journal
-                .completed()
-                .into_iter()
-                .filter(|c| c.key != marker_key)
-                .collect();
-            println!(
-                "suite {suite_name} already completed in journal {} — {} workloads resumed:",
-                journal.dir().display(),
-                cells.len()
-            );
-            for c in &cells {
-                println!(
-                    "  {:<36} {:<10} {:>6} {} entries, digest {}",
-                    c.prescription, c.engine, c.shape, c.len, c.digest
-                );
-            }
-            return Ok(());
-        }
-    }
     let run = run_suite(suite.as_ref(), scale, seed)?;
-    if let Some(journal) = &journal {
-        for cell in &run.cells {
-            let (Some(cell_run), Some((prescription, _))) = (&cell.run, cell.workload.run) else {
-                continue;
-            };
-            for r in &cell_run.results {
-                let key = RunJournal::cell_key(prescription, &r.report.system, seed, scale);
-                let payload = r.output.as_ref();
-                journal.record(&CellCheckpoint {
-                    key,
-                    prescription: prescription.to_string(),
-                    engine: r.report.system.clone(),
-                    seed,
-                    scale,
-                    shape: payload.map_or_else(|| "none".to_string(), |p| p.label().to_string()),
-                    len: payload.map_or(0, |p| p.len() as u64),
-                    digest: payload
-                        .map_or_else(|| "-".to_string(), |p| format!("{:016x}", p.digest())),
-                    checks: cell_run.conformance.checks.min(u64::from(u32::MAX)) as u32,
-                    passed: cell.conformant(),
-                    failures: cell_run
-                        .conformance
-                        .failures
-                        .iter()
-                        .map(|(_, _, check, detail)| format!("{check}: {detail}"))
-                        .collect(),
-                })?;
-            }
-        }
-        // The marker goes last: it is only durable once every workload
-        // checkpoint is, so a crash mid-journaling re-runs the suite.
-        journal.record(&CellCheckpoint {
-            key: marker_key,
-            prescription: format!("suite/{suite_name}"),
-            engine: "suite".into(),
-            seed,
-            scale,
-            shape: "none".into(),
-            len: run.runs() as u64,
-            digest: "-".into(),
-            checks: 0,
-            passed: run.conformant(),
-            failures: Vec::new(),
-        })?;
-    }
     println!("{}", render_workload_details(&run));
     runs_conform(std::slice::from_ref(&run))
 }

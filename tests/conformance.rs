@@ -142,18 +142,20 @@ fn tampered_golden_digest_fails_digest_mode() {
 
 /// Velocity control paces generation, it does not pick a different data
 /// set: a rate-controlled 2-worker run verifies against the very goldens
-/// the unthrottled sequential run recorded.
+/// the unthrottled sequential run recorded. The stream also runs at a
+/// scale whose 1 s windows would show any drift in its event clock.
 #[test]
 fn rate_controlled_run_conforms_to_the_unthrottled_goldens() {
     let goldens = tmp_dir("rate");
-    for (prescription, system) in [
-        ("relational/select-aggregate", SystemKind::Sql),
-        ("streaming/window-aggregation", SystemKind::Streaming),
+    for (prescription, system, scale) in [
+        ("relational/select-aggregate", SystemKind::Sql, 300),
+        ("streaming/window-aggregation", SystemKind::Streaming, 300),
+        ("streaming/window-aggregation", SystemKind::Streaming, 20_000),
     ] {
         let unthrottled = BenchmarkSpec::new("rate-gate")
             .with_prescription(prescription)
             .with_system(system)
-            .with_scale(300)
+            .with_scale(scale)
             .with_seed(42)
             .with_verify(VerifyMode::Digest)
             .with_goldens_dir(goldens.to_str().unwrap());

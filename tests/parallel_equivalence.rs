@@ -1,21 +1,18 @@
 //! Property tests for the shard-determinism contract behind
 //! `DataGenerator::generate_parallel` and the velocity controller: for
 //! every shardable generator, concatenating K shards equals the
-//! single-shard sequential run of the same seed — exactly for
-//! table/text/graph data, and with the documented clock-anchor tolerance
-//! for stream timestamps (keys and values stay exact there too) — and the
-//! controller's output is that same data at any worker count, chunk size
-//! and target rate.
+//! single-shard sequential run of the same seed, byte for byte —
+//! timestamps included — and the controller's output is that same data at
+//! any worker count, chunk size and target rate.
 
 use bdbench::common::pool::split_even;
 use bdbench::datagen::corpus::{raw_retail_table, RAW_TEXT_CORPUS};
 use bdbench::datagen::graph::{ErdosRenyiGenerator, RmatGenerator};
-use bdbench::datagen::stream::{MmppArrivals, PoissonArrivals};
 use bdbench::datagen::table::TableGenerator;
 use bdbench::datagen::text::NaiveTextGenerator;
 use bdbench::datagen::velocity::VelocityController;
 use bdbench::datagen::volume::VolumeSpec;
-use bdbench::datagen::{DataGenerator, Dataset};
+use bdbench::datagen::{merge_datasets, DataGenerator, Dataset};
 use proptest::prelude::*;
 
 /// Split `total` into `k` contiguous spans covering `[0, total)`.
@@ -30,9 +27,7 @@ fn text_docs(d: Dataset) -> Vec<Vec<u32>> {
     }
 }
 
-/// Assert two datasets are the same data. Poisson/MMPP shards re-anchor
-/// their running clock (the documented tolerance), so for those two
-/// generators timestamps are exempt; everything else is exact.
+/// Assert two datasets are the same data, byte for byte.
 fn assert_same_data(id: &str, expected: &Dataset, got: &Dataset, what: &str) {
     match (expected, got) {
         (Dataset::Text { docs: a, .. }, Dataset::Text { docs: b, .. }) => {
@@ -40,12 +35,6 @@ fn assert_same_data(id: &str, expected: &Dataset, got: &Dataset, what: &str) {
         }
         (Dataset::Table(a), Dataset::Table(b)) => assert_eq!(a, b, "{id}: {what}"),
         (Dataset::Graph(a), Dataset::Graph(b)) => assert_eq!(a, b, "{id}: {what}"),
-        (Dataset::Stream(a), Dataset::Stream(b)) if id.starts_with("stream/") => {
-            let kv = |e: &[bdbench::datagen::stream::Event]| -> Vec<(u64, u64)> {
-                e.iter().map(|e| (e.key, e.value.to_bits())).collect()
-            };
-            assert_eq!(kv(a), kv(b), "{id}: {what}");
-        }
         (Dataset::Stream(a), Dataset::Stream(b)) => assert_eq!(a, b, "{id}: {what}"),
         _ => panic!("{id}: {what}: dataset kinds differ"),
     }
@@ -60,10 +49,16 @@ fn controller_output_is_the_sequential_data_for_every_builtin_family() {
     for id in registry.ids() {
         let g = registry.build(id).unwrap();
         let expected = g.generate(seed, &VolumeSpec::Items(items)).unwrap();
-        let shardable = g.plan_items(seed, &VolumeSpec::Items(items)).unwrap().is_some();
-        // Barabási–Albert is the one builtin that cannot shard: the
-        // controller falls back to one sequential, unpaced run.
-        assert_eq!(shardable, id != "graph/barabasi-albert", "{id}");
+        let planned = g.plan_items(seed, &VolumeSpec::Items(items)).unwrap();
+        // Three builtins cannot shard exactly — preferential attachment and
+        // the two running event clocks: the controller falls back to one
+        // sequential run on one worker, paced as a single chunk.
+        let sequential_only = ["graph/barabasi-albert", "stream/poisson", "stream/mmpp"];
+        assert_eq!(planned.is_some(), !sequential_only.contains(&id), "{id}");
+        for workers in [2, 4] {
+            let par = g.generate_parallel(seed, &VolumeSpec::Items(items), workers).unwrap();
+            assert_same_data(id, &expected, &par, &format!("generate_parallel({workers})"));
+        }
         for workers in [1, 2, 4] {
             for chunk in [7, 64] {
                 for rate in [None, Some(1e7)] {
@@ -76,6 +71,8 @@ fn controller_output_is_the_sequential_data_for_every_builtin_family() {
                     assert_eq!(out.items as usize, expected.item_count(), "{id}: {what}");
                     assert_eq!(out.target_rate, rate, "{id}: {what}");
                     assert!(out.achieved_rate > 0.0, "{id}: {what}");
+                    let ran = planned.map_or(1, |n| workers.min(n.div_ceil(chunk) as usize));
+                    assert_eq!(out.workers, ran, "{id}: {what}");
                     assert_same_data(id, &expected, &out.dataset, &what);
                 }
             }
@@ -99,33 +96,25 @@ proptest! {
     }
 
     #[test]
-    fn table_shards_concatenate_to_sequential_except_clock(
-        seed in any::<u64>(), k in 2u64..5
-    ) {
+    fn table_shards_concatenate_to_sequential(seed in any::<u64>(), k in 2u64..5) {
+        // Each shard anchors its monotonic clock at the exact timestamp of
+        // the row before it, so every column matches.
         let g = TableGenerator::fit("retail", &raw_retail_table()).unwrap();
         let vol = VolumeSpec::Items(80);
-        let full = match g.generate(seed, &vol).unwrap() {
+        let table = |d: Dataset| match d {
             Dataset::Table(t) => t,
             _ => unreachable!(),
         };
-        let ts_idx = full.schema().index_of("order_ts").unwrap();
-        let mut row = 0usize;
-        for (offset, len) in spans(80, k) {
-            let shard = match DataGenerator::generate_shard(&g, seed, &vol, offset, len).unwrap() {
-                Dataset::Table(t) => t,
-                _ => unreachable!(),
-            };
-            for r in 0..len as usize {
-                for c in 0..full.schema().len() {
-                    // The public shard API re-anchors monotonic clocks at
-                    // the mean-gap estimate; all other cells are exact.
-                    if c != ts_idx {
-                        prop_assert_eq!(full.value(row + r, c), shard.value(r, c));
-                    }
-                }
-            }
-            row += len as usize;
-        }
+        let shards = spans(80, k)
+            .into_iter()
+            .map(|(offset, len)| {
+                DataGenerator::generate_shard(&g, seed, &vol, offset, len).unwrap()
+            })
+            .collect();
+        prop_assert_eq!(
+            table(g.generate(seed, &vol).unwrap()),
+            table(merge_datasets(shards).unwrap())
+        );
     }
 
     #[test]
@@ -173,59 +162,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(full, merged.unwrap());
-        }
-    }
-
-    #[test]
-    fn stream_shards_match_keys_values_and_anchor_clock(
-        seed in any::<u64>(), k in 2u64..5
-    ) {
-        let n = 800u64;
-        let poisson = PoissonArrivals::new(1000.0, 50).unwrap();
-        let mmpp = MmppArrivals::new(300.0, 1700.0, 400.0, 50).unwrap();
-        for (name, full, shards) in [
-            (
-                "poisson",
-                poisson.generate_events(seed, n),
-                spans(n, k)
-                    .into_iter()
-                    .map(|(o, l)| poisson.generate_events_shard(seed, o, l))
-                    .collect::<Vec<_>>(),
-            ),
-            (
-                "mmpp",
-                mmpp.generate_events(seed, n),
-                spans(n, k)
-                    .into_iter()
-                    .map(|(o, l)| mmpp.generate_events_shard(seed, o, l))
-                    .collect::<Vec<_>>(),
-            ),
-        ] {
-            // Timestamps are monotone within every shard.
-            for shard in &shards {
-                prop_assert!(
-                    shard.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms),
-                    "{} shard clock went backwards", name
-                );
-            }
-            let merged: Vec<_> = shards.into_iter().flatten().collect();
-            prop_assert_eq!(merged.len(), full.len());
-            for (i, (m, f)) in merged.iter().zip(&full).enumerate() {
-                // Keys and values come from per-event seed cells: exact.
-                prop_assert_eq!(m.key, f.key, "{} event {}", name, i);
-                prop_assert_eq!(m.value, f.value, "{} event {}", name, i);
-            }
-        }
-        // For the constant-rate Poisson process the anchor error is just
-        // |sum of o exponential gaps - o * mean|: std = mean * sqrt(o),
-        // so 20 standard deviations is a safely generous ceiling for the
-        // documented clock tolerance.
-        let full = poisson.generate_events(seed, n);
-        for (offset, len) in spans(n, k) {
-            let shard = poisson.generate_events_shard(seed, offset, len);
-            let drift = (shard[0].ts_ms as f64 - full[offset as usize].ts_ms as f64).abs();
-            let bound = 20.0 * (offset.max(1) as f64).sqrt() + 20.0;
-            prop_assert!(drift < bound, "poisson drift {drift}ms at offset {offset}");
         }
     }
 

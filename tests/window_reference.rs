@@ -1,32 +1,29 @@
-//! Property tests pinning the event-time windower to a batch reference.
+//! Property tests pinning the event-time windower to a one-loop reference.
 //!
-//! The batch reference assigns every event to all of its covering
-//! windows and aggregates per `(window_start, key)` pane — no watermark,
-//! no lateness. The streaming [`Windower`] must match it exactly on
-//! ordered input, and under arbitrary (shuffled, late) arrival orders it
-//! must still emit each pane at most once and conserve event counts:
-//! every window assignment either lands in an emitted pane or is counted
-//! late.
+//! The reference applies the zero-lateness rule of the reference oracle's
+//! `windowed_oracle`: an event at `ts` falls in the tumbling pane
+//! `(ts - ts % size, key)` and counts only while that window is still open
+//! (`start + size > watermark`, the watermark being the largest timestamp
+//! seen so far). The streaming [`Windower`] must emit exactly the
+//! reference's panes, in `(window_start, key)` order, under any arrival
+//! order.
 
 use bdbench::common::event::Event;
-use bdbench::stream::window::{WindowSpec, Windower};
+use bdbench::stream::window::{WindowAggregate, Windower};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Pane {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-/// Batch reference: aggregate every event into all covering windows.
-fn batch_panes(spec: WindowSpec, events: &[Event]) -> BTreeMap<(u64, u64), Pane> {
-    let mut panes: BTreeMap<(u64, u64), Pane> = BTreeMap::new();
+/// The zero-lateness rule as one loop over the events.
+fn reference(size: u64, events: &[Event]) -> Vec<WindowAggregate> {
+    let mut watermark = 0;
+    let mut panes: BTreeMap<(u64, u64), WindowAggregate> = BTreeMap::new();
     for e in events {
-        for start in spec.window_starts(e.ts_ms) {
-            let p = panes.entry((start, e.key)).or_insert(Pane {
+        let start = e.ts_ms - e.ts_ms % size;
+        if start + size > watermark {
+            let p = panes.entry((start, e.key)).or_insert(WindowAggregate {
+                window_start: start,
+                window_end: start + size,
+                key: e.key,
                 count: 0,
                 sum: 0.0,
                 min: f64::INFINITY,
@@ -37,46 +34,26 @@ fn batch_panes(spec: WindowSpec, events: &[Event]) -> BTreeMap<(u64, u64), Pane>
             p.min = p.min.min(e.value);
             p.max = p.max.max(e.value);
         }
+        watermark = watermark.max(e.ts_ms);
     }
-    panes
+    panes.into_values().collect()
 }
 
-/// Feed events through the windower, collecting every emitted pane.
-fn stream_panes(
-    spec: WindowSpec,
-    lateness: u64,
-    events: &[Event],
-) -> (BTreeMap<(u64, u64), Pane>, u64, u64) {
-    let mut w = Windower::with_allowed_lateness(spec, lateness);
-    let mut emitted = BTreeMap::new();
-    let mut record = |aggs: Vec<bdbench::stream::window::WindowAggregate>| {
-        for a in aggs {
-            let dup = emitted.insert(
-                (a.window_start, a.key),
-                Pane { count: a.count, sum: a.sum, min: a.min, max: a.max },
-            );
-            assert!(dup.is_none(), "pane ({}, {}) emitted twice", a.window_start, a.key);
-        }
-    };
-    for e in events {
-        record(w.push(e));
-    }
-    record(w.flush());
-    (emitted, w.late_events(), w.late_panes())
+/// Feed events through the windower: every pane in emission order.
+fn windowed(size: u64, events: &[Event]) -> Vec<WindowAggregate> {
+    let mut w = Windower::new(size);
+    let mut out: Vec<WindowAggregate> = events.iter().flat_map(|e| w.push(e)).collect();
+    out.extend(w.flush());
+    out
 }
 
-fn arb_spec() -> impl Strategy<Value = WindowSpec> {
-    prop_oneof![
-        Just(WindowSpec::tumbling(100)),
-        Just(WindowSpec::sliding(100, 50)),
-        Just(WindowSpec::sliding(90, 30)),
-        Just(WindowSpec::sliding(64, 16)),
-    ]
+fn arb_size() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(1u64), Just(64), Just(100), Just(1_000)]
 }
 
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     // Integer-valued payloads keep float sums exactly associative, so
-    // the streaming and batch aggregates compare with `==`.
+    // the streaming and reference aggregates compare with `==`.
     prop::collection::vec((0u64..2_000, 0u64..4, 0i64..100), 0..250)
         .prop_map(|v| v.into_iter().map(|(ts, k, x)| Event::new(ts, k, x as f64)).collect())
 }
@@ -85,59 +62,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn ordered_input_matches_batch_reference(
-        spec in arb_spec(),
-        mut events in arb_events(),
-        lateness in prop_oneof![Just(0u64), Just(150u64)],
-    ) {
+    fn ordered_input_matches_batch_reference(size in arb_size(), mut events in arb_events()) {
+        // In timestamp order nothing is late: every event lands in a pane.
         events.sort_by_key(|e| e.ts_ms);
-        let expected = batch_panes(spec, &events);
-        let (got, late_events, late_panes) = stream_panes(spec, lateness, &events);
-        prop_assert_eq!(late_events, 0, "ordered input can never be late");
-        prop_assert_eq!(late_panes, 0);
-        prop_assert_eq!(got, expected);
+        let got = windowed(size, &events);
+        prop_assert_eq!(got.iter().map(|p| p.count).sum::<u64>(), events.len() as u64);
+        prop_assert_eq!(got, reference(size, &events));
     }
 
     #[test]
-    fn shuffled_input_conserves_counts_and_never_duplicates(
-        spec in arb_spec(),
-        events in arb_events(),
-        lateness in prop_oneof![Just(0u64), Just(40u64), Just(150u64)],
-    ) {
-        // Arbitrary arrival order (the generator already interleaves
-        // timestamps freely). stream_panes asserts no duplicate
-        // (window_start, key) emission internally.
-        let (got, _late_events, late_panes) = stream_panes(spec, lateness, &events);
-
-        // Conservation: every window assignment is either in an emitted
-        // pane or was counted as a skipped (late) pane.
-        let assignments: u64 = events
-            .iter()
-            .map(|e| spec.window_starts(e.ts_ms).len() as u64)
-            .sum();
-        let emitted: u64 = got.values().map(|p| p.count).sum();
-        prop_assert_eq!(emitted + late_panes, assignments);
-
-        // Emitted panes never overcount the batch reference, and their
-        // extrema stay within the reference pane's.
-        let expected = batch_panes(spec, &events);
-        for (key, pane) in &got {
-            let reference = &expected[key];
-            prop_assert!(pane.count <= reference.count);
-            prop_assert!(pane.min >= reference.min && pane.max <= reference.max);
-        }
-    }
-
-    #[test]
-    fn generous_lateness_recovers_the_batch_answer(
-        spec in arb_spec(),
+    fn shuffled_input_matches_the_zero_lateness_reference(
+        size in arb_size(),
         events in arb_events(),
     ) {
-        // With lateness covering the whole event-time range, nothing is
-        // ever late and shuffled input must equal the batch reference.
-        let (got, late_events, late_panes) = stream_panes(spec, 2_200, &events);
-        prop_assert_eq!(late_events, 0);
-        prop_assert_eq!(late_panes, 0);
-        prop_assert_eq!(got, batch_panes(spec, &events));
+        // The generator interleaves timestamps freely: arbitrary arrival
+        // order, late events included.
+        prop_assert_eq!(windowed(size, &events), reference(size, &events));
     }
 }
