@@ -5,10 +5,9 @@
 //! (TPC-DS/MUDD) while veracity-aware suites fit models to real data. Both
 //! styles need a common sampler vocabulary, provided here:
 //!
-//! * [`UniformU64`] / [`UniformF64`] — raw uniforms.
 //! * [`Zipf`] — the skewed key-popularity law used by YCSB and LinkBench.
-//! * [`Gaussian`], [`LogNormal`], [`Exponential`], [`Pareto`], [`Poisson`] —
-//!   MUDD-style column and arrival-process distributions.
+//! * [`Gaussian`], [`LogNormal`], [`Exponential`], [`Gamma`] — MUDD-style
+//!   column and arrival-process distributions.
 //! * [`Categorical`] / [`Alias`] — empirical discrete distributions fitted
 //!   from real data (the veracity-preserving path of Figure 3).
 //!
@@ -25,57 +24,6 @@ pub trait Distribution<T> {
     /// Draw `n` samples into a vector.
     fn sample_n(&self, rng: &mut dyn Rng, n: usize) -> Vec<T> {
         (0..n).map(|_| self.sample(rng)).collect()
-    }
-}
-
-/// Uniform integers in `[lo, hi]` (inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformU64 {
-    lo: u64,
-    hi: u64,
-}
-
-impl UniformU64 {
-    /// A uniform distribution over the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`.
-    pub fn new(lo: u64, hi: u64) -> Self {
-        assert!(lo <= hi, "UniformU64 requires lo <= hi");
-        Self { lo, hi }
-    }
-}
-
-impl Distribution<u64> for UniformU64 {
-    fn sample(&self, rng: &mut dyn Rng) -> u64 {
-        if self.lo == 0 && self.hi == u64::MAX {
-            return rng.next_u64();
-        }
-        self.lo + rng.next_bounded(self.hi - self.lo + 1)
-    }
-}
-
-/// Uniform floats in `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformF64 {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformF64 {
-    /// A uniform distribution over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if the range is empty or not finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "bad uniform range");
-        Self { lo, hi }
-    }
-}
-
-impl Distribution<f64> for UniformF64 {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
     }
 }
 
@@ -253,78 +201,6 @@ impl Distribution<f64> for Exponential {
     fn sample(&self, rng: &mut dyn Rng) -> f64 {
         // Inversion: -ln(1-U)/lambda; 1-U avoids ln(0).
         -(1.0 - rng.next_f64()).ln() / self.lambda
-    }
-}
-
-/// Pareto (power-law) distribution with scale `x_min` and shape `alpha`.
-///
-/// Degree distributions of social graphs are approximately Pareto; the graph
-/// veracity metrics fit `alpha` from raw data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// A Pareto distribution; both parameters must be positive.
-    ///
-    /// # Panics
-    /// Panics on non-positive parameters.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0);
-        Self { x_min, alpha }
-    }
-}
-
-impl Distribution<f64> for Pareto {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.x_min / (1.0 - rng.next_f64()).powf(1.0 / self.alpha)
-    }
-}
-
-/// Poisson distribution with mean `lambda`.
-///
-/// Small means use Knuth's product method; large means use the normal
-/// approximation with continuity correction (adequate for arrival counts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// A Poisson distribution with mean `lambda > 0`.
-    ///
-    /// # Panics
-    /// Panics if `lambda <= 0`.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda > 0.0 && lambda.is_finite());
-        Self { lambda }
-    }
-}
-
-impl Distribution<u64> for Poisson {
-    fn sample(&self, rng: &mut dyn Rng) -> u64 {
-        if self.lambda < 30.0 {
-            let l = (-self.lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= rng.next_f64();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            let g = Gaussian::new(self.lambda, self.lambda.sqrt());
-            let x = g.sample(rng);
-            if x < 0.0 {
-                0
-            } else {
-                (x + 0.5) as u64
-            }
-        }
     }
 }
 
@@ -531,24 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_u64_stays_in_bounds() {
-        let d = UniformU64::new(10, 20);
-        let mut g = rng();
-        for _ in 0..10_000 {
-            let v = d.sample(&mut g);
-            assert!((10..=20).contains(&v));
-        }
-    }
-
-    #[test]
-    fn uniform_f64_mean_matches() {
-        let d = UniformF64::new(0.0, 10.0);
-        let mut g = rng();
-        let xs = d.sample_n(&mut g, 100_000);
-        assert!((mean_of(&xs) - 5.0).abs() < 0.05);
-    }
-
-    #[test]
     fn zipf_rank_zero_dominates() {
         let d = Zipf::new(1000, 1.0);
         let mut g = rng();
@@ -597,33 +455,6 @@ mod tests {
         let mut g = rng();
         let xs = d.sample_n(&mut g, 200_000);
         assert!((mean_of(&xs) - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let d = Pareto::new(2.0, 3.0);
-        let mut g = rng();
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut g) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn poisson_small_mean() {
-        let d = Poisson::new(3.0);
-        let mut g = rng();
-        let xs: Vec<u64> = (0..100_000).map(|_| d.sample(&mut g)).collect();
-        let m = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-        assert!((m - 3.0).abs() < 0.05, "mean {m}");
-    }
-
-    #[test]
-    fn poisson_large_mean_uses_normal_approx() {
-        let d = Poisson::new(500.0);
-        let mut g = rng();
-        let xs: Vec<u64> = (0..50_000).map(|_| d.sample(&mut g)).collect();
-        let m = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-        assert!((m - 500.0).abs() < 1.0, "mean {m}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use error::{BdbError, Result};
 pub mod prelude {
     pub use crate::dist::{
         sample_dirichlet, Alias, Categorical, Distribution, Exponential, Gamma, Gaussian,
-        LogNormal, Pareto, Poisson, UniformF64, UniformU64, Zipf,
+        LogNormal, Zipf,
     };
     pub use crate::error::{BdbError, Result};
     pub use crate::event::Event;
@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::record::{Record, Table};
     pub use crate::rng::{Rng, SeedTree, SplitMix64, Xoshiro256};
     pub use crate::stats::{
-        bucket_pmf, chi_square_statistic, js_divergence, kl_divergence, ks_statistic, Summary,
+        bucket_pmf, js_divergence, kl_divergence, ks_statistic, Summary,
     };
     pub use crate::text::{tokenize, Document, Vocabulary};
     pub use crate::value::{DataType, Field, Schema, Value};

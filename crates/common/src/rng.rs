@@ -110,9 +110,7 @@ impl Rng for SplitMix64 {
 
 /// xoshiro256++ — the default generator for data generation.
 ///
-/// 256 bits of state, period 2^256 − 1, excellent statistical quality, and a
-/// `jump` function that advances the stream by 2^128 steps for cheap
-/// non-overlapping parallel substreams.
+/// 256 bits of state, period 2^256 − 1 and excellent statistical quality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xoshiro256 {
     s: [u64; 4],
@@ -132,38 +130,6 @@ impl Xoshiro256 {
             s[0] = 0x9E3779B97F4A7C15;
         }
         Self { s }
-    }
-
-    /// Advance 2^128 steps. Calling `jump` k times on clones yields k
-    /// non-overlapping substreams, one per parallel generator worker.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180EC6D33CFD0ABA,
-            0xD5A61266F0C9392C,
-            0xA9582618E03FC9AA,
-            0x39ABDC4529B1661C,
-        ];
-        let mut t = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1u64 << b)) != 0 {
-                    for (ti, si) in t.iter_mut().zip(self.s.iter()) {
-                        *ti ^= si;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = t;
-    }
-
-    /// The `i`-th of `n` non-overlapping substreams of this generator.
-    pub fn substream(&self, i: usize) -> Self {
-        let mut g = *self;
-        for _ in 0..=i {
-            g.jump();
-        }
-        g
     }
 }
 
@@ -298,15 +264,6 @@ mod tests {
             saw_hi |= v == 2;
         }
         assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn jump_produces_disjoint_prefixes() {
-        let base = Xoshiro256::new(99);
-        let mut a = base.substream(0);
-        let mut b = base.substream(1);
-        let matches = (0..1_000).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(matches, 0);
     }
 
     #[test]

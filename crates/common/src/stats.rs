@@ -4,8 +4,8 @@
 //! model, and raw data vs synthetic data — and names Kullback–Leibler
 //! divergence as the comparison statistic for distributions. This module
 //! provides KL and its symmetric, bounded cousin Jensen–Shannon, plus the
-//! chi-square and Kolmogorov–Smirnov statistics used for table-column
-//! comparisons, and a running [`Summary`] for scalar series.
+//! Kolmogorov–Smirnov statistic used for table-column comparisons, and a
+//! running [`Summary`] for scalar series.
 
 /// Kullback–Leibler divergence `D(p ‖ q)` in nats.
 ///
@@ -60,22 +60,6 @@ pub fn bucket_pmf(samples: &[f64], lo: f64, hi: f64, n: usize) -> Vec<f64> {
     let count = samples.len() as f64;
     pmf.iter_mut().for_each(|c| *c /= count.max(1.0));
     pmf
-}
-
-/// Pearson chi-square statistic of observed counts against expected counts.
-///
-/// Buckets with zero expectation are skipped (they contribute no evidence).
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn chi_square_statistic(observed: &[f64], expected: &[f64]) -> f64 {
-    assert_eq!(observed.len(), expected.len(), "length mismatch");
-    observed
-        .iter()
-        .zip(expected.iter())
-        .filter(|(_, &e)| e > 0.0)
-        .map(|(&o, &e)| (o - e) * (o - e) / e)
-        .sum()
 }
 
 /// Two-sample Kolmogorov–Smirnov statistic: the maximum distance between
@@ -260,19 +244,6 @@ mod tests {
     fn bucket_pmf_clamps_out_of_range() {
         let pmf = bucket_pmf(&[-5.0, 99.0], 0.0, 1.0, 4);
         assert_eq!(pmf, vec![0.5, 0.0, 0.0, 0.5]);
-    }
-
-    #[test]
-    fn chi_square_zero_for_exact_match() {
-        let o = vec![10.0, 20.0, 30.0];
-        assert_eq!(chi_square_statistic(&o, &o), 0.0);
-        assert!(chi_square_statistic(&[15.0, 25.0, 20.0], &o) > 0.0);
-    }
-
-    #[test]
-    fn chi_square_skips_zero_expectation() {
-        let stat = chi_square_statistic(&[5.0, 1.0], &[5.0, 0.0]);
-        assert_eq!(stat, 0.0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use bdb_exec::analyzer::RecoverySummary;
 use bdb_exec::config::SystemConfig;
 use bdb_exec::engine::{
     Engine, EngineRegistry, KvEngine, MapReduceEngine, NativeEngine, SqlEngine, StreamingEngine,
-    TestProfile,
+    WorkloadClass,
 };
 use bdb_exec::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 use bdb_exec::journal::{CellCheckpoint, RunJournal};
@@ -141,18 +141,18 @@ fn builtin_engines() -> Vec<Box<dyn Engine>> {
 
 /// The matrix's cells in sweep order (prescription-major, engines in
 /// registration order): every built-in prescription paired with each
-/// built-in engine whose capabilities support the profile the
-/// prescription declares. Asked up front, so an incapable pair costs no
+/// built-in engine whose capabilities support the prescription's
+/// operation class. Asked up front, so an incapable pair costs no
 /// pipeline run.
 fn capable_cells() -> Result<Vec<(String, Box<dyn Engine>)>> {
     let repository = PrescriptionRepository::with_builtins();
     let mut cells = Vec::new();
     for name in repository.names() {
-        let profile = TestProfile::declared(repository.get(name)?)?;
+        let class = WorkloadClass::of(repository.get(name)?);
         cells.extend(
             builtin_engines()
                 .into_iter()
-                .filter(|engine| engine.capabilities().supports(&profile))
+                .filter(|engine| engine.capabilities().supports(class))
                 .map(|engine| (name.to_string(), engine)),
         );
     }
@@ -402,43 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn declared_profiles_match_generated_data_and_yield_the_golden_cells() {
-        use crate::registry::GeneratorRegistry;
-        use bdb_datagen::volume::VolumeSpec;
-        use bdb_datagen::Dataset;
-        use bdb_exec::engine::{ExecutionRequest, RoutingPolicy};
-        use std::collections::BTreeMap;
-
-        // The pre-check asks the declared profile; routing asks the
-        // generated data. They must agree on every prescription, or the
-        // sweep would skip (or attempt) a cell routing sees differently.
-        let repository = PrescriptionRepository::with_builtins();
-        let generators = GeneratorRegistry::with_builtins();
-        let (config, trace) = (SystemConfig::default(), RunTrace::new());
-        assert_eq!(repository.names().len(), 18);
-        for name in repository.names() {
-            let prescription = repository.get(name).unwrap();
-            let datasets: BTreeMap<String, Dataset> = prescription
-                .data
-                .iter()
-                .map(|d| {
-                    let generator = generators.build(&d.generator).unwrap();
-                    (d.name.clone(), generator.generate(1, &VolumeSpec::Items(64)).unwrap())
-                })
-                .collect();
-            let request = ExecutionRequest {
-                prescription,
-                system: SystemKind::Native,
-                seed: 1,
-                scale: 64,
-                datasets: &datasets,
-                config: &config,
-                trace: &trace,
-                routing: RoutingPolicy::FirstCapable,
-            };
-            assert_eq!(TestProfile::declared(prescription).unwrap(), request.profile(), "{name}");
-        }
-        // And the capable pairs are exactly the 33 committed golden cells.
+    fn capable_cells_are_the_golden_cells() {
+        assert_eq!(PrescriptionRepository::with_builtins().names().len(), 18);
+        // The capable pairs are exactly the 33 committed golden cells.
         let mut keys: Vec<String> = capable_cells()
             .unwrap()
             .iter()

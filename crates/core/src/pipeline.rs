@@ -81,8 +81,6 @@ pub struct BenchmarkRun {
     pub phases: Vec<PhaseTiming>,
     /// (dataset name, kind, items, approx bytes) per generated input.
     pub data_summary: Vec<(String, String, usize, usize)>,
-    /// Achieved generation rate (items/sec) and its error vs target.
-    pub generation_rate: Option<(f64, Option<f64>)>,
     /// Generation throughput across all datasets of the run (items/s,
     /// bytes/s, workers used); `None` only when the spec generated no data.
     pub generation: Option<GenerationMetrics>,
@@ -168,7 +166,6 @@ impl Benchmark {
         let t0 = Instant::now();
         let mut datasets: BTreeMap<String, Dataset> = BTreeMap::new();
         let mut data_summary = Vec::new();
-        let mut generation_rate = None;
         let mut generation: Option<GenerationMetrics> = None;
         // The spec's worker knob; unset is sequential, 0 is available
         // parallelism.
@@ -195,9 +192,6 @@ impl Benchmark {
                 controller.run(generator.as_ref(), seed, items)
             })?;
             let gen_elapsed = gen_started.elapsed();
-            if spec.target_rate.is_some() || workers > 1 {
-                generation_rate = Some((outcome.achieved_rate, outcome.rate_error()));
-            }
             let dataset = outcome.dataset;
             // One walk over the data set feeds the metrics, the trace event
             // and the summary row.
@@ -273,6 +267,7 @@ impl Benchmark {
             &results,
             &data_summary,
             generation.as_ref(),
+            spec.target_rate,
             &events,
             &conformance,
         );
@@ -282,7 +277,6 @@ impl Benchmark {
             name: spec.name.clone(),
             phases,
             data_summary,
-            generation_rate,
             generation,
             results,
             conformance,
@@ -334,6 +328,7 @@ fn render_analysis(
     results: &[WorkloadResult],
     data_summary: &[(String, String, usize, usize)],
     generation: Option<&GenerationMetrics>,
+    target_rate: Option<f64>,
     events: &[TraceEvent],
     conformance: &ConformanceSummary,
 ) -> String {
@@ -344,9 +339,14 @@ fn render_analysis(
     for (n, k, items, bytes) in data_summary {
         data.add_row(&[n.clone(), k.clone(), items.to_string(), bytes.to_string()]);
     }
+    // One generation line over every data set of the run; a paced run
+    // adds its target and the merged rate's error against it.
     let gen_line = generation.map_or(String::new(), |g| {
+        let target = target_rate.map_or(String::new(), |rate| {
+            format!(", target {rate} items/s, error {:.3}", g.rate_error(rate))
+        });
         format!(
-            "generation: {} items/s, {} bytes/s on {} worker(s)\n",
+            "generation: {} items/s, {} bytes/s on {} worker(s){target}\n",
             fmt_num(g.items_per_sec()),
             fmt_num(g.bytes_per_sec()),
             g.workers
@@ -555,10 +555,12 @@ mod tests {
     #[test]
     fn velocity_controlled_generation_reports_rate() {
         // Streams do not shard; `--rate` still holds the data set until
-        // its last event is due.
-        for (prescription, system) in [
-            ("micro/wordcount", SystemKind::Native),
-            ("streaming/window-aggregation", SystemKind::Streaming),
+        // its last event is due. A join's rate and error are over both of
+        // its data sets.
+        for (prescription, system, datasets) in [
+            ("micro/wordcount", SystemKind::Native, 1),
+            ("streaming/window-aggregation", SystemKind::Streaming, 1),
+            ("relational/join", SystemKind::Sql, 2),
         ] {
             let spec = BenchmarkSpec::new("rate")
                 .with_prescription(prescription)
@@ -568,11 +570,15 @@ mod tests {
                 .with_target_rate(5_000.0)
                 .with_seed(1);
             let r = Benchmark::new().run(&spec).unwrap();
-            let (rate, err) = r.generation_rate.unwrap();
-            assert!(rate > 0.0);
-            assert!(err.unwrap() < 0.5, "{prescription}: rate error {err:?}");
+            let g = r.generation.unwrap();
+            assert_eq!(g.items, 200 * datasets, "{prescription}");
+            let err = g.rate_error(5_000.0);
+            assert!(err < 0.5, "{prescription}: rate error {err}");
+            let line = format!("target 5000 items/s, error {err:.3}\n");
+            assert!(r.analysis.contains(&line), "{prescription}: {}", r.analysis);
             // All requested items were generated.
-            assert_eq!(r.data_summary[0].2, 200, "{prescription}");
+            assert_eq!(r.data_summary.len() as u64, datasets, "{prescription}");
+            assert!(r.data_summary.iter().all(|d| d.2 == 200), "{prescription}");
         }
     }
 
@@ -631,7 +637,7 @@ mod tests {
         let spec = BenchmarkSpec::new("seq").with_prescription("micro/wordcount").with_scale(150);
         let r = Benchmark::new().run(&spec).unwrap();
         assert_eq!(r.generation.unwrap().workers, 1);
-        assert!(r.generation_rate.is_none());
+        assert!(!r.analysis.contains("target"), "{}", r.analysis);
     }
 
     #[test]

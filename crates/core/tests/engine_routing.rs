@@ -5,12 +5,15 @@
 
 use bdb_core::layers::BenchmarkSpec;
 use bdb_core::pipeline::{Benchmark, BenchmarkRun};
-use bdb_exec::engine::{EngineRegistry, ExecutionRequest, RoutingPolicy};
+use bdb_exec::engine::{
+    EngineRegistry, ExecutionRequest, KvEngine, MapReduceEngine, NativeEngine, RoutingPolicy,
+    SqlEngine,
+};
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_exec::SystemConfig;
 use bdb_testgen::arrival::ArrivalSpec;
 use bdb_testgen::ops::AggSpec;
-use bdb_testgen::pattern::WorkloadPattern;
+use bdb_testgen::pattern::{InputRef, Step, WorkloadPattern};
 use bdb_testgen::{Operation, Prescription, SystemKind};
 use std::collections::BTreeMap;
 
@@ -110,17 +113,13 @@ fn every_builtin_prescription_routes_on_every_system() {
     }
 }
 
-#[test]
-fn incapable_pairing_lists_candidate_engines() {
-    // A windowed aggregation over a *table* data set: the streaming
-    // engine is the only one that understands windows but it only
-    // consumes streams, so no registered engine is capable.
-    let prescription = Prescription {
+/// A window aggregation over a *table* data set.
+fn windowed_table() -> Prescription {
+    Prescription {
         name: "custom/windowed-table".into(),
         description: "window aggregation over structured data".into(),
         data: vec![bdb_testgen::DataSpec {
             name: "orders".into(),
-            source: "table".into(),
             generator: "table/retail-fitted".into(),
             items: 100,
         }],
@@ -129,19 +128,72 @@ fn incapable_pairing_lists_candidate_engines() {
             input: "orders".into(),
         },
         arrival: ArrivalSpec::Batch,
-    };
-    prescription.validate().unwrap();
+    }
+}
 
-    let mut bench = Benchmark::new();
+fn run_custom(bench: &mut Benchmark, prescription: Prescription, system: SystemKind) -> String {
+    let name = prescription.name.clone();
     bench.function_layer_mut().repository.register(prescription).unwrap();
-    let spec = BenchmarkSpec::new("impossible")
-        .with_prescription("custom/windowed-table")
-        .with_system(SystemKind::Streaming)
+    let spec = BenchmarkSpec::new("custom")
+        .with_prescription(&name)
+        .with_system(system)
         .with_scale(100);
-    let err = bench.run(&spec).unwrap_err().to_string();
-    assert!(err.contains("no engine"), "unexpected error: {err}");
-    for name in EngineRegistry::with_builtins().names() {
+    bench.run(&spec).unwrap_err().to_string()
+}
+
+#[test]
+fn incapable_pairing_lists_candidate_engines() {
+    // Routing reads the operation class only: a windowed aggregation goes
+    // to the streaming engine, which names the data set it needs.
+    let err = run_custom(&mut Benchmark::new(), windowed_table(), SystemKind::Streaming);
+    assert!(err.contains("window aggregation needs a stream data set"), "{err}");
+
+    // Without a streaming engine no registered engine has the class, and
+    // the error names the system, the class and every candidate.
+    let mut bench = Benchmark::new();
+    let mut engines = EngineRegistry::new();
+    engines.register(Box::new(NativeEngine));
+    engines.register(Box::new(SqlEngine));
+    engines.register(Box::new(KvEngine));
+    engines.register(Box::new(MapReduceEngine));
+    let candidates = engines.names();
+    bench.execution_layer_mut().engines = engines;
+    let err = run_custom(&mut bench, windowed_table(), SystemKind::Streaming);
+    assert!(err.contains("no engine can execute"), "unexpected error: {err}");
+    assert!(err.contains("system=streaming, class=windowed"), "{err}");
+    for name in candidates {
         assert!(err.contains(name), "error does not list candidate {name}: {err}");
+    }
+}
+
+#[test]
+fn multi_step_behavioral_pattern_is_refused_by_name() {
+    // Behavioral kernels run one operation; a two-step pattern fails on
+    // the engine it was routed to instead of running its first step only.
+    let step = |id, op| Step { id, op, inputs: vec![InputRef::Dataset("events".into())] };
+    let two_step = Prescription {
+        name: "custom/two-step-behavioral".into(),
+        description: "sessionize, then retention".into(),
+        data: vec![bdb_testgen::DataSpec {
+            name: "events".into(),
+            generator: "behavioral/events".into(),
+            items: 100,
+        }],
+        pattern: WorkloadPattern::Multi {
+            steps: vec![
+                step(0, Operation::Sessionize { gap_ms: 10_000 }),
+                step(1, Operation::Retention { period_ms: 5_000, periods: 8 }),
+            ],
+        },
+        arrival: ArrivalSpec::Batch,
+    };
+    for system in [SystemKind::Streaming, SystemKind::MapReduce] {
+        let err = run_custom(&mut Benchmark::new(), two_step.clone(), system);
+        assert!(
+            err.contains("custom/two-step-behavioral has a multi-operation pattern"),
+            "{system}: {err}"
+        );
+        assert!(err.starts_with(&format!("execution error: {system} engine")), "{system}: {err}");
     }
 }
 

@@ -117,24 +117,6 @@ impl std::fmt::Display for DataSourceKind {
     }
 }
 
-impl std::str::FromStr for DataSourceKind {
-    type Err = BdbError;
-
-    /// Parse the name [`Display`](std::fmt::Display) prints — what a
-    /// prescription's `DataSpec.source` declares.
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "table" => Ok(DataSourceKind::Table),
-            "text" => Ok(DataSourceKind::Text),
-            "graph" => Ok(DataSourceKind::Graph),
-            "stream" => Ok(DataSourceKind::Stream),
-            other => Err(BdbError::InvalidConfig(format!(
-                "unknown data source kind '{other}' (table|text|graph|stream)"
-            ))),
-        }
-    }
-}
-
 /// A seeded, volume-controlled data generator (step 3 of Figure 3).
 ///
 /// Implementations are immutable model objects: the same `(seed, volume)`

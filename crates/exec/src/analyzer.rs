@@ -152,9 +152,10 @@ impl ConformanceSummary {
     }
 }
 
-/// Load-driving metrics distilled from a run's [`LoadReport`]s and trace:
-/// per-engine tail latency and saturation throughput plus session and
-/// shedding bookkeeping.
+/// Load-driving metrics distilled from a run's
+/// [`LoadReport`](crate::loadgen::LoadReport)s and trace: per-engine tail
+/// latency and saturation throughput plus session and shedding
+/// bookkeeping.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadSummary {
     /// Per-engine reports, in drive order.
@@ -210,6 +211,23 @@ impl LoadSummary {
     /// True when every engine's sampled results matched the oracle.
     pub fn all_conformant(&self) -> bool {
         self.reports.iter().all(|r| r.conformance_passed)
+    }
+
+    /// Engines whose drive sampled no result, so checked nothing.
+    pub fn unchecked(&self) -> Vec<&str> {
+        self.reports.iter().filter(|r| r.sampled == 0).map(|r| r.engine.as_str()).collect()
+    }
+
+    /// The drive's verdict: `DIVERGED` when a sampled result mismatched,
+    /// else `UNCHECKED` when an engine sampled nothing, else `CONFORMANT`.
+    pub fn verdict(&self) -> &'static str {
+        if self.reports.iter().any(|r| r.sampled > 0 && !r.conformance_passed) {
+            "DIVERGED"
+        } else if self.reports.iter().any(|r| r.sampled == 0) {
+            "UNCHECKED"
+        } else {
+            "CONFORMANT"
+        }
     }
 }
 

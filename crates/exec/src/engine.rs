@@ -3,14 +3,17 @@
 //! "The Execution Layer offers several functions to support the execution
 //! of benchmark tests over different software stacks." Each software
 //! stack is an [`Engine`]: it declares [`Capabilities`] — which
-//! [`SystemKind`]s it implements, which data kinds, operation classes and
-//! pattern shapes it can execute — and runs an [`ExecutionRequest`] into
-//! workload results. An [`EngineRegistry`] routes a prescribed test by
-//! capability match, in one fixed order: engines implementing the
-//! requested system (the *explicit* partition) first, then capability
-//! fallbacks in registration order — BigOP-style mapping of abstract
-//! operations onto the first capable system. Adding a backend is a
-//! registry entry, not a pipeline edit.
+//! [`SystemKind`]s it implements and which [`WorkloadClass`]es of
+//! operation it executes — and runs an [`ExecutionRequest`] into workload
+//! results. An [`EngineRegistry`] routes a prescribed test by the
+//! requested system and the test's operation class alone, in one fixed
+//! order: engines implementing the requested system (the *explicit*
+//! partition) first, then capability fallbacks in registration order —
+//! BigOP-style mapping of abstract operations onto the first capable
+//! system. An engine that gets data or a pattern it cannot run fails with
+//! a named error (a window aggregation over a table, a two-step
+//! behavioral pattern); routing never looks at either. Adding a backend
+//! is a registry entry, not a pipeline edit.
 //!
 //! There is one dispatch entry point: [`EngineRegistry::dispatch`] runs
 //! the one routed engine once, under [`crate::fault::run_with_fault`]
@@ -21,10 +24,11 @@
 use crate::config::SystemConfig;
 use crate::fault::{self, FaultInjector, FaultSite};
 use crate::trace::RunTrace;
+use bdb_common::event::Event;
 use bdb_common::record::{row_lines, Table};
 use bdb_common::text::{Document, Vocabulary};
 use bdb_common::{pool, BdbError, Result};
-use bdb_datagen::{DataSourceKind, Dataset};
+use bdb_datagen::Dataset;
 use bdb_mapreduce::JobConfig;
 use bdb_metrics::{MetricsCollector, OpCounts};
 use bdb_testgen::bind::{MapReduceBinding, PatternExecutor, SqlBinding};
@@ -35,40 +39,8 @@ use bdb_workloads::{
     behavioral, micro, oltp, search, social, streaming, OutputPayload, Work, WorkloadCategory,
     WorkloadResult,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-/// The shape of a prescription's workload pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PatternShape {
-    /// One operation.
-    Single,
-    /// A finite DAG of operations.
-    Multi,
-    /// A body repeated until a stopping condition holds.
-    Iterative,
-}
-
-impl PatternShape {
-    /// The shape of a concrete pattern.
-    pub fn of(pattern: &WorkloadPattern) -> Self {
-        match pattern {
-            WorkloadPattern::Single { .. } => PatternShape::Single,
-            WorkloadPattern::Multi { .. } => PatternShape::Multi,
-            WorkloadPattern::Iterative { .. } => PatternShape::Iterative,
-        }
-    }
-}
-
-impl std::fmt::Display for PatternShape {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PatternShape::Single => "single",
-            PatternShape::Multi => "multi",
-            PatternShape::Iterative => "iterative",
-        })
-    }
-}
 
 /// The operation class a prescribed test belongs to.
 ///
@@ -176,20 +148,12 @@ pub struct Capabilities {
     pub systems: Vec<SystemKind>,
     /// Operation classes the engine executes.
     pub classes: Vec<WorkloadClass>,
-    /// Data kinds the engine consumes.
-    pub data_kinds: Vec<DataSourceKind>,
-    /// Pattern shapes the engine understands.
-    pub patterns: Vec<PatternShape>,
 }
 
 impl Capabilities {
-    /// Can the engine execute a test with this profile? True when the
-    /// shape and class are supported and every present data kind is
-    /// consumable.
-    pub fn supports(&self, profile: &TestProfile) -> bool {
-        self.patterns.contains(&profile.shape)
-            && self.classes.contains(&profile.class)
-            && profile.data_kinds.iter().all(|k| self.data_kinds.contains(k))
+    /// Can the engine execute a test of this operation class?
+    pub fn supports(&self, class: WorkloadClass) -> bool {
+        self.classes.contains(&class)
     }
 
     /// True when the engine implements `system`.
@@ -201,45 +165,10 @@ impl Capabilities {
     pub fn summary(&self) -> String {
         let join = |parts: Vec<String>| parts.join(",");
         format!(
-            "systems={} classes={} data={} patterns={}",
+            "systems={} classes={}",
             join(self.systems.iter().map(|s| s.to_string()).collect()),
             join(self.classes.iter().map(|c| c.to_string()).collect()),
-            join(self.data_kinds.iter().map(|k| k.to_string()).collect()),
-            join(self.patterns.iter().map(|p| p.to_string()).collect()),
         )
-    }
-}
-
-/// The routing-relevant profile of a prescribed test.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TestProfile {
-    /// Pattern shape.
-    pub shape: PatternShape,
-    /// Operation class.
-    pub class: WorkloadClass,
-    /// Kinds of the input data sets, sorted and distinct.
-    pub data_kinds: Vec<DataSourceKind>,
-}
-
-impl TestProfile {
-    fn of(prescription: &Prescription, kinds: impl IntoIterator<Item = DataSourceKind>) -> Self {
-        TestProfile {
-            shape: PatternShape::of(&prescription.pattern),
-            class: WorkloadClass::of(prescription),
-            data_kinds: kinds.into_iter().collect::<BTreeSet<_>>().into_iter().collect(),
-        }
-    }
-
-    /// The profile a prescription declares, from each `DataSpec.source`
-    /// — known before any data is generated, and equal to
-    /// [`ExecutionRequest::profile`] over the generated data.
-    ///
-    /// # Errors
-    /// Fails when a data spec declares an unknown source kind.
-    pub fn declared(prescription: &Prescription) -> Result<Self> {
-        let kinds: Vec<DataSourceKind> =
-            prescription.data.iter().map(|d| d.source.parse()).collect::<Result<_>>()?;
-        Ok(Self::of(prescription, kinds))
     }
 }
 
@@ -275,11 +204,6 @@ pub enum RoutingPolicy {
 }
 
 impl<'a> ExecutionRequest<'a> {
-    /// The routing profile of this request.
-    pub fn profile(&self) -> TestProfile {
-        TestProfile::of(self.prescription, self.datasets.values().map(Dataset::kind))
-    }
-
     /// The MapReduce job configuration derived from the system config.
     pub fn job_config(&self) -> JobConfig {
         JobConfig { workers: self.config.threads, ..JobConfig::default() }
@@ -341,9 +265,10 @@ pub struct Routing {
 /// The Execution Layer's table of registered engines.
 ///
 /// Routing: engines that both *implement the requested system* and
-/// *support the test profile* outrank engines that merely support the
-/// profile; each partition keeps registration order. When no engine is
-/// capable the error lists every candidate with its capabilities.
+/// *support the test's operation class* outrank engines that merely
+/// support the class; each partition keeps registration order. When no
+/// engine is capable the error lists every candidate with its
+/// capabilities.
 pub struct EngineRegistry {
     engines: Vec<Box<dyn Engine>>,
 }
@@ -403,8 +328,8 @@ impl EngineRegistry {
     /// Fails when no engine is capable, listing every candidate with its
     /// capabilities.
     pub fn route(&self, request: &ExecutionRequest<'_>) -> Result<(&dyn Engine, Routing)> {
-        let profile = request.profile();
-        let capable = || self.engines().filter(|e| e.capabilities().supports(&profile));
+        let class = WorkloadClass::of(request.prescription);
+        let capable = || self.engines().filter(|e| e.capabilities().supports(class));
         let explicit = capable().find(|e| e.capabilities().implements(request.system));
         if let Some(e) = explicit.or_else(|| capable().next()) {
             return Ok((e, Routing { engine: e.name().into(), explicit: explicit.is_some() }));
@@ -416,17 +341,9 @@ impl EngineRegistry {
             .collect::<Vec<_>>()
             .join("; ");
         Err(BdbError::Execution(format!(
-            "no engine can execute prescription {} (system={}, class={}, pattern={}, data={}); candidate engines: {}",
+            "no engine can execute prescription {} (system={}, class={class}); candidate engines: {}",
             request.prescription.name,
             request.system,
-            profile.class,
-            profile.shape,
-            profile
-                .data_kinds
-                .iter()
-                .map(|k| k.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
             if candidates.is_empty() { "(none registered)".into() } else { candidates },
         )))
     }
@@ -636,12 +553,6 @@ impl Engine for NativeEngine {
         Capabilities {
             systems: vec![SystemKind::Native],
             classes: vec![WorkloadClass::Text, WorkloadClass::Iterative],
-            data_kinds: vec![
-                DataSourceKind::Text,
-                DataSourceKind::Graph,
-                DataSourceKind::Table,
-            ],
-            patterns: vec![PatternShape::Single, PatternShape::Multi, PatternShape::Iterative],
         }
     }
 
@@ -755,13 +666,6 @@ impl Engine for MapReduceEngine {
                 WorkloadClass::Relational,
                 WorkloadClass::Behavioral,
             ],
-            data_kinds: vec![
-                DataSourceKind::Text,
-                DataSourceKind::Graph,
-                DataSourceKind::Table,
-                DataSourceKind::Stream,
-            ],
-            patterns: vec![PatternShape::Single, PatternShape::Multi, PatternShape::Iterative],
         }
     }
 
@@ -796,8 +700,6 @@ impl Engine for SqlEngine {
         Capabilities {
             systems: vec![SystemKind::Sql],
             classes: vec![WorkloadClass::Relational],
-            data_kinds: vec![DataSourceKind::Table],
-            patterns: vec![PatternShape::Single, PatternShape::Multi],
         }
     }
 
@@ -820,8 +722,6 @@ impl Engine for KvEngine {
         Capabilities {
             systems: vec![SystemKind::KeyValue],
             classes: vec![WorkloadClass::Element],
-            data_kinds: vec![DataSourceKind::Table],
-            patterns: vec![PatternShape::Single, PatternShape::Multi],
         }
     }
 
@@ -891,36 +791,55 @@ impl Engine for KvEngine {
     }
 }
 
-/// Extract the behavioral operation from a prescription's pattern.
-fn behavioral_spec(prescription: &Prescription) -> Result<behavioral::BehavioralSpec> {
-    prescription
-        .pattern
-        .operations()
-        .iter()
-        .find_map(|o| match o {
-            Operation::Sessionize { gap_ms } => {
-                Some(behavioral::BehavioralSpec::Sessionize { gap_ms: *gap_ms })
-            }
-            Operation::Retention { period_ms, periods } => {
-                Some(behavioral::BehavioralSpec::Retention {
-                    period_ms: *period_ms,
-                    periods: *periods,
-                })
-            }
-            Operation::WindowFunnel { window_ms, steps } => {
-                Some(behavioral::BehavioralSpec::WindowFunnel {
-                    window_ms: *window_ms,
-                    steps: steps.clone(),
-                })
-            }
-            Operation::SequenceMatch { steps } => {
-                Some(behavioral::BehavioralSpec::SequenceMatch { steps: steps.clone() })
-            }
+/// The one operation of a windowed or behavioral prescription. These
+/// kernels run one operation over one stream, so a pattern of any other
+/// shape is refused by name rather than cut down to its first operation.
+fn single_operation<'p>(req: &ExecutionRequest<'p>, engine: &str) -> Result<&'p Operation> {
+    let shape = match &req.prescription.pattern {
+        WorkloadPattern::Single { op, .. } => return Ok(op),
+        WorkloadPattern::Multi { .. } => "multi-operation",
+        WorkloadPattern::Iterative { .. } => "iterative",
+    };
+    Err(BdbError::Execution(format!(
+        "{engine} engine runs {} workloads as a single-operation pattern; prescription {} has a {shape} pattern",
+        WorkloadClass::of(req.prescription),
+        req.prescription.name
+    )))
+}
+
+/// The behavioral kernel spec of a behavioral operation.
+fn behavioral_spec(op: &Operation) -> Result<behavioral::BehavioralSpec> {
+    Ok(match op {
+        Operation::Sessionize { gap_ms } => {
+            behavioral::BehavioralSpec::Sessionize { gap_ms: *gap_ms }
+        }
+        Operation::Retention { period_ms, periods } => {
+            behavioral::BehavioralSpec::Retention { period_ms: *period_ms, periods: *periods }
+        }
+        Operation::WindowFunnel { window_ms, steps } => behavioral::BehavioralSpec::WindowFunnel {
+            window_ms: *window_ms,
+            steps: steps.clone(),
+        },
+        Operation::SequenceMatch { steps } => {
+            behavioral::BehavioralSpec::SequenceMatch { steps: steps.clone() }
+        }
+        _ => {
+            return Err(BdbError::Execution(
+                "behavioral dispatch needs a behavioral operation".into(),
+            ))
+        }
+    })
+}
+
+/// The prescription's stream data set.
+fn stream_dataset<'a>(req: &ExecutionRequest<'a>, what: &str) -> Result<&'a [Event]> {
+    req.datasets
+        .values()
+        .find_map(|d| match d {
+            Dataset::Stream(e) => Some(e.as_slice()),
             _ => None,
         })
-        .ok_or_else(|| {
-            BdbError::Execution("behavioral dispatch needs a behavioral operation".into())
-        })
+        .ok_or_else(|| BdbError::Execution(format!("{what} needs a stream data set")))
 }
 
 /// Behavioral dispatch shared by the streaming and MapReduce engines:
@@ -930,17 +849,8 @@ fn execute_behavioral(
     req: &ExecutionRequest<'_>,
     engine: &'static str,
 ) -> Result<Vec<WorkloadResult>> {
-    let spec = behavioral_spec(req.prescription)?;
-    let events = req
-        .datasets
-        .values()
-        .find_map(|d| match d {
-            Dataset::Stream(e) => Some(e.as_slice()),
-            _ => None,
-        })
-        .ok_or_else(|| {
-            BdbError::Execution("behavioral operations need a stream data set".into())
-        })?;
+    let spec = behavioral_spec(single_operation(req, engine)?)?;
+    let events = stream_dataset(req, "behavioral operations")?;
     let job = req.job_config();
     let (outcome, r) = run_kernel(
         req,
@@ -975,8 +885,6 @@ impl Engine for StreamingEngine {
         Capabilities {
             systems: vec![SystemKind::Streaming],
             classes: vec![WorkloadClass::Windowed, WorkloadClass::Behavioral],
-            data_kinds: vec![DataSourceKind::Stream],
-            patterns: vec![PatternShape::Single],
         }
     }
 
@@ -984,28 +892,13 @@ impl Engine for StreamingEngine {
         if WorkloadClass::of(req.prescription) == WorkloadClass::Behavioral {
             return execute_behavioral(req, "streaming");
         }
-        let window_ms = req
-            .prescription
-            .pattern
-            .operations()
-            .iter()
-            .find_map(|o| match o {
-                Operation::WindowAggregate { window_ms, .. } => Some(*window_ms),
-                _ => None,
-            })
-            .ok_or_else(|| {
-                BdbError::Execution("streaming engine needs a window-aggregate operation".into())
-            })?;
-        let events = req
-            .datasets
-            .values()
-            .find_map(|d| match d {
-                Dataset::Stream(e) => Some(e),
-                _ => None,
-            })
-            .ok_or_else(|| {
-                BdbError::Execution("window aggregation needs a stream data set".into())
-            })?;
+        let Operation::WindowAggregate { window_ms, .. } = *single_operation(req, "streaming")?
+        else {
+            return Err(BdbError::Execution(
+                "streaming engine needs a window-aggregate operation".into(),
+            ));
+        };
+        let events = stream_dataset(req, "window aggregation")?;
         let (windows, r) = run_kernel(
             req,
             "streaming",
@@ -1040,6 +933,7 @@ impl Engine for StreamingEngine {
 mod tests {
     use super::*;
     use bdb_testgen::repository::builtin_prescriptions;
+    use std::collections::BTreeSet;
 
     fn prescription(name: &str) -> Prescription {
         builtin_prescriptions()
@@ -1086,11 +980,11 @@ mod tests {
 
     #[test]
     fn capability_summary_is_descriptive() {
-        let caps = SqlEngine.capabilities();
-        let s = caps.summary();
-        assert!(s.contains("systems=sql"));
-        assert!(s.contains("classes=relational"));
-        assert!(s.contains("data=table"));
+        assert_eq!(SqlEngine.capabilities().summary(), "systems=sql classes=relational");
+        assert_eq!(
+            MapReduceEngine.capabilities().summary(),
+            "systems=mapreduce classes=text,iterative,relational,behavioral"
+        );
     }
 
     #[test]
@@ -1129,8 +1023,6 @@ mod tests {
             Capabilities {
                 systems: vec![self.system],
                 classes: vec![WorkloadClass::Relational],
-                data_kinds: vec![DataSourceKind::Table],
-                patterns: vec![PatternShape::Single, PatternShape::Multi],
             }
         }
 

@@ -46,8 +46,7 @@ pub use analyzer::{
 pub use config::SystemConfig;
 pub use convert::DataFormat;
 pub use engine::{
-    Capabilities, Engine, EngineRegistry, ExecutionRequest, PatternShape, Routing, RoutingPolicy,
-    TestProfile, WorkloadClass,
+    Capabilities, Engine, EngineRegistry, ExecutionRequest, Routing, RoutingPolicy, WorkloadClass,
 };
 pub use fault::{FaultInjector, FaultKind, FaultPhase, FaultPlan, FaultSite};
 pub use journal::{CellCheckpoint, RunJournal};

@@ -163,7 +163,13 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
             fmt_num(r.p50_us),
             fmt_num(r.p99_us),
             fmt_num(r.p999_us),
-            if r.conformance_passed { "pass".into() } else { "FAIL".into() },
+            if r.sampled == 0 {
+                "unchecked".into()
+            } else if r.conformance_passed {
+                "pass".into()
+            } else {
+                "FAIL".into()
+            },
         ]);
     }
     let mut out = t.to_text();
@@ -172,7 +178,7 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
         summary.sessions_started,
         summary.sessions_finished,
         summary.shed_events,
-        if summary.all_conformant() { "CONFORMANT" } else { "DIVERGED" },
+        summary.verdict(),
     ));
     for r in summary.reports.iter().filter(|r| r.arrival.is_open()) {
         out.push_str(&format!(
@@ -342,6 +348,28 @@ mod tests {
         assert!(text.contains("shed events: 1"));
         // A clean drive keeps the historical footer: no chaos accounting.
         assert!(!text.contains("chaos["));
+
+        // A lane that completed nothing sampled nothing: its check is
+        // unchecked, not failed, and so is the drive when nothing diverged.
+        let starved = crate::loadgen::LoadReport {
+            engine: "native".into(),
+            completed: 0,
+            shed: 0,
+            failed: 1000,
+            faults: 1000,
+            sampled: 0,
+            conformance_passed: false,
+            ..s.reports[0].clone()
+        };
+        let text = render_load(&LoadSummary::new(vec![s.reports[0].clone(), starved.clone()], &[]));
+        assert!(text.contains("unchecked"), "{text}");
+        assert!(text.contains("verdict: UNCHECKED"), "{text}");
+        assert!(!text.contains("FAIL"), "{text}");
+        // A mismatch anywhere still reads DIVERGED.
+        let diverged =
+            crate::loadgen::LoadReport { conformance_passed: false, ..s.reports[0].clone() };
+        let text = render_load(&LoadSummary::new(vec![diverged, starved], &[]));
+        assert!(text.contains("FAIL") && text.contains("verdict: DIVERGED"), "{text}");
     }
 
     #[test]

@@ -136,6 +136,11 @@ impl GenerationMetrics {
         self.bytes as f64 / self.duration_secs.max(1e-9)
     }
 
+    /// Relative error |achieved − target| / target of the items rate.
+    pub fn rate_error(&self, target_items_per_sec: f64) -> f64 {
+        ((self.items_per_sec() - target_items_per_sec) / target_items_per_sec).abs()
+    }
+
     /// Fold another generation run (e.g. a second dataset of the same
     /// benchmark) into this one; durations add, workers keep the maximum.
     pub fn merge(&mut self, other: &GenerationMetrics) {
@@ -160,6 +165,7 @@ mod tests {
         assert_eq!(g.bytes, 10_000);
         assert_eq!(g.workers, 4);
         assert!((g.items_per_sec() - 2000.0).abs() < 1e-6);
+        assert!((g.rate_error(2500.0) - 0.2).abs() < 1e-9);
         // Zero-duration runs don't divide by zero.
         assert!(GenerationMetrics::default().items_per_sec() >= 0.0);
     }

@@ -800,7 +800,7 @@ mod tests {
 
     #[test]
     fn every_entry_runs_a_builtin_prescription_on_a_capable_named_system() {
-        use bdb_exec::engine::{EngineRegistry, TestProfile};
+        use bdb_exec::engine::{EngineRegistry, WorkloadClass};
         use bdb_testgen::PrescriptionRepository;
         let repository = PrescriptionRepository::with_builtins();
         let engines = EngineRegistry::with_builtins();
@@ -810,12 +810,12 @@ mod tests {
                 let Some((name, system)) = w.run else { continue };
                 let at = format!("{} / {}: {name} on {system}", desc.name, w.example);
                 let prescription = repository.get(name).unwrap_or_else(|e| panic!("{at}: {e}"));
-                let profile = TestProfile::declared(prescription).unwrap();
+                let class = WorkloadClass::of(prescription);
                 let engine = engines
                     .engines()
                     .find(|e| e.capabilities().implements(system))
                     .unwrap_or_else(|| panic!("{at}: no engine implements the system"));
-                assert!(engine.capabilities().supports(&profile), "{at}: {profile:?}");
+                assert!(engine.capabilities().supports(class), "{at}: {class}");
                 assert!(
                     desc.software_stacks.iter().any(|(_, s)| *s == system),
                     "{at}: no software stack of the suite names {system}"

@@ -135,12 +135,7 @@ mod tests {
     use crate::pattern::{InputRef, Step};
 
     fn data_spec() -> DataSpec {
-        DataSpec {
-            name: "orders".into(),
-            source: "table".into(),
-            generator: "table/retail-fitted".into(),
-            items: 1000,
-        }
+        DataSpec { name: "orders".into(), generator: "table/retail-fitted".into(), items: 1000 }
     }
 
     #[test]

@@ -16,9 +16,8 @@ use serde::{Deserialize, Serialize};
 pub struct DataSpec {
     /// Logical data set name referenced by the pattern.
     pub name: String,
-    /// Data source kind: "table", "text", "graph" or "stream".
-    pub source: String,
-    /// Generator identifier (e.g. "text/lda", "table/retail-fitted").
+    /// Generator identifier (e.g. "text/lda", "table/retail-fitted"); it
+    /// fixes the data set's kind.
     pub generator: String,
     /// Number of items to generate.
     pub items: u64,
@@ -85,7 +84,6 @@ mod tests {
             description: "count word frequencies over synthetic text".into(),
             data: vec![DataSpec {
                 name: "docs".into(),
-                source: "text".into(),
                 generator: "text/lda".into(),
                 items: 1000,
             }],
@@ -122,6 +120,19 @@ mod tests {
         let json = p.to_json().unwrap();
         let back = Prescription::from_json(&json).unwrap();
         assert_eq!(p, back);
+    }
+
+    #[test]
+    fn from_json_ignores_a_declared_source_kind() {
+        // Prescriptions written when a data spec also declared its kind
+        // still parse: the generator id fixes the kind, and unknown fields
+        // are ignored.
+        let json = sample().to_json().unwrap().replace(
+            "\"generator\": \"text/lda\"",
+            "\"source\": \"text\",\n      \"generator\": \"text/lda\"",
+        );
+        assert!(json.contains("\"source\": \"text\""), "{json}");
+        assert_eq!(Prescription::from_json(&json).unwrap(), sample());
     }
 
     #[test]

@@ -73,38 +73,23 @@ impl PrescriptionRepository {
 }
 
 fn text_data(name: &str, items: u64) -> DataSpec {
-    DataSpec { name: name.into(), source: "text".into(), generator: "text/lda".into(), items }
+    DataSpec { name: name.into(), generator: "text/lda".into(), items }
 }
 
 fn table_data(name: &str, items: u64) -> DataSpec {
-    DataSpec {
-        name: name.into(),
-        source: "table".into(),
-        generator: "table/retail-fitted".into(),
-        items,
-    }
+    DataSpec { name: name.into(), generator: "table/retail-fitted".into(), items }
 }
 
 fn graph_data(name: &str, items: u64) -> DataSpec {
-    DataSpec { name: name.into(), source: "graph".into(), generator: "graph/rmat".into(), items }
+    DataSpec { name: name.into(), generator: "graph/rmat".into(), items }
 }
 
 fn stream_data(name: &str, items: u64) -> DataSpec {
-    DataSpec {
-        name: name.into(),
-        source: "stream".into(),
-        generator: "stream/poisson".into(),
-        items,
-    }
+    DataSpec { name: name.into(), generator: "stream/poisson".into(), items }
 }
 
 fn behavioral_data(name: &str, items: u64) -> DataSpec {
-    DataSpec {
-        name: name.into(),
-        source: "stream".into(),
-        generator: "behavioral/events".into(),
-        items,
-    }
+    DataSpec { name: name.into(), generator: "behavioral/events".into(), items }
 }
 
 /// The built-in domain prescriptions.
@@ -145,7 +130,8 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
         // ---- Basic database operations: Cloud OLTP (YCSB style) ----
         Prescription {
             name: "oltp/read-mostly".into(),
-            description: "95% reads / 5% updates over a key-value store (YCSB workload B)"
+            description: "50% reads / 50% updates over a key-value store (one step per op kind; \
+                          YCSB workload B's 95/5 mix needs step weights)"
                 .into(),
             data: vec![table_data("records", 10_000)],
             pattern: WorkloadPattern::Multi {
@@ -166,7 +152,9 @@ pub fn builtin_prescriptions() -> Vec<Prescription> {
         },
         Prescription {
             name: "oltp/scan-heavy".into(),
-            description: "short range scans with inserts (YCSB workload E)".into(),
+            description: "50% short range scans / 50% inserts (one step per op kind; \
+                          YCSB workload E's 95/5 mix needs step weights)"
+                .into(),
             data: vec![table_data("records", 10_000)],
             pattern: WorkloadPattern::Multi {
                 steps: vec![

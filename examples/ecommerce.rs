@@ -2,7 +2,7 @@
 //!
 //! Fits column models to the raw retail table and generates a larger
 //! synthetic table, then queries it on the SQL engine. Runs the domain's
-//! prescriptions through the five-step pipeline: a YCSB-B-style OLTP mix
+//! prescriptions through the five-step pipeline: an OLTP read/update mix
 //! on the key-value store (`oltp/read-mostly`), and `ecommerce/*` on the
 //! SQL engine and on MapReduce, whose answers must agree.
 //!
@@ -54,7 +54,8 @@ fn main() -> Result<()> {
         println!("  {:<12} {:>12} ({} orders)", row[0], format!("{:.2}", row[1].as_f64().unwrap()), row[2]);
     }
 
-    // --- Cloud OLTP on the KV store (YCSB workload B).
+    // --- Cloud OLTP on the KV store: equal reads and updates (one step
+    //     per op kind), not YCSB workload B's 95/5 mix.
     let oltp = run("oltp/read-mostly", SystemKind::KeyValue)?;
     println!(
         "\noltp/read-mostly: read hit rate {:.3}",

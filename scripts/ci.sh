@@ -46,6 +46,13 @@ done
 cargo clippy --workspace "${clippy_excludes[@]}" --all-targets -- -D warnings || exit 1
 echo "clippy: clean"
 
+echo "== cargo doc (workspace crates, hard gate) =="
+# Every intra-doc link must resolve and no rustdoc lint may fire: a type
+# deleted or moved while a doc comment still links to it fails here.
+# The vendor/ stubs are excluded, as from clippy.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace "${clippy_excludes[@]}" --no-deps -q || exit 1
+echo "rustdoc: clean"
+
 echo "== chaos smoke (seeded fault injection) =="
 # A seeded chaos run: an injected fault fails the data set or dispatch it
 # hits, and with it the run — nothing retries it. The generator worker

@@ -253,20 +253,6 @@ fn cmd_run(args: &[String]) -> bdbench::common::Result<()> {
             phase.duration.as_secs_f64() * 1e3
         );
     }
-    if let Some((rate, err)) = run.generation_rate {
-        match err {
-            Some(e) => println!("generation rate: {rate:.0} items/s (target error {e:.3})"),
-            None => println!("generation rate: {rate:.0} items/s"),
-        }
-    }
-    if let Some(g) = &run.generation {
-        println!(
-            "generation throughput: {:.0} items/s, {:.0} bytes/s on {} worker(s)",
-            g.items_per_sec(),
-            g.bytes_per_sec(),
-            g.workers
-        );
-    }
     println!("{}", run.analysis);
     if let Some(target) = opts.get("trace") {
         let jsonl = trace_to_jsonl(&run.trace.events())?;
@@ -396,13 +382,17 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
             eprintln!("trace: {} events written to {target}", run.trace.len());
         }
     }
-    if !run.summary.all_conformant() {
-        return Err(bdbench::common::BdbError::Execution(format!(
+    let failure = match run.summary.verdict() {
+        "CONFORMANT" => return Ok(()),
+        "UNCHECKED" => {
+            format!("load conformance: nothing sampled on {}", run.summary.unchecked().join(", "))
+        }
+        _ => format!(
             "load conformance: {}/{} oracle checks passed",
             run.conformance.passes, run.conformance.checks
-        )));
-    }
-    Ok(())
+        ),
+    };
+    Err(bdbench::common::BdbError::Execution(failure))
 }
 
 fn cmd_table1(args: &[String]) -> bdbench::common::Result<()> {

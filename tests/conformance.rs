@@ -165,7 +165,11 @@ fn rate_controlled_run_conforms_to_the_unthrottled_goldens() {
         let paced = Benchmark::new()
             .run(&unthrottled.with_generator_workers(2).with_target_rate(1_000_000.0))
             .unwrap();
-        assert!(paced.generation_rate.unwrap().1.is_some(), "{prescription}: rate was controlled");
+        assert!(
+            paced.analysis.contains("target 1000000 items/s"),
+            "{prescription}: rate was controlled:\n{}",
+            paced.analysis
+        );
         assert_eq!(plain.data_summary, paced.data_summary, "{prescription}");
         assert!(
             paced.conformance.all_passed(),

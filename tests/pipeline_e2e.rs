@@ -39,22 +39,22 @@ fn every_result_is_named_timed_and_filed_by_its_engine() {
     // prescription's name, the engine that ran it, and the Table 2
     // category of the prescription's class; a kernel's duration is the
     // span its trace event reports.
-    use bdbench::exec::engine::{EngineRegistry, TestProfile, WorkloadClass};
+    use bdbench::exec::engine::{EngineRegistry, WorkloadClass};
     use bdbench::exec::trace::TraceEvent;
     use WorkloadCategory::{OfflineAnalytics, OnlineServices, RealTimeAnalytics};
     let engines = EngineRegistry::with_builtins();
     let mut runs = 0;
     for p in builtin_prescriptions() {
-        let profile = TestProfile::declared(&p).unwrap();
-        let category = match profile.class {
+        let class = WorkloadClass::of(&p);
+        let category = match class {
             WorkloadClass::Text | WorkloadClass::Iterative => OfflineAnalytics,
             WorkloadClass::Relational | WorkloadClass::Windowed | WorkloadClass::Behavioral => {
                 RealTimeAnalytics
             }
             WorkloadClass::Element => OnlineServices,
         };
-        let kernel = !matches!(profile.class, WorkloadClass::Relational | WorkloadClass::Element);
-        for engine in engines.engines().filter(|e| e.capabilities().supports(&profile)) {
+        let kernel = !matches!(class, WorkloadClass::Relational | WorkloadClass::Element);
+        for engine in engines.engines().filter(|e| e.capabilities().supports(class)) {
             let run = run(&p.name, engine.capabilities().systems[0], 200);
             let cell = format!("{} on {}", p.name, engine.name());
             let [r] = run.results.as_slice() else { panic!("{cell}: one result") };
@@ -108,7 +108,6 @@ fn layers_compose_a_custom_generator_and_prescription() {
             description: "custom wordcount".into(),
             data: vec![DataSpec {
                 name: "docs".into(),
-                source: "text".into(),
                 generator: "text/custom".into(),
                 items: 100,
             }],
@@ -159,8 +158,9 @@ fn velocity_layer_reports_rate_for_parallel_generation() {
         .with_generator_workers(4)
         .with_seed(3);
     let r = Benchmark::new().run(&spec).unwrap();
-    let (rate, _) = r.generation_rate.expect("parallel run measures rate");
-    assert!(rate > 0.0);
+    let g = r.generation.expect("parallel run measures rate");
+    assert!(g.items_per_sec() > 0.0);
+    assert_eq!(g.workers, 4);
     assert_eq!(r.data_summary[0].2, 400);
 }
 
