@@ -36,7 +36,8 @@ pub enum BdbError {
 
 impl BdbError {
     /// True for [`BdbError::Crashed`]: a kill point, which the next
-    /// open or `--resume` recovers from, not the run that hit it.
+    /// open or a rerun on the same `--journal` recovers from, not the run
+    /// that hit it.
     pub fn is_crash(&self) -> bool {
         matches!(self, BdbError::Crashed(_))
     }

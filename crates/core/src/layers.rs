@@ -39,7 +39,7 @@ pub struct BenchmarkSpec {
     /// (`None` = no verification, the historical behaviour).
     pub verify: Option<VerifyMode>,
     /// Explicit golden-store directory for verification. `None` defers to
-    /// `$BDB_GOLDENS_DIR` / the `goldens/` discovery rule.
+    /// the `goldens/` discovery rule.
     pub goldens_dir: Option<String>,
     /// Concurrent load-driving profile for [`Benchmark::run_load`]
     /// (`None` = the default profile when a load run is requested).

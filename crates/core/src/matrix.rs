@@ -4,9 +4,7 @@
 //! [`verify_matrix`] is the harness behind `bdbench verify`: it runs each
 //! (prescription, engine) pair in isolation — a single-engine registry,
 //! so capability routing cannot silently substitute a different backend —
-//! and collects the conformance verdicts per cell. Engine threads are
-//! pinned (4) so Element-class cells produce machine-independent golden
-//! digests regardless of the host's parallelism.
+//! and collects the conformance verdicts per cell.
 //!
 //! [`verify_matrix_routed`] adds crash durability to the sweep: an optional
 //! [`RunJournal`] checkpoints every completed cell atomically, and an
@@ -23,7 +21,6 @@ use crate::layers::BenchmarkSpec;
 use crate::pipeline::Benchmark;
 use bdb_common::{BdbError, Result};
 use bdb_exec::analyzer::RecoverySummary;
-use bdb_exec::config::SystemConfig;
 use bdb_exec::engine::{
     Engine, EngineRegistry, KvEngine, MapReduceEngine, NativeEngine, SqlEngine, StreamingEngine,
     WorkloadClass,
@@ -34,8 +31,9 @@ use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_testgen::{PrescriptionRepository, SystemKind};
 use bdb_verify::{GoldenStore, VerifyMode};
 
-/// Engine threads pinned for matrix runs, keeping KV client sharding —
-/// and therefore Element-class golden digests — machine-independent.
+/// The engine thread count the benchmark's `verify_matrix` replay
+/// configures. The sweep here runs at the default count: no cell's digest
+/// depends on it.
 pub const MATRIX_THREADS: usize = 4;
 
 /// One verified (prescription, engine) cell.
@@ -252,7 +250,6 @@ pub fn verify_matrix_routed(
             .copied()
             .unwrap_or(SystemKind::Native);
         let mut bench = Benchmark::new();
-        bench.execution_layer_mut().system_config = SystemConfig::default().with_threads(MATRIX_THREADS);
         let mut registry = EngineRegistry::new();
         registry.register(engine);
         bench.execution_layer_mut().engines = registry;
@@ -307,7 +304,7 @@ pub fn verify_matrix_routed(
                 "injected kill point mid-matrix after {name}@{engine_name} \
                  ({} cells completed{})",
                 cells.len(),
-                if durability.journal.is_some() { ", checkpointed for --resume" } else { "" }
+                if durability.journal.is_some() { ", checkpointed for a rerun on the same --journal" } else { "" }
             )));
         }
     }

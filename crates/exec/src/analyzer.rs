@@ -44,8 +44,8 @@ pub struct RecoverySummary {
     /// Run-journal checkpoints the run wrote (healthy bookkeeping, not
     /// recovery by itself).
     pub checkpoints_written: u64,
-    /// Cells skipped on `--resume` because a prior (crashed) run already
-    /// completed them.
+    /// Cells skipped on a rerun against the same `--journal` because a
+    /// prior (crashed) run already completed them.
     pub cells_resumed: u64,
 }
 
@@ -201,11 +201,6 @@ impl LoadSummary {
     /// Ops that exhausted recovery and failed, across all engines.
     pub fn total_failed(&self) -> u64 {
         self.reports.iter().map(|r| r.failed).sum()
-    }
-
-    /// Faults injected across all engines' lanes.
-    pub fn total_faults(&self) -> u64 {
-        self.reports.iter().map(|r| r.faults).sum()
     }
 
     /// True when every engine's sampled results matched the oracle.

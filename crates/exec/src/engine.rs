@@ -27,7 +27,7 @@ use crate::trace::RunTrace;
 use bdb_common::event::Event;
 use bdb_common::record::{row_lines, Table};
 use bdb_common::text::{Document, Vocabulary};
-use bdb_common::{pool, BdbError, Result};
+use bdb_common::{BdbError, Result};
 use bdb_datagen::Dataset;
 use bdb_mapreduce::JobConfig;
 use bdb_metrics::{MetricsCollector, OpCounts};
@@ -709,9 +709,66 @@ impl Engine for SqlEngine {
 }
 
 /// The key-value engine (`bdb-kv`): element-operation mixes run as a
-/// YCSB-style driver against the LSM store.
+/// YCSB-style driver against the LSM store, always from four client
+/// streams, so a prescription and seed give the same counts on any host.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct KvEngine;
+
+impl KvEngine {
+    /// The YCSB mix and driver configuration a prescription runs, defined
+    /// once for the engine and the reference oracle. Each element kind's
+    /// share is its count of steps over all element steps; the driver loads
+    /// `scale` records and runs `2 × scale` ops from four client streams.
+    ///
+    /// # Errors
+    /// No element steps, or a `DeleteKey` step: the driver runs no deletes.
+    pub fn workload(req: &ExecutionRequest<'_>) -> Result<(oltp::YcsbSpec, oltp::YcsbConfig)> {
+        let name = &req.prescription.name;
+        let element_ops: Vec<&Operation> = req
+            .prescription
+            .pattern
+            .operations()
+            .into_iter()
+            .filter(|o| is_element_op(o))
+            .collect();
+        if element_ops.is_empty() {
+            return Err(BdbError::Execution(format!(
+                "kv engine needs element operations in prescription {name}"
+            )));
+        }
+        if element_ops.iter().any(|o| matches!(o, Operation::DeleteKey { .. })) {
+            return Err(BdbError::Execution(format!(
+                "kv engine does not run delete steps; prescription {name} has one"
+            )));
+        }
+        let n = element_ops.len() as f64;
+        let frac = |pred: fn(&Operation) -> bool| -> f64 {
+            element_ops.iter().filter(|o| pred(o)).count() as f64 / n
+        };
+        let spec = oltp::YcsbSpec {
+            name: "prescribed",
+            read: frac(|o| matches!(o, Operation::Get { .. })),
+            update: frac(|o| matches!(o, Operation::UpdateKey { .. })),
+            insert: frac(|o| matches!(o, Operation::Put { .. })),
+            scan: frac(|o| matches!(o, Operation::ScanRange { .. })),
+            rmw: 0.0,
+            zipf_exponent: 0.99,
+            scan_len: element_ops
+                .iter()
+                .find_map(|o| match o {
+                    Operation::ScanRange { limit, .. } => Some(*limit),
+                    _ => None,
+                })
+                .unwrap_or(0),
+        };
+        let config = oltp::YcsbConfig {
+            record_count: req.scale,
+            operation_count: 2 * req.scale,
+            ..oltp::YcsbConfig::default()
+        };
+        Ok((spec, config))
+    }
+}
 
 impl Engine for KvEngine {
     fn name(&self) -> &'static str {
@@ -726,46 +783,7 @@ impl Engine for KvEngine {
     }
 
     fn execute(&self, req: &ExecutionRequest<'_>) -> Result<Vec<WorkloadResult>> {
-        let element_ops: Vec<&Operation> = req
-            .prescription
-            .pattern
-            .operations()
-            .into_iter()
-            .filter(|o| is_element_op(o))
-            .collect();
-        if element_ops.is_empty() {
-            return Err(BdbError::Execution(format!(
-                "kv engine needs element operations in prescription {}",
-                req.prescription.name
-            )));
-        }
-        let n = element_ops.len() as f64;
-        let frac = |pred: fn(&Operation) -> bool| -> f64 {
-            element_ops.iter().filter(|o| pred(o)).count() as f64 / n
-        };
-        let spec = oltp::YcsbSpec {
-            name: "prescribed",
-            read: frac(|o| matches!(o, Operation::Get { .. })),
-            update: frac(|o| matches!(o, Operation::UpdateKey { .. })),
-            insert: frac(|o| matches!(o, Operation::Put { .. }))
-                + frac(|o| matches!(o, Operation::DeleteKey { .. })),
-            scan: frac(|o| matches!(o, Operation::ScanRange { .. })),
-            rmw: 0.0,
-            zipf_exponent: 0.99,
-            scan_len: element_ops
-                .iter()
-                .find_map(|o| match o {
-                    Operation::ScanRange { limit, .. } => Some(*limit),
-                    _ => None,
-                })
-                .unwrap_or(0),
-        };
-        let config = oltp::YcsbConfig {
-            record_count: req.scale,
-            operation_count: req.scale * 2,
-            clients: pool::effective_workers(req.config.threads).min(8),
-            value_size: 100,
-        };
+        let (spec, config) = Self::workload(req)?;
         // `run_ycsb` makes its own result: its per-operation latencies,
         // timed over the run phase, are the online-services metric. The
         // engine files it under the prescription.
@@ -774,10 +792,8 @@ impl Engine for KvEngine {
         let issued = counts.reads + counts.updates + counts.inserts + counts.scans + counts.rmws;
         req.trace.operation("kv", "element-mix", issued, t0.elapsed());
         r.report.workload = req.prescription.name.clone();
-        // Op counts and the final key population are deterministic for a
-        // given (spec, config, seed) even under concurrent clients: each
-        // client's operation stream is seeded independently, and inserted
-        // keys form a contiguous id range regardless of interleaving.
+        // Op counts and the final key population are deterministic under
+        // concurrent clients; the oracle replays them serially.
         let payload = OutputPayload::Numeric(vec![
             ("final_keys".into(), (config.record_count + counts.inserts) as f64),
             ("inserts".into(), counts.inserts as f64),

@@ -42,7 +42,7 @@
 //!   operation runs), `panic` (the operation fails with the structured
 //!   error the hardened pool makes of a worker panic), or
 //!   `crash` (the process "dies" at a kill point: the run aborts, leaving
-//!   durable state for `--resume`).
+//!   durable state a rerun on the same `--journal` resumes from).
 //! * `phase` — `datagen`, `exec`, or `any`.
 //! * `rate` — probability in `[0, 1]` that the clause fires on a given
 //!   draw (`1` = always, until `max` is reached).

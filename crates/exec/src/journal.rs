@@ -5,10 +5,10 @@
 //! golden store (`prescription__engine__s<seed>__n<scale>`), each via
 //! temp-file + atomic rename. When a run is killed — by a real crash or
 //! an injected `crash@` fault — the directory holds a complete record of
-//! everything that finished; `--resume <run-dir>` replays it: completed
-//! cells are skipped, their recorded digests are carried into the report
-//! (and re-verified against the golden store when one is present), and
-//! only the remaining cells execute.
+//! everything that finished; rerunning with `--journal <run-dir>` replays
+//! it: completed cells are skipped, their recorded digests are carried
+//! into the report (and re-verified against the golden store when one is
+//! present), and only the remaining cells execute.
 //!
 //! The journal deliberately records *outcomes* (shape, length, digest,
 //! verdicts), not payloads: resumption re-checks identity through the

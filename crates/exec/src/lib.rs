@@ -17,7 +17,8 @@
 //!   and the one guarded attempt ([`fault::run_with_fault`]) every
 //!   dataset, dispatch and load op runs under. Nothing is retried.
 //! * [`journal`] — the run journal: atomic per-cell checkpoints that let
-//!   a killed run `--resume` without re-executing completed cells.
+//!   a killed run resume on the same `--journal` without re-executing
+//!   completed cells.
 //! * [`loadgen`] — the concurrent load driver: N client sessions × M
 //!   in-flight ops, closed- and open-loop arrivals (self-pacing lanes, a
 //!   bounded queue of waiting ops with shedding), tail-latency, rate and

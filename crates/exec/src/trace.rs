@@ -80,7 +80,7 @@ pub enum TraceEvent {
         latency_ms: u64,
     },
     /// A run journal recorded one completed matrix cell / workload, so a
-    /// crashed run can skip it on `--resume`.
+    /// rerun on the same `--journal` can skip it.
     CheckpointWritten {
         /// The checkpoint key (golden-store format:
         /// `prescription__engine__s<seed>__n<scale>`).

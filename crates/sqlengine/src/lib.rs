@@ -73,12 +73,6 @@ impl Engine {
         &self.catalog
     }
 
-    /// Mutable catalog access, for load/maintenance workloads that
-    /// replace or drop tables.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Parse, plan, optimise and execute a SQL query.
     pub fn sql(&self, query: &str) -> Result<Table> {
         let plan = self.plan(query)?;

@@ -65,12 +65,6 @@ pub struct Conformance {
 }
 
 impl Conformance {
-    /// A checker using the environment-selected golden store (created on
-    /// demand in [`VerifyMode::Update`]).
-    pub fn new(mode: VerifyMode) -> Self {
-        Self::with_store(mode, GoldenStore::discover(mode == VerifyMode::Update))
-    }
-
     /// A checker with an explicit golden store (or none).
     pub fn with_store(mode: VerifyMode, goldens: Option<GoldenStore>) -> Self {
         Self { mode, epsilon: DEFAULT_EPSILON, goldens }

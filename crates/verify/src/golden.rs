@@ -12,12 +12,6 @@ use bdb_workloads::OutputPayload;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// The environment variable overriding the store directory.
-pub const GOLDENS_DIR_ENV: &str = "BDB_GOLDENS_DIR";
-
-/// The default store directory, relative to the working directory.
-pub const DEFAULT_GOLDENS_DIR: &str = "goldens";
-
 /// One stored golden digest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GoldenRecord {
@@ -73,20 +67,11 @@ impl GoldenStore {
         Self { dir: dir.into() }
     }
 
-    /// The store the environment selects: `$BDB_GOLDENS_DIR` when set,
-    /// otherwise `goldens/` under the working directory — but only when
-    /// that directory already exists (or `create` asks for it), so a
-    /// checkout without goldens runs oracle-only instead of littering.
+    /// The default store: `goldens/` under the working directory — but
+    /// only when that directory already exists (or `create` asks for it),
+    /// so a checkout without goldens runs oracle-only instead of littering.
     pub fn discover(create: bool) -> Option<Self> {
-        if let Ok(dir) = std::env::var(GOLDENS_DIR_ENV) {
-            return Some(Self::at(dir));
-        }
-        let default = Path::new(DEFAULT_GOLDENS_DIR);
-        if default.is_dir() || create {
-            Some(Self::at(default))
-        } else {
-            None
-        }
+        (create || Path::new("goldens").is_dir()).then(|| Self::at("goldens"))
     }
 
     /// The store's directory.

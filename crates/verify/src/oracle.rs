@@ -9,14 +9,16 @@
 //! (an operation builds rows only when its output is new: project,
 //! count, distinct, aggregate, join); graph kernels use
 //! union-find and a from-scratch power iteration instead of CSR
-//! label propagation; the YCSB mix is replayed serially, client stream
-//! by client stream, instead of on concurrent threads over the LSM.
+//! label propagation. The YCSB mix definition (each op kind's share, the
+//! record, op and client-stream counts) is part of what defines the
+//! semantics, so the oracle reads it from [`KvEngine::workload`], as the kv
+//! engine does, and replays the client streams serially instead of on
+//! concurrent threads over the LSM.
 
-use bdb_common::pool;
 use bdb_common::prelude::*;
 use bdb_common::record::row_lines;
 use bdb_datagen::Dataset;
-use bdb_exec::engine::{ExecutionRequest, WorkloadClass};
+use bdb_exec::engine::{ExecutionRequest, KvEngine, WorkloadClass};
 use bdb_testgen::ops::{AggSpec, CompareOp, Operation, ScalarSpec};
 use bdb_testgen::pattern::{InputRef, WorkloadPattern};
 use bdb_workloads::search::PageRankConfig;
@@ -425,67 +427,36 @@ fn kmeans_reference(points: &[Vec<f64>], config: &KMeansConfig, seed: u64) -> Ve
 // Element mixes (YCSB)
 // ---------------------------------------------------------------------
 
-/// Serial replay of the YCSB driver's per-client operation streams. Each
-/// client's stream is independently seeded, an insert allocates from a
-/// contiguous id range, and point reads target only the (never-deleted)
-/// preloaded keys — so the op counts and final key population the
-/// concurrent driver reports are exactly reproducible one client at a
-/// time, without a store.
+/// Serial replay of the YCSB driver's per-client operation streams, on
+/// the mix [`KvEngine::workload`] defines. Each client's stream is
+/// independently seeded, the first `operation_count % clients` clients run
+/// one extra op, an insert allocates from a contiguous id range, and point
+/// reads target only the (never-deleted) preloaded keys — so the op counts
+/// and final key population the concurrent driver reports are exactly
+/// reproducible one client at a time, without a store.
 fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
-    let ops: Vec<&Operation> = req
-        .prescription
-        .pattern
-        .operations()
-        .into_iter()
-        .filter(|o| {
-            matches!(
-                o,
-                Operation::Get { .. }
-                    | Operation::Put { .. }
-                    | Operation::UpdateKey { .. }
-                    | Operation::DeleteKey { .. }
-                    | Operation::ScanRange { .. }
-            )
-        })
-        .collect();
-    if ops.is_empty() {
-        return Err(BdbError::Execution(format!(
-            "oracle needs element operations in prescription {}",
-            req.prescription.name
-        )));
-    }
-    let n = ops.len() as f64;
-    let frac = |pred: fn(&Operation) -> bool| -> f64 {
-        ops.iter().filter(|o| pred(o)).count() as f64 / n
-    };
-    let read = frac(|o| matches!(o, Operation::Get { .. }));
-    let update = frac(|o| matches!(o, Operation::UpdateKey { .. }));
-    let insert = frac(|o| matches!(o, Operation::Put { .. }))
-        + frac(|o| matches!(o, Operation::DeleteKey { .. }));
-    let scan = frac(|o| matches!(o, Operation::ScanRange { .. }));
-
-    let record_count = req.scale;
-    let operation_count = req.scale * 2;
-    let clients = pool::effective_workers(req.config.threads).min(8);
-    let per_client = operation_count / clients as u64;
-    let zipf = Zipf::new(record_count.max(1), 0.99f64.max(0.01));
+    let (spec, config) = KvEngine::workload(req)?;
+    let clients = config.clients as u64;
+    let zipf = Zipf::new(config.record_count.max(1), spec.zipf_exponent.max(0.01));
     let tree = SeedTree::new(req.seed);
 
     let (mut reads, mut updates, mut inserts, mut scans, mut rmws) = (0u64, 0u64, 0u64, 0u64, 0u64);
     for client in 0..clients {
-        let mut rng = tree.child_named("run").child(client as u64).rng();
-        for _ in 0..per_client {
+        let mut rng = tree.child_named("run").child(client).rng();
+        let client_ops =
+            config.operation_count / clients + u64::from(client < config.operation_count % clients);
+        for _ in 0..client_ops {
             let u = rng.next_f64();
             // The driver samples the zipfian key before branching; replay
             // the draw to keep the per-client stream aligned.
             let _key = zipf.sample(&mut rng);
-            if u < read {
+            if u < spec.read {
                 reads += 1;
-            } else if u < read + update {
+            } else if u < spec.read + spec.update {
                 updates += 1;
-            } else if u < read + update + insert {
+            } else if u < spec.read + spec.update + spec.insert {
                 inserts += 1;
-            } else if u < read + update + insert + scan {
+            } else if u < spec.read + spec.update + spec.insert + spec.scan {
                 scans += 1;
             } else {
                 rmws += 1;
@@ -493,7 +464,7 @@ fn element_oracle(req: &ExecutionRequest<'_>) -> Result<OutputPayload> {
         }
     }
     Ok(OutputPayload::Numeric(vec![
-        ("final_keys".into(), (record_count + inserts) as f64),
+        ("final_keys".into(), (config.record_count + inserts) as f64),
         ("inserts".into(), inserts as f64),
         ("read_hits".into(), reads as f64),
         ("reads".into(), reads as f64),
@@ -807,7 +778,74 @@ fn apply<'a>(op: &Operation, inputs: &[&Rel<'a>]) -> Result<Rel<'a>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Conformance, VerifyMode};
+    use bdb_exec::engine::{Engine, RoutingPolicy};
+    use bdb_exec::{RunTrace, SystemConfig};
     use bdb_testgen::ops::PredicateSpec;
+    use bdb_testgen::{PrescriptionRepository, SystemKind};
+
+    /// The kv engine's answer and the oracle's for a built-in `oltp/*`
+    /// prescription, after `edit`.
+    fn kv_and_oracle(
+        name: &str,
+        scale: u64,
+        edit: impl FnOnce(&mut bdb_testgen::Prescription),
+    ) -> (Result<Vec<bdb_workloads::WorkloadResult>>, Result<OutputPayload>, bool) {
+        let mut prescription = PrescriptionRepository::with_builtins().get(name).unwrap().clone();
+        edit(&mut prescription);
+        let (config, trace, datasets) = (SystemConfig::default(), RunTrace::new(), BTreeMap::new());
+        let req = ExecutionRequest {
+            prescription: &prescription,
+            system: SystemKind::KeyValue,
+            seed: 42,
+            scale,
+            datasets: &datasets,
+            config: &config,
+            trace: &trace,
+            routing: RoutingPolicy::FirstCapable,
+        };
+        let results = KvEngine.execute(&req);
+        let strict = results.as_ref().is_ok_and(|r| {
+            Conformance::with_store(VerifyMode::Strict, None).check(&req, r)
+        });
+        (results, oracle_payload(&req), strict)
+    }
+
+    /// 602 ops over four clients: the first two run 151, the others 150.
+    /// The engine runs every one, and the oracle replays the same split.
+    #[test]
+    fn kv_runs_every_op_of_an_uneven_split() {
+        for name in ["oltp/read-mostly", "oltp/scan-heavy"] {
+            let (results, _, strict) = kv_and_oracle(name, 301, |_| {});
+            assert!(strict, "{name}: strict verification diverged");
+            let Some(OutputPayload::Numeric(counts)) = &results.unwrap()[0].output else {
+                panic!("{name}: kv attaches a numeric payload");
+            };
+            let issued: f64 = counts
+                .iter()
+                .filter(|(k, _)| ["reads", "updates", "inserts", "scans", "rmws"].contains(&k.as_str()))
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(issued, 602.0, "{name}: {counts:?}");
+        }
+    }
+
+    /// The kv driver runs no deletes: a delete step is refused by name on
+    /// the engine and in the oracle, which read one mix definition, instead
+    /// of running as an insert.
+    #[test]
+    fn delete_step_is_refused_by_name() {
+        let (engine, oracle, _) = kv_and_oracle("oltp/read-mostly", 100, |p| {
+            p.name = "custom/get-delete".into();
+            if let WorkloadPattern::Multi { steps } = &mut p.pattern {
+                steps[1].op = Operation::DeleteKey { key: "zipfian".into() };
+            }
+        });
+        let refusal = "kv engine does not run delete steps; prescription custom/get-delete has one";
+        for err in [engine.unwrap_err(), oracle.unwrap_err()] {
+            assert!(err.to_string().contains(refusal), "{err}");
+        }
+    }
 
     fn rel(cols: &[&str], rows: Vec<Vec<Value>>) -> Rel<'static> {
         Rel {

@@ -141,13 +141,17 @@ pub fn run_ycsb(
     let zipf = Zipf::new(config.record_count.max(1), spec.zipf_exponent.max(0.01));
     let next_insert = std::sync::atomic::AtomicU64::new(config.record_count);
     let clients = config.clients.max(1);
-    let per_client = config.operation_count / clients as u64;
+    let (per_client, remainder) =
+        (config.operation_count / clients as u64, config.operation_count % clients as u64);
     let tallies = pool::par_map(clients, (0..clients).collect(), |client: usize| {
         let mut rng = tree.child_named("run").child(client as u64).rng();
         let mut local = MetricsCollector::new();
         let mut counts = YcsbOpCounts::default();
         let mut payload = vec![0u8; config.value_size];
-        for _ in 0..per_client {
+        // The first `remainder` clients run one extra op, so the clients
+        // run exactly `operation_count` between them.
+        let client_ops = per_client + u64::from((client as u64) < remainder);
+        for _ in 0..client_ops {
             let u = rng.next_f64();
             let key = key_of(zipf.sample(&mut rng));
             payload[0] = payload[0].wrapping_add(1);

@@ -112,7 +112,7 @@ if [ "$checkpoints" -lt 1 ] || [ "$checkpoints" -ge 33 ]; then
     echo "crash smoke: kill point must land mid-sweep (checkpoints=$checkpoints)"; exit 1
 fi
 ./target/release/bdbench verify --scale 300 --seed 42 --mode digest --goldens goldens \
-    --resume "$crash_journal" >"$crash_out" \
+    --journal "$crash_journal" >"$crash_out" \
     || { echo "crash smoke: resumed run failed"; cat "$crash_out"; exit 1; }
 grep -q "CONFORMANT" "$crash_out" \
     || { echo "crash smoke: resumed run not conformant"; cat "$crash_out"; exit 1; }
@@ -122,16 +122,17 @@ rm -rf "$crash_journal" "$crash_out"
 echo "crash smoke: killed after $checkpoints cell(s), resumed to CONFORMANT"
 
 echo "== conformance gate (golden digests) =="
-# Two seeded runs verified against the committed golden store: a digest
+# Seeded runs verified against the committed golden store: a digest
 # mismatch (any semantics drift in generators, binding or engines) fails
-# CI. Machine-independent prescriptions only — Element-class digests
-# depend on the engine thread count, which `bdbench verify` pins but a
-# plain run does not.
-for prescription in micro/wordcount relational/select-aggregate; do
-    ./target/release/bdbench run "$prescription" --scale 300 --seed 42 \
+# CI. A plain run uses the host's default thread count, which no digest
+# depends on.
+for cell in micro/wordcount:native relational/select-aggregate:sql \
+    oltp/read-mostly:kv oltp/scan-heavy:kv; do
+    prescription=${cell%%:*} system=${cell##*:}
+    ./target/release/bdbench run "$prescription" --system "$system" --scale 300 --seed 42 \
         --verify=digest --goldens goldens >/dev/null \
-        || { echo "conformance gate: $prescription diverged from its golden"; exit 1; }
-    echo "conformance gate: $prescription matches its golden digest"
+        || { echo "conformance gate: $prescription on $system diverged from its golden"; exit 1; }
+    echo "conformance gate: $prescription on $system matches its golden digest"
 done
 # Velocity control is pacing only: a rate-controlled, 2-worker run must
 # hit the same golden the plain run above just matched.

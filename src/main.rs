@@ -9,13 +9,16 @@
 //!     --faults <spec>                  # inject faults (kind@phase:rate[:ms=N][:max=N],…)
 //!     --verify[=strict|digest|update]  # differential conformance check
 //!     --goldens <dir>                  # explicit golden-store directory
-//! bdbench verify [--scale n] [--seed n] [--mode M] [--goldens dir]
-//!                                      # sweep prescriptions × engines
+//! bdbench verify [opts]                # sweep prescriptions × engines
+//!     --scale <n>  --seed <n>  --mode <strict|digest|update>  --goldens <dir>
+//!     --journal <dir>                  # checkpoint cells; a non-empty dir resumes
+//!     --faults <spec>                  # crash@ kill points between cells
 //! bdbench load [opts]                  # concurrent load driver
 //!     --clients <n>  --inflight <m>    # N sessions × M in-flight lanes
 //!     --duration-ms <n>  --seed <n>
 //!     --arrival <closed|poisson:R|uniform:R>
-//!     --engine <name>                  # repeatable; default: kv,sql,native
+//!     --engine <a,b,…>                 # one comma-separated list; default:
+//!                                      # kv,sql,native,streaming
 //!     --queue-cap <n>  --sample-every <n>
 //!     --faults <spec>                  # per-op chaos under load
 //!     --trace <path|->                 # dump the load trace as JSON-lines
@@ -73,7 +76,7 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--resume DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME]... [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N]"
+        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME[,NAME...]] [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N]"
     );
     std::process::exit(2)
 }
@@ -283,21 +286,14 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
             "mode",
             "goldens",
             "journal",
-            "resume",
             "faults",
         ],
         &[],
     );
     let mode = opts.get("mode").map_or(Ok(VerifyMode::Strict), |m| m.parse::<VerifyMode>())?;
-    // --journal DIR checkpoints completed cells there; --resume DIR is
-    // the same journal reopened after a crash (both honour existing
-    // checkpoints — resumption is just journaling against a non-empty
-    // directory).
-    let journal = opts
-        .get("resume")
-        .or_else(|| opts.get("journal"))
-        .map(RunJournal::open)
-        .transpose()?;
+    // --journal DIR checkpoints completed cells there; on a non-empty
+    // directory it resumes, skipping the cells already checkpointed.
+    let journal = opts.get("journal").map(RunJournal::open).transpose()?;
     let faults = opts.get("faults").map(|s| s.parse::<FaultPlan>()).transpose()?;
     let report = verify_matrix_routed(
         opt_u64(&opts, "scale", 300),

@@ -8,6 +8,7 @@ use bdbench::core::pipeline::Benchmark;
 use bdbench::exec::engine::{
     Capabilities, Engine, EngineRegistry, ExecutionRequest, NativeEngine,
 };
+use bdbench::exec::SystemConfig;
 use bdbench::testgen::SystemKind;
 use bdbench::verify::{GoldenRecord, GoldenStore, VerifyMode};
 use bdbench::workloads::{OutputPayload, WorkloadResult};
@@ -177,5 +178,45 @@ fn rate_controlled_run_conforms_to_the_unthrottled_goldens() {
             paced.analysis
         );
     }
+    let _ = std::fs::remove_dir_all(&goldens);
+}
+
+/// The engine thread count tunes how a stack runs a test, not what the
+/// test computes: every committed golden cell reproduces its digest at
+/// any `SystemConfig.threads`, and no run records a golden of its own.
+#[test]
+fn every_golden_reproduces_at_any_thread_count() {
+    use SystemKind::{KeyValue, MapReduce, Native, Sql, Streaming};
+    let records_of = |store: &GoldenStore| -> Vec<(String, GoldenRecord)> {
+        store.keys().into_iter().map(|key| (key.clone(), store.load(&key).unwrap())).collect()
+    };
+    let records = records_of(&GoldenStore::at(concat!(env!("CARGO_MANIFEST_DIR"), "/goldens")));
+    assert_eq!(records.len(), 33);
+    let goldens = tmp_dir("threads");
+    let store = GoldenStore::at(&goldens);
+    for (key, record) in &records {
+        store.store(key, record).unwrap();
+    }
+    for threads in [1, 2, 3, 8] {
+        for (_, golden) in &records {
+            let system = [Native, Sql, KeyValue, Streaming, MapReduce]
+                .into_iter()
+                .find(|s| s.to_string() == golden.engine)
+                .unwrap();
+            let mut bench = Benchmark::new();
+            bench.execution_layer_mut().system_config = SystemConfig::default().with_threads(threads);
+            let spec = BenchmarkSpec::new("thread-count")
+                .with_prescription(&golden.prescription)
+                .with_system(system)
+                .with_scale(golden.scale)
+                .with_seed(golden.seed)
+                .with_verify(VerifyMode::Digest)
+                .with_goldens_dir(goldens.to_str().unwrap());
+            let run = bench.run(&spec).unwrap();
+            let cell = format!("{}@{} at {threads} thread(s)", golden.prescription, golden.engine);
+            assert!(run.conformance.all_passed(), "{cell}:\n{}", run.analysis);
+        }
+    }
+    assert!(records_of(&store) == records, "a run rewrote or added a golden");
     let _ = std::fs::remove_dir_all(&goldens);
 }
