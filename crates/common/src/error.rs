@@ -28,16 +28,15 @@ pub enum BdbError {
     Format(String),
     /// An I/O failure, carried as a string so the error stays `Clone`.
     Io(String),
-    /// The process (or an injected kill point) aborted mid-operation.
-    /// Crashes are terminal: the run ends and durable state is whatever
-    /// was already written. Recovery happens on the next open/resume.
+    /// A store's armed kill point aborted it mid-operation, as a killed
+    /// process would. Crashes are terminal: durable state is whatever was
+    /// already written, and recovery happens on the next open.
     Crashed(String),
 }
 
 impl BdbError {
-    /// True for [`BdbError::Crashed`]: a kill point, which the next
-    /// open or a rerun on the same `--journal` recovers from, not the run
-    /// that hit it.
+    /// True for [`BdbError::Crashed`]: a kill point, which the next open
+    /// recovers from, not the operation that hit it.
     pub fn is_crash(&self) -> bool {
         matches!(self, BdbError::Crashed(_))
     }

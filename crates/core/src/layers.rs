@@ -38,8 +38,9 @@ pub struct BenchmarkSpec {
     /// Differential conformance verification for the run's results
     /// (`None` = no verification, the historical behaviour).
     pub verify: Option<VerifyMode>,
-    /// Explicit golden-store directory for verification. `None` defers to
-    /// the `goldens/` discovery rule.
+    /// The golden-store directory for verification. `None` means no
+    /// store: a strict run checks against the reference oracle only, and
+    /// the digest and update modes are refused.
     pub goldens_dir: Option<String>,
     /// Concurrent load-driving profile for [`Benchmark::run_load`]
     /// (`None` = the default profile when a load run is requested).
@@ -119,7 +120,7 @@ impl BenchmarkSpec {
         self
     }
 
-    /// Use an explicit golden-store directory instead of discovery.
+    /// Read and record goldens in this directory.
     pub fn with_goldens_dir(mut self, dir: &str) -> Self {
         self.goldens_dir = Some(dir.to_string());
         self

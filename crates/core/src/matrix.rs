@@ -7,28 +7,25 @@
 //! and collects the conformance verdicts per cell.
 //!
 //! [`verify_matrix_routed`] adds crash durability to the sweep: an optional
-//! [`RunJournal`] checkpoints every completed cell atomically, and an
-//! optional [`FaultPlan`] arms kill points *between* cells — one injector
-//! spans the whole sweep (per-cell injectors would reset the draw
-//! sequence and kill every cell), and a fired `crash` clause aborts the
-//! run with [`BdbError::Crashed`], leaving the journal behind. Re-running
-//! with the same journal resumes: checkpointed cells are skipped, their
-//! recorded digests re-verified against the golden store, and only the
-//! remaining cells execute — so a killed-and-resumed sweep's verdicts are
-//! comparable cell-for-cell with an uninterrupted run's.
+//! [`RunJournal`] gets one atomic checkpoint per cell, written after the
+//! cell completes and named by its golden-store key, so a process killed
+//! mid-sweep leaves a journal holding a prefix of a complete one.
+//! Re-running with the same journal resumes: checkpointed cells are
+//! skipped, their recorded digests re-verified against the golden store,
+//! and only the remaining cells execute — so a killed-and-resumed sweep's
+//! verdicts are comparable cell-for-cell with an uninterrupted run's.
 
 use crate::layers::BenchmarkSpec;
 use crate::pipeline::Benchmark;
-use bdb_common::{BdbError, Result};
+use bdb_common::Result;
 use bdb_exec::analyzer::RecoverySummary;
 use bdb_exec::engine::{
     Engine, EngineRegistry, KvEngine, MapReduceEngine, NativeEngine, SqlEngine, StreamingEngine,
     WorkloadClass,
 };
-use bdb_exec::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
-use bdb_exec::journal::{CellCheckpoint, RunJournal};
 use bdb_exec::trace::{RunTrace, TraceEvent};
 use bdb_testgen::{PrescriptionRepository, SystemKind};
+use bdb_verify::journal::{CellCheckpoint, RunJournal};
 use bdb_verify::{GoldenStore, VerifyMode};
 
 /// The engine thread count the benchmark's `verify_matrix` replay
@@ -64,8 +61,8 @@ pub struct MatrixReport {
     pub mode: VerifyMode,
     /// Verified cells, in prescription-major order.
     pub cells: Vec<MatrixCell>,
-    /// Recovery activity of the sweep itself: checkpoints written, cells
-    /// resumed from a journal, kill points fired.
+    /// The sweep's journal activity: checkpoints written and cells
+    /// resumed from a journal.
     pub recovery: RecoverySummary,
 }
 
@@ -106,9 +103,15 @@ impl MatrixReport {
                 out.push_str(&format!("  {}@{}: {f}\n", c.prescription, c.engine));
             }
         }
-        if !self.recovery.is_quiet() || self.recovery.checkpoints_written > 0 {
+        if self.recovery.checkpoints_written > 0 || self.recovery.cells_resumed > 0 {
+            let mut journal = TableReporter::new("Journal", &["metric", "value"]);
+            journal.add_row(&[
+                "checkpoints written".into(),
+                self.recovery.checkpoints_written.to_string(),
+            ]);
+            journal.add_row(&["cells resumed".into(), self.recovery.cells_resumed.to_string()]);
             out.push('\n');
-            out.push_str(&bdb_exec::reporter::render_resilience(&self.recovery));
+            out.push_str(&journal.to_text());
         }
         let verdict = if self.all_passed() { "CONFORMANT" } else { "DIVERGED" };
         let resumed = self.cells.iter().filter(|c| c.resumed).count();
@@ -157,19 +160,6 @@ fn capable_cells() -> Result<Vec<(String, Box<dyn Engine>)>> {
     Ok(cells)
 }
 
-/// Durability knobs for a matrix sweep: where to checkpoint and which
-/// kill points to arm.
-#[derive(Debug, Default)]
-pub struct MatrixDurability<'a> {
-    /// Journal completed cells here (and honour any checkpoints already
-    /// present — an existing journal resumes the sweep).
-    pub journal: Option<&'a RunJournal>,
-    /// Kill points for the sweep: `crash` clauses only (any other kind is
-    /// an [`BdbError::InvalidConfig`]), sampled once after every completed
-    /// cell by one injector spanning the sweep.
-    pub faults: Option<&'a FaultPlan>,
-}
-
 /// Sweep every built-in prescription across every capable built-in
 /// engine, verifying each cell under `mode`. Incapable pairs are skipped
 /// (they are not matrix cells); a capable pair that fails to execute is
@@ -184,46 +174,25 @@ pub fn verify_matrix(
     mode: VerifyMode,
     goldens_dir: Option<&str>,
 ) -> Result<MatrixReport> {
-    verify_matrix_routed(
-        scale,
-        seed,
-        mode,
-        goldens_dir,
-        &MatrixDurability::default(),
-    )
+    verify_matrix_routed(scale, seed, mode, goldens_dir, None)
 }
 
-/// [`verify_matrix`] with journaling, resumption and kill points (see the
-/// module docs for the crash/resume contract).
+/// [`verify_matrix`] with a run journal: every completed cell is
+/// checkpointed there, and cells already checkpointed are resumed rather
+/// than run (see the module docs for the crash/resume contract).
 ///
 /// # Errors
-/// Fails as [`verify_matrix`] does, plus [`BdbError::Crashed`] when an
-/// armed kill point fires mid-sweep (completed cells stay checkpointed
-/// in the journal).
+/// Fails as [`verify_matrix`] does, plus on journal write errors.
 pub fn verify_matrix_routed(
     scale: u64,
     seed: u64,
     mode: VerifyMode,
     goldens_dir: Option<&str>,
-    durability: &MatrixDurability<'_>,
+    journal: Option<&RunJournal>,
 ) -> Result<MatrixReport> {
-    // Only kill points act between cells: any other clause would be drawn
-    // and dropped, injecting nothing while the sweep reads CONFORMANT.
-    if let Some(clause) =
-        durability.faults.and_then(|p| p.clauses.iter().find(|c| c.kind != FaultKind::Crash))
-    {
-        return Err(BdbError::InvalidConfig(format!(
-            "verify --faults arms kill points between cells and takes only crash@ clauses, \
-             got {clause}"
-        )));
-    }
-    // ONE injector spans the sweep: a fresh injector per cell would
-    // restart the deterministic draw sequence and a `crash@exec:1`
-    // clause would kill every cell instead of one point in the run.
-    let injector = durability.faults.map(|p| FaultInjector::new(p.clone(), seed));
-    let golden_store = goldens_dir.map(GoldenStore::at).or_else(|| GoldenStore::discover(false));
+    let golden_store = goldens_dir.map(GoldenStore::at);
     let sweep_trace = RunTrace::new();
-    if let Some(journal) = durability.journal {
+    if let Some(journal) = journal {
         let completed = journal.completed().len();
         if completed > 0 {
             sweep_trace.record(TraceEvent::RunResumed {
@@ -235,12 +204,13 @@ pub fn verify_matrix_routed(
     let mut cells = Vec::new();
     for (name, engine) in capable_cells()? {
         let engine_name = engine.name();
-        let key = RunJournal::cell_key(&name, engine_name, seed, scale);
-        // A checkpointed cell was completed by the prior (crashed) run:
+        let key = GoldenStore::key(&name, engine_name, seed, scale);
+        // A checkpointed cell was completed by the prior (killed) run:
         // honour its verdicts, re-verify its digest against the golden
         // store, and skip execution.
-        if let Some(cp) = durability.journal.and_then(|j| j.load(&key)) {
-            cells.push(resume_cell(cp, engine_name, &sweep_trace, golden_store.as_ref()));
+        if let Some(cp) = journal.and_then(|j| j.load(&key)) {
+            let store = golden_store.as_ref();
+            cells.push(resume_cell(&name, engine_name, &key, cp, &sweep_trace, store));
             continue;
         }
         let system = engine
@@ -282,47 +252,33 @@ pub fn verify_matrix_routed(
             digest,
             resumed: false,
         };
-        if let Some(journal) = durability.journal {
-            journal.record(&checkpoint_of(&cell, &run, &key, seed, scale))?;
+        if let Some(journal) = journal {
+            journal.record(&key, &checkpoint_of(&cell))?;
             sweep_trace.record(TraceEvent::CheckpointWritten {
                 key: key.clone(),
                 digest: cell.digest.clone(),
             });
         }
         cells.push(cell);
-        // The kill point sits between cells: the checkpoint for the
-        // finished cell is durable, the next cell never starts — exactly
-        // a process death mid-sweep.
-        let site = FaultSite::execution(engine_name, &name);
-        if injector.as_ref().and_then(|inj| inj.sample(&site)).is_some() {
-            sweep_trace.record(TraceEvent::FaultInjected {
-                site: site.to_string(),
-                kind: "crash".into(),
-                latency_ms: 0,
-            });
-            return Err(BdbError::Crashed(format!(
-                "injected kill point mid-matrix after {name}@{engine_name} \
-                 ({} cells completed{})",
-                cells.len(),
-                if durability.journal.is_some() { ", checkpointed for a rerun on the same --journal" } else { "" }
-            )));
-        }
     }
     let recovery = RecoverySummary::from_events(&sweep_trace.events());
     Ok(MatrixReport { mode, cells, recovery })
 }
 
-/// Turn a journal checkpoint back into a matrix cell, re-verifying its
-/// recorded digest against the golden store when one is available.
+/// Turn the journal checkpoint of `prescription` on `engine_name` (whose
+/// key is `key`) back into a matrix cell, re-verifying its recorded
+/// digest against the golden store when one is given.
 fn resume_cell(
-    cp: CellCheckpoint,
+    prescription: &str,
     engine_name: &'static str,
+    key: &str,
+    cp: CellCheckpoint,
     trace: &RunTrace,
     store: Option<&GoldenStore>,
 ) -> MatrixCell {
-    let mut failures = cp.failures.clone();
+    let mut failures = cp.failures;
     let mut passed = cp.passed;
-    let golden = store.and_then(|s| s.load(&cp.key));
+    let golden = store.and_then(|s| s.load(key));
     if let Some(golden) = &golden {
         if golden.digest != cp.digest && cp.digest != "-" {
             passed = false;
@@ -333,12 +289,12 @@ fn resume_cell(
         }
     }
     trace.record(TraceEvent::CellResumed {
-        key: cp.key.clone(),
+        key: key.to_string(),
         digest: cp.digest.clone(),
         reverified: golden.is_some(),
     });
     MatrixCell {
-        prescription: cp.prescription,
+        prescription: prescription.to_string(),
         engine: engine_name,
         checks: u64::from(cp.checks),
         passed,
@@ -348,24 +304,9 @@ fn resume_cell(
     }
 }
 
-/// The checkpoint a completed cell writes: the cell's verdicts plus the
-/// payload coordinates (shape, length, digest) of its first output.
-fn checkpoint_of(
-    cell: &MatrixCell,
-    run: &crate::pipeline::BenchmarkRun,
-    key: &str,
-    seed: u64,
-    scale: u64,
-) -> CellCheckpoint {
-    let payload = run.results.iter().find_map(|r| r.output.as_ref());
+/// The checkpoint a completed cell writes: its digest and verdicts.
+fn checkpoint_of(cell: &MatrixCell) -> CellCheckpoint {
     CellCheckpoint {
-        key: key.to_string(),
-        prescription: cell.prescription.clone(),
-        engine: cell.engine.to_string(),
-        seed,
-        scale,
-        shape: payload.map_or_else(|| "none".to_string(), |p| p.label().to_string()),
-        len: payload.map_or(0, |p| p.len() as u64),
         digest: cell.digest.clone(),
         checks: cell.checks.min(u64::from(u32::MAX)) as u32,
         passed: cell.passed,
@@ -376,21 +317,6 @@ fn checkpoint_of(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn verify_faults_take_only_crash_clauses() {
-        // Non-crash clauses would be drawn between cells and dropped, and
-        // one that fires first would shadow the crash behind it: the sweep
-        // refuses the plan before running a cell.
-        for spec in ["error@exec:1,panic@any:1,latency@exec:1:ms=500", "panic@any:1,crash@exec:1"] {
-            let plan: FaultPlan = spec.parse().unwrap();
-            let durability = MatrixDurability { journal: None, faults: Some(&plan) };
-            let err = verify_matrix_routed(300, 42, VerifyMode::Digest, None, &durability)
-                .unwrap_err();
-            assert!(matches!(err, BdbError::InvalidConfig(_)), "{spec}: {err}");
-            assert!(err.to_string().contains("only crash@ clauses"), "{err}");
-        }
-    }
 
     #[test]
     fn builtin_engines_are_the_five() {
@@ -405,7 +331,7 @@ mod tests {
         let mut keys: Vec<String> = capable_cells()
             .unwrap()
             .iter()
-            .map(|(name, engine)| RunJournal::cell_key(name, engine.name(), 42, 300))
+            .map(|(name, engine)| GoldenStore::key(name, engine.name(), 42, 300))
             .collect();
         keys.sort();
         assert_eq!(keys.len(), 33);
@@ -452,7 +378,7 @@ mod tests {
             .join(format!("bdb-matrix-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = GoldenStore::at(&dir);
-        let key = RunJournal::cell_key("micro/sort", "sql", 1, 10);
+        let key = GoldenStore::key("micro/sort", "sql", 1, 10);
         store
             .store(
                 &key,
@@ -468,22 +394,18 @@ mod tests {
             )
             .unwrap();
         let cp = |digest: &str| CellCheckpoint {
-            key: key.clone(),
-            prescription: "micro/sort".into(),
-            engine: "sql".into(),
-            seed: 1,
-            scale: 10,
-            shape: "ordered".into(),
-            len: 10,
             digest: digest.into(),
             checks: 2,
             passed: true,
             failures: Vec::new(),
         };
         let trace = RunTrace::new();
-        let good = resume_cell(cp("00000000000000aa"), "sql", &trace, Some(&store));
+        let resume = |digest: &str| {
+            resume_cell("micro/sort", "sql", &key, cp(digest), &trace, Some(&store))
+        };
+        let good = resume("00000000000000aa");
         assert!(good.passed && good.resumed);
-        let drifted = resume_cell(cp("00000000000000bb"), "sql", &trace, Some(&store));
+        let drifted = resume("00000000000000bb");
         assert!(!drifted.passed, "journal/golden digest drift must fail the cell");
         assert!(drifted.failures.iter().any(|f| f.contains("resume:")), "{:?}", drifted.failures);
         let events = trace.events();

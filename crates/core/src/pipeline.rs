@@ -159,6 +159,16 @@ impl Benchmark {
                 )));
             }
         }
+        // A golden store exists only where the spec points. The digest
+        // tier compares against one and the update tier writes one, so
+        // neither has anything to do without it.
+        if let (Some(mode @ (VerifyMode::Digest | VerifyMode::Update)), None) =
+            (spec.verify, &spec.goldens_dir)
+        {
+            return Err(BdbError::InvalidConfig(format!(
+                "verify mode {mode} needs a golden store; name its directory (--goldens DIR)"
+            )));
+        }
         finish_phase(&trace, Phase::Planning, t0);
 
         // ---- 2. Data generation ----
@@ -252,11 +262,7 @@ impl Benchmark {
         // result against the reference oracle / golden store. Verdicts
         // land in the trace; the summary distils them for the report.
         if let Some(mode) = spec.verify {
-            let store = spec
-                .goldens_dir
-                .as_ref()
-                .map(GoldenStore::at)
-                .or_else(|| GoldenStore::discover(mode == VerifyMode::Update));
+            let store = spec.goldens_dir.as_ref().map(GoldenStore::at);
             Conformance::with_store(mode, store).check(&request, &results);
         }
         // One snapshot of the trace feeds every summary below.

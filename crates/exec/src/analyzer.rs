@@ -32,7 +32,7 @@ pub fn find_crossover(series: &[(f64, f64, f64)]) -> Option<f64> {
 /// absorbed and what it cost.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoverySummary {
-    /// Injected faults by kind ("error", "latency", "panic", "crash").
+    /// Injected faults by kind ("error", "latency").
     pub faults_by_kind: BTreeMap<String, u64>,
     /// Latency added by injected spikes, milliseconds.
     pub added_latency_ms: u64,

@@ -786,11 +786,12 @@ impl Engine for KvEngine {
         let (spec, config) = Self::workload(req)?;
         // `run_ycsb` makes its own result: its per-operation latencies,
         // timed over the run phase, are the online-services metric. The
-        // engine files it under the prescription.
-        let t0 = Instant::now();
+        // engine files it under the prescription, and its duration is the
+        // operation's trace span.
         let (_store, counts, mut r) = oltp::run_ycsb(&spec, &config, req.seed);
         let issued = counts.reads + counts.updates + counts.inserts + counts.scans + counts.rmws;
-        req.trace.operation("kv", "element-mix", issued, t0.elapsed());
+        let span = Duration::from_secs_f64(r.report.user.duration_secs);
+        req.trace.operation("kv", "element-mix", issued, span);
         r.report.workload = req.prescription.name.clone();
         // Op counts and the final key population are deterministic under
         // concurrent clients; the oracle replays them serially.

@@ -16,12 +16,12 @@
 //!   and plan always produce the same fault sequence regardless of wall
 //!   clock or thread timing.
 //! * [`run_with_fault`] — one guarded attempt at an operation under a
-//!   fault already drawn for it. It returns an injected error, worker
-//!   panic or kill point as the operation's error, delays the operation
-//!   by an injected latency spike, converts a panic inside the operation
-//!   into a structured [`BdbError`], and records each injected fault in
-//!   the [`RunTrace`]. A run draws each operation's fault just before
-//!   it; a load drive draws every op's fault before the drive starts.
+//!   fault already drawn for it. It returns an injected error as the
+//!   operation's error, delays the operation by an injected latency
+//!   spike, converts a panic inside the operation into a structured
+//!   [`BdbError`], and records each injected fault in the [`RunTrace`].
+//!   A run draws each operation's fault just before it; a load drive
+//!   draws every op's fault before the drive starts.
 //!
 //! Nothing is retried. Every engine is in-process and a deterministic
 //! function of its request and seed, so a real failure repeats on a
@@ -38,21 +38,21 @@
 //! ```
 //!
 //! * `kind` — `error` (the operation fails with an injected engine
-//!   error), `latency` (a spike of `ms` milliseconds is added before the
-//!   operation runs), `panic` (the operation fails with the structured
-//!   error the hardened pool makes of a worker panic), or
-//!   `crash` (the process "dies" at a kill point: the run aborts, leaving
-//!   durable state a rerun on the same `--journal` resumes from).
+//!   error) or `latency` (a spike of `ms` milliseconds is added before
+//!   the operation runs). Those are the two things a fault can do to an
+//!   operation that nothing retries. A crash is a killed process, not a
+//!   fault kind: what it leaves behind is the run journal's and the KV
+//!   store's business.
 //! * `phase` — `datagen`, `exec`, or `any`.
 //! * `rate` — probability in `[0, 1]` that the clause fires on a given
 //!   draw (`1` = always, until `max` is reached).
-//! * `ms` — the spike length of a `latency` clause (default 10); any
-//!   other kind rejects it.
+//! * `ms` — the spike length of a `latency` clause (default 10); an
+//!   `error` clause rejects it.
 //! * `max` — optional cap on total injections from the clause, which
-//!   makes chaos scenarios exactly reproducible: `crash@exec:1:max=1`
-//!   kills the first execution it reaches and lets every later one run.
+//!   makes chaos scenarios exactly reproducible: `error@exec:1:max=1`
+//!   fails the first execution it reaches and lets every later one run.
 //!
-//! Example: `error@exec:0.5,latency@exec:0.3:ms=25,panic@datagen:1:max=1`.
+//! Example: `error@exec:0.5,latency@exec:0.3:ms=25,error@datagen:1:max=1`.
 
 use crate::trace::{RunTrace, TraceEvent};
 use bdb_common::rng::SplitMix64;
@@ -62,7 +62,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Every fault kind the grammar accepts, for error messages.
-pub const FAULT_KINDS: &str = "error|latency|panic|crash";
+pub const FAULT_KINDS: &str = "error|latency";
 /// Every fault phase the grammar accepts, for error messages.
 pub const FAULT_PHASES: &str = "datagen|exec|any";
 
@@ -73,13 +73,6 @@ pub enum FaultKind {
     Error,
     /// A latency spike is added before the operation runs (a straggler).
     Latency,
-    /// The operation fails as if a pool worker panicked mid-operation.
-    Panic,
-    /// The process "dies" at the operation: a terminal
-    /// [`BdbError::Crashed`] — the run aborts with durable state (run
-    /// journal, KV WAL) exactly as written, and resuming is a fresh
-    /// process's job.
-    Crash,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -87,8 +80,6 @@ impl std::fmt::Display for FaultKind {
         f.write_str(match self {
             FaultKind::Error => "error",
             FaultKind::Latency => "latency",
-            FaultKind::Panic => "panic",
-            FaultKind::Crash => "crash",
         })
     }
 }
@@ -100,8 +91,6 @@ impl std::str::FromStr for FaultKind {
         match s {
             "error" => Ok(FaultKind::Error),
             "latency" => Ok(FaultKind::Latency),
-            "panic" => Ok(FaultKind::Panic),
-            "crash" => Ok(FaultKind::Crash),
             other => Err(BdbError::InvalidConfig(format!(
                 "unknown fault kind {other:?} (valid kinds: {FAULT_KINDS})"
             ))),
@@ -384,8 +373,8 @@ impl FaultInjector {
 /// Run `f` once at `site` under `fault`, the fault drawn for it
 /// ([`FaultInjector::sample`]), if any.
 ///
-/// An injected `error`, `panic` or `crash` fault is the operation's error
-/// and `f` never runs; a `latency` fault sleeps its spike, then runs `f`.
+/// An injected `error` fault is the operation's error and `f` never
+/// runs; a `latency` fault sleeps its spike, then runs `f`.
 /// A panic inside `f` becomes a structured [`BdbError`]. Records one
 /// [`TraceEvent::FaultInjected`] per injected fault.
 pub fn run_with_fault<T>(
@@ -404,12 +393,6 @@ pub fn run_with_fault<T>(
     });
     match fault.kind {
         FaultKind::Error => Err(BdbError::Execution(format!("injected engine fault at {site}"))),
-        // The error a worker panic surfaces as through the hardened pool
-        // (`pool::try_par_map`), without starting threads to panic.
-        FaultKind::Panic => Err(BdbError::Execution(format!(
-            "worker panic in task 0: injected worker panic at {site}"
-        ))),
-        FaultKind::Crash => Err(BdbError::Crashed(format!("injected kill point at {site}"))),
         FaultKind::Latency => {
             std::thread::sleep(Duration::from_millis(fault.latency_ms));
             run_guarded(f)
@@ -417,8 +400,8 @@ pub fn run_with_fault<T>(
     }
 }
 
-/// Run the operation, converting any panic (an engine bug, or an injected
-/// worker panic that escaped a non-hardened path) into a structured error.
+/// Run the operation, converting any panic (an engine bug) into a
+/// structured error.
 fn run_guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => result,
@@ -445,7 +428,7 @@ mod tests {
     #[test]
     fn plan_parses_and_round_trips() {
         let plan: FaultPlan =
-            "error@exec:0.5,latency@exec:0.3:ms=25,panic@datagen:1:max=1".parse().unwrap();
+            "error@exec:0.5,latency@exec:0.3:ms=25,error@datagen:1:max=1".parse().unwrap();
         assert_eq!(plan.clauses.len(), 3);
         assert_eq!(plan.clauses[0].kind, FaultKind::Error);
         assert_eq!(plan.clauses[0].phase, FaultPhase::Execution);
@@ -456,11 +439,14 @@ mod tests {
     }
 
     #[test]
-    fn crash_clause_parses_and_round_trips() {
-        let plan: FaultPlan = "crash@exec:1:max=1".parse().unwrap();
-        assert_eq!(plan.clauses[0].kind, FaultKind::Crash);
-        let round: FaultPlan = plan.to_string().parse().unwrap();
-        assert_eq!(plan, round);
+    fn panic_and_crash_are_unknown_kinds() {
+        for kind in ["panic", "crash"] {
+            let err = format!("{kind}@exec:1:max=1").parse::<FaultPlan>().unwrap_err();
+            assert!(matches!(err, BdbError::InvalidConfig(_)), "{kind}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("unknown fault kind \"{kind}\"")), "{msg}");
+            assert!(msg.contains("valid kinds: error|latency"), "{msg}");
+        }
     }
 
     #[test]
@@ -494,12 +480,9 @@ mod tests {
 
     #[test]
     fn ms_applies_only_to_latency_clauses() {
-        for kind in ["error", "panic", "crash"] {
-            let spec = format!("{kind}@exec:1:ms=5");
-            let err = spec.parse::<FaultPlan>().unwrap_err();
-            assert!(matches!(err, BdbError::InvalidConfig(_)), "{spec}: {err}");
-            assert!(err.to_string().contains("\"ms=5\" only applies to latency"), "{err}");
-        }
+        let err = "error@exec:1:ms=5".parse::<FaultPlan>().unwrap_err();
+        assert!(matches!(err, BdbError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("\"ms=5\" only applies to latency"), "{err}");
         let plan: FaultPlan = "latency@exec:1:ms=5".parse().unwrap();
         assert_eq!(plan.to_string(), "latency@exec:1:ms=5");
     }
@@ -513,14 +496,14 @@ mod tests {
         #[test]
         fn printed_plans_parse_back_equal(
             clauses in proptest::collection::vec(
-                (0usize..4, 0usize..3, 0u32..=1200, (0u8..3, 0u64..100), (0u8..2, 0u64..5)),
+                (0usize..2, 0usize..3, 0u32..=1200, (0u8..3, 0u64..100), (0u8..2, 0u64..5)),
                 1..4,
             ),
         ) {
             let spec: Vec<String> = clauses
                 .iter()
                 .map(|&(kind, phase, milli_rate, (ms_field, ms), (max_field, max))| {
-                    let kind = ["error", "latency", "panic", "crash"][kind];
+                    let kind = ["error", "latency"][kind];
                     let phase = ["datagen", "exec", "any"][phase];
                     let mut clause = format!("{kind}@{phase}:{}", f64::from(milli_rate) / 1000.0);
                     if ms_field > 0 {
@@ -585,21 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_crash_is_terminal() {
-        let inj = FaultInjector::new("crash@exec:1".parse().unwrap(), 9);
-        let trace = RunTrace::new();
-        let mut calls = 0;
-        let err = run_with_fault(inj.sample(&site()), &trace, &site(), || {
-            calls += 1;
-            Ok(1u32)
-        })
-        .unwrap_err();
-        assert!(err.is_crash(), "{err}");
-        assert_eq!(calls, 0, "the crash pre-empts the operation");
-        assert_eq!(labels(&trace), vec!["fault_injected"]);
-    }
-
-    #[test]
     fn crash_errors_from_the_operation_are_terminal_too() {
         let trace = RunTrace::new();
         let err = run_with_fault::<u32>(None, &trace, &site(), || {
@@ -608,21 +576,6 @@ mod tests {
         .unwrap_err();
         assert!(err.is_crash());
         assert!(trace.is_empty(), "a real kill point is not an injected fault");
-    }
-
-    #[test]
-    fn injected_panic_becomes_structured_error() {
-        let inj = FaultInjector::new("panic@exec:1:max=1".parse().unwrap(), 3);
-        let trace = RunTrace::new();
-        let err = run_with_fault(inj.sample(&site()), &trace, &site(), || Ok(7u32)).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "execution error: worker panic in task 0: injected worker panic at exec/sql:micro/sort"
-        );
-        assert!(trace.events().iter().any(|e| matches!(
-            e,
-            TraceEvent::FaultInjected { kind, .. } if kind == "panic"
-        )));
     }
 
     #[test]

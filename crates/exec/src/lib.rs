@@ -16,11 +16,8 @@
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`])
 //!   and the one guarded attempt ([`fault::run_with_fault`]) every
 //!   dataset, dispatch and load op runs under. Nothing is retried.
-//! * [`journal`] — the run journal: atomic per-cell checkpoints that let
-//!   a killed run resume on the same `--journal` without re-executing
-//!   completed cells.
-//! * [`loadgen`] — the concurrent load driver: N client sessions × M
-//!   in-flight ops, closed- and open-loop arrivals (self-pacing lanes, a
+//! * [`loadgen`] — the concurrent load driver: client sessions running
+//!   one op at a time, closed- and open-loop arrivals (self-pacing lanes, a
 //!   bounded queue of waiting ops with shedding), tail-latency, rate and
 //!   dispatch-lateness reporting.
 //! * [`engine`] — the pluggable engine abstraction: an [`engine::Engine`]
@@ -35,7 +32,6 @@ pub mod config;
 pub mod convert;
 pub mod engine;
 pub mod fault;
-pub mod journal;
 pub mod loadgen;
 pub mod reporter;
 pub mod trace;
@@ -50,7 +46,6 @@ pub use engine::{
     Capabilities, Engine, EngineRegistry, ExecutionRequest, Routing, RoutingPolicy, WorkloadClass,
 };
 pub use fault::{FaultInjector, FaultKind, FaultPhase, FaultPlan, FaultSite};
-pub use journal::{CellCheckpoint, RunJournal};
 pub use loadgen::{run_load, LoadArrival, LoadProfile, LoadReport};
 pub use reporter::TableReporter;
 pub use trace::{RunTrace, TraceEvent};

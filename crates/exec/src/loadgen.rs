@@ -1,25 +1,27 @@
-//! Concurrent load driver: N client sessions × M in-flight operations.
+//! Concurrent load driver: `clients` sessions, each running one op at a
+//! time.
 //!
 //! The paper's velocity axis ("heavy traffic from millions of users")
 //! needs engines measured under *sustained concurrent traffic*, not
 //! one-shot sequential cells. This module drives point ops against the
 //! registered engine substrates with two generator disciplines:
 //!
-//! * **Closed loop** — `clients` sessions each keep `inflight` operations
-//!   outstanding; the arrival rate emerges from service time. Workers
-//!   claim batches of `inflight` ops from a shared cursor, so the set of
-//!   issued operations is always a prefix of the deterministic schedule —
-//!   the issued-op digest is identical for 1 client and 8.
+//! * **Closed loop** — `clients` sessions each run one op at a time, as
+//!   fast as the target serves them; the arrival rate emerges from service
+//!   time. A session claims `inflight` consecutive ops from a shared
+//!   cursor at once, so the set of issued operations is always a prefix
+//!   of the deterministic schedule — the issued-op digest is identical
+//!   for 1 client and 8.
 //! * **Open loop** — arrival instants come from the seeded arrival
 //!   processes of [`bdb_testgen::arrival`] (Poisson or uniform). Each lane
 //!   paces itself: it claims the next schedule index from a shared cursor
 //!   and waits for that op's intended arrival, sleeping to a fixed margin
 //!   before it and yielding for the rest, so an op starts at its arrival
 //!   rather than a timer slack and a thread hand-off later. Ops that have
-//!   arrived and that no lane has claimed form a queue of `queue_cap`:
-//!   when a lane is about to dispatch an op and `queue_cap` later ops
-//!   already wait behind it, the op is **shed** (counted, never blocking
-//!   the arrival clock). This drops the oldest waiting op where a queue
+//!   arrived and that no lane has claimed form a queue of `queue_cap`
+//!   (by default `clients × inflight`): when a lane is about to dispatch
+//!   an op and `queue_cap` later ops already wait behind it, the op is
+//!   **shed** (counted, never blocking the arrival clock). This drops the oldest waiting op where a queue
 //!   that refuses new arrivals drops the newest; the count shed per
 //!   overflow is the same. Latency is measured from the *intended arrival
 //!   instant*, not dispatch, so queueing delay is charged to the engine —
@@ -45,9 +47,9 @@
 //! every op's fault before the drive, in schedule order, so an op's
 //! fault is a pure function of `(seed, index)` — identical counts at any
 //! concurrency — and a clause's `max=` caps it across the drive. An op
-//! hit by an `error@`, `panic@` or `crash@` fault counts as **failed**,
-//! extending conservation to `issued == completed + shed + failed`; a
-//! `latency@` fault delays the op and it completes. A failed op is a
+//! hit by an `error@` fault counts as **failed**, extending conservation
+//! to `issued == completed + shed + failed`; a `latency@` fault delays
+//! the op and it completes. A failed op is a
 //! finding about the target: nothing retries or re-routes it, and
 //! open-loop lanes pace the same arrivals with or without a fault plan.
 
@@ -76,8 +78,9 @@ pub const KEYSPACE: u64 = 1024;
 /// How ops are admitted to the engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadArrival {
-    /// Closed loop: concurrency fixed at clients × inflight, rate
-    /// emerges from service time.
+    /// Closed loop: `clients` sessions, each running one op at a time
+    /// (claiming `inflight` consecutive ops at once); the rate emerges
+    /// from service time.
     Closed,
     /// Open loop, exponential inter-arrival gaps (Poisson process).
     Poisson {
@@ -152,7 +155,9 @@ fn open_loop_ops(rate_per_sec: f64, duration_ms: u64) -> f64 {
 pub struct LoadProfile {
     /// Concurrent client sessions per engine.
     pub clients: usize,
-    /// In-flight operations each session multiplexes.
+    /// Closed loop: how many consecutive ops a session claims at once (it
+    /// still runs them one at a time). Open loop: sets the default queue
+    /// capacity, `clients × inflight`.
     pub inflight: usize,
     /// Run length used to size the op schedule, milliseconds.
     pub duration_ms: u64,
@@ -671,7 +676,8 @@ pub struct LoadReport {
     pub engine: String,
     /// Client sessions driven.
     pub clients: usize,
-    /// In-flight ops per session.
+    /// The profile's `inflight`: consecutive ops a closed-loop session
+    /// claims at once.
     pub inflight: usize,
     /// The arrival discipline driven.
     pub arrival: LoadArrival,

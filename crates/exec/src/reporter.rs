@@ -90,10 +90,6 @@ pub fn render_resilience(summary: &crate::analyzer::RecoverySummary) -> String {
     for (kind, n) in &summary.faults_by_kind {
         t.add_row(&[format!("  {kind}"), n.to_string()]);
     }
-    if summary.checkpoints_written > 0 || summary.cells_resumed > 0 {
-        t.add_row(&["checkpoints written".into(), summary.checkpoints_written.to_string()]);
-        t.add_row(&["cells resumed".into(), summary.cells_resumed.to_string()]);
-    }
     t.add_row(&["added latency (ms)".into(), summary.added_latency_ms.to_string()]);
     t.add_row(&[
         "degraded ops".into(),
@@ -200,25 +196,6 @@ pub fn render_load(summary: &crate::analyzer::LoadSummary) -> String {
         }
     }
     out
-}
-
-/// The one-line summary `bdbench load` prints per engine. A closed loop's
-/// rate is its saturation throughput; an open loop's is set by the
-/// offered arrivals, so its line names them and the mean dispatch
-/// lateness instead. The `(N completed, …)` tail is the same for both.
-pub fn render_load_line(r: &crate::loadgen::LoadReport) -> String {
-    let (rate, late) = if r.arrival.is_open() {
-        (
-            format!("{:.0} ops/s of offered {}", r.throughput_ops_per_sec, r.arrival),
-            format!(", mean lateness {:.1} us", r.mean_queue_delay_ms * 1e3),
-        )
-    } else {
-        (format!("{:.0} ops/s saturation", r.throughput_ops_per_sec), String::new())
-    };
-    format!(
-        "load[{}]: {rate}, p50 {:.1} us, p99 {:.1} us, p999 {:.1} us{late} ({} completed, {} shed, {} failed)",
-        r.engine, r.p50_us, r.p99_us, r.p999_us, r.completed, r.shed, r.failed,
-    )
 }
 
 /// Format a float compactly for table cells.
@@ -398,14 +375,6 @@ mod tests {
         };
         let closed = render_load(&LoadSummary::new(vec![report("kv", LoadArrival::Closed)], &[]));
         assert!(!closed.contains("lateness["), "{closed}");
-        assert_eq!(
-            render_load_line(&report("kv", LoadArrival::Closed)),
-            "load[kv]: 2000 ops/s saturation, p50 3.0 us, p99 40.0 us, p999 90.0 us (2000 completed, 0 shed, 0 failed)"
-        );
-        assert_eq!(
-            render_load_line(&report("kv", LoadArrival::Uniform { rate_per_sec: 2000.0 })),
-            "load[kv]: 2000 ops/s of offered uniform:2000, p50 3.0 us, p99 40.0 us, p999 90.0 us, mean lateness 2.1 us (2000 completed, 0 shed, 0 failed)"
-        );
         let open = render_load(&LoadSummary::new(
             vec![
                 report("kv", LoadArrival::Poisson { rate_per_sec: 2000.0 }),

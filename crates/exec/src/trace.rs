@@ -74,7 +74,7 @@ pub enum TraceEvent {
     FaultInjected {
         /// The operation site (`phase/target`).
         site: String,
-        /// Fault kind ("error", "latency", "panic", "crash").
+        /// Fault kind ("error" or "latency").
         kind: String,
         /// Spike length for latency faults (0 otherwise).
         latency_ms: u64,

@@ -205,7 +205,7 @@ impl BenchmarkSuite for HiBench {
     }
 
     fn capabilities(&self) -> GenerationCapabilities {
-        GenerationCapabilities { has_fixed_size_inputs: true, ..Default::default() }
+        GenerationCapabilities::default()
     }
 
     fn veracity_probe(&self, _seed: u64) -> Option<VeracityProbe> {
@@ -472,11 +472,7 @@ impl BenchmarkSuite for LinkBench {
     }
 
     fn capabilities(&self) -> GenerationCapabilities {
-        GenerationCapabilities {
-            has_fixed_size_inputs: true,
-            supports_rate_control: true,
-            ..Default::default()
-        }
+        GenerationCapabilities { supports_rate_control: true, ..Default::default() }
     }
 
     fn veracity_probe(&self, seed: u64) -> Option<VeracityProbe> {
@@ -542,11 +538,7 @@ impl BenchmarkSuite for CloudSuite {
     }
 
     fn capabilities(&self) -> GenerationCapabilities {
-        GenerationCapabilities {
-            has_fixed_size_inputs: true,
-            supports_rate_control: true,
-            ..Default::default()
-        }
+        GenerationCapabilities { supports_rate_control: true, ..Default::default() }
     }
 
     fn veracity_probe(&self, seed: u64) -> Option<VeracityProbe> {
@@ -695,7 +687,6 @@ impl BenchmarkSuite for Bdbench {
 
     fn capabilities(&self) -> GenerationCapabilities {
         GenerationCapabilities {
-            has_fixed_size_inputs: false,
             supports_rate_control: true,
             supports_update_frequency: true,
             supports_algorithmic_velocity: true,

@@ -117,8 +117,6 @@ impl SuiteWorkload {
 /// Table 1 harness measures classifications from these plus live runs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GenerationCapabilities {
-    /// The suite also ships fixed-size inputs (→ partially scalable).
-    pub has_fixed_size_inputs: bool,
     /// The suite can deploy parallel generators at a target rate.
     pub supports_rate_control: bool,
     /// The suite can generate controlled update streams.

@@ -67,13 +67,6 @@ impl GoldenStore {
         Self { dir: dir.into() }
     }
 
-    /// The default store: `goldens/` under the working directory — but
-    /// only when that directory already exists (or `create` asks for it),
-    /// so a checkout without goldens runs oracle-only instead of littering.
-    pub fn discover(create: bool) -> Option<Self> {
-        (create || Path::new("goldens").is_dir()).then(|| Self::at("goldens"))
-    }
-
     /// The store's directory.
     pub fn dir(&self) -> &Path {
         &self.dir

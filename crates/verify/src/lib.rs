@@ -21,14 +21,21 @@
 //!    so a behaviour change that shifts *both* the engine and the oracle
 //!    (a shared-substrate bug) still trips the gate.
 //!
+//! The run journal ([`journal`]) sits beside the golden store: a
+//! journaled sweep checkpoints each cell's verdict under the cell's
+//! golden key, so a killed sweep resumes without re-executing the cells
+//! it completed.
+//!
 //! Verdicts are recorded as
 //! [`bdb_exec::trace::TraceEvent::ConformanceChecked`] events and roll up
 //! into the analyzer's [`bdb_exec::analyzer::ConformanceSummary`].
 
 pub mod conformance;
 pub mod golden;
+pub mod journal;
 pub mod oracle;
 
 pub use conformance::{Conformance, VerifyMode};
 pub use golden::{GoldenRecord, GoldenStore};
+pub use journal::{CellCheckpoint, RunJournal};
 pub use oracle::oracle_payload;

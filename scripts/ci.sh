@@ -55,20 +55,19 @@ echo "rustdoc: clean"
 
 echo "== chaos smoke (seeded fault injection) =="
 # A seeded chaos run: an injected fault fails the data set or dispatch it
-# hits, and with it the run — nothing retries it. The generator worker
-# panic fires first, so the run must exit nonzero with an error naming
-# the datagen site, and the same seed + plan must print the same stderr,
-# byte for byte (an injected panic is a named error, not a real panic
-# whose hook report would name a thread id).
+# hits, and with it the run — nothing retries it. Data generation is drawn
+# first, so the run must exit nonzero with an error naming the datagen
+# site, and the same seed + plan must print the same stderr, byte for
+# byte.
 chaos_err_a=$(mktemp); chaos_err_b=$(mktemp)
 for err in "$chaos_err_a" "$chaos_err_b"; do
     if ./target/release/bdbench run micro/wordcount --scale 200 --seed 42 \
-        --faults "error@exec:1:max=2,panic@datagen:1:max=1" >/dev/null 2>"$err"; then
+        --faults "error@datagen:1:max=1" >/dev/null 2>"$err"; then
         echo "chaos smoke: an injected fault must fail the run"; exit 1
     fi
 done
-grep -q "^error: .*worker panic.*injected worker panic at datagen/" "$chaos_err_a" \
-    || { echo "chaos smoke: expected a worker-panic error naming the datagen site, got:"; cat "$chaos_err_a"; exit 1; }
+grep -q "^error: .*injected engine fault at datagen/" "$chaos_err_a" \
+    || { echo "chaos smoke: expected an injected error naming the datagen site, got:"; cat "$chaos_err_a"; exit 1; }
 if ! diff "$chaos_err_a" "$chaos_err_b" >/dev/null; then
     echo "chaos smoke: same seed must print the same stderr"; diff "$chaos_err_a" "$chaos_err_b"; exit 1
 fi
@@ -93,33 +92,34 @@ fi
 rm -f "$latency_a" "$latency_b"
 echo "chaos smoke: $faults latency fault(s) traced, run completed"
 
-echo "== crash smoke (kill point, journal, resume) =="
-# A seeded verification sweep is killed by an injected crash point
-# mid-matrix (exit nonzero, completed cells checkpointed to the journal),
-# then resumed: the resumed sweep must go CONFORMANT against the
-# committed goldens, with the journaled cells re-verified rather than
-# re-executed. Same seed + plan = same kill point, always.
-crash_journal=$(mktemp -d)
-crash_out=$(mktemp)
-if ./target/release/bdbench verify --scale 300 --seed 42 --mode digest --goldens goldens \
-    --journal "$crash_journal" --faults "crash@exec:1:max=1" >/dev/null 2>"$crash_out"; then
-    echo "crash smoke: the killed run must exit nonzero"; exit 1
-fi
-grep -q "crashed: injected kill point mid-matrix" "$crash_out" \
-    || { echo "crash smoke: expected a crash error, got:"; cat "$crash_out"; exit 1; }
-checkpoints=$(find "$crash_journal" -name '*.json' | wc -l)
-if [ "$checkpoints" -lt 1 ] || [ "$checkpoints" -ge 33 ]; then
-    echo "crash smoke: kill point must land mid-sweep (checkpoints=$checkpoints)"; exit 1
+echo "== crash smoke (journal, resume from a killed sweep's prefix) =="
+# A journaled sweep writes one atomic checkpoint per cell after the cell
+# completes, so a process killed mid-sweep leaves a prefix of a complete
+# journal. A full journaled sweep runs first; its first ten checkpoints,
+# in sweep order, go into a second journal, which must resume to
+# CONFORMANT against the committed goldens with those ten cells taken
+# from the journal rather than re-executed.
+crash_full=$(mktemp -d); crash_killed=$(mktemp -d); crash_out=$(mktemp)
+./target/release/bdbench verify --scale 300 --seed 42 --mode digest --goldens goldens \
+    --journal "$crash_full" >"$crash_out" \
+    || { echo "crash smoke: the journaled sweep failed"; cat "$crash_out"; exit 1; }
+# The sweep's order is its verdict table's; a cell's checkpoint is named
+# by its golden key (prescription slug, engine, seed, scale).
+awk 'NR > 3 && $2 != "" && $4 == "pass" { gsub(/[^A-Za-z0-9-]/, "-", $1); print $1 "__" $2 "__s42__n300.json" }' \
+    "$crash_out" | head -10 | while read -r checkpoint; do
+        cp "$crash_full/$checkpoint" "$crash_killed/" || exit 1
+    done || { echo "crash smoke: a checkpoint of the full sweep is missing"; exit 1; }
+checkpoints=$(find "$crash_killed" -name '*.json' | wc -l)
+if [ "$checkpoints" -ne 10 ]; then
+    echo "crash smoke: expected a 10-checkpoint prefix, got $checkpoints"; cat "$crash_out"; exit 1
 fi
 ./target/release/bdbench verify --scale 300 --seed 42 --mode digest --goldens goldens \
-    --journal "$crash_journal" >"$crash_out" \
+    --journal "$crash_killed" >"$crash_out" \
     || { echo "crash smoke: resumed run failed"; cat "$crash_out"; exit 1; }
-grep -q "CONFORMANT" "$crash_out" \
-    || { echo "crash smoke: resumed run not conformant"; cat "$crash_out"; exit 1; }
-grep -q "resumed from journal" "$crash_out" \
-    || { echo "crash smoke: resumed run did not honour the journal"; cat "$crash_out"; exit 1; }
-rm -rf "$crash_journal" "$crash_out"
-echo "crash smoke: killed after $checkpoints cell(s), resumed to CONFORMANT"
+grep -q "^33 cells, 33 passed (10 resumed from journal): CONFORMANT$" "$crash_out" \
+    || { echo "crash smoke: resumed run not conformant from its 10-cell prefix"; cat "$crash_out"; exit 1; }
+rm -rf "$crash_full" "$crash_killed" "$crash_out"
+echo "crash smoke: a 10-checkpoint prefix resumed to CONFORMANT"
 
 echo "== conformance gate (golden digests) =="
 # Seeded runs verified against the committed golden store: a digest
@@ -194,7 +194,7 @@ load_out=$(mktemp)
 grep -q "verdict: CONFORMANT" "$load_out" \
     || { echo "load smoke: expected a CONFORMANT verdict"; cat "$load_out"; exit 1; }
 for engine in kv sql native streaming; do
-    completed=$(sed -n "s/^load\[$engine\]: .* (\([0-9]*\) completed.*/\1/p" "$load_out")
+    completed=$(awk -v e="$engine" '$1==e && NF>10 {print $5}' "$load_out")
     if [ -z "$completed" ] || [ "$completed" -lt 1 ]; then
         echo "load smoke: $engine completed no ops"; cat "$load_out"; exit 1
     fi
@@ -207,7 +207,7 @@ echo "== open-loop load smoke (every target, seeded, no faults) =="
 # targets: each lane waits for its op's intended arrival. The drive must
 # be CONFORMANT, conserve every op per engine
 # (issued == completed + shed + failed), and print each engine's mean
-# dispatch lateness on its load[...] line.
+# dispatch lateness on its lateness[...] line.
 open_out=$(mktemp)
 ./target/release/bdbench load --clients 1 --arrival poisson:2000 --duration-ms 1000 --seed 42 \
     >"$open_out" || { echo "open-loop smoke: drive failed or diverged"; cat "$open_out"; exit 1; }
@@ -219,8 +219,8 @@ for engine in kv sql native streaming; do
         echo "open-loop smoke: $engine conservation violated ($issued != $completed + $shed + $failed)"
         cat "$open_out"; exit 1
     fi
-    grep -Eq "^load\[$engine\]: .*, mean lateness [0-9.]+ us \(" "$open_out" \
-        || { echo "open-loop smoke: load[$engine] line lacks its mean lateness"; cat "$open_out"; exit 1; }
+    grep -q "^lateness\[$engine\]: mean" "$open_out" \
+        || { echo "open-loop smoke: no lateness[$engine] line"; cat "$open_out"; exit 1; }
     echo "open-loop smoke: $engine conserved $issued ops ($completed completed, $shed shed, $failed failed)"
 done
 rm -f "$open_out"

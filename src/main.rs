@@ -6,15 +6,15 @@
 //!     --system <native|mapreduce|sql|kv|streaming>
 //!     --scale <items>  --seed <n>  --workers <n>  --rate <items/sec>
 //!     --trace <path|->                 # dump the run trace as JSON-lines
-//!     --faults <spec>                  # inject faults (kind@phase:rate[:ms=N][:max=N],…)
+//!     --faults <spec>                  # inject faults (error|latency@phase:rate[:ms=N][:max=N],…)
 //!     --verify[=strict|digest|update]  # differential conformance check
-//!     --goldens <dir>                  # explicit golden-store directory
+//!     --goldens <dir>                  # the golden store (digest/update need one)
 //! bdbench verify [opts]                # sweep prescriptions × engines
 //!     --scale <n>  --seed <n>  --mode <strict|digest|update>  --goldens <dir>
 //!     --journal <dir>                  # checkpoint cells; a non-empty dir resumes
-//!     --faults <spec>                  # crash@ kill points between cells
 //! bdbench load [opts]                  # concurrent load driver
-//!     --clients <n>  --inflight <m>    # N sessions × M in-flight lanes
+//!     --clients <n>  --inflight <m>    # N sessions, one op at a time each;
+//!                                      # a closed-loop session claims M ops at once
 //!     --duration-ms <n>  --seed <n>
 //!     --arrival <closed|poisson:R|uniform:R>
 //!     --engine <a,b,…>                 # one comma-separated list; default:
@@ -30,23 +30,26 @@
 //! A run executes on the system it names (`--system`, native by default);
 //! when that system cannot execute the test, the first capable engine in
 //! registration order runs it. A failure on that engine is the run's
-//! result: nothing retries or re-routes it. An injected `error@`,
-//! `panic@` or `crash@` fault fails the data set or dispatch it hits, so
-//! `run` exits 1 naming the site; under `load` it fails the one op.
+//! result: nothing retries or re-routes it. An injected `error@` fault
+//! fails the data set or dispatch it hits, so `run` exits 1 naming the
+//! site; under `load` it fails the one op.
+//!
+//! Without `--goldens` no golden store is read or written: a strict check
+//! runs the reference oracle only, and the digest and update modes, which
+//! need a store, are refused. A `verify --journal DIR` sweep that was
+//! killed resumes when it is rerun on the same `DIR`.
 
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::exec::loadgen::{LoadArrival, LoadProfile};
-use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability};
-use bdbench::exec::fault::FaultPlan;
-use bdbench::exec::journal::RunJournal;
+use bdbench::core::matrix::verify_matrix_routed;
 use bdbench::core::pipeline::Benchmark;
 use bdbench::core::registry::GeneratorRegistry;
 use bdbench::exec::convert::trace_to_jsonl;
 use bdbench::exec::engine::EngineRegistry;
-use bdbench::exec::reporter::render_load_line;
 use bdbench::suites::table2::{render_workload_details, SuiteRun};
 use bdbench::suites::{all_suites, run_suite, table1, table2};
 use bdbench::testgen::{PrescriptionRepository, SystemKind};
+use bdbench::verify::journal::RunJournal;
 use bdbench::verify::VerifyMode;
 
 // Every line the CLI prints goes through `write_stdout`: these two
@@ -76,7 +79,7 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR] [--faults SPEC]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME[,NAME...]] [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N]"
+        "usage:\n  bdbench list\n  bdbench run <prescription> [--system S] [--scale N] [--seed N] [--workers N] [--rate R] [--trace PATH|-] [--faults SPEC] [--verify[=MODE]] [--goldens DIR]\n  bdbench verify [--scale N] [--seed N] [--mode strict|digest|update] [--goldens DIR] [--journal DIR]\n  bdbench load [--clients N] [--inflight M] [--duration-ms D] [--arrival closed|poisson:R|uniform:R] [--engine NAME[,NAME...]] [--seed N] [--queue-cap N] [--sample-every N] [--faults SPEC] [--trace PATH|-]\n  bdbench table1 [--seed N]\n  bdbench table2 [--scale N] [--seed N]\n  bdbench suite <name> [--scale N] [--seed N]"
     );
     std::process::exit(2)
 }
@@ -286,7 +289,6 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
             "mode",
             "goldens",
             "journal",
-            "faults",
         ],
         &[],
     );
@@ -294,13 +296,12 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
     // --journal DIR checkpoints completed cells there; on a non-empty
     // directory it resumes, skipping the cells already checkpointed.
     let journal = opts.get("journal").map(RunJournal::open).transpose()?;
-    let faults = opts.get("faults").map(|s| s.parse::<FaultPlan>()).transpose()?;
     let report = verify_matrix_routed(
         opt_u64(&opts, "scale", 300),
         opt_u64(&opts, "seed", 42),
         mode,
         opts.get("goldens").map(String::as_str),
-        &MatrixDurability { journal: journal.as_ref(), faults: faults.as_ref() },
+        journal.as_ref(),
     )?;
     println!("{}", report.render());
     if report.all_passed() {
@@ -313,10 +314,10 @@ fn cmd_verify(args: &[String]) -> bdbench::common::Result<()> {
     }
 }
 
-/// `bdbench load`: drive N concurrent clients × M in-flight lanes
-/// against the built-in engines and report tail latency and rate (the
-/// saturation throughput of a closed loop, or an open loop's offered
-/// arrivals and their mean dispatch lateness).
+/// `bdbench load`: drive `--clients` concurrent sessions, each running
+/// one op at a time, against the built-in engines and report tail
+/// latency and rate (the saturation throughput of a closed loop, or an
+/// open loop's offered arrivals and their mean dispatch lateness).
 fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     let (positional, opts) = parse_opts(
         args,
@@ -363,9 +364,6 @@ fn cmd_load(args: &[String]) -> bdbench::common::Result<()> {
     }
     let run = Benchmark::new().run_load(&spec)?;
     println!("{}", run.analysis);
-    for report in &run.summary.reports {
-        println!("{}", render_load_line(report));
-    }
     println!("issued-op digest: {}", run.digest);
     if let Some(target) = opts.get("trace") {
         let jsonl = trace_to_jsonl(&run.trace.events())?;

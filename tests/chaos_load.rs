@@ -77,26 +77,6 @@ fn latency_faults_slow_ops_without_failing_them() {
 }
 
 #[test]
-fn panic_faults_are_caught_and_fail_their_op() {
-    let r = drive("panic@exec:0.2", 13);
-    assert_conserved(&r);
-    assert!(r.faults > 0, "a 20% panic rate must fire");
-    assert_eq!(r.failed, r.faults, "a caught panic fails the op it hit");
-    assert!(r.completed > 0, "the drive itself survives per-op panics");
-    assert!(r.conformance_passed);
-}
-
-#[test]
-fn crash_faults_are_terminal_per_op() {
-    let r = drive("crash@exec:0.2", 17);
-    assert_conserved(&r);
-    assert!(r.failed > 0, "crashes must fail their op");
-    assert_eq!(r.failed, r.faults, "each crash fails exactly its op");
-    assert!(r.completed > 0, "the drive itself survives per-op crashes");
-    assert!(r.conformance_passed);
-}
-
-#[test]
 fn open_loop_chaos_conserves_every_op() {
     // A high error rate under open-loop arrivals fails ops on the one
     // target; shed/completed splits are timing-dependent there, but every

@@ -35,6 +35,14 @@ fn bad_options_name_the_offending_token_without_panicking() {
         // the system it names.
         (&["run", "x", "--routing", "cost"][..], "unknown option --routing"),
         (&["verify", "--passes", "2"][..], "unknown option --passes"),
+        // A crash is a killed process: `verify` arms no kill points, and
+        // the fault kinds are `error` and `latency`.
+        (&["verify", "--faults", "crash@exec:1"][..], "unknown option --faults"),
+        (&["run", "x", "--faults", "panic@exec:1"][..], "unknown fault kind \"panic\""),
+        (&["load", "--faults", "crash@exec:1"][..], "unknown fault kind \"crash\""),
+        // Without --goldens there is no golden store to compare or write.
+        (&["run", "micro/sort", "--verify=digest"][..], "verify mode digest needs a golden store"),
+        (&["verify", "--mode", "update"][..], "verify mode update needs a golden store"),
         (&["list", "--costs"][..], "unknown option --costs"),
         // There are no circuit breakers: no command takes their
         // thresholds.

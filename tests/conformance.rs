@@ -2,12 +2,14 @@
 //! on the honest builtin engines, flags a deliberately wrong engine
 //! (mutation smoke), and catches tampered golden digests.
 
+use bdbench::common::BdbError;
 use bdbench::core::layers::BenchmarkSpec;
 use bdbench::core::matrix::verify_matrix;
 use bdbench::core::pipeline::Benchmark;
 use bdbench::exec::engine::{
     Capabilities, Engine, EngineRegistry, ExecutionRequest, NativeEngine,
 };
+use bdbench::exec::trace::TraceEvent;
 use bdbench::exec::SystemConfig;
 use bdbench::testgen::SystemKind;
 use bdbench::verify::{GoldenRecord, GoldenStore, VerifyMode};
@@ -139,6 +141,39 @@ fn tampered_golden_digest_fails_digest_mode() {
     let again = Benchmark::new().run(&spec).unwrap();
     assert!(again.conformance.all_passed());
     let _ = std::fs::remove_dir_all(&goldens);
+}
+
+/// A golden store exists only where the spec points. The working
+/// directory of this test holds the committed `goldens/`, with a golden
+/// for this very cell; a strict run that names no store checks against
+/// the reference oracle alone and reads and writes no golden. The tiers
+/// that need a store are refused by name.
+#[test]
+fn strict_run_without_goldens_checks_only_the_oracle() {
+    let spec = BenchmarkSpec::new("no-store")
+        .with_prescription("micro/wordcount")
+        .with_system(SystemKind::Native)
+        .with_scale(300)
+        .with_seed(42);
+    let strict = Benchmark::new().run(&spec.clone().with_verify(VerifyMode::Strict)).unwrap();
+    let checks: Vec<String> = strict
+        .trace
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::ConformanceChecked { check, passed, .. } => {
+                assert!(passed, "{check} failed");
+                Some(check)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(checks, vec!["oracle"]);
+    for mode in [VerifyMode::Digest, VerifyMode::Update] {
+        let err = Benchmark::new().run(&spec.clone().with_verify(mode)).unwrap_err();
+        assert!(matches!(err, BdbError::InvalidConfig(_)), "{mode}: {err}");
+        assert!(err.to_string().contains(&format!("verify mode {mode} needs a golden store")), "{err}");
+    }
 }
 
 /// Velocity control paces generation, it does not pick a different data

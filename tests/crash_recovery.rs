@@ -1,16 +1,13 @@
-//! Crash-point chaos, end to end: kill the process (simulated) at seeded
-//! points — mid-WAL-append, pre-flush, pre-manifest, pre-WAL-rotate in
-//! the KV store; between cells in the verification matrix; at engine
-//! dispatch in a single run — then recover, and assert the recovered
-//! state / resumed run is identical to an uninterrupted one.
+//! Crash recovery, end to end: kill the KV store (simulated) at seeded
+//! points — mid-WAL-append, pre-flush, pre-manifest, pre-WAL-rotate — and
+//! resume a verification sweep from what a killed process leaves in its
+//! journal, then assert the recovered state / resumed sweep is identical
+//! to an uninterrupted one.
 
-use bdbench::core::layers::BenchmarkSpec;
-use bdbench::core::matrix::{verify_matrix_routed, MatrixDurability};
-use bdbench::core::pipeline::Benchmark;
-use bdbench::exec::journal::RunJournal;
+use bdbench::core::matrix::verify_matrix_routed;
 use bdbench::kv::{CrashPoint, LsmConfig, LsmStore};
-use bdbench::testgen::SystemKind;
-use bdbench::verify::VerifyMode;
+use bdbench::verify::journal::RunJournal;
+use bdbench::verify::{GoldenStore, VerifyMode};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -108,9 +105,11 @@ fn repeated_crashes_accumulate_no_loss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Kill the matrix sweep mid-run, resume from the journal, and assert
-/// the resumed report's cells — verdicts and digests — are identical to
-/// an uninterrupted sweep's.
+/// A killed sweep leaves a journal holding a prefix of a complete one:
+/// each checkpoint is one atomic file, written after its cell completes.
+/// Resume prefixes of a completed sweep's journal (none, one cell, a
+/// third, all but one, all) and assert each resumed report's cells —
+/// verdicts and digests — are identical to the uninterrupted sweep's.
 #[test]
 fn killed_matrix_resumes_to_identical_digests() {
     let scale = 20;
@@ -122,85 +121,48 @@ fn killed_matrix_resumes_to_identical_digests() {
     let goldens_dir = temp_dir("matrix-goldens");
     std::fs::create_dir_all(&goldens_dir).unwrap();
     let goldens = goldens_dir.to_str().unwrap();
-    let uninterrupted =
-        verify_matrix_routed(scale, seed, mode, Some(goldens), &MatrixDurability::default())
-            .unwrap();
+    let full = RunJournal::open(temp_dir("matrix-journal")).unwrap();
+    let uninterrupted = verify_matrix_routed(scale, seed, mode, Some(goldens), Some(&full)).unwrap();
     assert!(uninterrupted.all_passed(), "{}", uninterrupted.render());
+    assert_eq!(uninterrupted.recovery.checkpoints_written as usize, uninterrupted.cells.len());
 
-    let journal_dir = temp_dir("matrix-journal");
-    let journal = RunJournal::open(&journal_dir).unwrap();
-    // One kill point, armed to fire after the third completed cell.
-    let plan = "crash@exec:1:max=1".parse().unwrap();
-    let crashed = verify_matrix_routed(
-        scale,
-        seed,
-        mode,
-        Some(goldens),
-        &MatrixDurability { journal: Some(&journal), faults: Some(&plan) },
-    );
-    let err = crashed.unwrap_err();
-    assert!(err.is_crash(), "expected a crash, got {err}");
-    let checkpointed = journal.completed().len();
-    assert!(
-        checkpointed >= 1 && checkpointed < uninterrupted.cells.len(),
-        "crash must land mid-sweep, got {checkpointed} checkpoints"
-    );
+    // The checkpoints in the order the sweep wrote them.
+    let keys: Vec<String> = uninterrupted
+        .cells
+        .iter()
+        .map(|c| GoldenStore::key(&c.prescription, c.engine, seed, scale))
+        .collect();
+    assert_eq!(full.completed().len(), keys.len());
+    for prefix in [0, 1, keys.len() / 3, keys.len() - 1, keys.len()] {
+        let killed = RunJournal::open(temp_dir(&format!("matrix-prefix-{prefix}"))).unwrap();
+        for key in &keys[..prefix] {
+            std::fs::copy(full.dir().join(format!("{key}.json")), killed.dir().join(format!("{key}.json")))
+                .unwrap();
+        }
+        let resumed = verify_matrix_routed(scale, seed, mode, Some(goldens), Some(&killed)).unwrap();
+        assert!(resumed.all_passed(), "prefix {prefix}:\n{}", resumed.render());
+        assert_eq!(resumed.recovery.cells_resumed as usize, prefix);
+        assert_eq!(resumed.recovery.checkpoints_written as usize, keys.len() - prefix);
+        assert_eq!(killed.completed().len(), keys.len(), "prefix {prefix}: the journal completes");
 
-    let resumed = verify_matrix_routed(
-        scale,
-        seed,
-        mode,
-        Some(goldens),
-        &MatrixDurability { journal: Some(&journal), faults: None },
-    )
-    .unwrap();
-    assert!(resumed.all_passed(), "{}", resumed.render());
-    assert_eq!(resumed.recovery.cells_resumed as usize, checkpointed);
-    assert!(resumed.cells.iter().any(|c| c.resumed));
-
-    // Cell-for-cell identity with the uninterrupted sweep: same order,
-    // same verdicts, same conformance digests.
-    assert_eq!(resumed.cells.len(), uninterrupted.cells.len());
-    for (r, u) in resumed.cells.iter().zip(&uninterrupted.cells) {
-        assert_eq!(
-            (r.prescription.as_str(), r.engine, r.passed),
-            (u.prescription.as_str(), u.engine, u.passed)
-        );
-        assert_eq!(
-            r.digest, u.digest,
-            "{}@{}: resumed digest diverged from uninterrupted run",
-            r.prescription, r.engine
-        );
+        // Cell-for-cell identity with the uninterrupted sweep: same order,
+        // same verdicts, same conformance digests; exactly the prefix is
+        // taken from the journal.
+        assert_eq!(resumed.cells.len(), uninterrupted.cells.len());
+        for (i, (r, u)) in resumed.cells.iter().zip(&uninterrupted.cells).enumerate() {
+            assert_eq!(
+                (r.prescription.as_str(), r.engine, r.passed, r.checks),
+                (u.prescription.as_str(), u.engine, u.passed, u.checks)
+            );
+            assert_eq!(
+                r.digest, u.digest,
+                "{}@{}: resumed digest diverged from uninterrupted run",
+                r.prescription, r.engine
+            );
+            assert_eq!(r.resumed, i < prefix, "{}@{}", r.prescription, r.engine);
+        }
+        let _ = std::fs::remove_dir_all(killed.dir());
     }
-    let _ = std::fs::remove_dir_all(&journal_dir);
+    let _ = std::fs::remove_dir_all(full.dir());
     let _ = std::fs::remove_dir_all(&goldens_dir);
-}
-
-/// A `crash@exec` fault in a single run is terminal — the
-/// run dies exactly as a killed process would, and the error says so.
-#[test]
-fn single_run_crash_aborts_without_failover() {
-    let spec = BenchmarkSpec::new("crash")
-        .with_prescription("micro/wordcount")
-        .with_system(SystemKind::Native)
-        .with_scale(100)
-        .with_seed(17)
-        .with_faults("crash@exec:1".parse().unwrap());
-    let err = Benchmark::new().run(&spec).unwrap_err();
-    assert!(err.is_crash(), "got {err}");
-    assert!(err.to_string().contains("crashed"), "{err}");
-}
-
-/// The same crash clause scoped to datagen kills generation instead —
-/// proving the phase vocabulary reaches the kill point.
-#[test]
-fn datagen_crash_is_also_terminal() {
-    let spec = BenchmarkSpec::new("crash-datagen")
-        .with_prescription("micro/wordcount")
-        .with_system(SystemKind::Native)
-        .with_scale(100)
-        .with_seed(17)
-        .with_faults("crash@datagen:1".parse().unwrap());
-    let err = Benchmark::new().run(&spec).unwrap_err();
-    assert!(err.is_crash(), "got {err}");
 }

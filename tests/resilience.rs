@@ -43,21 +43,18 @@ fn injected_engine_error_fails_the_run() {
 }
 
 #[test]
-fn generator_worker_panic_fails_the_run_naming_the_dataset() {
-    // A panic injected into data generation rides through a real pool
-    // worker; the hardened pool converts it to a structured error that
-    // names the data set, and the process does not abort.
-    let err = Benchmark::new().run(&chaos_spec("panic@datagen:1:max=1")).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("worker panic"), "{msg}");
-    assert!(msg.contains("injected worker panic at datagen/docs"), "{msg}");
+fn injected_datagen_error_fails_the_run_naming_the_dataset() {
+    // Data generation is drawn first: the fault fails the first data set,
+    // and the run with it, before any execution draw.
+    let err = Benchmark::new().run(&chaos_spec("error@exec:1,error@datagen:1:max=1")).unwrap_err();
+    assert_eq!(err.to_string(), "execution error: injected engine fault at datagen/docs");
 }
 
 #[test]
 fn fault_and_recovery_sequence_is_deterministic() {
     // Same seed + same plan => the same error, or the same recovery event
     // sequence byte for byte.
-    for plan in ["error@exec:1", "panic@datagen:1", "error@any:0.4,latency@exec:0.5:ms=1"] {
+    for plan in ["error@exec:1", "error@datagen:1", "error@any:0.4,latency@exec:0.5:ms=1"] {
         let spec = chaos_spec(plan);
         assert_eq!(outcome(&spec), outcome(&spec), "{plan}");
     }
